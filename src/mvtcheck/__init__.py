@@ -8,45 +8,9 @@ and locate a point c where f'(c) equals the secant slope::
     result = verify_mvt(parse("sin(x)"), Interval(0.0, 1.5707963267948966))
 """
 
-from .expr import (
-    Binary,
-    Call,
-    Constant,
-    DomainError,
-    Expr,
-    LexError,
-    Neg,
-    ParseError,
-    Token,
-    TokenKind,
-    UnknownIdentifier,
-    Variable,
-    compile_evaluator,
-    evaluate,
-    format_expr,
-    parse,
-    tokenize,
-)
-from .numeric import (
-    BisectionState,
-    Bracket,
-    Interval,
-    MaxIterationsExceeded,
-    SamplePoint,
-    bisect,
-    bracket_sign_change,
-    central_difference,
-    sample,
-)
-from .calculus import (
-    SmoothnessReport,
-    Verdict,
-    Witness,
-    WitnessKind,
-    analyze_smoothness,
-    differentiate,
-    simplify,
-)
+from .expr import DomainError, SourceError, evaluate, format_expr, parse
+from .numeric import Interval
+from .calculus import differentiate
 from .theorem import (
     Applicable,
     Config,
@@ -64,46 +28,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Applicable",
-    "Binary",
-    "BisectionState",
-    "Bracket",
-    "Call",
     "Config",
-    "Constant",
     "DomainError",
-    "Expr",
     "Interval",
-    "LexError",
-    "MaxIterationsExceeded",
     "Method",
     "MvtResult",
-    "Neg",
     "NotApplicable",
-    "ParseError",
     "Reason",
-    "SamplePoint",
-    "SmoothnessReport",
-    "Token",
-    "TokenKind",
+    "SourceError",
     "Unknown",
-    "UnknownIdentifier",
-    "Variable",
-    "Verdict",
-    "Witness",
-    "WitnessKind",
-    "analyze_smoothness",
-    "bisect",
-    "bracket_sign_change",
-    "central_difference",
-    "compile_evaluator",
     "differentiate",
     "evaluate",
     "format_expr",
     "parse",
-    "sample",
     "secant_slope",
-    "simplify",
-    "tokenize",
     "verify_mvt",
     "verify_rolle",
 ]

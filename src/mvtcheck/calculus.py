@@ -4,7 +4,6 @@ interval."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -17,10 +16,8 @@ from .expr import (
     Expr,
     Neg,
     Variable,
-    _CALL_HELPERS,
-    _div,
-    _pow,
     compile_evaluator,
+    evaluate,
 )
 from .numeric import Bracket, Interval, MaxIterationsExceeded, bisect, sample
 
@@ -154,7 +151,7 @@ def simplify(e: Expr) -> Expr:
         right = simplify(e.right)
         op = e.op
         if isinstance(left, Constant) and isinstance(right, Constant):
-            folded = _fold_binary(op, left.value, right.value)
+            folded = _fold(Binary(op, left, right))
             if folded is not None:
                 return folded
         if op == "+":
@@ -176,7 +173,7 @@ def simplify(e: Expr) -> Expr:
     if isinstance(e, Call):
         arg = simplify(e.argument)
         if isinstance(arg, Constant):
-            folded = _fold_call(e.fn, arg.value)
+            folded = _fold(Call(e.fn, arg))
             if folded is not None:
                 return folded
         return Call(e.fn, arg)
@@ -191,34 +188,13 @@ def _is_one(e: Expr) -> bool:
     return isinstance(e, Constant) and e.value == 1.0
 
 
-def _fold_binary(op: str, a: float, b: float) -> Constant | None:
-    # identical arithmetic to evaluation; skip folding where it would fail
+def _fold(node: Expr) -> Constant | None:
+    # a node over constants only: evaluate it exactly as at run time, and
+    # leave it unfolded where evaluation fails (1/0, ln(0), overflow)
     try:
-        if op == "+":
-            v = a + b
-        elif op == "-":
-            v = a - b
-        elif op == "*":
-            v = a * b
-        elif op == "/":
-            v = _div(a, b, 0.0)
-        else:
-            v = _pow(a, b, 0.0)
+        return Constant(evaluate(node, 0.0))
     except DomainError:
         return None
-    if not math.isfinite(v):
-        return None
-    return Constant(v)
-
-
-def _fold_call(fn: str, a: float) -> Constant | None:
-    try:
-        v = _CALL_HELPERS[fn](a, 0.0)
-    except DomainError:
-        return None
-    if not math.isfinite(v):
-        return None
-    return Constant(v)
 
 
 # --- smoothness analysis ----------------------------------------------------
@@ -228,7 +204,6 @@ def _fold_call(fn: str, a: float) -> Constant | None:
 class _Hazard:
     inner: Expr  # zeros of this expression mark the trouble spots
     kind: WitnessKind
-    breaks_continuity: bool  # abs kinks leave the function continuous
     zero_undefined: bool  # f is undefined where inner == 0 (poles, ln, powers)
 
 
@@ -250,26 +225,26 @@ def _collect_hazards(e: Expr) -> list[_Hazard]:
             walk(node.left)
             walk(node.right)
             if node.op == "/":
-                out.append(_Hazard(node.right, WitnessKind.POLE, True, True))
+                out.append(_Hazard(node.right, WitnessKind.POLE, True))
             elif node.op == "^":
                 exponent = _literal_value(node.right)
                 if exponent is not None and abs(exponent) <= 64.0 and exponent.is_integer():
                     if exponent < 0.0:
                         # reciprocal of an integer power: base zero is a pole
-                        out.append(_Hazard(node.left, WitnessKind.POLE, True, True))
+                        out.append(_Hazard(node.left, WitnessKind.POLE, True))
                 else:
-                    out.append(_Hazard(node.left, WitnessKind.POWER_BOUNDARY, True, True))
+                    out.append(_Hazard(node.left, WitnessKind.POWER_BOUNDARY, True))
         elif isinstance(node, Call):
             walk(node.argument)
             if node.fn == "ln":
-                out.append(_Hazard(node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, True, True))
+                out.append(_Hazard(node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
             elif node.fn == "sqrt":
-                out.append(_Hazard(node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, True, False))
+                out.append(_Hazard(node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, False))
             elif node.fn == "abs":
-                out.append(_Hazard(node.argument, WitnessKind.ABS_KINK, False, False))
+                out.append(_Hazard(node.argument, WitnessKind.ABS_KINK, False))
             elif node.fn == "tan":
                 # tan blows up where cos of its argument vanishes
-                out.append(_Hazard(Call("cos", node.argument), WitnessKind.POLE, True, True))
+                out.append(_Hazard(Call("cos", node.argument), WitnessKind.POLE, True))
 
     walk(e)
     return out

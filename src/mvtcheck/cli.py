@@ -30,7 +30,7 @@ from .expr import (
     format_expr,
     parse,
 )
-from .numeric import Interval
+from .numeric import Interval, sample
 from .theorem import Applicable, Config, MvtResult, NotApplicable, Unknown, verify_mvt, verify_rolle
 
 __all__ = ["run", "main", "render_json", "emit_plot", "PlotSeries", "UnsupportedFormat"]
@@ -104,21 +104,12 @@ def run(args: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return ns.handler(ns)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except SourceError as err:
+    except (_UsageError, SourceError, UnsupportedFormat, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except UnsupportedFormat as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except Exception as err:  # exit-code totality: never leak a traceback
         print(f"internal error: {err}", file=sys.stderr)
         return 1
@@ -217,55 +208,49 @@ def _print_human(result: MvtResult, source: str, iv: Interval, mode: str) -> Non
 def render_json(result: MvtResult, f: Expr, iv: Interval) -> str:
     """Serialize ``result`` as a single-line JSON object.
 
-    Numbers carry 17 significant digits so parsing the output recovers
-    them bit-exactly.
+    Numbers are written as the shortest repr that round-trips, so parsing
+    the output recovers them bit-exactly, including the sign of zero.
     """
-    parts: list[tuple[str, str]] = []
-
-    def num(v: float) -> str:
-        return format(v, ".17g")
-
     if isinstance(result, Applicable):
-        parts = [
-            ("status", '"applicable"'),
-            ("c", num(result.c)),
-            ("m", num(result.m)),
-            ("f_prime_at_c", num(result.f_prime_at_c)),
-            ("residual", num(result.residual)),
-            ("iterations", str(result.iterations)),
-            ("method", json.dumps(result.method.value)),
-        ]
+        fields = {
+            "status": "applicable",
+            "c": result.c,
+            "m": result.m,
+            "f_prime_at_c": result.f_prime_at_c,
+            "residual": result.residual,
+            "iterations": result.iterations,
+            "method": result.method.value,
+        }
     elif isinstance(result, NotApplicable):
-        parts = [
-            ("status", '"not_applicable"'),
-            ("reason", json.dumps(result.reason.value)),
-        ]
+        fields = {"status": "not_applicable", "reason": result.reason.value}
         if result.witness is not None:
-            parts.append(("witness", num(result.witness)))
+            fields["witness"] = result.witness
     else:
         assert isinstance(result, Unknown)
-        parts = [
-            ("status", '"unknown"'),
-            ("detail", json.dumps(result.detail)),
-        ]
-    return "{" + ",".join(f'"{key}":{value}' for key, value in parts) + "}"
+        fields = {"status": "unknown", "detail": result.detail}
+    return json.dumps(fields, separators=(",", ":"))
 
 
 def plot_series(f: Expr, iv: Interval, result: MvtResult, n: int = DEFAULT_PLOT_POINTS) -> list[PlotSeries]:
     """Build the plotted series: the function, plus secant and tangent when
     the result is Applicable."""
-    xs, fvals = _grid(f, iv, n)
-    series = [
-        PlotSeries("function", tuple((x, y) for x, y in zip(xs, fvals) if y is not None))
-    ]
-    if isinstance(result, Applicable):
-        fa = evaluate(f, iv.a)
-        fc = evaluate(f, result.c)
-        secant = tuple((x, fa + result.m * (x - iv.a)) for x in xs)
-        tangent = tuple((x, fc + result.f_prime_at_c * (x - result.c)) for x in xs)
-        series.append(PlotSeries("secant", secant))
-        series.append(PlotSeries("tangent", tangent))
+    pts = sample(compile_evaluator(f), iv, n)
+    xs = [p.x for p in pts]
+    series = [PlotSeries("function", tuple((p.x, p.value) for p in pts if p.error is None))]
+    series += [PlotSeries(name, tuple(zip(xs, ys))) for name, ys in _lines(f, iv, result, xs)]
     return series
+
+
+def _lines(f: Expr, iv: Interval, result: MvtResult, xs: list[float]) -> list[tuple[str, list[float]]]:
+    """The secant and the tangent at c over ``xs``, when the result is Applicable."""
+    if not isinstance(result, Applicable):
+        return []
+    fa = evaluate(f, iv.a)
+    fc = evaluate(f, result.c)
+    return [
+        ("secant", [fa + result.m * (x - iv.a) for x in xs]),
+        ("tangent", [fc + result.f_prime_at_c * (x - result.c) for x in xs]),
+    ]
 
 
 def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str, n: int = DEFAULT_PLOT_POINTS) -> None:
@@ -289,38 +274,15 @@ def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str, n: int = DEFA
     _atomic_write(path, text)
 
 
-def _grid(f: Expr, iv: Interval, n: int) -> tuple[list[float], list[float | None]]:
-    ev = compile_evaluator(f)
-    step = iv.width / (n - 1)
-    xs: list[float] = []
-    ys: list[float | None] = []
-    for i in range(n):
-        x = iv.b if i == n - 1 else iv.a + i * step
-        xs.append(x)
-        try:
-            ys.append(ev(x))
-        except DomainError:
-            ys.append(None)
-    return xs, ys
-
-
 def _render_csv(f: Expr, iv: Interval, result: MvtResult, n: int) -> str:
-    xs, fvals = _grid(f, iv, n)
-    if not isinstance(result, Applicable):
-        lines = ["x,f"]
-        for x, y in zip(xs, fvals):
-            cell = "" if y is None else repr(y)
-            lines.append(f"{x!r},{cell}")
-        return "\n".join(lines) + "\n"
-    fa = evaluate(f, iv.a)
-    fc = evaluate(f, result.c)
-    lines = ["x,f,secant,tangent"]
-    for x, y in zip(xs, fvals):
-        cell = "" if y is None else repr(y)
-        secant = fa + result.m * (x - iv.a)
-        tangent = fc + result.f_prime_at_c * (x - result.c)
-        lines.append(f"{x!r},{cell},{secant!r},{tangent!r}")
-    return "\n".join(lines) + "\n"
+    pts = sample(compile_evaluator(f), iv, n)
+    xs = [p.x for p in pts]
+    lines = _lines(f, iv, result, xs)
+    columns = [map(repr, xs), ("" if p.value is None else repr(p.value) for p in pts)]
+    columns += [map(repr, ys) for _, ys in lines]
+    rows = [",".join(["x", "f"] + [name for name, _ in lines])]
+    rows += map(",".join, zip(*columns))
+    return "\n".join(rows) + "\n"
 
 
 def _render_svg(f: Expr, iv: Interval, result: MvtResult, n: int) -> str:

@@ -1,5 +1,5 @@
-"""Numerical kernels: central differences, uniform sampling, sign-change
-bracketing, and bisection.
+"""Numerical kernels: uniform sampling, sign-change bracketing, and
+bisection.
 
 Evaluators are plain callables ``float -> float`` that signal points
 outside their domain by raising :class:`~mvtcheck.expr.DomainError`.
@@ -20,9 +20,9 @@ __all__ = [
     "BisectionState",
     "SamplePoint",
     "MaxIterationsExceeded",
-    "central_difference",
+    "opposite_or_zero",
     "sample",
-    "bracket_sign_change",
+    "first_bracket",
     "bisect",
 ]
 
@@ -35,8 +35,8 @@ class MaxIterationsExceeded(Exception):
     """Bisection could not shrink the bracket below eps within max_iter."""
 
 
-def _opposite_or_zero(u: float, v: float) -> bool:
-    # sign test equivalent to u*v <= 0, immune to overflow of the product
+def opposite_or_zero(u: float, v: float) -> bool:
+    """Sign test equivalent to u*v <= 0, immune to overflow of the product."""
     return (u <= 0.0 <= v) or (v <= 0.0 <= u)
 
 
@@ -75,7 +75,7 @@ class Bracket:
             raise ValueError("bracket requires left < right")
         if not (math.isfinite(self.g_left) and math.isfinite(self.g_right)):
             raise ValueError("bracket endpoint values must be finite")
-        if not _opposite_or_zero(self.g_left, self.g_right):
+        if not opposite_or_zero(self.g_left, self.g_right):
             raise ValueError("bracket endpoint values must have opposite or zero sign")
 
 
@@ -92,17 +92,6 @@ class SamplePoint:
     x: float
     value: float | None
     error: DomainError | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-def central_difference(f: Evaluator, x: float, h: float) -> float:
-    """Symmetric difference quotient (f(x+h) - f(x-h)) / (2h)."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def sample(f: Evaluator, iv: Interval, n: int) -> list[SamplePoint]:
@@ -124,29 +113,20 @@ def sample(f: Evaluator, iv: Interval, n: int) -> list[SamplePoint]:
     return points
 
 
-def _first_bracket(points: Sequence[SamplePoint]) -> Bracket | None:
+def first_bracket(points: Sequence[SamplePoint]) -> Bracket | None:
     """First consecutive pair of valid samples with opposite-or-zero signs.
 
-    A failed sample breaks adjacency: no pair is formed across it.
+    Both values must be finite.  A failed sample breaks adjacency: no pair
+    is formed across it.  Returns None when no such pair exists.
     """
     for p, q in zip(points, points[1:]):
         if p.error is not None or q.error is not None:
             continue
         if not (math.isfinite(p.value) and math.isfinite(q.value)):
             continue
-        if _opposite_or_zero(p.value, q.value):
+        if opposite_or_zero(p.value, q.value):
             return Bracket(p.x, q.x, p.value, q.value)
     return None
-
-
-def bracket_sign_change(g: Evaluator, iv: Interval, n: int) -> Bracket | None:
-    """Scan ``n`` uniform samples of ``g`` for the first sign change.
-
-    Returns the first consecutive sample pair with g(x_i) * g(x_i+1) <= 0
-    and both values finite, or None when no such pair exists.  Points
-    where ``g`` raises DomainError split the scan.
-    """
-    return _first_bracket(sample(g, iv, n))
 
 
 def bisect(
@@ -178,7 +158,7 @@ def bisect(
         iterations += 1
         if g_mid == 0.0:
             return mid, BisectionState(left, right, mid, iterations)
-        if _opposite_or_zero(g_left, g_mid):
+        if opposite_or_zero(g_left, g_mid):
             right = mid
         else:
             left, g_left = mid, g_mid

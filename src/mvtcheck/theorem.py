@@ -17,14 +17,15 @@ from .numeric import (
     DEFAULT_MAX_ITER,
     Interval,
     MaxIterationsExceeded,
-    _first_bracket,
-    _opposite_or_zero,
     bisect,
+    first_bracket,
+    opposite_or_zero,
     sample,
 )
 
 __all__ = [
     "Config",
+    "MAX_SAMPLES",
     "Method",
     "Reason",
     "MvtResult",
@@ -36,6 +37,10 @@ __all__ = [
     "verify_rolle",
 ]
 
+# cap on Config.samples: every scan holds one SamplePoint per sample, so an
+# unbounded count from the command line could exhaust memory
+MAX_SAMPLES = 2**20
+
 _GOLDEN_STEPS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -46,23 +51,24 @@ class Config:
 
     eps_c      target bracket width for the bisection stage
     eps_res    acceptance tolerance on the residual |f'(c) - m|
-    samples    uniform sample count for smoothness and root scans
-    fd_step    step for finite-difference cross-checks of the derivative
+    samples    uniform sample count for smoothness and root scans,
+               from 2 up to MAX_SAMPLES
     eps_rolle  relative tolerance on |f(a) - f(b)| in Rolle mode
     """
 
     eps_c: float = 1e-10
     eps_res: float = 1e-8
     samples: int = 1024
-    fd_step: float = 1e-5
     eps_rolle: float = 1e-12
 
     def __post_init__(self):
-        for name in ("eps_c", "eps_res", "fd_step", "eps_rolle"):
+        for name in ("eps_c", "eps_res", "eps_rolle"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_SAMPLES}")
 
 
 class Method(Enum):
@@ -192,7 +198,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
         if fpc is not None and abs(fpc - m) <= cfg.eps_res:
             return Applicable(c, m, fpc, abs(fpc - m), 0, Method.DEGENERATE_CONSTANT)
 
-    br = _first_bracket(pts)
+    br = first_bracket(pts)
     if br is not None:
         try:
             root, state = bisect(g, br, cfg.eps_c, DEFAULT_MAX_ITER)
@@ -244,7 +250,7 @@ def _tighten_residual(deriv, m, root, state, cfg, max_extra=DEFAULT_MAX_ITER):
             root, fpc, residual = mid, dm, abs(gm)
         if gm == 0.0:
             break
-        if _opposite_or_zero(g_left, gm):
+        if opposite_or_zero(g_left, gm):
             right = mid
         else:
             left, g_left = mid, gm

@@ -22,9 +22,10 @@ from mvtcheck.expr import (
     format_expr,
     parse,
 )
-from mvtcheck.numeric import Bracket, Interval, bisect, central_difference
+from mvtcheck.numeric import Bracket, Interval, bisect
 from mvtcheck.theorem import Applicable, verify_mvt, verify_rolle
 
+from oracles import central_difference
 from strategies import polynomial
 
 

@@ -16,7 +16,9 @@ from mvtcheck.cli import (
 from mvtcheck.expr import evaluate, parse
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import (
+    MAX_SAMPLES,
     Applicable,
+    Method,
     NotApplicable,
     Reason,
     Unknown,
@@ -106,6 +108,12 @@ def test_verify_eps_and_samples_flags(capsys):
     assert code == 0
 
 
+def test_verify_samples_above_cap_is_usage_error(capsys):
+    code = run(["verify", "--f", "sin(x)", "--a", "0", "--b", "1", "--samples", str(MAX_SAMPLES + 1)])
+    assert code == 1
+    assert "samples must be at most" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 
@@ -177,6 +185,16 @@ def test_render_json_not_applicable():
 def test_render_json_unknown():
     parsed = json.loads(render_json(Unknown("no luck"), parse("x"), Interval(0.0, 1.0)))
     assert parsed == {"status": "unknown", "detail": "no luck"}
+
+
+def test_render_json_keeps_floats_and_the_sign_of_zero():
+    iv = Interval(-1.0, 1.0)
+    kink = NotApplicable(Reason.NOT_DIFFERENTIABLE, -0.0)
+    witness = json.loads(render_json(kink, parse("abs(x)"), iv))["witness"]
+    assert type(witness) is float and math.copysign(1.0, witness) == -1.0
+    applicable = Applicable(0.5, 1.0, 1.0, 0.0, 3, Method.BRACKET_BISECT)
+    residual = json.loads(render_json(applicable, parse("x"), iv))["residual"]
+    assert type(residual) is float and math.copysign(1.0, residual) == 1.0
 
 
 def test_render_json_is_single_line():

@@ -10,10 +10,11 @@ from mvtcheck.numeric import (
     Interval,
     MaxIterationsExceeded,
     bisect,
-    bracket_sign_change,
-    central_difference,
+    first_bracket,
     sample,
 )
+
+from oracles import central_difference
 
 # independently computed: bisection of cos(x) - 2/pi on [0, pi/2]
 ARCCOS_2_OVER_PI = 0.8806892354203566
@@ -121,22 +122,22 @@ def test_sample_endpoints_exact_and_spacing_uniform(a, width, n):
         assert abs((v - u) - step) <= 2.0 * math.ulp(scale)
 
 
-# --- bracket_sign_change ----------------------------------------------------
+# --- first_bracket ----------------------------------------------------------
 
 
 def test_bracket_linear_sign_change():
-    br = bracket_sign_change(lambda x: x - 2.0, Interval(1.0, 3.0), 5)
+    br = first_bracket(sample(lambda x: x - 2.0, Interval(1.0, 3.0), 5))
     assert br is not None
     assert br.left <= 2.0 <= br.right
 
 
 def test_bracket_absent_when_no_sign_change():
-    assert bracket_sign_change(lambda x: x * x + 1.0, Interval(-1.0, 1.0), 9) is None
+    assert first_bracket(sample(lambda x: x * x + 1.0, Interval(-1.0, 1.0), 9)) is None
 
 
 def test_bracket_cosine_secant_equation():
     g = lambda x: math.cos(x) - 2.0 / math.pi
-    br = bracket_sign_change(g, Interval(0.0, math.pi / 2), 9)
+    br = first_bracket(sample(g, Interval(0.0, math.pi / 2), 9))
     assert br is not None
     assert br.left <= ARCCOS_2_OVER_PI <= br.right
 
@@ -144,7 +145,7 @@ def test_bracket_cosine_secant_equation():
 def test_bracket_not_formed_across_failed_points():
     # 1/x changes sign across 0 but the failing middle sample splits the scan
     f = compile_evaluator(parse("1/x"))
-    assert bracket_sign_change(f, Interval(-1.0, 1.0), 3) is None
+    assert first_bracket(sample(f, Interval(-1.0, 1.0), 3)) is None
 
 
 # --- bisect -----------------------------------------------------------------

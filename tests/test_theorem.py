@@ -8,6 +8,7 @@ from mvtcheck.expr import Binary, Constant, DomainError, Variable, evaluate, par
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import (
     Applicable,
+    MAX_SAMPLES,
     Config,
     Method,
     NotApplicable,
@@ -29,6 +30,8 @@ def test_config_validation():
         Config(eps_c=0.0)
     with pytest.raises(ValueError):
         Config(samples=1)
+    with pytest.raises(ValueError, match="at most"):
+        Config(samples=MAX_SAMPLES + 1)
 
 
 # --- secant_slope -----------------------------------------------------------
