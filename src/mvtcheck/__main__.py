@@ -1,0 +1,6 @@
+"""``python -m mvtcheck``: the command-line interface."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -4,22 +4,25 @@ interval."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .expr import (
     Binary,
     Call,
     Constant,
     DomainError,
+    DomainErrorKind,
     Expr,
     Neg,
     Variable,
     compile_evaluator,
+    compile_outputs,
     evaluate,
 )
-from .numeric import Bracket, Interval, MaxIterationsExceeded, bisect, sample
+from .numeric import Bracket, Evaluator, Interval, MaxIterationsExceeded, bisect, sample
 
 if TYPE_CHECKING:
     from .theorem import Config
@@ -251,55 +254,54 @@ def _collect_hazards(e: Expr) -> list[_Hazard]:
 
 
 def _scan_zeros(
-    inner: Expr, iv: Interval, n: int
+    xs: list[float], values: list[float | None], evaluator: Callable[[], Evaluator]
 ) -> tuple[list[float], list[float], bool]:
-    """Locate zeros of ``inner`` on ``iv``: (crossings, touches, suspected).
+    """Locate zeros of a hazard's inner expression: (crossings, touches, suspected).
 
+    ``values`` is the inner expression on the grid ``xs`` (None where it is
+    undefined); ``evaluator`` returns it compiled, for bisection.
     Crossings are strict sign changes refined by bisection (plus exact-zero
     samples whose neighbours have strictly opposite signs); touches are
     exact-zero samples without a sign change; ``suspected`` flags a
     near-zero minimum that could hide a tangential touch.
     """
-    g = compile_evaluator(inner)
-    pts = sample(g, iv, n)
     crossings: list[float] = []
     touches: list[float] = []
+    last = len(values) - 1
 
-    for idx, p in enumerate(pts):
-        if p.error is not None or p.value != 0.0:
-            continue
-        prev_v = pts[idx - 1].value if idx > 0 and pts[idx - 1].error is None else None
-        next_v = (
-            pts[idx + 1].value
-            if idx + 1 < len(pts) and pts[idx + 1].error is None
-            else None
-        )
-        if (
-            prev_v is not None
-            and next_v is not None
-            and ((prev_v < 0.0 < next_v) or (next_v < 0.0 < prev_v))
-        ):
-            crossings.append(p.x)
-        else:
-            touches.append(p.x)
+    if 0.0 in values:
+        for idx, v in enumerate(values):
+            if v is None or v != 0.0:
+                continue
+            prev_v = values[idx - 1] if idx > 0 else None
+            next_v = values[idx + 1] if idx < last else None
+            if (
+                prev_v is not None
+                and next_v is not None
+                and ((prev_v < 0.0 < next_v) or (next_v < 0.0 < prev_v))
+            ):
+                crossings.append(xs[idx])
+            else:
+                touches.append(xs[idx])
 
-    for p, q in zip(pts, pts[1:]):
-        if p.error is not None or q.error is not None:
+    for idx in range(last):
+        u, v = values[idx], values[idx + 1]
+        if u is None or v is None:
             continue
-        if p.value == 0.0 or q.value == 0.0:
+        if u == 0.0 or v == 0.0:
             continue  # exact zeros handled above
-        if (p.value < 0.0) != (q.value < 0.0):
-            br = Bracket(p.x, q.x, p.value, q.value)
+        if (u < 0.0) != (v < 0.0):
+            br = Bracket(xs[idx], xs[idx + 1], u, v)
             try:
-                root, _ = bisect(g, br, _WITNESS_EPS)
+                root, _ = bisect(evaluator(), br, _WITNESS_EPS)
             except (DomainError, MaxIterationsExceeded):
                 # the sign change itself is confirmed; settle for the midpoint
-                root = 0.5 * (p.x + q.x)
+                root = 0.5 * (xs[idx] + xs[idx + 1])
             crossings.append(root)
 
     suspected = False
     if not crossings and not touches:
-        valid = [abs(p.value) for p in pts if p.error is None]
+        valid = [abs(v) for v in values if v is not None]
         if not valid:
             suspected = True
         elif min(valid) <= _SUSPICION_RATIO * max(1.0, max(valid)):
@@ -311,14 +313,13 @@ def _downgrade(v: Verdict) -> Verdict:
     return Verdict.UNKNOWN if v is Verdict.YES else v
 
 
-def _kind_for_reason(reason: str) -> WitnessKind:
-    if "division" in reason:
-        return WitnessKind.POLE
-    if "ln" in reason or "root" in reason:
-        return WitnessKind.LOG_OR_ROOT_BOUNDARY
-    if "power" in reason:
-        return WitnessKind.POWER_BOUNDARY
-    return WitnessKind.POLE
+_WITNESS_KIND = {
+    DomainErrorKind.NON_FINITE: WitnessKind.POLE,
+    DomainErrorKind.DIVISION_BY_ZERO: WitnessKind.POLE,
+    DomainErrorKind.LOG_OF_NON_POSITIVE: WitnessKind.LOG_OR_ROOT_BOUNDARY,
+    DomainErrorKind.ROOT_OF_NEGATIVE: WitnessKind.LOG_OR_ROOT_BOUNDARY,
+    DomainErrorKind.POWER_OF_NON_POSITIVE: WitnessKind.POWER_BOUNDARY,
+}
 
 
 def analyze_smoothness(e: Expr, iv: Interval, cfg: Config) -> SmoothnessReport:
@@ -327,33 +328,55 @@ def analyze_smoothness(e: Expr, iv: Interval, cfg: Config) -> SmoothnessReport:
     Walks the tree for hazard subexpressions (divisors, ln/sqrt arguments,
     abs arguments, non-integer-power bases, tan arguments) and confirms
     their zeros numerically on a cfg.samples grid with bisection
-    refinement.  Verdicts are three-valued: hazards that cannot be
+    refinement.  One scan evaluates ``e`` and every hazard's inner
+    expression together.  Verdicts are three-valued: hazards that cannot be
     confirmed or ruled out at sample resolution yield UNKNOWN rather than
     a guess.  A function that fails to evaluate at more than half of the
     sample points is reported as not continuous at the first failing
     point.
     """
     n = cfg.samples
-    pts = sample(compile_evaluator(e), iv, n)
-    failures = [p for p in pts if p.error is not None]
-    if len(failures) > n // 2:
-        first = failures[0]
-        witnesses = [Witness(first.x, _kind_for_reason(first.error.reason))]
-        interior = next((p for p in failures if iv.contains_open(p.x)), None)
+    hazards = _collect_hazards(e)
+    # every hazard's inner expression but tan's cos(u) is a subexpression
+    # of e, and cos(u) fails only where tan(u) does: the scan raises exactly
+    # where e does, with e's error, and records that row in scan.failures
+    scan = sample(compile_outputs([e, *(h.inner for h in hazards)]), iv, n)
+    xs = scan.xs
+    blank = (None,) * (len(hazards) + 1)
+    columns = list(zip(*(row or blank for row in scan.values)))
+    undefined = [i for i, v in enumerate(columns[0]) if v is None]
+    if len(undefined) > n // 2:
+
+        def witness(i: int) -> Witness:
+            kind = scan.failures.get(i, DomainErrorKind.NON_FINITE)
+            return Witness(xs[i], _WITNESS_KIND[kind])
+
+        first = undefined[0]
+        witnesses = [witness(first)]
+        interior = next((i for i in undefined if iv.contains_open(xs[i])), None)
         if interior is None:
             differentiable = Verdict.UNKNOWN
         else:
             differentiable = Verdict.NO
-            if interior.x != first.x:
-                witnesses.append(Witness(interior.x, _kind_for_reason(interior.error.reason)))
+            if xs[interior] != xs[first]:
+                witnesses.append(witness(interior))
         return SmoothnessReport(Verdict.NO, differentiable, tuple(witnesses))
 
     continuous = Verdict.YES
     differentiable = Verdict.YES
     witnesses: list[Witness] = []
 
-    for hazard in _collect_hazards(e):
-        crossings, touches, suspected = _scan_zeros(hazard.inner, iv, n)
+    for hazard, column in zip(hazards, columns[1:]):
+        # the hazard's own evaluator, compiled on first use
+        evaluator = functools.cache(functools.partial(compile_evaluator, hazard.inner))
+        values = list(column)
+        # where e raised, the scan has no values: evaluate the hazard alone
+        for i in scan.failures:
+            try:
+                values[i] = evaluator()(xs[i])
+            except DomainError:
+                pass
+        crossings, touches, suspected = _scan_zeros(xs, values, evaluator)
 
         if hazard.kind is WitnessKind.ABS_KINK:
             # only a confirmed sign change of the argument is a kink:

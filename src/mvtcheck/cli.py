@@ -234,9 +234,9 @@ def render_json(result: MvtResult, f: Expr, iv: Interval) -> str:
 def plot_series(f: Expr, iv: Interval, result: MvtResult, n: int = DEFAULT_PLOT_POINTS) -> list[PlotSeries]:
     """Build the plotted series: the function, plus secant and tangent when
     the result is Applicable."""
-    pts = sample(compile_evaluator(f), iv, n)
-    xs = [p.x for p in pts]
-    series = [PlotSeries("function", tuple((p.x, p.value) for p in pts if p.error is None))]
+    scan = sample(compile_evaluator(f), iv, n)
+    xs = scan.xs
+    series = [PlotSeries("function", tuple((x, y) for x, y in zip(xs, scan.values) if y is not None))]
     series += [PlotSeries(name, tuple(zip(xs, ys))) for name, ys in _lines(f, iv, result, xs)]
     return series
 
@@ -275,10 +275,10 @@ def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str, n: int = DEFA
 
 
 def _render_csv(f: Expr, iv: Interval, result: MvtResult, n: int) -> str:
-    pts = sample(compile_evaluator(f), iv, n)
-    xs = [p.x for p in pts]
+    scan = sample(compile_evaluator(f), iv, n)
+    xs = scan.xs
     lines = _lines(f, iv, result, xs)
-    columns = [map(repr, xs), ("" if p.value is None else repr(p.value) for p in pts)]
+    columns = [map(repr, xs), ("" if y is None else repr(y) for y in scan.values)]
     columns += [map(repr, ys) for _, ys in lines]
     rows = [",".join(["x", "f"] + [name for name, _ in lines])]
     rows += map(",".join, zip(*columns))
@@ -341,3 +341,7 @@ def _atomic_write(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+if __name__ == "__main__":
+    main()

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = [
     "Token",
@@ -32,6 +32,7 @@ __all__ = [
     "ParseError",
     "UnknownIdentifier",
     "DomainError",
+    "DomainErrorKind",
     "FUNCTIONS",
     "BINARY_OPS",
     "tokenize",
@@ -39,6 +40,7 @@ __all__ = [
     "format_expr",
     "evaluate",
     "compile_evaluator",
+    "compile_outputs",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
@@ -72,13 +74,27 @@ class UnknownIdentifier(ParseError):
         self.name = name
 
 
+class DomainErrorKind(Enum):
+    """Why evaluation left the real domain; the value is the message text."""
+
+    NON_FINITE = "non-finite result"
+    DIVISION_BY_ZERO = "division by zero"
+    LOG_OF_NON_POSITIVE = "ln of a non-positive value"
+    ROOT_OF_NEGATIVE = "square root of a negative value"
+    POWER_OF_NON_POSITIVE = "non-integer power of a non-positive base"
+
+
 class DomainError(Exception):
     """Evaluation left the real domain at a specific point."""
 
-    def __init__(self, point: float, reason: str):
-        super().__init__(f"{reason} at x = {point!r}")
+    def __init__(self, point: float, kind: DomainErrorKind):
+        super().__init__(f"{kind.value} at x = {point!r}")
         self.point = point
-        self.reason = reason
+        self.kind = kind
+
+    @property
+    def reason(self) -> str:
+        return self.kind.value
 
 
 class TokenKind(Enum):
@@ -332,30 +348,30 @@ def _format_number(v: float) -> str:
 # --- evaluation -------------------------------------------------------------
 #
 # The risky operations live in small helpers shared by the tree-walking
-# evaluator and the compiled fast path, so both produce bit-identical
-# values and identical DomainError behaviour.
+# evaluator and the compiled straight-line code, so both produce
+# bit-identical values and identical DomainError behaviour.
 
 
 def _finite_or_raise(v: float, x: float) -> float:
     if math.isfinite(v):
         return v
-    raise DomainError(x, "non-finite result")
+    raise DomainError(x, DomainErrorKind.NON_FINITE)
 
 
 def _div(num: float, den: float, x: float) -> float:
     if not (math.isfinite(num) and math.isfinite(den)):
-        raise DomainError(x, "non-finite result")
+        raise DomainError(x, DomainErrorKind.NON_FINITE)
     if den == 0.0:
-        raise DomainError(x, "division by zero")
+        raise DomainError(x, DomainErrorKind.DIVISION_BY_ZERO)
     out = num / den
     if not math.isfinite(out):
-        raise DomainError(x, "non-finite result")
+        raise DomainError(x, DomainErrorKind.NON_FINITE)
     return out
 
 
 def _pow(base: float, exponent: float, x: float) -> float:
     if not (math.isfinite(base) and math.isfinite(exponent)):
-        raise DomainError(x, "non-finite result")
+        raise DomainError(x, DomainErrorKind.NON_FINITE)
     if abs(exponent) <= 64.0 and exponent == int(exponent):
         n = int(exponent)
         out = 1.0
@@ -363,56 +379,56 @@ def _pow(base: float, exponent: float, x: float) -> float:
             out *= base
         if n < 0:
             if out == 0.0:
-                raise DomainError(x, "division by zero")
+                raise DomainError(x, DomainErrorKind.DIVISION_BY_ZERO)
             out = 1.0 / out
         if not math.isfinite(out):
-            raise DomainError(x, "non-finite result")
+            raise DomainError(x, DomainErrorKind.NON_FINITE)
         return out
     if base <= 0.0:
-        raise DomainError(x, "non-integer power of a non-positive base")
+        raise DomainError(x, DomainErrorKind.POWER_OF_NON_POSITIVE)
     try:
         return math.exp(exponent * math.log(base))
     except OverflowError:
-        raise DomainError(x, "non-finite result") from None
+        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
 
 
 def _sin(a: float, x: float) -> float:
     try:
         return math.sin(a)
     except ValueError:
-        raise DomainError(x, "non-finite result") from None
+        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
 
 
 def _cos(a: float, x: float) -> float:
     try:
         return math.cos(a)
     except ValueError:
-        raise DomainError(x, "non-finite result") from None
+        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
 
 
 def _tan(a: float, x: float) -> float:
     try:
         return math.tan(a)
     except ValueError:
-        raise DomainError(x, "non-finite result") from None
+        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
 
 
 def _exp(a: float, x: float) -> float:
     try:
         return math.exp(a)
     except (ValueError, OverflowError):
-        raise DomainError(x, "non-finite result") from None
+        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
 
 
 def _ln(a: float, x: float) -> float:
     if a <= 0.0:
-        raise DomainError(x, "ln of a non-positive value")
+        raise DomainError(x, DomainErrorKind.LOG_OF_NON_POSITIVE)
     return math.log(a)
 
 
 def _sqrt(a: float, x: float) -> float:
     if a < 0.0:
-        raise DomainError(x, "square root of a negative value")
+        raise DomainError(x, DomainErrorKind.ROOT_OF_NEGATIVE)
     return math.sqrt(a)
 
 
@@ -477,11 +493,34 @@ def compile_evaluator(e: Expr) -> Callable[[float], float]:
     DomainError behaviour); it exists because the verification pipeline
     evaluates expressions at thousands of sample points.
     """
-    source = (
-        "def _compiled(x):\n"
-        "    if not _isfinite(x):\n"
-        "        raise ValueError('x must be finite')\n"
-        f"    return _finite({_emit(e)}, x)\n"
+    body, (out,) = _lower([e])
+    return _compile(body, f"_finite({out}, x)")
+
+
+def compile_outputs(exprs: Sequence[Expr]) -> Callable[[float], tuple[float | None, ...]]:
+    """Compile several expressions into one evaluator returning all of them.
+
+    The call returns one entry per expression: its value, bit-identical to
+    :func:`evaluate`, or None where that value is not finite.  Common
+    subexpressions are computed once.  A DomainError raised inside any of
+    the expressions aborts the call; statements run in the order the
+    expressions are given, so when the first expression contains all the
+    others, the error is the one ``evaluate`` raises for it.
+    """
+    body, outs = _lower(exprs)
+    values = ", ".join(f"({o} if _isfinite({o}) else None)" for o in outs)
+    return _compile(body, f"({values},)")
+
+
+def _compile(body: list[str], result: str) -> Callable:
+    source = "\n".join(
+        [
+            "def _compiled(x):",
+            "    if not _isfinite(x):",
+            "        raise ValueError('x must be finite')",
+            *body,
+            f"    return {result}",
+        ]
     )
     namespace: dict[str, object] = {
         "_isfinite": math.isfinite,
@@ -497,20 +536,67 @@ def compile_evaluator(e: Expr) -> Callable[[float], float]:
     return namespace["_compiled"]  # type: ignore[return-value]
 
 
-def _emit(e: Expr) -> str:
-    if isinstance(e, Constant):
-        return f"({e.value!r})"
-    if isinstance(e, Variable):
-        return "x"
+def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str]]:
+    """Straight-line SSA statements computing ``roots``, and each root's operand.
+
+    Nodes are visited in postorder, left to right, with an explicit stack,
+    so no depth of nesting limits the lowering.  Every distinct subtree
+    becomes one statement ``tN = ...``; structurally equal subtrees have
+    equal right-hand sides and share it.  Constants are inlined as literals
+    (``repr`` keeps the sign of zero apart) and the variable is ``x``.
+    """
+    body: list[str] = []
+    temps: dict[str, str] = {}  # right-hand side -> its temporary
+    operands: dict[int, str] = {}  # id(node) -> operand text
+    outs: list[str] = []
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in operands:
+                stack.pop()
+                continue
+            children = _children(node)
+            pending = [c for c in reversed(children) if id(c) not in operands]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if isinstance(node, Constant):
+                operands[id(node)] = f"({node.value!r})"
+            elif isinstance(node, Variable):
+                operands[id(node)] = "x"
+            else:
+                rhs = _right_hand_side(node, [operands[id(c)] for c in children])
+                name = temps.get(rhs)
+                if name is None:
+                    name = temps[rhs] = f"t{len(temps)}"
+                    body.append(f"    {name} = {rhs}")
+                operands[id(node)] = name
+        outs.append(operands[id(root)])
+    return body, outs
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, Neg):
-        return f"(-{_emit(e.child)})"
+        return (e.child,)
     if isinstance(e, Binary):
-        left, right = _emit(e.left), _emit(e.right)
+        return (e.left, e.right)
+    if isinstance(e, Call):
+        return (e.argument,)
+    return ()
+
+
+def _right_hand_side(e: Expr, args: list[str]) -> str:
+    if isinstance(e, Neg):
+        return f"-{args[0]}"
+    if isinstance(e, Binary):
+        left, right = args
         if e.op == "/":
             return f"_div({left}, {right}, x)"
         if e.op == "^":
             return f"_pow({left}, {right}, x)"
-        return f"({left} {e.op} {right})"
+        return f"{left} {e.op} {right}"
     if isinstance(e, Call):
-        return f"_fn_{e.fn}({_emit(e.argument)}, x)"
+        return f"_fn_{e.fn}({args[0]}, x)"
     raise TypeError(f"not an expression: {e!r}")

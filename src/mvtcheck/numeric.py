@@ -8,10 +8,11 @@ outside their domain by raising :class:`~mvtcheck.expr.DomainError`.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable
 
-from .expr import DomainError
+from .expr import DomainError, DomainErrorKind
 
 __all__ = [
     "Evaluator",
@@ -19,6 +20,7 @@ __all__ = [
     "Bracket",
     "BisectionState",
     "SamplePoint",
+    "Samples",
     "MaxIterationsExceeded",
     "opposite_or_zero",
     "sample",
@@ -52,6 +54,8 @@ class Interval:
             raise ValueError("interval endpoints must be finite")
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a!r}, {self.b!r}]")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError("interval width overflows")
 
     @property
     def width(self) -> float:
@@ -94,38 +98,70 @@ class SamplePoint:
     error: DomainError | None = None
 
 
-def sample(f: Evaluator, iv: Interval, n: int) -> list[SamplePoint]:
+class Samples(Sequence):
+    """A uniform scan kept as columns.
+
+    ``xs`` holds the grid points, ``values`` what the evaluator returned at
+    each one (None where it raised DomainError) and ``failures`` the
+    DomainErrorKind of each row where it raised, by row index.  Indexing
+    builds a :class:`SamplePoint` for that row.
+    """
+
+    __slots__ = ("xs", "values", "failures")
+
+    def __init__(self, xs: list[float], values: list[Any], failures: dict[int, DomainErrorKind]):
+        self.xs = xs
+        self.values = values
+        self.failures = failures
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, index):
+        rows = range(len(self.xs))[index]
+        if isinstance(rows, range):
+            return [self[i] for i in rows]
+        x = self.xs[rows]
+        kind = self.failures.get(rows)
+        return SamplePoint(x, self.values[rows], None if kind is None else DomainError(x, kind))
+
+
+def sample(f: Callable[[float], Any], iv: Interval, n: int) -> Samples:
     """Evaluate ``f`` at ``n`` uniformly spaced points including both endpoints.
 
-    Per-point DomainErrors are recorded on the sample, not raised.
+    Per-point DomainErrors are recorded by kind on the result, not raised.
     """
     if n < 2:
         raise ValueError("need at least two sample points")
     step = iv.width / (n - 1)
-    points: list[SamplePoint] = []
-    for i in range(n):
-        # force the last point onto b so the grid ends exactly at the endpoint
-        x = iv.b if i == n - 1 else iv.a + i * step
+    xs = [iv.a + i * step for i in range(n - 1)]
+    # the last point is b itself, so the grid ends exactly at the endpoint
+    xs.append(iv.b)
+    values: list[Any] = []
+    failures: dict[int, DomainErrorKind] = {}
+    append = values.append
+    for x in xs:
         try:
-            points.append(SamplePoint(x, f(x)))
+            append(f(x))
         except DomainError as err:
-            points.append(SamplePoint(x, None, err))
-    return points
+            failures[len(values)] = err.kind
+            append(None)
+    return Samples(xs, values, failures)
 
 
-def first_bracket(points: Sequence[SamplePoint]) -> Bracket | None:
+def first_bracket(samples: Samples) -> Bracket | None:
     """First consecutive pair of valid samples with opposite-or-zero signs.
 
     Both values must be finite.  A failed sample breaks adjacency: no pair
     is formed across it.  Returns None when no such pair exists.
     """
-    for p, q in zip(points, points[1:]):
-        if p.error is not None or q.error is not None:
+    xs, values = samples.xs, samples.values
+    for i in range(len(xs) - 1):
+        u, v = values[i], values[i + 1]
+        if u is None or v is None or not (math.isfinite(u) and math.isfinite(v)):
             continue
-        if not (math.isfinite(p.value) and math.isfinite(q.value)):
-            continue
-        if opposite_or_zero(p.value, q.value):
-            return Bracket(p.x, q.x, p.value, q.value)
+        if opposite_or_zero(u, v):
+            return Bracket(xs[i], xs[i + 1], u, v)
     return None
 
 

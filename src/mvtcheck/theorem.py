@@ -37,7 +37,7 @@ __all__ = [
     "verify_rolle",
 ]
 
-# cap on Config.samples: every scan holds one SamplePoint per sample, so an
+# cap on Config.samples: every scan holds a few values per sample, so an
 # unbounded count from the command line could exhaust memory
 MAX_SAMPLES = 2**20
 
@@ -182,12 +182,13 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     # the theorem promises c strictly inside (a,b): inset by half a step
     step = iv.width / cfg.samples
     inner = Interval(iv.a + 0.5 * step, iv.b - 0.5 * step)
-    pts = sample(g, inner, cfg.samples)
-    valid = [p for p in pts if p.error is None]
+    scan = sample(g, inner, cfg.samples)
+    xs, values = scan.xs, scan.values
+    valid = [v for v in values if v is not None]
     if not valid:
         return Unknown("derivative undefined at every interior sample point")
 
-    if max(abs(p.value) for p in valid) <= cfg.eps_res:
+    if max(abs(v) for v in valid) <= cfg.eps_res:
         # f' == m everywhere at sample resolution: any interior point
         # works, the midpoint is deterministic and symmetric
         c = 0.5 * (iv.a + iv.b)
@@ -198,7 +199,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
         if fpc is not None and abs(fpc - m) <= cfg.eps_res:
             return Applicable(c, m, fpc, abs(fpc - m), 0, Method.DEGENERATE_CONSTANT)
 
-    br = first_bracket(pts)
+    br = first_bracket(scan)
     if br is not None:
         try:
             root, state = bisect(g, br, cfg.eps_c, DEFAULT_MAX_ITER)
@@ -212,14 +213,12 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
         )
 
     best_idx = min(
-        (i for i, p in enumerate(pts) if p.error is None),
-        key=lambda i: abs(pts[i].value),
+        (i for i, v in enumerate(values) if v is not None),
+        key=lambda i: abs(values[i]),
     )
-    lo = pts[best_idx - 1].x if best_idx > 0 else inner.a
-    hi = pts[best_idx + 1].x if best_idx + 1 < len(pts) else inner.b
-    c, fpc, residual, steps = _golden_min(
-        deriv, m, lo, hi, pts[best_idx].x, pts[best_idx].value
-    )
+    lo = xs[best_idx - 1] if best_idx > 0 else inner.a
+    hi = xs[best_idx + 1] if best_idx + 1 < len(xs) else inner.b
+    c, fpc, residual, steps = _golden_min(deriv, m, lo, hi, xs[best_idx], values[best_idx])
     if residual <= cfg.eps_res:
         return Applicable(c, m, fpc, residual, steps, Method.RESIDUAL_MIN)
     return Unknown(

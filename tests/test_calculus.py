@@ -264,6 +264,14 @@ def test_smoothness_negative_integer_power_is_a_pole():
     assert clear.differentiable_on_open is Verdict.YES
 
 
+def test_smoothness_finds_a_pole_where_f_is_already_undefined():
+    # 1/(x+0.5) has its pole where sqrt(x) already fails, so the pole's
+    # divisor must be scanned at points where f itself raised
+    report = analyze_smoothness(parse("sqrt(x) + 1/(x+0.5)"), Interval(-1.0, 1.0), CFG)
+    assert report.continuous_on_closed is Verdict.NO
+    assert any(w.kind is WitnessKind.POLE and w.point == -0.5 for w in report.witnesses)
+
+
 def test_smoothness_essentially_undefined():
     report = analyze_smoothness(parse("ln(x)"), Interval(-3.0, -1.0), CFG)
     assert report.continuous_on_closed is Verdict.NO

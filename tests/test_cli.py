@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +99,30 @@ def test_verify_rejects_unreal_endpoint(capsys):
     code = run(["verify", "--f", "x", "--a", "ln(0-1)", "--b", "1"])
     assert code == 1
     assert "no real value" in capsys.readouterr().err
+
+
+def test_verify_overflowing_interval_width_is_usage_error(capsys):
+    code = run(["verify", "--f", "x", "--a=-1e308", "--b=1e308"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: interval width overflows\n"
+
+
+def test_verify_flat_sum_of_400_terms(capsys):
+    code = run(["verify", "--f", "+".join(["x"] * 400), "--a", "0", "--b", "1", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 400.0
+
+
+@pytest.mark.parametrize("module", ["mvtcheck", "mvtcheck.cli"])
+def test_runs_as_a_module(module):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--f", "x", "--a", "0", "--b", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "The Mean Value Theorem applies" in proc.stdout
 
 
 def test_verify_missing_flag(capsys):

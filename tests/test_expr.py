@@ -1,3 +1,4 @@
+import dis
 import math
 
 import pytest
@@ -9,6 +10,8 @@ from mvtcheck.expr import (
     Call,
     Constant,
     DomainError,
+    DomainErrorKind,
+    Expr,
     LexError,
     Neg,
     ParseError,
@@ -16,11 +19,13 @@ from mvtcheck.expr import (
     UnknownIdentifier,
     Variable,
     compile_evaluator,
+    compile_outputs,
     evaluate,
     format_expr,
     parse,
     tokenize,
 )
+from mvtcheck.numeric import Interval, sample
 
 from strategies import grammar_exprs
 
@@ -195,17 +200,20 @@ def test_evaluate_ln_of_negative():
     with pytest.raises(DomainError) as err:
         evaluate(parse("ln(x)"), -1.0)
     assert err.value.point == -1.0
+    assert err.value.kind is DomainErrorKind.LOG_OF_NON_POSITIVE
 
 
 def test_evaluate_sqrt_of_negative():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         evaluate(parse("sqrt(x)"), -4.0)
+    assert err.value.kind is DomainErrorKind.ROOT_OF_NEGATIVE
 
 
 def test_evaluate_division_by_zero():
     with pytest.raises(DomainError) as err:
         evaluate(parse("1/x"), 0.0)
     assert "division by zero" in err.value.reason
+    assert err.value.kind is DomainErrorKind.DIVISION_BY_ZERO
 
 
 def test_evaluate_integer_power_any_base():
@@ -224,6 +232,7 @@ def test_evaluate_non_integer_power_needs_positive_base():
     with pytest.raises(DomainError) as err:
         evaluate(parse("x^0.5"), -4.0)
     assert "non-positive base" in err.value.reason
+    assert err.value.kind is DomainErrorKind.POWER_OF_NON_POSITIVE
     with pytest.raises(DomainError):
         evaluate(parse("x^0.5"), 0.0)
 
@@ -239,6 +248,8 @@ def test_evaluate_overflow_is_domain_error():
     with pytest.raises(DomainError) as err:
         evaluate(parse("exp(x)"), 1000.0)
     assert err.value.reason == "non-finite result"
+    assert err.value.kind is DomainErrorKind.NON_FINITE
+    assert str(err.value) == "non-finite result at x = 1000.0"
 
 
 def test_evaluate_requires_finite_x():
@@ -266,7 +277,78 @@ def test_compiled_evaluator_matches_reference(e, x):
     except DomainError as err:
         with pytest.raises(DomainError) as caught:
             compiled(x)
-        assert caught.value.reason == err.reason
+        assert caught.value.kind is err.kind
+        assert str(caught.value) == str(err)
     else:
         got = compiled(x)
         assert repr(got) == repr(expected)  # bit-identical, including zero sign
+
+
+def _subtrees(e: Expr) -> list[Expr]:
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, Neg):
+            stack.append(node.child)
+        elif isinstance(node, Binary):
+            stack += [node.left, node.right]
+        elif isinstance(node, Call):
+            stack.append(node.argument)
+    return out
+
+
+def _reference(e: Expr, x: float) -> float | None:
+    try:
+        return evaluate(e, x)
+    except DomainError:
+        return None
+
+
+@given(grammar_exprs(), st.data())
+def test_one_program_computes_every_output(e, data):
+    # the shape the smoothness scan compiles: e, some of its subtrees, and
+    # cos(u) for the argument u of each tan in e
+    subtrees = _subtrees(e)
+    picked = data.draw(st.lists(st.sampled_from(subtrees), max_size=4))
+    extras = [Call("cos", t.argument) for t in subtrees if isinstance(t, Call) and t.fn == "tan"]
+    outputs = [e, *picked, *extras]
+    scan = sample(compile_outputs(outputs), Interval(-4.0, 4.0), 33)
+    for i, x in enumerate(scan.xs):
+        row = scan.values[i]
+        if row is None:
+            # the program stopped at e's first failing operation
+            with pytest.raises(DomainError) as err:
+                evaluate(e, x)
+            assert err.value.kind is scan.failures[i]
+            continue
+        for out, value in zip(outputs, row, strict=True):
+            # None where undefined; bit-identical values, including zero sign
+            assert repr(value) == repr(_reference(out, x))
+
+
+def test_equal_subtrees_lower_to_one_statement():
+    # two separately built sin(x) nodes: one call to sin in the compiled code
+    e = Binary("*", Call("sin", Variable()), Call("sin", Variable()))
+    code = compile_evaluator(e).__code__
+    calls = [i for i in dis.get_instructions(code) if i.argval == "_fn_sin"]
+    assert len(calls) == 1
+    assert compile_evaluator(e)(0.5) == evaluate(e, 0.5)
+
+
+def test_constants_keep_the_sign_of_zero_apart():
+    e = Binary("+", Binary("*", Constant(0.0), Variable()), Binary("*", Constant(-0.0), Variable()))
+    program = compile_outputs([e, e.left, e.right])
+    assert [repr(v) for v in program(-1.0)] == ["0.0", "-0.0", "0.0"]
+
+
+def test_outputs_are_none_where_not_finite():
+    # 1e200*1e200 overflows to inf without raising; exp(-inf) is 0.0
+    e = parse("exp(-(1e200*1e200)) + x")
+    inner = e.left.argument.child
+    assert compile_outputs([e, inner])(1.0) == (1.0, None)
+
+
+def test_compile_has_no_nesting_limit():
+    flat_sum = parse("+".join(["x"] * 400))
+    assert compile_evaluator(flat_sum)(0.5) == 200.0

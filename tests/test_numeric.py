@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvtcheck.expr import DomainError, compile_evaluator, parse
+from mvtcheck.expr import DomainError, DomainErrorKind, compile_evaluator, parse
 from mvtcheck.numeric import (
     Bracket,
     Interval,
@@ -31,6 +31,8 @@ def test_interval_validation():
         Interval(2.0, 1.0)
     with pytest.raises(ValueError):
         Interval(0.0, math.inf)
+    with pytest.raises(ValueError, match="interval width overflows"):
+        Interval(-1e308, 1e308)
 
 
 def test_bracket_validation():
@@ -91,6 +93,7 @@ def test_sample_records_domain_errors():
     assert pts[0].value == -1.0
     assert pts[1].value is None and isinstance(pts[1].error, DomainError)
     assert pts[2].value == 1.0
+    assert pts.failures == {1: DomainErrorKind.DIVISION_BY_ZERO}
 
 
 def test_sample_sine_closed_forms():
