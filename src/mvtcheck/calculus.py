@@ -20,7 +20,9 @@ from .expr import (
     Variable,
     compile_evaluator,
     compile_outputs,
+    enclose,
     evaluate,
+    postorder,
 )
 from .numeric import Bracket, Evaluator, Interval, MaxIterationsExceeded, bisect, sample
 
@@ -220,13 +222,8 @@ def _literal_value(e: Expr) -> float | None:
 
 def _collect_hazards(e: Expr) -> list[_Hazard]:
     out: list[_Hazard] = []
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Neg):
-            walk(node.child)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
+    for node in postorder([e]):
+        if isinstance(node, Binary):
             if node.op == "/":
                 out.append(_Hazard(node.right, WitnessKind.POLE, True))
             elif node.op == "^":
@@ -238,7 +235,6 @@ def _collect_hazards(e: Expr) -> list[_Hazard]:
                 else:
                     out.append(_Hazard(node.left, WitnessKind.POWER_BOUNDARY, True))
         elif isinstance(node, Call):
-            walk(node.argument)
             if node.fn == "ln":
                 out.append(_Hazard(node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
             elif node.fn == "sqrt":
@@ -248,8 +244,6 @@ def _collect_hazards(e: Expr) -> list[_Hazard]:
             elif node.fn == "tan":
                 # tan blows up where cos of its argument vanishes
                 out.append(_Hazard(Call("cos", node.argument), WitnessKind.POLE, True))
-
-    walk(e)
     return out
 
 
@@ -313,6 +307,13 @@ def _downgrade(v: Verdict) -> Verdict:
     return Verdict.UNKNOWN if v is Verdict.YES else v
 
 
+def _clear_of_zero(lo: float, hi: float) -> bool:
+    """Whether values within [lo, hi] stay so far from 0 that _scan_zeros
+    finds no crossing and no touch and suspects none."""
+    near, far = (lo, hi) if lo > 0.0 else (-hi, -lo)
+    return near > _SUSPICION_RATIO * max(1.0, far)
+
+
 _WITNESS_KIND = {
     DomainErrorKind.NON_FINITE: WitnessKind.POLE,
     DomainErrorKind.DIVISION_BY_ZERO: WitnessKind.POLE,
@@ -331,35 +332,49 @@ def analyze_smoothness(e: Expr, iv: Interval, cfg: Config) -> SmoothnessReport:
     refinement.  One scan evaluates ``e`` and every hazard's inner
     expression together.  Verdicts are three-valued: hazards that cannot be
     confirmed or ruled out at sample resolution yield UNKNOWN rather than
-    a guess.  A function that fails to evaluate at more than half of the
-    sample points is reported as not continuous at the first failing
-    point.
+    a guess.  A function that fails to evaluate at a sample point is
+    reported as not continuous at the first failing point, unless a
+    hazard's witness explains the failures and at most half of the points
+    fail.
+
+    The scan is skipped, and the report is YES, YES without witnesses,
+    where interval bounds (:func:`~mvtcheck.expr.enclose`) prove that ``e``
+    is finite on [a,b] and that every hazard's inner expression stays too
+    far from zero for the scan to find or suspect a zero.
     """
     n = cfg.samples
     hazards = _collect_hazards(e)
+    roots = [e, *(h.inner for h in hazards)]
+    bounds = enclose(roots, iv.a, iv.b)
+    if bounds is not None and all(_clear_of_zero(*box) for box in bounds[1:]):
+        return SmoothnessReport(Verdict.YES, Verdict.YES, ())
     # every hazard's inner expression but tan's cos(u) is a subexpression
     # of e, and cos(u) fails only where tan(u) does: the scan raises exactly
     # where e does, with e's error, and records that row in scan.failures
-    scan = sample(compile_outputs([e, *(h.inner for h in hazards)]), iv, n)
+    scan = sample(compile_outputs(roots), iv, n)
     xs = scan.xs
-    blank = (None,) * (len(hazards) + 1)
+    blank = (None,) * len(roots)
     columns = list(zip(*(row or blank for row in scan.values)))
     undefined = [i for i, v in enumerate(columns[0]) if v is None]
-    if len(undefined) > n // 2:
 
-        def witness(i: int) -> Witness:
-            kind = scan.failures.get(i, DomainErrorKind.NON_FINITE)
-            return Witness(xs[i], _WITNESS_KIND[kind])
+    def witness(i: int) -> Witness:
+        kind = scan.failures.get(i, DomainErrorKind.NON_FINITE)
+        return Witness(xs[i], _WITNESS_KIND[kind])
 
+    def undefined_points(differentiable: Verdict) -> tuple[Verdict, list[Witness]]:
+        # e is undefined on the grid: witnesses at the first such point and
+        # the first interior one, and differentiability on (a,b) given that
         first = undefined[0]
-        witnesses = [witness(first)]
+        found = [witness(first)]
         interior = next((i for i in undefined if iv.contains_open(xs[i])), None)
         if interior is None:
-            differentiable = Verdict.UNKNOWN
-        else:
-            differentiable = Verdict.NO
-            if xs[interior] != xs[first]:
-                witnesses.append(witness(interior))
+            return _downgrade(differentiable), found
+        if xs[interior] != xs[first]:
+            found.append(witness(interior))
+        return Verdict.NO, found
+
+    if len(undefined) > n // 2:
+        differentiable, witnesses = undefined_points(Verdict.YES)
         return SmoothnessReport(Verdict.NO, differentiable, tuple(witnesses))
 
     continuous = Verdict.YES
@@ -404,6 +419,12 @@ def analyze_smoothness(e: Expr, iv: Interval, cfg: Config) -> SmoothnessReport:
         if suspected:
             continuous = _downgrade(continuous)
             differentiable = _downgrade(differentiable)
+
+    if undefined and continuous is not Verdict.NO:
+        # e raised where no hazard's zero accounts for it (an overflow, say)
+        continuous = Verdict.NO
+        differentiable, found = undefined_points(differentiable)
+        witnesses += found
 
     unique = sorted(set(witnesses), key=lambda w: (w.point, w.kind.value))
     return SmoothnessReport(continuous, differentiable, tuple(unique))

@@ -20,15 +20,13 @@ from .calculus import differentiate, simplify
 from .expr import (
     DomainError,
     Expr,
-    Neg,
-    Binary,
-    Call,
     SourceError,
     Variable,
     compile_evaluator,
     evaluate,
     format_expr,
     parse,
+    postorder,
 )
 from .numeric import Interval, sample
 from .theorem import Applicable, Config, MvtResult, NotApplicable, Unknown, verify_mvt, verify_rolle
@@ -119,21 +117,9 @@ def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
 
 
-def _mentions_x(e: Expr) -> bool:
-    if isinstance(e, Variable):
-        return True
-    if isinstance(e, Neg):
-        return _mentions_x(e.child)
-    if isinstance(e, Binary):
-        return _mentions_x(e.left) or _mentions_x(e.right)
-    if isinstance(e, Call):
-        return _mentions_x(e.argument)
-    return False
-
-
 def _constant_value(text: str, flag: str) -> float:
     expr = parse(text)
-    if _mentions_x(expr):
+    if any(isinstance(node, Variable) for node in postorder([expr])):
         raise _UsageError(f"--{flag} must be a constant expression, got {text!r}")
     try:
         return evaluate(expr, 0.0)

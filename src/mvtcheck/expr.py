@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Token",
@@ -31,22 +31,32 @@ __all__ = [
     "LexError",
     "ParseError",
     "UnknownIdentifier",
+    "NestingTooDeep",
     "DomainError",
     "DomainErrorKind",
     "FUNCTIONS",
     "BINARY_OPS",
+    "MAX_NESTING",
     "tokenize",
     "parse",
     "format_expr",
     "evaluate",
     "compile_evaluator",
     "compile_outputs",
+    "postorder",
+    "enclose",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 BINARY_OPS = ("+", "-", "*", "/", "^")
 
 _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
+
+# deepest nesting the parser accepts: parenthesized groups, function
+# arguments, unary-minus operands and exponents each open one level.  The
+# parser and the tree walkers downstream recurse once or more per level, so
+# this keeps every command well inside Python's default recursion limit.
+MAX_NESTING = 150
 
 
 class SourceError(Exception):
@@ -72,6 +82,12 @@ class UnknownIdentifier(ParseError):
         SourceError.__init__(self, position, f"unknown identifier {name!r}")
         self.expected = "x, pi, e, or a function name"
         self.name = name
+
+
+class NestingTooDeep(ParseError):
+    def __init__(self, position: int):
+        SourceError.__init__(self, position, f"nesting too deep (more than {MAX_NESTING} levels)")
+        self.expected = f"at most {MAX_NESTING} nested levels"
 
 
 class DomainErrorKind(Enum):
@@ -219,7 +235,7 @@ def parse(source: str) -> Expr:
 
     ``pi`` and ``e`` become Constants; ``x`` is the only variable.  Raises
     ParseError (or UnknownIdentifier) with the source position on
-    malformed input.
+    malformed input, and NestingTooDeep past MAX_NESTING levels.
     """
     return _Parser(source).parse()
 
@@ -229,6 +245,7 @@ class _Parser:
         self._source = source
         self._tokens = tokenize(source)
         self._pos = 0
+        self._depth = 0
 
     def parse(self) -> Expr:
         expr = self._additive()
@@ -250,6 +267,13 @@ class _Parser:
     def _error_position(self) -> int:
         tok = self._peek()
         return tok.position if tok is not None else len(self._source)
+
+    def _enter(self, opener: Token) -> None:
+        # called before each recursion into a nested level, which the
+        # caller leaves with ``self._depth -= 1``
+        if self._depth == MAX_NESTING:
+            raise NestingTooDeep(opener.position)
+        self._depth += 1
 
     def _expect(self, kind: TokenKind, what: str) -> Token:
         tok = self._peek()
@@ -277,7 +301,10 @@ class _Parser:
         tok = self._peek()
         if tok is not None and tok.kind is TokenKind.MINUS:
             self._advance()
-            return Neg(self._unary())
+            self._enter(tok)
+            operand = self._unary()
+            self._depth -= 1
+            return Neg(operand)
         return self._power()
 
     def _power(self) -> Expr:
@@ -285,8 +312,11 @@ class _Parser:
         tok = self._peek()
         if tok is not None and tok.kind is TokenKind.CARET:
             self._advance()
+            self._enter(tok)
             # right associative; the exponent may carry its own unary minus
-            return Binary("^", base, self._unary())
+            exponent = self._unary()
+            self._depth -= 1
+            return Binary("^", base, exponent)
         return base
 
     def _primary(self) -> Expr:
@@ -304,14 +334,16 @@ class _Parser:
             if name in _NAMED_CONSTANTS:
                 return Constant(_NAMED_CONSTANTS[name])
             if name in FUNCTIONS:
-                self._expect(TokenKind.LPAREN, f"'(' after {name!r}")
+                self._enter(self._expect(TokenKind.LPAREN, f"'(' after {name!r}"))
                 arg = self._additive()
+                self._depth -= 1
                 self._expect(TokenKind.RPAREN, "')'")
                 return Call(name, arg)
             raise UnknownIdentifier(tok.position, name)
         if tok.kind is TokenKind.LPAREN:
-            self._advance()
+            self._enter(self._advance())
             expr = self._additive()
+            self._depth -= 1
             self._expect(TokenKind.RPAREN, "')'")
             return expr
         raise ParseError(tok.position, "a number, a name, or '('")
@@ -539,42 +571,53 @@ def _compile(body: list[str], result: str) -> Callable:
 def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str]]:
     """Straight-line SSA statements computing ``roots``, and each root's operand.
 
-    Nodes are visited in postorder, left to right, with an explicit stack,
-    so no depth of nesting limits the lowering.  Every distinct subtree
-    becomes one statement ``tN = ...``; structurally equal subtrees have
-    equal right-hand sides and share it.  Constants are inlined as literals
-    (``repr`` keeps the sign of zero apart) and the variable is ``x``.
+    Nodes are lowered in :func:`postorder`, so no depth of nesting limits
+    the lowering.  Every distinct subtree becomes one statement ``tN = ...``;
+    structurally equal subtrees have equal right-hand sides and share it.
+    Constants are inlined as literals (``repr`` keeps the sign of zero
+    apart) and the variable is ``x``.
     """
     body: list[str] = []
     temps: dict[str, str] = {}  # right-hand side -> its temporary
     operands: dict[int, str] = {}  # id(node) -> operand text
-    outs: list[str] = []
+    for node in postorder(roots):
+        if isinstance(node, Constant):
+            operands[id(node)] = f"({node.value!r})"
+        elif isinstance(node, Variable):
+            operands[id(node)] = "x"
+        else:
+            rhs = _right_hand_side(node, [operands[id(c)] for c in _children(node)])
+            name = temps.get(rhs)
+            if name is None:
+                name = temps[rhs] = f"t{len(temps)}"
+                body.append(f"    {name} = {rhs}")
+            operands[id(node)] = name
+    return body, [operands[id(root)] for root in roots]
+
+
+def postorder(roots: Iterable[Expr]) -> Iterator[Expr]:
+    """Every node under ``roots`` once, children before their parent.
+
+    Roots are walked in order, children left to right, with an explicit
+    stack, so no depth of nesting limits the walk.  A node object reached
+    twice (a shared subtree, or a root inside an earlier root) is yielded
+    the first time only.
+    """
+    done: set[int] = set()
     for root in roots:
         stack = [root]
         while stack:
             node = stack[-1]
-            if id(node) in operands:
+            if id(node) in done:
                 stack.pop()
                 continue
-            children = _children(node)
-            pending = [c for c in reversed(children) if id(c) not in operands]
+            pending = [c for c in reversed(_children(node)) if id(c) not in done]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
-            if isinstance(node, Constant):
-                operands[id(node)] = f"({node.value!r})"
-            elif isinstance(node, Variable):
-                operands[id(node)] = "x"
-            else:
-                rhs = _right_hand_side(node, [operands[id(c)] for c in children])
-                name = temps.get(rhs)
-                if name is None:
-                    name = temps[rhs] = f"t{len(temps)}"
-                    body.append(f"    {name} = {rhs}")
-                operands[id(node)] = name
-        outs.append(operands[id(root)])
-    return body, outs
+            done.add(id(node))
+            yield node
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -600,3 +643,178 @@ def _right_hand_side(e: Expr, args: list[str]) -> str:
     if isinstance(e, Call):
         return f"_fn_{e.fn}({args[0]}, x)"
     raise TypeError(f"not an expression: {e!r}")
+
+
+# --- interval bounds ----------------------------------------------------------
+#
+# Interval arithmetic in the sense of R. E. Moore, *Interval Analysis* (1966),
+# and W. Tucker, *Validated Numerics* (2011), made to enclose the floats the
+# compiled code computes rather than the real values.  + - * / abs sqrt are
+# correctly rounded and monotone in each argument, so the results at the
+# endpoints, rounded to nearest as the compiled code rounds them, already
+# bound every result in between.  libm results (exp, ln, sin, cos, tan) are
+# only accurate to an ulp or so and need not be monotone; their bounds are
+# widened outward by _LIBM_STEPS representable numbers.
+
+_LIBM_STEPS = 4
+
+Bounds = tuple[float, float]
+
+
+def enclose(roots: Sequence[Expr], a: float, b: float) -> list[Bounds] | None:
+    """Bounds ``(lo, hi)`` on each root's compiled value for x in [a, b].
+
+    For every float x with a <= x <= b, the evaluators that
+    :func:`compile_evaluator` and :func:`compile_outputs` build for these
+    roots raise nothing and return, for each root, a value within its
+    bounds.  Returns None when that cannot be shown for some node: a bound
+    that is not finite, a divisor or a negative power's base that may be
+    zero, a ln or sqrt argument that may leave its domain, a power whose
+    exponent is not one constant, and a tan argument that may hold a pole.
+    Each node is bounded once, from its children's bounds, in
+    :func:`postorder`.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError("need finite a <= b")
+    bounds: dict[int, Bounds] = {}
+    for node in postorder(roots):
+        if isinstance(node, Constant):
+            box = (node.value, node.value)
+        elif isinstance(node, Variable):
+            box = (a, b)
+        elif isinstance(node, Neg):
+            lo, hi = bounds[id(node.child)]
+            box = (-hi, -lo)
+        elif isinstance(node, Binary):
+            box = _BINARY_BOUNDS[node.op](bounds[id(node.left)], bounds[id(node.right)])
+        else:
+            box = _CALL_BOUNDS[node.fn](*bounds[id(node.argument)])
+        if box is None or not (math.isfinite(box[0]) and math.isfinite(box[1])):
+            return None
+        bounds[id(node)] = box
+    return [bounds[id(root)] for root in roots]
+
+
+def _widen(lo: float, hi: float) -> Bounds:
+    for _ in range(_LIBM_STEPS):
+        lo = math.nextafter(lo, -math.inf)
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def _corners(values: tuple[float, ...]) -> Bounds:
+    return min(values), max(values)
+
+
+def _div_bounds(num: Bounds, den: Bounds) -> Bounds | None:
+    if den[0] <= 0.0 <= den[1]:
+        return None
+    return _corners(tuple(n / d for n in num for d in den))
+
+
+def _repeat(base: float, k: int) -> float:
+    # _pow's repeated multiplication: monotone in base for odd k and in
+    # abs(base) for even k, because rounding to nearest is
+    out = 1.0
+    for _ in range(k):
+        out *= base
+    return out
+
+
+def _pow_bounds(base: Bounds, exponent: Bounds) -> Bounds | None:
+    e, e_hi = exponent
+    if e != e_hi:
+        return None
+    lo, hi = base
+    if abs(e) <= 64.0 and e == int(e):
+        n = int(e)
+        k = abs(n)
+        if k % 2:
+            out = (_repeat(lo, k), _repeat(hi, k))
+        else:
+            near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+            out = (_repeat(near, k), _repeat(max(-lo, hi), k))
+        if n >= 0:
+            return out
+        return _div_bounds((1.0, 1.0), out)
+    if lo <= 0.0:
+        return None
+    log_lo, log_hi = _widen(math.log(lo), math.log(hi))
+    return _exp_bounds(*_corners((e * log_lo, e * log_hi)))
+
+
+def _exp_bounds(lo: float, hi: float) -> Bounds | None:
+    try:
+        top = math.exp(hi)
+    except OverflowError:
+        return None
+    low, top = _widen(math.exp(lo), top)
+    return max(low, 0.0), top
+
+
+def _meets(lo: float, hi: float, point: float, period: float) -> bool:
+    """Whether [lo, hi] may hold ``point + k*period`` for some integer k.
+
+    The slack, a billionth of a period plus the rounding of far-out
+    arguments, makes the answer True whenever in doubt.
+    """
+    k_lo = (lo - point) / period
+    k_hi = (hi - point) / period
+    slack = 1e-9 * (1.0 + max(abs(k_lo), abs(k_hi)))
+    return math.floor(k_hi + slack) >= math.ceil(k_lo - slack)
+
+
+def _wave_bounds(fn: Callable[[float], float], peak: float, lo: float, hi: float) -> Bounds:
+    # sin or cos: maximum 1 at peak + 2k*pi, minimum -1 half a period on,
+    # monotone in between
+    low, top = _widen(*sorted((fn(lo), fn(hi))))
+    if _meets(lo, hi, peak, 2.0 * math.pi):
+        top = 1.0
+    if _meets(lo, hi, peak + math.pi, 2.0 * math.pi):
+        low = -1.0
+    return max(low, -1.0), min(top, 1.0)
+
+
+def _tan_bounds(lo: float, hi: float) -> Bounds | None:
+    if _meets(lo, hi, 0.5 * math.pi, math.pi):
+        return None
+    return _widen(math.tan(lo), math.tan(hi))
+
+
+def _ln_bounds(lo: float, hi: float) -> Bounds | None:
+    if lo <= 0.0:
+        return None
+    return _widen(math.log(lo), math.log(hi))
+
+
+def _sqrt_bounds(lo: float, hi: float) -> Bounds | None:
+    if lo < 0.0:
+        return None
+    return math.sqrt(lo), math.sqrt(hi)
+
+
+def _abs_bounds(lo: float, hi: float) -> Bounds:
+    if lo >= 0.0:
+        return lo, hi
+    if hi <= 0.0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
+
+
+_BINARY_BOUNDS: dict[str, Callable[[Bounds, Bounds], Bounds | None]] = {
+    "+": lambda l, r: (l[0] + r[0], l[1] + r[1]),
+    "-": lambda l, r: (l[0] - r[1], l[1] - r[0]),
+    "*": lambda l, r: _corners((l[0] * r[0], l[0] * r[1], l[1] * r[0], l[1] * r[1])),
+    "/": _div_bounds,
+    "^": _pow_bounds,
+}
+
+_CALL_BOUNDS: dict[str, Callable[[float, float], Bounds | None]] = {
+    "sin": lambda lo, hi: _wave_bounds(math.sin, 0.5 * math.pi, lo, hi),
+    "cos": lambda lo, hi: _wave_bounds(math.cos, 0.0, lo, hi),
+    "tan": _tan_bounds,
+    "exp": _exp_bounds,
+    "ln": _ln_bounds,
+    "sqrt": _sqrt_bounds,
+    "abs": _abs_bounds,
+}

@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mvtcheck import calculus
 from mvtcheck.calculus import (
+    SmoothnessReport,
     Verdict,
     WitnessKind,
     analyze_smoothness,
@@ -284,3 +287,76 @@ def test_smoothness_of_polynomials(coeffs, a):
     report = analyze_smoothness(polynomial(coeffs), Interval(a, a + 2.0), CFG)
     assert report.continuous_on_closed is Verdict.YES
     assert report.differentiable_on_open is Verdict.YES
+
+
+def test_smoothness_reports_where_f_overflows():
+    # no hazard: f raises (non-finite) on |x| < 0.168, under half the grid
+    f = parse("exp(800*(1 - 4*x^2))")
+    report = analyze_smoothness(f, Interval(-1.0, 1.0), CFG)
+    assert report.continuous_on_closed is Verdict.NO
+    assert report.differentiable_on_open is Verdict.NO
+    assert report.witnesses
+    for w in report.witnesses:
+        assert w.kind is WitnessKind.POLE
+        with pytest.raises(DomainError):
+            evaluate(f, w.point)
+
+
+def _scanned(e, iv, cfg):
+    # analyze_smoothness as it runs when interval bounds prove nothing
+    with mock.patch.object(calculus, "enclose", return_value=None):
+        return analyze_smoothness(e, iv, cfg)
+
+
+@given(
+    st.one_of(grammar_exprs(), smooth_exprs()),
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=1e-6, max_value=60.0),
+    st.sampled_from([97, 1024]),
+)
+@settings(deadline=None)
+def test_skipped_scan_would_find_nothing(e, a, width, samples):
+    iv = Interval(a, a + width)
+    cfg = Config(samples=samples)
+    with mock.patch.object(calculus, "sample", wraps=calculus.sample) as scan:
+        report = analyze_smoothness(e, iv, cfg)
+    if not scan.called:
+        assert report == SmoothnessReport(Verdict.YES, Verdict.YES, ())
+        assert _scanned(e, iv, cfg) == report
+
+
+@pytest.mark.parametrize(
+    "text, a, b",
+    [
+        ("x^2 - 4*x + 3", 1.0, 3.0),
+        ("1/(x + 2) + ln(x + 3) + sqrt(x + 4)", -1.0, 1.0),
+        ("abs(x - 5) + tan(x)", -1.0, 1.0),
+        ("x^-2", 0.5, 2.0),
+    ],
+)
+def test_scan_is_skipped_where_bounds_clear_every_hazard(text, a, b):
+    e, iv = parse(text), Interval(a, b)
+    with mock.patch.object(calculus, "sample", wraps=calculus.sample) as scan:
+        report = analyze_smoothness(e, iv, CFG)
+    assert not scan.called
+    assert report == _scanned(e, iv, CFG) == SmoothnessReport(Verdict.YES, Verdict.YES, ())
+
+
+@pytest.mark.parametrize(
+    "text, a, b",
+    [
+        # a zero of cos, tan's hazard, lies inside
+        ("tan(x)", 1.5, 1.7),
+        # the divisor gets within 1e-12 of zero at b: suspected, not cleared
+        ("1/(x - 1.000000000001)", 0.0, 1.0),
+        # f itself raises: bounds never clear it
+        ("exp(800*(1 - 4*x^2))", -1.0, 1.0),
+    ],
+)
+def test_scan_runs_where_bounds_cannot_clear(text, a, b):
+    e, iv = parse(text), Interval(a, b)
+    with mock.patch.object(calculus, "sample", wraps=calculus.sample) as scan:
+        report = analyze_smoothness(e, iv, CFG)
+    assert scan.called
+    assert report == _scanned(e, iv, CFG)
+    assert report.continuous_on_closed is not Verdict.YES

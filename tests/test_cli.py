@@ -17,7 +17,7 @@ from mvtcheck.cli import (
     render_json,
     run,
 )
-from mvtcheck.expr import evaluate, parse
+from mvtcheck.expr import MAX_NESTING, evaluate, parse
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import (
     MAX_SAMPLES,
@@ -111,6 +111,25 @@ def test_verify_flat_sum_of_400_terms(capsys):
     code = run(["verify", "--f", "+".join(["x"] * 400), "--a", "0", "--b", "1", "--json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["m"] == 400.0
+
+
+def _nested_command(command, opener, levels):
+    f = opener * levels + "x" + ")" * levels
+    return {
+        "verify": ["verify", "--f", f, "--a", "0", "--b", "1", "--json"],
+        "diff": ["diff", "--f", f],
+        "eval": ["eval", "--f", f, "--x", "0.5"],
+    }[command]
+
+
+@pytest.mark.parametrize("opener", ["(", "sin("])
+@pytest.mark.parametrize("command", ["verify", "diff", "eval"])
+def test_nesting_at_the_limit_runs_and_one_past_is_a_parse_error(command, opener, capsys):
+    assert run(_nested_command(command, opener, MAX_NESTING)) == 0
+    assert capsys.readouterr().err == ""
+    assert run(_nested_command(command, opener, MAX_NESTING + 1)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nesting too deep")
 
 
 @pytest.mark.parametrize("module", ["mvtcheck", "mvtcheck.cli"])

@@ -2,7 +2,7 @@ import dis
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvtcheck.expr import (
@@ -12,22 +12,26 @@ from mvtcheck.expr import (
     DomainError,
     DomainErrorKind,
     Expr,
+    MAX_NESTING,
     LexError,
     Neg,
+    NestingTooDeep,
     ParseError,
     TokenKind,
     UnknownIdentifier,
     Variable,
     compile_evaluator,
     compile_outputs,
+    enclose,
     evaluate,
     format_expr,
     parse,
+    postorder,
     tokenize,
 )
 from mvtcheck.numeric import Interval, sample
 
-from strategies import grammar_exprs
+from strategies import grammar_exprs, smooth_exprs
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -147,6 +151,31 @@ def test_parse_empty_input():
 def test_parse_comma_rejected():
     with pytest.raises(ParseError):
         parse("sin(x, 1)")
+
+
+@pytest.mark.parametrize(
+    "opener, closer",
+    [("(", ")"), ("sin(", ")"), ("-", ""), ("x^", "")],
+    ids=["parentheses", "calls", "unary-minus", "exponents"],
+)
+def test_parse_nesting_limit(opener, closer):
+    def nest(levels):
+        return opener * levels + "x" + closer * levels
+
+    assert math.isfinite(evaluate(parse(nest(MAX_NESTING)), 0.5))
+    with pytest.raises(NestingTooDeep) as err:
+        parse(nest(MAX_NESTING + 1))
+    assert isinstance(err.value, ParseError)
+    assert "nesting too deep" in str(err.value)
+    # at the token that opens the first level past the limit: its "(",
+    # "-" or "^", the last character of the opener
+    assert err.value.position == (MAX_NESTING + 1) * len(opener) - 1
+
+
+def test_nesting_limit_counts_open_levels_only():
+    # a thousand sibling groups, each one level deep
+    flat = "+".join(["(x)"] * 1000)
+    assert compile_evaluator(parse(flat))(0.5) == 500.0
 
 
 @given(st.text(max_size=30))
@@ -352,3 +381,102 @@ def test_outputs_are_none_where_not_finite():
 def test_compile_has_no_nesting_limit():
     flat_sum = parse("+".join(["x"] * 400))
     assert compile_evaluator(flat_sum)(0.5) == 200.0
+
+
+# --- postorder and enclose --------------------------------------------------
+
+
+def test_postorder_yields_children_first_and_shared_nodes_once():
+    shared = Call("sin", Variable())
+    e = Binary("+", shared, Neg(shared))
+    order = [id(node) for node in postorder([e, shared])]
+    assert order == [id(shared.argument), id(shared), id(e.right), id(e)]
+
+
+def test_postorder_has_no_depth_limit():
+    e = Variable()
+    for _ in range(20000):
+        e = Neg(e)
+    assert sum(1 for _ in postorder([e])) == 20001
+
+
+def _assert_encloses(outputs, iv, bounds):
+    # the compiled program raises nothing on the sample grids and every
+    # output lies within its bounds
+    program = compile_outputs(outputs)
+    for n in (97, 1024):
+        scan = sample(program, iv, n)
+        assert scan.failures == {}
+        for x, row in zip(scan.xs, scan.values):
+            for value, (lo, hi) in zip(row, bounds, strict=True):
+                assert value is not None and lo <= value <= hi, (x, value, lo, hi)
+
+
+@given(st.one_of(grammar_exprs(), smooth_exprs()), st.data())
+@settings(deadline=None)
+def test_enclosures_hold_every_compiled_value(e, data):
+    a = data.draw(st.floats(min_value=-50.0, max_value=50.0), label="a")
+    width = data.draw(st.floats(min_value=1e-6, max_value=60.0), label="width")
+    iv = Interval(a, a + width)
+    subtrees = _subtrees(e)
+    picked = data.draw(st.lists(st.sampled_from(subtrees), max_size=4))
+    extras = [Call("cos", t.argument) for t in subtrees if isinstance(t, Call) and t.fn == "tan"]
+    outputs = [e, *picked, *extras]
+    bounds = enclose(outputs, iv.a, iv.b)
+    if bounds is not None:
+        assert len(bounds) == len(outputs)
+        _assert_encloses(outputs, iv, bounds)
+
+
+@pytest.mark.parametrize(
+    "text, a, b, bounded",
+    [
+        # cos crosses zero inside: bounds straddle 0
+        ("cos(x)", 1.5, 1.7, True),
+        # tan's pole at pi/2 lies inside
+        ("tan(x)", 1.5, 1.6, False),
+        # integer powers by repeated multiplication, on either sign of the base
+        ("x^2", -2.0, 1.0, True),
+        ("x^3", -2.0, 1.0, True),
+        ("x^-3", -2.0, -0.5, True),
+        ("x^-2", -1.0, 1.0, False),
+        # x*x underflows to 0 near 1e-170, where x^-2 divides by zero
+        ("x^-2", 1e-170, 1.0, False),
+        ("x^-2", 1e-150, 1.0, True),
+        # exp overflows just above 709.78
+        ("exp(x)", 700.0, 709.78, True),
+        ("exp(x)", 700.0, 709.79, False),
+        # a pole 1e-12 past b: finite, but huge
+        ("1/(x - 1.000000000001)", 0.0, 1.0, True),
+        ("tan(x)", 0.0, math.pi / 2 - 1e-12, False),
+    ],
+)
+def test_enclosure_edge_cases(text, a, b, bounded):
+    e = parse(text)
+    bounds = enclose([e], a, b)
+    assert (bounds is not None) is bounded
+    if bounded:
+        _assert_encloses([e], Interval(a, b), bounds)
+
+
+def test_enclosure_of_cos_near_its_zero_straddles_zero():
+    ((lo, hi),) = enclose([parse("cos(x)")], 1.5, 1.7)
+    assert lo < 0.0 < hi
+
+
+@pytest.mark.parametrize(
+    "text, a, b, raises_at",
+    [("x^-2", 1e-170, 1.0, 1e-170), ("exp(x)", 700.0, 709.79, 709.79), ("ln(x)", 0.0, 1.0, 0.0)],
+)
+def test_enclosure_is_none_where_the_compiled_code_raises(text, a, b, raises_at):
+    e = parse(text)
+    with pytest.raises(DomainError):
+        compile_evaluator(e)(raises_at)
+    assert enclose([e], a, b) is None
+
+
+def test_enclose_requires_an_ordered_finite_interval():
+    with pytest.raises(ValueError):
+        enclose([Variable()], 1.0, 0.0)
+    with pytest.raises(ValueError):
+        enclose([Variable()], 0.0, math.inf)

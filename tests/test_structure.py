@@ -1,13 +1,14 @@
 """Module boundaries of the package, checked on its source with ``ast``.
 
-No module imports another module's private names, every ``__all__`` entry
-is defined in its module, and the README lists exactly the names the
-package exports.
+No module imports another module's private names or anything outside the
+standard library and the package, every ``__all__`` entry is defined in its
+module, and the README lists exactly the names the package exports.
 """
 
 import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -59,6 +60,25 @@ def test_no_private_names_imported_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _top_level_imports(node):
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    outside = [
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(_tree(path))
+        for name in _top_level_imports(node)
+        if name not in sys.stdlib_module_names and name != "mvtcheck"
+    ]
+    assert outside == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

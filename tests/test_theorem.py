@@ -242,3 +242,14 @@ def test_shift_invariance(int_coeffs, a, width, k):
         assert repr(r1.c) == repr(r2.c)
         assert r1.m == r2.m
         assert r1.method is r2.method
+
+
+def test_mvt_overflow_is_not_continuous():
+    # f is non-finite on |x| < 0.168, under half the grid, and has no
+    # hazard that could account for it
+    f = parse("exp(800*(1 - 4*x^2))")
+    result = verify_mvt(f, Interval(-1.0, 1.0))
+    assert isinstance(result, NotApplicable)
+    assert result.reason is Reason.NOT_CONTINUOUS
+    with pytest.raises(DomainError):
+        evaluate(f, result.witness)
