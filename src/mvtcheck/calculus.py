@@ -83,9 +83,10 @@ def differentiate(e: Expr) -> Expr:
     abs(u)' = u'*u/abs(u), whose evaluation raises DomainError exactly at
     kink points.  The input is folded first so negated literal exponents
     (x^-2) reach the constant-power rule instead of the ln-based general
-    rule.
+    rule.  Every node of the derivative is built through the same fold
+    rules as :func:`simplify`, so the result is already simplified.
     """
-    return simplify(_derivative(simplify(e)))
+    return _derivative(simplify(e))
 
 
 def _derivative(e: Expr) -> Expr:
@@ -94,49 +95,49 @@ def _derivative(e: Expr) -> Expr:
     if isinstance(e, Variable):
         return Constant(1.0)
     if isinstance(e, Neg):
-        return Neg(_derivative(e.child))
+        return _neg(_derivative(e.child))
     if isinstance(e, Binary):
         u, v = e.left, e.right
         if e.op == "+":
-            return Binary("+", _derivative(u), _derivative(v))
+            return _binary("+", _derivative(u), _derivative(v))
         if e.op == "-":
-            return Binary("-", _derivative(u), _derivative(v))
+            return _binary("-", _derivative(u), _derivative(v))
         if e.op == "*":
-            return Binary("+", Binary("*", _derivative(u), v), Binary("*", u, _derivative(v)))
+            return _binary("+", _binary("*", _derivative(u), v), _binary("*", u, _derivative(v)))
         if e.op == "/":
-            num = Binary("-", Binary("*", _derivative(u), v), Binary("*", u, _derivative(v)))
-            return Binary("/", num, Binary("^", v, Constant(2.0)))
+            num = _binary("-", _binary("*", _derivative(u), v), _binary("*", u, _derivative(v)))
+            return _binary("/", num, _binary("^", v, Constant(2.0)))
         # power: constant exponent uses the power rule so d(x^2) stays
         # defined on all of R; the general case goes through ln
         if isinstance(v, Constant):
-            power = Binary("^", u, Constant(v.value - 1.0))
-            return Binary("*", Binary("*", v, power), _derivative(u))
+            power = _binary("^", u, Constant(v.value - 1.0))
+            return _binary("*", _binary("*", v, power), _derivative(u))
         if isinstance(u, Constant):
-            return Binary("*", Binary("*", e, Call("ln", u)), _derivative(v))
-        inner = Binary(
+            return _binary("*", _binary("*", e, _call("ln", u)), _derivative(v))
+        inner = _binary(
             "+",
-            Binary("*", _derivative(v), Call("ln", u)),
-            Binary("/", Binary("*", v, _derivative(u)), u),
+            _binary("*", _derivative(v), _call("ln", u)),
+            _binary("/", _binary("*", v, _derivative(u)), u),
         )
-        return Binary("*", e, inner)
+        return _binary("*", e, inner)
     if isinstance(e, Call):
         u = e.argument
         du = _derivative(u)
         fn = e.fn
         if fn == "sin":
-            return Binary("*", Call("cos", u), du)
+            return _binary("*", _call("cos", u), du)
         if fn == "cos":
-            return Binary("*", Neg(Call("sin", u)), du)
+            return _binary("*", _neg(_call("sin", u)), du)
         if fn == "tan":
-            return Binary("/", du, Binary("^", Call("cos", u), Constant(2.0)))
+            return _binary("/", du, _binary("^", _call("cos", u), Constant(2.0)))
         if fn == "exp":
-            return Binary("*", e, du)
+            return _binary("*", e, du)
         if fn == "ln":
-            return Binary("/", du, u)
+            return _binary("/", du, u)
         if fn == "sqrt":
-            return Binary("/", du, Binary("*", Constant(2.0), e))
+            return _binary("/", du, _binary("*", Constant(2.0), e))
         # abs
-        return Binary("/", Binary("*", du, u), e)
+        return _binary("/", _binary("*", du, u), e)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -147,42 +148,53 @@ def simplify(e: Expr) -> Expr:
     rules are exact, folding is single-rounding); no deeper rewriting.
     """
     if isinstance(e, Neg):
-        child = simplify(e.child)
-        if isinstance(child, Constant):
-            return Constant(-child.value)
-        return Neg(child)
+        return _neg(simplify(e.child))
     if isinstance(e, Binary):
-        left = simplify(e.left)
-        right = simplify(e.right)
-        op = e.op
-        if isinstance(left, Constant) and isinstance(right, Constant):
-            folded = _fold(Binary(op, left, right))
-            if folded is not None:
-                return folded
-        if op == "+":
-            if _is_zero(left):
-                return right
-            if _is_zero(right):
-                return left
-        elif op == "*":
-            if _is_zero(left) or _is_zero(right):
-                return Constant(0.0)
-            if _is_one(left):
-                return right
-            if _is_one(right):
-                return left
-        elif op == "^":
-            if _is_one(right):
-                return left
-        return Binary(op, left, right)
+        return _binary(e.op, simplify(e.left), simplify(e.right))
     if isinstance(e, Call):
-        arg = simplify(e.argument)
-        if isinstance(arg, Constant):
-            folded = _fold(Call(e.fn, arg))
-            if folded is not None:
-                return folded
-        return Call(e.fn, arg)
+        return _call(e.fn, simplify(e.argument))
     return e
+
+
+# node builders for simplify and _derivative: each folds one node whose
+# operands are already simplified, so a tree built bottom-up is simplified
+
+
+def _neg(child: Expr) -> Expr:
+    if isinstance(child, Constant):
+        return Constant(-child.value)
+    return Neg(child)
+
+
+def _binary(op: str, left: Expr, right: Expr) -> Expr:
+    if isinstance(left, Constant) and isinstance(right, Constant):
+        folded = _fold(Binary(op, left, right))
+        if folded is not None:
+            return folded
+    if op == "+":
+        if _is_zero(left):
+            return right
+        if _is_zero(right):
+            return left
+    elif op == "*":
+        if _is_zero(left) or _is_zero(right):
+            return Constant(0.0)
+        if _is_one(left):
+            return right
+        if _is_one(right):
+            return left
+    elif op == "^":
+        if _is_one(right):
+            return left
+    return Binary(op, left, right)
+
+
+def _call(fn: str, arg: Expr) -> Expr:
+    if isinstance(arg, Constant):
+        folded = _fold(Call(fn, arg))
+        if folded is not None:
+            return folded
+    return Call(fn, arg)
 
 
 def _is_zero(e: Expr) -> bool:

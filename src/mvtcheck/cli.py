@@ -108,6 +108,10 @@ def run(args: Sequence[str]) -> int:
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError as err:
+        # the tree walkers recurse once per term of a flat sum or product
+        print(f"error: expression too long ({err})", file=sys.stderr)
+        return 1
     except Exception as err:  # exit-code totality: never leak a traceback
         print(f"internal error: {err}", file=sys.stderr)
         return 1

@@ -605,19 +605,17 @@ def postorder(roots: Iterable[Expr]) -> Iterator[Expr]:
     """
     done: set[int] = set()
     for root in roots:
-        stack = [root]
+        # (node, expanded): a node is expanded once, pushing its children
+        # above it, and yielded when it comes back to the top
+        stack = [(root, False)]
         while stack:
-            node = stack[-1]
-            if id(node) in done:
-                stack.pop()
-                continue
-            pending = [c for c in reversed(_children(node)) if id(c) not in done]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            done.add(id(node))
-            yield node
+            node, expanded = stack.pop()
+            if expanded:
+                done.add(id(node))
+                yield node
+            elif id(node) not in done:
+                stack.append((node, True))
+                stack.extend([(c, False) for c in reversed(_children(node))])
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:

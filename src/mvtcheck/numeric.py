@@ -87,7 +87,6 @@ class Bracket:
 class BisectionState:
     c_left: float
     c_right: float
-    c_mid: float
     iterations: int
 
 
@@ -193,10 +192,9 @@ def bisect(
         g_mid = g(mid)
         iterations += 1
         if g_mid == 0.0:
-            return mid, BisectionState(left, right, mid, iterations)
+            return mid, BisectionState(left, right, iterations)
         if opposite_or_zero(g_left, g_mid):
             right = mid
         else:
             left, g_left = mid, g_mid
-    root = 0.5 * (left + right)
-    return root, BisectionState(left, right, root, iterations)
+    return 0.5 * (left + right), BisectionState(left, right, iterations)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-from .calculus import SmoothnessReport, Verdict, analyze_smoothness, differentiate
+from .calculus import SmoothnessReport, Verdict, Witness, WitnessKind, analyze_smoothness, differentiate
 from .expr import DomainError, Expr, compile_evaluator, evaluate
 from .numeric import (
     DEFAULT_MAX_ITER,
@@ -146,9 +147,9 @@ def verify_rolle(f: Expr, iv: Interval, cfg: Config | None = None) -> MvtResult:
     return _pipeline(f, iv, cfg, 0.0)
 
 
-def _witness_point(report: SmoothnessReport, iv: Interval, interior: bool) -> float | None:
+def _witness_point(report: SmoothnessReport, fits: Callable[[Witness], bool]) -> float | None:
     for w in report.witnesses:
-        if not interior or iv.contains_open(w.point):
+        if fits(w):
             return w.point
     if report.witnesses:
         return report.witnesses[0].point
@@ -158,11 +159,14 @@ def _witness_point(report: SmoothnessReport, iv: Interval, interior: bool) -> fl
 def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> MvtResult:
     report = analyze_smoothness(f, iv, cfg)
     if report.continuous_on_closed is Verdict.NO:
-        return NotApplicable(Reason.NOT_CONTINUOUS, _witness_point(report, iv, False))
+        # an abs kink leaves f continuous: it cannot witness a discontinuity
+        witness = _witness_point(report, lambda w: w.kind is not WitnessKind.ABS_KINK)
+        return NotApplicable(Reason.NOT_CONTINUOUS, witness)
     if report.continuous_on_closed is Verdict.UNKNOWN:
         return Unknown("continuity on the closed interval could not be confirmed")
     if report.differentiable_on_open is Verdict.NO:
-        return NotApplicable(Reason.NOT_DIFFERENTIABLE, _witness_point(report, iv, True))
+        witness = _witness_point(report, lambda w: iv.contains_open(w.point))
+        return NotApplicable(Reason.NOT_DIFFERENTIABLE, witness)
     if report.differentiable_on_open is Verdict.UNKNOWN:
         return Unknown("differentiability on the open interval could not be confirmed")
 
@@ -202,7 +206,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     br = first_bracket(scan)
     if br is not None:
         try:
-            root, state = bisect(g, br, cfg.eps_c, DEFAULT_MAX_ITER)
+            root, state = bisect(g, br, cfg.eps_c)
             c, fpc, residual, extra = _tighten_residual(deriv, m, root, state, cfg)
         except (DomainError, MaxIterationsExceeded):
             return Unknown("bisection failed inside the located bracket")
@@ -226,19 +230,20 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     )
 
 
-def _tighten_residual(deriv, m, root, state, cfg, max_extra=DEFAULT_MAX_ITER):
+def _tighten_residual(deriv, m, root, state, cfg):
     """Keep halving the final bracket until the residual meets eps_res.
 
     Bisection to width eps_c bounds |c - root| but not |f'(c) - m|; for
     steep derivatives a few extra halvings are needed before the soundness
-    bound holds.  Stops at the binary64 resolution floor.
+    bound holds.  Stops at the binary64 resolution floor, or after
+    DEFAULT_MAX_ITER halvings.
     """
     fpc = deriv(root)
     residual = abs(fpc - m)
     left, right = state.c_left, state.c_right
     g_left = deriv(left) - m
     extra = 0
-    while residual > cfg.eps_res and extra < max_extra:
+    while residual > cfg.eps_res and extra < DEFAULT_MAX_ITER:
         mid = 0.5 * (left + right)
         if mid <= left or mid >= right:
             break

@@ -23,6 +23,7 @@ from mvtcheck.expr import (
     Variable,
     compile_evaluator,
     evaluate,
+    format_expr,
     parse,
 )
 from mvtcheck.numeric import Interval
@@ -103,6 +104,71 @@ def test_derivative_of_product_against_central_difference():
 def test_derivative_rules_pointwise(source, point, expected):
     d = differentiate(parse(source))
     assert evaluate(d, point) == pytest.approx(expected(point), rel=1e-12)
+
+
+# format_expr(differentiate(source)) for every rule of the derivative and
+# every fold of simplify, to be matched byte for byte
+GOLDEN_DERIVATIVES = [
+    ("7", "0"),
+    ("x", "1"),
+    ("-x", "(-1)"),
+    ("-(sin(x))", "(-cos(x))"),
+    ("-2*x", "(-2)"),
+    ("x + 3", "1"),
+    ("x - x^3", "(1 - (3 * (x ^ 2)))"),
+    ("x*sin(x)", "(sin(x) + (x * cos(x)))"),
+    ("(2*3)*x", "6"),
+    ("x*1", "1"),
+    ("1*x", "1"),
+    ("0*x + x", "1"),
+    ("x*0 + 0", "0"),
+    ("x + 0", "1"),
+    ("x/(x^2 + 1)", "((((x ^ 2) + 1) - (x * (2 * x))) / (((x ^ 2) + 1) ^ 2))"),
+    ("1/x", "((-1) / (x ^ 2))"),
+    ("x^2", "(2 * x)"),
+    ("x^-2", "((-2) * (x ^ (-3)))"),
+    ("x^0.5", "(0.5 * (x ^ (-0.5)))"),
+    ("x^1", "1"),
+    ("x^2^1", "(2 * x)"),
+    ("(x^2)^1", "(2 * x)"),
+    ("2^x", "((2 ^ x) * 0.6931471805599453)"),
+    ("e^x", "(2.718281828459045 ^ x)"),
+    ("x^x", "((x ^ x) * (ln(x) + (x / x)))"),
+    ("(sin(x))^(cos(x))", "((sin(x) ^ cos(x)) * (((-sin(x)) * ln(sin(x))) + ((cos(x) * cos(x)) / sin(x))))"),
+    ("ln(-1)*x", "ln((-1))"),
+    ("sqrt(-1)*x", "(((0 / (2 * sqrt((-1)))) * x) + sqrt((-1)))"),
+    ("(1/0)*x", "(((0 / 0) * x) + (1 / 0))"),
+    ("sin(x)", "cos(x)"),
+    ("cos(x)", "(-sin(x))"),
+    ("tan(x)", "(1 / (cos(x) ^ 2))"),
+    ("exp(x)", "exp(x)"),
+    ("exp(2*x)", "(exp((2 * x)) * 2)"),
+    ("ln(x)", "(1 / x)"),
+    ("ln(x^2 + 1)", "((2 * x) / ((x ^ 2) + 1))"),
+    ("sqrt(x)", "(1 / (2 * sqrt(x)))"),
+    ("sqrt(1 - x^2)", "((0 - (2 * x)) / (2 * sqrt((1 - (x ^ 2)))))"),
+    ("abs(x)", "(x / abs(x))"),
+    ("abs(x - 1)", "((x - 1) / abs((x - 1)))"),
+    ("sin(cos(x))", "(cos(cos(x)) * (-sin(x)))"),
+    ("cos(2)*x", "(-0.4161468365471424)"),
+    ("exp(0) + x^3", "(3 * (x ^ 2))"),
+    ("2^3*x", "8"),
+    ("pi*x^2", "(3.141592653589793 * (2 * x))"),
+    ("x^-1", "((-1) * (x ^ (-2)))"),
+]
+
+
+@pytest.mark.parametrize("source, text", GOLDEN_DERIVATIVES)
+def test_derivative_text_is_golden(source, text):
+    assert format_expr(differentiate(parse(source))) == text
+
+
+@given(grammar_exprs())
+@settings(deadline=None)
+def test_derivative_is_already_simplified(e):
+    d = differentiate(e)
+    # the texts also tell -0.0 from 0.0, which == does not
+    assert format_expr(simplify(d)) == format_expr(d)
 
 
 def test_abs_derivative_undefined_at_kink():

@@ -113,6 +113,20 @@ def test_verify_flat_sum_of_400_terms(capsys):
     assert json.loads(capsys.readouterr().out)["m"] == 400.0
 
 
+@pytest.mark.parametrize("command", ["verify", "diff", "eval"])
+def test_flat_sum_of_5000_terms_is_a_usage_error(command, capsys):
+    f = "+".join(["x"] * 5000)
+    args = {
+        "verify": ["verify", "--f", f, "--a", "0", "--b", "1"],
+        "diff": ["diff", "--f", f],
+        "eval": ["eval", "--f", f, "--x", "1"],
+    }[command]
+    assert run(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: expression too long")
+
+
 def _nested_command(command, opener, levels):
     f = opener * levels + "x" + ")" * levels
     return {

@@ -158,7 +158,7 @@ def test_bisect_linear():
     g = lambda x: x - 2.0
     root, state = bisect(g, Bracket(1.0, 3.0, g(1.0), g(3.0)), 1e-10)
     assert abs(root - 2.0) <= 1e-10
-    assert state.c_left <= state.c_mid <= state.c_right
+    assert state.c_left <= root <= state.c_right
 
 
 def test_bisect_sqrt2():

@@ -1,8 +1,9 @@
 """Module boundaries of the package, checked on its source with ``ast``.
 
 No module imports another module's private names or anything outside the
-standard library and the package, every ``__all__`` entry is defined in its
-module, and the README lists exactly the names the package exports.
+standard library and the package, no module binds a private name it never
+reads, every ``__all__`` entry is defined in its module, and the README
+lists exactly the names the package exports.
 """
 
 import ast
@@ -79,6 +80,18 @@ def test_imports_only_the_standard_library(path):
         if name not in sys.stdlib_module_names and name != "mvtcheck"
     ]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_private_name_is_read_in_its_module(path):
+    tree = _tree(path)
+    private = {n for n in _bound_names(tree) if n.startswith("_") and not n.startswith("__")}
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    assert sorted(private - read) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

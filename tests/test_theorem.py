@@ -90,6 +90,14 @@ def test_mvt_tan_not_continuous():
     assert abs(result.witness - math.pi / 2) <= 1e-6
 
 
+def test_mvt_not_continuous_witness_is_the_pole_not_a_kink():
+    # the abs kink at -0.9 comes first on the grid, but f is continuous there
+    result = verify_mvt(parse("abs(x+0.9) + 1/x"), Interval(-1.0, 1.0))
+    assert isinstance(result, NotApplicable)
+    assert result.reason is Reason.NOT_CONTINUOUS
+    assert abs(result.witness) <= 1e-9
+
+
 def test_mvt_reciprocal_not_applicable():
     result = verify_mvt(parse("1/x"), Interval(-1.0, 1.0))
     assert isinstance(result, NotApplicable)
