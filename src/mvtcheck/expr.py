@@ -379,9 +379,20 @@ def _format_number(v: float) -> str:
 
 # --- evaluation -------------------------------------------------------------
 #
-# The risky operations live in small helpers shared by the tree-walking
-# evaluator and the compiled straight-line code, so both produce
-# bit-identical values and identical DomainError behaviour.
+# The tree-walking evaluator routes each risky operation through a small
+# helper below and is the reference.  The compiled code calls none of them
+# but _pow for exponents that are not literal integers: _statements writes
+# each operation inline, as the same float operations in the same order,
+# followed by the same tests in the same order, so it computes the same bits
+# and raises the same DomainError from the same node.  Where that is not
+# plain, it is because:
+#   - _pow's loop starts from 1.0 and 1.0 * u is u, so u * u * ... * u is its
+#     product;
+#   - literals are finite, and so is x past the compiled code's entry test,
+#     so no finiteness test is written for either;
+#   - math's functions raise ValueError or OverflowError exactly where the
+#     helpers turn that into NON_FINITE, and one try around the compiled body
+#     does the same, as no other statement there can raise either.
 
 
 def _finite_or_raise(v: float, x: float) -> float:
@@ -526,7 +537,7 @@ def compile_evaluator(e: Expr) -> Callable[[float], float]:
     evaluates expressions at thousands of sample points.
     """
     body, (out,) = _lower([e])
-    return _compile(body, f"_finite({out}, x)")
+    return _compile([*body, _raise_if(_not_finite(out), "NON_FINITE"), f"return {out}"])
 
 
 def compile_outputs(exprs: Sequence[Expr]) -> Callable[[float], tuple[float | None, ...]]:
@@ -540,30 +551,43 @@ def compile_outputs(exprs: Sequence[Expr]) -> Callable[[float], tuple[float | No
     others, the error is the one ``evaluate`` raises for it.
     """
     body, outs = _lower(exprs)
-    values = ", ".join(f"({o} if _isfinite({o}) else None)" for o in outs)
-    return _compile(body, f"({values},)")
+    values = ", ".join(f"(None if {_not_finite(o)} else {o})" for o in outs)
+    return _compile([*body, f"return ({values},)"])
 
 
-def _compile(body: list[str], result: str) -> Callable:
+# what the compiled code calls for each function
+_LIBM = {
+    "sin": "sin", "cos": "cos", "tan": "tan", "exp": "exp", "ln": "log", "sqrt": "sqrt", "abs": "fabs"
+}
+
+# arguments outside the real domain of ln and sqrt, tested before the call
+_DOMAIN_TESTS = {"ln": ("<= 0.0", "LOG_OF_NON_POSITIVE"), "sqrt": ("< 0.0", "ROOT_OF_NEGATIVE")}
+
+
+def _compile(body: list[str]) -> Callable:
     source = "\n".join(
         [
             "def _compiled(x):",
-            "    if not _isfinite(x):",
+            "    if not isfinite(x):",
             "        raise ValueError('x must be finite')",
-            *body,
-            f"    return {result}",
+            "    try:",
+            *[f"        {line}" for line in body],
+            "    except (ValueError, OverflowError):",
+            "        raise DomainError(x, NON_FINITE) from None",
         ]
     )
     namespace: dict[str, object] = {
-        "_isfinite": math.isfinite,
-        "_finite": _finite_or_raise,
-        "_div": _div,
+        "isfinite": math.isfinite,
+        "inf": math.inf,
         "_pow": _pow,
+        "DomainError": DomainError,
         "ValueError": ValueError,
+        "OverflowError": OverflowError,
         "__builtins__": {},
+        **DomainErrorKind.__members__,
     }
-    for name, helper in _CALL_HELPERS.items():
-        namespace[f"_fn_{name}"] = helper
+    for name in _LIBM.values():
+        namespace[name] = getattr(math, name)
     exec(compile(source, "<compiled expression>", "exec"), namespace)
     return namespace["_compiled"]  # type: ignore[return-value]
 
@@ -572,13 +596,13 @@ def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str]]:
     """Straight-line SSA statements computing ``roots``, and each root's operand.
 
     Nodes are lowered in :func:`postorder`, so no depth of nesting limits
-    the lowering.  Every distinct subtree becomes one statement ``tN = ...``;
-    structurally equal subtrees have equal right-hand sides and share it.
-    Constants are inlined as literals (``repr`` keeps the sign of zero
-    apart) and the variable is ``x``.
+    the lowering.  Every distinct subtree becomes the statements of one
+    temporary ``tN``; structurally equal subtrees have equal operation texts
+    and share it.  Constants are inlined as literals (``repr`` keeps the
+    sign of zero apart) and the variable is ``x``.
     """
     body: list[str] = []
-    temps: dict[str, str] = {}  # right-hand side -> its temporary
+    temps: dict[str, str] = {}  # operation text -> its temporary
     operands: dict[int, str] = {}  # id(node) -> operand text
     for node in postorder(roots):
         if isinstance(node, Constant):
@@ -586,11 +610,17 @@ def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str]]:
         elif isinstance(node, Variable):
             operands[id(node)] = "x"
         else:
-            rhs = _right_hand_side(node, [operands[id(c)] for c in _children(node)])
-            name = temps.get(rhs)
+            args = [operands[id(c)] for c in _children(node)]
+            if isinstance(node, Neg):
+                operation = f"-{args[0]}"
+            elif isinstance(node, Binary):
+                operation = f"{args[0]} {node.op} {args[1]}"
+            else:
+                operation = f"{node.fn}({args[0]})"
+            name = temps.get(operation)
             if name is None:
-                name = temps[rhs] = f"t{len(temps)}"
-                body.append(f"    {name} = {rhs}")
+                name = temps[operation] = f"t{len(temps)}"
+                body += _statements(node, args, name)
             operands[id(node)] = name
     return body, [operands[id(root)] for root in roots]
 
@@ -628,19 +658,63 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def _right_hand_side(e: Expr, args: list[str]) -> str:
+def _statements(e: Expr, args: list[str], t: str) -> list[str]:
+    """Statements setting ``t`` to the value of ``e`` from its operands.
+
+    They raise the DomainError that :func:`_eval` raises at ``e``, from the
+    same tests in the same order: those of ``_div``, ``_pow`` and the
+    function helpers.
+    """
     if isinstance(e, Neg):
-        return f"-{args[0]}"
-    if isinstance(e, Binary):
-        left, right = args
-        if e.op == "/":
-            return f"_div({left}, {right}, x)"
-        if e.op == "^":
-            return f"_pow({left}, {right}, x)"
-        return f"{left} {e.op} {right}"
+        return [f"{t} = -{args[0]}"]
     if isinstance(e, Call):
-        return f"_fn_{e.fn}({args[0]}, x)"
-    raise TypeError(f"not an expression: {e!r}")
+        (a,) = args
+        tests = []
+        if e.fn in _DOMAIN_TESTS:
+            test, kind = _DOMAIN_TESTS[e.fn]
+            tests.append(_raise_if(f"{a} {test}", kind))
+        return [*tests, f"{t} = {_LIBM[e.fn]}({a})"]
+    left, right = args
+    if e.op in "+-*":
+        return [f"{t} = {left} {e.op} {right}"]
+    # operand tests are left out for literals, which are finite, and for x,
+    # which the compiled code tests on entry
+    finite_tests = [
+        _raise_if(_not_finite(text), "NON_FINITE")
+        for node, text in ((e.left, left), (e.right, right))
+        if not isinstance(node, (Constant, Variable))
+    ]
+    if e.op == "/":
+        if not (isinstance(e.right, Constant) and e.right.value != 0.0):
+            finite_tests.append(_raise_if(f"{right} == 0.0", "DIVISION_BY_ZERO"))
+        return [*finite_tests, f"{t} = {left} / {right}", _raise_if(_not_finite(t), "NON_FINITE")]
+    k = e.right.value if isinstance(e.right, Constant) else None
+    if k is None or not (abs(k) <= 64.0 and k.is_integer()):
+        return [f"{t} = _pow({left}, {right}, x)"]
+    n = int(k)
+    if n == 0:
+        return [*finite_tests, f"{t} = 1.0"]
+    product = f"{t} = {' * '.join([left] * abs(n))}"
+    if n > 0:
+        # a non-finite base gives a non-finite product, so the one test
+        # after it raises what _pow's test of the base does
+        return [product, _raise_if(_not_finite(t), "NON_FINITE")]
+    # 1.0 / inf is 0.0: the base is tested first, as _pow does
+    return [
+        *finite_tests,
+        product,
+        _raise_if(f"{t} == 0.0", "DIVISION_BY_ZERO"),
+        f"{t} = 1.0 / {t}",
+        _raise_if(_not_finite(t), "NON_FINITE"),
+    ]
+
+
+def _not_finite(v: str) -> str:
+    return f"not -inf < {v} < inf"
+
+
+def _raise_if(condition: str, kind: str) -> str:
+    return f"if {condition}: raise DomainError(x, {kind})"
 
 
 # --- interval bounds ----------------------------------------------------------

@@ -174,9 +174,11 @@ def bisect(
 
     Maintains the sign-change invariant at every step and returns the
     midpoint of the final bracket (or an exact zero of ``g`` found along
-    the way) together with the final :class:`BisectionState`.  Raises
-    MaxIterationsExceeded when the width is still above ``eps`` after
-    ``max_iter`` iterations.
+    the way) together with the final :class:`BisectionState`.  The final
+    bracket is narrower than ``eps`` or, where floats are too coarse for
+    that, two adjacent floats, whose midpoint rounds to one of them.
+    Raises MaxIterationsExceeded when neither holds after ``max_iter``
+    iterations.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -184,11 +186,13 @@ def bisect(
     g_left = br.g_left
     iterations = 0
     while right - left > eps:
+        mid = 0.5 * (left + right)
+        if mid <= left or mid >= right:
+            break
         if iterations >= max_iter:
             raise MaxIterationsExceeded(
                 f"bracket width {right - left!r} above eps {eps!r} after {max_iter} iterations"
             )
-        mid = 0.5 * (left + right)
         g_mid = g(mid)
         iterations += 1
         if g_mid == 0.0:

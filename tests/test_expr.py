@@ -313,6 +313,67 @@ def test_compiled_evaluator_matches_reference(e, x):
         assert repr(got) == repr(expected)  # bit-identical, including zero sign
 
 
+def _power(base: str, k: float) -> Expr:
+    # the parser reads x^-2 as x^(-(2)); folded derivatives hold the literal -2
+    return Binary("^", parse(base), Constant(k))
+
+
+EDGE_CASES = [
+    # integer powers: the product's test, the base's test, the pole and 1/p
+    (parse("x^2"), 1e200),
+    (parse("exp(-(x^2))"), 1e200),
+    (_power("x", -2.0), 1e200),
+    (_power("x", -2.0), 0.0),
+    (_power("x*x", -2.0), 1e200),
+    (Call("exp", Neg(_power("x", -1.0))), 1e-310),
+    (parse("(x*x)^0"), 1e200),
+    (parse("x^3"), -0.0),
+    (parse("x^1"), 1e300),
+    (parse("x^0.5"), -1.0),
+    # the root's own test
+    (parse("x*x"), 1e200),
+    # math's ValueError and OverflowError, and the ln and sqrt domains
+    (parse("sin(x*x)"), 1e200),
+    (parse("exp(x)"), 800.0),
+    (parse("ln(x*x - x*x)"), 1e200),
+    (parse("ln(-x)"), 1.0),
+    (parse("sqrt(x*x - x*x)"), 1e200),
+    (parse("sqrt(-x)"), 1.0),
+    # division: operand tests, then the zero test, then the quotient's test
+    (parse("1/(x*x)"), 1e200),
+    (parse("(x*x)/(x*x)"), 1e200),
+    (parse("(x*x)/(x-x)"), 1e200),
+    (parse("x/(x-x)"), 1.0),
+    (parse("x/0"), 1.0),
+    (parse("exp(-(x/0.5))"), 1e308),
+]
+
+
+def _edge_id(value) -> str:
+    return repr(value) if isinstance(value, float) else format_expr(value)
+
+
+@pytest.mark.parametrize("e, x", EDGE_CASES, ids=_edge_id)
+def test_compiled_code_matches_reference_at_the_edges(e, x):
+    try:
+        expected = evaluate(e, x)
+    except DomainError as err:
+        with pytest.raises(DomainError) as caught:
+            compile_evaluator(e)(x)
+        assert (caught.value.kind, str(caught.value)) == (err.kind, str(err))
+        # compile_outputs raises the same error, or gives None where the
+        # error is the root's own non-finite value
+        try:
+            (value,) = compile_outputs([e])(x)
+        except DomainError as inner:
+            assert (inner.kind, str(inner)) == (err.kind, str(err))
+        else:
+            assert value is None and err.kind is DomainErrorKind.NON_FINITE
+    else:
+        assert repr(compile_evaluator(e)(x)) == repr(expected)
+        assert [repr(v) for v in compile_outputs([e])(x)] == [repr(expected)]
+
+
 def _subtrees(e: Expr) -> list[Expr]:
     out, stack = [], [e]
     while stack:
@@ -360,7 +421,7 @@ def test_equal_subtrees_lower_to_one_statement():
     # two separately built sin(x) nodes: one call to sin in the compiled code
     e = Binary("*", Call("sin", Variable()), Call("sin", Variable()))
     code = compile_evaluator(e).__code__
-    calls = [i for i in dis.get_instructions(code) if i.argval == "_fn_sin"]
+    calls = [i for i in dis.get_instructions(code) if i.argval == "sin"]
     assert len(calls) == 1
     assert compile_evaluator(e)(0.5) == evaluate(e, 0.5)
 

@@ -187,6 +187,20 @@ def test_bisect_max_iterations():
         bisect(g, Bracket(0.0, 1.0, g(0.0), g(1.0)), 1e-300, max_iter=50)
 
 
+def test_bisect_stops_at_adjacent_floats():
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x - 1.0
+
+    left, right = 1.0, math.nextafter(1.0, 2.0)
+    root, state = bisect(g, Bracket(left, right, -1.0, 1.0), 1e-300, max_iter=0)
+    assert root in (left, right)
+    assert (state.c_left, state.c_right, state.iterations) == (left, right, 0)
+    assert calls == []
+
+
 def test_bisect_rejects_bad_eps():
     with pytest.raises(ValueError):
         bisect(lambda x: x, Bracket(-1.0, 1.0, -1.0, 1.0), 0.0)

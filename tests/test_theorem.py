@@ -116,6 +116,22 @@ def test_mvt_steep_polynomial_meets_residual_tolerance():
     assert result.residual <= 1e-8
 
 
+def test_mvt_far_from_zero_bisects_to_float_resolution():
+    # eps_c = 1e-10 is below ulp(1e6): bisection stops at adjacent floats
+    a, b = 1e6, 1e6 + 2.0
+    result = verify_mvt(parse("sin(x)"), Interval(a, b))
+    assert isinstance(result, Applicable)
+    assert a < result.c < b
+    assert abs(math.cos(result.c) - (math.sin(b) - math.sin(a)) / (b - a)) <= 1e-8
+
+
+def test_mvt_steep_far_from_zero_reports_the_residual():
+    # ulp(1e7) moves 3x^2 by about 0.1, far above eps_res
+    result = verify_mvt(parse("x^3"), Interval(1e7, 1e7 + 3.0))
+    assert isinstance(result, Unknown)
+    assert result.detail.startswith("sign change located but residual")
+
+
 def test_mvt_applicable_fields_consistent():
     result = verify_mvt(parse("x^3"), Interval(0.0, 2.0))
     assert isinstance(result, Applicable)
