@@ -24,7 +24,7 @@ from .expr import (
     evaluate,
     postorder,
 )
-from .numeric import Bracket, Evaluator, Interval, MaxIterationsExceeded, bisect, sample
+from .numeric import Bracket, Evaluator, Interval, bisect, midpoint, sample
 
 if TYPE_CHECKING:
     from .theorem import Config
@@ -300,9 +300,9 @@ def _scan_zeros(
             br = Bracket(xs[idx], xs[idx + 1], u, v)
             try:
                 root, _ = bisect(evaluator(), br, _WITNESS_EPS)
-            except (DomainError, MaxIterationsExceeded):
+            except DomainError:
                 # the sign change itself is confirmed; settle for the midpoint
-                root = 0.5 * (xs[idx] + xs[idx + 1])
+                root = midpoint(xs[idx], xs[idx + 1])
             crossings.append(root)
 
     suspected = False

@@ -90,11 +90,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags whose value is an expression, which may begin with "-": argparse
+# reads a separate "-x^2" or "-pi" as an option, but not "--f=-x^2"
+_EXPRESSION_FLAGS = ("--f", "--a", "--b", "--x")
+
+
+def _join_expression_values(args: Sequence[str]) -> list[str]:
+    """``args`` with each expression flag joined to the token after it."""
+    out: list[str] = []
+    tokens = iter(args)
+    for token in tokens:
+        value = next(tokens, None) if token in _EXPRESSION_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def run(args: Sequence[str]) -> int:
     """Execute the CLI and return the process exit code."""
     parser = _build_parser()
     try:
-        ns = parser.parse_args(list(args))
+        ns = parser.parse_args(_join_expression_values(args))
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

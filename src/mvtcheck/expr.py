@@ -379,26 +379,31 @@ def _format_number(v: float) -> str:
 
 # --- evaluation -------------------------------------------------------------
 #
-# The tree-walking evaluator routes each risky operation through a small
-# helper below and is the reference.  The compiled code calls none of them
-# but _pow for exponents that are not literal integers: _statements writes
-# each operation inline, as the same float operations in the same order,
-# followed by the same tests in the same order, so it computes the same bits
-# and raises the same DomainError from the same node.  Where that is not
-# plain, it is because:
+# The tree-walking evaluator is the reference: _eval, with _div and _pow for
+# the two risky operators.  The compiled code calls none of them but _pow for
+# exponents that are not literal integers: _statements writes each operation
+# inline, as the same float operations in the same order, followed by the
+# same tests in the same order, so it computes the same bits and raises the
+# same DomainError from the same node.  Where that is not plain, it is
+# because:
 #   - _pow's loop starts from 1.0 and 1.0 * u is u, so u * u * ... * u is its
 #     product;
 #   - literals are finite, and so is x past the compiled code's entry test,
 #     so no finiteness test is written for either;
-#   - math's functions raise ValueError or OverflowError exactly where the
-#     helpers turn that into NON_FINITE, and one try around the compiled body
-#     does the same, as no other statement there can raise either.
+#   - both evaluators call the same functions of math, and both map a
+#     ValueError or OverflowError raised anywhere inside them to NON_FINITE,
+#     as only those functions (math.exp in _pow included) raise either.
 
-
-def _finite_or_raise(v: float, x: float) -> float:
-    if math.isfinite(v):
-        return v
-    raise DomainError(x, DomainErrorKind.NON_FINITE)
+# what ``fn(u)`` calls, in both evaluators
+_LIBM = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+    "abs": math.fabs,
+}
 
 
 def _div(num: float, den: float, x: float) -> float:
@@ -429,65 +434,8 @@ def _pow(base: float, exponent: float, x: float) -> float:
         return out
     if base <= 0.0:
         raise DomainError(x, DomainErrorKind.POWER_OF_NON_POSITIVE)
-    try:
-        return math.exp(exponent * math.log(base))
-    except OverflowError:
-        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
-
-
-def _sin(a: float, x: float) -> float:
-    try:
-        return math.sin(a)
-    except ValueError:
-        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
-
-
-def _cos(a: float, x: float) -> float:
-    try:
-        return math.cos(a)
-    except ValueError:
-        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
-
-
-def _tan(a: float, x: float) -> float:
-    try:
-        return math.tan(a)
-    except ValueError:
-        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
-
-
-def _exp(a: float, x: float) -> float:
-    try:
-        return math.exp(a)
-    except (ValueError, OverflowError):
-        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
-
-
-def _ln(a: float, x: float) -> float:
-    if a <= 0.0:
-        raise DomainError(x, DomainErrorKind.LOG_OF_NON_POSITIVE)
-    return math.log(a)
-
-
-def _sqrt(a: float, x: float) -> float:
-    if a < 0.0:
-        raise DomainError(x, DomainErrorKind.ROOT_OF_NEGATIVE)
-    return math.sqrt(a)
-
-
-def _abs(a: float, x: float) -> float:
-    return math.fabs(a)
-
-
-_CALL_HELPERS = {
-    "sin": _sin,
-    "cos": _cos,
-    "tan": _tan,
-    "exp": _exp,
-    "ln": _ln,
-    "sqrt": _sqrt,
-    "abs": _abs,
-}
+    # math.exp may raise OverflowError: both callers map it to NON_FINITE
+    return math.exp(exponent * math.log(base))
 
 
 def evaluate(e: Expr, x: float) -> float:
@@ -501,7 +449,13 @@ def evaluate(e: Expr, x: float) -> float:
     """
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    return _finite_or_raise(_eval(e, x), x)
+    try:
+        out = _eval(e, x)
+    except (ValueError, OverflowError):
+        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
+    if not math.isfinite(out):
+        raise DomainError(x, DomainErrorKind.NON_FINITE)
+    return out
 
 
 def _eval(e: Expr, x: float) -> float:
@@ -525,7 +479,12 @@ def _eval(e: Expr, x: float) -> float:
             return _div(left, right, x)
         return _pow(left, right, x)
     if isinstance(e, Call):
-        return _CALL_HELPERS[e.fn](_eval(e.argument, x), x)
+        a = _eval(e.argument, x)
+        if e.fn == "ln" and a <= 0.0:
+            raise DomainError(x, DomainErrorKind.LOG_OF_NON_POSITIVE)
+        if e.fn == "sqrt" and a < 0.0:
+            raise DomainError(x, DomainErrorKind.ROOT_OF_NEGATIVE)
+        return _LIBM[e.fn](a)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -555,11 +514,6 @@ def compile_outputs(exprs: Sequence[Expr]) -> Callable[[float], tuple[float | No
     return _compile([*body, f"return ({values},)"])
 
 
-# what the compiled code calls for each function
-_LIBM = {
-    "sin": "sin", "cos": "cos", "tan": "tan", "exp": "exp", "ln": "log", "sqrt": "sqrt", "abs": "fabs"
-}
-
 # arguments outside the real domain of ln and sqrt, tested before the call
 _DOMAIN_TESTS = {"ln": ("<= 0.0", "LOG_OF_NON_POSITIVE"), "sqrt": ("< 0.0", "ROOT_OF_NEGATIVE")}
 
@@ -585,9 +539,8 @@ def _compile(body: list[str]) -> Callable:
         "OverflowError": OverflowError,
         "__builtins__": {},
         **DomainErrorKind.__members__,
+        **_LIBM,
     }
-    for name in _LIBM.values():
-        namespace[name] = getattr(math, name)
     exec(compile(source, "<compiled expression>", "exec"), namespace)
     return namespace["_compiled"]  # type: ignore[return-value]
 
@@ -662,8 +615,8 @@ def _statements(e: Expr, args: list[str], t: str) -> list[str]:
     """Statements setting ``t`` to the value of ``e`` from its operands.
 
     They raise the DomainError that :func:`_eval` raises at ``e``, from the
-    same tests in the same order: those of ``_div``, ``_pow`` and the
-    function helpers.
+    same tests in the same order: those of ``_div``, ``_pow`` and the ln
+    and sqrt domains.
     """
     if isinstance(e, Neg):
         return [f"{t} = -{args[0]}"]
@@ -673,7 +626,7 @@ def _statements(e: Expr, args: list[str], t: str) -> list[str]:
         if e.fn in _DOMAIN_TESTS:
             test, kind = _DOMAIN_TESTS[e.fn]
             tests.append(_raise_if(f"{a} {test}", kind))
-        return [*tests, f"{t} = {_LIBM[e.fn]}({a})"]
+        return [*tests, f"{t} = {e.fn}({a})"]
     left, right = args
     if e.op in "+-*":
         return [f"{t} = {left} {e.op} {right}"]

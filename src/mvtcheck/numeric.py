@@ -21,8 +21,8 @@ __all__ = [
     "BisectionState",
     "SamplePoint",
     "Samples",
-    "MaxIterationsExceeded",
     "opposite_or_zero",
+    "midpoint",
     "sample",
     "first_bracket",
     "bisect",
@@ -30,16 +30,22 @@ __all__ = [
 
 Evaluator = Callable[[float], float]
 
-DEFAULT_MAX_ITER = 200
-
-
-class MaxIterationsExceeded(Exception):
-    """Bisection could not shrink the bracket below eps within max_iter."""
-
 
 def opposite_or_zero(u: float, v: float) -> bool:
     """Sign test equivalent to u*v <= 0, immune to overflow of the product."""
     return (u <= 0.0 <= v) or (v <= 0.0 <= u)
+
+
+def midpoint(u: float, v: float) -> float:
+    """Midpoint of the finite floats ``u`` and ``v``, finite for every pair.
+
+    ``0.5 * (u + v)`` overflows to inf when ``u + v`` does.  Halving a
+    float of magnitude 2**-1021 or more is exact, so where ``u + v`` is
+    finite and each end is zero or that large, this is the same float (F.
+    Goualard, "How do you compute the midpoint of an interval?", ACM TOMS
+    40(2), 2014).
+    """
+    return 0.5 * u + 0.5 * v
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,21 +170,16 @@ def first_bracket(samples: Samples) -> Bracket | None:
     return None
 
 
-def bisect(
-    g: Evaluator,
-    br: Bracket,
-    eps: float,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[float, BisectionState]:
+def bisect(g: Evaluator, br: Bracket, eps: float) -> tuple[float, BisectionState]:
     """Classic bisection of ``g`` over ``br`` down to bracket width ``eps``.
 
     Maintains the sign-change invariant at every step and returns the
     midpoint of the final bracket (or an exact zero of ``g`` found along
     the way) together with the final :class:`BisectionState`.  The final
     bracket is narrower than ``eps`` or, where floats are too coarse for
-    that, two adjacent floats, whose midpoint rounds to one of them.
-    Raises MaxIterationsExceeded when neither holds after ``max_iter``
-    iterations.
+    that, two adjacent floats, whose midpoint rounds to one of them.  Each
+    step leaves fewer floats in the bracket, so the loop always ends: from
+    any finite bracket, after at most about 2100 steps.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -186,13 +187,9 @@ def bisect(
     g_left = br.g_left
     iterations = 0
     while right - left > eps:
-        mid = 0.5 * (left + right)
+        mid = midpoint(left, right)
         if mid <= left or mid >= right:
             break
-        if iterations >= max_iter:
-            raise MaxIterationsExceeded(
-                f"bracket width {right - left!r} above eps {eps!r} after {max_iter} iterations"
-            )
         g_mid = g(mid)
         iterations += 1
         if g_mid == 0.0:
@@ -201,4 +198,4 @@ def bisect(
             right = mid
         else:
             left, g_left = mid, g_mid
-    return 0.5 * (left + right), BisectionState(left, right, iterations)
+    return midpoint(left, right), BisectionState(left, right, iterations)

@@ -14,15 +14,7 @@ from typing import Callable
 
 from .calculus import SmoothnessReport, Verdict, Witness, WitnessKind, analyze_smoothness, differentiate
 from .expr import DomainError, Expr, compile_evaluator, evaluate
-from .numeric import (
-    DEFAULT_MAX_ITER,
-    Interval,
-    MaxIterationsExceeded,
-    bisect,
-    first_bracket,
-    opposite_or_zero,
-    sample,
-)
+from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
 
 __all__ = [
     "Config",
@@ -195,7 +187,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     if max(abs(v) for v in valid) <= cfg.eps_res:
         # f' == m everywhere at sample resolution: any interior point
         # works, the midpoint is deterministic and symmetric
-        c = 0.5 * (iv.a + iv.b)
+        c = midpoint(iv.a, iv.b)
         try:
             fpc = deriv(c)
         except DomainError:
@@ -208,7 +200,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
         try:
             root, state = bisect(g, br, cfg.eps_c)
             c, fpc, residual, extra = _tighten_residual(deriv, m, root, state, cfg)
-        except (DomainError, MaxIterationsExceeded):
+        except DomainError:
             return Unknown("bisection failed inside the located bracket")
         if residual <= cfg.eps_res:
             return Applicable(c, m, fpc, residual, state.iterations + extra, Method.BRACKET_BISECT)
@@ -235,16 +227,16 @@ def _tighten_residual(deriv, m, root, state, cfg):
 
     Bisection to width eps_c bounds |c - root| but not |f'(c) - m|; for
     steep derivatives a few extra halvings are needed before the soundness
-    bound holds.  Stops at the binary64 resolution floor, or after
-    DEFAULT_MAX_ITER halvings.
+    bound holds.  Stops at the binary64 resolution floor: each halving
+    leaves fewer floats in the bracket.
     """
     fpc = deriv(root)
     residual = abs(fpc - m)
     left, right = state.c_left, state.c_right
     g_left = deriv(left) - m
     extra = 0
-    while residual > cfg.eps_res and extra < DEFAULT_MAX_ITER:
-        mid = 0.5 * (left + right)
+    while residual > cfg.eps_res:
+        mid = midpoint(left, right)
         if mid <= left or mid >= right:
             break
         dm = deriv(mid)

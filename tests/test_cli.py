@@ -107,6 +107,37 @@ def test_verify_overflowing_interval_width_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: interval width overflows\n"
 
 
+def test_verify_between_huge_endpoints(capsys):
+    # a + b overflows: every midpoint must still be finite
+    code = run(["verify", "--f", "sin(x)", "--a", "1e308", "--b", "1.7e308", "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["detail"].startswith("sign change located but residual")
+    code = run(["verify", "--f", "x", "--a", "1e308", "--b", "1.7e308", "--json"])
+    assert code == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert (parsed["method"], parsed["c"]) == ("degenerate_constant", 1.35e308)
+
+
+# values beginning with "-", which argparse alone takes for option names
+def test_verify_function_beginning_with_minus(capsys):
+    code = run(["verify", "--f", "-x^2", "--a", "0", "--b", "1", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["m"] == -1.0
+
+
+def test_verify_endpoint_beginning_with_minus(capsys):
+    code = run(["verify", "--f", "sin(x)", "--a", "-pi", "--b", "pi", "--json"])
+    assert code == 0
+    reference = verify_mvt(parse("sin(x)"), Interval(-math.pi, math.pi))
+    assert json.loads(capsys.readouterr().out)["c"] == reference.c
+
+
+def test_eval_point_beginning_with_minus(capsys):
+    code = run(["eval", "--f", "x", "--x", "-pi/2"])
+    assert code == 0
+    assert float(capsys.readouterr().out) == -math.pi / 2
+
+
 def test_verify_flat_sum_of_400_terms(capsys):
     code = run(["verify", "--f", "+".join(["x"] * 400), "--a", "0", "--b", "1", "--json"])
     assert code == 0

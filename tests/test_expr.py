@@ -330,6 +330,9 @@ EDGE_CASES = [
     (parse("x^3"), -0.0),
     (parse("x^1"), 1e300),
     (parse("x^0.5"), -1.0),
+    # exp overflowing inside _pow
+    (parse("x^1.5"), 1e300),
+    (parse("x^x"), 1000.0),
     # the root's own test
     (parse("x*x"), 1e200),
     # math's ValueError and OverflowError, and the ln and sqrt domains

@@ -8,9 +8,9 @@ from mvtcheck.expr import DomainError, DomainErrorKind, compile_evaluator, parse
 from mvtcheck.numeric import (
     Bracket,
     Interval,
-    MaxIterationsExceeded,
     bisect,
     first_bracket,
+    midpoint,
     sample,
 )
 
@@ -154,6 +154,24 @@ def test_bracket_not_formed_across_failed_points():
 # --- bisect -----------------------------------------------------------------
 
 
+def test_midpoint_of_huge_endpoints_is_finite():
+    assert 0.5 * (1e308 + 1.7e308) == math.inf
+    assert midpoint(1e308, 1.7e308) == 1.35e308
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite_floats, finite_floats)
+def test_midpoint_lies_between_and_matches_the_plain_formula(u, v):
+    u, v = min(u, v), max(u, v)
+    mid = midpoint(u, v)
+    assert u <= mid <= v
+    exact_halves = min(abs(u), abs(v)) >= 2.0**-1021 or 0.0 in (u, v)
+    if exact_halves and math.isfinite(u + v):
+        assert mid == 0.5 * (u + v)
+
+
 def test_bisect_linear():
     g = lambda x: x - 2.0
     root, state = bisect(g, Bracket(1.0, 3.0, g(1.0), g(3.0)), 1e-10)
@@ -180,11 +198,22 @@ def test_bisect_exact_zero_early_return():
     assert state.iterations == 1
 
 
-def test_bisect_max_iterations():
-    # non-dyadic root, so no midpoint ever hits it exactly
-    g = lambda x: x - 1.0 / 3.0
-    with pytest.raises(MaxIterationsExceeded):
-        bisect(g, Bracket(0.0, 1.0, g(0.0), g(1.0)), 1e-300, max_iter=50)
+def test_bisect_below_float_resolution_ends_at_adjacent_floats():
+    # no float is a root of x*x - 2, so only float resolution stops the loop
+    g = lambda x: x * x - 2.0
+    root, state = bisect(g, Bracket(1.0, 2.0, g(1.0), g(2.0)), 1e-300)
+    assert state.c_right == math.nextafter(state.c_left, math.inf)
+    assert g(state.c_left) < 0.0 < g(state.c_right)
+    assert root in (state.c_left, state.c_right)
+
+
+def test_bisect_between_huge_endpoints():
+    # left + right overflows: every midpoint must still be finite
+    g = lambda x: x - 1.3e308
+    root, state = bisect(g, Bracket(1e308, 1.7e308, g(1e308), g(1.7e308)), 1e-10)
+    assert root == 1.3e308 or state.c_right == math.nextafter(state.c_left, math.inf)
+    assert state.c_left <= 1.3e308 <= state.c_right
+    assert state.iterations > 0
 
 
 def test_bisect_stops_at_adjacent_floats():
@@ -195,7 +224,7 @@ def test_bisect_stops_at_adjacent_floats():
         return x - 1.0
 
     left, right = 1.0, math.nextafter(1.0, 2.0)
-    root, state = bisect(g, Bracket(left, right, -1.0, 1.0), 1e-300, max_iter=0)
+    root, state = bisect(g, Bracket(left, right, -1.0, 1.0), 1e-300)
     assert root in (left, right)
     assert (state.c_left, state.c_right, state.iterations) == (left, right, 0)
     assert calls == []

@@ -2,8 +2,9 @@
 
 No module imports another module's private names or anything outside the
 standard library and the package, no module binds a private name it never
-reads, every ``__all__`` entry is defined in its module, and the README
-lists exactly the names the package exports.
+reads, every ``__all__`` entry is defined in its module, no module takes a
+midpoint as ``0.5 * (u + v)``, and the README lists exactly the names the
+package exports.
 """
 
 import ast
@@ -98,6 +99,34 @@ def test_every_private_name_is_read_in_its_module(path):
 def test_all_entries_are_defined(path):
     tree = _tree(path)
     assert sorted(set(_exported(tree)) - _bound_names(tree)) == []
+
+
+def _halved_sums(tree):
+    """Lines computing ``0.5 * (u + v)``, ``(u + v) * 0.5`` or ``(u + v) / 2``."""
+
+    def is_sum(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+
+    def is_number(node, value):
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == value
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.BinOp):
+            continue
+        left, right = node.left, node.right
+        if isinstance(node.op, ast.Mult) and (
+            (is_number(left, 0.5) and is_sum(right)) or (is_sum(left) and is_number(right, 0.5))
+        ):
+            yield f"line {node.lineno}"
+        elif isinstance(node.op, ast.Div) and is_sum(left) and is_number(right, 2):
+            yield f"line {node.lineno}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_midpoints_are_taken_by_numeric_midpoint(path):
+    # u + v overflows for large finite ends of one sign; numeric.midpoint
+    # halves each end first
+    assert list(_halved_sums(_tree(path))) == []
 
 
 def test_readme_lists_the_exported_names():

@@ -132,6 +132,17 @@ def test_mvt_steep_far_from_zero_reports_the_residual():
     assert result.detail.startswith("sign change located but residual")
 
 
+def test_mvt_wide_interval_bisects_as_long_as_it_takes():
+    # eps_c = 1e-10 is about 2^-529 of this width: far more halvings than
+    # the 200 a cap once allowed
+    result = verify_mvt(parse("x^2"), Interval(-1e150, 1e150))
+    assert isinstance(result, Applicable)
+    assert result.method is Method.BRACKET_BISECT
+    assert result.iterations > 200
+    assert abs(2.0 * result.c - result.m) <= 1e-8
+    assert result.residual == abs(2.0 * result.c - result.m)
+
+
 def test_mvt_applicable_fields_consistent():
     result = verify_mvt(parse("x^3"), Interval(0.0, 2.0))
     assert isinstance(result, Applicable)
