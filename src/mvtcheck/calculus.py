@@ -5,7 +5,6 @@ interval."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
@@ -17,6 +16,7 @@ from .expr import (
     DomainErrorKind,
     Expr,
     Neg,
+    Record,
     Variable,
     compile_evaluator,
     compile_outputs,
@@ -60,17 +60,26 @@ class WitnessKind(Enum):
     POWER_BOUNDARY = "power_boundary"
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
-    point: float
-    kind: WitnessKind
+class Witness(Record):
+    __slots__ = ("point", "kind")
+
+    def __init__(self, point: float, kind: WitnessKind):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True, slots=True)
-class SmoothnessReport:
-    continuous_on_closed: Verdict
-    differentiable_on_open: Verdict
-    witnesses: tuple[Witness, ...]
+class SmoothnessReport(Record):
+    __slots__ = ("continuous_on_closed", "differentiable_on_open", "witnesses")
+
+    def __init__(
+        self,
+        continuous_on_closed: Verdict,
+        differentiable_on_open: Verdict,
+        witnesses: tuple[Witness, ...],
+    ):
+        object.__setattr__(self, "continuous_on_closed", continuous_on_closed)
+        object.__setattr__(self, "differentiable_on_open", differentiable_on_open)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 # --- differentiation --------------------------------------------------------
@@ -217,11 +226,15 @@ def _fold(node: Expr) -> Constant | None:
 # --- smoothness analysis ----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _Hazard:
-    inner: Expr  # zeros of this expression mark the trouble spots
-    kind: WitnessKind
-    zero_undefined: bool  # f is undefined where inner == 0 (poles, ln, powers)
+class _Hazard(Record):
+    __slots__ = ("inner", "kind", "zero_undefined")
+
+    def __init__(self, inner: Expr, kind: WitnessKind, zero_undefined: bool):
+        # zeros of inner mark the trouble spots
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "kind", kind)
+        # f is undefined where inner == 0 (poles, ln, powers)
+        object.__setattr__(self, "zero_undefined", zero_undefined)
 
 
 def _literal_value(e: Expr) -> float | None:

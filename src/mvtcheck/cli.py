@@ -13,13 +13,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Sequence
 
 from .calculus import differentiate, simplify
 from .expr import (
     DomainError,
     Expr,
+    Record,
     SourceError,
     Variable,
     compile_evaluator,
@@ -46,12 +46,14 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class PlotSeries:
+class PlotSeries(Record):
     """One plotted curve: defined (x, y) points in increasing-x order."""
 
-    name: str  # "function" | "secant" | "tangent"
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ("name", "points")
+
+    def __init__(self, name: str, points: tuple[tuple[float, float], ...]):
+        object.__setattr__(self, "name", name)  # "function" | "secant" | "tangent"
+        object.__setattr__(self, "points", points)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
+    "Record",
     "Token",
     "TokenKind",
     "Expr",
@@ -126,58 +126,99 @@ class TokenKind(Enum):
     COMMA = auto()
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: TokenKind
-    text: str
-    position: int
+class Record:
+    """Base of mvtcheck's immutable records.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its
+    ``__init__`` through ``object.__setattr__``.  Records compare equal when
+    they are of the same class and their fields are equal, hash by their
+    fields, print as ``Name(field=value, ...)`` and refuse assignment and
+    deletion with AttributeError.  ``copy`` and ``pickle`` rebuild them by
+    calling the class with the field values in slot order.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
-class Expr:
+class Token(Record):
+    __slots__ = ("kind", "text", "position")
+
+    def __init__(self, kind: TokenKind, text: str, position: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "position", position)
+
+
+class Expr(Record):
     """Base class of the immutable expression tree."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Constant(Expr):
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
+    def __init__(self, value: float):
+        value = float(value)
+        object.__setattr__(self, "value", value)
+        if not math.isfinite(value):
             raise ValueError("constants must be finite")
 
 
-@dataclass(frozen=True, slots=True)
 class Variable(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expr):
-    child: Expr
+    __slots__ = ("child",)
+
+    def __init__(self, child: Expr):
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True, slots=True)
 class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
 
-    def __post_init__(self):
-        if self.op not in BINARY_OPS:
-            raise ValueError(f"unknown operator {self.op!r}")
+    def __init__(self, op: str, left: Expr, right: Expr):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        if op not in BINARY_OPS:
+            raise ValueError(f"unknown operator {op!r}")
 
 
-@dataclass(frozen=True, slots=True)
 class Call(Expr):
-    fn: str
-    argument: Expr
+    __slots__ = ("fn", "argument")
 
-    def __post_init__(self):
-        if self.fn not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.fn!r}")
+    def __init__(self, fn: str, argument: Expr):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "argument", argument)
+        if fn not in FUNCTIONS:
+            raise ValueError(f"unknown function {fn!r}")
 
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?", re.ASCII)
@@ -388,8 +429,9 @@ def _format_number(v: float) -> str:
 # because:
 #   - _pow's loop starts from 1.0 and 1.0 * u is u, so u * u * ... * u is its
 #     product;
-#   - literals are finite, and so is x past the compiled code's entry test,
-#     so no finiteness test is written for either;
+#   - literals are finite, and so is x past the compiled code's entry test
+#     and a temporary past its first finiteness test, so no finiteness test
+#     is written for any of these;
 #   - both evaluators call the same functions of math, and both map a
 #     ValueError or OverflowError raised anywhere inside them to NON_FINITE,
 #     as only those functions (math.exp in _pow included) raise either.
@@ -495,8 +537,10 @@ def compile_evaluator(e: Expr) -> Callable[[float], float]:
     DomainError behaviour); it exists because the verification pipeline
     evaluates expressions at thousands of sample points.
     """
-    body, (out,) = _lower([e])
-    return _compile([*body, _raise_if(_not_finite(out), "NON_FINITE"), f"return {out}"])
+    body, (out,), finite = _lower([e])
+    if out not in finite:
+        body.append(_raise_if(_not_finite(out), "NON_FINITE"))
+    return _compile([*body, f"return {out}"])
 
 
 def compile_outputs(exprs: Sequence[Expr]) -> Callable[[float], tuple[float | None, ...]]:
@@ -509,8 +553,8 @@ def compile_outputs(exprs: Sequence[Expr]) -> Callable[[float], tuple[float | No
     expressions are given, so when the first expression contains all the
     others, the error is the one ``evaluate`` raises for it.
     """
-    body, outs = _lower(exprs)
-    values = ", ".join(f"(None if {_not_finite(o)} else {o})" for o in outs)
+    body, outs, finite = _lower(exprs)
+    values = ", ".join(o if o in finite else f"(None if {_not_finite(o)} else {o})" for o in outs)
     return _compile([*body, f"return ({values},)"])
 
 
@@ -545,21 +589,26 @@ def _compile(body: list[str]) -> Callable:
     return namespace["_compiled"]  # type: ignore[return-value]
 
 
-def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str]]:
-    """Straight-line SSA statements computing ``roots``, and each root's operand.
+def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str], set[str]]:
+    """Straight-line SSA statements computing ``roots``, each root's operand,
+    and the operands known to be finite past the statements.
 
     Nodes are lowered in :func:`postorder`, so no depth of nesting limits
     the lowering.  Every distinct subtree becomes the statements of one
     temporary ``tN``; structurally equal subtrees have equal operation texts
     and share it.  Constants are inlined as literals (``repr`` keeps the
-    sign of zero apart) and the variable is ``x``.
+    sign of zero apart) and the variable is ``x``.  Literals, ``x`` and every
+    operand already tested for finiteness are known to be finite, so no
+    operand is tested twice.
     """
     body: list[str] = []
     temps: dict[str, str] = {}  # operation text -> its temporary
     operands: dict[int, str] = {}  # id(node) -> operand text
+    finite = {"x"}  # the compiled code tests x on entry
     for node in postorder(roots):
         if isinstance(node, Constant):
             operands[id(node)] = f"({node.value!r})"
+            finite.add(operands[id(node)])
         elif isinstance(node, Variable):
             operands[id(node)] = "x"
         else:
@@ -573,9 +622,12 @@ def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str]]:
             name = temps.get(operation)
             if name is None:
                 name = temps[operation] = f"t{len(temps)}"
-                body += _statements(node, args, name)
+                lines = _statements(node, args, name, finite)
+                if lines[-1] == _raise_if(_not_finite(name), "NON_FINITE"):
+                    finite.add(name)
+                body += lines
             operands[id(node)] = name
-    return body, [operands[id(root)] for root in roots]
+    return body, [operands[id(root)] for root in roots], finite
 
 
 def postorder(roots: Iterable[Expr]) -> Iterator[Expr]:
@@ -611,12 +663,13 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def _statements(e: Expr, args: list[str], t: str) -> list[str]:
+def _statements(e: Expr, args: list[str], t: str, finite: set[str]) -> list[str]:
     """Statements setting ``t`` to the value of ``e`` from its operands.
 
     They raise the DomainError that :func:`_eval` raises at ``e``, from the
     same tests in the same order: those of ``_div``, ``_pow`` and the ln
-    and sqrt domains.
+    and sqrt domains.  A finiteness test of an operand in ``finite`` could
+    not fire and is left out; an operand the statements test is added.
     """
     if isinstance(e, Neg):
         return [f"{t} = -{args[0]}"]
@@ -630,14 +683,8 @@ def _statements(e: Expr, args: list[str], t: str) -> list[str]:
     left, right = args
     if e.op in "+-*":
         return [f"{t} = {left} {e.op} {right}"]
-    # operand tests are left out for literals, which are finite, and for x,
-    # which the compiled code tests on entry
-    finite_tests = [
-        _raise_if(_not_finite(text), "NON_FINITE")
-        for node, text in ((e.left, left), (e.right, right))
-        if not isinstance(node, (Constant, Variable))
-    ]
     if e.op == "/":
+        finite_tests = _finite_tests(args, finite)
         if not (isinstance(e.right, Constant) and e.right.value != 0.0):
             finite_tests.append(_raise_if(f"{right} == 0.0", "DIVISION_BY_ZERO"))
         return [*finite_tests, f"{t} = {left} / {right}", _raise_if(_not_finite(t), "NON_FINITE")]
@@ -646,7 +693,7 @@ def _statements(e: Expr, args: list[str], t: str) -> list[str]:
         return [f"{t} = _pow({left}, {right}, x)"]
     n = int(k)
     if n == 0:
-        return [*finite_tests, f"{t} = 1.0"]
+        return [*_finite_tests(args, finite), f"{t} = 1.0"]
     product = f"{t} = {' * '.join([left] * abs(n))}"
     if n > 0:
         # a non-finite base gives a non-finite product, so the one test
@@ -654,12 +701,21 @@ def _statements(e: Expr, args: list[str], t: str) -> list[str]:
         return [product, _raise_if(_not_finite(t), "NON_FINITE")]
     # 1.0 / inf is 0.0: the base is tested first, as _pow does
     return [
-        *finite_tests,
+        *_finite_tests(args, finite),
         product,
         _raise_if(f"{t} == 0.0", "DIVISION_BY_ZERO"),
         f"{t} = 1.0 / {t}",
         _raise_if(_not_finite(t), "NON_FINITE"),
     ]
+
+
+def _finite_tests(operands: list[str], finite: set[str]) -> list[str]:
+    tests = []
+    for v in operands:
+        if v not in finite:
+            tests.append(_raise_if(_not_finite(v), "NON_FINITE"))
+            finite.add(v)
+    return tests
 
 
 def _not_finite(v: str) -> str:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Any, Callable
 
-from .expr import DomainError, DomainErrorKind
+from .expr import DomainError, DomainErrorKind, Record
 
 __all__ = [
     "Evaluator",
@@ -48,19 +47,19 @@ def midpoint(u: float, v: float) -> float:
     return 0.5 * u + 0.5 * v
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(Record):
     """Closed interval [a, b] with finite endpoints and a < b."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+    def __init__(self, a: float, b: float):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a!r}, {self.b!r}]")
-        if not math.isfinite(self.b - self.a):
+        if not a < b:
+            raise ValueError(f"interval requires a < b, got [{a!r}, {b!r}]")
+        if not math.isfinite(b - a):
             raise ValueError("interval width overflows")
 
     @property
@@ -71,36 +70,40 @@ class Interval:
         return self.a < x < self.b
 
 
-@dataclass(frozen=True, slots=True)
-class Bracket:
+class Bracket(Record):
     """Subinterval whose endpoint values have opposite (or zero) sign."""
 
-    left: float
-    right: float
-    g_left: float
-    g_right: float
+    __slots__ = ("left", "right", "g_left", "g_right")
 
-    def __post_init__(self):
-        if not self.left < self.right:
+    def __init__(self, left: float, right: float, g_left: float, g_right: float):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "g_left", g_left)
+        object.__setattr__(self, "g_right", g_right)
+        if not left < right:
             raise ValueError("bracket requires left < right")
-        if not (math.isfinite(self.g_left) and math.isfinite(self.g_right)):
+        if not (math.isfinite(g_left) and math.isfinite(g_right)):
             raise ValueError("bracket endpoint values must be finite")
-        if not opposite_or_zero(self.g_left, self.g_right):
+        if not opposite_or_zero(g_left, g_right):
             raise ValueError("bracket endpoint values must have opposite or zero sign")
 
 
-@dataclass(frozen=True, slots=True)
-class BisectionState:
-    c_left: float
-    c_right: float
-    iterations: int
+class BisectionState(Record):
+    __slots__ = ("c_left", "c_right", "iterations")
+
+    def __init__(self, c_left: float, c_right: float, iterations: int):
+        object.__setattr__(self, "c_left", c_left)
+        object.__setattr__(self, "c_right", c_right)
+        object.__setattr__(self, "iterations", iterations)
 
 
-@dataclass(frozen=True, slots=True)
-class SamplePoint:
-    x: float
-    value: float | None
-    error: DomainError | None = None
+class SamplePoint(Record):
+    __slots__ = ("x", "value", "error")
+
+    def __init__(self, x: float, value: float | None, error: DomainError | None = None):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error", error)
 
 
 class Samples(Sequence):

@@ -8,12 +8,11 @@ c in (a, b) with f'(c) = m by sign-change bracketing and bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from .calculus import SmoothnessReport, Verdict, Witness, WitnessKind, analyze_smoothness, differentiate
-from .expr import DomainError, Expr, compile_evaluator, evaluate
+from .expr import DomainError, Expr, Record, compile_evaluator, evaluate
 from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
 
 __all__ = [
@@ -38,8 +37,7 @@ _GOLDEN_STEPS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True, slots=True)
-class Config:
+class Config(Record):
     """Numerical policy for the verification pipeline.
 
     eps_c      target bracket width for the bisection stage
@@ -49,18 +47,25 @@ class Config:
     eps_rolle  relative tolerance on |f(a) - f(b)| in Rolle mode
     """
 
-    eps_c: float = 1e-10
-    eps_res: float = 1e-8
-    samples: int = 1024
-    eps_rolle: float = 1e-12
+    __slots__ = ("eps_c", "eps_res", "samples", "eps_rolle")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        eps_c: float = 1e-10,
+        eps_res: float = 1e-8,
+        samples: int = 1024,
+        eps_rolle: float = 1e-12,
+    ):
+        object.__setattr__(self, "eps_c", eps_c)
+        object.__setattr__(self, "eps_res", eps_res)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "eps_rolle", eps_rolle)
         for name in ("eps_c", "eps_res", "eps_rolle"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.samples < 2:
+        if samples < 2:
             raise ValueError("samples must be at least 2")
-        if self.samples > MAX_SAMPLES:
+        if samples > MAX_SAMPLES:
             raise ValueError(f"samples must be at most {MAX_SAMPLES}")
 
 
@@ -77,31 +82,39 @@ class Reason(Enum):
     ROLLE_PRECONDITION_FAILED = "rolle_precondition_failed"
 
 
-class MvtResult:
+class MvtResult(Record):
     """Base class of the verification outcome variants."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Applicable(MvtResult):
-    c: float
-    m: float
-    f_prime_at_c: float
-    residual: float
-    iterations: int
-    method: Method
+    __slots__ = ("c", "m", "f_prime_at_c", "residual", "iterations", "method")
+
+    def __init__(
+        self, c: float, m: float, f_prime_at_c: float, residual: float, iterations: int, method: Method
+    ):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "f_prime_at_c", f_prime_at_c)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "method", method)
 
 
-@dataclass(frozen=True, slots=True)
 class NotApplicable(MvtResult):
-    reason: Reason
-    witness: float | None = None
+    __slots__ = ("reason", "witness")
+
+    def __init__(self, reason: Reason, witness: float | None = None):
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True, slots=True)
 class Unknown(MvtResult):
-    detail: str
+    __slots__ = ("detail",)
+
+    def __init__(self, detail: str):
+        object.__setattr__(self, "detail", detail)
 
 
 def secant_slope(f: Expr, iv: Interval) -> float:
@@ -149,6 +162,9 @@ def _witness_point(report: SmoothnessReport, fits: Callable[[Witness], bool]) ->
 
 
 def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> MvtResult:
+    if math.nextafter(iv.a, iv.b) == iv.b:
+        # the theorem's c must lie strictly inside (a, b), and no float does
+        return Unknown("no float lies strictly inside (a, b)")
     report = analyze_smoothness(f, iv, cfg)
     if report.continuous_on_closed is Verdict.NO:
         # an abs kink leaves f continuous: it cannot witness a discontinuity

@@ -9,6 +9,7 @@ from mvtcheck import calculus
 from mvtcheck.calculus import (
     SmoothnessReport,
     Verdict,
+    Witness,
     WitnessKind,
     analyze_smoothness,
     differentiate,
@@ -426,3 +427,33 @@ def test_scan_runs_where_bounds_cannot_clear(text, a, b):
     assert scan.called
     assert report == _scanned(e, iv, CFG)
     assert report.continuous_on_closed is not Verdict.YES
+
+
+# --- records ----------------------------------------------------------------
+
+
+def test_witness_and_report_reprs():
+    assert repr(Witness(0.5, WitnessKind.POLE)) == "Witness(point=0.5, kind=<WitnessKind.POLE: 'pole'>)"
+    assert repr(SmoothnessReport(Verdict.YES, Verdict.NO, ())) == (
+        "SmoothnessReport(continuous_on_closed=<Verdict.YES: 'yes'>,"
+        " differentiable_on_open=<Verdict.NO: 'no'>, witnesses=())"
+    )
+
+
+def test_witnesses_compare_and_hash_by_value():
+    one, other = Witness(0.5, WitnessKind.POLE), Witness(point=0.5, kind=WitnessKind.POLE)
+    assert one == other and hash(one) == hash(other)
+    assert len({one, other, Witness(0.5, WitnessKind.ABS_KINK)}) == 2
+    assert one != (0.5, WitnessKind.POLE)
+    report = SmoothnessReport(Verdict.YES, Verdict.YES, (one,))
+    assert report == SmoothnessReport(Verdict.YES, Verdict.YES, (other,))
+    assert hash(report) == hash(SmoothnessReport(Verdict.YES, Verdict.YES, (other,)))
+
+
+def test_witnesses_refuse_assignment_and_deletion():
+    w = Witness(0.5, WitnessKind.POLE)
+    with pytest.raises(AttributeError):
+        w.point = 1.0
+    with pytest.raises(AttributeError):
+        del w.kind
+    assert w == Witness(0.5, WitnessKind.POLE)

@@ -75,6 +75,13 @@ def test_verify_unknown_exits_2(capsys):
     assert "unknown" in out
 
 
+def test_verify_interval_without_an_inner_float_exits_2(capsys):
+    code = run(["verify", "--f", "x^2", "--a", "0", "--b", "5e-324", "--json"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out)["status"] == "unknown"
+
+
 def test_verify_parse_error(capsys):
     code = run(["verify", "--f", "x +", "--a", "0", "--b", "1"])
     err = capsys.readouterr().err

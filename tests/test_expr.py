@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvtcheck import expr
+from mvtcheck.calculus import differentiate
 from mvtcheck.expr import (
     Binary,
     Call,
@@ -17,6 +19,7 @@ from mvtcheck.expr import (
     Neg,
     NestingTooDeep,
     ParseError,
+    Token,
     TokenKind,
     UnknownIdentifier,
     Variable,
@@ -377,6 +380,17 @@ def test_compiled_code_matches_reference_at_the_edges(e, x):
         assert [repr(v) for v in compile_outputs([e])(x)] == [repr(expected)]
 
 
+def test_lowering_tests_each_operand_for_finiteness_once():
+    # t0 = x*x is tested as the power's product and used again as a divisor;
+    # t11 is tested as a product and again as an operand of the quotient
+    e = differentiate(parse("x^3 - 2*x^2/x + 1/(x^2+1)"))
+    body, _, _ = expr._lower([e])
+    tests = [line for line in body if line.startswith("if not -inf <")]
+    assert tests and len(tests) == len(set(tests))
+    assert compile_evaluator(e)(0.5) == evaluate(e, 0.5)
+    assert compile_evaluator(Constant(2.0))(1.0) == 2.0
+
+
 def _subtrees(e: Expr) -> list[Expr]:
     out, stack = [], [e]
     while stack:
@@ -544,3 +558,58 @@ def test_enclose_requires_an_ordered_finite_interval():
         enclose([Variable()], 1.0, 0.0)
     with pytest.raises(ValueError):
         enclose([Variable()], 0.0, math.inf)
+
+
+# --- records ----------------------------------------------------------------
+
+
+def test_tree_and_token_reprs():
+    assert repr(parse("x^2+sin(x)")) == (
+        "Binary(op='+', left=Binary(op='^', left=Variable(), right=Constant(value=2.0)),"
+        " right=Call(fn='sin', argument=Variable()))"
+    )
+    assert repr(tokenize("x")) == "[Token(kind=<TokenKind.IDENTIFIER: 2>, text='x', position=0)]"
+
+
+def test_trees_compare_and_hash_by_value():
+    for one, other in [
+        (parse("x^2+sin(x)"), parse("(x^2) + sin(x)")),
+        (Constant(2), Constant(value=2.0)),
+        (Neg(Variable()), Neg(child=Variable())),
+        (Token(TokenKind.NUMBER, "1", 0), Token(kind=TokenKind.NUMBER, text="1", position=0)),
+    ]:
+        assert one == other and not one != other
+        assert hash(one) == hash(other)
+    assert parse("x+1") != parse("x-1")
+    assert len({parse("sin(x)"), parse("sin(x)"), parse("cos(x)")}) == 2
+
+
+def test_trees_of_different_classes_are_unequal():
+    # same field values, different node classes
+    assert Call("sin", Variable()) != Neg(Variable())
+    assert Neg(Constant(1.0)) != Call("abs", Constant(1.0))
+    assert Variable() != Constant(0.0)
+    assert Constant(1.0) != 1.0
+    assert Variable().__eq__(()) is NotImplemented
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [(Constant(1.0), "value"), (Binary("+", Variable(), Variable()), "op"),
+     (Token(TokenKind.COMMA, ",", 3), "position"), (Variable(), "child")],
+)
+def test_trees_refuse_assignment_and_deletion(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, Variable())
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+
+
+def test_node_validation_is_kept():
+    assert type(Constant(3).value) is float
+    with pytest.raises(ValueError, match="constants must be finite"):
+        Constant(math.inf)
+    with pytest.raises(ValueError, match="unknown operator"):
+        Binary("%", Variable(), Variable())
+    with pytest.raises(ValueError, match="unknown function"):
+        Call("log", Variable())

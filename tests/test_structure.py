@@ -3,13 +3,15 @@
 No module imports another module's private names or anything outside the
 standard library and the package, no module binds a private name it never
 reads, every ``__all__`` entry is defined in its module, no module takes a
-midpoint as ``0.5 * (u + v)``, and the README lists exactly the names the
-package exports.
+midpoint as ``0.5 * (u + v)``, no module imports ``dataclasses``, and the
+README lists exactly the names the package exports.  One test imports the
+package in a fresh interpreter to check what the import loads.
 """
 
 import ast
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -99,6 +101,35 @@ def test_every_private_name_is_read_in_its_module(path):
 def test_all_entries_are_defined(path):
     tree = _tree(path)
     assert sorted(set(_exported(tree)) - _bound_names(tree)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # importing dataclasses, and creating dataclasses, would triple the
+    # package's import time; records derive from expr.Record instead
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(_tree(path))
+        if "dataclasses" in _top_level_imports(node)
+    ]
+    assert found == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import mvtcheck, mvtcheck.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    loaded = set(proc.stdout.split())
+    assert "mvtcheck.cli" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 def _halved_sums(tree):

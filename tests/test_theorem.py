@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,16 @@ def test_mvt_reciprocal_not_applicable():
 def test_mvt_suspected_touch_is_unknown():
     result = verify_mvt(parse("sqrt(x*x)"), Interval(-1.0, 1.0))
     assert isinstance(result, Unknown)
+
+
+@pytest.mark.parametrize(
+    "text, a, b",
+    [("x^2", 0.0, 5e-324), ("x^2", 1.0, 1.0000000000000002), ("x^3", 1.0, 1.0000000000000002)],
+)
+def test_mvt_interval_without_an_inner_float_is_unknown(text, a, b):
+    # the midpoint rounds to an endpoint, which is no c strictly inside (a, b)
+    result = verify_mvt(parse(text), Interval(a, b))
+    assert result == Unknown("no float lies strictly inside (a, b)")
 
 
 def test_mvt_steep_polynomial_meets_residual_tolerance():
@@ -288,3 +300,61 @@ def test_mvt_overflow_is_not_continuous():
     assert result.reason is Reason.NOT_CONTINUOUS
     with pytest.raises(DomainError):
         evaluate(f, result.witness)
+
+
+# --- records ----------------------------------------------------------------
+
+
+def test_result_and_config_reprs():
+    assert repr(Config()) == "Config(eps_c=1e-10, eps_res=1e-08, samples=1024, eps_rolle=1e-12)"
+    assert repr(Applicable(0.5, 1.0, 1.0, 0.0, 3, Method.BRACKET_BISECT)) == (
+        "Applicable(c=0.5, m=1.0, f_prime_at_c=1.0, residual=0.0, iterations=3,"
+        " method=<Method.BRACKET_BISECT: 'bracket_bisect'>)"
+    )
+    assert repr(NotApplicable(Reason.UNDEFINED)) == (
+        "NotApplicable(reason=<Reason.UNDEFINED: 'undefined'>, witness=None)"
+    )
+    assert repr(Unknown("why")) == "Unknown(detail='why')"
+
+
+def test_results_compare_and_hash_by_value():
+    built = [
+        (Config(samples=97), Config(1e-10, 1e-8, 97)),
+        (NotApplicable(Reason.UNDEFINED, 0.5), NotApplicable(reason=Reason.UNDEFINED, witness=0.5)),
+        (Applicable(0.5, 1.0, 1.0, 0.0, 3, Method.RESIDUAL_MIN),
+         Applicable(0.5, 1.0, 1.0, 0.0, 3, method=Method.RESIDUAL_MIN)),
+        (Interval(0.0, 1.0), Interval(b=1.0, a=0.0)),
+    ]
+    for one, other in built:
+        assert one == other and not one != other
+        assert hash(one) == hash(other)
+    assert Config() != Config(samples=97)
+    assert len({Unknown("a"), Unknown("a"), Unknown("b")}) == 2
+
+
+def test_results_survive_copy_and_pickle():
+    for record in [Config(samples=97), Interval(0.0, 1.0), NotApplicable(Reason.UNDEFINED, 0.5),
+                   Applicable(0.5, 1.0, 1.0, 0.0, 3, Method.BRACKET_BISECT), parse("x^2+sin(x)")]:
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_results_of_different_classes_are_unequal():
+    assert Unknown("x") != NotApplicable("x")
+    assert NotApplicable(Reason.UNDEFINED, None) != (Reason.UNDEFINED, None)
+    assert Interval(0.0, 1.0).__eq__((0.0, 1.0)) is NotImplemented
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [(Config(), "samples"), (Unknown("why"), "detail"), (Interval(0.0, 1.0), "a"),
+     (NotApplicable(Reason.UNDEFINED), "witness")],
+)
+def test_results_refuse_assignment_and_deletion(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.unknown_field = 0
