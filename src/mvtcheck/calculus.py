@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .expr import (
     Binary,
@@ -25,9 +25,6 @@ from .expr import (
     postorder,
 )
 from .numeric import Bracket, Evaluator, Interval, bisect, midpoint, sample
-
-if TYPE_CHECKING:
-    from .theorem import Config
 
 __all__ = [
     "Verdict",
@@ -348,12 +345,12 @@ _WITNESS_KIND = {
 }
 
 
-def analyze_smoothness(e: Expr, iv: Interval, cfg: Config) -> SmoothnessReport:
+def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     """Classify continuity of ``e`` on [a,b] and differentiability on (a,b).
 
     Walks the tree for hazard subexpressions (divisors, ln/sqrt arguments,
     abs arguments, non-integer-power bases, tan arguments) and confirms
-    their zeros numerically on a cfg.samples grid with bisection
+    their zeros numerically on a grid of ``samples`` points with bisection
     refinement.  One scan evaluates ``e`` and every hazard's inner
     expression together.  Verdicts are three-valued: hazards that cannot be
     confirmed or ruled out at sample resolution yield UNKNOWN rather than
@@ -367,7 +364,6 @@ def analyze_smoothness(e: Expr, iv: Interval, cfg: Config) -> SmoothnessReport:
     is finite on [a,b] and that every hazard's inner expression stays too
     far from zero for the scan to find or suspect a zero.
     """
-    n = cfg.samples
     hazards = _collect_hazards(e)
     roots = [e, *(h.inner for h in hazards)]
     bounds = enclose(roots, iv.a, iv.b)
@@ -376,7 +372,7 @@ def analyze_smoothness(e: Expr, iv: Interval, cfg: Config) -> SmoothnessReport:
     # every hazard's inner expression but tan's cos(u) is a subexpression
     # of e, and cos(u) fails only where tan(u) does: the scan raises exactly
     # where e does, with e's error, and records that row in scan.failures
-    scan = sample(compile_outputs(roots), iv, n)
+    scan = sample(compile_outputs(roots), iv, samples)
     xs = scan.xs
     blank = (None,) * len(roots)
     columns = list(zip(*(row or blank for row in scan.values)))
@@ -398,7 +394,7 @@ def analyze_smoothness(e: Expr, iv: Interval, cfg: Config) -> SmoothnessReport:
             found.append(witness(interior))
         return Verdict.NO, found
 
-    if len(undefined) > n // 2:
+    if len(undefined) > samples // 2:
         differentiable, witnesses = undefined_points(Verdict.YES)
         return SmoothnessReport(Verdict.NO, differentiable, tuple(witnesses))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -19,7 +20,6 @@ from .calculus import differentiate, simplify
 from .expr import (
     DomainError,
     Expr,
-    Record,
     SourceError,
     Variable,
     compile_evaluator,
@@ -31,7 +31,7 @@ from .expr import (
 from .numeric import Interval, sample
 from .theorem import Applicable, Config, MvtResult, NotApplicable, Unknown, verify_mvt, verify_rolle
 
-__all__ = ["run", "main", "render_json", "emit_plot", "PlotSeries", "UnsupportedFormat"]
+__all__ = ["run", "main", "render_json", "emit_plot", "UnsupportedFormat"]
 
 MVT_DOES_NOT_APPLY = "The Mean Value Theorem does not apply"
 
@@ -44,16 +44,6 @@ class UnsupportedFormat(Exception):
 
 class _UsageError(Exception):
     pass
-
-
-class PlotSeries(Record):
-    """One plotted curve: defined (x, y) points in increasing-x order."""
-
-    __slots__ = ("name", "points")
-
-    def __init__(self, name: str, points: tuple[tuple[float, float], ...]):
-        object.__setattr__(self, "name", name)  # "function" | "secant" | "tangent"
-        object.__setattr__(self, "points", points)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -238,33 +228,42 @@ def render_json(result: MvtResult, f: Expr, iv: Interval) -> str:
     return json.dumps(fields, separators=(",", ":"))
 
 
-def plot_series(f: Expr, iv: Interval, result: MvtResult, n: int = DEFAULT_PLOT_POINTS) -> list[PlotSeries]:
-    """Build the plotted series: the function, plus secant and tangent when
-    the result is Applicable."""
+def _plot_table(
+    f: Expr, iv: Interval, result: MvtResult, n: int
+) -> tuple[list[float], list[float | None], list[tuple[str, list[float | None]]]]:
+    """The plotted columns over an ``n``-point grid on ``iv``: the grid, the
+    values of f (None where f is undefined), and the named secant and
+    tangent columns when the result is Applicable."""
     scan = sample(compile_evaluator(f), iv, n)
     xs = scan.xs
-    series = [PlotSeries("function", tuple((x, y) for x, y in zip(xs, scan.values) if y is not None))]
-    series += [PlotSeries(name, tuple(zip(xs, ys))) for name, ys in _lines(f, iv, result, xs)]
-    return series
+    lines = []
+    if isinstance(result, Applicable):
+        lines = [
+            ("secant", _line(evaluate(f, iv.a), result.m, iv.a, xs)),
+            ("tangent", _line(evaluate(f, result.c), result.f_prime_at_c, result.c, xs)),
+        ]
+    return xs, scan.values, lines
 
 
-def _lines(f: Expr, iv: Interval, result: MvtResult, xs: list[float]) -> list[tuple[str, list[float]]]:
-    """The secant and the tangent at c over ``xs``, when the result is Applicable."""
-    if not isinstance(result, Applicable):
-        return []
-    fa = evaluate(f, iv.a)
-    fc = evaluate(f, result.c)
-    return [
-        ("secant", [fa + result.m * (x - iv.a) for x in xs]),
-        ("tangent", [fc + result.f_prime_at_c * (x - result.c) for x in xs]),
-    ]
+def _line(y0: float, slope: float, x0: float, xs: list[float]) -> list[float | None]:
+    """The line through (x0, y0) with ``slope`` over ``xs``, None where its
+    value lies past the float range."""
+    ys: list[float | None] = []
+    for x in xs:
+        y = y0 + slope * (x - x0)
+        if not math.isfinite(y):
+            # the product can overflow where the sum does not; halving is exact
+            y = 2.0 * (0.5 * y0 + 0.5 * slope * (x - x0))
+        ys.append(y if math.isfinite(y) else None)
+    return ys
 
 
 def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str, n: int = DEFAULT_PLOT_POINTS) -> None:
     """Write plot data for ``f`` on ``iv`` to ``path`` (.csv or .svg).
 
     CSV: header ``x,f,secant,tangent`` (just ``x,f`` when the result is
-    not Applicable), ``n`` rows, empty cells where f is undefined.
+    not Applicable), ``n`` rows, empty cells where f is undefined or a
+    line leaves the float range.
     SVG: a self-contained document with one polyline per series, a marker
     at (c, f(c)), and a label showing c.  Writes are atomic
     (write-then-rename).
@@ -282,30 +281,37 @@ def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str, n: int = DEFA
 
 
 def _render_csv(f: Expr, iv: Interval, result: MvtResult, n: int) -> str:
-    scan = sample(compile_evaluator(f), iv, n)
-    xs = scan.xs
-    lines = _lines(f, iv, result, xs)
-    columns = [map(repr, xs), ("" if y is None else repr(y) for y in scan.values)]
-    columns += [map(repr, ys) for _, ys in lines]
+    xs, fs, lines = _plot_table(f, iv, result, n)
+    columns = [xs, fs] + [ys for _, ys in lines]
     rows = [",".join(["x", "f"] + [name for name, _ in lines])]
-    rows += map(",".join, zip(*columns))
+    rows += (",".join("" if v is None else repr(v) for v in row) for row in zip(*columns))
     return "\n".join(rows) + "\n"
 
 
 def _render_svg(f: Expr, iv: Interval, result: MvtResult, n: int) -> str:
-    series = plot_series(f, iv, result, n)
-    ys = [y for s in series for _, y in s.points]
-    if not ys:
-        ys = [-1.0, 1.0]
-    ymin, ymax = min(ys), max(ys)
-    xmargin = 0.05 * iv.width
-    yspan = ymax - ymin
-    ymargin = 0.05 * yspan if yspan > 0.0 else 0.05 * max(1.0, abs(ymax))
-    left = iv.a - xmargin
-    top = -(ymax + ymargin)  # svg y grows downward: plot (x, -y)
-    width = iv.width + 2.0 * xmargin
-    height = (ymax - ymin) + 2.0 * ymargin
-    stroke = 0.004 * max(width, height)
+    xs, fs, lines = _plot_table(f, iv, result, n)
+    series = [
+        (name, [(x, y) for x, y in zip(xs, ys) if y is not None])
+        for name, ys in [("function", fs), *lines]
+    ]
+    ys = [y for _, points in series for _, y in points] or [-1.0, 1.0]
+    mark = (result.c, evaluate(f, result.c)) if isinstance(result, Applicable) else None
+    # where a box extent overflows, draw at a quarter of the size: scaling by
+    # a power of two is exact, and then every number written is finite
+    for scale in (1.0, 0.25):
+        ymin, ymax = scale * min(ys), scale * max(ys)
+        xmargin = 0.05 * (scale * iv.width)
+        yspan = ymax - ymin
+        ymargin = 0.05 * yspan if yspan > 0.0 else 0.05 * max(1.0, abs(ymax))
+        left = scale * iv.a - xmargin
+        top = -(ymax + ymargin)  # svg y grows downward: plot (x, -y)
+        width = scale * iv.width + 2.0 * xmargin
+        height = yspan + 2.0 * ymargin
+        size = max(width, height)
+        radius = 0.012 * size
+        cx, cy = (scale * mark[0], -(scale * mark[1])) if mark else (0.0, 0.0)
+        if all(map(math.isfinite, (left, top, size, cx + 2.0 * radius, cy - 2.0 * radius))):
+            break
 
     colors = {"function": "#1f77b4", "secant": "#ff7f0e", "tangent": "#2ca02c"}
     parts = [
@@ -313,23 +319,17 @@ def _render_svg(f: Expr, iv: Interval, result: MvtResult, n: int) -> str:
         f'viewBox="{left:.9g} {top:.9g} {width:.9g} {height:.9g}" '
         'width="640" height="480" preserveAspectRatio="none">'
     ]
-    for s in series:
-        pts = " ".join(f"{x:.9g},{-y:.9g}" for x, y in s.points)
+    for name, points in series:
+        pts = " ".join(f"{scale * x:.9g},{-(scale * y):.9g}" for x, y in points)
         parts.append(
-            f'<polyline fill="none" stroke="{colors[s.name]}" '
-            f'stroke-width="{stroke:.3g}" points="{pts}"/>'
+            f'<polyline fill="none" stroke="{colors[name]}" '
+            f'stroke-width="{0.004 * size:.3g}" points="{pts}"/>'
         )
-    if isinstance(result, Applicable):
-        fc = evaluate(f, result.c)
-        radius = 0.012 * max(width, height)
+    if mark is not None:
+        parts.append(f'<circle cx="{cx:.9g}" cy="{cy:.9g}" r="{radius:.3g}" fill="#d62728"/>')
         parts.append(
-            f'<circle cx="{result.c:.9g}" cy="{-fc:.9g}" r="{radius:.3g}" fill="#d62728"/>'
-        )
-        label_x = result.c + 2.0 * radius
-        label_y = -fc - 2.0 * radius
-        parts.append(
-            f'<text x="{label_x:.9g}" y="{label_y:.9g}" '
-            f'font-size="{0.04 * height:.3g}" fill="#333333">c ≈ {result.c:.6g}</text>'
+            f'<text x="{cx + 2.0 * radius:.9g}" y="{cy - 2.0 * radius:.9g}" '
+            f'font-size="{0.04 * height:.3g}" fill="#333333">c ≈ {mark[0]:.6g}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 import re
-from enum import Enum, auto
+from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Record",
     "Token",
-    "TokenKind",
     "Expr",
     "Constant",
     "Variable",
@@ -108,23 +107,6 @@ class DomainError(Exception):
         self.point = point
         self.kind = kind
 
-    @property
-    def reason(self) -> str:
-        return self.kind.value
-
-
-class TokenKind(Enum):
-    NUMBER = auto()
-    IDENTIFIER = auto()
-    PLUS = auto()
-    MINUS = auto()
-    STAR = auto()
-    SLASH = auto()
-    CARET = auto()
-    LPAREN = auto()
-    RPAREN = auto()
-    COMMA = auto()
-
 
 class Record:
     """Base of mvtcheck's immutable records.
@@ -165,10 +147,12 @@ class Record:
 
 
 class Token(Record):
-    __slots__ = ("kind", "text", "position")
+    """A number, a name, or one character of ``+-*/^(),``; a number begins
+    with a digit and a name with a letter."""
 
-    def __init__(self, kind: TokenKind, text: str, position: int):
-        object.__setattr__(self, "kind", kind)
+    __slots__ = ("text", "position")
+
+    def __init__(self, text: str, position: int):
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "position", position)
 
@@ -223,16 +207,6 @@ class Call(Expr):
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?", re.ASCII)
 _IDENT_RE = re.compile(r"[A-Za-z]+")
-_SINGLE_CHAR = {
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "^": TokenKind.CARET,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    ",": TokenKind.COMMA,
-}
 
 
 def tokenize(source: str) -> list[Token]:
@@ -255,18 +229,17 @@ def tokenize(source: str) -> list[Token]:
             text = m.group()
             if not math.isfinite(float(text)):
                 raise LexError(i, f"number literal {text!r} overflows binary64")
-            tokens.append(Token(TokenKind.NUMBER, text, i))
+            tokens.append(Token(text, i))
             i = m.end()
             continue
         if ("a" <= ch <= "z") or ("A" <= ch <= "Z"):
             m = _IDENT_RE.match(source, i)
-            tokens.append(Token(TokenKind.IDENTIFIER, m.group(), i))
+            tokens.append(Token(m.group(), i))
             i = m.end()
             continue
-        kind = _SINGLE_CHAR.get(ch)
-        if kind is None:
+        if ch not in "+-*/^(),":
             raise LexError(i, f"unrecognized character {ch!r}")
-        tokens.append(Token(kind, ch, i))
+        tokens.append(Token(ch, i))
         i += 1
     return tokens
 
@@ -316,31 +289,29 @@ class _Parser:
             raise NestingTooDeep(opener.position)
         self._depth += 1
 
-    def _expect(self, kind: TokenKind, what: str) -> Token:
+    def _expect(self, text: str, what: str) -> Token:
         tok = self._peek()
-        if tok is None or tok.kind is not kind:
+        if tok is None or tok.text != text:
             raise ParseError(self._error_position(), what)
         return self._advance()
 
     def _additive(self) -> Expr:
         expr = self._multiplicative()
-        while (tok := self._peek()) is not None and tok.kind in (TokenKind.PLUS, TokenKind.MINUS):
+        while (tok := self._peek()) is not None and tok.text in ("+", "-"):
             self._advance()
-            op = "+" if tok.kind is TokenKind.PLUS else "-"
-            expr = Binary(op, expr, self._multiplicative())
+            expr = Binary(tok.text, expr, self._multiplicative())
         return expr
 
     def _multiplicative(self) -> Expr:
         expr = self._unary()
-        while (tok := self._peek()) is not None and tok.kind in (TokenKind.STAR, TokenKind.SLASH):
+        while (tok := self._peek()) is not None and tok.text in ("*", "/"):
             self._advance()
-            op = "*" if tok.kind is TokenKind.STAR else "/"
-            expr = Binary(op, expr, self._unary())
+            expr = Binary(tok.text, expr, self._unary())
         return expr
 
     def _unary(self) -> Expr:
         tok = self._peek()
-        if tok is not None and tok.kind is TokenKind.MINUS:
+        if tok is not None and tok.text == "-":
             self._advance()
             self._enter(tok)
             operand = self._unary()
@@ -351,7 +322,7 @@ class _Parser:
     def _power(self) -> Expr:
         base = self._primary()
         tok = self._peek()
-        if tok is not None and tok.kind is TokenKind.CARET:
+        if tok is not None and tok.text == "^":
             self._advance()
             self._enter(tok)
             # right associative; the exponent may carry its own unary minus
@@ -364,28 +335,28 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             raise ParseError(self._error_position(), "an expression")
-        if tok.kind is TokenKind.NUMBER:
+        text = tok.text
+        if text[0].isdigit():
             self._advance()
-            return Constant(float(tok.text))
-        if tok.kind is TokenKind.IDENTIFIER:
+            return Constant(float(text))
+        if text[0].isalpha():
             self._advance()
-            name = tok.text
-            if name == "x":
+            if text == "x":
                 return Variable()
-            if name in _NAMED_CONSTANTS:
-                return Constant(_NAMED_CONSTANTS[name])
-            if name in FUNCTIONS:
-                self._enter(self._expect(TokenKind.LPAREN, f"'(' after {name!r}"))
+            if text in _NAMED_CONSTANTS:
+                return Constant(_NAMED_CONSTANTS[text])
+            if text in FUNCTIONS:
+                self._enter(self._expect("(", f"'(' after {text!r}"))
                 arg = self._additive()
                 self._depth -= 1
-                self._expect(TokenKind.RPAREN, "')'")
-                return Call(name, arg)
-            raise UnknownIdentifier(tok.position, name)
-        if tok.kind is TokenKind.LPAREN:
+                self._expect(")", "')'")
+                return Call(text, arg)
+            raise UnknownIdentifier(tok.position, text)
+        if text == "(":
             self._enter(self._advance())
             expr = self._additive()
             self._depth -= 1
-            self._expect(TokenKind.RPAREN, "')'")
+            self._expect(")", "')'")
             return expr
         raise ParseError(tok.position, "a number, a name, or '('")
 

@@ -17,6 +17,8 @@ from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero
 
 __all__ = [
     "Config",
+    "EPS_RES",
+    "EPS_ROLLE",
     "MAX_SAMPLES",
     "Method",
     "Reason",
@@ -33,6 +35,11 @@ __all__ = [
 # unbounded count from the command line could exhaust memory
 MAX_SAMPLES = 2**20
 
+# acceptance tolerance on the residual |f'(c) - m|
+EPS_RES = 1e-8
+# relative tolerance on |f(a) - f(b)| in Rolle mode
+EPS_ROLLE = 1e-12
+
 _GOLDEN_STEPS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -41,28 +48,17 @@ class Config(Record):
     """Numerical policy for the verification pipeline.
 
     eps_c      target bracket width for the bisection stage
-    eps_res    acceptance tolerance on the residual |f'(c) - m|
     samples    uniform sample count for smoothness and root scans,
                from 2 up to MAX_SAMPLES
-    eps_rolle  relative tolerance on |f(a) - f(b)| in Rolle mode
     """
 
-    __slots__ = ("eps_c", "eps_res", "samples", "eps_rolle")
+    __slots__ = ("eps_c", "samples")
 
-    def __init__(
-        self,
-        eps_c: float = 1e-10,
-        eps_res: float = 1e-8,
-        samples: int = 1024,
-        eps_rolle: float = 1e-12,
-    ):
+    def __init__(self, eps_c: float = 1e-10, samples: int = 1024):
         object.__setattr__(self, "eps_c", eps_c)
-        object.__setattr__(self, "eps_res", eps_res)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "eps_rolle", eps_rolle)
-        for name in ("eps_c", "eps_res", "eps_rolle"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        if not eps_c > 0.0:
+            raise ValueError("eps_c must be positive")
         if samples < 2:
             raise ValueError("samples must be at least 2")
         if samples > MAX_SAMPLES:
@@ -120,9 +116,16 @@ class Unknown(MvtResult):
 def secant_slope(f: Expr, iv: Interval) -> float:
     """Average rate of change (f(b) - f(a)) / (b - a).
 
-    Raises DomainError when f is undefined at an endpoint.
+    Raises DomainError when f is undefined at an endpoint.  Where f(b) - f(a)
+    overflows, both differences are halved first, which is exact, so a
+    finite slope stays finite.
     """
-    return (evaluate(f, iv.b) - evaluate(f, iv.a)) / (iv.b - iv.a)
+    fa = evaluate(f, iv.a)
+    fb = evaluate(f, iv.b)
+    rise = fb - fa
+    if math.isfinite(rise):
+        return rise / (iv.b - iv.a)
+    return (0.5 * fb - 0.5 * fa) / (0.5 * (iv.b - iv.a))
 
 
 def verify_mvt(f: Expr, iv: Interval, cfg: Config | None = None) -> MvtResult:
@@ -141,15 +144,14 @@ def verify_rolle(f: Expr, iv: Interval, cfg: Config | None = None) -> MvtResult:
     Runs the Mean Value Theorem pipeline with the slope forced to exactly
     zero, Rolle's theorem being the m = 0 special case.
     """
-    cfg = cfg or Config()
     try:
         fa = evaluate(f, iv.a)
         fb = evaluate(f, iv.b)
     except DomainError as err:
         return NotApplicable(Reason.UNDEFINED, err.point)
-    if abs(fa - fb) > cfg.eps_rolle * max(1.0, abs(fa), abs(fb)):
+    if abs(fa - fb) > EPS_ROLLE * max(1.0, abs(fa), abs(fb)):
         return NotApplicable(Reason.ROLLE_PRECONDITION_FAILED)
-    return _pipeline(f, iv, cfg, 0.0)
+    return _pipeline(f, iv, cfg or Config(), 0.0)
 
 
 def _witness_point(report: SmoothnessReport, fits: Callable[[Witness], bool]) -> float | None:
@@ -165,7 +167,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     if math.nextafter(iv.a, iv.b) == iv.b:
         # the theorem's c must lie strictly inside (a, b), and no float does
         return Unknown("no float lies strictly inside (a, b)")
-    report = analyze_smoothness(f, iv, cfg)
+    report = analyze_smoothness(f, iv, cfg.samples)
     if report.continuous_on_closed is Verdict.NO:
         # an abs kink leaves f continuous: it cannot witness a discontinuity
         witness = _witness_point(report, lambda w: w.kind is not WitnessKind.ABS_KINK)
@@ -200,7 +202,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     if not valid:
         return Unknown("derivative undefined at every interior sample point")
 
-    if max(abs(v) for v in valid) <= cfg.eps_res:
+    if max(abs(v) for v in valid) <= EPS_RES:
         # f' == m everywhere at sample resolution: any interior point
         # works, the midpoint is deterministic and symmetric
         c = midpoint(iv.a, iv.b)
@@ -208,17 +210,17 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
             fpc = deriv(c)
         except DomainError:
             fpc = None
-        if fpc is not None and abs(fpc - m) <= cfg.eps_res:
+        if fpc is not None and abs(fpc - m) <= EPS_RES:
             return Applicable(c, m, fpc, abs(fpc - m), 0, Method.DEGENERATE_CONSTANT)
 
     br = first_bracket(scan)
     if br is not None:
         try:
             root, state = bisect(g, br, cfg.eps_c)
-            c, fpc, residual, extra = _tighten_residual(deriv, m, root, state, cfg)
+            c, fpc, residual, extra = _tighten_residual(deriv, m, root, state)
         except DomainError:
             return Unknown("bisection failed inside the located bracket")
-        if residual <= cfg.eps_res:
+        if residual <= EPS_RES:
             return Applicable(c, m, fpc, residual, state.iterations + extra, Method.BRACKET_BISECT)
         return Unknown(
             f"sign change located but residual {residual:.3e} stays above tolerance"
@@ -231,15 +233,15 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     lo = xs[best_idx - 1] if best_idx > 0 else inner.a
     hi = xs[best_idx + 1] if best_idx + 1 < len(xs) else inner.b
     c, fpc, residual, steps = _golden_min(deriv, m, lo, hi, xs[best_idx], values[best_idx])
-    if residual <= cfg.eps_res:
+    if residual <= EPS_RES:
         return Applicable(c, m, fpc, residual, steps, Method.RESIDUAL_MIN)
     return Unknown(
         f"no sign change at sample resolution; smallest residual {residual:.3e} exceeds tolerance"
     )
 
 
-def _tighten_residual(deriv, m, root, state, cfg):
-    """Keep halving the final bracket until the residual meets eps_res.
+def _tighten_residual(deriv, m, root, state):
+    """Keep halving the final bracket until the residual meets EPS_RES.
 
     Bisection to width eps_c bounds |c - root| but not |f'(c) - m|; for
     steep derivatives a few extra halvings are needed before the soundness
@@ -251,7 +253,7 @@ def _tighten_residual(deriv, m, root, state, cfg):
     left, right = state.c_left, state.c_right
     g_left = deriv(left) - m
     extra = 0
-    while residual > cfg.eps_res:
+    while residual > EPS_RES:
         mid = midpoint(left, right)
         if mid <= left or mid >= right:
             break

@@ -33,7 +33,8 @@ from mvtcheck.theorem import Config
 from oracles import central_difference
 from strategies import grammar_exprs, poly_coefficients, polynomial, smooth_exprs
 
-CFG = Config()
+# the pipeline's default sample count
+SAMPLES = Config().samples
 # step of the central-difference oracle
 FD_STEP = 1e-5
 
@@ -258,14 +259,14 @@ def test_simplify_preserves_pointwise_value(e, x):
 
 
 def test_smoothness_of_quadratic():
-    report = analyze_smoothness(parse("x^2 - 4*x + 3"), Interval(1.0, 3.0), CFG)
+    report = analyze_smoothness(parse("x^2 - 4*x + 3"), Interval(1.0, 3.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.YES
     assert report.differentiable_on_open is Verdict.YES
     assert report.witnesses == ()
 
 
 def test_smoothness_abs_kink():
-    report = analyze_smoothness(parse("abs(x)"), Interval(-1.0, 1.0), CFG)
+    report = analyze_smoothness(parse("abs(x)"), Interval(-1.0, 1.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.YES
     assert report.differentiable_on_open is Verdict.NO
     (w,) = report.witnesses
@@ -274,7 +275,7 @@ def test_smoothness_abs_kink():
 
 
 def test_smoothness_tan_pole():
-    report = analyze_smoothness(parse("tan(x)"), Interval(0.0, 2.0), CFG)
+    report = analyze_smoothness(parse("tan(x)"), Interval(0.0, 2.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.NO
     pole = bisect_math(math.cos, 0.0, 2.0)  # independent oracle for pi/2
     assert any(
@@ -283,20 +284,20 @@ def test_smoothness_tan_pole():
 
 
 def test_smoothness_reciprocal_pole():
-    report = analyze_smoothness(parse("1/x"), Interval(-1.0, 1.0), CFG)
+    report = analyze_smoothness(parse("1/x"), Interval(-1.0, 1.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.NO
     assert report.differentiable_on_open is Verdict.NO
     assert any(abs(w.point) <= 1e-9 for w in report.witnesses)
 
 
 def test_smoothness_log_boundary():
-    report = analyze_smoothness(parse("ln(x)"), Interval(-1.0, 1.0), CFG)
+    report = analyze_smoothness(parse("ln(x)"), Interval(-1.0, 1.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.NO
     assert any(w.kind is WitnessKind.LOG_OR_ROOT_BOUNDARY for w in report.witnesses)
 
 
 def test_smoothness_sqrt_on_its_domain():
-    report = analyze_smoothness(parse("sqrt(x)"), Interval(0.0, 1.0), CFG)
+    report = analyze_smoothness(parse("sqrt(x)"), Interval(0.0, 1.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.YES
     assert report.differentiable_on_open is Verdict.YES
 
@@ -304,32 +305,32 @@ def test_smoothness_sqrt_on_its_domain():
 def test_smoothness_sqrt_touch_is_unknown():
     # sqrt(x*x) == abs(x): the tangential touch cannot be told apart from
     # sqrt(x^4) at sample resolution, so the verdict must not be YES
-    report = analyze_smoothness(parse("sqrt(x*x)"), Interval(-1.0, 1.0), CFG)
+    report = analyze_smoothness(parse("sqrt(x*x)"), Interval(-1.0, 1.0), SAMPLES)
     assert report.differentiable_on_open is not Verdict.YES
 
 
 def test_smoothness_abs_of_square_is_smooth():
-    report = analyze_smoothness(parse("abs(x*x + 1)"), Interval(-1.0, 1.0), CFG)
+    report = analyze_smoothness(parse("abs(x*x + 1)"), Interval(-1.0, 1.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.YES
     assert report.differentiable_on_open is Verdict.YES
 
 
 def test_smoothness_near_pole_is_suspected():
-    report = analyze_smoothness(parse("1/(x*x)"), Interval(-1.0, 1.0), CFG)
+    report = analyze_smoothness(parse("1/(x*x)"), Interval(-1.0, 1.0), SAMPLES)
     assert report.continuous_on_closed is not Verdict.YES
 
 
 def test_smoothness_power_boundary():
-    report = analyze_smoothness(parse("x^0.5"), Interval(-1.0, 1.0), CFG)
+    report = analyze_smoothness(parse("x^0.5"), Interval(-1.0, 1.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.NO
     assert any(w.kind is WitnessKind.POWER_BOUNDARY for w in report.witnesses)
 
 
 def test_smoothness_negative_integer_power_is_a_pole():
-    report = analyze_smoothness(parse("x^-2"), Interval(-1.0, 1.0), CFG)
+    report = analyze_smoothness(parse("x^-2"), Interval(-1.0, 1.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.NO
     assert any(w.kind is WitnessKind.POLE and abs(w.point) <= 1e-9 for w in report.witnesses)
-    clear = analyze_smoothness(parse("x^-2"), Interval(0.5, 2.0), CFG)
+    clear = analyze_smoothness(parse("x^-2"), Interval(0.5, 2.0), SAMPLES)
     assert clear.continuous_on_closed is Verdict.YES
     assert clear.differentiable_on_open is Verdict.YES
 
@@ -337,13 +338,13 @@ def test_smoothness_negative_integer_power_is_a_pole():
 def test_smoothness_finds_a_pole_where_f_is_already_undefined():
     # 1/(x+0.5) has its pole where sqrt(x) already fails, so the pole's
     # divisor must be scanned at points where f itself raised
-    report = analyze_smoothness(parse("sqrt(x) + 1/(x+0.5)"), Interval(-1.0, 1.0), CFG)
+    report = analyze_smoothness(parse("sqrt(x) + 1/(x+0.5)"), Interval(-1.0, 1.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.NO
     assert any(w.kind is WitnessKind.POLE and w.point == -0.5 for w in report.witnesses)
 
 
 def test_smoothness_essentially_undefined():
-    report = analyze_smoothness(parse("ln(x)"), Interval(-3.0, -1.0), CFG)
+    report = analyze_smoothness(parse("ln(x)"), Interval(-3.0, -1.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.NO
     assert report.witnesses[0].point == -3.0
 
@@ -351,7 +352,7 @@ def test_smoothness_essentially_undefined():
 @given(poly_coefficients, st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
 @settings(deadline=None, max_examples=50)
 def test_smoothness_of_polynomials(coeffs, a):
-    report = analyze_smoothness(polynomial(coeffs), Interval(a, a + 2.0), CFG)
+    report = analyze_smoothness(polynomial(coeffs), Interval(a, a + 2.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.YES
     assert report.differentiable_on_open is Verdict.YES
 
@@ -359,7 +360,7 @@ def test_smoothness_of_polynomials(coeffs, a):
 def test_smoothness_reports_where_f_overflows():
     # no hazard: f raises (non-finite) on |x| < 0.168, under half the grid
     f = parse("exp(800*(1 - 4*x^2))")
-    report = analyze_smoothness(f, Interval(-1.0, 1.0), CFG)
+    report = analyze_smoothness(f, Interval(-1.0, 1.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.NO
     assert report.differentiable_on_open is Verdict.NO
     assert report.witnesses
@@ -369,10 +370,10 @@ def test_smoothness_reports_where_f_overflows():
             evaluate(f, w.point)
 
 
-def _scanned(e, iv, cfg):
+def _scanned(e, iv, samples):
     # analyze_smoothness as it runs when interval bounds prove nothing
     with mock.patch.object(calculus, "enclose", return_value=None):
-        return analyze_smoothness(e, iv, cfg)
+        return analyze_smoothness(e, iv, samples)
 
 
 @given(
@@ -384,12 +385,11 @@ def _scanned(e, iv, cfg):
 @settings(deadline=None)
 def test_skipped_scan_would_find_nothing(e, a, width, samples):
     iv = Interval(a, a + width)
-    cfg = Config(samples=samples)
     with mock.patch.object(calculus, "sample", wraps=calculus.sample) as scan:
-        report = analyze_smoothness(e, iv, cfg)
+        report = analyze_smoothness(e, iv, samples)
     if not scan.called:
         assert report == SmoothnessReport(Verdict.YES, Verdict.YES, ())
-        assert _scanned(e, iv, cfg) == report
+        assert _scanned(e, iv, samples) == report
 
 
 @pytest.mark.parametrize(
@@ -404,9 +404,9 @@ def test_skipped_scan_would_find_nothing(e, a, width, samples):
 def test_scan_is_skipped_where_bounds_clear_every_hazard(text, a, b):
     e, iv = parse(text), Interval(a, b)
     with mock.patch.object(calculus, "sample", wraps=calculus.sample) as scan:
-        report = analyze_smoothness(e, iv, CFG)
+        report = analyze_smoothness(e, iv, SAMPLES)
     assert not scan.called
-    assert report == _scanned(e, iv, CFG) == SmoothnessReport(Verdict.YES, Verdict.YES, ())
+    assert report == _scanned(e, iv, SAMPLES) == SmoothnessReport(Verdict.YES, Verdict.YES, ())
 
 
 @pytest.mark.parametrize(
@@ -423,9 +423,9 @@ def test_scan_is_skipped_where_bounds_clear_every_hazard(text, a, b):
 def test_scan_runs_where_bounds_cannot_clear(text, a, b):
     e, iv = parse(text), Interval(a, b)
     with mock.patch.object(calculus, "sample", wraps=calculus.sample) as scan:
-        report = analyze_smoothness(e, iv, CFG)
+        report = analyze_smoothness(e, iv, SAMPLES)
     assert scan.called
-    assert report == _scanned(e, iv, CFG)
+    assert report == _scanned(e, iv, SAMPLES)
     assert report.continuous_on_closed is not Verdict.YES
 
 

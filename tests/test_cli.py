@@ -13,7 +13,6 @@ from mvtcheck.cli import (
     MVT_DOES_NOT_APPLY,
     UnsupportedFormat,
     emit_plot,
-    plot_series,
     render_json,
     run,
 )
@@ -123,6 +122,14 @@ def test_verify_between_huge_endpoints(capsys):
     assert code == 0
     parsed = json.loads(capsys.readouterr().out)
     assert (parsed["method"], parsed["c"]) == ("degenerate_constant", 1.35e308)
+
+
+def test_verify_slope_whose_rise_overflows(capsys):
+    # f(b) - f(a) = 2e308 overflows; the slope 1e307 does not
+    code = run(["verify", "--f", "1e307*x", "--a", "-10", "--b", "10", "--json"])
+    assert code == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert (parsed["method"], parsed["m"], parsed["c"]) == ("degenerate_constant", 1e307, 0.0)
 
 
 # values beginning with "-", which argparse alone takes for option names
@@ -384,6 +391,15 @@ def test_csv_blank_cell_where_undefined(tmp_path):
     assert lines[2] == "0.0,"
 
 
+def test_csv_blank_cell_where_a_line_leaves_the_float_range(tmp_path, capsys):
+    path = tmp_path / "plot.csv"
+    assert run(["verify", "--f", "1.6e308*cos(x)", "--a", "0", "--b", "2", "--plot", str(path)]) == 0
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert "inf" not in path.read_text()
+    assert all(secant != "" for _, _, secant, _ in rows)
+    assert rows[0][3] == "" and rows[-1][3] != ""
+
+
 def test_svg_structure(example1):
     f, iv, result, tmp = example1
     path = tmp / "plot.svg"
@@ -427,22 +443,57 @@ def test_emit_plot_overwrites_atomically(example1):
     assert [p.name for p in tmp.iterdir()] == ["plot.csv"]
 
 
-def test_plot_series_invariants():
+SERIES_COLORS = {"#1f77b4": "function", "#ff7f0e": "secant", "#2ca02c": "tangent"}
+
+
+def svg_series(path) -> list[tuple[str, list[tuple[float, float]]]]:
+    """Each polyline of an emitted SVG: its series name and its (x, y) points."""
+    series = []
+    for line in path.read_text().splitlines():
+        if line.startswith("<polyline"):
+            color = line.split('stroke="', 1)[1].split('"', 1)[0]
+            pts = line.split('points="', 1)[1].split('"', 1)[0].split()
+            series.append((SERIES_COLORS[color], [tuple(map(float, p.split(","))) for p in pts]))
+    return series
+
+
+def test_plot_series_invariants(tmp_path):
     f = parse("1/x")
     iv = Interval(-1.0, 1.0)
-    series = plot_series(f, iv, verify_mvt(f, iv), n=33)
-    assert [s.name for s in series] == ["function"]
-    xs = [x for x, _ in series[0].points]
+    path = tmp_path / "plot.svg"
+    emit_plot(f, iv, verify_mvt(f, iv), str(path), n=33)
+    series = svg_series(path)
+    assert [name for name, _ in series] == ["function"]
+    xs = [x for x, _ in series[0][1]]
     assert xs == sorted(xs) and len(set(xs)) == len(xs)
-    assert all(math.isfinite(y) for _, y in series[0].points)
+    assert all(math.isfinite(y) for _, y in series[0][1])
     assert len(xs) < 33  # the undefined midpoint was dropped
 
 
 def test_plot_series_applicable_has_three(example1):
-    f, iv, result, _ = example1
-    series = plot_series(f, iv, result, n=16)
-    assert [s.name for s in series] == ["function", "secant", "tangent"]
-    assert all(len(s.points) == 16 for s in series)
+    f, iv, result, tmp = example1
+    path = tmp / "plot.svg"
+    emit_plot(f, iv, result, str(path), n=16)
+    series = svg_series(path)
+    assert [name for name, _ in series] == ["function", "secant", "tangent"]
+    assert all(len(points) == 16 for _, points in series)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--f", "x", "--a=-1e308", "--b=6.5e307"], ["--f", "1e307*x", "--a", "-10", "--b", "10"],
+     ["--f", "1.6e308*cos(x)", "--a", "0", "--b", "2"]],
+)
+def test_svg_of_huge_values_writes_finite_numbers(argv, tmp_path, capsys):
+    # the box extents overflow at full size; in the last case the tangent
+    # also leaves the float range near x = 0
+    path = tmp_path / "plot.svg"
+    assert run(["verify", *argv, "--plot", str(path)]) == 0
+    text = path.read_text()
+    assert "inf" not in text and "nan" not in text
+    assert text.count("<polyline") == 3
+    assert text.count("<circle") == 1
+    assert all(math.isfinite(y) for _, points in svg_series(path) for _, y in points)
 
 
 def test_verify_with_plot_flag(tmp_path, capsys):

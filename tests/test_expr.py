@@ -20,7 +20,6 @@ from mvtcheck.expr import (
     NestingTooDeep,
     ParseError,
     Token,
-    TokenKind,
     UnknownIdentifier,
     Variable,
     compile_evaluator,
@@ -42,18 +41,8 @@ from strategies import grammar_exprs, smooth_exprs
 
 def test_tokenize_quadratic():
     tokens = tokenize("x^2 - 4*x + 3")
-    assert [t.kind for t in tokens] == [
-        TokenKind.IDENTIFIER,
-        TokenKind.CARET,
-        TokenKind.NUMBER,
-        TokenKind.MINUS,
-        TokenKind.NUMBER,
-        TokenKind.STAR,
-        TokenKind.IDENTIFIER,
-        TokenKind.PLUS,
-        TokenKind.NUMBER,
-    ]
     assert [t.text for t in tokens] == ["x", "^", "2", "-", "4", "*", "x", "+", "3"]
+    assert [t.position for t in tokens] == [0, 1, 2, 4, 6, 7, 8, 10, 12]
 
 
 def test_tokenize_empty():
@@ -63,7 +52,7 @@ def test_tokenize_empty():
 def test_tokenize_scientific_is_one_token():
     tokens = tokenize("3.5e2")
     assert len(tokens) == 1
-    assert tokens[0].kind is TokenKind.NUMBER
+    assert tokens[0].text == "3.5e2"
     assert float(tokens[0].text) == 350.0
 
 
@@ -244,7 +233,7 @@ def test_evaluate_sqrt_of_negative():
 def test_evaluate_division_by_zero():
     with pytest.raises(DomainError) as err:
         evaluate(parse("1/x"), 0.0)
-    assert "division by zero" in err.value.reason
+    assert "division by zero" in err.value.kind.value
     assert err.value.kind is DomainErrorKind.DIVISION_BY_ZERO
 
 
@@ -263,7 +252,7 @@ def test_evaluate_non_integer_power_needs_positive_base():
     assert evaluate(parse("x^0.5"), 4.0) == pytest.approx(2.0)
     with pytest.raises(DomainError) as err:
         evaluate(parse("x^0.5"), -4.0)
-    assert "non-positive base" in err.value.reason
+    assert "non-positive base" in err.value.kind.value
     assert err.value.kind is DomainErrorKind.POWER_OF_NON_POSITIVE
     with pytest.raises(DomainError):
         evaluate(parse("x^0.5"), 0.0)
@@ -279,7 +268,7 @@ def test_evaluate_large_integer_exponent_goes_through_exp_ln():
 def test_evaluate_overflow_is_domain_error():
     with pytest.raises(DomainError) as err:
         evaluate(parse("exp(x)"), 1000.0)
-    assert err.value.reason == "non-finite result"
+    assert err.value.kind.value == "non-finite result"
     assert err.value.kind is DomainErrorKind.NON_FINITE
     assert str(err.value) == "non-finite result at x = 1000.0"
 
@@ -568,7 +557,7 @@ def test_tree_and_token_reprs():
         "Binary(op='+', left=Binary(op='^', left=Variable(), right=Constant(value=2.0)),"
         " right=Call(fn='sin', argument=Variable()))"
     )
-    assert repr(tokenize("x")) == "[Token(kind=<TokenKind.IDENTIFIER: 2>, text='x', position=0)]"
+    assert repr(tokenize("x")) == "[Token(text='x', position=0)]"
 
 
 def test_trees_compare_and_hash_by_value():
@@ -576,7 +565,7 @@ def test_trees_compare_and_hash_by_value():
         (parse("x^2+sin(x)"), parse("(x^2) + sin(x)")),
         (Constant(2), Constant(value=2.0)),
         (Neg(Variable()), Neg(child=Variable())),
-        (Token(TokenKind.NUMBER, "1", 0), Token(kind=TokenKind.NUMBER, text="1", position=0)),
+        (Token("1", 0), Token(text="1", position=0)),
     ]:
         assert one == other and not one != other
         assert hash(one) == hash(other)
@@ -596,7 +585,7 @@ def test_trees_of_different_classes_are_unequal():
 @pytest.mark.parametrize(
     "record, field",
     [(Constant(1.0), "value"), (Binary("+", Variable(), Variable()), "op"),
-     (Token(TokenKind.COMMA, ",", 3), "position"), (Variable(), "child")],
+     (Token(",", 3), "position"), (Variable(), "child")],
 )
 def test_trees_refuse_assignment_and_deletion(record, field):
     with pytest.raises(AttributeError):

@@ -1,7 +1,8 @@
 """Module boundaries of the package, checked on its source with ``ast``.
 
-No module imports another module's private names or anything outside the
-standard library and the package, no module binds a private name it never
+No module imports another module's private names, a module above it in the
+layering, or anything outside the standard library and the package, no
+module binds a private name it never
 reads, every ``__all__`` entry is defined in its module, no module takes a
 midpoint as ``0.5 * (u + v)``, no module imports ``dataclasses``, and the
 README lists exactly the names the package exports.  One test imports the
@@ -64,6 +65,43 @@ def test_no_private_names_imported_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# lowest first: each module may import only from the modules before it
+LAYERS = ("expr", "numeric", "calculus", "theorem", "cli")
+
+
+def _package_imports(tree):
+    """(line, module) for each package module imported, ``TYPE_CHECKING`` blocks included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: the package is flat
+                base = f"mvtcheck.{base}".rstrip(".")
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "mvtcheck" and len(parts) > 1:
+                yield node.lineno, parts[1]
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_modules_import_only_from_the_layers_below(name):
+    below = LAYERS[: LAYERS.index(name)]
+    upward = [
+        f"line {line}: {module}"
+        for line, module in _package_imports(_tree(ROOT / "src" / "mvtcheck" / f"{name}.py"))
+        if module not in below
+    ]
+    assert upward == []
+
+
+def test_layers_cover_every_module():
+    assert {p.stem for p in SOURCES} == {"__init__", "__main__", *LAYERS}
 
 
 def _top_level_imports(node):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from mvtcheck.expr import Binary, Constant, DomainError, Variable, evaluate, parse
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import (
-    Applicable,
+    EPS_RES,
     MAX_SAMPLES,
+    Applicable,
     Config,
     Method,
     NotApplicable,
@@ -21,6 +22,7 @@ from mvtcheck.theorem import (
     verify_rolle,
 )
 
+from oracles import central_difference
 from strategies import poly_coefficients, polynomial
 
 # independently computed: bisection of cos(x) - 2/pi on [0, pi/2]
@@ -55,6 +57,18 @@ def test_secant_slope_constant():
 def test_secant_slope_undefined_endpoint():
     with pytest.raises(DomainError):
         secant_slope(parse("ln(x)"), Interval(-1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "text, a, b, slope",
+    [("1e307*x", -10.0, 10.0, 1e307), ("1e308*x", -1.5, 1.5, 1e308)],
+)
+def test_secant_slope_stays_finite_where_the_rise_overflows(text, a, b, slope):
+    # f(b) - f(a) exceeds the float range, the slope does not
+    f, iv = parse(text), Interval(a, b)
+    assert secant_slope(f, iv) == slope
+    result = verify_mvt(f, iv)
+    assert result == Applicable(0.0, slope, slope, 0.0, 0, Method.DEGENERATE_CONSTANT)
 
 
 # --- verify_mvt -------------------------------------------------------------
@@ -184,6 +198,47 @@ def test_mvt_negative_power_closed_form():
     assert result.c == pytest.approx(4.5 ** (1.0 / 3.0), abs=1e-8)
 
 
+# --- residual minimum -------------------------------------------------------
+#
+# Where the scan of f' - m finds no sign change, a golden-section search
+# around the sample of smallest |f' - m| looks for c.
+
+
+def test_residual_min_finds_a_touching_zero():
+    # f' = 3x^2 touches m = 0 at 0 without changing sign
+    iv = Interval(-7e-5, 7e-5)
+    result = verify_rolle(parse("x^3"), iv)
+    assert isinstance(result, Applicable)
+    assert result.method is Method.RESIDUAL_MIN
+    assert result.residual <= EPS_RES
+    assert result.residual == abs(result.f_prime_at_c - result.m)
+    assert iv.a < result.c < iv.b
+
+
+def test_residual_min_between_two_samples():
+    # with two samples, the scan sees no sign change of f' - m
+    f = parse("2*sin(5*x) + 1*cos(2*x)")
+    iv = Interval(-1.0, 1.0)
+    result = verify_mvt(f, iv, Config(samples=2))
+    assert isinstance(result, Applicable)
+    assert result.method is Method.RESIDUAL_MIN
+    assert result.residual <= EPS_RES
+    assert iv.a < result.c < iv.b
+
+    def fn(x):
+        return 2.0 * math.sin(5.0 * x) + math.cos(2.0 * x)
+
+    m = (fn(iv.b) - fn(iv.a)) / iv.width
+    assert central_difference(fn, result.c, 1e-5) == pytest.approx(m, abs=1e-6)
+
+
+def test_residual_min_reports_a_residual_above_tolerance():
+    f = parse("8.788 + 9.169*x + (-4.853)*x^2 + 3.934*x^3")
+    result = verify_mvt(f, Interval(-1.075, 1.781), Config(samples=2))
+    assert isinstance(result, Unknown)
+    assert result.detail.startswith("no sign change at sample resolution")
+
+
 # --- verify_rolle -----------------------------------------------------------
 
 
@@ -234,8 +289,7 @@ def test_polynomial_completeness_and_soundness(coeffs, a, width):
     result = verify_mvt(f, Interval(a, a + width))
     assert isinstance(result, Applicable)
     assert result.residual == abs(result.f_prime_at_c - result.m)
-    if result.method is not Method.RESIDUAL_MIN:
-        assert result.residual <= 1e-8
+    assert result.residual <= 1e-8
     assert a < result.c < a + width
 
 
@@ -306,7 +360,7 @@ def test_mvt_overflow_is_not_continuous():
 
 
 def test_result_and_config_reprs():
-    assert repr(Config()) == "Config(eps_c=1e-10, eps_res=1e-08, samples=1024, eps_rolle=1e-12)"
+    assert repr(Config()) == "Config(eps_c=1e-10, samples=1024)"
     assert repr(Applicable(0.5, 1.0, 1.0, 0.0, 3, Method.BRACKET_BISECT)) == (
         "Applicable(c=0.5, m=1.0, f_prime_at_c=1.0, residual=0.0, iterations=3,"
         " method=<Method.BRACKET_BISECT: 'bracket_bisect'>)"
@@ -319,7 +373,7 @@ def test_result_and_config_reprs():
 
 def test_results_compare_and_hash_by_value():
     built = [
-        (Config(samples=97), Config(1e-10, 1e-8, 97)),
+        (Config(samples=97), Config(1e-10, 97)),
         (NotApplicable(Reason.UNDEFINED, 0.5), NotApplicable(reason=Reason.UNDEFINED, witness=0.5)),
         (Applicable(0.5, 1.0, 1.0, 0.0, 3, Method.RESIDUAL_MIN),
          Applicable(0.5, 1.0, 1.0, 0.0, 3, method=Method.RESIDUAL_MIN)),
