@@ -22,6 +22,7 @@ from .expr import (
     compile_outputs,
     enclose,
     evaluate,
+    integer_exponent,
     postorder,
 )
 from .numeric import Bracket, Evaluator, Interval, bisect, midpoint, sample
@@ -250,8 +251,9 @@ def _collect_hazards(e: Expr) -> list[_Hazard]:
                 out.append(_Hazard(node.right, WitnessKind.POLE, True))
             elif node.op == "^":
                 exponent = _literal_value(node.right)
-                if exponent is not None and abs(exponent) <= 64.0 and exponent.is_integer():
-                    if exponent < 0.0:
+                n = None if exponent is None else integer_exponent(exponent)
+                if n is not None:
+                    if n < 0:
                         # reciprocal of an integer power: base zero is a pole
                         out.append(_Hazard(node.left, WitnessKind.POLE, True))
                 else:

@@ -42,6 +42,7 @@ __all__ = [
     "evaluate",
     "compile_evaluator",
     "compile_outputs",
+    "integer_exponent",
     "postorder",
     "enclose",
 ]
@@ -205,8 +206,8 @@ class Call(Expr):
             raise ValueError(f"unknown function {fn!r}")
 
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?", re.ASCII)
-_IDENT_RE = re.compile(r"[A-Za-z]+")
+# a number (group 1), a name, one of ``+-*/^(),``, or any other non-space (group 2)
+_TOKEN_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)|[A-Za-z]+|[-+*/^(),]|(\S)")
 
 
 def tokenize(source: str) -> list[Token]:
@@ -217,30 +218,13 @@ def tokenize(source: str) -> list[Token]:
     any other character and on numeric literals that overflow binary64.
     """
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            m = _NUMBER_RE.match(source, i)
-            text = m.group()
-            if not math.isfinite(float(text)):
-                raise LexError(i, f"number literal {text!r} overflows binary64")
-            tokens.append(Token(text, i))
-            i = m.end()
-            continue
-        if ("a" <= ch <= "z") or ("A" <= ch <= "Z"):
-            m = _IDENT_RE.match(source, i)
-            tokens.append(Token(m.group(), i))
-            i = m.end()
-            continue
-        if ch not in "+-*/^(),":
-            raise LexError(i, f"unrecognized character {ch!r}")
-        tokens.append(Token(ch, i))
-        i += 1
+    for m in _TOKEN_RE.finditer(source):
+        number, other = m.groups()
+        if other is not None:
+            raise LexError(m.start(), f"unrecognized character {other!r}")
+        if number is not None and not math.isfinite(float(number)):
+            raise LexError(m.start(), f"number literal {number!r} overflows binary64")
+        tokens.append(Token(m.group(), m.start()))
     return tokens
 
 
@@ -254,6 +238,11 @@ def parse(source: str) -> Expr:
     return _Parser(source).parse()
 
 
+# how tightly each left-associative operator binds; _unary parses ``-`` and ``^``
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
+_TIGHTEST = max(_BINDING.values())
+
+
 class _Parser:
     def __init__(self, source: str):
         self._source = source
@@ -262,7 +251,7 @@ class _Parser:
         self._depth = 0
 
     def parse(self) -> Expr:
-        expr = self._additive()
+        expr = self._expression()
         tok = self._peek()
         if tok is not None:
             raise ParseError(tok.position, "end of input")
@@ -282,12 +271,14 @@ class _Parser:
         tok = self._peek()
         return tok.position if tok is not None else len(self._source)
 
-    def _enter(self, opener: Token) -> None:
-        # called before each recursion into a nested level, which the
-        # caller leaves with ``self._depth -= 1``
+    def _nested(self, opener: Token, parse: Callable[[], Expr]) -> Expr:
+        # ``parse`` one level deeper than ``opener``
         if self._depth == MAX_NESTING:
             raise NestingTooDeep(opener.position)
         self._depth += 1
+        expr = parse()
+        self._depth -= 1
+        return expr
 
     def _expect(self, text: str, what: str) -> Token:
         tok = self._peek()
@@ -295,40 +286,28 @@ class _Parser:
             raise ParseError(self._error_position(), what)
         return self._advance()
 
-    def _additive(self) -> Expr:
-        expr = self._multiplicative()
-        while (tok := self._peek()) is not None and tok.text in ("+", "-"):
-            self._advance()
-            expr = Binary(tok.text, expr, self._multiplicative())
-        return expr
-
-    def _multiplicative(self) -> Expr:
+    def _expression(self, binding: int = 1) -> Expr:
+        # a right operand holds only tighter operators: each level is left
+        # associative.  Past the tightest level it is a _unary, called directly
+        # to spend one frame less per nesting level.
         expr = self._unary()
-        while (tok := self._peek()) is not None and tok.text in ("*", "/"):
+        while (tok := self._peek()) is not None and _BINDING.get(tok.text, 0) >= binding:
             self._advance()
-            expr = Binary(tok.text, expr, self._unary())
+            tighter = _BINDING[tok.text] + 1
+            right = self._expression(tighter) if tighter <= _TIGHTEST else self._unary()
+            expr = Binary(tok.text, expr, right)
         return expr
 
     def _unary(self) -> Expr:
+        # ``-`` and ``^`` take a _unary operand, so ``^`` is right associative,
+        # binds tighter than ``-``, and its exponent may carry a unary minus
         tok = self._peek()
         if tok is not None and tok.text == "-":
-            self._advance()
-            self._enter(tok)
-            operand = self._unary()
-            self._depth -= 1
-            return Neg(operand)
-        return self._power()
-
-    def _power(self) -> Expr:
+            return Neg(self._nested(self._advance(), self._unary))
         base = self._primary()
         tok = self._peek()
         if tok is not None and tok.text == "^":
-            self._advance()
-            self._enter(tok)
-            # right associative; the exponent may carry its own unary minus
-            exponent = self._unary()
-            self._depth -= 1
-            return Binary("^", base, exponent)
+            return Binary("^", base, self._nested(self._advance(), self._unary))
         return base
 
     def _primary(self) -> Expr:
@@ -346,16 +325,12 @@ class _Parser:
             if text in _NAMED_CONSTANTS:
                 return Constant(_NAMED_CONSTANTS[text])
             if text in FUNCTIONS:
-                self._enter(self._expect("(", f"'(' after {text!r}"))
-                arg = self._additive()
-                self._depth -= 1
+                arg = self._nested(self._expect("(", f"'(' after {text!r}"), self._expression)
                 self._expect(")", "')'")
                 return Call(text, arg)
             raise UnknownIdentifier(tok.position, text)
         if text == "(":
-            self._enter(self._advance())
-            expr = self._additive()
-            self._depth -= 1
+            expr = self._nested(self._advance(), self._expression)
             self._expect(")", "')'")
             return expr
         raise ParseError(tok.position, "a number, a name, or '('")
@@ -398,7 +373,7 @@ def _format_number(v: float) -> str:
 # same tests in the same order, so it computes the same bits and raises the
 # same DomainError from the same node.  Where that is not plain, it is
 # because:
-#   - _pow's loop starts from 1.0 and 1.0 * u is u, so u * u * ... * u is its
+#   - _repeat starts from 1.0 and 1.0 * u is u, so u * u * ... * u is its
 #     product;
 #   - literals are finite, and so is x past the compiled code's entry test
 #     and a temporary past its first finiteness test, so no finiteness test
@@ -430,14 +405,30 @@ def _div(num: float, den: float, x: float) -> float:
     return out
 
 
+def integer_exponent(k: float) -> int | None:
+    """``int(k)`` when ``^`` raises to the power ``k`` by repeated
+    multiplication: ``k`` is integral and ``abs(k) <= 64``.  None for any
+    other ``k``, infinities and nan included."""
+    if abs(k) <= 64.0 and k == int(k):
+        return int(k)
+    return None
+
+
+def _repeat(base: float, k: int) -> float:
+    # base multiplied k times into 1.0: monotone in base for odd k and in
+    # abs(base) for even k, because rounding to nearest is
+    out = 1.0
+    for _ in range(k):
+        out *= base
+    return out
+
+
 def _pow(base: float, exponent: float, x: float) -> float:
     if not (math.isfinite(base) and math.isfinite(exponent)):
         raise DomainError(x, DomainErrorKind.NON_FINITE)
-    if abs(exponent) <= 64.0 and exponent == int(exponent):
-        n = int(exponent)
-        out = 1.0
-        for _ in range(abs(n)):
-            out *= base
+    n = integer_exponent(exponent)
+    if n is not None:
+        out = _repeat(base, abs(n))
         if n < 0:
             if out == 0.0:
                 raise DomainError(x, DomainErrorKind.DIVISION_BY_ZERO)
@@ -659,10 +650,9 @@ def _statements(e: Expr, args: list[str], t: str, finite: set[str]) -> list[str]
         if not (isinstance(e.right, Constant) and e.right.value != 0.0):
             finite_tests.append(_raise_if(f"{right} == 0.0", "DIVISION_BY_ZERO"))
         return [*finite_tests, f"{t} = {left} / {right}", _raise_if(_not_finite(t), "NON_FINITE")]
-    k = e.right.value if isinstance(e.right, Constant) else None
-    if k is None or not (abs(k) <= 64.0 and k.is_integer()):
+    n = integer_exponent(e.right.value) if isinstance(e.right, Constant) else None
+    if n is None:
         return [f"{t} = _pow({left}, {right}, x)"]
-    n = int(k)
     if n == 0:
         return [*_finite_tests(args, finite), f"{t} = 1.0"]
     product = f"{t} = {' * '.join([left] * abs(n))}"
@@ -764,22 +754,13 @@ def _div_bounds(num: Bounds, den: Bounds) -> Bounds | None:
     return _corners(tuple(n / d for n in num for d in den))
 
 
-def _repeat(base: float, k: int) -> float:
-    # _pow's repeated multiplication: monotone in base for odd k and in
-    # abs(base) for even k, because rounding to nearest is
-    out = 1.0
-    for _ in range(k):
-        out *= base
-    return out
-
-
 def _pow_bounds(base: Bounds, exponent: Bounds) -> Bounds | None:
     e, e_hi = exponent
     if e != e_hi:
         return None
     lo, hi = base
-    if abs(e) <= 64.0 and e == int(e):
-        n = int(e)
+    n = integer_exponent(e)
+    if n is not None:
         k = abs(n)
         if k % 2:
             out = (_repeat(lo, k), _repeat(hi, k))

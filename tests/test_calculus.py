@@ -343,6 +343,33 @@ def test_smoothness_finds_a_pole_where_f_is_already_undefined():
     assert any(w.kind is WitnessKind.POLE and w.point == -0.5 for w in report.witnesses)
 
 
+def test_smoothness_sampled_touch_leaves_differentiability_unknown():
+    # x = 0 is a sample point, where sqrt's argument touches zero
+    report = analyze_smoothness(parse("sqrt(x^2)"), Interval(-1.0, 1.0), 3)
+    assert report == SmoothnessReport(Verdict.YES, Verdict.UNKNOWN, ())
+
+
+def test_smoothness_witness_where_bisection_raises():
+    # the abs argument 1/(x - 0.5) changes sign between the two samples,
+    # but raises at the point bisection reaches: the witness is the midpoint
+    report = analyze_smoothness(parse("abs(1/(x - 0.5))"), Interval(0.0, 1.0), 2)
+    assert report == SmoothnessReport(
+        Verdict.NO,
+        Verdict.NO,
+        (Witness(0.5, WitnessKind.ABS_KINK), Witness(0.5, WitnessKind.POLE)),
+    )
+
+
+def test_smoothness_where_f_and_a_hazard_both_raise():
+    # below x = 1 f raises; where x <= 0 the hazard ln(x) raises as well,
+    # and the scan of that hazard goes on without those points
+    report = analyze_smoothness(parse("ln(ln(x))"), Interval(-0.5, 3.0), SAMPLES)
+    assert report.continuous_on_closed is Verdict.NO
+    assert [w.kind for w in report.witnesses] == [WitnessKind.LOG_OR_ROOT_BOUNDARY] * 2
+    low, high = (w.point for w in report.witnesses)
+    assert abs(low) <= 1e-9 and abs(high - 1.0) <= 1e-9
+
+
 def test_smoothness_essentially_undefined():
     report = analyze_smoothness(parse("ln(x)"), Interval(-3.0, -1.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.NO

@@ -504,3 +504,15 @@ def test_verify_with_plot_flag(tmp_path, capsys):
     )
     assert code == 0
     assert path.read_text().splitlines()[0] == "x,f,secant,tangent"
+
+
+@pytest.mark.parametrize("target", ["missing/p.csv", "d.csv"], ids=["missing-directory", "directory"])
+def test_unwritable_plot_names_the_requested_path(target, tmp_path, capsys):
+    # the error names the path asked for, not the temporary file written
+    # first, and the temporary file is gone
+    (tmp_path / "d.csv").mkdir()
+    path = tmp_path / target
+    assert run(["verify", "--f", "x", "--a", "0", "--b", "1", "--plot", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{str(path)!r}" in err and ".mvtcheck-" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["d.csv"]

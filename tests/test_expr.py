@@ -1,5 +1,6 @@
 import dis
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from mvtcheck.expr import (
     Neg,
     NestingTooDeep,
     ParseError,
+    SourceError,
     Token,
     UnknownIdentifier,
     Variable,
@@ -145,6 +147,54 @@ def test_parse_comma_rejected():
         parse("sin(x, 1)")
 
 
+# every way the lexer and parser reject a text: the class, the position, the
+# message and what was expected (None for a LexError, which expects nothing)
+@pytest.mark.parametrize(
+    "source, error, position, message, expected",
+    [
+        ("", ParseError, 0, "expected an expression", "an expression"),
+        ("x +", ParseError, 3, "expected an expression", "an expression"),
+        ("(x", ParseError, 2, "expected ')'", "')'"),
+        ("sin x", ParseError, 4, "expected '(' after 'sin'", "'(' after 'sin'"),
+        ("sin", ParseError, 3, "expected '(' after 'sin'", "'(' after 'sin'"),
+        ("sin(x, 1)", ParseError, 5, "expected ')'", "')'"),
+        ("(2 3)", ParseError, 3, "expected ')'", "')'"),
+        ("x)", ParseError, 1, "expected end of input", "end of input"),
+        ("4x", ParseError, 1, "expected end of input", "end of input"),
+        ("*x", ParseError, 0, "expected a number, a name, or '('", "a number, a name, or '('"),
+        ("foo(x)", UnknownIdentifier, 0, "unknown identifier 'foo'", "x, pi, e, or a function name"),
+        ("3 $ 4", LexError, 2, "unrecognized character '$'", None),
+        (".5", LexError, 0, "unrecognized character '.'", None),
+        ("1.", LexError, 1, "unrecognized character '.'", None),
+        ("x é", LexError, 2, "unrecognized character 'é'", None),
+        ("٣", LexError, 0, "unrecognized character '٣'", None),
+        ("1e999", LexError, 0, "number literal '1e999' overflows binary64", None),
+    ],
+)
+def test_parse_errors(source, error, position, message, expected):
+    with pytest.raises(SourceError) as err:
+        parse(source)
+    assert type(err.value) is error
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (position {position})"
+    assert getattr(err.value, "expected", None) == expected
+
+
+@pytest.mark.parametrize(
+    "source, tree",
+    [
+        ("2^-x^2", "(2 ^ (-(x ^ 2)))"),
+        ("-2^2*3", "((-(2 ^ 2)) * 3)"),
+        ("1-2-3", "((1 - 2) - 3)"),
+        ("2--x", "(2 - (-x))"),
+        ("2/x/3", "((2 / x) / 3)"),
+        ("x\u00a0+ 1", "(x + 1)"),  # a no-break space is whitespace
+    ],
+)
+def test_parse_associativity_and_binding(source, tree):
+    assert format_expr(parse(source)) == tree
+
+
 @pytest.mark.parametrize(
     "opener, closer",
     [("(", ")"), ("sin(", ")"), ("-", ""), ("x^", "")],
@@ -162,6 +212,22 @@ def test_parse_nesting_limit(opener, closer):
     # at the token that opens the first level past the limit: its "(",
     # "-" or "^", the last character of the opener
     assert err.value.position == (MAX_NESTING + 1) * len(opener) - 1
+
+
+@pytest.mark.parametrize("opener", ["(", "sin(", "x+x*(", "x-x/sqrt("])
+def test_parse_spends_at_most_five_frames_per_nesting_level(opener):
+    # MAX_NESTING was sized for five: a group inside a product inside a sum
+    # must not cost the caller more of the recursion limit than that
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    source = opener * MAX_NESTING + "x" + ")" * MAX_NESTING
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 5 * MAX_NESTING + 20)
+    try:
+        parse(source)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_nesting_limit_counts_open_levels_only():
@@ -263,6 +329,15 @@ def test_evaluate_large_integer_exponent_goes_through_exp_ln():
     assert evaluate(parse("2^65"), 0.0) == pytest.approx(2.0**65, rel=1e-12)
     with pytest.raises(DomainError):
         evaluate(parse("(-2)^65"), 0.0)
+
+
+@pytest.mark.parametrize(
+    "k, n",
+    [(2.0, 2), (64.0, 64), (-64.0, -64), (-0.0, 0), (64.5, None), (65.0, None), (-65.0, None),
+     (0.5, None), (math.inf, None), (-math.inf, None), (math.nan, None)],
+)
+def test_integer_exponent(k, n):
+    assert expr.integer_exponent(k) == n
 
 
 def test_evaluate_overflow_is_domain_error():

@@ -4,8 +4,9 @@ No module imports another module's private names, a module above it in the
 layering, or anything outside the standard library and the package, no
 module binds a private name it never
 reads, every ``__all__`` entry is defined in its module, no module takes a
-midpoint as ``0.5 * (u + v)``, no module imports ``dataclasses``, and the
-README lists exactly the names the package exports.  One test imports the
+midpoint as ``0.5 * (u + v)``, no module but ``expr`` compares a value
+with 64, the largest exponent ``^`` multiplies out, no module imports
+``dataclasses``, and the README lists exactly the names the package exports.  One test imports the
 package in a fresh interpreter to check what the import loads.
 """
 
@@ -196,6 +197,24 @@ def test_midpoints_are_taken_by_numeric_midpoint(path):
     # u + v overflows for large finite ends of one sign; numeric.midpoint
     # halves each end first
     assert list(_halved_sums(_tree(path))) == []
+
+
+def _compared_with_64(tree):
+    """Lines of comparisons with 64 (or -64) as an operand."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                if isinstance(operand, ast.UnaryOp) and isinstance(operand.op, ast.USub):
+                    operand = operand.operand
+                if isinstance(operand, ast.Constant) and type(operand.value) in (int, float) and operand.value == 64:
+                    yield f"line {node.lineno}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "expr.py"], ids=lambda p: p.name)
+def test_integer_powers_are_told_by_expr_integer_exponent(path):
+    # which exponents ``^`` multiplies out is expr's rule: every other
+    # module asks expr.integer_exponent rather than restating it
+    assert list(_compared_with_64(_tree(path))) == []
 
 
 def test_readme_lists_the_exported_names():

@@ -124,6 +124,22 @@ def test_mvt_suspected_touch_is_unknown():
     assert isinstance(result, Unknown)
 
 
+def test_mvt_sampled_touch_is_unknown():
+    # the grid's middle point is the touch itself: sqrt(x^2) is defined
+    # there, but no sample tells a kink from a smooth touch like sqrt(x^4)
+    result = verify_mvt(parse("sqrt(x^2)"), Interval(-1.0, 1.0), Config(samples=3))
+    assert result == Unknown("differentiability on the open interval could not be confirmed")
+
+
+def test_mvt_where_f_and_a_hazard_both_raise():
+    # ln(x) is undefined below 0 and ln(ln(x)) below 1: both boundaries are
+    # witnesses, and the first one is reported
+    result = verify_mvt(parse("ln(ln(x))"), Interval(-0.5, 3.0))
+    assert isinstance(result, NotApplicable)
+    assert result.reason is Reason.NOT_CONTINUOUS
+    assert abs(result.witness) <= 1e-9
+
+
 @pytest.mark.parametrize(
     "text, a, b",
     [("x^2", 0.0, 5e-324), ("x^2", 1.0, 1.0000000000000002), ("x^3", 1.0, 1.0000000000000002)],
