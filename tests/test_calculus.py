@@ -376,6 +376,35 @@ def test_smoothness_essentially_undefined():
     assert report.witnesses[0].point == -3.0
 
 
+_LOG = WitnessKind.LOG_OR_ROOT_BOUNDARY
+
+
+@pytest.mark.parametrize(
+    "text, a, b, samples, expected",
+    [
+        # an exact zero between strictly opposite signs is a crossing: a kink
+        ("abs(x)", -1.0, 1.0, 3,
+         SmoothnessReport(Verdict.YES, Verdict.NO, (Witness(0.0, WitnessKind.ABS_KINK),))),
+        # the same crossing under sqrt: f is undefined left of it
+        ("sqrt(x)", -1.0, 1.0, 3,
+         SmoothnessReport(Verdict.NO, Verdict.NO, (Witness(0.0, _LOG),))),
+        # the sqrt argument overflows at every sample: nothing to scan, so
+        # a zero cannot be ruled out
+        ("exp(-sqrt(1e308*x*10))", 1.0, 2.0, 16,
+         SmoothnessReport(Verdict.UNKNOWN, Verdict.UNKNOWN, ())),
+        # f undefined at more than half of the grid: witnesses at the first
+        # undefined point and the first interior one
+        ("ln(x)", -2.0, 1.0, 16,
+         SmoothnessReport(Verdict.NO, Verdict.NO, (Witness(-2.0, _LOG), Witness(-1.8, _LOG)))),
+        # ... and with no interior sample, differentiability is not refuted
+        ("ln(x)", -2.0, -1.0, 2,
+         SmoothnessReport(Verdict.NO, Verdict.UNKNOWN, (Witness(-2.0, _LOG),))),
+    ],
+)
+def test_smoothness_reports(text, a, b, samples, expected):
+    assert analyze_smoothness(parse(text), Interval(a, b), samples) == expected
+
+
 @given(poly_coefficients, st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
 @settings(deadline=None, max_examples=50)
 def test_smoothness_of_polynomials(coeffs, a):
