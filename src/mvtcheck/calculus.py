@@ -224,17 +224,6 @@ def _fold(node: Expr) -> Constant | None:
 # --- smoothness analysis ----------------------------------------------------
 
 
-class _Hazard(Record):
-    __slots__ = ("inner", "kind", "zero_undefined")
-
-    def __init__(self, inner: Expr, kind: WitnessKind, zero_undefined: bool):
-        # zeros of inner mark the trouble spots
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "kind", kind)
-        # f is undefined where inner == 0 (poles, ln, powers)
-        object.__setattr__(self, "zero_undefined", zero_undefined)
-
-
 def _literal_value(e: Expr) -> float | None:
     if isinstance(e, Constant):
         return e.value
@@ -243,31 +232,34 @@ def _literal_value(e: Expr) -> float | None:
     return None
 
 
-def _collect_hazards(e: Expr) -> list[_Hazard]:
-    out: list[_Hazard] = []
+def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
+    """(inner, kind, zero_undefined) per hazard: zeros of inner mark the
+    trouble spots, where f is undefined if zero_undefined (poles, ln,
+    powers) and may only lose its derivative if not (sqrt, abs)."""
+    out: list[tuple[Expr, WitnessKind, bool]] = []
     for node in postorder([e]):
         if isinstance(node, Binary):
             if node.op == "/":
-                out.append(_Hazard(node.right, WitnessKind.POLE, True))
+                out.append((node.right, WitnessKind.POLE, True))
             elif node.op == "^":
                 exponent = _literal_value(node.right)
                 n = None if exponent is None else integer_exponent(exponent)
                 if n is not None:
                     if n < 0:
                         # reciprocal of an integer power: base zero is a pole
-                        out.append(_Hazard(node.left, WitnessKind.POLE, True))
+                        out.append((node.left, WitnessKind.POLE, True))
                 else:
-                    out.append(_Hazard(node.left, WitnessKind.POWER_BOUNDARY, True))
+                    out.append((node.left, WitnessKind.POWER_BOUNDARY, True))
         elif isinstance(node, Call):
             if node.fn == "ln":
-                out.append(_Hazard(node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
+                out.append((node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
             elif node.fn == "sqrt":
-                out.append(_Hazard(node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, False))
+                out.append((node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, False))
             elif node.fn == "abs":
-                out.append(_Hazard(node.argument, WitnessKind.ABS_KINK, False))
+                out.append((node.argument, WitnessKind.ABS_KINK, False))
             elif node.fn == "tan":
                 # tan blows up where cos of its argument vanishes
-                out.append(_Hazard(Call("cos", node.argument), WitnessKind.POLE, True))
+                out.append((Call("cos", node.argument), WitnessKind.POLE, True))
     return out
 
 
@@ -285,46 +277,28 @@ def _scan_zeros(
     """
     crossings: list[float] = []
     touches: list[float] = []
-    last = len(values) - 1
-
     if 0.0 in values:
-        for idx, v in enumerate(values):
-            if v is None or v != 0.0:
-                continue
-            prev_v = values[idx - 1] if idx > 0 else None
-            next_v = values[idx + 1] if idx < last else None
-            if (
-                prev_v is not None
-                and next_v is not None
-                and ((prev_v < 0.0 < next_v) or (next_v < 0.0 < prev_v))
-            ):
-                crossings.append(xs[idx])
-            else:
-                touches.append(xs[idx])
-
-    for idx in range(last):
-        u, v = values[idx], values[idx + 1]
-        if u is None or v is None:
+        padded = [None, *values, None]
+        for x, before, v, after in zip(xs, padded, values, padded[2:]):
+            if v == 0.0:
+                opposite = before is not None and after is not None and (
+                    before < 0.0 < after or after < 0.0 < before
+                )
+                (crossings if opposite else touches).append(x)
+    for x, y, u, v in zip(xs, xs[1:], values, values[1:]):
+        # exact zeros are handled above
+        if u is None or v is None or u == 0.0 or v == 0.0 or (u < 0.0) == (v < 0.0):
             continue
-        if u == 0.0 or v == 0.0:
-            continue  # exact zeros handled above
-        if (u < 0.0) != (v < 0.0):
-            br = Bracket(xs[idx], xs[idx + 1], u, v)
-            try:
-                root, _ = bisect(evaluator(), br, _WITNESS_EPS)
-            except DomainError:
-                # the sign change itself is confirmed; settle for the midpoint
-                root = midpoint(xs[idx], xs[idx + 1])
-            crossings.append(root)
-
-    suspected = False
-    if not crossings and not touches:
-        valid = [abs(v) for v in values if v is not None]
-        if not valid:
-            suspected = True
-        elif min(valid) <= _SUSPICION_RATIO * max(1.0, max(valid)):
-            suspected = True
-    return crossings, touches, suspected
+        try:
+            root, _ = bisect(evaluator(), Bracket(x, y, u, v), _WITNESS_EPS)
+        except DomainError:
+            # the sign change itself is confirmed; settle for the midpoint
+            root = midpoint(x, y)
+        crossings.append(root)
+    if crossings or touches:
+        return crossings, touches, False
+    valid = [abs(v) for v in values if v is not None]
+    return crossings, touches, not valid or not _clear_of_zero(min(valid), max(valid))
 
 
 def _downgrade(v: Verdict) -> Verdict:
@@ -367,7 +341,7 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     far from zero for the scan to find or suspect a zero.
     """
     hazards = _collect_hazards(e)
-    roots = [e, *(h.inner for h in hazards)]
+    roots = [e, *(inner for inner, _, _ in hazards)]
     bounds = enclose(roots, iv.a, iv.b)
     if bounds is not None and all(_clear_of_zero(*box) for box in bounds[1:]):
         return SmoothnessReport(Verdict.YES, Verdict.YES, ())
@@ -380,33 +354,15 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     columns = list(zip(*(row or blank for row in scan.values)))
     undefined = [i for i, v in enumerate(columns[0]) if v is None]
 
-    def witness(i: int) -> Witness:
-        kind = scan.failures.get(i, DomainErrorKind.NON_FINITE)
-        return Witness(xs[i], _WITNESS_KIND[kind])
-
-    def undefined_points(differentiable: Verdict) -> tuple[Verdict, list[Witness]]:
-        # e is undefined on the grid: witnesses at the first such point and
-        # the first interior one, and differentiability on (a,b) given that
-        first = undefined[0]
-        found = [witness(first)]
-        interior = next((i for i in undefined if iv.contains_open(xs[i])), None)
-        if interior is None:
-            return _downgrade(differentiable), found
-        if xs[interior] != xs[first]:
-            found.append(witness(interior))
-        return Verdict.NO, found
-
-    if len(undefined) > samples // 2:
-        differentiable, witnesses = undefined_points(Verdict.YES)
-        return SmoothnessReport(Verdict.NO, differentiable, tuple(witnesses))
-
     continuous = Verdict.YES
     differentiable = Verdict.YES
     witnesses: list[Witness] = []
+    # where e is undefined at more than half of the grid, no hazard is scanned
+    scanned = hazards if len(undefined) <= samples // 2 else []
 
-    for hazard, column in zip(hazards, columns[1:]):
+    for (inner, kind, zero_undefined), column in zip(scanned, columns[1:]):
         # the hazard's own evaluator, compiled on first use
-        evaluator = functools.cache(functools.partial(compile_evaluator, hazard.inner))
+        evaluator = functools.cache(functools.partial(compile_evaluator, inner))
         values = list(column)
         # where e raised, the scan has no values: evaluate the hazard alone
         for i in scan.failures:
@@ -416,38 +372,39 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
                 pass
         crossings, touches, suspected = _scan_zeros(xs, values, evaluator)
 
-        if hazard.kind is WitnessKind.ABS_KINK:
+        if kind is WitnessKind.ABS_KINK:
             # only a confirmed sign change of the argument is a kink:
             # abs(u) with u touching zero from one side is just +-u locally
             for w in crossings:
                 if iv.contains_open(w):
                     differentiable = Verdict.NO
-                    witnesses.append(Witness(w, hazard.kind))
+                    witnesses.append(Witness(w, kind))
             continue
 
-        confirmed = list(crossings)
-        if hazard.zero_undefined:
-            confirmed.extend(touches)
-        for w in confirmed:
+        for w in crossings + touches if zero_undefined else crossings:
             continuous = Verdict.NO
-            witnesses.append(Witness(w, hazard.kind))
+            witnesses.append(Witness(w, kind))
             if iv.contains_open(w):
                 differentiable = Verdict.NO
-        if not hazard.zero_undefined:
+        if not zero_undefined and any(iv.contains_open(w) for w in touches):
             # sqrt: the function is defined at a touch, but its derivative
             # may blow up there (sqrt(x^2) vs sqrt(x^4))
-            for w in touches:
-                if iv.contains_open(w):
-                    differentiable = _downgrade(differentiable)
+            differentiable = _downgrade(differentiable)
         if suspected:
             continuous = _downgrade(continuous)
             differentiable = _downgrade(differentiable)
 
     if undefined and continuous is not Verdict.NO:
-        # e raised where no hazard's zero accounts for it (an overflow, say)
+        # e raised where no hazard's zero accounts for it (an overflow, say),
+        # or at more than half of the grid: witnesses at the first undefined
+        # point and the first interior one
+        first = undefined[0]
+        interior = next((i for i in undefined if iv.contains_open(xs[i])), first)
         continuous = Verdict.NO
-        differentiable, found = undefined_points(differentiable)
-        witnesses += found
+        differentiable = Verdict.NO if iv.contains_open(xs[interior]) else _downgrade(differentiable)
+        for i in (first, interior):
+            failure = scan.failures.get(i, DomainErrorKind.NON_FINITE)
+            witnesses.append(Witness(xs[i], _WITNESS_KIND[failure]))
 
     unique = sorted(set(witnesses), key=lambda w: (w.point, w.kind.value))
     return SmoothnessReport(continuous, differentiable, tuple(unique))

@@ -5,7 +5,8 @@ layering, or anything outside the standard library and the package, no
 module binds a private name it never
 reads, every ``__all__`` entry is defined in its module, no module takes a
 midpoint as ``0.5 * (u + v)``, no module but ``expr`` compares a value
-with 64, the largest exponent ``^`` multiplies out, no module imports
+with 64, the largest exponent ``^`` multiplies out, ``calculus`` reads its
+near-zero ratio in ``_clear_of_zero`` only, no module imports
 ``dataclasses``, and the README lists exactly the names the package exports.  One test imports the
 package in a fresh interpreter to check what the import loads.
 """
@@ -215,6 +216,22 @@ def test_integer_powers_are_told_by_expr_integer_exponent(path):
     # which exponents ``^`` multiplies out is expr's rule: every other
     # module asks expr.integer_exponent rather than restating it
     assert list(_compared_with_64(_tree(path))) == []
+
+
+def _reads(tree, name):
+    """(enclosing top-level function or None, line) of each read of ``name``."""
+    for top in tree.body:
+        function = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+                yield function, node.lineno
+
+
+def test_near_zero_rule_is_read_in_clear_of_zero_only():
+    # the scan's suspicion test and the interval-bound skip both ask
+    # _clear_of_zero, so the "suspiciously near zero" rule is stated once
+    reads = list(_reads(_tree(ROOT / "src" / "mvtcheck" / "calculus.py"), "_SUSPICION_RATIO"))
+    assert reads and [f"line {line}" for function, line in reads if function != "_clear_of_zero"] == []
 
 
 def test_readme_lists_the_exported_names():
