@@ -260,7 +260,9 @@ def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
             elif node.fn == "tan":
                 # tan blows up where cos of its argument vanishes
                 out.append((Call("cos", node.argument), WitnessKind.POLE, True))
-    return out
+    # an inner expression without x has one value on all of [a, b]: either f
+    # raises everywhere, which the scan reports, or it is no hazard at all
+    return [h for h in out if any(isinstance(n, Variable) for n in postorder([h[0]]))]
 
 
 def _scan_zeros(

@@ -141,6 +141,38 @@ def test_mvt_where_f_and_a_hazard_both_raise():
 
 
 @pytest.mark.parametrize(
+    "text, slope",
+    [
+        ("x/1e-6", 1e6),
+        ("x/(2*1e-6)", 5e5),
+        ("sqrt(1e-9)*x", math.sqrt(1e-9)),
+        ("sqrt(0)*x + x", 1.0),
+    ],
+)
+def test_mvt_line_with_a_constant_divisor_or_root(text, slope):
+    # a divisor or root argument without x has one value on all of [a, b]:
+    # however close to zero it is, it is no hazard
+    result = verify_mvt(parse(text), Interval(0.0, 1.0))
+    assert result == Applicable(0.5, slope, slope, 0.0, 0, Method.DEGENERATE_CONSTANT)
+
+
+def test_mvt_power_of_a_small_constant_base():
+    result = verify_mvt(parse("(1e-5)^x"), Interval(0.0, 1.0))
+    assert isinstance(result, Applicable)
+    assert result.method is Method.BRACKET_BISECT
+    assert result.residual <= EPS_RES
+    # f'(c) = ln(1e-5) * 1e-5^c = 1e-5 - 1
+    assert abs(result.c - math.log((1e-5 - 1.0) / math.log(1e-5)) / math.log(1e-5)) <= 1e-8
+
+
+@pytest.mark.parametrize("text", ["x/0", "ln(-1)*x"])
+def test_mvt_constant_outside_its_domain_is_not_continuous(text):
+    # f raises at every point; the scan reports the first one
+    result = verify_mvt(parse(text), Interval(0.0, 1.0))
+    assert result == NotApplicable(Reason.NOT_CONTINUOUS, 0.0)
+
+
+@pytest.mark.parametrize(
     "text, a, b",
     [("x^2", 0.0, 5e-324), ("x^2", 1.0, 1.0000000000000002), ("x^3", 1.0, 1.0000000000000002)],
 )
