@@ -335,6 +335,32 @@ def test_smoothness_negative_integer_power_is_a_pole():
     assert clear.differentiable_on_open is Verdict.YES
 
 
+def test_smoothness_negative_integer_power_spelled_as_an_expression():
+    # -4/2 folds to the integer -2: the base's zero is a pole, as for x^-2
+    report = analyze_smoothness(parse("x^(-4/2)"), Interval(-1.0, 1.0), SAMPLES)
+    assert report == SmoothnessReport(Verdict.NO, Verdict.NO, (Witness(0.0, WitnessKind.POLE),))
+
+
+@given(
+    smooth_exprs(),
+    st.integers(min_value=-6, max_value=6),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=0.5, max_value=4.0),
+)
+@settings(deadline=None, max_examples=50)
+def test_smoothness_reads_the_exponents_value_not_its_spelling(base, k, a, width):
+    iv = Interval(a, a + width)
+    expected = analyze_smoothness(Binary("^", base, Constant(float(k))), iv, SAMPLES)
+    spellings = [
+        Neg(Constant(float(-k))),
+        Binary("/", Constant(float(2 * k)), Constant(2.0)),
+        Binary("*", Constant(float(k)), Constant(1.0)),
+        Binary("-", Constant(0.0), Constant(float(-k))),
+    ]
+    for exponent in spellings:
+        assert analyze_smoothness(Binary("^", base, exponent), iv, SAMPLES) == expected
+
+
 def test_smoothness_finds_a_pole_where_f_is_already_undefined():
     # 1/(x+0.5) has its pole where sqrt(x) already fails, so the pole's
     # divisor must be scanned at points where f itself raised

@@ -3,7 +3,7 @@
 No module imports another module's private names, a module above it in the
 layering, or anything outside the standard library and the package, no
 module binds a private name it never
-reads, every ``__all__`` entry is defined in its module, no module takes a
+reads, no function takes a parameter it never reads, every ``__all__`` entry is defined in its module, no module takes a
 midpoint as ``0.5 * (u + v)``, no module but ``expr`` compares a value
 with 64, the largest exponent ``^`` multiplies out, ``calculus`` reads its
 near-zero ratio in ``_clear_of_zero`` only, no module imports
@@ -135,6 +135,43 @@ def test_every_private_name_is_read_in_its_module(path):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
     }
     assert sorted(private - read) == []
+
+
+def _unread_parameters(tree):
+    """``function: parameter`` for each parameter its function never reads.
+
+    Dunder methods are exempt, since their signatures are fixed by Python,
+    and so is a method's receiver."""
+    receivers = {
+        id(method.args.args[0])
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.args.args
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for statement in body
+            for n in ast.walk(statement)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for param in params:
+            if param is not None and id(param) not in receivers and param.arg not in read:
+                yield f"{name}: {param.arg}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read_in_its_function(path):
+    assert list(_unread_parameters(_tree(path))) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

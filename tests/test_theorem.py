@@ -23,7 +23,7 @@ from mvtcheck.theorem import (
 )
 
 from oracles import central_difference
-from strategies import poly_coefficients, polynomial
+from strategies import grammar_exprs, poly_coefficients, polynomial
 
 # independently computed: bisection of cos(x) - 2/pi on [0, pi/2]
 ARCCOS_2_OVER_PI = 0.8806892354203566
@@ -169,6 +169,20 @@ def test_mvt_power_of_a_small_constant_base():
 def test_mvt_constant_outside_its_domain_is_not_continuous(text):
     # f raises at every point; the scan reports the first one
     result = verify_mvt(parse(text), Interval(0.0, 1.0))
+    assert result == NotApplicable(Reason.NOT_CONTINUOUS, 0.0)
+
+
+@pytest.mark.parametrize("text", ["x^(4/2)", "x^(2*1)", "x^--2", "(-x)^(3/3)"])
+def test_mvt_integer_power_spelled_as_an_expression(text):
+    # the evaluators multiply out any exponent whose value is a small
+    # integer, however it is spelled: these are plain polynomials
+    result = verify_mvt(parse(text), Interval(-1.0, 1.0))
+    assert isinstance(result, Applicable)
+    assert result.residual <= EPS_RES
+
+
+def test_mvt_negative_integer_power_spelled_as_an_expression():
+    result = verify_mvt(parse("x^(-4/2)"), Interval(-1.0, 1.0))
     assert result == NotApplicable(Reason.NOT_CONTINUOUS, 0.0)
 
 
@@ -339,6 +353,22 @@ def test_polynomial_completeness_and_soundness(coeffs, a, width):
     assert result.residual == abs(result.f_prime_at_c - result.m)
     assert result.residual <= 1e-8
     assert a < result.c < a + width
+
+
+@given(
+    grammar_exprs(),
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=0.1, max_value=10.0),
+)
+@settings(deadline=None)
+def test_not_applicable_witness_lies_where_its_reason_says(e, a, width):
+    # a discontinuity is witnessed in [a, b], a missing derivative in (a, b)
+    iv = Interval(a, a + width)
+    result = verify_mvt(e, iv)
+    if isinstance(result, NotApplicable) and result.reason is Reason.NOT_CONTINUOUS:
+        assert iv.a <= result.witness <= iv.b
+    if isinstance(result, NotApplicable) and result.reason is Reason.NOT_DIFFERENTIABLE:
+        assert iv.contains_open(result.witness)
 
 
 @given(
