@@ -224,14 +224,6 @@ def _fold(node: Expr) -> Constant | None:
 # --- smoothness analysis ----------------------------------------------------
 
 
-def _literal_value(e: Expr) -> float | None:
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Neg) and isinstance(e.child, Constant):
-        return -e.child.value
-    return None
-
-
 def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
     """(inner, kind, zero_undefined) per hazard: zeros of inner mark the
     trouble spots, where f is undefined if zero_undefined (poles, ln,
@@ -242,8 +234,10 @@ def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
             if node.op == "/":
                 out.append((node.right, WitnessKind.POLE, True))
             elif node.op == "^":
-                exponent = _literal_value(node.right)
-                n = None if exponent is None else integer_exponent(exponent)
+                # the exponent's value decides, as in the evaluators: folding
+                # gives it wherever it is the same at every x
+                exponent = simplify(node.right)
+                n = integer_exponent(exponent.value) if isinstance(exponent, Constant) else None
                 if n is not None:
                     if n < 0:
                         # reciprocal of an integer power: base zero is a pole

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable
 
-from .calculus import SmoothnessReport, Verdict, Witness, WitnessKind, analyze_smoothness, differentiate
+from .calculus import Verdict, WitnessKind, analyze_smoothness, differentiate
 from .expr import DomainError, Expr, Record, compile_evaluator, evaluate
 from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
 
@@ -154,15 +153,6 @@ def verify_rolle(f: Expr, iv: Interval, cfg: Config | None = None) -> MvtResult:
     return _pipeline(f, iv, cfg or Config(), 0.0)
 
 
-def _witness_point(report: SmoothnessReport, fits: Callable[[Witness], bool]) -> float | None:
-    for w in report.witnesses:
-        if fits(w):
-            return w.point
-    if report.witnesses:
-        return report.witnesses[0].point
-    return None
-
-
 def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> MvtResult:
     if math.nextafter(iv.a, iv.b) == iv.b:
         # the theorem's c must lie strictly inside (a, b), and no float does
@@ -170,12 +160,12 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     report = analyze_smoothness(f, iv, cfg.samples)
     if report.continuous_on_closed is Verdict.NO:
         # an abs kink leaves f continuous: it cannot witness a discontinuity
-        witness = _witness_point(report, lambda w: w.kind is not WitnessKind.ABS_KINK)
+        witness = next(w.point for w in report.witnesses if w.kind is not WitnessKind.ABS_KINK)
         return NotApplicable(Reason.NOT_CONTINUOUS, witness)
     if report.continuous_on_closed is Verdict.UNKNOWN:
         return Unknown("continuity on the closed interval could not be confirmed")
     if report.differentiable_on_open is Verdict.NO:
-        witness = _witness_point(report, lambda w: iv.contains_open(w.point))
+        witness = next(w.point for w in report.witnesses if iv.contains_open(w.point))
         return NotApplicable(Reason.NOT_DIFFERENTIABLE, witness)
     if report.differentiable_on_open is Verdict.UNKNOWN:
         return Unknown("differentiability on the open interval could not be confirmed")
