@@ -35,7 +35,8 @@ __all__ = ["run", "main", "render_json", "emit_plot", "UnsupportedFormat"]
 
 MVT_DOES_NOT_APPLY = "The Mean Value Theorem does not apply"
 
-DEFAULT_PLOT_POINTS = 512
+# grid points of every plot
+_PLOT_POINTS = 512
 
 
 class UnsupportedFormat(Exception):
@@ -164,7 +165,7 @@ def _cmd_verify(ns) -> int:
     if ns.plot:
         emit_plot(f, iv, result, ns.plot)
     if ns.json:
-        print(render_json(result, f, iv))
+        print(render_json(result))
     else:
         _print_human(result, ns.f, iv, ns.mode)
     return 0 if isinstance(result, Applicable) else 2
@@ -202,7 +203,7 @@ def _print_human(result: MvtResult, source: str, iv: Interval, mode: str) -> Non
         print(f"detail: {result.detail}")
 
 
-def render_json(result: MvtResult, f: Expr, iv: Interval) -> str:
+def render_json(result: MvtResult) -> str:
     """Serialize ``result`` as a single-line JSON object.
 
     Numbers are written as the shortest repr that round-trips, so parsing
@@ -229,12 +230,12 @@ def render_json(result: MvtResult, f: Expr, iv: Interval) -> str:
 
 
 def _plot_table(
-    f: Expr, iv: Interval, result: MvtResult, n: int
+    f: Expr, iv: Interval, result: MvtResult
 ) -> tuple[list[float], list[float | None], list[tuple[str, list[float | None]]]]:
-    """The plotted columns over an ``n``-point grid on ``iv``: the grid, the
+    """The plotted columns over the plot grid on ``iv``: the grid, the
     values of f (None where f is undefined), and the named secant and
     tangent columns when the result is Applicable."""
-    scan = sample(compile_evaluator(f), iv, n)
+    scan = sample(compile_evaluator(f), iv, _PLOT_POINTS)
     xs = scan.xs
     lines = []
     if isinstance(result, Applicable):
@@ -258,38 +259,36 @@ def _line(y0: float, slope: float, x0: float, xs: list[float]) -> list[float | N
     return ys
 
 
-def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str, n: int = DEFAULT_PLOT_POINTS) -> None:
+def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str) -> None:
     """Write plot data for ``f`` on ``iv`` to ``path`` (.csv or .svg).
 
     CSV: header ``x,f,secant,tangent`` (just ``x,f`` when the result is
-    not Applicable), ``n`` rows, empty cells where f is undefined or a
+    not Applicable), 512 rows, empty cells where f is undefined or a
     line leaves the float range.
     SVG: a self-contained document with one polyline per series, a marker
     at (c, f(c)), and a label showing c.  Writes are atomic
     (write-then-rename).
     """
-    if n < 2:
-        raise ValueError("need at least two plot points")
     suffix = os.path.splitext(path)[1].lower()
     if suffix == ".csv":
-        text = _render_csv(f, iv, result, n)
+        text = _render_csv(f, iv, result)
     elif suffix == ".svg":
-        text = _render_svg(f, iv, result, n)
+        text = _render_svg(f, iv, result)
     else:
         raise UnsupportedFormat(f"unsupported plot format {suffix!r} (use .csv or .svg)")
     _atomic_write(path, text)
 
 
-def _render_csv(f: Expr, iv: Interval, result: MvtResult, n: int) -> str:
-    xs, fs, lines = _plot_table(f, iv, result, n)
+def _render_csv(f: Expr, iv: Interval, result: MvtResult) -> str:
+    xs, fs, lines = _plot_table(f, iv, result)
     columns = [xs, fs] + [ys for _, ys in lines]
     rows = [",".join(["x", "f"] + [name for name, _ in lines])]
     rows += (",".join("" if v is None else repr(v) for v in row) for row in zip(*columns))
     return "\n".join(rows) + "\n"
 
 
-def _render_svg(f: Expr, iv: Interval, result: MvtResult, n: int) -> str:
-    xs, fs, lines = _plot_table(f, iv, result, n)
+def _render_svg(f: Expr, iv: Interval, result: MvtResult) -> str:
+    xs, fs, lines = _plot_table(f, iv, result)
     series = [
         (name, [(x, y) for x, y in zip(xs, ys) if y is not None])
         for name, ys in [("function", fs), *lines]

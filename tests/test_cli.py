@@ -284,28 +284,27 @@ def test_exit_code_totality(args):
 
 def test_render_json_not_applicable():
     result = NotApplicable(Reason.NOT_DIFFERENTIABLE, 0.0)
-    parsed = json.loads(render_json(result, parse("abs(x)"), Interval(-1.0, 1.0)))
+    parsed = json.loads(render_json(result))
     assert parsed == {"status": "not_applicable", "reason": "not_differentiable", "witness": 0.0}
 
 
 def test_render_json_unknown():
-    parsed = json.loads(render_json(Unknown("no luck"), parse("x"), Interval(0.0, 1.0)))
+    parsed = json.loads(render_json(Unknown("no luck")))
     assert parsed == {"status": "unknown", "detail": "no luck"}
 
 
 def test_render_json_keeps_floats_and_the_sign_of_zero():
-    iv = Interval(-1.0, 1.0)
     kink = NotApplicable(Reason.NOT_DIFFERENTIABLE, -0.0)
-    witness = json.loads(render_json(kink, parse("abs(x)"), iv))["witness"]
+    witness = json.loads(render_json(kink))["witness"]
     assert type(witness) is float and math.copysign(1.0, witness) == -1.0
     applicable = Applicable(0.5, 1.0, 1.0, 0.0, 3, Method.BRACKET_BISECT)
-    residual = json.loads(render_json(applicable, parse("x"), iv))["residual"]
+    residual = json.loads(render_json(applicable))["residual"]
     assert type(residual) is float and math.copysign(1.0, residual) == 1.0
 
 
 def test_render_json_is_single_line():
     result = verify_rolle(parse("x^2 - 4*x + 3"), Interval(1.0, 3.0))
-    text = render_json(result, parse("x^2 - 4*x + 3"), Interval(1.0, 3.0))
+    text = render_json(result)
     assert "\n" not in text
     assert json.loads(text)["c"] == result.c
 
@@ -322,22 +321,24 @@ def example1(tmp_path):
     return f, iv, result, tmp_path
 
 
-def test_csv_grid_and_columns(example1):
-    f, iv, result, tmp = example1
-    path = tmp / "plot.csv"
-    emit_plot(f, iv, result, str(path), n=5)
+def test_csv_grid_and_columns(tmp_path):
+    # 512 points on [-255, 256] are the integers, one apart
+    f = parse("x^2 - 4*x + 3")
+    iv = Interval(-255.0, 256.0)
+    path = tmp_path / "plot.csv"
+    emit_plot(f, iv, verify_mvt(f, iv), str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "x,f,secant,tangent"
     rows = [line.split(",") for line in lines[1:]]
     xs = [float(r[0]) for r in rows]
-    assert xs == [1.0, 1.5, 2.0, 2.5, 3.0]
-    assert [float(r[1]) for r in rows] == [0.0, -0.75, -1.0, -0.75, 0.0]
+    assert xs == [float(k) for k in range(-255, 257)]
+    assert [float(r[1]) for r in rows] == [x * x - 4.0 * x + 3.0 for x in xs]
 
 
 def test_csv_secant_interpolates_endpoints(example1):
     f, iv, result, tmp = example1
     path = tmp / "plot.csv"
-    emit_plot(f, iv, result, str(path), n=64)
+    emit_plot(f, iv, result, str(path))
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     fa, fb = evaluate(f, iv.a), evaluate(f, iv.b)
     assert abs(float(rows[0][2]) - fa) <= 1e-12
@@ -347,10 +348,11 @@ def test_csv_secant_interpolates_endpoints(example1):
 def test_csv_grid_uniform_within_2_ulp(example1):
     f, iv, result, tmp = example1
     path = tmp / "plot.csv"
-    emit_plot(f, iv, result, str(path), n=128)
+    emit_plot(f, iv, result, str(path))
     xs = [float(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
+    assert len(xs) == 512
     assert xs[0] == iv.a and xs[-1] == iv.b
-    step = iv.width / 127
+    step = iv.width / 511
     scale = max(abs(iv.a), abs(iv.b))
     for u, v in zip(xs, xs[1:]):
         assert abs((v - u) - step) <= 2.0 * math.ulp(scale)
@@ -359,7 +361,7 @@ def test_csv_grid_uniform_within_2_ulp(example1):
 def test_csv_tangent_and_secant_slopes_agree(example1):
     f, iv, result, tmp = example1
     path = tmp / "plot.csv"
-    emit_plot(f, iv, result, str(path), n=256)
+    emit_plot(f, iv, result, str(path))
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     xs = [float(r[0]) for r in rows]
     secant = [float(r[2]) for r in rows]
@@ -383,12 +385,14 @@ def test_csv_not_applicable_has_two_columns(tmp_path):
 
 
 def test_csv_blank_cell_where_undefined(tmp_path):
+    # the grid on [-255, 256] holds x = 0.0, the 256th point
     f = parse("1/x")
-    iv = Interval(-1.0, 1.0)
+    iv = Interval(-255.0, 256.0)
     path = tmp_path / "plot.csv"
-    emit_plot(f, iv, NotApplicable(Reason.NOT_CONTINUOUS, 0.0), str(path), n=3)
+    emit_plot(f, iv, NotApplicable(Reason.NOT_CONTINUOUS, 0.0), str(path))
     lines = path.read_text().splitlines()
-    assert lines[2] == "0.0,"
+    assert lines[256] == "0.0,"
+    assert [line for line in lines[1:] if line.endswith(",")] == ["0.0,"]
 
 
 def test_csv_blank_cell_where_a_line_leaves_the_float_range(tmp_path, capsys):
@@ -427,18 +431,12 @@ def test_emit_plot_rejects_unknown_suffix(example1):
         emit_plot(f, iv, result, str(tmp / "plot.png"))
 
 
-def test_emit_plot_rejects_tiny_grid(example1):
-    f, iv, result, tmp = example1
-    with pytest.raises(ValueError):
-        emit_plot(f, iv, result, str(tmp / "plot.csv"), n=1)
-
-
 def test_emit_plot_overwrites_atomically(example1):
     f, iv, result, tmp = example1
     path = tmp / "plot.csv"
-    emit_plot(f, iv, result, str(path), n=4)
+    emit_plot(f, iv, result, str(path))
     first = path.read_text()
-    emit_plot(f, iv, result, str(path), n=4)
+    emit_plot(f, iv, result, str(path))
     assert path.read_text() == first
     assert [p.name for p in tmp.iterdir()] == ["plot.csv"]
 
@@ -459,24 +457,24 @@ def svg_series(path) -> list[tuple[str, list[tuple[float, float]]]]:
 
 def test_plot_series_invariants(tmp_path):
     f = parse("1/x")
-    iv = Interval(-1.0, 1.0)
+    iv = Interval(-255.0, 256.0)
     path = tmp_path / "plot.svg"
-    emit_plot(f, iv, verify_mvt(f, iv), str(path), n=33)
+    emit_plot(f, iv, verify_mvt(f, iv), str(path))
     series = svg_series(path)
     assert [name for name, _ in series] == ["function"]
     xs = [x for x, _ in series[0][1]]
     assert xs == sorted(xs) and len(set(xs)) == len(xs)
     assert all(math.isfinite(y) for _, y in series[0][1])
-    assert len(xs) < 33  # the undefined midpoint was dropped
+    assert len(xs) == 511  # the undefined point x = 0 was dropped
 
 
 def test_plot_series_applicable_has_three(example1):
     f, iv, result, tmp = example1
     path = tmp / "plot.svg"
-    emit_plot(f, iv, result, str(path), n=16)
+    emit_plot(f, iv, result, str(path))
     series = svg_series(path)
     assert [name for name, _ in series] == ["function", "secant", "tangent"]
-    assert all(len(points) == 16 for _, points in series)
+    assert all(len(points) == 512 for _, points in series)
 
 
 @pytest.mark.parametrize(
