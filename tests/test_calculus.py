@@ -335,12 +335,6 @@ def test_smoothness_negative_integer_power_is_a_pole():
     assert clear.differentiable_on_open is Verdict.YES
 
 
-def test_smoothness_negative_integer_power_spelled_as_an_expression():
-    # -4/2 folds to the integer -2: the base's zero is a pole, as for x^-2
-    report = analyze_smoothness(parse("x^(-4/2)"), Interval(-1.0, 1.0), SAMPLES)
-    assert report == SmoothnessReport(Verdict.NO, Verdict.NO, (Witness(0.0, WitnessKind.POLE),))
-
-
 @given(
     smooth_exprs(),
     st.integers(min_value=-6, max_value=6),
@@ -425,6 +419,9 @@ _LOG = WitnessKind.LOG_OR_ROOT_BOUNDARY
         # ... and with no interior sample, differentiability is not refuted
         ("ln(x)", -2.0, -1.0, 2,
          SmoothnessReport(Verdict.NO, Verdict.UNKNOWN, (Witness(-2.0, _LOG),))),
+        # -4/2 folds to the integer -2: the base's zero is a pole, as for x^-2
+        ("x^(-4/2)", -1.0, 1.0, SAMPLES,
+         SmoothnessReport(Verdict.NO, Verdict.NO, (Witness(0.0, WitnessKind.POLE),))),
     ],
 )
 def test_smoothness_reports(text, a, b, samples, expected):

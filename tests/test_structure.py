@@ -2,9 +2,9 @@
 
 No module imports another module's private names, a module above it in the
 layering, or anything outside the standard library and the package, no
-module binds a private name it never
-reads, no function takes a parameter it never reads, every ``__all__`` entry is defined in its module, no module takes a
-midpoint as ``0.5 * (u + v)``, no module but ``expr`` compares a value
+module binds a private name it never reads, no function takes a parameter
+it never reads, every ``__all__`` entry is defined in its module, no
+module takes a midpoint as ``0.5 * (u + v)``, no module but ``expr`` compares a value
 with 64, the largest exponent ``^`` multiplies out, ``calculus`` reads its
 near-zero ratio in ``_clear_of_zero`` only, no module imports
 ``dataclasses``, and the README lists exactly the names the package exports.  One test imports the
