@@ -449,6 +449,27 @@ def test_smoothness_reports_where_f_overflows():
             evaluate(f, w.point)
 
 
+@given(
+    grammar_exprs(),
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=1e-6, max_value=60.0),
+    st.sampled_from([33, 97]),
+)
+@settings(deadline=None)
+def test_a_verdict_is_no_exactly_when_a_witness_refutes_it(e, a, width, samples):
+    # NotApplicable needs a confirmed witness, and a witness is never left
+    # without its verdict: an abs kink leaves f continuous, and only a
+    # witness strictly inside (a, b) refutes differentiability there
+    iv = Interval(a, a + width)
+    report = analyze_smoothness(e, iv, samples)
+    assert (report.continuous_on_closed is Verdict.NO) == any(
+        w.kind is not WitnessKind.ABS_KINK for w in report.witnesses
+    )
+    assert (report.differentiable_on_open is Verdict.NO) == any(
+        iv.contains_open(w.point) for w in report.witnesses
+    )
+
+
 def _scanned(e, iv, samples):
     # analyze_smoothness as it runs when interval bounds prove nothing
     with mock.patch.object(calculus, "enclose", return_value=None):
