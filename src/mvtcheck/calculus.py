@@ -65,6 +65,11 @@ class Witness(Record):
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "kind", kind)
 
+    @property
+    def breaks_continuity(self) -> bool:
+        """Whether f is undefined at the point: an abs kink leaves f continuous."""
+        return self.kind is not WitnessKind.ABS_KINK
+
 
 class SmoothnessReport(Record):
     __slots__ = ("continuous_on_closed", "differentiable_on_open", "witnesses")
@@ -297,8 +302,9 @@ def _scan_zeros(
     return crossings, touches, not valid or not _clear_of_zero(min(valid), max(valid))
 
 
-def _downgrade(v: Verdict) -> Verdict:
-    return Verdict.UNKNOWN if v is Verdict.YES else v
+def _verdict(witnessed: bool, doubted: bool) -> Verdict:
+    """NO on a confirmed witness, else UNKNOWN on a doubt, else YES."""
+    return Verdict.NO if witnessed else Verdict.UNKNOWN if doubted else Verdict.YES
 
 
 def _clear_of_zero(lo: float, hi: float) -> bool:
@@ -350,9 +356,9 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     columns = list(zip(*(row or blank for row in scan.values)))
     undefined = [i for i, v in enumerate(columns[0]) if v is None]
 
-    continuous = Verdict.YES
-    differentiable = Verdict.YES
     witnesses: list[Witness] = []
+    # a zero the scan could neither confirm nor rule out leaves a verdict in doubt
+    doubt_continuity = doubt_differentiability = False
     # where e is undefined at more than half of the grid, no hazard is scanned
     scanned = hazards if len(undefined) <= samples // 2 else []
 
@@ -371,36 +377,30 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
         if kind is WitnessKind.ABS_KINK:
             # only a confirmed sign change of the argument is a kink:
             # abs(u) with u touching zero from one side is just +-u locally
-            for w in crossings:
-                if iv.contains_open(w):
-                    differentiable = Verdict.NO
-                    witnesses.append(Witness(w, kind))
+            witnesses += [Witness(w, kind) for w in crossings if iv.contains_open(w)]
             continue
 
         for w in crossings + touches if zero_undefined else crossings:
-            continuous = Verdict.NO
             witnesses.append(Witness(w, kind))
-            if iv.contains_open(w):
-                differentiable = Verdict.NO
         if not zero_undefined and any(iv.contains_open(w) for w in touches):
             # sqrt: the function is defined at a touch, but its derivative
             # may blow up there (sqrt(x^2) vs sqrt(x^4))
-            differentiable = _downgrade(differentiable)
+            doubt_differentiability = True
         if suspected:
-            continuous = _downgrade(continuous)
-            differentiable = _downgrade(differentiable)
+            doubt_continuity = doubt_differentiability = True
 
-    if undefined and continuous is not Verdict.NO:
+    if undefined and not any(w.breaks_continuity for w in witnesses):
         # e raised where no hazard's zero accounts for it (an overflow, say),
         # or at more than half of the grid: witnesses at the first undefined
         # point and the first interior one
         first = undefined[0]
         interior = next((i for i in undefined if iv.contains_open(xs[i])), first)
-        continuous = Verdict.NO
-        differentiable = Verdict.NO if iv.contains_open(xs[interior]) else _downgrade(differentiable)
+        doubt_differentiability = True
         for i in (first, interior):
             failure = scan.failures.get(i, DomainErrorKind.NON_FINITE)
             witnesses.append(Witness(xs[i], _WITNESS_KIND[failure]))
 
     unique = sorted(set(witnesses), key=lambda w: (w.point, w.kind.value))
+    continuous = _verdict(any(w.breaks_continuity for w in unique), doubt_continuity)
+    differentiable = _verdict(any(iv.contains_open(w.point) for w in unique), doubt_differentiability)
     return SmoothnessReport(continuous, differentiable, tuple(unique))

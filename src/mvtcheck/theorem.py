@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .calculus import Verdict, WitnessKind, analyze_smoothness, differentiate
+from .calculus import Verdict, analyze_smoothness, differentiate
 from .expr import DomainError, Expr, Record, compile_evaluator, evaluate
 from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
 
@@ -159,8 +159,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
         return Unknown("no float lies strictly inside (a, b)")
     report = analyze_smoothness(f, iv, cfg.samples)
     if report.continuous_on_closed is Verdict.NO:
-        # an abs kink leaves f continuous: it cannot witness a discontinuity
-        witness = next(w.point for w in report.witnesses if w.kind is not WitnessKind.ABS_KINK)
+        witness = next(w.point for w in report.witnesses if w.breaks_continuity)
         return NotApplicable(Reason.NOT_CONTINUOUS, witness)
     if report.continuous_on_closed is Verdict.UNKNOWN:
         return Unknown("continuity on the closed interval could not be confirmed")
