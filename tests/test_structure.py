@@ -6,7 +6,8 @@ module binds a private name it never reads, no function takes a parameter
 it never reads, every ``__all__`` entry is defined in its module, no
 module takes a midpoint as ``0.5 * (u + v)``, no module but ``expr`` compares a value
 with 64, the largest exponent ``^`` multiplies out, ``calculus`` reads its
-near-zero ratio in ``_clear_of_zero`` only, no module imports
+near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
+``Verdict.UNKNOWN`` in ``_verdict`` only, no module imports
 ``dataclasses``, and the README lists exactly the names the package exports.  One test imports the
 package in a fresh interpreter to check what the import loads.
 """
@@ -255,13 +256,25 @@ def test_integer_powers_are_told_by_expr_integer_exponent(path):
     assert list(_compared_with_64(_tree(path))) == []
 
 
+def _dotted(node):
+    """``a.b.c`` for a name or a chain of attributes on one, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
 def _reads(tree, name):
-    """(enclosing top-level function or None, line) of each read of ``name``."""
+    """(enclosing top-level function or None, line) of each read of ``name``,
+    a plain name or a dotted one such as ``Verdict.NO``."""
     for top in tree.body:
         function = top.name if isinstance(top, ast.FunctionDef) else None
         for node in ast.walk(top):
-            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
-                yield function, node.lineno
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                if _dotted(node) == name:
+                    yield function, node.lineno
 
 
 def test_near_zero_rule_is_read_in_clear_of_zero_only():
@@ -269,6 +282,14 @@ def test_near_zero_rule_is_read_in_clear_of_zero_only():
     # _clear_of_zero, so the "suspiciously near zero" rule is stated once
     reads = list(_reads(_tree(ROOT / "src" / "mvtcheck" / "calculus.py"), "_SUSPICION_RATIO"))
     assert reads and [f"line {line}" for function, line in reads if function != "_clear_of_zero"] == []
+
+
+@pytest.mark.parametrize("name", ["Verdict.NO", "Verdict.UNKNOWN"])
+def test_smoothness_verdicts_are_derived_in_verdict_only(name):
+    # analyze_smoothness reads both verdicts off its witnesses and doubt
+    # flags through _verdict, so a NO always comes with its witness
+    reads = list(_reads(_tree(ROOT / "src" / "mvtcheck" / "calculus.py"), name))
+    assert reads and [f"line {line}: {function}" for function, line in reads if function != "_verdict"] == []
 
 
 def test_readme_lists_the_exported_names():
