@@ -397,6 +397,9 @@ def test_smoothness_essentially_undefined():
 
 
 _LOG = WitnessKind.LOG_OR_ROOT_BOUNDARY
+# where bisection of x between the grid points of [-1, 1.1] around 0 stops
+_ZERO = 2.0486806404833853e-13
+_KINK = Witness(_ZERO, WitnessKind.ABS_KINK)
 
 
 @pytest.mark.parametrize(
@@ -422,6 +425,18 @@ _LOG = WitnessKind.LOG_OR_ROOT_BOUNDARY
         # -4/2 folds to the integer -2: the base's zero is a pole, as for x^-2
         ("x^(-4/2)", -1.0, 1.0, SAMPLES,
          SmoothnessReport(Verdict.NO, Verdict.NO, (Witness(0.0, WitnessKind.POLE),))),
+        # abs(x) only touches 0 between grid points, where x crosses it: the
+        # zero of an abs-wrapped divisor, ln argument or power base is found
+        # through x, at the kink's point
+        ("1/abs(x)", -1.0, 1.1, SAMPLES,
+         SmoothnessReport(Verdict.NO, Verdict.NO, (_KINK, Witness(_ZERO, WitnessKind.POLE)))),
+        ("ln(abs(x))", -1.0, 1.1, SAMPLES,
+         SmoothnessReport(Verdict.NO, Verdict.NO, (_KINK, Witness(_ZERO, _LOG)))),
+        ("abs(x)^-1", -1.0, 1.1, SAMPLES,
+         SmoothnessReport(Verdict.NO, Verdict.NO, (_KINK, Witness(_ZERO, WitnessKind.POLE)))),
+        # ... while sqrt is defined at the touch: only the kink is reported
+        ("sqrt(abs(x))", -1.0, 1.1, SAMPLES,
+         SmoothnessReport(Verdict.YES, Verdict.NO, (_KINK,))),
     ],
 )
 def test_smoothness_reports(text, a, b, samples, expected):

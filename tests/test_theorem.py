@@ -114,6 +114,16 @@ def test_mvt_not_continuous_witness_is_the_pole_not_a_kink():
     assert abs(result.witness) <= 1e-9
 
 
+@pytest.mark.parametrize("text", ["1/abs(x)", "ln(abs(x))", "abs(x)^-1"])
+def test_mvt_abs_wrapped_zero_is_not_continuous(text):
+    # abs(x) only touches 0, between grid points: f is undefined there, so
+    # the pole or boundary, not the kink, decides the reason
+    result = verify_mvt(parse(text), Interval(-1.0, 1.1))
+    assert isinstance(result, NotApplicable)
+    assert result.reason is Reason.NOT_CONTINUOUS
+    assert abs(result.witness) <= 1e-9
+
+
 def test_mvt_reciprocal_not_applicable():
     result = verify_mvt(parse("1/x"), Interval(-1.0, 1.0))
     assert isinstance(result, NotApplicable)
