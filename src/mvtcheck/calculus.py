@@ -72,6 +72,14 @@ class Witness(Record):
 
 
 class SmoothnessReport(Record):
+    """Continuity of f on [a, b] and differentiability on (a, b).
+
+    A verdict is NO exactly when a witness refutes it: continuity by any
+    witness that breaks it (every kind but an abs kink), differentiability
+    by any witness strictly inside (a, b).  UNKNOWN means that no witness
+    refutes it, but a zero could be neither confirmed nor ruled out.
+    """
+
     __slots__ = ("continuous_on_closed", "differentiable_on_open", "witnesses")
 
     def __init__(
@@ -370,7 +378,7 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     undefined = [i for i, v in enumerate(columns[0]) if v is None]
 
     witnesses: list[Witness] = []
-    # a zero the scan could neither confirm nor rule out leaves a verdict in doubt
+    # set where the scan can neither confirm nor rule out a witness
     doubt_continuity = doubt_differentiability = False
     # where e is undefined at more than half of the grid, no hazard is scanned
     scanned = hazards if len(undefined) <= samples // 2 else []
@@ -408,6 +416,7 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
         # point and the first interior one
         first = undefined[0]
         interior = next((i for i in undefined if iv.contains_open(xs[i])), first)
+        # refuted if that point lies inside (a, b), in doubt otherwise
         doubt_differentiability = True
         for i in (first, interior):
             failure = scan.failures.get(i, DomainErrorKind.NON_FINITE)
