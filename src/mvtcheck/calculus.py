@@ -267,15 +267,15 @@ def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
             elif node.fn == "tan":
                 # tan blows up where cos of its argument vanishes
                 out.append((Call("cos", node.argument), WitnessKind.POLE, True))
+    # an inner expression without x has one value on all of [a, b]: either f
+    # raises everywhere, which the scan reports, or it is no hazard at all.
     # abs(u) only touches 0, where u crosses it: where that zero leaves f
     # undefined, scan u, whose sign change the scan confirms between samples
-    out = [
+    return [
         (_unwrap_abs(inner) if zero_undefined else inner, kind, zero_undefined)
         for inner, kind, zero_undefined in out
+        if any(isinstance(n, Variable) for n in postorder([inner]))
     ]
-    # an inner expression without x has one value on all of [a, b]: either f
-    # raises everywhere, which the scan reports, or it is no hazard at all
-    return [h for h in out if any(isinstance(n, Variable) for n in postorder([h[0]]))]
 
 
 def _unwrap_abs(e: Expr) -> Expr:
