@@ -160,13 +160,17 @@ def sample(f: Callable[[float], Any], iv: Interval, n: int) -> Samples:
 def first_bracket(samples: Samples) -> Bracket | None:
     """First consecutive pair of valid samples with opposite-or-zero signs.
 
-    Both values must be finite.  A failed sample breaks adjacency: no pair
-    is formed across it.  Returns None when no such pair exists.
+    Both values must be finite and the two points distinct: on an interval
+    only a few floats wide, neighbouring grid points round to the same
+    float.  A failed sample breaks adjacency: no pair is formed across it.
+    Returns None when no such pair exists.
     """
     xs, values = samples.xs, samples.values
     for i in range(len(xs) - 1):
         u, v = values[i], values[i + 1]
         if u is None or v is None or not (math.isfinite(u) and math.isfinite(v)):
+            continue
+        if xs[i] == xs[i + 1]:
             continue
         if opposite_or_zero(u, v):
             return Bracket(xs[i], xs[i + 1], u, v)

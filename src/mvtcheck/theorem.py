@@ -39,6 +39,8 @@ EPS_RES = 1e-8
 # relative tolerance on |f(a) - f(b)| in Rolle mode
 EPS_ROLLE = 1e-12
 
+# the finest dyadic level of the root scan before the full grid
+_COARSE_MAX = 65
 _GOLDEN_STEPS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -47,8 +49,8 @@ class Config(Record):
     """Numerical policy for the verification pipeline.
 
     eps_c      target bracket width for the bisection stage
-    samples    uniform sample count for smoothness and root scans,
-               from 2 up to MAX_SAMPLES
+    samples    uniform sample count of the smoothness scan and of the
+               root scan's full grid, from 2 up to MAX_SAMPLES
     """
 
     __slots__ = ("eps_c", "samples")
@@ -185,7 +187,26 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     # the theorem promises c strictly inside (a,b): inset by half a step
     step = iv.width / cfg.samples
     inner = Interval(iv.a + 0.5 * step, iv.b - 0.5 * step)
-    scan = sample(g, inner, cfg.samples)
+    # Darboux: with f differentiable on (a, b), any two points where g has
+    # opposite signs bracket a zero of g, so a coarse bracket bisects as
+    # soundly as a fine one.  Dyadic levels of 3 to 65 points come first;
+    # the first with a bracket and some |g| above EPS_RES (a g that small
+    # everywhere is left to the degenerate path) is bisected.  If that
+    # yields no c, the full grid follows as the last level, and it alone
+    # decides the degenerate, golden-section and Unknown paths.
+    n = min(3, cfg.samples)
+    while True:
+        scan = sample(g, inner, n)
+        if n == cfg.samples:
+            break
+        br = first_bracket(scan)
+        if br is not None and any(v is not None and abs(v) > EPS_RES for v in scan.values):
+            found = _bracket_root(g, deriv, m, br, cfg.eps_c)
+            if isinstance(found, Applicable):
+                return found
+            n = cfg.samples
+        else:
+            n = min(2 * n - 1, cfg.samples) if n < _COARSE_MAX else cfg.samples
     xs, values = scan.xs, scan.values
     valid = [v for v in values if v is not None]
     if not valid:
@@ -204,16 +225,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
 
     br = first_bracket(scan)
     if br is not None:
-        try:
-            root, state = bisect(g, br, cfg.eps_c)
-            c, fpc, residual, extra = _tighten_residual(deriv, m, root, state)
-        except DomainError:
-            return Unknown("bisection failed inside the located bracket")
-        if residual <= EPS_RES:
-            return Applicable(c, m, fpc, residual, state.iterations + extra, Method.BRACKET_BISECT)
-        return Unknown(
-            f"sign change located but residual {residual:.3e} stays above tolerance"
-        )
+        return _bracket_root(g, deriv, m, br, cfg.eps_c)
 
     best_idx = min(
         (i for i, v in enumerate(values) if v is not None),
@@ -227,6 +239,18 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     return Unknown(
         f"no sign change at sample resolution; smallest residual {residual:.3e} exceeds tolerance"
     )
+
+
+def _bracket_root(g, deriv, m, br, eps_c) -> MvtResult:
+    """Bisect ``br`` for a zero of g = f' - m and tighten its residual."""
+    try:
+        root, state = bisect(g, br, eps_c)
+        c, fpc, residual, extra = _tighten_residual(deriv, m, root, state)
+    except DomainError:
+        return Unknown("bisection failed inside the located bracket")
+    if residual <= EPS_RES:
+        return Applicable(c, m, fpc, residual, state.iterations + extra, Method.BRACKET_BISECT)
+    return Unknown(f"sign change located but residual {residual:.3e} stays above tolerance")
 
 
 def _tighten_residual(deriv, m, root, state):

@@ -151,6 +151,17 @@ def test_bracket_not_formed_across_failed_points():
     assert first_bracket(sample(f, Interval(-1.0, 1.0), 3)) is None
 
 
+def test_bracket_not_formed_between_equal_points():
+    # two floats wide: the 5-point grid rounds its first two points to 1.0,
+    # and a pair of equal points brackets nothing
+    b = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+    scan = sample(lambda x: 0.0, Interval(1.0, b), 5)
+    assert scan.xs[0] == scan.xs[1]
+    br = first_bracket(scan)
+    assert br is not None
+    assert br.left < br.right
+
+
 # --- bisect -----------------------------------------------------------------
 
 

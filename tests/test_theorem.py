@@ -3,10 +3,11 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvtcheck.expr import Binary, Constant, DomainError, Variable, evaluate, parse
+from mvtcheck import theorem
+from mvtcheck.expr import Binary, Constant, DomainError, Variable, compile_evaluator, evaluate, parse
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import (
     EPS_RES,
@@ -23,7 +24,7 @@ from mvtcheck.theorem import (
 )
 
 from oracles import central_difference
-from strategies import grammar_exprs, poly_coefficients, polynomial
+from strategies import grammar_exprs, poly_coefficients, polynomial, smooth_exprs
 
 # independently computed: bisection of cos(x) - 2/pi on [0, pi/2]
 ARCCOS_2_OVER_PI = 0.8806892354203566
@@ -270,6 +271,115 @@ def test_mvt_negative_power_closed_form():
     assert result.c == pytest.approx(4.5 ** (1.0 / 3.0), abs=1e-8)
 
 
+# --- coarse-to-fine root scan -----------------------------------------------
+#
+# The scan of f' - m tries dyadic levels of 3 to 65 points before the full
+# grid of Config.samples points.
+
+
+def _count_derivative_calls(monkeypatch):
+    """Count calls of the f' that the pipeline compiles."""
+    calls = [0]
+    compile_evaluator = theorem.compile_evaluator
+
+    def counting_compile(e):
+        deriv = compile_evaluator(e)
+
+        def counted(t):
+            calls[0] += 1
+            return deriv(t)
+
+        return counted
+
+    monkeypatch.setattr(theorem, "compile_evaluator", counting_compile)
+    return calls
+
+
+def test_coarse_bracket_spends_few_derivative_evaluations(monkeypatch):
+    # a full scan alone spends 1024 evaluations before bisection starts
+    calls = _count_derivative_calls(monkeypatch)
+    result = verify_mvt(parse("sin(x)"), Interval(0.0, math.pi / 2))
+    assert isinstance(result, Applicable)
+    assert result.method is Method.BRACKET_BISECT
+    assert result.c == pytest.approx(ARCCOS_2_OVER_PI, abs=1e-9)
+    assert calls[0] < 100
+
+
+def test_no_coarse_bracket_costs_at_most_the_coarse_levels(monkeypatch):
+    # no level has a sign change: the coarse levels (3 + 5 + ... + 65 = 132
+    # points) come on top of the full grid and the golden-section probes
+    # (64 steps, 2 starting probes, 1 final evaluation)
+    calls = _count_derivative_calls(monkeypatch)
+    cfg = Config()
+    result = verify_rolle(parse("x^3"), Interval(-7e-5, 8e-5), cfg)
+    assert isinstance(result, Applicable)
+    assert result.method is Method.RESIDUAL_MIN
+    assert cfg.samples < calls[0] <= cfg.samples + 132 + 64 + 3
+
+
+def test_coarse_level_brackets_a_zero_the_full_grid_misses():
+    # the full grid's first bracket leaves a residual of 1.4e-8; a coarse
+    # level brackets another zero of f' - m, where the residual meets EPS_RES
+    result = verify_mvt(parse("sin(1/x)"), Interval(1e-3, 1.0))
+    assert isinstance(result, Applicable)
+    assert result.method is Method.BRACKET_BISECT
+    assert 1e-3 < result.c < 1.0
+    assert result.residual <= EPS_RES
+    m = (math.sin(1.0) - math.sin(1e3)) / (1.0 - 1e-3)
+    assert abs(-math.cos(1.0 / result.c) / result.c**2 - m) <= 1e-7
+
+
+def test_coarse_bracket_above_tolerance_falls_back_to_the_full_grid():
+    # the first coarse bracket bisects to a residual of 60; the full grid's
+    # first bracket gives the c that a full scan alone gives
+    iv = Interval(3.2707674326688334, 7.938840496612227)
+    result = verify_mvt(parse("sin(x^x * (x + x))"), iv)
+    assert isinstance(result, Applicable)
+    assert result.method is Method.BRACKET_BISECT
+    assert result.c == pytest.approx(3.275053072774644, abs=1e-9)
+    assert result.residual <= EPS_RES
+
+
+def test_failed_bisection_still_reports_the_full_grid_verdict():
+    # f' of abs(x^2) is undefined at 0, where bisection of every level lands
+    result = verify_mvt(parse("abs(x^2)"), Interval(-1.0, 1.0))
+    assert result == Unknown("bisection failed inside the located bracket")
+
+
+def test_constant_derivative_keeps_the_degenerate_path():
+    result = verify_mvt(parse("2*x+1"), Interval(0.0, 1.0))
+    assert isinstance(result, Applicable)
+    assert result.method is Method.DEGENERATE_CONSTANT
+    assert result.c == 0.5
+    assert result.residual == 0.0
+
+
+def test_mvt_interval_a_few_floats_wide_is_degenerate():
+    # every coarse level repeats a float; f' - m is 0 at each point
+    result = verify_mvt(parse("x"), Interval(0.525946434186146, 0.5259464341861467))
+    assert isinstance(result, Applicable)
+    assert result.method is Method.DEGENERATE_CONSTANT
+
+
+@given(
+    smooth_exprs(),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=0.1, max_value=5.0),
+)
+@settings(deadline=None, max_examples=80)
+def test_applicable_c_is_a_mean_value_point(e, a, width):
+    iv = Interval(a, a + width)
+    result = verify_mvt(e, iv)
+    assume(isinstance(result, Applicable))
+    assert iv.a < result.c < iv.b
+    assert result.residual == abs(result.f_prime_at_c - result.m)
+    assert result.residual <= EPS_RES
+    f = compile_evaluator(e)
+    # truncation error scales with the slope, rounding error with f
+    tol = 1e-5 * max(1.0, abs(result.m)) + 1e-9 * abs(f(result.c))
+    assert abs(central_difference(f, result.c, 1e-5) - result.m) <= tol
+
+
 # --- residual minimum -------------------------------------------------------
 #
 # Where the scan of f' - m finds no sign change, a golden-section search
@@ -277,14 +387,27 @@ def test_mvt_negative_power_closed_form():
 
 
 def test_residual_min_finds_a_touching_zero():
-    # f' = 3x^2 touches m = 0 at 0 without changing sign
-    iv = Interval(-7e-5, 7e-5)
+    # f' = 3x^2 touches m = 0 at 0 without changing sign; on this asymmetric
+    # interval no point of any scan level lands on 0 exactly
+    iv = Interval(-7e-5, 8e-5)
     result = verify_rolle(parse("x^3"), iv)
     assert isinstance(result, Applicable)
     assert result.method is Method.RESIDUAL_MIN
     assert result.residual <= EPS_RES
     assert result.residual == abs(result.f_prime_at_c - result.m)
     assert iv.a < result.c < iv.b
+
+
+def test_touching_zero_hit_by_a_coarse_level_is_bisected():
+    # on the symmetric interval the middle point of the 3-point level is a
+    # zero of f' - m, which the first bracket holds
+    iv = Interval(-7e-5, 7e-5)
+    result = verify_rolle(parse("x^3"), iv)
+    assert isinstance(result, Applicable)
+    assert result.method is Method.BRACKET_BISECT
+    assert iv.a < result.c < iv.b
+    assert result.residual <= EPS_RES
+    assert result.residual == abs(result.f_prime_at_c - result.m)
 
 
 def test_residual_min_between_two_samples():
