@@ -37,7 +37,7 @@ __all__ = [
     "analyze_smoothness",
 ]
 
-# bisection width for pinning down hazard points
+# bracket width of the root search that pins down hazard points
 _WITNESS_EPS = 1e-12
 # a hazard whose inner expression gets this close to zero (relative to its
 # largest magnitude) without a confirmed crossing is suspected of a
@@ -242,8 +242,12 @@ def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
     trouble spots, where f is undefined if zero_undefined (poles, ln,
     powers) and may only lose its derivative if not (sqrt, abs)."""
     out: list[tuple[Expr, WitnessKind, bool]] = []
+    # ids of the nodes with x below them: postorder yields children first
+    has_x: set[int] = set()
     for node in postorder([e]):
         if isinstance(node, Binary):
+            if id(node.left) in has_x or id(node.right) in has_x:
+                has_x.add(id(node))
             if node.op == "/":
                 out.append((node.right, WitnessKind.POLE, True))
             elif node.op == "^":
@@ -258,6 +262,8 @@ def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
                 else:
                     out.append((node.left, WitnessKind.POWER_BOUNDARY, True))
         elif isinstance(node, Call):
+            if id(node.argument) in has_x:
+                has_x.add(id(node))
             if node.fn == "ln":
                 out.append((node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
             elif node.fn == "sqrt":
@@ -266,7 +272,12 @@ def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
                 out.append((node.argument, WitnessKind.ABS_KINK, False))
             elif node.fn == "tan":
                 # tan blows up where cos of its argument vanishes
-                out.append((Call("cos", node.argument), WitnessKind.POLE, True))
+                cos = Call("cos", node.argument)
+                if id(node.argument) in has_x:
+                    has_x.add(id(cos))
+                out.append((cos, WitnessKind.POLE, True))
+        elif isinstance(node, Variable) or (isinstance(node, Neg) and id(node.child) in has_x):
+            has_x.add(id(node))
     # an inner expression without x has one value on all of [a, b]: either f
     # raises everywhere, which the scan reports, or it is no hazard at all.
     # abs(u) only touches 0, where u crosses it: where that zero leaves f
@@ -274,7 +285,7 @@ def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
     return [
         (_unwrap_abs(inner) if zero_undefined else inner, kind, zero_undefined)
         for inner, kind, zero_undefined in out
-        if any(isinstance(n, Variable) for n in postorder([inner]))
+        if id(inner) in has_x
     ]
 
 
@@ -291,8 +302,8 @@ def _scan_zeros(
     """Locate zeros of a hazard's inner expression: (crossings, touches, suspected).
 
     ``values`` is the inner expression on the grid ``xs`` (None where it is
-    undefined); ``evaluator`` returns it compiled, for bisection.
-    Crossings are strict sign changes refined by bisection (plus exact-zero
+    undefined); ``evaluator`` returns it compiled, for the root search.
+    Crossings are strict sign changes refined by the root search (plus exact-zero
     samples whose neighbours have strictly opposite signs); touches are
     exact-zero samples without a sign change; ``suspected`` flags a
     near-zero minimum that could hide a tangential touch.
@@ -349,7 +360,7 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
 
     Walks the tree for hazard subexpressions (divisors, ln/sqrt arguments,
     abs arguments, non-integer-power bases, tan arguments) and confirms
-    their zeros numerically on a grid of ``samples`` points with bisection
+    their zeros numerically on a grid of ``samples`` points with root-search
     refinement.  One scan evaluates ``e`` and every hazard's inner
     expression together.  Verdicts are three-valued: hazards that cannot be
     confirmed or ruled out at sample resolution yield UNKNOWN rather than

@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a", required=True, metavar="EXPR", help="left endpoint (constant expression)")
     verify.add_argument("--b", required=True, metavar="EXPR", help="right endpoint (constant expression)")
     verify.add_argument("--mode", choices=("mvt", "rolle"), default="mvt")
-    verify.add_argument("--eps", type=float, default=None, help="bisection interval precision")
+    verify.add_argument("--eps", type=float, default=None, help="width of the final bracket around c")
     verify.add_argument("--samples", type=int, default=None, help="sample count for the scans")
     verify.add_argument("--json", action="store_true", help="print a machine-readable result")
     verify.add_argument("--plot", metavar="PATH", default=None, help="write plot data (.csv or .svg)")

@@ -1,5 +1,6 @@
-"""Numerical kernels: uniform sampling, sign-change bracketing, and
-bisection.
+"""Numerical kernels: uniform sampling, sign-change bracketing, and a
+root search in a bracket by the ITP method: bisection with interpolation
+steps, at most one step slower than bisection on any root.
 
 Evaluators are plain callables ``float -> float`` that signal points
 outside their domain by raising :class:`~mvtcheck.expr.DomainError`.
@@ -42,9 +43,14 @@ def midpoint(u: float, v: float) -> float:
     float of magnitude 2**-1021 or more is exact, so where ``u + v`` is
     finite and each end is zero or that large, this is the same float (F.
     Goualard, "How do you compute the midpoint of an interval?", ACM TOMS
-    40(2), 2014).
+    40(2), 2014).  Below that each half rounds, and two roundings can leave
+    [u, v] (0.0 for u = v = 5e-324); there ``v - u`` is exact, and halving
+    it rounds once.
     """
-    return 0.5 * u + 0.5 * v
+    mid = 0.5 * u + 0.5 * v
+    if u <= mid <= v or v <= mid <= u:
+        return mid
+    return u + 0.5 * (v - u)
 
 
 class Interval(Record):
@@ -82,6 +88,8 @@ class Bracket(Record):
         object.__setattr__(self, "g_right", g_right)
         if not left < right:
             raise ValueError("bracket requires left < right")
+        if not math.isfinite(right - left):
+            raise ValueError("bracket width overflows")
         if not (math.isfinite(g_left) and math.isfinite(g_right)):
             raise ValueError("bracket endpoint values must be finite")
         if not opposite_or_zero(g_left, g_right):
@@ -178,31 +186,74 @@ def first_bracket(samples: Samples) -> Bracket | None:
 
 
 def bisect(g: Evaluator, br: Bracket, eps: float) -> tuple[float, BisectionState]:
-    """Classic bisection of ``g`` over ``br`` down to bracket width ``eps``.
+    """Find a zero of ``g`` in ``br`` by the ITP method, down to bracket width ``eps``.
+
+    ITP (interpolate, truncate, project: I. F. D. Oliveira and R. H. C.
+    Takahashi, "An Enhancement of the Bisection Method Average Performance
+    Preserving Minmax Optimality", ACM TOMS 47(1), 2020) steps from the
+    regula-falsi point towards the midpoint, but never so far from the
+    midpoint that the bracket after step j could be wider than about
+    ``eps * 2**(n - j)``, with n = ceil(log2(width / eps)).  So it
+    converges superlinearly on a smooth simple root and takes at most
+    n + 1 steps on any root, one more than bisection.  Here kappa1 =
+    0.2 / width, kappa2 = 2 and n0 = 1.  The projection holds a few ulps
+    back from ``eps``: where it binds (on a triple root, say), rounding of
+    the points would otherwise cost a step beyond n + 1.
 
     Maintains the sign-change invariant at every step and returns the
     midpoint of the final bracket (or an exact zero of ``g`` found along
     the way) together with the final :class:`BisectionState`.  The final
-    bracket is narrower than ``eps`` or, where floats are too coarse for
-    that, two adjacent floats, whose midpoint rounds to one of them.  Each
-    step leaves fewer floats in the bracket, so the loop always ends: from
-    any finite bracket, after at most about 2100 steps.
+    bracket is at most ``eps`` wide or, where floats are too coarse for
+    that, two adjacent floats, whose midpoint rounds to one of them.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     left, right = br.left, br.right
-    g_left = br.g_left
+    g_left, g_right = br.g_left, br.g_right
+    width = right - left
+    # n = ceil(log2(width / eps)), read off the binary exponents, as the
+    # quotient may overflow
+    (m_width, e_width), (m_eps, e_eps) = math.frexp(width), math.frexp(eps)
+    n = e_width - e_eps + (m_width > m_eps)
+    # the projection keeps the bracket after step j within base * 2**(n - j):
+    # base is eps less the ulps that rounding may add.  Where eps is within
+    # 8 ulps of float resolution, base is eps / 2 (n0 = 0), which leaves a
+    # whole step for rounding; among subnormals, where halving rounds too,
+    # base is 0 and every point is the midpoint: bisection
+    ulp = math.ulp(max(abs(left), abs(right)))
+    if eps > 8.0 * ulp:
+        base = eps - 4.0 * ulp
+    else:
+        base = 0.5 * eps if ulp > math.ulp(0.0) else 0.0
     iterations = 0
     while right - left > eps:
         mid = midpoint(left, right)
         if mid <= left or mid >= right:
             break
-        g_mid = g(mid)
+        w = right - left
+        # interpolate: the regula-falsi point, where the chord crosses zero.
+        # A difference of the end values that overflows puts it at left, and
+        # a zero end value at that end, from where truncation steps inside
+        slope = g_left - g_right
+        x = left + w * (g_left / slope) if slope else mid
+        if not left <= x <= right:
+            x = mid
+        # truncate: step kappa1 * w**2 from it towards the midpoint
+        delta = 0.2 * w * (w / width)
+        x = x + math.copysign(delta, mid - x) if delta <= abs(mid - x) else mid
+        # project: stay within r of the midpoint, so the next bracket is at
+        # most base * 2**(n - iterations) wide; halved, so no term overflows
+        half_r = math.ldexp(base, n - iterations - 1) - 0.25 * w
+        if 0.5 * abs(x - mid) > half_r:
+            x = mid - math.copysign(2.0 * half_r, mid - x) if half_r > 0.0 else mid
+        if not left < x < right:
+            x = mid
+        g_x = g(x)
         iterations += 1
-        if g_mid == 0.0:
-            return mid, BisectionState(left, right, iterations)
-        if opposite_or_zero(g_left, g_mid):
-            right = mid
+        if g_x == 0.0:
+            return x, BisectionState(left, right, iterations)
+        if opposite_or_zero(g_left, g_x):
+            right, g_right = x, g_x
         else:
-            left, g_left = mid, g_mid
+            left, g_left = x, g_x
     return midpoint(left, right), BisectionState(left, right, iterations)

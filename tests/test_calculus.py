@@ -25,7 +25,9 @@ from mvtcheck.expr import (
     compile_evaluator,
     evaluate,
     format_expr,
+    integer_exponent,
     parse,
+    postorder,
 )
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import Config
@@ -397,8 +399,9 @@ def test_smoothness_essentially_undefined():
 
 
 _LOG = WitnessKind.LOG_OR_ROOT_BOUNDARY
-# where bisection of x between the grid points of [-1, 1.1] around 0 stops
-_ZERO = 2.0486806404833853e-13
+# where the root search (ITP) on x between the grid points of [-1, 1.1]
+# around 0 stops
+_ZERO = -8.710588588587696e-15
 _KINK = Witness(_ZERO, WitnessKind.ABS_KINK)
 
 
@@ -572,3 +575,60 @@ def test_witnesses_refuse_assignment_and_deletion():
     with pytest.raises(AttributeError):
         del w.kind
     assert w == Witness(0.5, WitnessKind.POLE)
+
+
+# --- hazard collection --------------------------------------------------------
+
+
+def _hazards_by_rewalking(e):
+    """The hazard list as first defined: every candidate, kept when a walk
+    of its inner expression finds x (quadratic in the nesting depth)."""
+    found = []
+    for node in postorder([e]):
+        if isinstance(node, Binary) and node.op == "/":
+            found.append((node.right, WitnessKind.POLE, True))
+        elif isinstance(node, Binary) and node.op == "^":
+            exponent = simplify(node.right)
+            n = integer_exponent(exponent.value) if isinstance(exponent, Constant) else None
+            if n is None:
+                found.append((node.left, WitnessKind.POWER_BOUNDARY, True))
+            elif n < 0:
+                found.append((node.left, WitnessKind.POLE, True))
+        elif isinstance(node, Call) and node.fn in ("ln", "sqrt", "abs"):
+            kind = WitnessKind.ABS_KINK if node.fn == "abs" else _LOG
+            found.append((node.argument, kind, node.fn == "ln"))
+        elif isinstance(node, Call) and node.fn == "tan":
+            found.append((Call("cos", node.argument), WitnessKind.POLE, True))
+    return [
+        (calculus._unwrap_abs(inner) if zero_undefined else inner, kind, zero_undefined)
+        for inner, kind, zero_undefined in found
+        if any(isinstance(n, Variable) for n in postorder([inner]))
+    ]
+
+
+@settings(deadline=None, max_examples=200)
+@given(grammar_exprs(max_leaves=16))
+def test_hazards_match_their_first_definition(e):
+    assert calculus._collect_hazards(e) == _hazards_by_rewalking(e)
+
+
+def test_hazards_of_a_deep_nest_match_their_first_definition():
+    # 150 levels mixing every hazard, over x and over constants
+    e = Variable()
+    for level in range(150):
+        wrap = level % 6
+        if wrap == 0:
+            e = Call("ln", Binary("+", e, Constant(2.0)))
+        elif wrap == 1:
+            e = Call("sqrt", Call("abs", e))
+        elif wrap == 2:
+            e = Binary("/", Constant(1.0), Binary("+", e, Call("tan", Constant(0.5))))
+        elif wrap == 3:
+            e = Binary("^", Binary("+", e, Constant(3.0)), Binary("/", Constant(1.0), Constant(3.0)))
+        elif wrap == 4:
+            e = Call("tan", Binary("*", Constant(1e-3), e))
+        else:
+            e = Binary("+", e, Call("ln", Constant(float(level))))
+    hazards = calculus._collect_hazards(e)
+    assert hazards == _hazards_by_rewalking(e)
+    assert len(hazards) > 100

@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mvtcheck.expr import DomainError, DomainErrorKind, compile_evaluator, parse
@@ -11,6 +12,7 @@ from mvtcheck.numeric import (
     bisect,
     first_bracket,
     midpoint,
+    opposite_or_zero,
     sample,
 )
 
@@ -44,6 +46,9 @@ def test_bracket_validation():
         Bracket(0.0, 1.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         Bracket(0.0, 1.0, math.nan, 1.0)
+    # the root search sizes its step budget from the width
+    with pytest.raises(ValueError, match="overflows"):
+        Bracket(-1e308, 1e308, -1.0, 1.0)
 
 
 # --- central_difference -----------------------------------------------------
@@ -174,6 +179,8 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @given(finite_floats, finite_floats)
+@example(5e-324, 5e-324)
+@example(1.5e-323, 1.5e-323)
 def test_midpoint_lies_between_and_matches_the_plain_formula(u, v):
     u, v = min(u, v), max(u, v)
     mid = midpoint(u, v)
@@ -271,3 +278,99 @@ def test_bisect_width_contraction():
     width = state.c_right - state.c_left
     bound = 1.5 / 2.0**state.iterations + 4.0 * math.ulp(1.5)
     assert width <= bound
+
+
+# --- ITP: the contract on nonlinear g -----------------------------------------
+
+
+def _step_bound(width, eps):
+    """ceil(log2(width / eps)) + 1, in exact arithmetic."""
+    q = Fraction(width) / Fraction(eps)
+    k = q.numerator.bit_length() - q.denominator.bit_length()
+    while Fraction(2) ** k < q:
+        k += 1
+    while Fraction(2) ** (k - 1) >= q:
+        k -= 1
+    return max(k, 0) + 1
+
+
+def _check_contract(g, br, eps):
+    root, state = bisect(g, br, eps)
+    left, right = state.c_left, state.c_right
+    assert br.left <= left < right <= br.right
+    assert left <= root <= right
+    assert state.iterations <= _step_bound(br.right - br.left, eps)
+    if g(root) != 0.0:
+        # the final bracket keeps a sign change and is eps wide or two
+        # adjacent floats; only an exact zero returns early
+        assert opposite_or_zero(g(left), g(right))
+        assert right - left <= eps or math.nextafter(left, right) == right
+    return root, state
+
+
+_NONLINEAR = {
+    # a triple root: the chord never lands near it, so projection binds
+    "cubic": lambda r: lambda x: (x - r) ** 3 + 1e-3 * (x - r),
+    "triple": lambda r: lambda x: (x - r) ** 3,
+    "exp": lambda r: lambda x: math.exp(x) - math.exp(r),
+    "tan": lambda r: lambda x: math.tan(x) - math.tan(r),
+}
+
+
+@given(
+    st.sampled_from(sorted(_NONLINEAR)),
+    st.floats(min_value=-1.2, max_value=1.2),
+    st.floats(min_value=1e-9, max_value=0.3),
+    st.floats(min_value=1e-9, max_value=0.3),
+    st.floats(min_value=-300.0, max_value=-1.0),
+)
+def test_itp_contract_on_nonlinear_roots(family, r, below, above, log_eps):
+    g = _NONLINEAR[family](r)
+    lo, hi = r - below, r + above
+    assert lo < hi
+    g_lo, g_hi = g(lo), g(hi)
+    if not opposite_or_zero(g_lo, g_hi):
+        return  # rounding of g flattened the sign change away
+    root, _ = _check_contract(g, Bracket(lo, hi, g_lo, g_hi), 10.0**log_eps)
+    assert abs(root - r) <= max(1e-3, 10.0**log_eps) or family == "triple"
+
+
+@pytest.mark.parametrize(
+    "g, left, right, eps, root",
+    [
+        # a zero end value: the regula-falsi point is that end, and the
+        # truncation steps inside from it
+        (lambda x: x * (x - 2.0), 0.0, 1.0, 1e-10, 0.0),
+        (lambda x: x * (x + 2.0), -1.0, 0.0, 1e-10, 0.0),
+        # end values of -1e308 and 1e308: their difference overflows
+        (lambda x: 1e308 * math.tanh(50.0 * x), -1.0, 2.0, 1e-10, 0.0),
+        # left + right overflows, and so does 2 * width
+        (lambda x: ((x - 1.3e308) / 1e308) ** 3, 1e308, 1.7e308, 1e-10, 1.3e308),
+        (lambda x: 1.5e308 - x, 1e308, 1.7e308, 1e-10, 1.5e308),
+        # triple roots: the projection binds at every step, and without the
+        # ulps held back from eps rounding costs a step beyond the bound
+        (lambda x: (x - 0.0014366666795242503) ** 3, -0.4811174546485449,
+         0.20992320235628115, 8.891603714116438e-11, 0.0014366666795242503),
+        (lambda x: (x - 2.180752857224151) ** 3, -3.0291081005463485,
+         6.7818214483214465, 3.316899234201805e-06, 2.180752857224151),
+        # a subnormal bracket and eps of 3 units: halving rounds, so the
+        # search bisects
+        (lambda x: ((x - 237358 * 5e-324) / 1e-310) ** 3, 236025 * 5e-324,
+         253132 * 5e-324, 1.5e-323, 237358 * 5e-324),
+        # the widest bracket, down to adjacent floats
+        (lambda x: math.atan(x - 1.0), -1.0, 1.7976931348623157e308, 5e-324, 1.0),
+        # eps far below float resolution
+        (lambda x: math.exp(x) - 3.0, 0.0, 2.0, 1e-300, math.log(3.0)),
+        (lambda x: x**3 - 2.0, 0.0, 2.0, 1e-300, 2.0 ** (1.0 / 3.0)),
+    ],
+)
+def test_itp_edge_brackets(g, left, right, eps, root):
+    found, state = _check_contract(g, Bracket(left, right, g(left), g(right)), eps)
+    assert abs(found - root) <= max(eps, 4.0 * math.ulp(root))
+
+
+def test_itp_beats_bisection_on_a_smooth_root():
+    # bisection spends ceil(log2(2 / 1e-10)) = 35 steps
+    g = lambda x: math.cos(x) - 2.0 / math.pi
+    _, state = _check_contract(g, Bracket(0.0, 2.0, g(0.0), g(2.0)), 1e-10)
+    assert state.iterations <= 12

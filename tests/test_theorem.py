@@ -231,13 +231,13 @@ def test_mvt_steep_far_from_zero_reports_the_residual():
     assert result.detail.startswith("sign change located but residual")
 
 
-def test_mvt_wide_interval_bisects_as_long_as_it_takes():
-    # eps_c = 1e-10 is about 2^-529 of this width: far more halvings than
-    # the 200 a cap once allowed
+def test_mvt_wide_interval_stays_within_the_itp_bound():
+    # eps_c = 1e-10 is about 2^-531 of this width: no cap on the steps, but
+    # ITP takes at most one more than bisection would
     result = verify_mvt(parse("x^2"), Interval(-1e150, 1e150))
     assert isinstance(result, Applicable)
     assert result.method is Method.BRACKET_BISECT
-    assert result.iterations > 200
+    assert result.iterations <= math.ceil(math.log2(2e150 / 1e-10)) + 1
     assert abs(2.0 * result.c - result.m) <= 1e-8
     assert result.residual == abs(2.0 * result.c - result.m)
 
@@ -277,44 +277,97 @@ def test_mvt_negative_power_closed_form():
 # grid of Config.samples points.
 
 
-def _count_derivative_calls(monkeypatch):
-    """Count calls of the f' that the pipeline compiles."""
-    calls = [0]
-    compile_evaluator = theorem.compile_evaluator
+def _count_derivative_calls(monkeypatch, f):
+    """Count evaluations of f' (``calls``), walked or compiled, and the
+    compilations of f' (``compiles``)."""
+    counts = {"calls": 0, "compiles": 0}
+    compile_evaluator, evaluate = theorem.compile_evaluator, theorem.evaluate
 
     def counting_compile(e):
+        counts["compiles"] += 1
         deriv = compile_evaluator(e)
 
         def counted(t):
-            calls[0] += 1
+            counts["calls"] += 1
             return deriv(t)
 
         return counted
 
+    def counting_evaluate(e, t):
+        # the pipeline walks f itself only for the secant slope or Rolle's
+        # precondition
+        counts["calls"] += e is not f
+        return evaluate(e, t)
+
     monkeypatch.setattr(theorem, "compile_evaluator", counting_compile)
-    return calls
+    monkeypatch.setattr(theorem, "evaluate", counting_evaluate)
+    return counts
 
 
 def test_coarse_bracket_spends_few_derivative_evaluations(monkeypatch):
     # a full scan alone spends 1024 evaluations before bisection starts
-    calls = _count_derivative_calls(monkeypatch)
-    result = verify_mvt(parse("sin(x)"), Interval(0.0, math.pi / 2))
+    f = parse("sin(x)")
+    counts = _count_derivative_calls(monkeypatch, f)
+    result = verify_mvt(f, Interval(0.0, math.pi / 2))
     assert isinstance(result, Applicable)
     assert result.method is Method.BRACKET_BISECT
     assert result.c == pytest.approx(ARCCOS_2_OVER_PI, abs=1e-9)
-    assert calls[0] < 100
+    assert counts["calls"] <= 20
+    # that few evaluations cost less walked than compiled
+    assert counts["compiles"] == 0
 
 
 def test_no_coarse_bracket_costs_at_most_the_coarse_levels(monkeypatch):
     # no level has a sign change: the coarse levels (3 + 5 + ... + 65 = 132
     # points) come on top of the full grid and the golden-section probes
     # (64 steps, 2 starting probes, 1 final evaluation)
-    calls = _count_derivative_calls(monkeypatch)
+    f = parse("x^3")
+    counts = _count_derivative_calls(monkeypatch, f)
     cfg = Config()
-    result = verify_rolle(parse("x^3"), Interval(-7e-5, 8e-5), cfg)
+    result = verify_rolle(f, Interval(-7e-5, 8e-5), cfg)
     assert isinstance(result, Applicable)
     assert result.method is Method.RESIDUAL_MIN
-    assert cfg.samples < calls[0] <= cfg.samples + 132 + 64 + 3
+    assert cfg.samples < counts["calls"] <= cfg.samples + 132 + 64 + 3
+    assert counts["compiles"] == 1
+
+
+def test_degenerate_constant_compiles_the_derivative_once(monkeypatch):
+    # f' - m vanishes everywhere: every coarse level and the full grid are
+    # scanned, far past the evaluations worth walking
+    f = parse("3*x + 1")
+    counts = _count_derivative_calls(monkeypatch, f)
+    result = verify_mvt(f, Interval(0.0, 2.0))
+    assert isinstance(result, Applicable)
+    assert result.method is Method.DEGENERATE_CONSTANT
+    assert counts["compiles"] == 1
+    assert counts["calls"] > theorem._WALK_BUDGET
+
+
+# verdicts that walk f', compile it at some point, or never evaluate it; the
+# 600-factor product's f' is too deep to walk and is compiled at once
+_TIERING_CORPUS = [
+    ("sin(x)", 0.0, math.pi / 2),
+    ("x^3", 0.0, 2.0),
+    ("x^2", -1e150, 1e150),
+    ("3*x + 1", 0.0, 2.0),
+    ("sqrt(x)", 0.0, 1.0),
+    ("x^3 - x", -1.0, 1.0),
+    ("sin(1/x)", 1e-3, 1.0),
+    ("1/x", -1.0, 1.0),
+    ("abs(x^2)", -1.0, 1.0),
+    ("exp(x) + sin(3*x)", -2.0, 2.0),
+    ("*".join(["x"] * 600), 0.5, 1.0),
+]
+
+
+@pytest.mark.parametrize("text, a, b", _TIERING_CORPUS)
+def test_verdicts_do_not_depend_on_the_walk_budget(monkeypatch, text, a, b):
+    f, iv = parse(text), Interval(a, b)
+    reprs = []
+    for budget in (0, 10**9):
+        monkeypatch.setattr(theorem, "_WALK_BUDGET", budget)
+        reprs.append((repr(verify_mvt(f, iv)), repr(verify_rolle(f, iv))))
+    assert reprs[0] == reprs[1]
 
 
 def test_coarse_level_brackets_a_zero_the_full_grid_misses():
