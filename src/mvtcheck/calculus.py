@@ -25,7 +25,7 @@ from .expr import (
     integer_exponent,
     postorder,
 )
-from .numeric import Bracket, Evaluator, Interval, bisect, midpoint, sample
+from .numeric import Bracket, Evaluator, Interval, bisect, grid, midpoint, sample
 
 __all__ = [
     "Verdict",
@@ -43,6 +43,9 @@ _WITNESS_EPS = 1e-12
 # largest magnitude) without a confirmed crossing is suspected of a
 # tangential touch
 _SUSPICION_RATIO = 1e-4
+# fewest grid intervals in a cell that interval bounds try to clear: one
+# enclose costs about as much as scanning 34 grid points
+_MIN_CELL = 32
 
 
 class Verdict(Enum):
@@ -176,6 +179,23 @@ def simplify(e: Expr) -> Expr:
     return e
 
 
+def _simplified(e: Expr, memo: dict[int, Expr]) -> Expr:
+    """simplify(e), with what each node simplifies to kept in ``memo`` by
+    node id, so a node asked for again is simplified once.  The memo costs
+    simplify itself about a quarter more time, so simplify keeps none."""
+    key = id(e)
+    if key not in memo:
+        if isinstance(e, Neg):
+            memo[key] = _neg(_simplified(e.child, memo))
+        elif isinstance(e, Binary):
+            memo[key] = _binary(e.op, _simplified(e.left, memo), _simplified(e.right, memo))
+        elif isinstance(e, Call):
+            memo[key] = _call(e.fn, _simplified(e.argument, memo))
+        else:
+            memo[key] = e
+    return memo[key]
+
+
 # node builders for simplify and _derivative: each folds one node whose
 # operands are already simplified, so a tree built bottom-up is simplified
 
@@ -244,6 +264,8 @@ def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
     out: list[tuple[Expr, WitnessKind, bool]] = []
     # ids of the nodes with x below them: postorder yields children first
     has_x: set[int] = set()
+    # simplify's memo, shared by every exponent: nested powers fold once
+    simplified: dict[int, Expr] = {}
     for node in postorder([e]):
         if isinstance(node, Binary):
             if id(node.left) in has_x or id(node.right) in has_x:
@@ -253,7 +275,7 @@ def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
             elif node.op == "^":
                 # the exponent's value decides, as in the evaluators: folding
                 # gives it wherever it is the same at every x
-                exponent = simplify(node.right)
+                exponent = _simplified(node.right, simplified)
                 n = integer_exponent(exponent.value) if isinstance(exponent, Constant) else None
                 if n is not None:
                     if n < 0:
@@ -297,16 +319,18 @@ def _unwrap_abs(e: Expr) -> Expr:
 
 
 def _scan_zeros(
-    xs: list[float], values: list[float | None], evaluator: Callable[[], Evaluator]
+    xs: list[float], values: list[float | None], evaluator: Callable[[], Evaluator], cleared: list[float]
 ) -> tuple[list[float], list[float], bool]:
     """Locate zeros of a hazard's inner expression: (crossings, touches, suspected).
 
-    ``values`` is the inner expression on the grid ``xs`` (None where it is
-    undefined); ``evaluator`` returns it compiled, for the root search.
+    ``values`` is the inner expression on the grid points ``xs`` (None where
+    it is undefined); ``evaluator`` returns it compiled, for the root search.
+    ``cleared`` holds the nearest and farthest |value| that interval bounds
+    allow on each grid cell left out of ``xs``.
     Crossings are strict sign changes refined by the root search (plus exact-zero
     samples whose neighbours have strictly opposite signs); touches are
     exact-zero samples without a sign change; ``suspected`` flags a
-    near-zero minimum that could hide a tangential touch.
+    near-zero minimum over the whole grid that could hide a tangential touch.
     """
     crossings: list[float] = []
     touches: list[float] = []
@@ -330,7 +354,7 @@ def _scan_zeros(
         crossings.append(root)
     if crossings or touches:
         return crossings, touches, False
-    valid = [abs(v) for v in values if v is not None]
+    valid = [abs(v) for v in values if v is not None] + cleared
     return crossings, touches, not valid or not _clear_of_zero(min(valid), max(valid))
 
 
@@ -342,8 +366,60 @@ def _verdict(witnessed: bool, doubted: bool) -> Verdict:
 def _clear_of_zero(lo: float, hi: float) -> bool:
     """Whether values within [lo, hi] stay so far from 0 that _scan_zeros
     finds no crossing and no touch and suspects none."""
-    near, far = (lo, hi) if lo > 0.0 else (-hi, -lo)
+    near, far = _magnitudes(lo, hi)
     return near > _SUSPICION_RATIO * max(1.0, far)
+
+
+def _magnitudes(lo: float, hi: float) -> tuple[float, float]:
+    """(nearest, farthest) distance from 0 of the values within [lo, hi]
+    that lie on one side of 0; the nearest is not positive otherwise."""
+    return (lo, hi) if lo > 0.0 else (-hi, -lo)
+
+
+def _clears(bounds: list[tuple[float, float]] | None) -> bool:
+    """Whether ``enclose`` bounds on e and its hazards prove e finite and
+    every hazard clear of zero."""
+    return bounds is not None and all(_clear_of_zero(*box) for box in bounds[1:])
+
+
+def _triage(roots: list[Expr], iv: Interval, samples: int) -> tuple[list[int], list[list[float]]]:
+    """The grid rows that interval bounds cannot clear, and per hazard the
+    magnitudes its bounds allow on the rows they clear.
+
+    The grid's index range is halved into cells [lo, hi] that share their
+    end point, and a cell is cleared where ``enclose`` over [xs[lo], xs[hi]]
+    proves e finite and every hazard clear of zero.  A half that is not
+    cleared is halved again only where its sibling was cleared, and while
+    it has at least 2 * _MIN_CELL grid intervals: where bounds fail on
+    both halves, they tend to fail on every smaller cell too.
+    """
+    uncleared: list[tuple[int, int]] = []
+    cleared: list[list[float]] = [[] for _ in roots[1:]]
+
+    def halve(lo: int, hi: int) -> None:
+        mid = (lo + hi) // 2
+        x_lo, x_mid, x_hi = grid(iv, samples, (lo, mid, hi))
+        halves = ((lo, mid), (mid, hi))
+        bounds = (enclose(roots, x_lo, x_mid), enclose(roots, x_mid, x_hi))
+        clear = [_clears(b) for b in bounds]
+        for cell, box, ok, sibling_ok in zip(halves, bounds, clear, clear[::-1]):
+            if ok:
+                for magnitudes, hazard_box in zip(cleared, box[1:]):
+                    magnitudes += _magnitudes(*hazard_box)
+            elif sibling_ok and cell[1] - cell[0] >= 2 * _MIN_CELL:
+                halve(*cell)
+            else:
+                uncleared.append(cell)
+
+    if samples - 1 >= 2 * _MIN_CELL:
+        halve(0, samples - 1)
+    else:
+        uncleared.append((0, samples - 1))
+    rows: list[int] = []
+    for lo, hi in sorted(uncleared):
+        # neighbouring cells share their end point
+        rows += range(lo + 1 if rows and rows[-1] == lo else lo, hi + 1)
+    return rows, cleared
 
 
 _WITNESS_KIND = {
@@ -372,17 +448,34 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     The scan is skipped, and the report is YES, YES without witnesses,
     where interval bounds (:func:`~mvtcheck.expr.enclose`) prove that ``e``
     is finite on [a,b] and that every hazard's inner expression stays too
-    far from zero for the scan to find or suspect a zero.
+    far from zero for the scan to find or suspect a zero.  Where they
+    cannot, the grid is halved into cells of grid points, neighbours
+    sharing their end point, and bounds are tried on each half; an
+    uncleared half is halved again only where its sibling cleared, down to
+    cells of _MIN_CELL grid intervals.  The scan then evaluates the grid
+    points of the uncleared cells only: the same points as the full grid,
+    so it finds the same crossings, touches and undefined points.  Whether
+    a hazard comes suspiciously near zero is judged over the whole grid,
+    with the cleared cells' bounds standing in for their points, which can
+    only add doubt.  Where every cell clears, the report is YES, YES if
+    their bounds together clear every hazard, and the whole grid is
+    scanned otherwise.
     """
     hazards = _collect_hazards(e)
     roots = [e, *(inner for inner, _, _ in hazards)]
-    bounds = enclose(roots, iv.a, iv.b)
-    if bounds is not None and all(_clear_of_zero(*box) for box in bounds[1:]):
+    if _clears(enclose(roots, iv.a, iv.b)):
         return SmoothnessReport(Verdict.YES, Verdict.YES, ())
+    rows, cleared = _triage(roots, iv, samples)
+    if not rows:
+        if all(_clear_of_zero(min(m), max(m)) for m in cleared):
+            return SmoothnessReport(Verdict.YES, Verdict.YES, ())
+        # each cell is clear of zero, but not all of them together
+        rows, cleared = range(samples), [[] for _ in hazards]
     # every hazard's inner expression but tan's cos(u) is a subexpression
     # of e, and cos(u) fails only where tan(u) does: the scan raises exactly
-    # where e does, with e's error, and records that row in scan.failures
-    scan = sample(compile_outputs(roots), iv, samples)
+    # where e does, with e's error, and records that row in scan.failures.
+    # Cleared cells hold no such row, and no zero or sign change of a hazard
+    scan = sample(compile_outputs(roots), iv, samples, rows)
     xs = scan.xs
     blank = (None,) * len(roots)
     columns = list(zip(*(row or blank for row in scan.values)))
@@ -394,7 +487,7 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     # where e is undefined at more than half of the grid, no hazard is scanned
     scanned = hazards if len(undefined) <= samples // 2 else []
 
-    for (inner, kind, zero_undefined), column in zip(scanned, columns[1:]):
+    for (inner, kind, zero_undefined), column, magnitudes in zip(scanned, columns[1:], cleared):
         # the hazard's own evaluator, compiled on first use
         evaluator = functools.cache(functools.partial(compile_evaluator, inner))
         values = list(column)
@@ -404,7 +497,7 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
                 values[i] = evaluator()(xs[i])
             except DomainError:
                 pass
-        crossings, touches, suspected = _scan_zeros(xs, values, evaluator)
+        crossings, touches, suspected = _scan_zeros(xs, values, evaluator, magnitudes)
 
         if kind is WitnessKind.ABS_KINK:
             # only a confirmed sign change of the argument is a kink:

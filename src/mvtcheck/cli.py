@@ -9,6 +9,7 @@ Exit codes: 0 = applicable/success, 2 = not applicable or unknown,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -53,6 +54,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# built on first use, not at import, and kept: parse_args leaves it as it was
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="mvtcheck",

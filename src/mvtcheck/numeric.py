@@ -23,6 +23,7 @@ __all__ = [
     "Samples",
     "opposite_or_zero",
     "midpoint",
+    "grid",
     "sample",
     "first_bracket",
     "bisect",
@@ -115,7 +116,7 @@ class SamplePoint(Record):
 
 
 class Samples(Sequence):
-    """A uniform scan kept as columns.
+    """A scan of uniform grid points kept as columns.
 
     ``xs`` holds the grid points, ``values`` what the evaluator returned at
     each one (None where it raised DomainError) and ``failures`` the
@@ -142,17 +143,29 @@ class Samples(Sequence):
         return SamplePoint(x, self.values[rows], None if kind is None else DomainError(x, kind))
 
 
-def sample(f: Callable[[float], Any], iv: Interval, n: int) -> Samples:
-    """Evaluate ``f`` at ``n`` uniformly spaced points including both endpoints.
-
-    Per-point DomainErrors are recorded by kind on the result, not raised.
+def grid(iv: Interval, n: int, rows: Sequence[int] | None = None) -> list[float]:
+    """The ``n`` uniformly spaced points of ``iv``, both endpoints included,
+    or those at the increasing grid indices ``rows``.
     """
     if n < 2:
         raise ValueError("need at least two sample points")
     step = iv.width / (n - 1)
-    xs = [iv.a + i * step for i in range(n - 1)]
+    if rows is None:
+        rows = range(n)
+    xs = [iv.a + i * step for i in rows]
     # the last point is b itself, so the grid ends exactly at the endpoint
-    xs.append(iv.b)
+    if rows and rows[-1] == n - 1:
+        xs[-1] = iv.b
+    return xs
+
+
+def sample(f: Callable[[float], Any], iv: Interval, n: int, rows: Sequence[int] | None = None) -> Samples:
+    """Evaluate ``f`` on the points of :func:`grid` ``(iv, n, rows)``.
+
+    The result's rows are the points evaluated, in order.  Per-point
+    DomainErrors are recorded by kind on the result, not raised.
+    """
+    xs = grid(iv, n, rows)
     values: list[Any] = []
     failures: dict[int, DomainErrorKind] = {}
     append = values.append

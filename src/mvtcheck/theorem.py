@@ -13,7 +13,7 @@ import math
 from enum import Enum
 
 from .calculus import Verdict, analyze_smoothness, differentiate
-from .expr import DomainError, Expr, Record, compile_evaluator, evaluate
+from .expr import Constant, DomainError, Expr, Record, compile_evaluator, evaluate
 from .numeric import Evaluator, Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
 
 __all__ = [
@@ -187,7 +187,15 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     else:
         m = m_forced
 
-    deriv = _tiered(differentiate(f))
+    d = differentiate(f)
+    if isinstance(d, Constant):
+        # g = f' - m is one number: the scans below would find no sign
+        # change, and end on the degenerate path or on this residual
+        residual = abs(d.value - m)
+        if residual <= EPS_RES:
+            return Applicable(midpoint(iv.a, iv.b), m, d.value, residual, 0, Method.DEGENERATE_CONSTANT)
+        return _no_sign_change(residual)
+    deriv = _tiered(d)
 
     def g(t: float) -> float:
         return deriv(t) - m
@@ -244,9 +252,11 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     c, fpc, residual, steps = _golden_min(deriv, m, lo, hi, xs[best_idx], values[best_idx])
     if residual <= EPS_RES:
         return Applicable(c, m, fpc, residual, steps, Method.RESIDUAL_MIN)
-    return Unknown(
-        f"no sign change at sample resolution; smallest residual {residual:.3e} exceeds tolerance"
-    )
+    return _no_sign_change(residual)
+
+
+def _no_sign_change(residual: float) -> Unknown:
+    return Unknown(f"no sign change at sample resolution; smallest residual {residual:.3e} exceeds tolerance")
 
 
 def _tiered(d: Expr) -> Evaluator:

@@ -29,7 +29,7 @@ from mvtcheck.expr import (
     parse,
     postorder,
 )
-from mvtcheck.numeric import Interval
+from mvtcheck.numeric import Interval, sample
 from mvtcheck.theorem import Config
 
 from oracles import central_difference
@@ -547,6 +547,102 @@ def test_scan_runs_where_bounds_cannot_clear(text, a, b):
     assert report.continuous_on_closed is not Verdict.YES
 
 
+@given(
+    st.one_of(grammar_exprs(), smooth_exprs()),
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=1e-6, max_value=60.0),
+    st.sampled_from([33, 97, 1024]),
+)
+@settings(deadline=None)
+def test_cleared_cells_change_no_witness_and_only_add_doubt(e, a, width, samples):
+    iv = Interval(a, a + width)
+    report, full = analyze_smoothness(e, iv, samples), _scanned(e, iv, samples)
+    assert report.witnesses == full.witnesses
+    for verdict, scanned in (
+        (report.continuous_on_closed, full.continuous_on_closed),
+        (report.differentiable_on_open, full.differentiable_on_open),
+    ):
+        assert verdict is scanned or (scanned is Verdict.YES and verdict is Verdict.UNKNOWN)
+
+
+def _scanned_points(e, iv, samples):
+    """analyze_smoothness's report, and how many grid points its scan evaluated."""
+    points = []
+
+    def counted(*args):
+        scan = sample(*args)
+        points.append(len(scan.xs))
+        return scan
+
+    with mock.patch.object(calculus, "sample", counted):
+        report = analyze_smoothness(e, iv, samples)
+    return report, sum(points)
+
+
+@pytest.mark.parametrize(
+    "text, a, b, most",
+    [
+        # a pole and a kink inside: one cell of 32 grid intervals is scanned
+        ("1/x", -1.0, 1.1, 33),
+        ("abs(x - 0.3)", -1.0, 1.0, 33),
+        # a log boundary: left of it bounds fail on every cell
+        ("ln(x + 0.6)", -1.0, 1.0, 256),
+        # f overflows around 0.7 only: the undefined points, the first of
+        # them the witness, lie in the uncleared cells
+        ("exp(800*(1 - 4*(x - 0.7)^2))", -1.0, 1.0, 257),
+        # the divisor gets within 1e-12 of zero at b: only the last cell is
+        # scanned, and the cleared ones are in the suspicion
+        ("1/(x - 1.000000000001)", 0.0, 1.0, 33),
+    ],
+)
+def test_scan_covers_only_the_cells_bounds_cannot_clear(text, a, b, most):
+    e, iv = parse(text), Interval(a, b)
+    report, points = _scanned_points(e, iv, SAMPLES)
+    assert report == _scanned(e, iv, SAMPLES)
+    assert report.continuous_on_closed is not Verdict.YES or report.differentiable_on_open is not Verdict.YES
+    assert 0 < points <= most
+
+
+@pytest.mark.parametrize(
+    "text, a, b",
+    [
+        # the hazard touches zero, or comes within 1e-20 of it, between two
+        # grid points: only its smallest sampled magnitude against the
+        # largest over the whole grid, the cleared cells' bounds included,
+        # leaves continuity in doubt
+        ("sqrt((x - 0.312)^2)", -0.998, 1.266),
+        ("1/((x - 0.222)^2 + 1e-20)", -0.969, 1.09),
+        ("sqrt((x - (-0.956))^2)", -2.31, 0.124),
+    ],
+)
+def test_cleared_cells_count_towards_the_suspicion_of_a_zero(text, a, b):
+    e, iv = parse(text), Interval(a, b)
+    report, points = _scanned_points(e, iv, 97)
+    assert points < 97
+    assert report.continuous_on_closed is Verdict.UNKNOWN
+    assert report == _scanned(e, iv, 97)
+
+
+def test_cells_that_clear_only_one_by_one_send_the_whole_grid_to_the_scan():
+    # both halves clear, but together their bounds reach 1 + 1.5*9900,
+    # where 1 is too near zero; the grid's largest value is 1 + 9900
+    e, iv = parse("1/(1 + 9900*x*(2 - x))"), Interval(0.0, 1.0)
+    report, points = _scanned_points(e, iv, SAMPLES)
+    assert points == SAMPLES
+    assert report == _scanned(e, iv, SAMPLES) == SmoothnessReport(Verdict.YES, Verdict.YES, ())
+
+
+def test_bounds_that_fail_on_both_halves_are_not_split_further():
+    # a root boundary at 0.266 and the interval reaching far past it: every
+    # cell right of it fails, so only the two halves are tried
+    e, iv = parse("-0.5*x + 0.636*sqrt(0.266 - x)"), Interval(-0.423, 2.041)
+    with mock.patch.object(calculus, "enclose", wraps=calculus.enclose) as bounds:
+        report = analyze_smoothness(e, iv, SAMPLES)
+    assert bounds.call_count <= 3
+    assert report == _scanned(e, iv, SAMPLES)
+    assert report.continuous_on_closed is Verdict.NO
+
+
 # --- records ----------------------------------------------------------------
 
 
@@ -632,3 +728,37 @@ def test_hazards_of_a_deep_nest_match_their_first_definition():
     hazards = calculus._collect_hazards(e)
     assert hazards == _hazards_by_rewalking(e)
     assert len(hazards) > 100
+
+
+def test_hazards_of_deeply_nested_powers_match_their_first_definition():
+    # (x+1)^((x+1)^(...)), 200 levels: each exponent is folded once, in
+    # the walk, where simplify per exponent was quadratic in the depth
+    e = Variable()
+    for _ in range(200):
+        e = Binary("^", Binary("+", Variable(), Constant(1.0)), e)
+    hazards = calculus._collect_hazards(e)
+    assert hazards == _hazards_by_rewalking(e)
+    assert len(hazards) == 200
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # exponents with x that fold to a constant all the same
+        "x^sin(x*0)",
+        "x^(-(0*x) - 2)",
+        "x^(ln(1 + 0*x) + 0.5)",
+        "x^(1*(x*0 + 2))",
+        "x^((x*0)^1 - 3)",
+        # a zero factor folds away even a factor that fails to fold
+        "x^(0^-1 * 0)",
+        # exponents that do not fold
+        "x^(x^0)",
+        "x^(0^-1 + 1)",
+        "(x - 1)^(2^(1/2))",
+    ],
+)
+def test_hazards_of_folding_exponents_match_their_first_definition(text):
+    e = parse(text)
+    assert calculus._collect_hazards(e) == _hazards_by_rewalking(e)
+

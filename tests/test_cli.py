@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvtcheck import cli
 from mvtcheck.cli import (
     MVT_DOES_NOT_APPLY,
     UnsupportedFormat,
@@ -222,6 +223,37 @@ def test_verify_samples_above_cap_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
+
+
+# help, usage errors and one command of each kind
+_REPEATED_ARGV = [
+    ["--help"],
+    ["verify", "--help"],
+    ["verify", "--f", "x^2"],
+    ["frobnicate"],
+    ["verify", "--f", "sin(x)", "--a", "0", "--b", "pi/2", "--json"],
+    ["verify", "--f", "-x^2", "--a", "-1", "--b", "2", "--mode", "rolle"],
+    ["diff", "--f", "x^3"],
+    ["eval", "--f", "x^2", "--x", "3"],
+]
+
+
+def test_repeated_runs_reuse_one_parser_and_answer_alike(capsys):
+    def outcomes():
+        seen = []
+        for argv in _REPEATED_ARGV:
+            code = run(argv)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    cli._build_parser.cache_clear()
+    first = outcomes()
+    second = outcomes()
+    assert second == first
+    assert [code for code, _, _ in first] == [0, 0, 1, 1, 0, 2, 0, 0]
+    assert "usage: mvtcheck" in first[0][1] and "error:" in first[2][2]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_verify_json_round_trip(capsys):

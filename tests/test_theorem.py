@@ -1,13 +1,15 @@
 import copy
 import math
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvtcheck import theorem
-from mvtcheck.expr import Binary, Constant, DomainError, Variable, compile_evaluator, evaluate, parse
+from mvtcheck.calculus import differentiate
+from mvtcheck.expr import Binary, Constant, DomainError, Neg, Variable, compile_evaluator, evaluate, parse
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import (
     EPS_RES,
@@ -333,14 +335,74 @@ def test_no_coarse_bracket_costs_at_most_the_coarse_levels(monkeypatch):
 
 def test_degenerate_constant_compiles_the_derivative_once(monkeypatch):
     # f' - m vanishes everywhere: every coarse level and the full grid are
-    # scanned, far past the evaluations worth walking
-    f = parse("3*x + 1")
+    # scanned, far past the evaluations worth walking.  f' is
+    # ((x + x) - (x + x)) + 3, which does not fold to a constant
+    f = parse("x*x - x*x + 3*x + 1")
     counts = _count_derivative_calls(monkeypatch, f)
     result = verify_mvt(f, Interval(0.0, 2.0))
     assert isinstance(result, Applicable)
     assert result.method is Method.DEGENERATE_CONSTANT
     assert counts["compiles"] == 1
     assert counts["calls"] > theorem._WALK_BUDGET
+
+
+def test_constant_derivative_is_neither_evaluated_nor_compiled(monkeypatch):
+    f = parse("3*x + 1")
+    counts = _count_derivative_calls(monkeypatch, f)
+    result = verify_mvt(f, Interval(0.0, 2.0))
+    assert result == Applicable(1.0, 3.0, 3.0, 0.0, 0, Method.DEGENERATE_CONSTANT)
+    assert counts == {"calls": 0, "compiles": 0}
+
+
+def _never_constant(f):
+    # f' as differentiate gives it, but -(-k) for a constant k: the same
+    # value at every x, and the pipeline scans it as it scans any f'
+    d = differentiate(f)
+    return Neg(Neg(d)) if isinstance(d, Constant) else d
+
+
+_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "text, a, b",
+    [
+        ("3*x + 1", 0.0, 2.0),
+        ("-x", -1.0, 1.0),
+        ("5", 0.0, 1.0),
+        ("0*x + 7", -3.0, 4.0),
+        ("1e-9*x", 0.0, 1.0),
+        # the slope rounds away from 0.1, within EPS_RES
+        ("0.1*x", 0.3, 0.7),
+        # the slope misses 1e300 by more than EPS_RES
+        ("1e300*x", 0.1, 0.3),
+        ("x", 0.525946434186146, 0.5259464341861467),
+        # f(b) - f(a) over b - a rounds to m = inf and m = -inf
+        (f"{_MAX!r}*x", 0.75, 0.7500000000000004),
+        (f"-{_MAX!r}*x", 0.75, 0.7500000000000004),
+    ],
+)
+def test_constant_derivative_answers_as_the_scans_did(text, a, b):
+    f, iv = parse(text), Interval(a, b)
+    calls = [
+        lambda: verify_mvt(f, iv),
+        lambda: verify_mvt(f, iv, Config(samples=2)),
+        lambda: verify_mvt(f, iv, Config(samples=97)),
+        lambda: verify_rolle(f, iv),
+    ]
+    shortcut = [repr(call()) for call in calls]
+    with mock.patch.object(theorem, "differentiate", _never_constant):
+        scanned = [repr(call()) for call in calls]
+    assert shortcut == scanned
+
+
+def test_constant_derivative_with_infinite_slope_is_unknown():
+    f = parse(f"{_MAX!r}*x")
+    iv = Interval(0.75, 0.7500000000000004)
+    assert secant_slope(f, iv) == math.inf
+    assert verify_mvt(f, iv) == Unknown(
+        "no sign change at sample resolution; smallest residual inf exceeds tolerance"
+    )
 
 
 # verdicts that walk f', compile it at some point, or never evaluate it; the
