@@ -175,6 +175,8 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_diff(ns) -> int:
+    # differentiate's result is already folded: simplify is kept only because
+    # bench/mvtbench/tracer.py times it here, until ROADMAP item 6
     print(format_expr(simplify(differentiate(parse(ns.f)))))
     return 0
 

@@ -367,20 +367,15 @@ def _format_number(v: float) -> str:
 # --- evaluation -------------------------------------------------------------
 #
 # The tree-walking evaluator is the reference: _eval, with _div and _pow for
-# the two risky operators.  The compiled code calls none of them but _pow for
-# exponents that are not literal integers: _statements writes each operation
-# inline, as the same float operations in the same order, followed by the
-# same tests in the same order, so it computes the same bits and raises the
-# same DomainError from the same node.  Where that is not plain, it is
-# because:
-#   - _repeat starts from 1.0 and 1.0 * u is u, so u * u * ... * u is its
-#     product;
-#   - literals are finite, and so is x past the compiled code's entry test
-#     and a temporary past its first finiteness test, so no finiteness test
-#     is written for any of these;
-#   - both evaluators call the same functions of math, and both map a
-#     ValueError or OverflowError raised anywhere inside them to NON_FINITE,
-#     as only those functions (math.exp in _pow included) raise either.
+# the two risky operators.  The compiled code calls _div and _pow as well, so
+# each rule of division and of powers is stated once, there.  The one
+# exception is a literal exponent that _pow multiplies out to k >= 1: it is
+# written out as u * ... * u, which is _repeat's product (that starts from
+# 1.0, and 1.0 * u is u), with one finiteness test after it, which raises
+# what _pow's tests do, since a non-finite base gives a non-finite product.
+# Both evaluators call the same functions of math, and both map a ValueError
+# or OverflowError raised anywhere inside them to NON_FINITE, as only those
+# functions (math.exp in _pow included) raise either.
 
 # what ``fn(u)`` calls, in both evaluators
 _LIBM = {
@@ -499,10 +494,8 @@ def compile_evaluator(e: Expr) -> Callable[[float], float]:
     DomainError behaviour); it exists because the verification pipeline
     evaluates expressions at thousands of sample points.
     """
-    body, (out,), finite = _lower([e])
-    if out not in finite:
-        body.append(_raise_if(_not_finite(out), "NON_FINITE"))
-    return _compile([*body, f"return {out}"])
+    body, (out,) = _lower([e])
+    return _compile([*body, f"if not -inf < {out} < inf: raise DomainError(x, NON_FINITE)", f"return {out}"])
 
 
 def compile_outputs(exprs: Sequence[Expr]) -> Callable[[float], tuple[float | None, ...]]:
@@ -515,8 +508,8 @@ def compile_outputs(exprs: Sequence[Expr]) -> Callable[[float], tuple[float | No
     expressions are given, so when the first expression contains all the
     others, the error is the one ``evaluate`` raises for it.
     """
-    body, outs, finite = _lower(exprs)
-    values = ", ".join(o if o in finite else f"(None if {_not_finite(o)} else {o})" for o in outs)
+    body, outs = _lower(exprs)
+    values = ", ".join(f"({o} if -inf < {o} < inf else None)" for o in outs)
     return _compile([*body, f"return ({values},)"])
 
 
@@ -539,6 +532,7 @@ def _compile(body: list[str]) -> Callable:
     namespace: dict[str, object] = {
         "isfinite": math.isfinite,
         "inf": math.inf,
+        "_div": _div,
         "_pow": _pow,
         "DomainError": DomainError,
         "ValueError": ValueError,
@@ -551,45 +545,60 @@ def _compile(body: list[str]) -> Callable:
     return namespace["_compiled"]  # type: ignore[return-value]
 
 
-def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str], set[str]]:
-    """Straight-line SSA statements computing ``roots``, each root's operand,
-    and the operands known to be finite past the statements.
+def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str]]:
+    """Straight-line SSA statements computing ``roots``, and each root's operand.
 
     Nodes are lowered in :func:`postorder`, so no depth of nesting limits
     the lowering.  Every distinct subtree becomes the statements of one
     temporary ``tN``; structurally equal subtrees have equal operation texts
-    and share it.  Constants are inlined as literals (``repr`` keeps the
-    sign of zero apart) and the variable is ``x``.  Literals, ``x`` and every
-    operand already tested for finiteness are known to be finite, so no
-    operand is tested twice.
+    and share it.  A written-out power is keyed by its ``_pow`` text, not its
+    product's, so it never shares the temporary of a product without the
+    power's finiteness test.  Constants are inlined as literals (``repr``
+    keeps the sign of zero apart) and the variable is ``x``.
     """
     body: list[str] = []
     temps: dict[str, str] = {}  # operation text -> its temporary
     operands: dict[int, str] = {}  # id(node) -> operand text
-    finite = {"x"}  # the compiled code tests x on entry
     for node in postorder(roots):
         if isinstance(node, Constant):
             operands[id(node)] = f"({node.value!r})"
-            finite.add(operands[id(node)])
-        elif isinstance(node, Variable):
+            continue
+        if isinstance(node, Variable):
             operands[id(node)] = "x"
+            continue
+        args = [operands[id(c)] for c in _children(node)]
+        if isinstance(node, Neg):
+            operation = f"-{args[0]}"
+        elif isinstance(node, Call):
+            operation = f"{node.fn}({args[0]})"
+        elif node.op in "+-*":
+            operation = f"{args[0]} {node.op} {args[1]}"
         else:
-            args = [operands[id(c)] for c in _children(node)]
-            if isinstance(node, Neg):
-                operation = f"-{args[0]}"
-            elif isinstance(node, Binary):
-                operation = f"{args[0]} {node.op} {args[1]}"
+            operation = f"{'_div' if node.op == '/' else '_pow'}({args[0]}, {args[1]}, x)"
+        name = temps.get(operation)
+        if name is None:
+            name = temps[operation] = f"t{len(temps)}"
+            if isinstance(node, Call) and node.fn in _DOMAIN_TESTS:
+                test, kind = _DOMAIN_TESTS[node.fn]
+                body.append(f"if {args[0]} {test}: raise DomainError(x, {kind})")
+            k = _multiplied_out(node)
+            if k is None:
+                body.append(f"{name} = {operation}")
             else:
-                operation = f"{node.fn}({args[0]})"
-            name = temps.get(operation)
-            if name is None:
-                name = temps[operation] = f"t{len(temps)}"
-                lines = _statements(node, args, name, finite)
-                if lines[-1] == _raise_if(_not_finite(name), "NON_FINITE"):
-                    finite.add(name)
-                body += lines
-            operands[id(node)] = name
-    return body, [operands[id(root)] for root in roots], finite
+                body.append(f"{name} = {' * '.join([args[0]] * k)}")
+                body.append(f"if not -inf < {name} < inf: raise DomainError(x, NON_FINITE)")
+        operands[id(node)] = name
+    return body, [operands[id(root)] for root in roots]
+
+
+def _multiplied_out(e: Expr) -> int | None:
+    """k where ``e`` is a power ``u ^ k`` of a literal exponent that _pow
+    multiplies out to k >= 1, else None."""
+    if isinstance(e, Binary) and e.op == "^" and isinstance(e.right, Constant):
+        k = integer_exponent(e.right.value)
+        if k is not None and k >= 1:
+            return k
+    return None
 
 
 def postorder(roots: Iterable[Expr]) -> Iterator[Expr]:
@@ -623,68 +632,6 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, Call):
         return (e.argument,)
     return ()
-
-
-def _statements(e: Expr, args: list[str], t: str, finite: set[str]) -> list[str]:
-    """Statements setting ``t`` to the value of ``e`` from its operands.
-
-    They raise the DomainError that :func:`_eval` raises at ``e``, from the
-    same tests in the same order: those of ``_div``, ``_pow`` and the ln
-    and sqrt domains.  A finiteness test of an operand in ``finite`` could
-    not fire and is left out; an operand the statements test is added.
-    """
-    if isinstance(e, Neg):
-        return [f"{t} = -{args[0]}"]
-    if isinstance(e, Call):
-        (a,) = args
-        tests = []
-        if e.fn in _DOMAIN_TESTS:
-            test, kind = _DOMAIN_TESTS[e.fn]
-            tests.append(_raise_if(f"{a} {test}", kind))
-        return [*tests, f"{t} = {e.fn}({a})"]
-    left, right = args
-    if e.op in "+-*":
-        return [f"{t} = {left} {e.op} {right}"]
-    if e.op == "/":
-        finite_tests = _finite_tests(args, finite)
-        if not (isinstance(e.right, Constant) and e.right.value != 0.0):
-            finite_tests.append(_raise_if(f"{right} == 0.0", "DIVISION_BY_ZERO"))
-        return [*finite_tests, f"{t} = {left} / {right}", _raise_if(_not_finite(t), "NON_FINITE")]
-    n = integer_exponent(e.right.value) if isinstance(e.right, Constant) else None
-    if n is None:
-        return [f"{t} = _pow({left}, {right}, x)"]
-    if n == 0:
-        return [*_finite_tests(args, finite), f"{t} = 1.0"]
-    product = f"{t} = {' * '.join([left] * abs(n))}"
-    if n > 0:
-        # a non-finite base gives a non-finite product, so the one test
-        # after it raises what _pow's test of the base does
-        return [product, _raise_if(_not_finite(t), "NON_FINITE")]
-    # 1.0 / inf is 0.0: the base is tested first, as _pow does
-    return [
-        *_finite_tests(args, finite),
-        product,
-        _raise_if(f"{t} == 0.0", "DIVISION_BY_ZERO"),
-        f"{t} = 1.0 / {t}",
-        _raise_if(_not_finite(t), "NON_FINITE"),
-    ]
-
-
-def _finite_tests(operands: list[str], finite: set[str]) -> list[str]:
-    tests = []
-    for v in operands:
-        if v not in finite:
-            tests.append(_raise_if(_not_finite(v), "NON_FINITE"))
-            finite.add(v)
-    return tests
-
-
-def _not_finite(v: str) -> str:
-    return f"not -inf < {v} < inf"
-
-
-def _raise_if(condition: str, kind: str) -> str:
-    return f"if {condition}: raise DomainError(x, {kind})"
 
 
 # --- interval bounds ----------------------------------------------------------

@@ -106,6 +106,8 @@ class BisectionState(Record):
         object.__setattr__(self, "iterations", iterations)
 
 
+# kept only for bench/mvtbench/tracer.py, which reads scans row by row, until
+# the library records its own trace (ROADMAP item 6)
 class SamplePoint(Record):
     __slots__ = ("x", "value", "error")
 
@@ -134,6 +136,7 @@ class Samples(Sequence):
     def __len__(self) -> int:
         return len(self.xs)
 
+    # kept only for bench/mvtbench/tracer.py, as SamplePoint is
     def __getitem__(self, index):
         rows = range(len(self.xs))[index]
         if isinstance(rows, range):

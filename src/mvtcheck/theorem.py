@@ -45,7 +45,7 @@ EPS_ROLLE = 1e-12
 _COARSE_MAX = 65
 # evaluations of f' by tree walk before it is compiled: just under the
 # break-even, the compile cost over what compiling saves per evaluation,
-# which is 43 to 46 over the smooth benchmark workload (ratio of medians,
+# which is 41 to 43 over the smooth benchmark workload (ratio of medians,
 # Python 3.11.7, 2 vCPUs).  By the ski-rental rule a verdict then pays at
 # most about twice what the cheaper choice would have cost
 _WALK_BUDGET = 40
@@ -309,12 +309,14 @@ def _tighten_residual(deriv, m, root, state):
     fpc = deriv(root)
     residual = abs(fpc - m)
     left, right = state.c_left, state.c_right
-    g_left = deriv(left) - m
+    g_left = None  # g at left, evaluated at the first halving
     extra = 0
     while residual > EPS_RES:
         mid = midpoint(left, right)
         if mid <= left or mid >= right:
             break
+        if g_left is None:
+            g_left = deriv(left) - m
         dm = deriv(mid)
         extra += 1
         gm = dm - m

@@ -7,7 +7,8 @@ it never reads, every ``__all__`` entry is defined in its module, no
 module takes a midpoint as ``0.5 * (u + v)``, no module but ``expr`` compares a value
 with 64, the largest exponent ``^`` multiplies out, ``calculus`` reads its
 near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
-``Verdict.UNKNOWN`` in ``_verdict`` only, no module imports
+``Verdict.UNKNOWN`` in ``_verdict`` only, ``expr`` names
+``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only, no module imports
 ``dataclasses``, and the README lists exactly the names the package exports.  One test imports the
 package in a fresh interpreter to check what the import loads.
 """
@@ -290,6 +291,29 @@ def test_smoothness_verdicts_are_derived_in_verdict_only(name):
     # flags through _verdict, so a NO always comes with its witness
     reads = list(_reads(_tree(ROOT / "src" / "mvtcheck" / "calculus.py"), name))
     assert reads and [f"line {line}: {function}" for function, line in reads if function != "_verdict"] == []
+
+
+def _mentions(tree, name):
+    """(enclosing top-level function or None, line) of each read of ``name``
+    as a name or an attribute, and of each string constant holding it."""
+    for top in tree.body:
+        function = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if (
+                (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.Constant) and isinstance(node.value, str) and name in node.value)
+            ):
+                yield function, node.lineno
+
+
+def test_division_and_pole_rules_are_stated_in_div_and_pow_only():
+    # both evaluators call _div and _pow, so the rules of division by zero
+    # and of zero raised to a negative power are stated once; code written
+    # for the compiler must not restate them
+    mentions = list(_mentions(_tree(ROOT / "src" / "mvtcheck" / "expr.py"), "DIVISION_BY_ZERO"))
+    outside = [f"line {line}: {function}" for function, line in mentions if function not in ("_div", "_pow")]
+    assert mentions and outside == []
 
 
 def test_readme_lists_the_exported_names():

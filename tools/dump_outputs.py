@@ -1,0 +1,103 @@
+"""Print every output of mvtcheck on the benchmark's seeded inputs, one line each.
+
+Run from anywhere, with the workload and one or more seeds:
+
+    python3 tools/dump_outputs.py smooth 1 2 3 > after.txt
+    diff before.txt after.txt
+
+Each line is one JSON list: the workload, seed and input index, then
+
+- for ``smooth`` and ``hazard``: the input text, the ``repr`` of the
+  verdict at ``samples`` 1024 and at 97, and ``format_expr`` of the
+  derivative;
+- for ``cli``: the command line, the exit code, standard output, standard
+  error and the SHA-256 of the plot file the command wrote (None without
+  one).
+
+A call that raises prints the exception's ``repr`` in place of its
+output.  Two runs that print the same lines gave the same verdicts, the
+same numbers and the same files.  mvtcheck is imported from the ``src/``
+next to this directory, and the inputs come from ``bench/mvtbench/gen.py``,
+which is read and not changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from mvtbench.gen import WORKLOADS, generate  # noqa: E402
+
+import mvtcheck  # noqa: E402
+from mvtcheck.cli import run  # noqa: E402
+
+SAMPLES = (1024, 97)
+
+
+def _attempt(call, show=repr) -> str:
+    try:
+        return show(call())
+    except Exception as exc:  # an exception is an output like any other
+        return repr(exc)
+
+
+def library_lines(workload: str, seed: int):
+    for index, case in enumerate(generate(workload, seed)):
+        f = mvtcheck.parse(case.text)
+        iv = mvtcheck.Interval(case.a, case.b)
+        verify = mvtcheck.verify_rolle if case.rolle else mvtcheck.verify_mvt
+        verdicts = [_attempt(lambda n=n: verify(f, iv, mvtcheck.Config(samples=n))) for n in SAMPLES]
+        derivative = _attempt(lambda: mvtcheck.differentiate(f), mvtcheck.format_expr)
+        yield [workload, seed, index, case.text, *verdicts, derivative]
+
+
+def cli_lines(seed: int):
+    # plots go to relative paths in a scratch directory, so no output
+    # depends on where that directory is
+    with tempfile.TemporaryDirectory() as scratch:
+        here = os.getcwd()
+        os.chdir(scratch)
+        try:
+            for index, case in enumerate(generate("cli", seed)):
+                argv = list(case.argv)
+                if case.plot:
+                    argv += ["--plot", f"plot{index}{case.plot}"]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = _attempt(lambda: run(argv))
+                digest = None
+                if case.plot and os.path.exists(argv[-1]):
+                    with open(argv[-1], "rb") as handle:
+                        digest = hashlib.sha256(handle.read()).hexdigest()
+                    os.unlink(argv[-1])
+                yield ["cli", seed, index, argv, code, out.getvalue(), err.getvalue(), digest]
+        finally:
+            os.chdir(here)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 2 or argv[0] not in WORKLOADS:
+        print(f"usage: dump_outputs.py {{{','.join(WORKLOADS)}}} SEED [SEED ...]", file=sys.stderr)
+        return 2
+    if os.path.dirname(os.path.abspath(mvtcheck.__file__)) != os.path.join(ROOT, "src", "mvtcheck"):
+        print(f"error: imported mvtcheck from {mvtcheck.__file__}", file=sys.stderr)
+        return 2
+    workload = argv[0]
+    for seed in map(int, argv[1:]):
+        lines = cli_lines(seed) if workload == "cli" else library_lines(workload, seed)
+        for line in lines:
+            print(json.dumps(line))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
