@@ -25,7 +25,7 @@ from .expr import (
     integer_exponent,
     postorder,
 )
-from .numeric import Bracket, Evaluator, Interval, bisect, grid, midpoint, sample
+from .numeric import Bracket, Evaluator, Interval, bisect, grid, midpoint, sample, tiered
 
 __all__ = [
     "Verdict",
@@ -256,12 +256,25 @@ def _fold(node: Expr) -> Constant | None:
 
 # --- smoothness analysis ----------------------------------------------------
 
+# a hazard: (inner, kind, zero_undefined), as _collect_hazards describes it
+_Hazard = tuple[Expr, WitnessKind, bool]
+# an argument of ln, sqrt or a power's base, and what builds the node that
+# applies that domain rule to a given expression
+_Argument = tuple[Expr, Callable[[Expr], Expr]]
 
-def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
-    """(inner, kind, zero_undefined) per hazard: zeros of inner mark the
-    trouble spots, where f is undefined if zero_undefined (poles, ln,
-    powers) and may only lose its derivative if not (sqrt, abs)."""
-    out: list[tuple[Expr, WitnessKind, bool]] = []
+
+def _collect_hazards(e: Expr) -> tuple[list[_Hazard], list[_Argument]]:
+    """(inner, kind, zero_undefined) per hazard, and the arguments f is
+    undefined beyond.
+
+    Zeros of inner mark the trouble spots, where f is undefined if
+    zero_undefined (poles, ln, powers) and may only lose its derivative if
+    not (sqrt, abs).  The arguments are those of ln and sqrt and the bases
+    of powers by a constant exponent that ^ does not multiply out, each with
+    the node that applies its domain rule to a given value of it.
+    """
+    out: list[_Hazard] = []
+    arguments: list[_Argument] = []
     # ids of the nodes with x below them: postorder yields children first
     has_x: set[int] = set()
     # simplify's memo, shared by every exponent: nested powers fold once
@@ -283,13 +296,17 @@ def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
                         out.append((node.left, WitnessKind.POLE, True))
                 else:
                     out.append((node.left, WitnessKind.POWER_BOUNDARY, True))
+                    if isinstance(exponent, Constant):
+                        arguments.append((node.left, functools.partial(_power_of, exponent)))
         elif isinstance(node, Call):
             if id(node.argument) in has_x:
                 has_x.add(id(node))
             if node.fn == "ln":
                 out.append((node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
+                arguments.append((node.argument, functools.partial(Call, "ln")))
             elif node.fn == "sqrt":
                 out.append((node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, False))
+                arguments.append((node.argument, functools.partial(Call, "sqrt")))
             elif node.fn == "abs":
                 out.append((node.argument, WitnessKind.ABS_KINK, False))
             elif node.fn == "tan":
@@ -304,11 +321,16 @@ def _collect_hazards(e: Expr) -> list[tuple[Expr, WitnessKind, bool]]:
     # raises everywhere, which the scan reports, or it is no hazard at all.
     # abs(u) only touches 0, where u crosses it: where that zero leaves f
     # undefined, scan u, whose sign change the scan confirms between samples
-    return [
+    hazards = [
         (_unwrap_abs(inner) if zero_undefined else inner, kind, zero_undefined)
         for inner, kind, zero_undefined in out
         if id(inner) in has_x
     ]
+    return hazards, [(argument, rule) for argument, rule in arguments if id(argument) in has_x]
+
+
+def _power_of(exponent: Expr, base: Expr) -> Expr:
+    return Binary("^", base, exponent)
 
 
 def _unwrap_abs(e: Expr) -> Expr:
@@ -319,12 +341,12 @@ def _unwrap_abs(e: Expr) -> Expr:
 
 
 def _scan_zeros(
-    xs: list[float], values: list[float | None], evaluator: Callable[[], Evaluator], cleared: list[float]
+    xs: list[float], values: list[float | None], evaluator: Evaluator, cleared: list[float]
 ) -> tuple[list[float], list[float], bool]:
     """Locate zeros of a hazard's inner expression: (crossings, touches, suspected).
 
     ``values`` is the inner expression on the grid points ``xs`` (None where
-    it is undefined); ``evaluator`` returns it compiled, for the root search.
+    it is undefined); ``evaluator`` evaluates it for the root search.
     ``cleared`` holds the nearest and farthest |value| that interval bounds
     allow on each grid cell left out of ``xs``.
     Crossings are strict sign changes refined by the root search (plus exact-zero
@@ -347,7 +369,7 @@ def _scan_zeros(
         if u is None or v is None or u == 0.0 or v == 0.0 or (u < 0.0) == (v < 0.0):
             continue
         try:
-            root, _ = bisect(evaluator(), Bracket(x, y, u, v), _WITNESS_EPS)
+            root, _ = bisect(evaluator, Bracket(x, y, u, v), _WITNESS_EPS)
         except DomainError:
             # the sign change itself is confirmed; settle for the midpoint
             root = midpoint(x, y)
@@ -382,16 +404,18 @@ def _clears(bounds: list[tuple[float, float]] | None) -> bool:
     return bounds is not None and all(_clear_of_zero(*box) for box in bounds[1:])
 
 
-def _triage(roots: list[Expr], iv: Interval, samples: int) -> tuple[list[int], list[list[float]]]:
-    """The grid rows that interval bounds cannot clear, and per hazard the
-    magnitudes its bounds allow on the rows they clear.
+def _triage(roots: list[Expr], iv: Interval, samples: int) -> tuple[list[tuple[int, int]], list[list[float]]]:
+    """The cells of grid rows that interval bounds cannot clear, and per
+    hazard the magnitudes its bounds allow on the rows they clear.
 
     The grid's index range is halved into cells [lo, hi] that share their
     end point, and a cell is cleared where ``enclose`` over [xs[lo], xs[hi]]
     proves e finite and every hazard clear of zero.  A half that is not
     cleared is halved again only where its sibling was cleared, and while
     it has at least 2 * _MIN_CELL grid intervals: where bounds fail on
-    both halves, they tend to fail on every smaller cell too.
+    both halves, they tend to fail on every smaller cell too.  The cells
+    come in order; :func:`_proven_undefined` then finds those where f is
+    undefined throughout, which the scan may count rather than sample.
     """
     uncleared: list[tuple[int, int]] = []
     cleared: list[list[float]] = [[] for _ in roots[1:]]
@@ -415,11 +439,72 @@ def _triage(roots: list[Expr], iv: Interval, samples: int) -> tuple[list[int], l
         halve(0, samples - 1)
     else:
         uncleared.append((0, samples - 1))
+    return sorted(uncleared), cleared
+
+
+def _rows(cells: list[tuple[int, int]]) -> list[int]:
+    """The grid rows of ``cells``, in order; neighbouring cells share their end point."""
     rows: list[int] = []
-    for lo, hi in sorted(uncleared):
-        # neighbouring cells share their end point
+    for lo, hi in cells:
         rows += range(lo + 1 if rows and rows[-1] == lo else lo, hi + 1)
-    return rows, cleared
+    return rows
+
+
+def _proven_undefined(arguments: list[_Argument], iv: Interval, samples: int, cells: list[tuple[int, int]]) -> set[int]:
+    """The rows of ``cells`` where f is provably undefined, if they are more
+    than half of the grid; else none.
+
+    f is undefined throughout a cell where bounds on one of its arguments
+    there leave the domain of its rule: the evaluators evaluate every node,
+    so the rule is applied at every grid point.  ln, sqrt and a power by a
+    non-integer exponent each reject every value below the least they
+    accept, so the rule rejecting the upper bound proves the whole cell.
+    Where it rejects only the lower bound, the boundary lies inside, and
+    the cell is halved down to _MIN_CELL grid intervals to prove the part
+    beyond it.  Nothing is tried where the cells hold at most half of the
+    grid.
+    """
+    half = samples // 2
+    proven: set[int] = set()
+
+    def prove(lo: int, hi: int) -> None:
+        every, some = _rejected(arguments, *grid(iv, samples, (lo, hi)))
+        if every:
+            proven.update(range(lo, hi + 1))
+        elif some and hi - lo >= 2 * _MIN_CELL:
+            mid = (lo + hi) // 2
+            prove(lo, mid)
+            prove(mid, hi)
+
+    if arguments and len(_rows(cells)) > half:
+        for cell in cells:
+            prove(*cell)
+    return proven if len(proven) > half else set()
+
+
+def _rejected(arguments: list[_Argument], a: float, b: float) -> tuple[bool, bool]:
+    """Whether the domain rule of some argument rejects every value that
+    bounds on the argument allow for x in [a, b], and whether one rejects
+    the lower bound."""
+    some = False
+    for argument, rule in arguments:
+        bounds = enclose([argument], a, b)
+        if bounds is not None:
+            lo, hi = bounds[0]
+            if _fails(rule(Constant(hi))):
+                return True, True
+            some = some or _fails(rule(Constant(lo)))
+    return False, some
+
+
+def _fails(node: Expr) -> bool:
+    """Whether ``node``, over constants, fails its domain rule: evaluating
+    it raises, and not for a non-finite value."""
+    try:
+        evaluate(node, 0.0)
+    except DomainError as err:
+        return err.kind is not DomainErrorKind.NON_FINITE
+    return False
 
 
 _WITNESS_KIND = {
@@ -438,12 +523,12 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     abs arguments, non-integer-power bases, tan arguments) and confirms
     their zeros numerically on a grid of ``samples`` points with root-search
     refinement.  One scan evaluates ``e`` and every hazard's inner
-    expression together.  Verdicts are three-valued: hazards that cannot be
-    confirmed or ruled out at sample resolution yield UNKNOWN rather than
-    a guess.  A function that fails to evaluate at a sample point is
-    reported as not continuous at the first failing point, unless a
-    hazard's witness explains the failures and at most half of the points
-    fail.
+    expression together, at points where ``e`` is undefined as well.
+    Verdicts are three-valued: hazards that cannot be confirmed or ruled out
+    at sample resolution yield UNKNOWN rather than a guess.  A function that
+    fails to evaluate at a sample point is reported as not continuous at
+    the first failing point, unless a hazard's witness explains the
+    failures and at most half of the points fail.
 
     The scan is skipped, and the report is YES, YES without witnesses,
     where interval bounds (:func:`~mvtcheck.expr.enclose`) prove that ``e``
@@ -460,26 +545,35 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     only add doubt.  Where every cell clears, the report is YES, YES if
     their bounds together clear every hazard, and the whole grid is
     scanned otherwise.
+
+    Uncleared cells where bounds on a ln or sqrt argument or a non-integer
+    power's base prove ``e`` undefined are counted, not scanned, when they
+    hold more than half of the grid: then no hazard is scanned, and the
+    report reads only the first and the first interior undefined points.
     """
-    hazards = _collect_hazards(e)
+    hazards, arguments = _collect_hazards(e)
     roots = [e, *(inner for inner, _, _ in hazards)]
     if _clears(enclose(roots, iv.a, iv.b)):
         return SmoothnessReport(Verdict.YES, Verdict.YES, ())
-    rows, cleared = _triage(roots, iv, samples)
-    if not rows:
+    cells, cleared = _triage(roots, iv, samples)
+    if not cells:
         if all(_clear_of_zero(min(m), max(m)) for m in cleared):
             return SmoothnessReport(Verdict.YES, Verdict.YES, ())
         # each cell is clear of zero, but not all of them together
-        rows, cleared = range(samples), [[] for _ in hazards]
-    # every hazard's inner expression but tan's cos(u) is a subexpression
-    # of e, and cos(u) fails only where tan(u) does: the scan raises exactly
-    # where e does, with e's error, and records that row in scan.failures.
-    # Cleared cells hold no such row, and no zero or sign change of a hazard
-    scan = sample(compile_outputs(roots), iv, samples, rows)
+        cells, cleared = [(0, samples - 1)], [[] for _ in hazards]
+    proven = _proven_undefined(arguments, iv, samples, cells)
+    rows = [i for i in _rows(cells) if i not in proven]
+    # each hazard's value is bit-identical to its own evaluation, None where
+    # that fails, at e's undefined points too; only a row where a function
+    # of math raised is None for all and recorded in scan.failures.  Cleared
+    # cells hold no undefined row, and no zero or sign change of a hazard.
+    # Where proven rows are most of the grid, no hazard is scanned
+    outputs = [e] if proven else roots
+    scan = sample(compile_outputs(outputs), iv, samples, rows)
     xs = scan.xs
-    blank = (None,) * len(roots)
-    columns = list(zip(*(row or blank for row in scan.values)))
-    undefined = [i for i, v in enumerate(columns[0]) if v is None]
+    blank = (None,) * len(outputs)
+    columns = list(zip(*(row or blank for row in scan.values))) or [()] * len(outputs)
+    undefined = sorted(proven.union(row for row, v in zip(rows, columns[0]) if v is None))
 
     witnesses: list[Witness] = []
     # set where the scan can neither confirm nor rule out a witness
@@ -488,13 +582,12 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     scanned = hazards if len(undefined) <= samples // 2 else []
 
     for (inner, kind, zero_undefined), column, magnitudes in zip(scanned, columns[1:], cleared):
-        # the hazard's own evaluator, compiled on first use
-        evaluator = functools.cache(functools.partial(compile_evaluator, inner))
+        evaluator = _evaluator(inner)
         values = list(column)
-        # where e raised, the scan has no values: evaluate the hazard alone
+        # where a function of math aborted the row, evaluate the hazard alone
         for i in scan.failures:
             try:
-                values[i] = evaluator()(xs[i])
+                values[i] = evaluator(xs[i])
             except DomainError:
                 pass
         crossings, touches, suspected = _scan_zeros(xs, values, evaluator, magnitudes)
@@ -515,18 +608,29 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
             doubt_continuity = doubt_differentiability = True
 
     if undefined and not any(w.breaks_continuity for w in witnesses):
-        # e raised where no hazard's zero accounts for it (an overflow, say),
-        # or at more than half of the grid: witnesses at the first undefined
-        # point and the first interior one
+        # e is undefined where no hazard's zero accounts for it (an
+        # overflow, say), or at more than half of the grid: witnesses at the
+        # first undefined point and the first interior one
+        def point(row: int) -> float:
+            return grid(iv, samples, [row])[0]
+
         first = undefined[0]
-        interior = next((i for i in undefined if iv.contains_open(xs[i])), first)
+        interior = next((i for i in undefined if iv.contains_open(point(i))), first)
         # refuted if that point lies inside (a, b), in doubt otherwise
         doubt_differentiability = True
-        for i in (first, interior):
-            failure = scan.failures.get(i, DomainErrorKind.NON_FINITE)
-            witnesses.append(Witness(xs[i], _WITNESS_KIND[failure]))
+        f = _evaluator(e)
+        for x in (point(first), point(interior)):
+            try:
+                f(x)
+            except DomainError as err:
+                witnesses.append(Witness(x, _WITNESS_KIND[err.kind]))
 
     unique = sorted(set(witnesses), key=lambda w: (w.point, w.kind.value))
     continuous = _verdict(any(w.breaks_continuity for w in unique), doubt_continuity)
     differentiable = _verdict(any(iv.contains_open(w.point) for w in unique), doubt_differentiability)
     return SmoothnessReport(continuous, differentiable, tuple(unique))
+
+
+def _evaluator(e: Expr) -> Evaluator:
+    """``e`` walked as a tree, and compiled once the walks would cost more."""
+    return tiered(functools.partial(evaluate, e), functools.partial(compile_evaluator, e))

@@ -367,15 +367,16 @@ def _format_number(v: float) -> str:
 # --- evaluation -------------------------------------------------------------
 #
 # The tree-walking evaluator is the reference: _eval, with _div and _pow for
-# the two risky operators.  The compiled code calls _div and _pow as well, so
-# each rule of division and of powers is stated once, there.  The one
-# exception is a literal exponent that _pow multiplies out to k >= 1: it is
-# written out as u * ... * u, which is _repeat's product (that starts from
-# 1.0, and 1.0 * u is u), with one finiteness test after it, which raises
-# what _pow's tests do, since a non-finite base gives a non-finite product.
-# Both evaluators call the same functions of math, and both map a ValueError
-# or OverflowError raised anywhere inside them to NON_FINITE, as only those
-# functions (math.exp in _pow included) raise either.
+# the two risky operators and _DOMAINS for ln and sqrt.  _div and _pow return
+# an _Undefined NaN where they fail, and the compiled code calls them as
+# well, so each rule of division and of powers is stated once, there.  The
+# one exception is a literal exponent that _pow multiplies out to k >= 1: it
+# is written out as u * ... * u, which is _repeat's product (that starts
+# from 1.0, and 1.0 * u is u), with one finiteness test after it, which
+# fails where _pow's tests do, since a non-finite base gives a non-finite
+# product.  Both evaluators call the same functions of math, and both map a
+# ValueError or OverflowError raised anywhere inside them to NON_FINITE, as
+# only those functions (math.exp in _pow included) raise either.
 
 # what ``fn(u)`` calls, in both evaluators
 _LIBM = {
@@ -388,15 +389,39 @@ _LIBM = {
     "abs": math.fabs,
 }
 
+# the least argument at which ln and sqrt are defined, and how they fail
+# below it: ln below the least positive float, sqrt below zero
+_DOMAINS = {
+    "ln": (math.ulp(0.0), DomainErrorKind.LOG_OF_NON_POSITIVE),
+    "sqrt": (0.0, DomainErrorKind.ROOT_OF_NEGATIVE),
+}
 
-def _div(num: float, den: float, x: float) -> float:
+
+class _Undefined(float):
+    """The NaN that _div and _pow return where they fail, with the kind of
+    the failure.  Arithmetic on it gives a plain NaN, and so does every
+    operation after that: a failure flows on to every result it feeds."""
+
+    __slots__ = ("kind",)
+
+    def __new__(cls, kind: DomainErrorKind):
+        out = super().__new__(cls, math.nan)
+        out.kind = kind
+        return out
+
+
+# by kind name, which hashes faster than the kind
+_UNDEFINED = {kind.name: _Undefined(kind) for kind in DomainErrorKind}
+
+
+def _div(num: float, den: float) -> float:
     if not (math.isfinite(num) and math.isfinite(den)):
-        raise DomainError(x, DomainErrorKind.NON_FINITE)
+        return _UNDEFINED["NON_FINITE"]
     if den == 0.0:
-        raise DomainError(x, DomainErrorKind.DIVISION_BY_ZERO)
+        return _UNDEFINED["DIVISION_BY_ZERO"]
     out = num / den
     if not math.isfinite(out):
-        raise DomainError(x, DomainErrorKind.NON_FINITE)
+        return _UNDEFINED["NON_FINITE"]
     return out
 
 
@@ -418,21 +443,21 @@ def _repeat(base: float, k: int) -> float:
     return out
 
 
-def _pow(base: float, exponent: float, x: float) -> float:
+def _pow(base: float, exponent: float) -> float:
     if not (math.isfinite(base) and math.isfinite(exponent)):
-        raise DomainError(x, DomainErrorKind.NON_FINITE)
+        return _UNDEFINED["NON_FINITE"]
     n = integer_exponent(exponent)
     if n is not None:
         out = _repeat(base, abs(n))
         if n < 0:
             if out == 0.0:
-                raise DomainError(x, DomainErrorKind.DIVISION_BY_ZERO)
+                return _UNDEFINED["DIVISION_BY_ZERO"]
             out = 1.0 / out
         if not math.isfinite(out):
-            raise DomainError(x, DomainErrorKind.NON_FINITE)
+            return _UNDEFINED["NON_FINITE"]
         return out
     if base <= 0.0:
-        raise DomainError(x, DomainErrorKind.POWER_OF_NON_POSITIVE)
+        return _UNDEFINED["POWER_OF_NON_POSITIVE"]
     # math.exp may raise OverflowError: both callers map it to NON_FINITE
     return math.exp(exponent * math.log(base))
 
@@ -474,15 +499,15 @@ def _eval(e: Expr, x: float) -> float:
             return left - right
         if op == "*":
             return left * right
-        if op == "/":
-            return _div(left, right, x)
-        return _pow(left, right, x)
+        out = _div(left, right) if op == "/" else _pow(left, right)
+        if out.__class__ is _Undefined:
+            raise DomainError(x, out.kind)
+        return out
     if isinstance(e, Call):
         a = _eval(e.argument, x)
-        if e.fn == "ln" and a <= 0.0:
-            raise DomainError(x, DomainErrorKind.LOG_OF_NON_POSITIVE)
-        if e.fn == "sqrt" and a < 0.0:
-            raise DomainError(x, DomainErrorKind.ROOT_OF_NEGATIVE)
+        domain = _DOMAINS.get(e.fn)
+        if domain is not None and a < domain[0]:
+            raise DomainError(x, domain[1])
         return _LIBM[e.fn](a)
     raise TypeError(f"not an expression: {e!r}")
 
@@ -494,7 +519,7 @@ def compile_evaluator(e: Expr) -> Callable[[float], float]:
     DomainError behaviour); it exists because the verification pipeline
     evaluates expressions at thousands of sample points.
     """
-    body, (out,) = _lower([e])
+    body, (out,) = _lower([e], raising=True)
     return _compile([*body, f"if not -inf < {out} < inf: raise DomainError(x, NON_FINITE)", f"return {out}"])
 
 
@@ -502,19 +527,18 @@ def compile_outputs(exprs: Sequence[Expr]) -> Callable[[float], tuple[float | No
     """Compile several expressions into one evaluator returning all of them.
 
     The call returns one entry per expression: its value, bit-identical to
-    :func:`evaluate`, or None where that value is not finite.  Common
-    subexpressions are computed once.  A DomainError raised inside any of
-    the expressions aborts the call; statements run in the order the
-    expressions are given, so when the first expression contains all the
-    others, the error is the one ``evaluate`` raises for it.
+    :func:`evaluate`, or None exactly where :func:`evaluate` on that
+    expression raises DomainError or gives a value that is not finite.
+    Common subexpressions are computed once.  A failed rule of ``/``,
+    ``^``, ln or sqrt gives NaN, which flows on to every result it feeds,
+    so an undefined point costs no more than a defined one.  The call
+    raises DomainError (NON_FINITE) only where a function of math raises
+    (sin of an infinity, exp overflowing): that aborts it for every
+    expression.
     """
-    body, outs = _lower(exprs)
+    body, outs = _lower(exprs, raising=False)
     values = ", ".join(f"({o} if -inf < {o} < inf else None)" for o in outs)
     return _compile([*body, f"return ({values},)"])
-
-
-# arguments outside the real domain of ln and sqrt, tested before the call
-_DOMAIN_TESTS = {"ln": ("<= 0.0", "LOG_OF_NON_POSITIVE"), "sqrt": ("< 0.0", "ROOT_OF_NEGATIVE")}
 
 
 def _compile(body: list[str]) -> Callable:
@@ -532,8 +556,10 @@ def _compile(body: list[str]) -> Callable:
     namespace: dict[str, object] = {
         "isfinite": math.isfinite,
         "inf": math.inf,
+        "nan": math.nan,
         "_div": _div,
         "_pow": _pow,
+        "_Undefined": _Undefined,
         "DomainError": DomainError,
         "ValueError": ValueError,
         "OverflowError": OverflowError,
@@ -545,7 +571,7 @@ def _compile(body: list[str]) -> Callable:
     return namespace["_compiled"]  # type: ignore[return-value]
 
 
-def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str]]:
+def _lower(roots: Sequence[Expr], raising: bool) -> tuple[list[str], list[str]]:
     """Straight-line SSA statements computing ``roots``, and each root's operand.
 
     Nodes are lowered in :func:`postorder`, so no depth of nesting limits
@@ -555,6 +581,11 @@ def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str]]:
     product's, so it never shares the temporary of a product without the
     power's finiteness test.  Constants are inlined as literals (``repr``
     keeps the sign of zero apart) and the variable is ``x``.
+
+    Where an operation fails, its statements raise its DomainError if
+    ``raising``, and set its temporary to NaN otherwise.  A defined
+    operation runs the same statements either way, except that raising code
+    tests what ``_div`` and ``_pow`` return.
     """
     body: list[str] = []
     temps: dict[str, str] = {}  # operation text -> its temporary
@@ -574,21 +605,31 @@ def _lower(roots: Sequence[Expr]) -> tuple[list[str], list[str]]:
         elif node.op in "+-*":
             operation = f"{args[0]} {node.op} {args[1]}"
         else:
-            operation = f"{'_div' if node.op == '/' else '_pow'}({args[0]}, {args[1]}, x)"
+            operation = f"{'_div' if node.op == '/' else '_pow'}({args[0]}, {args[1]})"
         name = temps.get(operation)
         if name is None:
             name = temps[operation] = f"t{len(temps)}"
-            if isinstance(node, Call) and node.fn in _DOMAIN_TESTS:
-                test, kind = _DOMAIN_TESTS[node.fn]
-                body.append(f"if {args[0]} {test}: raise DomainError(x, {kind})")
-            k = _multiplied_out(node)
-            if k is None:
-                body.append(f"{name} = {operation}")
-            else:
-                body.append(f"{name} = {' * '.join([args[0]] * k)}")
-                body.append(f"if not -inf < {name} < inf: raise DomainError(x, NON_FINITE)")
+            body += _statements(node, name, operation, args[0], raising)
         operands[id(node)] = name
     return body, [operands[id(root)] for root in roots]
+
+
+def _statements(node: Expr, name: str, operation: str, first: str, raising: bool) -> list[str]:
+    # the statements of _lower that set ``name`` to ``node``'s value;
+    # ``first`` is the operand text of its first child
+    domain = _DOMAINS.get(node.fn) if isinstance(node, Call) else None
+    if domain is not None:
+        least, kind = domain
+        if raising:
+            return [f"if {first} < {least!r}: raise DomainError(x, {kind.name})", f"{name} = {operation}"]
+        return [f"{name} = nan if {first} < {least!r} else {operation}"]
+    k = _multiplied_out(node)
+    if k is not None:
+        fail = "raise DomainError(x, NON_FINITE)" if raising else f"{name} = nan"
+        return [f"{name} = {' * '.join([first] * k)}", f"if not -inf < {name} < inf: {fail}"]
+    if raising and isinstance(node, Binary) and node.op in "/^":
+        return [f"{name} = {operation}", f"if {name}.__class__ is _Undefined: raise DomainError(x, {name}.kind)"]
+    return [f"{name} = {operation}"]
 
 
 def _multiplied_out(e: Expr) -> int | None:
@@ -762,13 +803,13 @@ def _tan_bounds(lo: float, hi: float) -> Bounds | None:
 
 
 def _ln_bounds(lo: float, hi: float) -> Bounds | None:
-    if lo <= 0.0:
+    if lo < _DOMAINS["ln"][0]:
         return None
     return _widen(math.log(lo), math.log(hi))
 
 
 def _sqrt_bounds(lo: float, hi: float) -> Bounds | None:
-    if lo < 0.0:
+    if lo < _DOMAINS["sqrt"][0]:
         return None
     return math.sqrt(lo), math.sqrt(hi)
 

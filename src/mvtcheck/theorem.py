@@ -9,12 +9,13 @@ compiling it would cost less than walking it on.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
 from .calculus import Verdict, analyze_smoothness, differentiate
 from .expr import Constant, DomainError, Expr, Record, compile_evaluator, evaluate
-from .numeric import Evaluator, Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
+from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample, tiered
 
 __all__ = [
     "Config",
@@ -43,12 +44,6 @@ EPS_ROLLE = 1e-12
 
 # the finest dyadic level of the root scan before the full grid
 _COARSE_MAX = 65
-# evaluations of f' by tree walk before it is compiled: just under the
-# break-even, the compile cost over what compiling saves per evaluation,
-# which is 41 to 43 over the smooth benchmark workload (ratio of medians,
-# Python 3.11.7, 2 vCPUs).  By the ski-rental rule a verdict then pays at
-# most about twice what the cheaper choice would have cost
-_WALK_BUDGET = 40
 _GOLDEN_STEPS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -195,7 +190,9 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
         if residual <= EPS_RES:
             return Applicable(midpoint(iv.a, iv.b), m, d.value, residual, 0, Method.DEGENERATE_CONSTANT)
         return _no_sign_change(residual)
-    deriv = _tiered(d)
+    # walked as a tree until compiling it pays: a verdict that needs few
+    # evaluations of f' never compiles it
+    deriv = tiered(functools.partial(evaluate, d), functools.partial(compile_evaluator, d))
 
     def g(t: float) -> float:
         return deriv(t) - m
@@ -257,33 +254,6 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
 
 def _no_sign_change(residual: float) -> Unknown:
     return Unknown(f"no sign change at sample resolution; smallest residual {residual:.3e} exceeds tolerance")
-
-
-def _tiered(d: Expr) -> Evaluator:
-    """An evaluator of ``d`` that walks the tree for its first _WALK_BUDGET
-    calls and then compiles it once: a verdict that needs few evaluations of
-    f' never pays for compiling it.
-
-    Both evaluators return the same bits and raise the same DomainError, so
-    no result depends on the budget.  A tree too deep to walk within the
-    recursion limit is compiled at once.
-    """
-    compiled = None
-    walks = 0
-
-    def deriv(t: float) -> float:
-        nonlocal compiled, walks
-        if compiled is None:
-            if walks < _WALK_BUDGET:
-                walks += 1
-                try:
-                    return evaluate(d, t)
-                except RecursionError:
-                    pass
-            compiled = compile_evaluator(d)
-        return compiled(t)
-
-    return deriv
 
 
 def _bracket_root(g, deriv, m, br, eps_c) -> MvtResult:

@@ -634,11 +634,83 @@ def test_cells_that_clear_only_one_by_one_send_the_whole_grid_to_the_scan():
 
 def test_bounds_that_fail_on_both_halves_are_not_split_further():
     # a root boundary at 0.266 and the interval reaching far past it: every
-    # cell right of it fails, so only the two halves are tried
+    # cell right of it fails, so only the two halves are tried.  Bounds on
+    # sqrt's argument prove f undefined on the right half, grid rows 511 to
+    # 1023, and on rows left of it: more than half of the grid, so those
+    # rows are counted, not sampled
     e, iv = parse("-0.5*x + 0.636*sqrt(0.266 - x)"), Interval(-0.423, 2.041)
-    with mock.patch.object(calculus, "enclose", wraps=calculus.enclose) as bounds:
+    sampled = []
+
+    def recorded(f, iv, n, rows):
+        sampled.extend(rows)
+        return sample(f, iv, n, rows)
+
+    with mock.patch.object(calculus, "sample", recorded):
         report = analyze_smoothness(e, iv, SAMPLES)
-    assert bounds.call_count <= 3
+    assert sampled and max(sampled) < 511
+    assert report == _scanned(e, iv, SAMPLES)
+    assert report.continuous_on_closed is Verdict.NO
+
+
+def test_a_tree_too_deep_to_walk_reports_the_kind_of_its_failure():
+    # ln is undefined on three quarters of the grid, so the report reads
+    # f's failure at its first and first interior undefined points.  The
+    # sum is too deep to walk, so f is compiled there, and the kind stays
+    # the log boundary rather than becoming a non-finite value's pole
+    e = parse("+".join(["x"] * 1500) + " + ln(x - 0.5)")
+    report = analyze_smoothness(e, Interval(-1.0, 1.0), SAMPLES)
+    assert report.witnesses == (
+        Witness(-1.0, WitnessKind.LOG_OR_ROOT_BOUNDARY),
+        Witness(-0.9980449657869013, WitnessKind.LOG_OR_ROOT_BOUNDARY),
+    )
+    assert report.continuous_on_closed is report.differentiable_on_open is Verdict.NO
+
+
+def test_a_row_aborted_by_math_gives_each_hazard_its_own_value():
+    # exp(800*x) overflows right of 0.887, which aborts those rows of the
+    # scan; the pole at 0.95 lies among them, and each hazard is evaluated
+    # alone there
+    e, iv = parse("1/(x - 0.95) + exp(800*x)"), Interval(0.0, 1.0)
+    seen = []
+
+    def recorded(xs, values, evaluator, cleared):
+        seen.append((xs, values))
+        return scan_zeros(xs, values, evaluator, cleared)
+
+    scan_zeros = calculus._scan_zeros
+    with mock.patch.object(calculus, "_scan_zeros", recorded):
+        report = analyze_smoothness(e, iv, SAMPLES)
+    (xs, values), = seen
+    assert any(x > 0.95 for x in xs)
+    with pytest.raises(DomainError):
+        calculus.compile_outputs([e])(xs[-1])
+    assert [repr(v) for v in values] == [repr(_defined(e.left.right, x)) for x in xs]
+    assert report == _scanned(e, iv, SAMPLES)
+    assert report.witnesses == (Witness(0.95, WitnessKind.POLE),)
+
+
+def _defined(e, x):
+    try:
+        return evaluate(e, x)
+    except DomainError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "text, a, b",
+    [
+        ("-0.5*x + 0.636*sqrt(0.266 - x)", -0.423, 2.041),
+        ("1.972*(x + 1.193)^2.5 + 1/(x + 1.5) + ln(x + 2)", -1.873, -0.871),
+        ("ln(0.3 - x) + abs(x - 0.1) + tan(x)", -0.5, 1.5),
+        ("sqrt(-ln(x)) + (x - 0.9)^-1", 0.5, 3.0),
+    ],
+)
+def test_proven_undefined_rows_change_no_report(text, a, b):
+    # more than half of the grid is proven undefined and left out of the
+    # scan: the report is the one a scan of the whole grid gives
+    e, iv = parse(text), Interval(a, b)
+    report, points = _scanned_points(e, iv, SAMPLES)
+    assert points < SAMPLES - SAMPLES // 2
     assert report == _scanned(e, iv, SAMPLES)
     assert report.continuous_on_closed is Verdict.NO
 
@@ -705,7 +777,7 @@ def _hazards_by_rewalking(e):
 @settings(deadline=None, max_examples=200)
 @given(grammar_exprs(max_leaves=16))
 def test_hazards_match_their_first_definition(e):
-    assert calculus._collect_hazards(e) == _hazards_by_rewalking(e)
+    assert calculus._collect_hazards(e)[0] == _hazards_by_rewalking(e)
 
 
 def test_hazards_of_a_deep_nest_match_their_first_definition():
@@ -725,7 +797,7 @@ def test_hazards_of_a_deep_nest_match_their_first_definition():
             e = Call("tan", Binary("*", Constant(1e-3), e))
         else:
             e = Binary("+", e, Call("ln", Constant(float(level))))
-    hazards = calculus._collect_hazards(e)
+    hazards, _ = calculus._collect_hazards(e)
     assert hazards == _hazards_by_rewalking(e)
     assert len(hazards) > 100
 
@@ -736,9 +808,25 @@ def test_hazards_of_deeply_nested_powers_match_their_first_definition():
     e = Variable()
     for _ in range(200):
         e = Binary("^", Binary("+", Variable(), Constant(1.0)), e)
-    hazards = calculus._collect_hazards(e)
+    hazards, _ = calculus._collect_hazards(e)
     assert hazards == _hazards_by_rewalking(e)
     assert len(hazards) == 200
+
+
+def test_domain_arguments_are_the_real_ones():
+    # the argument of ln and sqrt and the base of a non-integer constant
+    # power, without x-free ones, and abs kept: ln(abs(u)) is undefined only
+    # where u is zero, so u's sign proves nothing
+    e = parse("ln(abs(x - 0.5)) + sqrt(x) + x^(1/2) + x^2 + x^x + ln(2)")
+    _, arguments = calculus._collect_hazards(e)
+    probes = [(format_expr(argument), format_expr(rule(Constant(-1.0)))) for argument, rule in arguments]
+    assert probes == [
+        ("abs((x - 0.5))", "ln((-1))"),
+        ("x", "sqrt((-1))"),
+        ("x", "((-1) ^ 0.5)"),
+    ]
+    iv = Interval(-1.0, 1.0)
+    assert analyze_smoothness(e, iv, SAMPLES) == _scanned(e, iv, SAMPLES)
 
 
 @pytest.mark.parametrize(
@@ -760,5 +848,5 @@ def test_hazards_of_deeply_nested_powers_match_their_first_definition():
 )
 def test_hazards_of_folding_exponents_match_their_first_definition(text):
     e = parse(text)
-    assert calculus._collect_hazards(e) == _hazards_by_rewalking(e)
+    assert calculus._collect_hazards(e)[0] == _hazards_by_rewalking(e)
 

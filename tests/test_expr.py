@@ -435,14 +435,15 @@ def test_compiled_code_matches_reference_at_the_edges(e, x):
         with pytest.raises(DomainError) as caught:
             compile_evaluator(e)(x)
         assert (caught.value.kind, str(caught.value)) == (err.kind, str(err))
-        # compile_outputs raises the same error, or gives None where the
-        # error is the root's own non-finite value
+        # compile_outputs gives None, or raises NON_FINITE where a function
+        # of math raised, which is what evaluate raises there too
         try:
             (value,) = compile_outputs([e])(x)
         except DomainError as inner:
             assert (inner.kind, str(inner)) == (err.kind, str(err))
+            assert err.kind is DomainErrorKind.NON_FINITE
         else:
-            assert value is None and err.kind is DomainErrorKind.NON_FINITE
+            assert value is None
     else:
         assert repr(compile_evaluator(e)(x)) == repr(expected)
         assert [repr(v) for v in compile_outputs([e])(x)] == [repr(expected)]
@@ -450,13 +451,15 @@ def test_compiled_code_matches_reference_at_the_edges(e, x):
 
 def test_a_power_keeps_its_test_beside_a_product_of_its_base():
     # x*x and x^2 compute the same product, which overflows at 1e200: the
-    # power raises there, as evaluate does, and the product does not
-    e = parse("x*x - x^2")
+    # power fails there, as evaluate does, and the product does not, so
+    # exp(-(x*x)) is exp(-inf) = 0.0 and exp(-(x^2)) is undefined
+    product, power = parse("exp(-(x*x))"), parse("exp(-(x^2))")
+    assert evaluate(product, 1e200) == 0.0
     with pytest.raises(DomainError) as expected:
-        evaluate(e, 1e200)
-    with pytest.raises(DomainError) as caught:
-        compile_outputs([e, e.right])(1e200)
-    assert caught.value.kind is expected.value.kind is DomainErrorKind.NON_FINITE
+        evaluate(power, 1e200)
+    assert expected.value.kind is DomainErrorKind.NON_FINITE
+    assert compile_outputs([product, power])(1e200) == (0.0, None)
+    assert compile_outputs([power, product])(1e200) == (None, 0.0)
 
 
 def _subtrees(e: Expr) -> list[Expr]:
@@ -492,11 +495,13 @@ def test_one_program_computes_every_output(e, data):
     for i, x in enumerate(scan.xs):
         row = scan.values[i]
         if row is None:
-            # the program stopped at e's first failing operation
-            with pytest.raises(DomainError) as err:
+            # a function of math raised, so e is undefined there too (with
+            # the error of its first failing operation, which may come first)
+            assert scan.failures[i] is DomainErrorKind.NON_FINITE
+            with pytest.raises(DomainError):
                 evaluate(e, x)
-            assert err.value.kind is scan.failures[i]
             continue
+        # every row where e fails is read too, and no output of it is lost
         for out, value in zip(outputs, row, strict=True):
             # None where undefined; bit-identical values, including zero sign
             assert repr(value) == repr(_reference(out, x))

@@ -8,7 +8,8 @@ module takes a midpoint as ``0.5 * (u + v)``, no module but ``expr`` compares a 
 with 64, the largest exponent ``^`` multiplies out, ``calculus`` reads its
 near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
 ``Verdict.UNKNOWN`` in ``_verdict`` only, ``expr`` names
-``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only, no module imports
+``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only and the ln and sqrt
+failures in ``_DOMAINS`` only, no module imports
 ``dataclasses``, and the README lists exactly the names the package exports.  One test imports the
 package in a fresh interpreter to check what the import loads.
 """
@@ -313,6 +314,24 @@ def test_division_and_pole_rules_are_stated_in_div_and_pow_only():
     # for the compiler must not restate them
     mentions = list(_mentions(_tree(ROOT / "src" / "mvtcheck" / "expr.py"), "DIVISION_BY_ZERO"))
     outside = [f"line {line}: {function}" for function, line in mentions if function not in ("_div", "_pow")]
+    assert mentions and outside == []
+
+
+@pytest.mark.parametrize("name", ["LOG_OF_NON_POSITIVE", "ROOT_OF_NEGATIVE"])
+def test_ln_and_sqrt_rules_are_stated_in_domains_only(name):
+    # the tree walk, both kinds of compiled code and the interval bounds read
+    # the least argument of ln and sqrt from _DOMAINS, so each rule is
+    # stated once
+    tree = _tree(ROOT / "src" / "mvtcheck" / "expr.py")
+    (table,) = [
+        node for node in tree.body
+        if isinstance(node, ast.Assign) and [_dotted(t) for t in node.targets] == ["_DOMAINS"]
+    ]
+    mentions = list(_mentions(tree, name))
+    outside = [
+        f"line {line}: {function}" for function, line in mentions
+        if function is not None or not table.lineno <= line <= table.end_lineno
+    ]
     assert mentions and outside == []
 
 

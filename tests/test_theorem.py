@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvtcheck import theorem
+from mvtcheck import numeric, theorem
 from mvtcheck.calculus import differentiate
 from mvtcheck.expr import Binary, Constant, DomainError, Neg, Variable, compile_evaluator, evaluate, parse
 from mvtcheck.numeric import Interval
@@ -343,7 +343,7 @@ def test_degenerate_constant_compiles_the_derivative_once(monkeypatch):
     assert isinstance(result, Applicable)
     assert result.method is Method.DEGENERATE_CONSTANT
     assert counts["compiles"] == 1
-    assert counts["calls"] > theorem._WALK_BUDGET
+    assert counts["calls"] > numeric._WALK_BUDGET
 
 
 def test_constant_derivative_is_neither_evaluated_nor_compiled(monkeypatch):
@@ -427,7 +427,7 @@ def test_verdicts_do_not_depend_on_the_walk_budget(monkeypatch, text, a, b):
     f, iv = parse(text), Interval(a, b)
     reprs = []
     for budget in (0, 10**9):
-        monkeypatch.setattr(theorem, "_WALK_BUDGET", budget)
+        monkeypatch.setattr(numeric, "_WALK_BUDGET", budget)
         reprs.append((repr(verify_mvt(f, iv)), repr(verify_rolle(f, iv))))
     assert reprs[0] == reprs[1]
 

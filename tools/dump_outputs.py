@@ -8,8 +8,8 @@ Run from anywhere, with the workload and one or more seeds:
 Each line is one JSON list: the workload, seed and input index, then
 
 - for ``smooth`` and ``hazard``: the input text, the ``repr`` of the
-  verdict at ``samples`` 1024 and at 97, and ``format_expr`` of the
-  derivative;
+  verdict at ``samples`` 1024 and at 97, ``format_expr`` of the
+  derivative, and the ``repr`` of ``analyze_smoothness`` at 1024 and at 97;
 - for ``cli``: the command line, the exit code, standard output, standard
   error and the SHA-256 of the plot file the command wrote (None without
   one).
@@ -38,6 +38,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from mvtbench.gen import WORKLOADS, generate  # noqa: E402
 
 import mvtcheck  # noqa: E402
+from mvtcheck.calculus import analyze_smoothness  # noqa: E402
 from mvtcheck.cli import run  # noqa: E402
 
 SAMPLES = (1024, 97)
@@ -57,7 +58,8 @@ def library_lines(workload: str, seed: int):
         verify = mvtcheck.verify_rolle if case.rolle else mvtcheck.verify_mvt
         verdicts = [_attempt(lambda n=n: verify(f, iv, mvtcheck.Config(samples=n))) for n in SAMPLES]
         derivative = _attempt(lambda: mvtcheck.differentiate(f), mvtcheck.format_expr)
-        yield [workload, seed, index, case.text, *verdicts, derivative]
+        reports = [_attempt(lambda n=n: analyze_smoothness(f, iv, n)) for n in SAMPLES]
+        yield [workload, seed, index, case.text, *verdicts, derivative, *reports]
 
 
 def cli_lines(seed: int):
