@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import Callable
 
 from .expr import (
     Binary,
@@ -258,23 +257,16 @@ def _fold(node: Expr) -> Constant | None:
 
 # a hazard: (inner, kind, zero_undefined), as _collect_hazards describes it
 _Hazard = tuple[Expr, WitnessKind, bool]
-# an argument of ln, sqrt or a power's base, and what builds the node that
-# applies that domain rule to a given expression
-_Argument = tuple[Expr, Callable[[Expr], Expr]]
 
 
-def _collect_hazards(e: Expr) -> tuple[list[_Hazard], list[_Argument]]:
-    """(inner, kind, zero_undefined) per hazard, and the arguments f is
-    undefined beyond.
+def _collect_hazards(e: Expr) -> list[_Hazard]:
+    """(inner, kind, zero_undefined) per hazard.
 
     Zeros of inner mark the trouble spots, where f is undefined if
     zero_undefined (poles, ln, powers) and may only lose its derivative if
-    not (sqrt, abs).  The arguments are those of ln and sqrt and the bases
-    of powers by a constant exponent that ^ does not multiply out, each with
-    the node that applies its domain rule to a given value of it.
+    not (sqrt, abs).
     """
     out: list[_Hazard] = []
-    arguments: list[_Argument] = []
     # ids of the nodes with x below them: postorder yields children first
     has_x: set[int] = set()
     # simplify's memo, shared by every exponent: nested powers fold once
@@ -296,17 +288,13 @@ def _collect_hazards(e: Expr) -> tuple[list[_Hazard], list[_Argument]]:
                         out.append((node.left, WitnessKind.POLE, True))
                 else:
                     out.append((node.left, WitnessKind.POWER_BOUNDARY, True))
-                    if isinstance(exponent, Constant):
-                        arguments.append((node.left, functools.partial(_power_of, exponent)))
         elif isinstance(node, Call):
             if id(node.argument) in has_x:
                 has_x.add(id(node))
             if node.fn == "ln":
                 out.append((node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
-                arguments.append((node.argument, functools.partial(Call, "ln")))
             elif node.fn == "sqrt":
                 out.append((node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, False))
-                arguments.append((node.argument, functools.partial(Call, "sqrt")))
             elif node.fn == "abs":
                 out.append((node.argument, WitnessKind.ABS_KINK, False))
             elif node.fn == "tan":
@@ -321,16 +309,11 @@ def _collect_hazards(e: Expr) -> tuple[list[_Hazard], list[_Argument]]:
     # raises everywhere, which the scan reports, or it is no hazard at all.
     # abs(u) only touches 0, where u crosses it: where that zero leaves f
     # undefined, scan u, whose sign change the scan confirms between samples
-    hazards = [
+    return [
         (_unwrap_abs(inner) if zero_undefined else inner, kind, zero_undefined)
         for inner, kind, zero_undefined in out
         if id(inner) in has_x
     ]
-    return hazards, [(argument, rule) for argument, rule in arguments if id(argument) in has_x]
-
-
-def _power_of(exponent: Expr, base: Expr) -> Expr:
-    return Binary("^", base, exponent)
 
 
 def _unwrap_abs(e: Expr) -> Expr:
@@ -404,42 +387,59 @@ def _clears(bounds: list[tuple[float, float]] | None) -> bool:
     return bounds is not None and all(_clear_of_zero(*box) for box in bounds[1:])
 
 
-def _triage(roots: list[Expr], iv: Interval, samples: int) -> tuple[list[tuple[int, int]], list[list[float]]]:
-    """The cells of grid rows that interval bounds cannot clear, and per
-    hazard the magnitudes its bounds allow on the rows they clear.
+def _triage(
+    roots: list[Expr], iv: Interval, samples: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[list[float]]]:
+    """The cells of grid rows that interval bounds leave to the scan, the
+    cells where they prove e undefined, and per hazard the magnitudes its
+    bounds allow on the cells they clear.
 
-    The grid's index range is halved into cells [lo, hi] that share their
-    end point, and a cell is cleared where ``enclose`` over [xs[lo], xs[hi]]
-    proves e finite and every hazard clear of zero.  A half that is not
-    cleared is halved again only where its sibling was cleared, and while
-    it has at least 2 * _MIN_CELL grid intervals: where bounds fail on
-    both halves, they tend to fail on every smaller cell too.  The cells
-    come in order; :func:`_proven_undefined` then finds those where f is
-    undefined throughout, which the scan may count rather than sample.
+    The whole grid is the first cell, and a cell [lo, hi] is halved into
+    two that share their middle row.  ``enclose`` over [xs[lo], xs[hi]]
+    settles a cell as cleared where it proves e finite and every hazard
+    clear of zero, and as undefined where it raises DomainError.  A cell
+    that is not settled is halved again only where its sibling settled (the
+    whole grid has none), and while it has at least 2 * _MIN_CELL grid
+    intervals: where bounds fail on both halves, they tend to fail on
+    every smaller cell too.  Both lists of cells come in order.
     """
-    uncleared: list[tuple[int, int]] = []
+    scanned: list[tuple[int, int]] = []
+    undefined: list[tuple[int, int]] = []
     cleared: list[list[float]] = [[] for _ in roots[1:]]
 
-    def halve(lo: int, hi: int) -> None:
+    def settle(cell: tuple[int, int], a: float, b: float) -> bool:
+        # whether bounds over [a, b] settle the cell, which is then recorded
+        try:
+            bounds = enclose(roots, a, b)
+        except DomainError:
+            undefined.append(cell)
+            return True
+        if not _clears(bounds):
+            return False
+        for magnitudes, box in zip(cleared, bounds[1:]):
+            magnitudes += _magnitudes(*box)
+        return True
+
+    def split(lo: int, hi: int) -> None:
+        # a cell that bounds did not settle, and whose sibling they did
+        if hi - lo < 2 * _MIN_CELL:
+            scanned.append((lo, hi))
+            return
         mid = (lo + hi) // 2
         x_lo, x_mid, x_hi = grid(iv, samples, (lo, mid, hi))
         halves = ((lo, mid), (mid, hi))
-        bounds = (enclose(roots, x_lo, x_mid), enclose(roots, x_mid, x_hi))
-        clear = [_clears(b) for b in bounds]
-        for cell, box, ok, sibling_ok in zip(halves, bounds, clear, clear[::-1]):
-            if ok:
-                for magnitudes, hazard_box in zip(cleared, box[1:]):
-                    magnitudes += _magnitudes(*hazard_box)
-            elif sibling_ok and cell[1] - cell[0] >= 2 * _MIN_CELL:
-                halve(*cell)
+        settled = (settle(halves[0], x_lo, x_mid), settle(halves[1], x_mid, x_hi))
+        for cell, done, sibling_done in zip(halves, settled, settled[::-1]):
+            if done:
+                continue
+            if sibling_done:
+                split(*cell)
             else:
-                uncleared.append(cell)
+                scanned.append(cell)
 
-    if samples - 1 >= 2 * _MIN_CELL:
-        halve(0, samples - 1)
-    else:
-        uncleared.append((0, samples - 1))
-    return sorted(uncleared), cleared
+    if not settle((0, samples - 1), iv.a, iv.b):
+        split(0, samples - 1)
+    return sorted(scanned), sorted(undefined), cleared
 
 
 def _rows(cells: list[tuple[int, int]]) -> list[int]:
@@ -448,63 +448,6 @@ def _rows(cells: list[tuple[int, int]]) -> list[int]:
     for lo, hi in cells:
         rows += range(lo + 1 if rows and rows[-1] == lo else lo, hi + 1)
     return rows
-
-
-def _proven_undefined(arguments: list[_Argument], iv: Interval, samples: int, cells: list[tuple[int, int]]) -> set[int]:
-    """The rows of ``cells`` where f is provably undefined, if they are more
-    than half of the grid; else none.
-
-    f is undefined throughout a cell where bounds on one of its arguments
-    there leave the domain of its rule: the evaluators evaluate every node,
-    so the rule is applied at every grid point.  ln, sqrt and a power by a
-    non-integer exponent each reject every value below the least they
-    accept, so the rule rejecting the upper bound proves the whole cell.
-    Where it rejects only the lower bound, the boundary lies inside, and
-    the cell is halved down to _MIN_CELL grid intervals to prove the part
-    beyond it.  Nothing is tried where the cells hold at most half of the
-    grid.
-    """
-    half = samples // 2
-    proven: set[int] = set()
-
-    def prove(lo: int, hi: int) -> None:
-        every, some = _rejected(arguments, *grid(iv, samples, (lo, hi)))
-        if every:
-            proven.update(range(lo, hi + 1))
-        elif some and hi - lo >= 2 * _MIN_CELL:
-            mid = (lo + hi) // 2
-            prove(lo, mid)
-            prove(mid, hi)
-
-    if arguments and len(_rows(cells)) > half:
-        for cell in cells:
-            prove(*cell)
-    return proven if len(proven) > half else set()
-
-
-def _rejected(arguments: list[_Argument], a: float, b: float) -> tuple[bool, bool]:
-    """Whether the domain rule of some argument rejects every value that
-    bounds on the argument allow for x in [a, b], and whether one rejects
-    the lower bound."""
-    some = False
-    for argument, rule in arguments:
-        bounds = enclose([argument], a, b)
-        if bounds is not None:
-            lo, hi = bounds[0]
-            if _fails(rule(Constant(hi))):
-                return True, True
-            some = some or _fails(rule(Constant(lo)))
-    return False, some
-
-
-def _fails(node: Expr) -> bool:
-    """Whether ``node``, over constants, fails its domain rule: evaluating
-    it raises, and not for a non-finite value."""
-    try:
-        evaluate(node, 0.0)
-    except DomainError as err:
-        return err.kind is not DomainErrorKind.NON_FINITE
-    return False
 
 
 _WITNESS_KIND = {
@@ -535,33 +478,33 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     is finite on [a,b] and that every hazard's inner expression stays too
     far from zero for the scan to find or suspect a zero.  Where they
     cannot, the grid is halved into cells of grid points, neighbours
-    sharing their end point, and bounds are tried on each half; an
-    uncleared half is halved again only where its sibling cleared, down to
-    cells of _MIN_CELL grid intervals.  The scan then evaluates the grid
-    points of the uncleared cells only: the same points as the full grid,
-    so it finds the same crossings, touches and undefined points.  Whether
-    a hazard comes suspiciously near zero is judged over the whole grid,
-    with the cleared cells' bounds standing in for their points, which can
-    only add doubt.  Where every cell clears, the report is YES, YES if
-    their bounds together clear every hazard, and the whole grid is
-    scanned otherwise.
+    sharing their end point, and one pass of bounds settles each half: as
+    cleared, or as undefined where a node of ``e`` leaves its domain on the
+    whole cell.  A half that is not settled is halved again only where its
+    sibling settled, down to cells of _MIN_CELL grid intervals.  The scan
+    then evaluates the grid points of the cells not cleared only: the same
+    points as the full grid, so it finds the same crossings, touches and
+    undefined points.  Whether a hazard comes suspiciously near zero is
+    judged over the whole grid, with the cleared cells' bounds standing in
+    for their points, which can only add doubt.  Where every cell clears,
+    the report is YES, YES if their bounds together clear every hazard, and
+    the whole grid is scanned otherwise.
 
-    Uncleared cells where bounds on a ln or sqrt argument or a non-integer
-    power's base prove ``e`` undefined are counted, not scanned, when they
-    hold more than half of the grid: then no hazard is scanned, and the
+    The points of the undefined cells are counted, not scanned, when they
+    are more than half of the grid: then no hazard is scanned, and the
     report reads only the first and the first interior undefined points.
     """
-    hazards, arguments = _collect_hazards(e)
+    hazards = _collect_hazards(e)
     roots = [e, *(inner for inner, _, _ in hazards)]
-    if _clears(enclose(roots, iv.a, iv.b)):
-        return SmoothnessReport(Verdict.YES, Verdict.YES, ())
-    cells, cleared = _triage(roots, iv, samples)
-    if not cells:
+    cells, undefined_cells, cleared = _triage(roots, iv, samples)
+    proven = set(_rows(undefined_cells))
+    if len(proven) <= samples // 2:
+        cells, proven = sorted(cells + undefined_cells), set()
+    if not (cells or proven):
         if all(_clear_of_zero(min(m), max(m)) for m in cleared):
             return SmoothnessReport(Verdict.YES, Verdict.YES, ())
         # each cell is clear of zero, but not all of them together
         cells, cleared = [(0, samples - 1)], [[] for _ in hazards]
-    proven = _proven_undefined(arguments, iv, samples, cells)
     rows = [i for i in _rows(cells) if i not in proven]
     # each hazard's value is bit-identical to its own evaluation, None where
     # that fails, at e's undefined points too; only a row where a function

@@ -702,7 +702,14 @@ def enclose(roots: Sequence[Expr], a: float, b: float) -> list[Bounds] | None:
     zero, a ln or sqrt argument that may leave its domain, a power whose
     exponent is not one constant, and a tan argument that may hold a pole.
     Each node is bounded once, from its children's bounds, in
-    :func:`postorder`.
+    :func:`postorder`, and the walk stops at the first node it cannot bound.
+
+    Raises DomainError, at ``a`` and of the failed rule's kind, where it
+    reaches, before any node it cannot bound, a node whose argument's
+    bounds lie wholly outside that node's domain: a ln or sqrt argument, or
+    the base of a power by a constant non-integer exponent.  Both
+    evaluators evaluate every node, so each root with that node below it is
+    undefined at every x in [a, b].
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise ValueError("need finite a <= b")
@@ -719,7 +726,11 @@ def enclose(roots: Sequence[Expr], a: float, b: float) -> list[Bounds] | None:
             box = _BINARY_BOUNDS[node.op](bounds[id(node.left)], bounds[id(node.right)])
         else:
             box = _CALL_BOUNDS[node.fn](*bounds[id(node.argument)])
-        if box is None or not (math.isfinite(box[0]) and math.isfinite(box[1])):
+        if box is None:
+            return None
+        if box.__class__ is _Undefined:
+            raise DomainError(a, box.kind)
+        if not (math.isfinite(box[0]) and math.isfinite(box[1])):
             return None
         bounds[id(node)] = box
     return [bounds[id(root)] for root in roots]
@@ -742,7 +753,7 @@ def _div_bounds(num: Bounds, den: Bounds) -> Bounds | None:
     return _corners(tuple(n / d for n in num for d in den))
 
 
-def _pow_bounds(base: Bounds, exponent: Bounds) -> Bounds | None:
+def _pow_bounds(base: Bounds, exponent: Bounds) -> Bounds | _Undefined | None:
     e, e_hi = exponent
     if e != e_hi:
         return None
@@ -759,7 +770,12 @@ def _pow_bounds(base: Bounds, exponent: Bounds) -> Bounds | None:
             return out
         return _div_bounds((1.0, 1.0), out)
     if lo <= 0.0:
-        return None
+        # every base fails _pow's rule where the upper bound does
+        try:
+            top = _pow(hi, e)
+        except OverflowError:
+            return None
+        return top if top.__class__ is _Undefined else None
     log_lo, log_hi = _widen(math.log(lo), math.log(hi))
     return _exp_bounds(*_corners((e * log_lo, e * log_hi)))
 
@@ -802,16 +818,23 @@ def _tan_bounds(lo: float, hi: float) -> Bounds | None:
     return _widen(math.tan(lo), math.tan(hi))
 
 
-def _ln_bounds(lo: float, hi: float) -> Bounds | None:
+def _ln_bounds(lo: float, hi: float) -> Bounds | _Undefined | None:
     if lo < _DOMAINS["ln"][0]:
-        return None
+        return _beyond("ln", hi)
     return _widen(math.log(lo), math.log(hi))
 
 
-def _sqrt_bounds(lo: float, hi: float) -> Bounds | None:
+def _sqrt_bounds(lo: float, hi: float) -> Bounds | _Undefined | None:
     if lo < _DOMAINS["sqrt"][0]:
-        return None
+        return _beyond("sqrt", hi)
     return math.sqrt(lo), math.sqrt(hi)
+
+
+def _beyond(fn: str, hi: float) -> _Undefined | None:
+    """The failure of ``fn``'s domain rule where its argument's upper bound
+    ``hi``, and so every value of it, lies below the least it accepts."""
+    least, kind = _DOMAINS[fn]
+    return _UNDEFINED[kind.name] if hi < least else None
 
 
 def _abs_bounds(lo: float, hi: float) -> Bounds:
@@ -822,7 +845,7 @@ def _abs_bounds(lo: float, hi: float) -> Bounds:
     return 0.0, max(-lo, hi)
 
 
-_BINARY_BOUNDS: dict[str, Callable[[Bounds, Bounds], Bounds | None]] = {
+_BINARY_BOUNDS: dict[str, Callable[[Bounds, Bounds], Bounds | _Undefined | None]] = {
     "+": lambda l, r: (l[0] + r[0], l[1] + r[1]),
     "-": lambda l, r: (l[0] - r[1], l[1] - r[0]),
     "*": lambda l, r: _corners((l[0] * r[0], l[0] * r[1], l[1] * r[0], l[1] * r[1])),
@@ -830,7 +853,7 @@ _BINARY_BOUNDS: dict[str, Callable[[Bounds, Bounds], Bounds | None]] = {
     "^": _pow_bounds,
 }
 
-_CALL_BOUNDS: dict[str, Callable[[float, float], Bounds | None]] = {
+_CALL_BOUNDS: dict[str, Callable[[float, float], Bounds | _Undefined | None]] = {
     "sin": lambda lo, hi: _wave_bounds(math.sin, 0.5 * math.pi, lo, hi),
     "cos": lambda lo, hi: _wave_bounds(math.cos, 0.0, lo, hi),
     "tan": _tan_bounds,

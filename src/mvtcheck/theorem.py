@@ -53,7 +53,7 @@ class Config(Record):
 
     eps_c      final bracket width of the root search for c
     samples    uniform sample count of the smoothness scan and of the
-               root scan's full grid, from 2 up to MAX_SAMPLES
+               root scan's full grid, an int from 2 up to MAX_SAMPLES
     """
 
     __slots__ = ("eps_c", "samples")
@@ -63,6 +63,8 @@ class Config(Record):
         object.__setattr__(self, "samples", samples)
         if not eps_c > 0.0:
             raise ValueError("eps_c must be positive")
+        if not isinstance(samples, int):
+            raise ValueError("samples must be an integer")
         if samples < 2:
             raise ValueError("samples must be at least 2")
         if samples > MAX_SAMPLES:

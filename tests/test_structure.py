@@ -8,8 +8,9 @@ module takes a midpoint as ``0.5 * (u + v)``, no module but ``expr`` compares a 
 with 64, the largest exponent ``^`` multiplies out, ``calculus`` reads its
 near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
 ``Verdict.UNKNOWN`` in ``_verdict`` only, ``expr`` names
-``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only and the ln and sqrt
-failures in ``_DOMAINS`` only, no module imports
+``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only,
+``POWER_OF_NON_POSITIVE`` in ``_pow`` only and the ln and sqrt failures in
+``_DOMAINS`` only, no module imports
 ``dataclasses``, and the README lists exactly the names the package exports.  One test imports the
 package in a fresh interpreter to check what the import loads.
 """
@@ -308,12 +309,18 @@ def _mentions(tree, name):
                 yield function, node.lineno
 
 
-def test_division_and_pole_rules_are_stated_in_div_and_pow_only():
-    # both evaluators call _div and _pow, so the rules of division by zero
-    # and of zero raised to a negative power are stated once; code written
-    # for the compiler must not restate them
-    mentions = list(_mentions(_tree(ROOT / "src" / "mvtcheck" / "expr.py"), "DIVISION_BY_ZERO"))
-    outside = [f"line {line}: {function}" for function, line in mentions if function not in ("_div", "_pow")]
+# the functions of expr that may name each failure kind of / and ^
+RULE_OWNERS = {"DIVISION_BY_ZERO": ("_div", "_pow"), "POWER_OF_NON_POSITIVE": ("_pow",)}
+
+
+@pytest.mark.parametrize("name", RULE_OWNERS)
+def test_division_and_pole_rules_are_stated_in_div_and_pow_only(name):
+    # both evaluators call _div and _pow, and the interval bounds ask _pow,
+    # so the rules of division by zero, of zero raised to a negative power
+    # and of a non-integer power of a non-positive base are stated once;
+    # code written for the compiler or the bounds must not restate them
+    mentions = list(_mentions(_tree(ROOT / "src" / "mvtcheck" / "expr.py"), name))
+    outside = [f"line {line}: {function}" for function, line in mentions if function not in RULE_OWNERS[name]]
     assert mentions and outside == []
 
 

@@ -39,6 +39,8 @@ def test_config_validation():
         Config(samples=1)
     with pytest.raises(ValueError, match="at most"):
         Config(samples=MAX_SAMPLES + 1)
+    with pytest.raises(ValueError, match="integer"):
+        Config(samples=2.5)
 
 
 # --- secant_slope -----------------------------------------------------------
