@@ -68,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a", required=True, metavar="EXPR", help="left endpoint (constant expression)")
     verify.add_argument("--b", required=True, metavar="EXPR", help="right endpoint (constant expression)")
     verify.add_argument("--mode", choices=("mvt", "rolle"), default="mvt")
-    verify.add_argument("--eps", type=float, default=None, help="width of the final bracket around c")
-    verify.add_argument("--samples", type=int, default=None, help="sample count for the scans")
+    verify.add_argument("--eps", type=float, default=Config().eps_c, help="width of the final bracket around c")
+    verify.add_argument("--samples", type=int, default=Config().samples, help="sample count for the scans")
     verify.add_argument("--json", action="store_true", help="print a machine-readable result")
     verify.add_argument("--plot", metavar="PATH", default=None, help="write plot data (.csv or .svg)")
     verify.set_defaults(handler=_cmd_verify)
@@ -150,13 +150,8 @@ def _cmd_verify(ns) -> int:
         iv = Interval(a, b)
     except ValueError as err:
         raise _UsageError(str(err)) from None
-    overrides = {}
-    if ns.eps is not None:
-        overrides["eps_c"] = ns.eps
-    if ns.samples is not None:
-        overrides["samples"] = ns.samples
     try:
-        cfg = Config(**overrides)
+        cfg = Config(ns.eps, ns.samples)
     except ValueError as err:
         raise _UsageError(str(err)) from None
 

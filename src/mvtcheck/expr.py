@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Record",
-    "Token",
     "Expr",
     "Constant",
     "Variable",
@@ -147,17 +146,6 @@ class Record:
         return self.__class__, self._values()
 
 
-class Token(Record):
-    """A number, a name, or one character of ``+-*/^(),``; a number begins
-    with a digit and a name with a letter."""
-
-    __slots__ = ("text", "position")
-
-    def __init__(self, text: str, position: int):
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "position", position)
-
-
 class Expr(Record):
     """Base class of the immutable expression tree."""
 
@@ -210,21 +198,23 @@ class Call(Expr):
 _TOKEN_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)|[A-Za-z]+|[-+*/^(),]|(\S)")
 
 
-def tokenize(source: str) -> list[Token]:
-    """Split ``source`` into tokens, skipping whitespace.
+def tokenize(source: str) -> list[tuple[str, int]]:
+    """Split ``source`` into ``(text, position)`` pairs, skipping whitespace.
 
-    Numbers are matched longest-first (digits, optional fraction, optional
-    exponent); identifiers are runs of ASCII letters.  Raises LexError on
-    any other character and on numeric literals that overflow binary64.
+    A token is a number, a name, or one character of ``+-*/^(),``; a number
+    begins with a digit and a name with a letter.  Numbers are matched
+    longest-first (digits, optional fraction, optional exponent); names are
+    runs of ASCII letters.  Raises LexError on any other character and on
+    numeric literals that overflow binary64.
     """
-    tokens: list[Token] = []
+    tokens = []
     for m in _TOKEN_RE.finditer(source):
         number, other = m.groups()
         if other is not None:
             raise LexError(m.start(), f"unrecognized character {other!r}")
         if number is not None and not math.isfinite(float(number)):
             raise LexError(m.start(), f"number literal {number!r} overflows binary64")
-        tokens.append(Token(m.group(), m.start()))
+        tokens.append((m.group(), m.start()))
     return tokens
 
 
@@ -245,45 +235,41 @@ _TIGHTEST = max(_BINDING.values())
 
 class _Parser:
     def __init__(self, source: str):
-        self._source = source
+        # the end marker gives every lookahead a text ("" at the end) and a position
         self._tokens = tokenize(source)
+        self._tokens.append(("", len(source)))
         self._pos = 0
         self._depth = 0
 
     def parse(self) -> Expr:
         expr = self._expression()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(tok.position, "end of input")
+        if self._peek():
+            raise ParseError(self._position(), "end of input")
         return expr
 
-    def _peek(self) -> Token | None:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
+    def _peek(self) -> str:
+        return self._tokens[self._pos][0]
 
-    def _advance(self) -> Token:
-        tok = self._tokens[self._pos]
+    def _position(self) -> int:
+        return self._tokens[self._pos][1]
+
+    def _advance(self) -> int:
+        # consume the next token and return its position
         self._pos += 1
-        return tok
+        return self._tokens[self._pos - 1][1]
 
-    def _error_position(self) -> int:
-        tok = self._peek()
-        return tok.position if tok is not None else len(self._source)
-
-    def _nested(self, opener: Token, parse: Callable[[], Expr]) -> Expr:
-        # ``parse`` one level deeper than ``opener``
+    def _nested(self, opener: int, parse: Callable[[], Expr]) -> Expr:
+        # ``parse`` one level deeper than the token at ``opener``
         if self._depth == MAX_NESTING:
-            raise NestingTooDeep(opener.position)
+            raise NestingTooDeep(opener)
         self._depth += 1
         expr = parse()
         self._depth -= 1
         return expr
 
-    def _expect(self, text: str, what: str) -> Token:
-        tok = self._peek()
-        if tok is None or tok.text != text:
-            raise ParseError(self._error_position(), what)
+    def _expect(self, text: str, what: str) -> int:
+        if self._peek() != text:
+            raise ParseError(self._position(), what)
         return self._advance()
 
     def _expression(self, binding: int = 1) -> Expr:
@@ -291,35 +277,32 @@ class _Parser:
         # associative.  Past the tightest level it is a _unary, called directly
         # to spend one frame less per nesting level.
         expr = self._unary()
-        while (tok := self._peek()) is not None and _BINDING.get(tok.text, 0) >= binding:
+        while _BINDING.get(op := self._peek(), 0) >= binding:
             self._advance()
-            tighter = _BINDING[tok.text] + 1
+            tighter = _BINDING[op] + 1
             right = self._expression(tighter) if tighter <= _TIGHTEST else self._unary()
-            expr = Binary(tok.text, expr, right)
+            expr = Binary(op, expr, right)
         return expr
 
     def _unary(self) -> Expr:
         # ``-`` and ``^`` take a _unary operand, so ``^`` is right associative,
         # binds tighter than ``-``, and its exponent may carry a unary minus
-        tok = self._peek()
-        if tok is not None and tok.text == "-":
+        if self._peek() == "-":
             return Neg(self._nested(self._advance(), self._unary))
         base = self._primary()
-        tok = self._peek()
-        if tok is not None and tok.text == "^":
+        if self._peek() == "^":
             return Binary("^", base, self._nested(self._advance(), self._unary))
         return base
 
     def _primary(self) -> Expr:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(self._error_position(), "an expression")
-        text = tok.text
+        text = self._peek()
+        if not text:
+            raise ParseError(self._position(), "an expression")
         if text[0].isdigit():
             self._advance()
             return Constant(float(text))
         if text[0].isalpha():
-            self._advance()
+            position = self._advance()
             if text == "x":
                 return Variable()
             if text in _NAMED_CONSTANTS:
@@ -328,12 +311,12 @@ class _Parser:
                 arg = self._nested(self._expect("(", f"'(' after {text!r}"), self._expression)
                 self._expect(")", "')'")
                 return Call(text, arg)
-            raise UnknownIdentifier(tok.position, text)
+            raise UnknownIdentifier(position, text)
         if text == "(":
             expr = self._nested(self._advance(), self._expression)
             self._expect(")", "')'")
             return expr
-        raise ParseError(tok.position, "a number, a name, or '('")
+        raise ParseError(self._position(), "a number, a name, or '('")
 
 
 def format_expr(e: Expr) -> str:

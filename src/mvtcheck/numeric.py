@@ -95,10 +95,12 @@ class Interval(Record):
     __slots__ = ("a", "b")
 
     def __init__(self, a: float, b: float):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        # stored as floats, so results and their JSON never carry an int
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("interval endpoints must be finite")
+        a, b = float(a), float(b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         if not a < b:
             raise ValueError(f"interval requires a < b, got [{a!r}, {b!r}]")
         if not math.isfinite(b - a):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -38,6 +39,35 @@ def line_value(output: str, prefix: str) -> float:
         if line.startswith(prefix):
             return float(line.split("≈")[-1])
     raise AssertionError(f"no line starting with {prefix!r} in {output!r}")
+
+
+# --- the README -------------------------------------------------------------
+
+
+def readme_commands() -> list[list[str]]:
+    # the arguments of each ``mvtcheck`` line of the README's "Command line" block
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("mvtcheck ")]
+
+
+def test_readme_command_line_block_runs_as_written(capsys, tmp_path, monkeypatch):
+    # one line writes mvt.svg into the working directory
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 7, "a new README example needs its exit code here"
+    codes, outputs = [], []
+    for args in commands:
+        codes.append(run(args))
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert codes == [0, 0, 2, 0, 0, 0, 0]
+    rolle, sine, kink = outputs[:3]
+    assert "c ≈ 2" in rolle
+    # c ≈ 0.8806892354 and m ≈ 0.6366197724
+    assert f"c ≈ {ARCCOS_2_OVER_PI:.10g}" in sine and f"m ≈ {2 / math.pi:.10g}" in sine
+    assert "reason: not_differentiable" in kink
+    assert (tmp_path / "mvt.svg").is_file()
 
 
 # --- verify -----------------------------------------------------------------
@@ -332,6 +362,12 @@ def test_render_json_keeps_floats_and_the_sign_of_zero():
     applicable = Applicable(0.5, 1.0, 1.0, 0.0, 3, Method.BRACKET_BISECT)
     residual = json.loads(render_json(applicable))["residual"]
     assert type(residual) is float and math.copysign(1.0, residual) == 1.0
+
+
+def test_render_json_of_an_integer_interval_keeps_a_float_witness():
+    result = verify_rolle(parse("1/x"), Interval(0, 1))
+    assert result == NotApplicable(Reason.UNDEFINED, 0.0)
+    assert render_json(result) == '{"status":"not_applicable","reason":"undefined","witness":0.0}'
 
 
 def test_render_json_is_single_line():

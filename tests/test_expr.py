@@ -21,7 +21,6 @@ from mvtcheck.expr import (
     NestingTooDeep,
     ParseError,
     SourceError,
-    Token,
     UnknownIdentifier,
     Variable,
     compile_evaluator,
@@ -43,8 +42,8 @@ from strategies import grammar_exprs, smooth_exprs
 
 def test_tokenize_quadratic():
     tokens = tokenize("x^2 - 4*x + 3")
-    assert [t.text for t in tokens] == ["x", "^", "2", "-", "4", "*", "x", "+", "3"]
-    assert [t.position for t in tokens] == [0, 1, 2, 4, 6, 7, 8, 10, 12]
+    assert [text for text, _ in tokens] == ["x", "^", "2", "-", "4", "*", "x", "+", "3"]
+    assert [position for _, position in tokens] == [0, 1, 2, 4, 6, 7, 8, 10, 12]
 
 
 def test_tokenize_empty():
@@ -52,15 +51,12 @@ def test_tokenize_empty():
 
 
 def test_tokenize_scientific_is_one_token():
-    tokens = tokenize("3.5e2")
-    assert len(tokens) == 1
-    assert tokens[0].text == "3.5e2"
-    assert float(tokens[0].text) == 350.0
+    assert tokenize("3.5e2") == [("3.5e2", 0)]
+    assert float("3.5e2") == 350.0
 
 
 def test_tokenize_longest_match():
-    tokens = tokenize("350")
-    assert len(tokens) == 1 and tokens[0].text == "350"
+    assert tokenize("350") == [("350", 0)]
 
 
 def test_tokenize_unrecognized_character():
@@ -77,7 +73,7 @@ def test_tokenize_number_overflow():
 @given(grammar_exprs())
 def test_tokenize_positions_strictly_increase(e):
     tokens = tokenize(format_expr(e))
-    positions = [t.position for t in tokens]
+    positions = [position for _, position in tokens]
     assert positions == sorted(set(positions))
 
 
@@ -647,12 +643,11 @@ def test_enclose_requires_an_ordered_finite_interval():
 # --- records ----------------------------------------------------------------
 
 
-def test_tree_and_token_reprs():
+def test_tree_reprs():
     assert repr(parse("x^2+sin(x)")) == (
         "Binary(op='+', left=Binary(op='^', left=Variable(), right=Constant(value=2.0)),"
         " right=Call(fn='sin', argument=Variable()))"
     )
-    assert repr(tokenize("x")) == "[Token(text='x', position=0)]"
 
 
 def test_trees_compare_and_hash_by_value():
@@ -660,7 +655,6 @@ def test_trees_compare_and_hash_by_value():
         (parse("x^2+sin(x)"), parse("(x^2) + sin(x)")),
         (Constant(2), Constant(value=2.0)),
         (Neg(Variable()), Neg(child=Variable())),
-        (Token("1", 0), Token(text="1", position=0)),
     ]:
         assert one == other and not one != other
         assert hash(one) == hash(other)
@@ -680,7 +674,7 @@ def test_trees_of_different_classes_are_unequal():
 @pytest.mark.parametrize(
     "record, field",
     [(Constant(1.0), "value"), (Binary("+", Variable(), Variable()), "op"),
-     (Token(",", 3), "position"), (Variable(), "child")],
+     (Call("sin", Variable()), "fn"), (Variable(), "child")],
 )
 def test_trees_refuse_assignment_and_deletion(record, field):
     with pytest.raises(AttributeError):

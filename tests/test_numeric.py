@@ -35,6 +35,11 @@ def test_interval_validation():
         Interval(0.0, math.inf)
     with pytest.raises(ValueError, match="interval width overflows"):
         Interval(-1e308, 1e308)
+    # integer ends are stored as floats; a string is still refused
+    iv = Interval(0, 1)
+    assert type(iv.a) is float and type(iv.b) is float
+    with pytest.raises(TypeError):
+        Interval("0", 1)
 
 
 def test_bracket_validation():
