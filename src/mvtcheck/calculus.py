@@ -16,13 +16,13 @@ from .expr import (
     Expr,
     Neg,
     Record,
+    Tape,
     Variable,
     compile_evaluator,
     compile_outputs,
     enclose,
     evaluate,
     integer_exponent,
-    postorder,
 )
 from .numeric import Bracket, Evaluator, Interval, bisect, grid, midpoint, sample, tiered
 
@@ -178,21 +178,21 @@ def simplify(e: Expr) -> Expr:
     return e
 
 
-def _simplified(e: Expr, memo: dict[int, Expr]) -> Expr:
-    """simplify(e), with what each node simplifies to kept in ``memo`` by
-    node id, so a node asked for again is simplified once.  The memo costs
+def _simplified(t: Tape, i: int, memo: dict[int, Expr]) -> Expr:
+    """simplify(t.nodes[i]), with what each slot simplifies to kept in
+    ``memo``, so a node asked for again is simplified once.  The memo costs
     simplify itself about a quarter more time, so simplify keeps none."""
-    key = id(e)
-    if key not in memo:
+    if i not in memo:
+        e, args = t.nodes[i], t.args[i]
         if isinstance(e, Neg):
-            memo[key] = _neg(_simplified(e.child, memo))
+            memo[i] = _neg(_simplified(t, args[0], memo))
         elif isinstance(e, Binary):
-            memo[key] = _binary(e.op, _simplified(e.left, memo), _simplified(e.right, memo))
+            memo[i] = _binary(e.op, _simplified(t, args[0], memo), _simplified(t, args[1], memo))
         elif isinstance(e, Call):
-            memo[key] = _call(e.fn, _simplified(e.argument, memo))
+            memo[i] = _call(e.fn, _simplified(t, args[0], memo))
         else:
-            memo[key] = e
-    return memo[key]
+            memo[i] = e
+    return memo[i]
 
 
 # node builders for simplify and _derivative: each folds one node whose
@@ -255,72 +255,53 @@ def _fold(node: Expr) -> Constant | None:
 
 # --- smoothness analysis ----------------------------------------------------
 
-# a hazard: (inner, kind, zero_undefined), as _collect_hazards describes it
-_Hazard = tuple[Expr, WitnessKind, bool]
 
-
-def _collect_hazards(e: Expr) -> list[_Hazard]:
-    """(inner, kind, zero_undefined) per hazard.
+def _collect_hazards(t: Tape) -> list[tuple[int, WitnessKind, bool]]:
+    """(slot of inner, kind, zero_undefined) per hazard of the nodes on ``t``.
 
     Zeros of inner mark the trouble spots, where f is undefined if
     zero_undefined (poles, ln, powers) and may only lose its derivative if
-    not (sqrt, abs).
+    not (sqrt, abs).  The inner of tan(u), cos(u), is added to ``t``.
     """
-    out: list[_Hazard] = []
-    # ids of the nodes with x below them: postorder yields children first
-    has_x: set[int] = set()
+    out: list[tuple[int, WitnessKind, bool]] = []
+    # per slot, whether x is below it, and the slot of u where the node is
+    # abs(u), abs(abs(u)) and so on: children come before their parent.
+    # abs(u) only touches 0, where u crosses it: where that zero leaves f
+    # undefined, the hazard is u, whose sign change the scan confirms
+    has_x: list[bool] = []
+    bare: list[int] = []
     # simplify's memo, shared by every exponent: nested powers fold once
     simplified: dict[int, Expr] = {}
-    for node in postorder([e]):
+    # the walk reaches the cos(u) nodes it adds as well
+    for node, args in zip(t.nodes, t.args):
+        has_x.append(isinstance(node, Variable) or any([has_x[i] for i in args]))
+        bare.append(bare[args[0]] if isinstance(node, Call) and node.fn == "abs" else len(bare))
         if isinstance(node, Binary):
-            if id(node.left) in has_x or id(node.right) in has_x:
-                has_x.add(id(node))
             if node.op == "/":
-                out.append((node.right, WitnessKind.POLE, True))
+                out.append((bare[args[1]], WitnessKind.POLE, True))
             elif node.op == "^":
                 # the exponent's value decides, as in the evaluators: folding
                 # gives it wherever it is the same at every x
-                exponent = _simplified(node.right, simplified)
+                exponent = _simplified(t, args[1], simplified)
                 n = integer_exponent(exponent.value) if isinstance(exponent, Constant) else None
-                if n is not None:
-                    if n < 0:
-                        # reciprocal of an integer power: base zero is a pole
-                        out.append((node.left, WitnessKind.POLE, True))
-                else:
-                    out.append((node.left, WitnessKind.POWER_BOUNDARY, True))
+                if n is None:
+                    out.append((bare[args[0]], WitnessKind.POWER_BOUNDARY, True))
+                elif n < 0:
+                    # reciprocal of an integer power: base zero is a pole
+                    out.append((bare[args[0]], WitnessKind.POLE, True))
         elif isinstance(node, Call):
-            if id(node.argument) in has_x:
-                has_x.add(id(node))
             if node.fn == "ln":
-                out.append((node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
+                out.append((bare[args[0]], WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
             elif node.fn == "sqrt":
-                out.append((node.argument, WitnessKind.LOG_OR_ROOT_BOUNDARY, False))
+                out.append((args[0], WitnessKind.LOG_OR_ROOT_BOUNDARY, False))
             elif node.fn == "abs":
-                out.append((node.argument, WitnessKind.ABS_KINK, False))
-            elif node.fn == "tan":
+                out.append((args[0], WitnessKind.ABS_KINK, False))
+            elif node.fn == "tan" and has_x[args[0]]:
                 # tan blows up where cos of its argument vanishes
-                cos = Call("cos", node.argument)
-                if id(node.argument) in has_x:
-                    has_x.add(id(cos))
-                out.append((cos, WitnessKind.POLE, True))
-        elif isinstance(node, Variable) or (isinstance(node, Neg) and id(node.child) in has_x):
-            has_x.add(id(node))
+                out.append((t.add(Call("cos", node.argument)), WitnessKind.POLE, True))
     # an inner expression without x has one value on all of [a, b]: either f
-    # raises everywhere, which the scan reports, or it is no hazard at all.
-    # abs(u) only touches 0, where u crosses it: where that zero leaves f
-    # undefined, scan u, whose sign change the scan confirms between samples
-    return [
-        (_unwrap_abs(inner) if zero_undefined else inner, kind, zero_undefined)
-        for inner, kind, zero_undefined in out
-        if id(inner) in has_x
-    ]
-
-
-def _unwrap_abs(e: Expr) -> Expr:
-    """u for abs(u), abs(abs(u)) and so on, else e itself."""
-    while isinstance(e, Call) and e.fn == "abs":
-        e = e.argument
-    return e
+    # raises everywhere, which the scan reports, or it is no hazard at all
+    return [hazard for hazard in out if has_x[hazard[0]]]
 
 
 def _scan_zeros(
@@ -388,7 +369,7 @@ def _clears(bounds: list[tuple[float, float]] | None) -> bool:
 
 
 def _triage(
-    roots: list[Expr], iv: Interval, samples: int
+    t: Tape, outs: list[int], iv: Interval, samples: int
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[list[float]]]:
     """The cells of grid rows that interval bounds leave to the scan, the
     cells where they prove e undefined, and per hazard the magnitudes its
@@ -405,12 +386,12 @@ def _triage(
     """
     scanned: list[tuple[int, int]] = []
     undefined: list[tuple[int, int]] = []
-    cleared: list[list[float]] = [[] for _ in roots[1:]]
+    cleared: list[list[float]] = [[] for _ in outs[1:]]
 
     def settle(cell: tuple[int, int], a: float, b: float) -> bool:
         # whether bounds over [a, b] settle the cell, which is then recorded
         try:
-            bounds = enclose(roots, a, b)
+            bounds = enclose(t, outs, a, b)
         except DomainError:
             undefined.append(cell)
             return True
@@ -462,11 +443,11 @@ _WITNESS_KIND = {
 def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     """Classify continuity of ``e`` on [a,b] and differentiability on (a,b).
 
-    Walks the tree for hazard subexpressions (divisors, ln/sqrt arguments,
-    abs arguments, non-integer-power bases, tan arguments) and confirms
-    their zeros numerically on a grid of ``samples`` points with root-search
-    refinement.  One scan evaluates ``e`` and every hazard's inner
-    expression together, at points where ``e`` is undefined as well.
+    Reads one tape of ``e`` for hazard subexpressions (divisors, ln/sqrt
+    arguments, abs arguments, non-integer-power bases, tan arguments) and
+    confirms their zeros numerically on a grid of ``samples`` points with
+    root-search refinement.  One scan evaluates ``e`` and every hazard's
+    inner expression together, at points where ``e`` is undefined as well.
     Verdicts are three-valued: hazards that cannot be confirmed or ruled out
     at sample resolution yield UNKNOWN rather than a guess.  A function that
     fails to evaluate at a sample point is reported as not continuous at
@@ -494,9 +475,11 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     are more than half of the grid: then no hazard is scanned, and the
     report reads only the first and the first interior undefined points.
     """
-    hazards = _collect_hazards(e)
-    roots = [e, *(inner for inner, _, _ in hazards)]
-    cells, undefined_cells, cleared = _triage(roots, iv, samples)
+    t = Tape()
+    top = t.add(e)
+    hazards = _collect_hazards(t)
+    outs = [top, *(inner for inner, _, _ in hazards)]
+    cells, undefined_cells, cleared = _triage(t, outs, iv, samples)
     proven = set(_rows(undefined_cells))
     if len(proven) <= samples // 2:
         cells, proven = sorted(cells + undefined_cells), set()
@@ -511,8 +494,8 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     # of math raised is None for all and recorded in scan.failures.  Cleared
     # cells hold no undefined row, and no zero or sign change of a hazard.
     # Where proven rows are most of the grid, no hazard is scanned
-    outputs = [e] if proven else roots
-    scan = sample(compile_outputs(outputs), iv, samples, rows)
+    outputs = [top] if proven else outs
+    scan = sample(compile_outputs(t, outputs), iv, samples, rows)
     xs = scan.xs
     blank = (None,) * len(outputs)
     columns = list(zip(*(row or blank for row in scan.values))) or [()] * len(outputs)
@@ -524,8 +507,8 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     # where e is undefined at more than half of the grid, no hazard is scanned
     scanned = hazards if len(undefined) <= samples // 2 else []
 
-    for (inner, kind, zero_undefined), column, magnitudes in zip(scanned, columns[1:], cleared):
-        evaluator = _evaluator(inner)
+    for (slot, kind, zero_undefined), column, magnitudes in zip(scanned, columns[1:], cleared):
+        evaluator = _evaluator(t.nodes[slot])
         values = list(column)
         # where a function of math aborted the row, evaluate the hazard alone
         for i in scan.failures:

@@ -22,12 +22,12 @@ from .expr import (
     DomainError,
     Expr,
     SourceError,
+    Tape,
     Variable,
     compile_evaluator,
     evaluate,
     format_expr,
     parse,
-    postorder,
 )
 from .numeric import Interval, sample
 from .theorem import Applicable, Config, MvtResult, NotApplicable, Unknown, verify_mvt, verify_rolle
@@ -134,7 +134,9 @@ def main() -> None:
 
 def _constant_value(text: str, flag: str) -> float:
     expr = parse(text)
-    if any(isinstance(node, Variable) for node in postorder([expr])):
+    tape = Tape()
+    tape.add(expr)
+    if Variable() in tape.nodes:
         raise _UsageError(f"--{flag} must be a constant expression, got {text!r}")
     try:
         return evaluate(expr, 0.0)

@@ -3,7 +3,9 @@
 Lexer, recursive-descent parser, canonical formatter, and evaluator for a
 small grammar: the five binary operators ``+ - * / ^``, unary minus, the
 functions sin, cos, tan, exp, ln, sqrt, abs, the variable ``x``, and the
-named constants ``pi`` and ``e`` (folded to numbers at parse time).
+named constants ``pi`` and ``e`` (folded to numbers at parse time).  The
+compiler and the interval bounds read a :class:`Tape` of expressions'
+distinct nodes, so an expression on one tape is walked once.
 
 Precedence, loosest to tightest: additive, multiplicative, unary minus,
 ``^`` (right associative); function application binds tightest.  There is
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "Record",
@@ -42,7 +44,7 @@ __all__ = [
     "compile_evaluator",
     "compile_outputs",
     "integer_exponent",
-    "postorder",
+    "Tape",
     "enclose",
 ]
 
@@ -502,25 +504,26 @@ def compile_evaluator(e: Expr) -> Callable[[float], float]:
     DomainError behaviour); it exists because the verification pipeline
     evaluates expressions at thousands of sample points.
     """
-    body, (out,) = _lower([e], raising=True)
+    tape = Tape()
+    body, (out,) = _lower(tape, [tape.add(e)], raising=True)
     return _compile([*body, f"if not -inf < {out} < inf: raise DomainError(x, NON_FINITE)", f"return {out}"])
 
 
-def compile_outputs(exprs: Sequence[Expr]) -> Callable[[float], tuple[float | None, ...]]:
-    """Compile several expressions into one evaluator returning all of them.
+def compile_outputs(t: Tape, outs: Sequence[int]) -> Callable[[float], tuple[float | None, ...]]:
+    """Compile the nodes of ``t`` up to ``max(outs)`` into one evaluator.
 
-    The call returns one entry per expression: its value, bit-identical to
-    :func:`evaluate`, or None exactly where :func:`evaluate` on that
-    expression raises DomainError or gives a value that is not finite.
-    Common subexpressions are computed once.  A failed rule of ``/``,
-    ``^``, ln or sqrt gives NaN, which flows on to every result it feeds,
-    so an undefined point costs no more than a defined one.  The call
-    raises DomainError (NON_FINITE) only where a function of math raises
-    (sin of an infinity, exp overflowing): that aborts it for every
-    expression.
+    The call returns one entry per slot of ``outs``: the value of its node,
+    bit-identical to :func:`evaluate`, or None exactly where :func:`evaluate`
+    on that node raises DomainError or gives a value that is not finite.
+    Common subexpressions are computed once.  A failed rule of ``/``, ``^``,
+    ln or sqrt gives NaN, which flows on to every result it feeds, so an
+    undefined point costs no more than a defined one.  The call raises
+    DomainError (NON_FINITE) only where a function of math raises (sin of an
+    infinity, exp overflowing) at a node it computes: that aborts it for
+    every output.
     """
-    body, outs = _lower(exprs, raising=False)
-    values = ", ".join(f"({o} if -inf < {o} < inf else None)" for o in outs)
+    body, operands = _lower(t, outs, raising=False)
+    values = ", ".join(f"({o} if -inf < {o} < inf else None)" for o in operands)
     return _compile([*body, f"return ({values},)"])
 
 
@@ -554,11 +557,11 @@ def _compile(body: list[str]) -> Callable:
     return namespace["_compiled"]  # type: ignore[return-value]
 
 
-def _lower(roots: Sequence[Expr], raising: bool) -> tuple[list[str], list[str]]:
-    """Straight-line SSA statements computing ``roots``, and each root's operand.
+def _lower(t: Tape, outs: Sequence[int], raising: bool) -> tuple[list[str], list[str]]:
+    """SSA statements computing ``t`` up to ``max(outs)``, and the operand of each of ``outs``.
 
-    Nodes are lowered in :func:`postorder`, so no depth of nesting limits
-    the lowering.  Every distinct subtree becomes the statements of one
+    Nodes are lowered in tape order, so no depth of nesting limits the
+    lowering.  Every distinct subtree becomes the statements of one
     temporary ``tN``; structurally equal subtrees have equal operation texts
     and share it.  A written-out power is keyed by its ``_pow`` text, not its
     product's, so it never shares the temporary of a product without the
@@ -572,15 +575,15 @@ def _lower(roots: Sequence[Expr], raising: bool) -> tuple[list[str], list[str]]:
     """
     body: list[str] = []
     temps: dict[str, str] = {}  # operation text -> its temporary
-    operands: dict[int, str] = {}  # id(node) -> operand text
-    for node in postorder(roots):
+    operands: list[str] = []  # per slot
+    for node, slots in zip(t.nodes[: max(outs) + 1], t.args):
         if isinstance(node, Constant):
-            operands[id(node)] = f"({node.value!r})"
+            operands.append(f"({node.value!r})")
             continue
         if isinstance(node, Variable):
-            operands[id(node)] = "x"
+            operands.append("x")
             continue
-        args = [operands[id(c)] for c in _children(node)]
+        args = [operands[i] for i in slots]
         if isinstance(node, Neg):
             operation = f"-{args[0]}"
         elif isinstance(node, Call):
@@ -593,8 +596,8 @@ def _lower(roots: Sequence[Expr], raising: bool) -> tuple[list[str], list[str]]:
         if name is None:
             name = temps[operation] = f"t{len(temps)}"
             body += _statements(node, name, operation, args[0], raising)
-        operands[id(node)] = name
-    return body, [operands[id(root)] for root in roots]
+        operands.append(name)
+    return body, [operands[i] for i in outs]
 
 
 def _statements(node: Expr, name: str, operation: str, first: str, raising: bool) -> list[str]:
@@ -625,27 +628,36 @@ def _multiplied_out(e: Expr) -> int | None:
     return None
 
 
-def postorder(roots: Iterable[Expr]) -> Iterator[Expr]:
-    """Every node under ``roots`` once, children before their parent.
+class Tape:
+    """The distinct nodes of expressions, children before their parent.
 
-    Roots are walked in order, children left to right, with an explicit
-    stack, so no depth of nesting limits the walk.  A node object reached
-    twice (a shared subtree, or a root inside an earlier root) is yielded
-    the first time only.
+    ``nodes[i]`` is a node and ``args[i]`` holds its children's slots, each
+    below ``i``.  ``add(root)`` appends ``root`` and, children left to
+    right, every node below it not on the tape yet, and returns the slot of
+    ``root``: a node object takes one slot however often it is reached.  An
+    explicit stack walks the nodes, so no depth of nesting limits it.
     """
-    done: set[int] = set()
-    for root in roots:
-        # (node, expanded): a node is expanded once, pushing its children
-        # above it, and yielded when it comes back to the top
-        stack = [(root, False)]
+
+    def __init__(self):
+        self.nodes: list[Expr] = []
+        self.args: list[tuple[int, ...]] = []
+        self._slots: dict[int, int] = {}  # id(node) -> slot
+
+    def add(self, root: Expr) -> int:
+        # (node, children): a node is expanded once, coming back with its
+        # children above it, and appended when it returns to the top
+        stack: list[tuple[Expr, tuple[Expr, ...] | None]] = [(root, None)]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                done.add(id(node))
-                yield node
-            elif id(node) not in done:
-                stack.append((node, True))
-                stack.extend([(c, False) for c in reversed(_children(node))])
+            node, children = stack.pop()
+            if children is not None:
+                self._slots[id(node)] = len(self.nodes)
+                self.nodes.append(node)
+                self.args.append(tuple([self._slots[id(c)] for c in children]))
+            elif id(node) not in self._slots:
+                children = _children(node)
+                stack.append((node, children))
+                stack.extend([(c, None) for c in reversed(children)])
+        return self._slots[id(root)]
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -674,49 +686,49 @@ _LIBM_STEPS = 4
 Bounds = tuple[float, float]
 
 
-def enclose(roots: Sequence[Expr], a: float, b: float) -> list[Bounds] | None:
-    """Bounds ``(lo, hi)`` on each root's compiled value for x in [a, b].
+def enclose(t: Tape, outs: Sequence[int], a: float, b: float) -> list[Bounds] | None:
+    """Bounds ``(lo, hi)`` on the compiled value of each slot of ``outs`` for x in [a, b].
 
     For every float x with a <= x <= b, the evaluators that
     :func:`compile_evaluator` and :func:`compile_outputs` build for these
-    roots raise nothing and return, for each root, a value within its
-    bounds.  Returns None when that cannot be shown for some node: a bound
+    slots raise nothing and return, for each, a value within its bounds.
+    Returns None when that cannot be shown for some node: a bound
     that is not finite, a divisor or a negative power's base that may be
     zero, a ln or sqrt argument that may leave its domain, a power whose
     exponent is not one constant, and a tan argument that may hold a pole.
-    Each node is bounded once, from its children's bounds, in
-    :func:`postorder`, and the walk stops at the first node it cannot bound.
+    The nodes of ``t`` up to ``max(outs)`` are bounded in tape order, each
+    once, and the pass stops at the first node it cannot bound.
 
     Raises DomainError, at ``a`` and of the failed rule's kind, where it
     reaches, before any node it cannot bound, a node whose argument's
     bounds lie wholly outside that node's domain: a ln or sqrt argument, or
     the base of a power by a constant non-integer exponent.  Both
-    evaluators evaluate every node, so each root with that node below it is
-    undefined at every x in [a, b].
+    evaluators evaluate every node, so each node above it is undefined at
+    every x in [a, b].
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise ValueError("need finite a <= b")
-    bounds: dict[int, Bounds] = {}
-    for node in postorder(roots):
+    bounds: list[Bounds] = []  # per slot
+    for node, slots in zip(t.nodes[: max(outs) + 1], t.args):
         if isinstance(node, Constant):
             box = (node.value, node.value)
         elif isinstance(node, Variable):
             box = (a, b)
         elif isinstance(node, Neg):
-            lo, hi = bounds[id(node.child)]
+            lo, hi = bounds[slots[0]]
             box = (-hi, -lo)
         elif isinstance(node, Binary):
-            box = _BINARY_BOUNDS[node.op](bounds[id(node.left)], bounds[id(node.right)])
+            box = _BINARY_BOUNDS[node.op](bounds[slots[0]], bounds[slots[1]])
         else:
-            box = _CALL_BOUNDS[node.fn](*bounds[id(node.argument)])
+            box = _CALL_BOUNDS[node.fn](*bounds[slots[0]])
         if box is None:
             return None
         if box.__class__ is _Undefined:
             raise DomainError(a, box.kind)
         if not (math.isfinite(box[0]) and math.isfinite(box[1])):
             return None
-        bounds[id(node)] = box
-    return [bounds[id(root)] for root in roots]
+        bounds.append(box)
+    return [bounds[i] for i in outs]
 
 
 def _widen(lo: float, hi: float) -> Bounds:

@@ -9,6 +9,7 @@ outside their domain by raising :class:`~mvtcheck.expr.DomainError`.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from typing import Any, Callable
 
@@ -95,8 +96,9 @@ class Interval(Record):
     __slots__ = ("a", "b")
 
     def __init__(self, a: float, b: float):
-        # stored as floats, so results and their JSON never carry an int
-        if not (math.isfinite(a) and math.isfinite(b)):
+        # stored as floats, so results and their JSON never carry an int;
+        # an int too large for a float is no finite end either
+        if not (abs(a) <= sys.float_info.max and abs(b) <= sys.float_info.max):
             raise ValueError("interval endpoints must be finite")
         a, b = float(a), float(b)
         object.__setattr__(self, "a", a)

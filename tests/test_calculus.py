@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvtcheck import calculus
+from mvtcheck import calculus, expr
 from mvtcheck.calculus import (
     SmoothnessReport,
     Verdict,
@@ -22,6 +22,7 @@ from mvtcheck.expr import (
     DomainError,
     DomainErrorKind,
     Neg,
+    Tape,
     Variable,
     compile_evaluator,
     enclose,
@@ -29,7 +30,6 @@ from mvtcheck.expr import (
     format_expr,
     integer_exponent,
     parse,
-    postorder,
 )
 from mvtcheck.numeric import Interval, sample
 from mvtcheck.theorem import Config
@@ -690,7 +690,7 @@ def test_a_row_aborted_by_math_gives_each_hazard_its_own_value():
     (xs, values), = seen
     assert any(x > 0.95 for x in xs)
     with pytest.raises(DomainError):
-        calculus.compile_outputs([e])(xs[-1])
+        calculus.compile_outputs(*_taped(e))(xs[-1])
     assert [repr(v) for v in values] == [repr(_defined(e.left.right, x)) for x in xs]
     assert report == _scanned(e, iv, SAMPLES)
     assert report.witnesses == (Witness(0.95, WitnessKind.POLE),)
@@ -759,11 +759,29 @@ def test_witnesses_refuse_assignment_and_deletion():
 # --- hazard collection --------------------------------------------------------
 
 
+def _taped(*exprs):
+    """A tape holding ``exprs``, and their slots on it."""
+    t = Tape()
+    return t, [t.add(e) for e in exprs]
+
+
+def _hazards(e):
+    """_collect_hazards on a tape of ``e``, each inner's node in place of its slot."""
+    t, _ = _taped(e)
+    return [(t.nodes[slot], kind, zero_undefined) for slot, kind, zero_undefined in calculus._collect_hazards(t)]
+
+
+def _unwrap_abs(e):
+    while isinstance(e, Call) and e.fn == "abs":
+        e = e.argument
+    return e
+
+
 def _hazards_by_rewalking(e):
     """The hazard list as first defined: every candidate, kept when a walk
     of its inner expression finds x (quadratic in the nesting depth)."""
     found = []
-    for node in postorder([e]):
+    for node in _taped(e)[0].nodes:
         if isinstance(node, Binary) and node.op == "/":
             found.append((node.right, WitnessKind.POLE, True))
         elif isinstance(node, Binary) and node.op == "^":
@@ -779,16 +797,16 @@ def _hazards_by_rewalking(e):
         elif isinstance(node, Call) and node.fn == "tan":
             found.append((Call("cos", node.argument), WitnessKind.POLE, True))
     return [
-        (calculus._unwrap_abs(inner) if zero_undefined else inner, kind, zero_undefined)
+        (_unwrap_abs(inner) if zero_undefined else inner, kind, zero_undefined)
         for inner, kind, zero_undefined in found
-        if any(isinstance(n, Variable) for n in postorder([inner]))
+        if any(isinstance(n, Variable) for n in _taped(inner)[0].nodes)
     ]
 
 
 @settings(deadline=None, max_examples=200)
 @given(grammar_exprs(max_leaves=16))
 def test_hazards_match_their_first_definition(e):
-    assert calculus._collect_hazards(e) == _hazards_by_rewalking(e)
+    assert _hazards(e) == _hazards_by_rewalking(e)
 
 
 def test_hazards_of_a_deep_nest_match_their_first_definition():
@@ -808,7 +826,7 @@ def test_hazards_of_a_deep_nest_match_their_first_definition():
             e = Call("tan", Binary("*", Constant(1e-3), e))
         else:
             e = Binary("+", e, Call("ln", Constant(float(level))))
-    hazards = calculus._collect_hazards(e)
+    hazards = _hazards(e)
     assert hazards == _hazards_by_rewalking(e)
     assert len(hazards) > 100
 
@@ -819,7 +837,7 @@ def test_hazards_of_deeply_nested_powers_match_their_first_definition():
     e = Variable()
     for _ in range(200):
         e = Binary("^", Binary("+", Variable(), Constant(1.0)), e)
-    hazards = calculus._collect_hazards(e)
+    hazards = _hazards(e)
     assert hazards == _hazards_by_rewalking(e)
     assert len(hazards) == 200
 
@@ -836,10 +854,10 @@ def test_domain_arguments_are_the_real_ones():
         ("x^0.5", -2.0, 0.0, DomainErrorKind.POWER_OF_NON_POSITIVE),
     ]:
         with pytest.raises(DomainError) as raised:
-            enclose([parse(text)], a, b)
+            enclose(*_taped(parse(text)), a, b)
         assert (raised.value.kind, raised.value.point) == (kind, a)
     for text in ("ln(abs(x - 0.5))", "x^x", "x^2"):
-        enclose([parse(text)], -2.0, -1.0)
+        enclose(*_taped(parse(text)), -2.0, -1.0)
     e = parse("ln(abs(x - 0.5)) + sqrt(x) + x^(1/2) + x^2 + x^x + ln(2)")
     iv = Interval(-1.0, 1.0)
     assert analyze_smoothness(e, iv, SAMPLES) == _scanned(e, iv, SAMPLES)
@@ -864,5 +882,28 @@ def test_domain_arguments_are_the_real_ones():
 )
 def test_hazards_of_folding_exponents_match_their_first_definition(text):
     e = parse(text)
-    assert calculus._collect_hazards(e) == _hazards_by_rewalking(e)
+    assert _hazards(e) == _hazards_by_rewalking(e)
 
+
+def test_one_analysis_expands_each_node_once(monkeypatch):
+    # bounds on [-1, 1] settle neither the grid nor its halves, as the
+    # divisor comes near 0 on both: three passes of bounds, one tape
+    e = parse("tan(x) / (x*x + 1e-6)")
+    expanded, passes = [], []
+    children, bound = expr._children, calculus.enclose
+
+    def counted_children(node):
+        expanded.append(node)
+        return children(node)
+
+    def counted_enclose(t, outs, a, b):
+        passes.append(t)
+        return bound(t, outs, a, b)
+
+    monkeypatch.setattr(expr, "_children", counted_children)
+    monkeypatch.setattr(calculus, "enclose", counted_enclose)
+    analyze_smoothness(e, Interval(-1.0, 1.0), SAMPLES)
+    assert len(passes) >= 3 and all(t is passes[0] for t in passes)
+    # the 8 nodes of e, and the cos(x) of tan's pole hazard, each once
+    assert len({id(node) for node in expanded}) == len(expanded) == 9
+    assert len(passes[0].nodes) == 9

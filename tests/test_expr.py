@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtcheck import expr
+from mvtcheck import calculus, expr
 from mvtcheck.calculus import differentiate
 from mvtcheck.expr import (
     Binary,
@@ -21,6 +21,7 @@ from mvtcheck.expr import (
     NestingTooDeep,
     ParseError,
     SourceError,
+    Tape,
     UnknownIdentifier,
     Variable,
     compile_evaluator,
@@ -29,7 +30,6 @@ from mvtcheck.expr import (
     evaluate,
     format_expr,
     parse,
-    postorder,
     tokenize,
 )
 from mvtcheck.numeric import Interval, sample
@@ -419,6 +419,12 @@ EDGE_CASES = [
 ]
 
 
+def _taped(*exprs: Expr) -> tuple[Tape, list[int]]:
+    """A tape holding ``exprs``, and their slots on it."""
+    t = Tape()
+    return t, [t.add(e) for e in exprs]
+
+
 def _edge_id(value) -> str:
     return repr(value) if isinstance(value, float) else format_expr(value)
 
@@ -434,7 +440,7 @@ def test_compiled_code_matches_reference_at_the_edges(e, x):
         # compile_outputs gives None, or raises NON_FINITE where a function
         # of math raised, which is what evaluate raises there too
         try:
-            (value,) = compile_outputs([e])(x)
+            (value,) = compile_outputs(*_taped(e))(x)
         except DomainError as inner:
             assert (inner.kind, str(inner)) == (err.kind, str(err))
             assert err.kind is DomainErrorKind.NON_FINITE
@@ -442,7 +448,7 @@ def test_compiled_code_matches_reference_at_the_edges(e, x):
             assert value is None
     else:
         assert repr(compile_evaluator(e)(x)) == repr(expected)
-        assert [repr(v) for v in compile_outputs([e])(x)] == [repr(expected)]
+        assert [repr(v) for v in compile_outputs(*_taped(e))(x)] == [repr(expected)]
 
 
 def test_a_power_keeps_its_test_beside_a_product_of_its_base():
@@ -454,8 +460,8 @@ def test_a_power_keeps_its_test_beside_a_product_of_its_base():
     with pytest.raises(DomainError) as expected:
         evaluate(power, 1e200)
     assert expected.value.kind is DomainErrorKind.NON_FINITE
-    assert compile_outputs([product, power])(1e200) == (0.0, None)
-    assert compile_outputs([power, product])(1e200) == (None, 0.0)
+    assert compile_outputs(*_taped(product, power))(1e200) == (0.0, None)
+    assert compile_outputs(*_taped(power, product))(1e200) == (None, 0.0)
 
 
 def _subtrees(e: Expr) -> list[Expr]:
@@ -487,7 +493,7 @@ def test_one_program_computes_every_output(e, data):
     picked = data.draw(st.lists(st.sampled_from(subtrees), max_size=4))
     extras = [Call("cos", t.argument) for t in subtrees if isinstance(t, Call) and t.fn == "tan"]
     outputs = [e, *picked, *extras]
-    scan = sample(compile_outputs(outputs), Interval(-4.0, 4.0), 33)
+    scan = sample(compile_outputs(*_taped(*outputs)), Interval(-4.0, 4.0), 33)
     for i, x in enumerate(scan.xs):
         row = scan.values[i]
         if row is None:
@@ -514,7 +520,7 @@ def test_equal_subtrees_lower_to_one_statement():
 
 def test_constants_keep_the_sign_of_zero_apart():
     e = Binary("+", Binary("*", Constant(0.0), Variable()), Binary("*", Constant(-0.0), Variable()))
-    program = compile_outputs([e, e.left, e.right])
+    program = compile_outputs(*_taped(e, e.left, e.right))
     assert [repr(v) for v in program(-1.0)] == ["0.0", "-0.0", "0.0"]
 
 
@@ -522,7 +528,7 @@ def test_outputs_are_none_where_not_finite():
     # 1e200*1e200 overflows to inf without raising; exp(-inf) is 0.0
     e = parse("exp(-(1e200*1e200)) + x")
     inner = e.left.argument.child
-    assert compile_outputs([e, inner])(1.0) == (1.0, None)
+    assert compile_outputs(*_taped(e, inner))(1.0) == (1.0, None)
 
 
 def test_compile_has_no_nesting_limit():
@@ -530,27 +536,37 @@ def test_compile_has_no_nesting_limit():
     assert compile_evaluator(flat_sum)(0.5) == 200.0
 
 
-# --- postorder and enclose --------------------------------------------------
+# --- tape and enclose --------------------------------------------------------
 
 
-def test_postorder_yields_children_first_and_shared_nodes_once():
+def test_tape_holds_children_first_and_shared_nodes_once():
     shared = Call("sin", Variable())
     e = Binary("+", shared, Neg(shared))
-    order = [id(node) for node in postorder([e, shared])]
-    assert order == [id(shared.argument), id(shared), id(e.right), id(e)]
+    t = Tape()
+    assert t.add(e) == 3
+    assert [id(node) for node in t.nodes] == [id(shared.argument), id(shared), id(e.right), id(e)]
+    assert t.args == [(), (0,), (1,), (1, 2)]
+    # a node on the tape keeps its slot, and adding it appends nothing
+    assert t.add(shared) == 1
+    assert len(t.nodes) == len(t.args) == 4
+    # a new root appends only what is not on the tape yet
+    assert t.add(Call("cos", shared)) == 4
+    assert t.args[4:] == [(1,)]
 
 
-def test_postorder_has_no_depth_limit():
+def test_tape_has_no_depth_limit():
     e = Variable()
     for _ in range(20000):
         e = Neg(e)
-    assert sum(1 for _ in postorder([e])) == 20001
+    t = Tape()
+    assert t.add(e) == 20000
+    assert t.args == [(), *[(i,) for i in range(20000)]]
 
 
-def _assert_encloses(outputs, iv, bounds):
+def _assert_encloses(t, outs, iv, bounds):
     # the compiled program raises nothing on the sample grids and every
     # output lies within its bounds
-    program = compile_outputs(outputs)
+    program = compile_outputs(t, outs)
     for n in (97, 1024):
         scan = sample(program, iv, n)
         assert scan.failures == {}
@@ -565,22 +581,24 @@ def test_enclosures_hold_every_compiled_value(e, data):
     a = data.draw(st.floats(min_value=-50.0, max_value=50.0), label="a")
     width = data.draw(st.floats(min_value=1e-6, max_value=60.0), label="width")
     iv = Interval(a, a + width)
-    subtrees = _subtrees(e)
-    picked = data.draw(st.lists(st.sampled_from(subtrees), max_size=4))
-    extras = [Call("cos", t.argument) for t in subtrees if isinstance(t, Call) and t.fn == "tan"]
-    outputs = [e, *picked, *extras]
+    # the tape and slots that analyze_smoothness bounds and compiles: e,
+    # then its hazards' inner expressions, tan(u)'s cos(u) added last
+    t = Tape()
+    outs = [t.add(e), *(slot for slot, _, _ in calculus._collect_hazards(t))]
+    # and some more of the nodes that the pass reads, whose bounds hold too
+    outs += data.draw(st.lists(st.integers(0, max(outs)), max_size=4), label="more")
     try:
-        bounds = enclose(outputs, iv.a, iv.b)
+        bounds = enclose(t, outs, iv.a, iv.b)
     except DomainError:
         # a node of e leaves its domain on all of [a, b]: e is undefined at
         # every grid point, also where a function of math aborts the row
-        program = compile_outputs(outputs)
+        program = compile_outputs(t, outs)
         for n in (97, 1024):
             assert all(row is None or row[0] is None for row in sample(program, iv, n).values)
         return
     if bounds is not None:
-        assert len(bounds) == len(outputs)
-        _assert_encloses(outputs, iv, bounds)
+        assert len(bounds) == len(outs)
+        _assert_encloses(t, outs, iv, bounds)
 
 
 @pytest.mark.parametrize(
@@ -611,14 +629,14 @@ def test_enclosures_hold_every_compiled_value(e, data):
 )
 def test_enclosure_edge_cases(text, a, b, bounded):
     e = parse(text)
-    bounds = enclose([e], a, b)
+    bounds = enclose(*_taped(e), a, b)
     assert (bounds is not None) is bounded
     if bounded:
-        _assert_encloses([e], Interval(a, b), bounds)
+        _assert_encloses(*_taped(e), Interval(a, b), bounds)
 
 
 def test_enclosure_of_cos_near_its_zero_straddles_zero():
-    ((lo, hi),) = enclose([parse("cos(x)")], 1.5, 1.7)
+    ((lo, hi),) = enclose(*_taped(parse("cos(x)")), 1.5, 1.7)
     assert lo < 0.0 < hi
 
 
@@ -630,14 +648,14 @@ def test_enclosure_is_none_where_the_compiled_code_raises(text, a, b, raises_at)
     e = parse(text)
     with pytest.raises(DomainError):
         compile_evaluator(e)(raises_at)
-    assert enclose([e], a, b) is None
+    assert enclose(*_taped(e), a, b) is None
 
 
 def test_enclose_requires_an_ordered_finite_interval():
     with pytest.raises(ValueError):
-        enclose([Variable()], 1.0, 0.0)
+        enclose(*_taped(Variable()), 1.0, 0.0)
     with pytest.raises(ValueError):
-        enclose([Variable()], 0.0, math.inf)
+        enclose(*_taped(Variable()), 0.0, math.inf)
 
 
 # --- records ----------------------------------------------------------------

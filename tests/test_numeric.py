@@ -35,6 +35,10 @@ def test_interval_validation():
         Interval(0.0, math.inf)
     with pytest.raises(ValueError, match="interval width overflows"):
         Interval(-1e308, 1e308)
+    # ints beyond the largest float, and nan, are refused like infinite ends
+    for a, b in [(10**400, 10**401), (0, 10**400), (-(10**400), 0), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            Interval(a, b)
     # integer ends are stored as floats; a string is still refused
     iv = Interval(0, 1)
     assert type(iv.a) is float and type(iv.b) is float
