@@ -4,8 +4,8 @@ Lexer, recursive-descent parser, canonical formatter, and evaluator for a
 small grammar: the five binary operators ``+ - * / ^``, unary minus, the
 functions sin, cos, tan, exp, ln, sqrt, abs, the variable ``x``, and the
 named constants ``pi`` and ``e`` (folded to numbers at parse time).  The
-compiler and the interval bounds read a :class:`Tape` of expressions'
-distinct nodes, so an expression on one tape is walked once.
+compiler and the interval bounds read a :class:`Tape`, which holds each
+distinct subexpression once, so an expression on it is walked once.
 
 Precedence, loosest to tightest: additive, multiplicative, unary minus,
 ``^`` (right associative); function application binds tightest.  There is
@@ -515,7 +515,7 @@ def compile_outputs(t: Tape, outs: Sequence[int]) -> Callable[[float], tuple[flo
     The call returns one entry per slot of ``outs``: the value of its node,
     bit-identical to :func:`evaluate`, or None exactly where :func:`evaluate`
     on that node raises DomainError or gives a value that is not finite.
-    Common subexpressions are computed once.  A failed rule of ``/``, ``^``,
+    Each slot is computed once.  A failed rule of ``/``, ``^``,
     ln or sqrt gives NaN, which flows on to every result it feeds, so an
     undefined point costs no more than a defined one.  The call raises
     DomainError (NON_FINITE) only where a function of math raises (sin of an
@@ -561,12 +561,10 @@ def _lower(t: Tape, outs: Sequence[int], raising: bool) -> tuple[list[str], list
     """SSA statements computing ``t`` up to ``max(outs)``, and the operand of each of ``outs``.
 
     Nodes are lowered in tape order, so no depth of nesting limits the
-    lowering.  Every distinct subtree becomes the statements of one
-    temporary ``tN``; structurally equal subtrees have equal operation texts
-    and share it.  A written-out power is keyed by its ``_pow`` text, not its
-    product's, so it never shares the temporary of a product without the
-    power's finiteness test.  Constants are inlined as literals (``repr``
-    keeps the sign of zero apart) and the variable is ``x``.
+    lowering.  Each slot of an operation becomes the statements of one
+    temporary ``tN``, so equal subexpressions, which share a slot, are
+    computed once.  Constants are inlined as literals (``repr`` keeps the
+    sign of zero apart) and the variable is ``x``.
 
     Where an operation fails, its statements raise its DomainError if
     ``raising``, and set its temporary to NaN otherwise.  A defined
@@ -574,16 +572,12 @@ def _lower(t: Tape, outs: Sequence[int], raising: bool) -> tuple[list[str], list
     tests what ``_div`` and ``_pow`` return.
     """
     body: list[str] = []
-    temps: dict[str, str] = {}  # operation text -> its temporary
     operands: list[str] = []  # per slot
-    for node, slots in zip(t.nodes[: max(outs) + 1], t.args):
-        if isinstance(node, Constant):
-            operands.append(f"({node.value!r})")
+    for i, (node, slots) in enumerate(zip(t.nodes[: max(outs) + 1], t.args)):
+        if not slots:
+            operands.append("x" if isinstance(node, Variable) else f"({node.value!r})")
             continue
-        if isinstance(node, Variable):
-            operands.append("x")
-            continue
-        args = [operands[i] for i in slots]
+        args = [operands[j] for j in slots]
         if isinstance(node, Neg):
             operation = f"-{args[0]}"
         elif isinstance(node, Call):
@@ -592,11 +586,8 @@ def _lower(t: Tape, outs: Sequence[int], raising: bool) -> tuple[list[str], list
             operation = f"{args[0]} {node.op} {args[1]}"
         else:
             operation = f"{'_div' if node.op == '/' else '_pow'}({args[0]}, {args[1]})"
-        name = temps.get(operation)
-        if name is None:
-            name = temps[operation] = f"t{len(temps)}"
-            body += _statements(node, name, operation, args[0], raising)
-        operands.append(name)
+        body += _statements(node, f"t{i}", operation, args[0], raising)
+        operands.append(f"t{i}")
     return body, [operands[i] for i in outs]
 
 
@@ -609,8 +600,10 @@ def _statements(node: Expr, name: str, operation: str, first: str, raising: bool
         if raising:
             return [f"if {first} < {least!r}: raise DomainError(x, {kind.name})", f"{name} = {operation}"]
         return [f"{name} = nan if {first} < {least!r} else {operation}"]
-    k = _multiplied_out(node)
-    if k is not None:
+    # a power of a literal exponent that _pow multiplies out to k >= 1
+    literal = isinstance(node, Binary) and node.op == "^" and isinstance(node.right, Constant)
+    k = integer_exponent(node.right.value) if literal else None
+    if k is not None and k >= 1:
         fail = "raise DomainError(x, NON_FINITE)" if raising else f"{name} = nan"
         return [f"{name} = {' * '.join([first] * k)}", f"if not -inf < {name} < inf: {fail}"]
     if raising and isinstance(node, Binary) and node.op in "/^":
@@ -618,56 +611,70 @@ def _statements(node: Expr, name: str, operation: str, first: str, raising: bool
     return [f"{name} = {operation}"]
 
 
-def _multiplied_out(e: Expr) -> int | None:
-    """k where ``e`` is a power ``u ^ k`` of a literal exponent that _pow
-    multiplies out to k >= 1, else None."""
-    if isinstance(e, Binary) and e.op == "^" and isinstance(e.right, Constant):
-        k = integer_exponent(e.right.value)
-        if k is not None and k >= 1:
-            return k
-    return None
-
-
 class Tape:
-    """The distinct nodes of expressions, children before their parent.
+    """The distinct subexpressions of some roots, children before their parent.
 
     ``nodes[i]`` is a node and ``args[i]`` holds its children's slots, each
-    below ``i``.  ``add(root)`` appends ``root`` and, children left to
-    right, every node below it not on the tape yet, and returns the slot of
-    ``root``: a node object takes one slot however often it is reached.  An
-    explicit stack walks the nodes, so no depth of nesting limits it.
+    below ``i``.  ``add(root)`` puts ``root`` and every node below it on the
+    tape, children left to right, and returns the slot of ``root``.  A node
+    is keyed by its operator, function name or constant ``repr`` (which
+    keeps ``0.0`` and ``-0.0`` apart) and its children's slots, so equal
+    expressions take one slot, held by the first node met.  An explicit
+    stack walks each node object once, so no depth of nesting limits it.
     """
 
     def __init__(self):
         self.nodes: list[Expr] = []
         self.args: list[tuple[int, ...]] = []
+        self._keys: dict[tuple, int] = {}  # (part, *child slots) -> slot
         self._slots: dict[int, int] = {}  # id(node) -> slot
+        self._copies: list[Expr] = []  # kept alive, so no new node reuses an id in _slots
 
     def add(self, root: Expr) -> int:
-        # (node, children): a node is expanded once, coming back with its
-        # children above it, and appended when it returns to the top
-        stack: list[tuple[Expr, tuple[Expr, ...] | None]] = [(root, None)]
+        # (node, None, 0) is a node to walk, and (node, part, arity) one
+        # whose children are walked first: it comes back above them and takes
+        # their slots off ``done``, where each node walked leaves its own
+        stack: list[tuple[Expr, str | None, int]] = [(root, None, 0)]
+        done: list[int] = []
         while stack:
-            node, children = stack.pop()
-            if children is not None:
-                self._slots[id(node)] = len(self.nodes)
+            node, part, arity = stack.pop()
+            if part is None:
+                slot = self._slots.get(id(node))
+                if slot is not None:
+                    done.append(slot)
+                    continue
+                part, children = _parts(node)
+                arity = len(children)
+                if arity:
+                    stack.append((node, part, arity))
+                    stack.extend([(c, None, 0) for c in reversed(children)])
+                    continue
+            key = (part, *done[len(done) - arity :])
+            del done[len(done) - arity :]
+            slot = self._keys.get(key)
+            if slot is None:
+                slot = self._keys[key] = len(self.nodes)
                 self.nodes.append(node)
-                self.args.append(tuple([self._slots[id(c)] for c in children]))
-            elif id(node) not in self._slots:
-                children = _children(node)
-                stack.append((node, children))
-                stack.extend([(c, None) for c in reversed(children)])
-        return self._slots[id(root)]
+                self.args.append(key[1:])
+            else:
+                self._copies.append(node)
+            self._slots[id(node)] = slot
+            done.append(slot)
+        return done[0]
 
 
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Neg):
-        return (e.child,)
+def _parts(e: Expr) -> tuple[str, tuple[Expr, ...]]:
+    # ``e``'s key part, what it computes from its children, and its
+    # children; a node of no other class is a Constant
     if isinstance(e, Binary):
-        return (e.left, e.right)
+        return e.op, (e.left, e.right)
+    if isinstance(e, Variable):
+        return "x", ()
     if isinstance(e, Call):
-        return (e.argument,)
-    return ()
+        return e.fn, (e.argument,)
+    if isinstance(e, Neg):
+        return "-", (e.child,)
+    return repr(e.value), ()
 
 
 # --- interval bounds ----------------------------------------------------------
@@ -813,23 +820,14 @@ def _tan_bounds(lo: float, hi: float) -> Bounds | None:
     return _widen(math.tan(lo), math.tan(hi))
 
 
-def _ln_bounds(lo: float, hi: float) -> Bounds | _Undefined | None:
-    if lo < _DOMAINS["ln"][0]:
-        return _beyond("ln", hi)
-    return _widen(math.log(lo), math.log(hi))
-
-
-def _sqrt_bounds(lo: float, hi: float) -> Bounds | _Undefined | None:
-    if lo < _DOMAINS["sqrt"][0]:
-        return _beyond("sqrt", hi)
-    return math.sqrt(lo), math.sqrt(hi)
-
-
-def _beyond(fn: str, hi: float) -> _Undefined | None:
-    """The failure of ``fn``'s domain rule where its argument's upper bound
-    ``hi``, and so every value of it, lies below the least it accepts."""
+def _domain_bounds(fn: str, lo: float, hi: float) -> Bounds | _Undefined | None:
+    # ln or sqrt: its rule's failure where every argument, up to ``hi``, lies
+    # below the least it accepts; sqrt is correctly rounded, ln is widened
     least, kind = _DOMAINS[fn]
-    return _UNDEFINED[kind.name] if hi < least else None
+    if lo < least:
+        return _UNDEFINED[kind.name] if hi < least else None
+    box = _LIBM[fn](lo), _LIBM[fn](hi)
+    return _widen(*box) if fn == "ln" else box
 
 
 def _abs_bounds(lo: float, hi: float) -> Bounds:
@@ -853,7 +851,7 @@ _CALL_BOUNDS: dict[str, Callable[[float, float], Bounds | _Undefined | None]] = 
     "cos": lambda lo, hi: _wave_bounds(math.cos, 0.0, lo, hi),
     "tan": _tan_bounds,
     "exp": _exp_bounds,
-    "ln": _ln_bounds,
-    "sqrt": _sqrt_bounds,
+    "ln": lambda lo, hi: _domain_bounds("ln", lo, hi),
+    "sqrt": lambda lo, hi: _domain_bounds("sqrt", lo, hi),
     "abs": _abs_bounds,
 }

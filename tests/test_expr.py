@@ -554,6 +554,29 @@ def test_tape_holds_children_first_and_shared_nodes_once():
     assert t.args[4:] == [(1,)]
 
 
+def test_equal_expressions_take_one_slot():
+    # separately built copies of x - 0.3 share the first copy's slot
+    first, second = parse("x - 0.3"), parse("x - 0.3")
+    t = Tape()
+    assert t.add(Binary("/", first, second)) == 3
+    assert t.nodes[2] is first and t.args == [(), (), (0, 1), (2, 2)]
+    # a constant is keyed by its repr: 0.0, -0.0 and -(0.0) take three slots
+    assert [t.add(Constant(0.0)), t.add(Constant(-0.0)), t.add(Neg(Constant(0.0)))] == [4, 5, 6]
+    # an equal but distinct tree returns the old slot and appends nothing
+    assert t.add(parse("(x - 0.3) / (x - 0.3)")) == 3
+    assert len(t.nodes) == len(t.args) == 7
+
+
+def test_a_dropped_copy_leaves_its_slot_to_no_new_node():
+    # each cos(x) below is a copy, dropped by the caller after add: the tape
+    # keeps it alive, so the next new node cannot reuse its id and its slot
+    t = Tape()
+    t.add(parse("cos(x)"))
+    for fn in ("sin", "tan", "exp", "ln", "sqrt", "abs"):
+        assert t.add(Call("cos", t.nodes[0])) == 1
+        assert t.nodes[t.add(Call(fn, t.nodes[0]))].fn == fn
+
+
 def test_tape_has_no_depth_limit():
     e = Variable()
     for _ in range(20000):

@@ -10,7 +10,7 @@ near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
 ``Verdict.UNKNOWN`` in ``_verdict`` only, ``expr`` names
 ``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only,
 ``POWER_OF_NON_POSITIVE`` in ``_pow`` only and the ln and sqrt failures in
-``_DOMAINS`` only, ``expr`` reads ``_children`` in ``Tape.add`` only, no
+``_DOMAINS`` only, ``expr`` reads ``_parts`` in ``Tape.add`` only, no
 module imports ``dataclasses``, and the README lists exactly the names the package exports.  One test imports the
 package in a fresh interpreter to check what the import loads.
 """
@@ -342,16 +342,17 @@ def test_ln_and_sqrt_rules_are_stated_in_domains_only(name):
     assert mentions and outside == []
 
 
-def test_children_are_read_by_the_tape_only():
-    # Tape.add is the one walk over an expression's nodes: every other pass
-    # reads a tape, so none re-walks the nodes or needs a stack of its own
+def test_node_parts_are_read_by_the_tape_only():
+    # Tape.add is the one walk over an expression's nodes, and the one place
+    # that decides which subexpressions are equal: every other pass reads a
+    # tape, so none re-walks the nodes, needs a stack or keys nodes itself
     tree = _tree(ROOT / "src" / "mvtcheck" / "expr.py")
     (add,) = [
         method
         for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Tape"
         for method in node.body if isinstance(method, ast.FunctionDef) and method.name == "add"
     ]
-    reads = [line for function, line in _reads(tree, "_children")]
+    reads = [line for function, line in _reads(tree, "_parts")]
     assert reads and [f"line {line}" for line in reads if not add.lineno <= line <= add.end_lineno] == []
 
 

@@ -19,6 +19,13 @@ output.  Two runs that print the same lines gave the same verdicts, the
 same numbers and the same files.  mvtcheck is imported from the ``src/``
 next to this directory, and the inputs come from ``bench/mvtbench/gen.py``,
 which is read and not changed.
+
+With ``--against REF`` first, the tool checks the git revision REF out in
+a temporary worktree, runs that checkout's own dump and this one with the
+same workload and seeds, and prints the first differing lines and how
+many differ.  It exits 1 when any line differs and 0 when none does:
+
+    python3 tools/dump_outputs.py --against main hazard 1 2 3
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -42,6 +51,9 @@ from mvtcheck.calculus import analyze_smoothness  # noqa: E402
 from mvtcheck.cli import run  # noqa: E402
 
 SAMPLES = (1024, 97)
+
+# differing lines that --against prints before its count
+_SHOWN = 5
 
 
 def _attempt(call, show=repr) -> str:
@@ -86,13 +98,43 @@ def cli_lines(seed: int):
             os.chdir(here)
 
 
+def against(ref: str, args: list[str]) -> int:
+    """Print how the dump of ``args`` differs between ``ref`` and this checkout."""
+    with tempfile.TemporaryDirectory() as scratch:
+        checkout = os.path.join(scratch, "ref")
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--quiet", "--detach", checkout, ref], check=True)
+        try:
+            theirs = _dump(checkout, args)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", checkout], check=True)
+    ours = _dump(ROOT, args)
+    pairs = itertools.zip_longest(theirs, ours, fillvalue="")
+    differing = [(i, old, new) for i, (old, new) in enumerate(pairs, 1) if old != new]
+    for i, old, new in differing[:_SHOWN]:
+        print(f"line {i}:\n- {old}\n+ {new}")
+    print(f"{len(differing)} of {max(len(theirs), len(ours))} lines differ from {ref}")
+    return 1 if differing else 0
+
+
+def _dump(root: str, args: list[str]) -> list[str]:
+    # the lines that the dump in checkout ``root`` prints
+    tool = os.path.join(root, "tools", "dump_outputs.py")
+    done = subprocess.run([sys.executable, tool, *args], check=True, stdout=subprocess.PIPE, text=True)
+    return done.stdout.splitlines()
+
+
 def main(argv: list[str]) -> int:
+    ref = None
+    if argv[:1] == ["--against"] and len(argv) > 1:
+        ref, argv = argv[1], argv[2:]
     if len(argv) < 2 or argv[0] not in WORKLOADS:
-        print(f"usage: dump_outputs.py {{{','.join(WORKLOADS)}}} SEED [SEED ...]", file=sys.stderr)
+        print(f"usage: dump_outputs.py [--against REF] {{{','.join(WORKLOADS)}}} SEED [SEED ...]", file=sys.stderr)
         return 2
     if os.path.dirname(os.path.abspath(mvtcheck.__file__)) != os.path.join(ROOT, "src", "mvtcheck"):
         print(f"error: imported mvtcheck from {mvtcheck.__file__}", file=sys.stderr)
         return 2
+    if ref is not None:
+        return against(ref, argv)
     workload = argv[0]
     for seed in map(int, argv[1:]):
         lines = cli_lines(seed) if workload == "cli" else library_lines(workload, seed)
