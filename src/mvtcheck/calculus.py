@@ -169,30 +169,26 @@ def simplify(e: Expr) -> Expr:
     Pointwise equal to the input wherever the input is defined (identity
     rules are exact, folding is single-rounding); no deeper rewriting.
     """
+    return _simplify(e, None)
+
+
+def _simplify(e: Expr, memo: dict[int, Expr] | None) -> Expr:
+    # simplify(e), and with a memo, what each node object folds to, under
+    # its id (the caller keeps the objects alive), so a node met again folds
+    # once.  simplify keeps none: it costs about a quarter more time
+    if memo is not None and id(e) in memo:
+        return memo[id(e)]
     if isinstance(e, Neg):
-        return _neg(simplify(e.child))
-    if isinstance(e, Binary):
-        return _binary(e.op, simplify(e.left), simplify(e.right))
-    if isinstance(e, Call):
-        return _call(e.fn, simplify(e.argument))
-    return e
-
-
-def _simplified(t: Tape, i: int, memo: dict[int, Expr]) -> Expr:
-    """simplify(t.nodes[i]), with what each slot simplifies to kept in
-    ``memo``, so a node asked for again is simplified once.  The memo costs
-    simplify itself about a quarter more time, so simplify keeps none."""
-    if i not in memo:
-        e, args = t.nodes[i], t.args[i]
-        if isinstance(e, Neg):
-            memo[i] = _neg(_simplified(t, args[0], memo))
-        elif isinstance(e, Binary):
-            memo[i] = _binary(e.op, _simplified(t, args[0], memo), _simplified(t, args[1], memo))
-        elif isinstance(e, Call):
-            memo[i] = _call(e.fn, _simplified(t, args[0], memo))
-        else:
-            memo[i] = e
-    return memo[i]
+        folded = _neg(_simplify(e.child, memo))
+    elif isinstance(e, Binary):
+        folded = _binary(e.op, _simplify(e.left, memo), _simplify(e.right, memo))
+    elif isinstance(e, Call):
+        folded = _call(e.fn, _simplify(e.argument, memo))
+    else:
+        return e
+    if memo is not None:
+        memo[id(e)] = folded
+    return folded
 
 
 # node builders for simplify and _derivative: each folds one node whose
@@ -262,6 +258,8 @@ def _collect_hazards(t: Tape) -> list[tuple[int, WitnessKind, bool]]:
     Zeros of inner mark the trouble spots, where f is undefined if
     zero_undefined (poles, ln, powers) and may only lose its derivative if
     not (sqrt, abs).  The inner of tan(u), cos(u), is added to ``t``.
+    A power's exponent is folded by simplify's walk with one memo per call,
+    keyed by node object, so nested powers fold each exponent once.
     """
     out: list[tuple[int, WitnessKind, bool]] = []
     # per slot, whether x is below it, and the slot of u where the node is
@@ -270,7 +268,7 @@ def _collect_hazards(t: Tape) -> list[tuple[int, WitnessKind, bool]]:
     # undefined, the hazard is u, whose sign change the scan confirms
     has_x: list[bool] = []
     bare: list[int] = []
-    # simplify's memo, shared by every exponent: nested powers fold once
+    # the exponents' memo: the tape holds every node below a slot, so no id is reused
     simplified: dict[int, Expr] = {}
     # the walk reaches the cos(u) nodes it adds as well
     for node, args in zip(t.nodes, t.args):
@@ -282,7 +280,7 @@ def _collect_hazards(t: Tape) -> list[tuple[int, WitnessKind, bool]]:
             elif node.op == "^":
                 # the exponent's value decides, as in the evaluators: folding
                 # gives it wherever it is the same at every x
-                exponent = _simplified(t, args[1], simplified)
+                exponent = _simplify(node.right, simplified)
                 n = integer_exponent(exponent.value) if isinstance(exponent, Constant) else None
                 if n is None:
                     out.append((bare[args[0]], WitnessKind.POWER_BOUNDARY, True))

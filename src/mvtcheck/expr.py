@@ -620,15 +620,16 @@ class Tape:
     is keyed by its operator, function name or constant ``repr`` (which
     keeps ``0.0`` and ``-0.0`` apart) and its children's slots, so equal
     expressions take one slot, held by the first node met.  An explicit
-    stack walks each node object once, so no depth of nesting limits it.
+    stack walks each node object once, so no depth of nesting limits it;
+    the tape's id map holds every node object it walked, copies too, so
+    no id in it can pass to a new node.
     """
 
     def __init__(self):
         self.nodes: list[Expr] = []
         self.args: list[tuple[int, ...]] = []
         self._keys: dict[tuple, int] = {}  # (part, *child slots) -> slot
-        self._slots: dict[int, int] = {}  # id(node) -> slot
-        self._copies: list[Expr] = []  # kept alive, so no new node reuses an id in _slots
+        self._slots: dict[int, tuple[int, Expr]] = {}  # id(node) -> (slot, node)
 
     def add(self, root: Expr) -> int:
         # (node, None, 0) is a node to walk, and (node, part, arity) one
@@ -639,9 +640,9 @@ class Tape:
         while stack:
             node, part, arity = stack.pop()
             if part is None:
-                slot = self._slots.get(id(node))
-                if slot is not None:
-                    done.append(slot)
+                walked = self._slots.get(id(node))
+                if walked is not None:
+                    done.append(walked[0])
                     continue
                 part, children = _parts(node)
                 arity = len(children)
@@ -656,9 +657,7 @@ class Tape:
                 slot = self._keys[key] = len(self.nodes)
                 self.nodes.append(node)
                 self.args.append(key[1:])
-            else:
-                self._copies.append(node)
-            self._slots[id(node)] = slot
+            self._slots[id(node)] = (slot, node)
             done.append(slot)
         return done[0]
 

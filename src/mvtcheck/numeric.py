@@ -261,8 +261,8 @@ def bisect(g: Evaluator, br: Bracket, eps: float) -> tuple[float, BisectionState
     bracket is at most ``eps`` wide or, where floats are too coarse for
     that, two adjacent floats, whose midpoint rounds to one of them.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     left, right = br.left, br.right
     g_left, g_right = br.g_left, br.g_right
     width = right - left

@@ -61,8 +61,8 @@ class Config(Record):
     def __init__(self, eps_c: float = 1e-10, samples: int = 1024):
         object.__setattr__(self, "eps_c", eps_c)
         object.__setattr__(self, "samples", samples)
-        if not eps_c > 0.0:
-            raise ValueError("eps_c must be positive")
+        if not 0.0 < eps_c < math.inf:
+            raise ValueError("eps_c must be positive and finite")
         if not isinstance(samples, int):
             raise ValueError("samples must be an integer")
         if samples < 2:

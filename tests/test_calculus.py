@@ -842,6 +842,30 @@ def test_hazards_of_deeply_nested_powers_match_their_first_definition():
     assert len(hazards) == 200
 
 
+def test_nested_power_exponents_fold_in_linear_time(monkeypatch):
+    # (x+1)^((x+1)^(...)): every exponent holds the one below it, so
+    # folding each exponent anew calls _binary about 4 times as often at
+    # twice the depth; one memo per analysis folds each node once
+    calls = []
+    binary = calculus._binary
+
+    def counted_binary(op, left, right):
+        calls.append(op)
+        return binary(op, left, right)
+
+    monkeypatch.setattr(calculus, "_binary", counted_binary)
+    counts = []
+    for levels in (100, 200):
+        e = Variable()
+        for _ in range(levels):
+            e = Binary("^", Binary("+", Variable(), Constant(1.0)), e)
+        t, _ = _taped(e)
+        calls.clear()
+        calculus._collect_hazards(t)
+        counts.append(len(calls))
+    assert counts[0] >= 100 and counts[1] <= 2.2 * counts[0]
+
+
 def test_domain_arguments_are_the_real_ones():
     # bounds prove a node undefined on all of [a, b] where the argument of ln
     # or sqrt, or the base of a non-integer constant power, leaves its

@@ -245,6 +245,13 @@ def test_verify_eps_and_samples_flags(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("eps", ["inf", "1e999", "nan"])
+def test_verify_non_finite_eps_is_usage_error(eps, capsys):
+    code = run(["verify", "--f", "x", "--a", "0", "--b", "1", "--eps", eps])
+    assert code == 1
+    assert capsys.readouterr().err == "error: eps_c must be positive and finite\n"
+
+
 def test_verify_samples_above_cap_is_usage_error(capsys):
     code = run(["verify", "--f", "sin(x)", "--a", "0", "--b", "1", "--samples", str(MAX_SAMPLES + 1)])
     assert code == 1

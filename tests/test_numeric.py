@@ -258,8 +258,11 @@ def test_bisect_stops_at_adjacent_floats():
 
 
 def test_bisect_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        bisect(lambda x: x, Bracket(-1.0, 1.0, -1.0, 1.0), 0.0)
+    # NaN and infinity fail no width test: unchecked, each returns the
+    # bracket's midpoint after 0 steps
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            bisect(lambda x: x, Bracket(-1.0, 1.0, -1.0, 1.0), eps)
 
 
 @given(

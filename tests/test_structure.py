@@ -10,7 +10,9 @@ near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
 ``Verdict.UNKNOWN`` in ``_verdict`` only, ``expr`` names
 ``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only,
 ``POWER_OF_NON_POSITIVE`` in ``_pow`` only and the ln and sqrt failures in
-``_DOMAINS`` only, ``expr`` reads ``_parts`` in ``Tape.add`` only, no
+``_DOMAINS`` only, ``expr`` reads ``_parts`` in ``Tape.add`` only,
+``calculus`` reads its node builders ``_neg``, ``_binary`` and ``_call``
+in ``_simplify`` and ``_derivative`` only, no
 module imports ``dataclasses``, and the README lists exactly the names the package exports.  One test imports the
 package in a fresh interpreter to check what the import loads.
 """
@@ -354,6 +356,16 @@ def test_node_parts_are_read_by_the_tape_only():
     ]
     reads = [line for function, line in _reads(tree, "_parts")]
     assert reads and [f"line {line}" for line in reads if not add.lineno <= line <= add.end_lineno] == []
+
+
+@pytest.mark.parametrize("name", ["_neg", "_binary", "_call"])
+def test_fold_rules_are_applied_by_simplify_and_derivative_only(name):
+    # the node builders hold the fold rules, and _simplify's walk is the one
+    # walk that applies them to a given tree (_derivative builds its own):
+    # no second walk restates simplify over some other structure
+    reads = list(_reads(_tree(ROOT / "src" / "mvtcheck" / "calculus.py"), name))
+    outside = [f"line {line}: {function}" for function, line in reads if function not in ("_simplify", "_derivative")]
+    assert reads and outside == []
 
 
 def test_readme_lists_the_exported_names():

@@ -33,8 +33,9 @@ ARCCOS_2_OVER_PI = 0.8806892354203566
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        Config(eps_c=0.0)
+    for eps_c in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Config(eps_c=eps_c)
     with pytest.raises(ValueError):
         Config(samples=1)
     with pytest.raises(ValueError, match="at most"):
