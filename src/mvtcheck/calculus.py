@@ -19,12 +19,15 @@ from .expr import (
     Tape,
     Variable,
     compile_evaluator,
-    compile_outputs,
     enclose,
     evaluate,
     integer_exponent,
+    tabulate,
 )
-from .numeric import Bracket, Evaluator, Interval, bisect, grid, midpoint, sample, tiered
+from .numeric import Bracket, Evaluator, Interval, bisect, grid, midpoint, tiered
+
+# no call here reads sample: bench/mvtbench/tracer.py wraps calculus.sample
+from .numeric import sample  # noqa: F401
 
 __all__ = [
     "Verdict",
@@ -42,8 +45,11 @@ _WITNESS_EPS = 1e-12
 # largest magnitude) without a confirmed crossing is suspected of a
 # tangential touch
 _SUSPICION_RATIO = 1e-4
-# fewest grid intervals in a cell that interval bounds try to clear: one
-# enclose costs about as much as scanning 34 grid points
+# fewest grid intervals in a cell that interval bounds try to clear.  One
+# enclose costs about as much as the column pass spends on 17 grid points
+# (the hazard benchmark inputs, seed 1).  It stays 32: a smaller cell
+# changes which cells bounds clear, and with them the doubt that cleared
+# cells add, so it can change Unknown verdicts
 _MIN_CELL = 32
 
 
@@ -444,8 +450,11 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     Reads one tape of ``e`` for hazard subexpressions (divisors, ln/sqrt
     arguments, abs arguments, non-integer-power bases, tan arguments) and
     confirms their zeros numerically on a grid of ``samples`` points with
-    root-search refinement.  One scan evaluates ``e`` and every hazard's
-    inner expression together, at points where ``e`` is undefined as well.
+    root-search refinement.  One column pass
+    (:func:`~mvtcheck.expr.tabulate`) evaluates ``e`` and every hazard's
+    inner expression together over the grid points scanned, one tape slot
+    at a time, at points where ``e`` is undefined as well; where a function
+    of math aborts a row, each hazard is evaluated there alone.
     Verdicts are three-valued: hazards that cannot be confirmed or ruled out
     at sample resolution yield UNKNOWN rather than a guess.  A function that
     fails to evaluate at a sample point is reported as not continuous at
@@ -489,14 +498,11 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     rows = [i for i in _rows(cells) if i not in proven]
     # each hazard's value is bit-identical to its own evaluation, None where
     # that fails, at e's undefined points too; only a row where a function
-    # of math raised is None for all and recorded in scan.failures.  Cleared
+    # of math raised is None for all and recorded as aborted.  Cleared
     # cells hold no undefined row, and no zero or sign change of a hazard.
     # Where proven rows are most of the grid, no hazard is scanned
-    outputs = [top] if proven else outs
-    scan = sample(compile_outputs(t, outputs), iv, samples, rows)
-    xs = scan.xs
-    blank = (None,) * len(outputs)
-    columns = list(zip(*(row or blank for row in scan.values))) or [()] * len(outputs)
+    xs = grid(iv, samples, rows)
+    columns, aborted = tabulate(t, [top] if proven else outs, xs)
     undefined = sorted(proven.union(row for row, v in zip(rows, columns[0]) if v is None))
 
     witnesses: list[Witness] = []
@@ -507,14 +513,13 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
 
     for (slot, kind, zero_undefined), column, magnitudes in zip(scanned, columns[1:], cleared):
         evaluator = _evaluator(t.nodes[slot])
-        values = list(column)
         # where a function of math aborted the row, evaluate the hazard alone
-        for i in scan.failures:
+        for i in aborted:
             try:
-                values[i] = evaluator(xs[i])
+                column[i] = evaluator(xs[i])
             except DomainError:
                 pass
-        crossings, touches, suspected = _scan_zeros(xs, values, evaluator, magnitudes)
+        crossings, touches, suspected = _scan_zeros(xs, column, evaluator, magnitudes)
 
         if kind is WitnessKind.ABS_KINK:
             # only a confirmed sign change of the argument is a kink:

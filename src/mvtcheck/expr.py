@@ -4,8 +4,9 @@ Lexer, recursive-descent parser, canonical formatter, and evaluator for a
 small grammar: the five binary operators ``+ - * / ^``, unary minus, the
 functions sin, cos, tan, exp, ln, sqrt, abs, the variable ``x``, and the
 named constants ``pi`` and ``e`` (folded to numbers at parse time).  The
-compiler and the interval bounds read a :class:`Tape`, which holds each
-distinct subexpression once, so an expression on it is walked once.
+compiler, the column pass :func:`tabulate` and the interval bounds read a
+:class:`Tape`, which holds each distinct subexpression once, so an
+expression on it is walked once.
 
 Precedence, loosest to tightest: additive, multiplicative, unary minus,
 ``^`` (right associative); function application binds tightest.  There is
@@ -15,6 +16,7 @@ no implicit multiplication: ``4x`` is a parse error, write ``4*x``.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from enum import Enum
 from typing import Callable, Sequence
@@ -42,7 +44,7 @@ __all__ = [
     "format_expr",
     "evaluate",
     "compile_evaluator",
-    "compile_outputs",
+    "tabulate",
     "integer_exponent",
     "Tape",
     "enclose",
@@ -353,15 +355,16 @@ def _format_number(v: float) -> str:
 #
 # The tree-walking evaluator is the reference: _eval, with _div and _pow for
 # the two risky operators and _DOMAINS for ln and sqrt.  _div and _pow return
-# an _Undefined NaN where they fail, and the compiled code calls them as
-# well, so each rule of division and of powers is stated once, there.  The
-# one exception is a literal exponent that _pow multiplies out to k >= 1: it
-# is written out as u * ... * u, which is _repeat's product (that starts
-# from 1.0, and 1.0 * u is u), with one finiteness test after it, which
-# fails where _pow's tests do, since a non-finite base gives a non-finite
-# product.  Both evaluators call the same functions of math, and both map a
-# ValueError or OverflowError raised anywhere inside them to NON_FINITE, as
-# only those functions (math.exp in _pow included) raise either.
+# an _Undefined NaN where they fail, and the compiled code and the column
+# pass call them as well, so each rule of division and of powers is stated
+# once, there.  The one exception is a literal exponent that _pow multiplies
+# out to k >= 1: it is written out as u * ... * u, which is _repeat's
+# product (that starts from 1.0, and 1.0 * u is u), with one finiteness
+# test after it, which fails where _pow's tests do, since a non-finite base
+# gives a non-finite product.  All three call the same functions of math.
+# The evaluators map a ValueError or OverflowError raised anywhere inside
+# them to NON_FINITE, and the column pass aborts the row, as only those
+# functions (math.exp in _pow included) raise either.
 
 # what ``fn(u)`` calls, in both evaluators
 _LIBM = {
@@ -505,29 +508,8 @@ def compile_evaluator(e: Expr) -> Callable[[float], float]:
     evaluates expressions at thousands of sample points.
     """
     tape = Tape()
-    body, (out,) = _lower(tape, [tape.add(e)], raising=True)
-    return _compile([*body, f"if not -inf < {out} < inf: raise DomainError(x, NON_FINITE)", f"return {out}"])
-
-
-def compile_outputs(t: Tape, outs: Sequence[int]) -> Callable[[float], tuple[float | None, ...]]:
-    """Compile the nodes of ``t`` up to ``max(outs)`` into one evaluator.
-
-    The call returns one entry per slot of ``outs``: the value of its node,
-    bit-identical to :func:`evaluate`, or None exactly where :func:`evaluate`
-    on that node raises DomainError or gives a value that is not finite.
-    Each slot is computed once.  A failed rule of ``/``, ``^``,
-    ln or sqrt gives NaN, which flows on to every result it feeds, so an
-    undefined point costs no more than a defined one.  The call raises
-    DomainError (NON_FINITE) only where a function of math raises (sin of an
-    infinity, exp overflowing) at a node it computes: that aborts it for
-    every output.
-    """
-    body, operands = _lower(t, outs, raising=False)
-    values = ", ".join(f"({o} if -inf < {o} < inf else None)" for o in operands)
-    return _compile([*body, f"return ({values},)"])
-
-
-def _compile(body: list[str]) -> Callable:
+    body, out = _lower(tape, tape.add(e))
+    body += [f"if not -inf < {out} < inf: raise DomainError(x, NON_FINITE)", f"return {out}"]
     source = "\n".join(
         [
             "def _compiled(x):",
@@ -542,7 +524,6 @@ def _compile(body: list[str]) -> Callable:
     namespace: dict[str, object] = {
         "isfinite": math.isfinite,
         "inf": math.inf,
-        "nan": math.nan,
         "_div": _div,
         "_pow": _pow,
         "_Undefined": _Undefined,
@@ -557,23 +538,19 @@ def _compile(body: list[str]) -> Callable:
     return namespace["_compiled"]  # type: ignore[return-value]
 
 
-def _lower(t: Tape, outs: Sequence[int], raising: bool) -> tuple[list[str], list[str]]:
-    """SSA statements computing ``t`` up to ``max(outs)``, and the operand of each of ``outs``.
+def _lower(t: Tape, root: int) -> tuple[list[str], str]:
+    """SSA statements computing ``t`` up to the slot ``root``, and the operand of ``root``.
 
     Nodes are lowered in tape order, so no depth of nesting limits the
     lowering.  Each slot of an operation becomes the statements of one
     temporary ``tN``, so equal subexpressions, which share a slot, are
     computed once.  Constants are inlined as literals (``repr`` keeps the
-    sign of zero apart) and the variable is ``x``.
-
-    Where an operation fails, its statements raise its DomainError if
-    ``raising``, and set its temporary to NaN otherwise.  A defined
-    operation runs the same statements either way, except that raising code
-    tests what ``_div`` and ``_pow`` return.
+    sign of zero apart) and the variable is ``x``.  Where an operation
+    fails, its statements raise its DomainError.
     """
     body: list[str] = []
     operands: list[str] = []  # per slot
-    for i, (node, slots) in enumerate(zip(t.nodes[: max(outs) + 1], t.args)):
+    for i, (node, slots) in enumerate(zip(t.nodes[: root + 1], t.args)):
         if not slots:
             operands.append("x" if isinstance(node, Variable) else f"({node.value!r})")
             continue
@@ -586,29 +563,122 @@ def _lower(t: Tape, outs: Sequence[int], raising: bool) -> tuple[list[str], list
             operation = f"{args[0]} {node.op} {args[1]}"
         else:
             operation = f"{'_div' if node.op == '/' else '_pow'}({args[0]}, {args[1]})"
-        body += _statements(node, f"t{i}", operation, args[0], raising)
+        body += _statements(node, f"t{i}", operation, args[0])
         operands.append(f"t{i}")
-    return body, [operands[i] for i in outs]
+    return body, operands[root]
 
 
-def _statements(node: Expr, name: str, operation: str, first: str, raising: bool) -> list[str]:
+def _statements(node: Expr, name: str, operation: str, first: str) -> list[str]:
     # the statements of _lower that set ``name`` to ``node``'s value;
     # ``first`` is the operand text of its first child
     domain = _DOMAINS.get(node.fn) if isinstance(node, Call) else None
     if domain is not None:
         least, kind = domain
-        if raising:
-            return [f"if {first} < {least!r}: raise DomainError(x, {kind.name})", f"{name} = {operation}"]
-        return [f"{name} = nan if {first} < {least!r} else {operation}"]
-    # a power of a literal exponent that _pow multiplies out to k >= 1
-    literal = isinstance(node, Binary) and node.op == "^" and isinstance(node.right, Constant)
-    k = integer_exponent(node.right.value) if literal else None
-    if k is not None and k >= 1:
-        fail = "raise DomainError(x, NON_FINITE)" if raising else f"{name} = nan"
-        return [f"{name} = {' * '.join([first] * k)}", f"if not -inf < {name} < inf: {fail}"]
-    if raising and isinstance(node, Binary) and node.op in "/^":
+        return [f"if {first} < {least!r}: raise DomainError(x, {kind.name})", f"{name} = {operation}"]
+    k = _multiplied_out(node)
+    if k is not None:
+        return [f"{name} = {' * '.join([first] * k)}", f"if not -inf < {name} < inf: raise DomainError(x, NON_FINITE)"]
+    if isinstance(node, Binary) and node.op in "/^":
         return [f"{name} = {operation}", f"if {name}.__class__ is _Undefined: raise DomainError(x, {name}.kind)"]
     return [f"{name} = {operation}"]
+
+
+def _multiplied_out(node: Expr) -> int | None:
+    # k where ``node`` is a power of a literal exponent that _pow multiplies
+    # out to k >= 1, else None
+    if not (isinstance(node, Binary) and node.op == "^" and isinstance(node.right, Constant)):
+        return None
+    k = integer_exponent(node.right.value)
+    return k if k is not None and k >= 1 else None
+
+
+def tabulate(t: Tape, outs: Sequence[int], xs: Sequence[float]) -> tuple[list[list[float | None]], list[int]]:
+    """The slots ``outs`` of ``t`` at every finite point of ``xs``, as one column each.
+
+    Returns one list per slot of ``outs``, holding at each row its node's
+    value, bit-identical to :func:`evaluate`, or None exactly where
+    :func:`evaluate` on that node raises DomainError or gives a value that
+    is not finite; and, in order, the aborted rows: those where a function
+    of math raised (sin of an infinity, exp overflowing) at any node
+    computed, which are None in every output.
+
+    The nodes are computed in tape order, each slot once, one operation over
+    the whole column at a time, so the interpreter's cost per operation is
+    spread over every row and no code is generated (the vectorised
+    interpretation of P. Boncz, M. Zukowski and N. Nes, "MonetDB/X100:
+    Hyper-pipelining query execution", CIDR 2005).  A failed rule of ``/``,
+    ``^``, ln or sqrt gives NaN, which flows on to every result it feeds,
+    so an undefined point costs no more than a defined one.  A column whose
+    function of math raises is redone row by row.  Each column is dropped
+    after its last reader, so memory follows the tape's width, not its
+    length, and no depth of nesting limits the pass.
+    """
+    top = max(outs)
+    # per slot, the last slot that reads it, itself where none does; the
+    # outputs' columns are never dropped
+    last = list(range(top + 1))
+    for i, slots in enumerate(t.args[: top + 1]):
+        for j in slots:
+            last[j] = i
+    for o in outs:
+        last[o] = top + 1
+    columns: list[list[float] | None] = []  # per slot
+    aborted: set[int] = set()
+    for i, (node, slots) in enumerate(zip(t.nodes[: top + 1], t.args)):
+        columns.append(_column(node, [columns[j] for j in slots], xs, aborted))
+        for j in (*slots, i):
+            if last[j] == i:
+                columns[j] = None
+    rows = sorted(aborted)
+    results = []
+    isfinite = math.isfinite
+    for o in outs:
+        column: list[float | None] = [v if isfinite(v) else None for v in columns[o]]
+        for row in rows:
+            column[row] = None
+        results.append(column)
+    return results, rows
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _column(node: Expr, args: list[list[float]], xs: Sequence[float], aborted: set[int]) -> list[float]:
+    # ``node``'s value at each row, from its children's columns ``args``;
+    # adds to ``aborted`` each row where a function of math raises
+    if not args:
+        return list(xs) if isinstance(node, Variable) else [node.value] * len(xs)
+    if isinstance(node, Neg):
+        return list(map(operator.neg, args[0]))
+    if isinstance(node, Call):
+        fn = _LIBM[node.fn]
+        domain = _DOMAINS.get(node.fn)
+        if domain is not None:
+            least = domain[0]
+            return [math.nan if u < least else fn(u) for u in args[0]]
+    elif node.op in _ARITHMETIC:
+        return list(map(_ARITHMETIC[node.op], *args))
+    else:
+        k = _multiplied_out(node)
+        if k is not None:
+            base = out = args[0]
+            for _ in range(k - 1):
+                out = list(map(operator.mul, out, base))
+            isfinite = math.isfinite
+            return [v if isfinite(v) else math.nan for v in out]
+        fn = _div if node.op == "/" else _pow
+    try:
+        return list(map(fn, *args))
+    except (ValueError, OverflowError):
+        pass
+    out = []
+    for row, values in enumerate(zip(*args)):
+        try:
+            out.append(fn(*values))
+        except (ValueError, OverflowError):
+            aborted.add(row)
+            out.append(math.nan)
+    return out
 
 
 class Tape:
@@ -680,9 +750,9 @@ def _parts(e: Expr) -> tuple[str, tuple[Expr, ...]]:
 #
 # Interval arithmetic in the sense of R. E. Moore, *Interval Analysis* (1966),
 # and W. Tucker, *Validated Numerics* (2011), made to enclose the floats the
-# compiled code computes rather than the real values.  + - * / abs sqrt are
+# evaluators compute rather than the real values.  + - * / abs sqrt are
 # correctly rounded and monotone in each argument, so the results at the
-# endpoints, rounded to nearest as the compiled code rounds them, already
+# endpoints, rounded to nearest as the evaluators round them, already
 # bound every result in between.  libm results (exp, ln, sin, cos, tan) are
 # only accurate to an ulp or so and need not be monotone; their bounds are
 # widened outward by _LIBM_STEPS representable numbers.
@@ -693,15 +763,16 @@ Bounds = tuple[float, float]
 
 
 def enclose(t: Tape, outs: Sequence[int], a: float, b: float) -> list[Bounds] | None:
-    """Bounds ``(lo, hi)`` on the compiled value of each slot of ``outs`` for x in [a, b].
+    """Bounds ``(lo, hi)`` on the computed value of each slot of ``outs`` for x in [a, b].
 
     For every float x with a <= x <= b, the evaluators that
-    :func:`compile_evaluator` and :func:`compile_outputs` build for these
-    slots raise nothing and return, for each, a value within its bounds.
-    Returns None when that cannot be shown for some node: a bound
-    that is not finite, a divisor or a negative power's base that may be
-    zero, a ln or sqrt argument that may leave its domain, a power whose
-    exponent is not one constant, and a tan argument that may hold a pole.
+    :func:`compile_evaluator` builds for these slots raise nothing,
+    :func:`tabulate` aborts no row, and each gives, for each slot, a value
+    within its bounds.  Returns None when that cannot be shown for some
+    node: a bound that is not finite, a divisor or a negative power's base
+    that may be zero, a ln or sqrt argument that may leave its domain, a
+    power whose exponent is not one constant, and a tan argument that may
+    hold a pole.
     The nodes of ``t`` up to ``max(outs)`` are bounded in tape order, each
     once, and the pass stops at the first node it cannot bound.
 

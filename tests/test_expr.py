@@ -1,6 +1,7 @@
 import dis
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,14 +26,14 @@ from mvtcheck.expr import (
     UnknownIdentifier,
     Variable,
     compile_evaluator,
-    compile_outputs,
     enclose,
     evaluate,
     format_expr,
     parse,
+    tabulate,
     tokenize,
 )
-from mvtcheck.numeric import Interval, sample
+from mvtcheck.numeric import Interval, grid
 
 from strategies import grammar_exprs, smooth_exprs
 
@@ -437,18 +438,17 @@ def test_compiled_code_matches_reference_at_the_edges(e, x):
         with pytest.raises(DomainError) as caught:
             compile_evaluator(e)(x)
         assert (caught.value.kind, str(caught.value)) == (err.kind, str(err))
-        # compile_outputs gives None, or raises NON_FINITE where a function
-        # of math raised, which is what evaluate raises there too
-        try:
-            (value,) = compile_outputs(*_taped(e))(x)
-        except DomainError as inner:
-            assert (inner.kind, str(inner)) == (err.kind, str(err))
+        # tabulate gives None, and aborts the row where a function of math
+        # raised, which is where evaluate raises NON_FINITE too
+        (column,), aborted = tabulate(*_taped(e), [x])
+        if aborted:
+            assert aborted == [0]
             assert err.kind is DomainErrorKind.NON_FINITE
-        else:
-            assert value is None
+        assert column == [None]
     else:
         assert repr(compile_evaluator(e)(x)) == repr(expected)
-        assert [repr(v) for v in compile_outputs(*_taped(e))(x)] == [repr(expected)]
+        (column,), aborted = tabulate(*_taped(e), [x])
+        assert aborted == [] and [repr(v) for v in column] == [repr(expected)]
 
 
 def test_a_power_keeps_its_test_beside_a_product_of_its_base():
@@ -460,8 +460,8 @@ def test_a_power_keeps_its_test_beside_a_product_of_its_base():
     with pytest.raises(DomainError) as expected:
         evaluate(power, 1e200)
     assert expected.value.kind is DomainErrorKind.NON_FINITE
-    assert compile_outputs(*_taped(product, power))(1e200) == (0.0, None)
-    assert compile_outputs(*_taped(power, product))(1e200) == (None, 0.0)
+    assert tabulate(*_taped(product, power), [1e200]) == ([[0.0], [None]], [])
+    assert tabulate(*_taped(power, product), [1e200]) == ([[None], [0.0]], [])
 
 
 def _subtrees(e: Expr) -> list[Expr]:
@@ -487,19 +487,20 @@ def _reference(e: Expr, x: float) -> float | None:
 
 @given(grammar_exprs(), st.data())
 def test_one_program_computes_every_output(e, data):
-    # the shape the smoothness scan compiles: e, some of its subtrees, and
+    # the shape the smoothness scan tabulates: e, some of its subtrees, and
     # cos(u) for the argument u of each tan in e
     subtrees = _subtrees(e)
     picked = data.draw(st.lists(st.sampled_from(subtrees), max_size=4))
     extras = [Call("cos", t.argument) for t in subtrees if isinstance(t, Call) and t.fn == "tan"]
     outputs = [e, *picked, *extras]
-    scan = sample(compile_outputs(*_taped(*outputs)), Interval(-4.0, 4.0), 33)
-    for i, x in enumerate(scan.xs):
-        row = scan.values[i]
-        if row is None:
+    xs = grid(Interval(-4.0, 4.0), 33)
+    columns, aborted = tabulate(*_taped(*outputs), xs)
+    for i, x in enumerate(xs):
+        row = [column[i] for column in columns]
+        if i in aborted:
             # a function of math raised, so e is undefined there too (with
             # the error of its first failing operation, which may come first)
-            assert scan.failures[i] is DomainErrorKind.NON_FINITE
+            assert row == [None] * len(outputs)
             with pytest.raises(DomainError):
                 evaluate(e, x)
             continue
@@ -520,15 +521,90 @@ def test_equal_subtrees_lower_to_one_statement():
 
 def test_constants_keep_the_sign_of_zero_apart():
     e = Binary("+", Binary("*", Constant(0.0), Variable()), Binary("*", Constant(-0.0), Variable()))
-    program = compile_outputs(*_taped(e, e.left, e.right))
-    assert [repr(v) for v in program(-1.0)] == ["0.0", "-0.0", "0.0"]
+    columns, _ = tabulate(*_taped(e, e.left, e.right), [-1.0])
+    assert [repr(v) for (v,) in columns] == ["0.0", "-0.0", "0.0"]
 
 
 def test_outputs_are_none_where_not_finite():
     # 1e200*1e200 overflows to inf without raising; exp(-inf) is 0.0
     e = parse("exp(-(1e200*1e200)) + x")
     inner = e.left.argument.child
-    assert compile_outputs(*_taped(e, inner))(1.0) == (1.0, None)
+    assert tabulate(*_taped(e, inner), [1.0]) == ([[1.0], [None]], [])
+
+
+@given(grammar_exprs(), st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=6))
+def test_each_column_is_its_nodes_evaluation(e, xs):
+    # every slot of e's tape an output: its value wherever evaluate gives
+    # one, None exactly where evaluate raises, but for the aborted rows
+    t = Tape()
+    t.add(e)
+    columns, aborted = tabulate(t, range(len(t.nodes)), xs)
+    assert aborted == sorted(set(aborted)) and set(aborted) <= set(range(len(xs)))
+    for row, x in enumerate(xs):
+        if row in aborted:
+            # a function of math raised at some node, so e, above them all, raises too
+            assert [column[row] for column in columns] == [None] * len(columns)
+            with pytest.raises(DomainError):
+                evaluate(e, x)
+            continue
+        for node, column in zip(t.nodes, columns, strict=True):
+            assert repr(column[row]) == repr(_reference(node, x))
+
+
+def test_tabulate_cases():
+    # no points: one empty column per output
+    e = parse("sin(x) + 1/x")
+    assert tabulate(*_taped(e, e.right), []) == ([[], []], [])
+    # exp(800*x) overflows right of 0.887: those rows are aborted, and None
+    # in every output, 800*x included, as evaluate raises NON_FINITE for e
+    e = parse("sin(exp(800*x))")
+    xs = grid(Interval(0.0, 1.0), 11)
+    (top, inner), aborted = tabulate(*_taped(e, e.argument.argument), xs)
+    assert aborted == [9, 10]
+    assert top[9:] == inner[9:] == [None, None]
+    assert [repr(v) for v in top[:9]] == [repr(evaluate(e, x)) for x in xs[:9]]
+    assert inner[:9] == [800.0 * x for x in xs[:9]]
+    for x in xs[9:]:
+        with pytest.raises(DomainError) as caught:
+            evaluate(e, x)
+        assert caught.value.kind is DomainErrorKind.NON_FINITE
+    # x^64 is multiplied out: at 1e5 the product overflows to inf without
+    # raising, so the row is not aborted and the value is None
+    power = parse("x^64")
+    assert tabulate(*_taped(power), [2.0, 1e5]) == ([[2.0**64, None]], [])
+    with pytest.raises(DomainError) as caught:
+        evaluate(power, 1e5)
+    assert caught.value.kind is DomainErrorKind.NON_FINITE
+
+
+def test_tabulate_memory_follows_the_tapes_width():
+    # a 500-term flat sum is 500 slots deep and 2 wide: each partial sum's
+    # column is dropped after the next one reads it, so the pass peaks at a
+    # few columns, where keeping every column would take 500
+    e = parse("+".join(["x"] * 500))
+    t, outs = _taped(e)
+    xs = grid(Interval(-1.0, 1.0), 1024)
+    tracemalloc.start()
+    try:
+        (column,), aborted = tabulate(t, outs, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert aborted == [] and column[-1] == 500.0
+    one_column = sys.getsizeof(column) + sum(sys.getsizeof(v) for v in column)
+    assert peak < 6 * one_column
+
+
+def test_tabulate_has_no_nesting_limit():
+    # the derivative of a 600-factor product is too deep for evaluate's
+    # walk, and compiles and tabulates to the same values
+    d = differentiate(parse("*".join(["x"] * 600)))
+    with pytest.raises(RecursionError):
+        evaluate(d, 0.7)
+    xs = [0.7, 1.0, 1.01]
+    (column,), aborted = tabulate(*_taped(d), xs)
+    assert aborted == []
+    assert [repr(v) for v in column] == [repr(compile_evaluator(d)(x)) for x in xs]
 
 
 def test_compile_has_no_nesting_limit():
@@ -587,13 +663,13 @@ def test_tape_has_no_depth_limit():
 
 
 def _assert_encloses(t, outs, iv, bounds):
-    # the compiled program raises nothing on the sample grids and every
-    # output lies within its bounds
-    program = compile_outputs(t, outs)
+    # the column pass aborts no row of the sample grids and every output
+    # lies within its bounds
     for n in (97, 1024):
-        scan = sample(program, iv, n)
-        assert scan.failures == {}
-        for x, row in zip(scan.xs, scan.values):
+        xs = grid(iv, n)
+        columns, aborted = tabulate(t, outs, xs)
+        assert aborted == []
+        for x, row in zip(xs, zip(*columns)):
             for value, (lo, hi) in zip(row, bounds, strict=True):
                 assert value is not None and lo <= value <= hi, (x, value, lo, hi)
 
@@ -604,7 +680,7 @@ def test_enclosures_hold_every_compiled_value(e, data):
     a = data.draw(st.floats(min_value=-50.0, max_value=50.0), label="a")
     width = data.draw(st.floats(min_value=1e-6, max_value=60.0), label="width")
     iv = Interval(a, a + width)
-    # the tape and slots that analyze_smoothness bounds and compiles: e,
+    # the tape and slots that analyze_smoothness bounds and tabulates: e,
     # then its hazards' inner expressions, tan(u)'s cos(u) added last
     t = Tape()
     outs = [t.add(e), *(slot for slot, _, _ in calculus._collect_hazards(t))]
@@ -615,9 +691,8 @@ def test_enclosures_hold_every_compiled_value(e, data):
     except DomainError:
         # a node of e leaves its domain on all of [a, b]: e is undefined at
         # every grid point, also where a function of math aborts the row
-        program = compile_outputs(t, outs)
         for n in (97, 1024):
-            assert all(row is None or row[0] is None for row in sample(program, iv, n).values)
+            assert all(v is None for v in tabulate(t, outs, grid(iv, n))[0][0])
         return
     if bounds is not None:
         assert len(bounds) == len(outs)
