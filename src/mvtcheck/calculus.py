@@ -4,7 +4,6 @@ interval."""
 
 from __future__ import annotations
 
-import functools
 from enum import Enum
 
 from .expr import (
@@ -18,13 +17,16 @@ from .expr import (
     Record,
     Tape,
     Variable,
-    compile_evaluator,
     enclose,
     evaluate,
+    evaluator,
     integer_exponent,
     tabulate,
 )
-from .numeric import Bracket, Evaluator, Interval, bisect, grid, midpoint, tiered
+from .numeric import Bracket, Evaluator, Interval, bisect, grid, midpoint
+
+# no call here reads compile_evaluator: bench/mvtbench/tracer.py wraps calculus.compile_evaluator
+from .expr import compile_evaluator  # noqa: F401
 
 # no call here reads sample: bench/mvtbench/tracer.py wraps calculus.sample
 from .numeric import sample  # noqa: F401
@@ -512,14 +514,14 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     scanned = hazards if len(undefined) <= samples // 2 else []
 
     for (slot, kind, zero_undefined), column, magnitudes in zip(scanned, columns[1:], cleared):
-        evaluator = _evaluator(t.nodes[slot])
+        inner = evaluator(t, slot)
         # where a function of math aborted the row, evaluate the hazard alone
         for i in aborted:
             try:
-                column[i] = evaluator(xs[i])
+                column[i] = inner(xs[i])
             except DomainError:
                 pass
-        crossings, touches, suspected = _scan_zeros(xs, column, evaluator, magnitudes)
+        crossings, touches, suspected = _scan_zeros(xs, column, inner, magnitudes)
 
         if kind is WitnessKind.ABS_KINK:
             # only a confirmed sign change of the argument is a kink:
@@ -547,7 +549,7 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
         interior = next((i for i in undefined if iv.contains_open(point(i))), first)
         # refuted if that point lies inside (a, b), in doubt otherwise
         doubt_differentiability = True
-        f = _evaluator(e)
+        f = evaluator(t, top)
         for x in (point(first), point(interior)):
             try:
                 f(x)
@@ -559,7 +561,3 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     differentiable = _verdict(any(iv.contains_open(w.point) for w in unique), doubt_differentiability)
     return SmoothnessReport(continuous, differentiable, tuple(unique))
 
-
-def _evaluator(e: Expr) -> Evaluator:
-    """``e`` walked as a tree, and compiled once the walks would cost more."""
-    return tiered(functools.partial(evaluate, e), functools.partial(compile_evaluator, e))

@@ -25,12 +25,15 @@ from .expr import (
     SourceError,
     Tape,
     Variable,
-    compile_evaluator,
     evaluate,
     format_expr,
     parse,
+    tabulate,
 )
-from .numeric import Interval, sample
+
+# no call here reads compile_evaluator: bench/mvtbench/tracer.py wraps cli.compile_evaluator
+from .expr import compile_evaluator  # noqa: F401
+from .numeric import Interval, grid
 from .theorem import Applicable, Config, MvtResult, NotApplicable, Unknown, verify_mvt, verify_rolle
 
 __all__ = ["run", "main", "render_json", "emit_plot", "UnsupportedFormat"]
@@ -237,15 +240,16 @@ def _plot_table(
     """The plotted columns over the plot grid on ``iv``: the grid, the
     values of f (None where f is undefined), and the named secant and
     tangent columns when the result is Applicable."""
-    scan = sample(compile_evaluator(f), iv, _PLOT_POINTS)
-    xs = scan.xs
+    tape = Tape()
+    xs = grid(iv, _PLOT_POINTS)
+    (fs,), _ = tabulate(tape, [tape.add(f)], xs)
     lines = []
     if isinstance(result, Applicable):
         lines = [
             ("secant", _line(evaluate(f, iv.a), result.m, iv.a, xs)),
             ("tangent", _line(evaluate(f, result.c), result.f_prime_at_c, result.c, xs)),
         ]
-    return xs, scan.values, lines
+    return xs, fs, lines
 
 
 def _line(y0: float, slope: float, x0: float, xs: list[float]) -> list[float | None]:

@@ -28,45 +28,9 @@ __all__ = [
     "sample",
     "first_bracket",
     "bisect",
-    "tiered",
 ]
 
 Evaluator = Callable[[float], float]
-
-# evaluations by tree walk before an expression is compiled: just under the
-# break-even, the compile cost over what compiling saves per evaluation,
-# which is 41 to 43 for f' over the smooth benchmark workload (ratio of
-# medians, Python 3.11.7, 2 vCPUs).  By the ski-rental rule an evaluator
-# then costs at most about twice what the cheaper choice would have cost
-_WALK_BUDGET = 40
-
-
-def tiered(walk: Evaluator, compiler: Callable[[], Evaluator]) -> Evaluator:
-    """An evaluator that calls ``walk`` for its first _WALK_BUDGET calls and
-    then ``compiler()`` once, calling what that returns from then on: a
-    search that needs few evaluations never pays for compiling.
-
-    ``walk`` and the compiled evaluator must return the same bits and raise
-    the same DomainError, so no result depends on the budget.  A tree too
-    deep to walk within the recursion limit is compiled at once.
-    """
-    compiled = None
-    walks = 0
-
-    def evaluator(t: float) -> float:
-        nonlocal compiled, walks
-        if compiled is None:
-            if walks < _WALK_BUDGET:
-                walks += 1
-                try:
-                    return walk(t)
-                except RecursionError:
-                    pass
-            compiled = compiler()
-        return compiled(t)
-
-    return evaluator
-
 
 def opposite_or_zero(u: float, v: float) -> bool:
     """Sign test equivalent to u*v <= 0, immune to overflow of the product."""

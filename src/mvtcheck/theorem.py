@@ -3,19 +3,18 @@
 Checks applicability (continuity on [a,b], differentiability on (a,b)),
 computes the secant slope m = (f(b) - f(a)) / (b - a), and locates a point
 c in (a, b) with f'(c) = m by sign-change bracketing and the ITP root
-search of :func:`~mvtcheck.numeric.bisect`.  f' is walked as a tree until
-compiling it would cost less than walking it on.
+search of :func:`~mvtcheck.numeric.bisect`.  f' is evaluated by
+:func:`~mvtcheck.expr.compile_evaluator`, which interprets a tape of it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from enum import Enum
 
 from .calculus import Verdict, analyze_smoothness, differentiate
 from .expr import Constant, DomainError, Expr, Record, compile_evaluator, evaluate
-from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample, tiered
+from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
 
 __all__ = [
     "Config",
@@ -192,9 +191,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
         if residual <= EPS_RES:
             return Applicable(midpoint(iv.a, iv.b), m, d.value, residual, 0, Method.DEGENERATE_CONSTANT)
         return _no_sign_change(residual)
-    # walked as a tree until compiling it pays: a verdict that needs few
-    # evaluations of f' never compiles it
-    deriv = tiered(functools.partial(evaluate, d), functools.partial(compile_evaluator, d))
+    deriv = compile_evaluator(d)
 
     def g(t: float) -> float:
         return deriv(t) - m

@@ -1,4 +1,3 @@
-import dis
 import math
 import sys
 import tracemalloc
@@ -28,6 +27,7 @@ from mvtcheck.expr import (
     compile_evaluator,
     enclose,
     evaluate,
+    evaluator,
     format_expr,
     parse,
     tabulate,
@@ -510,13 +510,47 @@ def test_one_program_computes_every_output(e, data):
             assert repr(value) == repr(_reference(out, x))
 
 
-def test_equal_subtrees_lower_to_one_statement():
-    # two separately built sin(x) nodes: one call to sin in the compiled code
+def test_equal_subtrees_lower_to_one_statement(monkeypatch):
+    # two separately built sin(x) nodes: one call to sin per evaluation
+    calls = []
+
+    def counted_sin(u):
+        calls.append(u)
+        return math.sin(u)
+
+    monkeypatch.setitem(expr._LIBM, "sin", counted_sin)
     e = Binary("*", Call("sin", Variable()), Call("sin", Variable()))
-    code = compile_evaluator(e).__code__
-    calls = [i for i in dis.get_instructions(code) if i.argval == "sin"]
-    assert len(calls) == 1
-    assert compile_evaluator(e)(0.5) == evaluate(e, 0.5)
+    compiled = compile_evaluator(e)
+    assert compiled(0.5) == math.sin(0.5) * math.sin(0.5)
+    assert compiled(0.25) == math.sin(0.25) * math.sin(0.25)
+    assert calls == [0.5, 0.25]
+
+
+def test_evaluator_computes_only_the_cone_of_its_slot():
+    # sqrt(x) comes first on the tape and fails at -0.75, but x + 0.5 does
+    # not read it
+    e = parse("sqrt(x) + 1/(x+0.5)")
+    t, (top,) = _taped(e)
+    assert evaluator(t, t.add(e.right.right))(-0.75) == -0.25
+    with pytest.raises(DomainError) as caught:
+        evaluator(t, top)(-0.75)
+    assert caught.value.kind is DomainErrorKind.ROOT_OF_NEGATIVE
+
+
+@given(st.lists(grammar_exprs(), min_size=2, max_size=4), st.floats(min_value=-50.0, max_value=50.0))
+def test_evaluator_matches_reference_at_every_slot(exprs, x):
+    # a tape that the expressions share, so a slot's cone may skip the
+    # nodes between its own
+    t, _ = _taped(*exprs)
+    for slot, node in enumerate(t.nodes):
+        try:
+            expected = evaluate(node, x)
+        except DomainError as err:
+            with pytest.raises(DomainError) as caught:
+                evaluator(t, slot)(x)
+            assert (caught.value.kind, str(caught.value)) == (err.kind, str(err))
+        else:
+            assert repr(evaluator(t, slot)(x)) == repr(expected)
 
 
 def test_constants_keep_the_sign_of_zero_apart():

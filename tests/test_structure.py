@@ -13,7 +13,8 @@ near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
 ``_DOMAINS`` only, ``expr`` reads ``_parts`` in ``Tape.add`` only,
 ``calculus`` reads its node builders ``_neg``, ``_binary`` and ``_call``
 in ``_simplify`` and ``_derivative`` only, no
-module imports ``dataclasses``, and the README lists exactly the names the package exports.  One test imports the
+module imports ``dataclasses``, no module calls ``exec``, ``eval`` or
+``compile``, and the README lists exactly the names the package exports.  One test imports the
 package in a fresh interpreter to check what the import loads.
 """
 
@@ -194,6 +195,19 @@ def test_no_module_imports_dataclasses(path):
         f"line {node.lineno}"
         for node in ast.walk(_tree(path))
         if "dataclasses" in _top_level_imports(node)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_generates_code(path):
+    # expressions are evaluated by walking a tree or interpreting a tape,
+    # never by generating Python source: no module calls the builtins that
+    # run or compile it
+    found = [
+        f"line {node.lineno}: {node.func.id}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval", "compile")
     ]
     assert found == []
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import pickle
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvtcheck import numeric, theorem
+from mvtcheck import calculus, theorem
 from mvtcheck.calculus import differentiate
 from mvtcheck.expr import Binary, Constant, DomainError, Neg, Variable, compile_evaluator, evaluate, parse
 from mvtcheck.numeric import Interval
@@ -283,8 +284,8 @@ def test_mvt_negative_power_closed_form():
 
 
 def _count_derivative_calls(monkeypatch, f):
-    """Count evaluations of f' (``calls``), walked or compiled, and the
-    compilations of f' (``compiles``)."""
+    """Count evaluations of f' (``calls``), by its compiled evaluator or by
+    a tree walk, and the compilations of f' (``compiles``)."""
     counts = {"calls": 0, "compiles": 0}
     compile_evaluator, evaluate = theorem.compile_evaluator, theorem.evaluate
 
@@ -318,8 +319,7 @@ def test_coarse_bracket_spends_few_derivative_evaluations(monkeypatch):
     assert result.method is Method.BRACKET_BISECT
     assert result.c == pytest.approx(ARCCOS_2_OVER_PI, abs=1e-9)
     assert counts["calls"] <= 20
-    # that few evaluations cost less walked than compiled
-    assert counts["compiles"] == 0
+    assert counts["compiles"] == 1
 
 
 def test_no_coarse_bracket_costs_at_most_the_coarse_levels(monkeypatch):
@@ -338,15 +338,15 @@ def test_no_coarse_bracket_costs_at_most_the_coarse_levels(monkeypatch):
 
 def test_degenerate_constant_compiles_the_derivative_once(monkeypatch):
     # f' - m vanishes everywhere: every coarse level and the full grid are
-    # scanned, far past the evaluations worth walking.  f' is
-    # ((x + x) - (x + x)) + 3, which does not fold to a constant
+    # scanned, all by one compiled evaluator.  f' is ((x + x) - (x + x)) + 3,
+    # which does not fold to a constant
     f = parse("x*x - x*x + 3*x + 1")
     counts = _count_derivative_calls(monkeypatch, f)
     result = verify_mvt(f, Interval(0.0, 2.0))
     assert isinstance(result, Applicable)
     assert result.method is Method.DEGENERATE_CONSTANT
     assert counts["compiles"] == 1
-    assert counts["calls"] > numeric._WALK_BUDGET
+    assert counts["calls"] > Config().samples
 
 
 def test_constant_derivative_is_neither_evaluated_nor_compiled(monkeypatch):
@@ -408,9 +408,10 @@ def test_constant_derivative_with_infinite_slope_is_unknown():
     )
 
 
-# verdicts that walk f', compile it at some point, or never evaluate it; the
-# 600-factor product's f' is too deep to walk and is compiled at once
-_TIERING_CORPUS = [
+# verdicts that evaluate f' a few times, many times or never, and that
+# evaluate hazards or not; the 600-factor product's f' is too deep to walk
+_PRODUCT = "*".join(["x"] * 600)
+_PARITY_CORPUS = [
     ("sin(x)", 0.0, math.pi / 2),
     ("x^3", 0.0, 2.0),
     ("x^2", -1e150, 1e150),
@@ -421,18 +422,30 @@ _TIERING_CORPUS = [
     ("1/x", -1.0, 1.0),
     ("abs(x^2)", -1.0, 1.0),
     ("exp(x) + sin(3*x)", -2.0, 2.0),
-    ("*".join(["x"] * 600), 0.5, 1.0),
+    (_PRODUCT, 0.5, 1.0),
 ]
 
 
-@pytest.mark.parametrize("text, a, b", _TIERING_CORPUS)
+@pytest.mark.parametrize("text, a, b", _PARITY_CORPUS)
 def test_verdicts_do_not_depend_on_the_walk_budget(monkeypatch, text, a, b):
+    # the two ends of how many evaluations are walked, none and all of
+    # them, give the same verdicts: f' and every hazard interpreted on a
+    # tape, as the pipeline does, and walked as trees by the reference
     f, iv = parse(text), Interval(a, b)
-    reprs = []
-    for budget in (0, 10**9):
-        monkeypatch.setattr(numeric, "_WALK_BUDGET", budget)
-        reprs.append((repr(verify_mvt(f, iv)), repr(verify_rolle(f, iv))))
-    assert reprs[0] == reprs[1]
+    interpreted = (repr(verify_mvt(f, iv)), repr(verify_rolle(f, iv)))
+    monkeypatch.setattr(theorem, "compile_evaluator", lambda e: functools.partial(evaluate, e))
+    monkeypatch.setattr(calculus, "evaluator", lambda t, slot: functools.partial(evaluate, t.nodes[slot]))
+    if text != _PRODUCT:
+        assert interpreted == (repr(verify_mvt(f, iv)), repr(verify_rolle(f, iv)))
+        return
+    # too deep for the walk, which no evaluator of the pipeline needs
+    with pytest.raises(RecursionError):
+        verify_mvt(f, iv)
+    assert interpreted == (
+        "Applicable(c=0.9905230179272346, m=2.0, f_prime_at_c=1.999999995697642, "
+        "residual=4.302358025398689e-09, iterations=33, method=<Method.BRACKET_BISECT: 'bracket_bisect'>)",
+        "NotApplicable(reason=<Reason.ROLLE_PRECONDITION_FAILED: 'rolle_precondition_failed'>, witness=None)",
+    )
 
 
 def test_coarse_level_brackets_a_zero_the_full_grid_misses():
