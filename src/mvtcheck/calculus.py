@@ -455,8 +455,7 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     root-search refinement.  One column pass
     (:func:`~mvtcheck.expr.tabulate`) evaluates ``e`` and every hazard's
     inner expression together over the grid points scanned, one tape slot
-    at a time, at points where ``e`` is undefined as well; where a function
-    of math aborts a row, each hazard is evaluated there alone.
+    at a time, at points where ``e`` is undefined as well.
     Verdicts are three-valued: hazards that cannot be confirmed or ruled out
     at sample resolution yield UNKNOWN rather than a guess.  A function that
     fails to evaluate at a sample point is reported as not continuous at
@@ -499,12 +498,11 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
         cells, cleared = [(0, samples - 1)], [[] for _ in hazards]
     rows = [i for i in _rows(cells) if i not in proven]
     # each hazard's value is bit-identical to its own evaluation, None where
-    # that fails, at e's undefined points too; only a row where a function
-    # of math raised is None for all and recorded as aborted.  Cleared
-    # cells hold no undefined row, and no zero or sign change of a hazard.
-    # Where proven rows are most of the grid, no hazard is scanned
+    # that fails, at e's undefined points too.  Cleared cells hold no
+    # undefined row, and no zero or sign change of a hazard.  Where proven
+    # rows are most of the grid, no hazard is scanned
     xs = grid(iv, samples, rows)
-    columns, aborted = tabulate(t, [top] if proven else outs, xs)
+    columns = tabulate(t, [top] if proven else outs, xs)
     undefined = sorted(proven.union(row for row, v in zip(rows, columns[0]) if v is None))
 
     witnesses: list[Witness] = []
@@ -514,14 +512,7 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     scanned = hazards if len(undefined) <= samples // 2 else []
 
     for (slot, kind, zero_undefined), column, magnitudes in zip(scanned, columns[1:], cleared):
-        inner = evaluator(t, slot)
-        # where a function of math aborted the row, evaluate the hazard alone
-        for i in aborted:
-            try:
-                column[i] = inner(xs[i])
-            except DomainError:
-                pass
-        crossings, touches, suspected = _scan_zeros(xs, column, inner, magnitudes)
+        crossings, touches, suspected = _scan_zeros(xs, column, evaluator(t, slot), magnitudes)
 
         if kind is WitnessKind.ABS_KINK:
             # only a confirmed sign change of the argument is a kink:

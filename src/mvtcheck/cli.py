@@ -26,6 +26,7 @@ from .expr import (
     Tape,
     Variable,
     evaluate,
+    evaluator,
     format_expr,
     parse,
     tabulate,
@@ -137,13 +138,12 @@ def main() -> None:
 
 
 def _constant_value(text: str, flag: str) -> float:
-    expr = parse(text)
     tape = Tape()
-    tape.add(expr)
+    slot = tape.add(parse(text))
     if Variable() in tape.nodes:
         raise _UsageError(f"--{flag} must be a constant expression, got {text!r}")
     try:
-        return evaluate(expr, 0.0)
+        return evaluator(tape, slot)(0.0)
     except DomainError as err:
         raise _UsageError(f"--{flag} has no real value: {err}") from None
 
@@ -242,7 +242,7 @@ def _plot_table(
     tangent columns when the result is Applicable."""
     tape = Tape()
     xs = grid(iv, _PLOT_POINTS)
-    (fs,), _ = tabulate(tape, [tape.add(f)], xs)
+    (fs,) = tabulate(tape, [tape.add(f)], xs)
     lines = []
     if isinstance(result, Applicable):
         lines = [

@@ -366,7 +366,8 @@ def _format_number(v: float) -> str:
 # which fails where _pow's tests do, since a non-finite base gives a
 # non-finite product.  All three call the same functions of math.  The
 # evaluators map a ValueError or OverflowError raised anywhere inside them
-# to NON_FINITE, and the column pass aborts the row, as only those
+# to NON_FINITE, and the column pass puts NaN at the row where one is
+# raised, which flows on as a failed rule's NaN does; only those
 # functions (math.exp in _pow included) raise either.
 
 # what ``fn(u)`` calls, in every evaluator
@@ -595,15 +596,13 @@ def _multiplied_out(node: Expr) -> int | None:
     return k if k is not None and k >= 1 else None
 
 
-def tabulate(t: Tape, outs: Sequence[int], xs: Sequence[float]) -> tuple[list[list[float | None]], list[int]]:
+def tabulate(t: Tape, outs: Sequence[int], xs: Sequence[float]) -> list[list[float | None]]:
     """The slots ``outs`` of ``t`` at every finite point of ``xs``, as one column each.
 
     Returns one list per slot of ``outs``, holding at each row its node's
     value, bit-identical to :func:`evaluate`, or None exactly where
     :func:`evaluate` on that node raises DomainError or gives a value that
-    is not finite; and, in order, the aborted rows: those where a function
-    of math raised (sin of an infinity, exp overflowing) at any node
-    computed, which are None in every output.
+    is not finite.
 
     The nodes are computed in tape order, each slot once, one operation over
     the whole column at a time, so the interpreter's cost per operation is
@@ -612,7 +611,8 @@ def tabulate(t: Tape, outs: Sequence[int], xs: Sequence[float]) -> tuple[list[li
     Hyper-pipelining query execution", CIDR 2005).  A failed rule of ``/``,
     ``^``, ln or sqrt gives NaN, which flows on to every result it feeds,
     so an undefined point costs no more than a defined one.  A column whose
-    function of math raises is redone row by row.  Each column is dropped
+    function of math raises (sin of an infinity, exp overflowing) is redone
+    row by row, with NaN at each row where it raises.  Each column is dropped
     after its last reader, so memory follows the tape's width, not its
     length, and no depth of nesting limits the pass.
     """
@@ -626,26 +626,17 @@ def tabulate(t: Tape, outs: Sequence[int], xs: Sequence[float]) -> tuple[list[li
     for o in outs:
         last[o] = top + 1
     columns: list[list[float] | None] = []  # per slot
-    aborted: set[int] = set()
     for i, (node, slots) in enumerate(zip(t.nodes[: top + 1], t.args)):
-        columns.append(_column(node, [columns[j] for j in slots], xs, aborted))
+        columns.append(_column(node, [columns[j] for j in slots], xs))
         for j in (*slots, i):
             if last[j] == i:
                 columns[j] = None
-    rows = sorted(aborted)
-    results = []
     isfinite = math.isfinite
-    for o in outs:
-        column: list[float | None] = [v if isfinite(v) else None for v in columns[o]]
-        for row in rows:
-            column[row] = None
-        results.append(column)
-    return results, rows
+    return [[v if isfinite(v) else None for v in columns[o]] for o in outs]
 
 
-def _column(node: Expr, args: list[list[float]], xs: Sequence[float], aborted: set[int]) -> list[float]:
-    # ``node``'s value at each row, from its children's columns ``args``;
-    # adds to ``aborted`` each row where a function of math raises
+def _column(node: Expr, args: list[list[float]], xs: Sequence[float]) -> list[float]:
+    # ``node``'s value at each row, from its children's columns ``args``
     if not args:
         return list(xs) if isinstance(node, Variable) else [node.value] * len(xs)
     if isinstance(node, Call) and node.fn in _DOMAINS:
@@ -665,11 +656,10 @@ def _column(node: Expr, args: list[list[float]], xs: Sequence[float], aborted: s
     except (ValueError, OverflowError):
         pass
     out = []
-    for row, values in enumerate(zip(*args)):
+    for values in zip(*args):
         try:
             out.append(fn(*values))
         except (ValueError, OverflowError):
-            aborted.add(row)
             out.append(math.nan)
     return out
 
@@ -759,9 +749,9 @@ def enclose(t: Tape, outs: Sequence[int], a: float, b: float) -> list[Bounds] | 
     """Bounds ``(lo, hi)`` on the computed value of each slot of ``outs`` for x in [a, b].
 
     For every float x with a <= x <= b, the evaluators that
-    :func:`evaluator` builds for these slots raise nothing,
-    :func:`tabulate` aborts no row, and each gives, for each slot, a value
-    within its bounds.  Returns None when that cannot be shown for some
+    :func:`evaluator` builds for these slots raise nothing, and they and
+    :func:`tabulate` give, for each slot, a value within its bounds.
+    Returns None when that cannot be shown for some
     node: a bound that is not finite, a divisor or a negative power's base
     that may be zero, a ln or sqrt argument that may leave its domain, a
     power whose exponent is not one constant, and a tan argument that may

@@ -110,7 +110,7 @@ class BisectionState(Record):
 
 
 # kept only for bench/mvtbench/tracer.py, which reads scans row by row, until
-# the library records its own trace (ROADMAP item 6)
+# the library records its own trace (ROADMAP item 3)
 class SamplePoint(Record):
     __slots__ = ("x", "value", "error")
 

@@ -18,7 +18,7 @@ from mvtcheck.cli import (
     render_json,
     run,
 )
-from mvtcheck.expr import MAX_NESTING, evaluate, parse
+from mvtcheck.expr import MAX_NESTING, DomainError, evaluate, parse
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import (
     MAX_SAMPLES,
@@ -201,6 +201,16 @@ def test_flat_sum_of_5000_terms_is_a_usage_error(command, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: expression too long")
+
+
+def test_constant_flags_of_1000_terms(capsys):
+    # --a, --b and --x are evaluated on their tape, which no length of a
+    # flat sum limits
+    zero = "+".join(["0"] * 1000)
+    assert run(["verify", "--f", "x", "--a", zero, "--b", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 1.0
+    assert run(["eval", "--f", "x", "--x", "+".join(["1"] * 1000)]) == 0
+    assert capsys.readouterr().out == "1000.0\n"
 
 
 def _nested_command(command, opener, levels):
@@ -468,6 +478,27 @@ def test_csv_blank_cell_where_undefined(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[256] == "0.0,"
     assert [line for line in lines[1:] if line.endswith(",")] == ["0.0,"]
+
+
+def test_csv_blank_cell_where_a_math_function_raises(tmp_path):
+    # exp(800*x) overflows right of 0.887, so evaluate raises there: the f
+    # cell is blank at exactly those grid points, and holds evaluate's
+    # value at every other
+    f = parse("sin(exp(800*x))")
+    iv = Interval(0.0, 1.0)
+    path = tmp_path / "plot.csv"
+    emit_plot(f, iv, verify_mvt(f, iv), str(path))
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 512
+    blank = 0
+    for x, cell in ((float(r[0]), r[1]) for r in rows):
+        try:
+            expected = repr(evaluate(f, x))
+        except DomainError:
+            expected = ""
+            blank += 1
+        assert cell == expected, x
+    assert blank > 0
 
 
 def test_csv_blank_cell_where_a_line_leaves_the_float_range(tmp_path, capsys):
