@@ -236,20 +236,23 @@ def render_json(result: MvtResult) -> str:
 
 def _plot_table(
     f: Expr, iv: Interval, result: MvtResult
-) -> tuple[list[float], list[float | None], list[tuple[str, list[float | None]]]]:
+) -> tuple[list[float], list[float | None], list[tuple[str, list[float | None]]], tuple[float, float] | None]:
     """The plotted columns over the plot grid on ``iv``: the grid, the
-    values of f (None where f is undefined), and the named secant and
-    tangent columns when the result is Applicable."""
+    values of f (None where f is undefined), and, when the result is
+    Applicable, the named secant and tangent columns and the point
+    (c, f(c)) that the tangent passes through and the SVG marks (else no
+    columns and None)."""
     tape = Tape()
     xs = grid(iv, _PLOT_POINTS)
     (fs,) = tabulate(tape, [tape.add(f)], xs)
-    lines = []
+    lines, mark = [], None
     if isinstance(result, Applicable):
+        mark = (result.c, evaluate(f, result.c))
         lines = [
             ("secant", _line(evaluate(f, iv.a), result.m, iv.a, xs)),
-            ("tangent", _line(evaluate(f, result.c), result.f_prime_at_c, result.c, xs)),
+            ("tangent", _line(mark[1], result.f_prime_at_c, result.c, xs)),
         ]
-    return xs, fs, lines
+    return xs, fs, lines, mark
 
 
 def _line(y0: float, slope: float, x0: float, xs: list[float]) -> list[float | None]:
@@ -286,7 +289,7 @@ def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str) -> None:
 
 
 def _render_csv(f: Expr, iv: Interval, result: MvtResult) -> str:
-    xs, fs, lines = _plot_table(f, iv, result)
+    xs, fs, lines, _ = _plot_table(f, iv, result)
     columns = [xs, fs] + [ys for _, ys in lines]
     rows = [",".join(["x", "f"] + [name for name, _ in lines])]
     rows += (",".join("" if v is None else repr(v) for v in row) for row in zip(*columns))
@@ -294,13 +297,12 @@ def _render_csv(f: Expr, iv: Interval, result: MvtResult) -> str:
 
 
 def _render_svg(f: Expr, iv: Interval, result: MvtResult) -> str:
-    xs, fs, lines = _plot_table(f, iv, result)
+    xs, fs, lines, mark = _plot_table(f, iv, result)
     series = [
         (name, [(x, y) for x, y in zip(xs, ys) if y is not None])
         for name, ys in [("function", fs), *lines]
     ]
     ys = [y for _, points in series for _, y in points] or [-1.0, 1.0]
-    mark = (result.c, evaluate(f, result.c)) if isinstance(result, Applicable) else None
     # where a box extent overflows, draw at a quarter of the size: scaling by
     # a power of two is exact, and then every number written is finite
     for scale in (1.0, 0.25):

@@ -672,10 +672,10 @@ class Tape:
     tape, children left to right, and returns the slot of ``root``.  A node
     is keyed by its operator, function name or constant ``repr`` (which
     keeps ``0.0`` and ``-0.0`` apart) and its children's slots, so equal
-    expressions take one slot, held by the first node met.  An explicit
-    stack walks each node object once, so no depth of nesting limits it;
-    the tape's id map holds every node object it walked, copies too, so
-    no id in it can pass to a new node.
+    expressions take one slot, held by the first node met.  ``add`` keys
+    each node object once, from an explicit stack, so no depth of nesting
+    limits it; the tape's id map holds every node object it keyed, copies
+    too, so no id in it can pass to a new node.
     """
 
     def __init__(self):
@@ -685,48 +685,39 @@ class Tape:
         self._slots: dict[int, tuple[int, Expr]] = {}  # id(node) -> (slot, node)
 
     def add(self, root: Expr) -> int:
-        # (node, None, 0) is a node to walk, and (node, part, arity) one
-        # whose children are walked first: it comes back above them and takes
-        # their slots off ``done``, where each node walked leaves its own
-        stack: list[tuple[Expr, str | None, int]] = [(root, None, 0)]
-        done: list[int] = []
+        # a node waits on the stack until each of its children has a slot:
+        # it pushes them, right then left, and is keyed when it is back on
+        # top; a node met again pops at once
+        keys, slots = self._keys, self._slots
+        stack = [root]
         while stack:
-            node, part, arity = stack.pop()
-            if part is None:
-                walked = self._slots.get(id(node))
-                if walked is not None:
-                    done.append(walked[0])
+            node = stack[-1]
+            if id(node) in slots:
+                stack.pop()
+                continue
+            if isinstance(node, Binary):
+                left, right = slots.get(id(node.left)), slots.get(id(node.right))
+                if left is None or right is None:
+                    stack += (node.right, node.left)
                     continue
-                part, children = _parts(node)
-                arity = len(children)
-                if arity:
-                    stack.append((node, part, arity))
-                    stack.extend([(c, None, 0) for c in reversed(children)])
+                key = (node.op, left[0], right[0])
+            elif isinstance(node, (Call, Neg)):
+                part, child = (node.fn, node.argument) if isinstance(node, Call) else ("-", node.child)
+                below = slots.get(id(child))
+                if below is None:
+                    stack.append(child)
                     continue
-            key = (part, *done[len(done) - arity :])
-            del done[len(done) - arity :]
-            slot = self._keys.get(key)
+                key = (part, below[0])
+            else:
+                key = ("x" if isinstance(node, Variable) else repr(node.value),)
+            slot = keys.get(key)
             if slot is None:
-                slot = self._keys[key] = len(self.nodes)
+                slot = keys[key] = len(self.nodes)
                 self.nodes.append(node)
                 self.args.append(key[1:])
-            self._slots[id(node)] = (slot, node)
-            done.append(slot)
-        return done[0]
-
-
-def _parts(e: Expr) -> tuple[str, tuple[Expr, ...]]:
-    # ``e``'s key part, what it computes from its children, and its
-    # children; a node of no other class is a Constant
-    if isinstance(e, Binary):
-        return e.op, (e.left, e.right)
-    if isinstance(e, Variable):
-        return "x", ()
-    if isinstance(e, Call):
-        return e.fn, (e.argument,)
-    if isinstance(e, Neg):
-        return "-", (e.child,)
-    return repr(e.value), ()
+            slots[id(node)] = (slot, node)
+            stack.pop()
+        return slots[id(root)][0]
 
 
 # --- interval bounds ----------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvtcheck import calculus, expr
+from mvtcheck import calculus
 from mvtcheck.calculus import (
     SmoothnessReport,
     Verdict,
@@ -909,26 +909,37 @@ def test_hazards_of_folding_exponents_match_their_first_definition(text):
     assert _hazards(e) == _hazards_by_rewalking(e)
 
 
-def test_one_analysis_expands_each_node_once(monkeypatch):
+def test_one_analysis_keys_each_node_once(monkeypatch):
     # bounds on [-1, 1] settle neither the grid nor its halves, as the
     # divisor comes near 0 on both: three passes of bounds, one tape
     e = parse("tan(x) / (x*x + 1e-6)")
-    expanded, passes = [], []
-    parts, bound = expr._parts, calculus.enclose
+    lookups, keyed, passes = [], [], []
+    bound = calculus.enclose
 
-    def counted_parts(node):
-        expanded.append(node)
-        return parts(node)
+    class Lookups(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    class Keyed(dict):
+        def __setitem__(self, node_id, entry):
+            keyed.append(entry[1])
+            super().__setitem__(node_id, entry)
+
+    class CountedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            self._keys, self._slots = Lookups(), Keyed()
 
     def counted_enclose(t, outs, a, b):
         passes.append(t)
         return bound(t, outs, a, b)
 
-    monkeypatch.setattr(expr, "_parts", counted_parts)
+    monkeypatch.setattr(calculus, "Tape", CountedTape)
     monkeypatch.setattr(calculus, "enclose", counted_enclose)
     analyze_smoothness(e, Interval(-1.0, 1.0), SAMPLES)
     assert len(passes) >= 3 and all(t is passes[0] for t in passes)
-    # the 8 nodes of e, and the cos(x) of tan's pole hazard, each once
-    assert len({id(node) for node in expanded}) == len(expanded) == 9
+    # the 8 nodes of e, and the cos(x) of tan's pole hazard, each keyed once
+    assert len(lookups) == len({id(node) for node in keyed}) == len(keyed) == 9
     # the three x objects share one slot
     assert len(passes[0].nodes) == 7

@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 import tracemalloc
@@ -35,6 +36,7 @@ from mvtcheck.expr import (
 )
 from mvtcheck.numeric import Interval, grid
 
+from oracles import ReferenceTape
 from strategies import grammar_exprs, smooth_exprs
 
 
@@ -675,6 +677,34 @@ def test_tape_has_no_depth_limit():
     t = Tape()
     assert t.add(e) == 20000
     assert t.args == [(), *[(i,) for i in range(20000)]]
+
+
+def test_tape_keys_a_shared_dag_once_per_object():
+    # u * u, two hundred times over: a tree of 2^200 leaves in 201 objects
+    u = Variable()
+    for _ in range(200):
+        u = Binary("*", u, u)
+    t = Tape()
+    assert t.add(u) == 200
+    assert len(t.nodes) == len(t.args) == 201
+    assert len(t._slots) == 201
+
+
+@given(st.lists(grammar_exprs(max_leaves=8), min_size=1, max_size=2), st.data())
+@settings(deadline=None)
+def test_tape_matches_the_reference_tape(exprs, data):
+    # each expression and its derivative, which shares node objects with
+    # it; the roots of one tape may repeat a root or be an equal fresh copy
+    pool = [e for f in exprs for e in (f, differentiate(f))]
+    picks = data.draw(
+        st.lists(st.tuples(st.sampled_from(range(len(pool))), st.booleans()), min_size=1, max_size=4),
+        label="roots",
+    )
+    roots = [copy.deepcopy(pool[i]) if fresh else pool[i] for i, fresh in picks]
+    t, reference = Tape(), ReferenceTape()
+    assert [t.add(root) for root in roots] == [reference.add(root) for root in roots]
+    assert [id(node) for node in t.nodes] == [id(node) for node in reference.nodes]
+    assert t.args == reference.args
 
 
 def _assert_encloses(t, outs, iv, bounds):

@@ -10,7 +10,7 @@ near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
 ``Verdict.UNKNOWN`` in ``_verdict`` only, ``expr`` names
 ``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only,
 ``POWER_OF_NON_POSITIVE`` in ``_pow`` only and the ln and sqrt failures in
-``_DOMAINS`` only, ``expr`` reads ``_parts`` in ``Tape.add`` only,
+``_DOMAINS`` only, ``expr`` reads a tape's ``_keys`` in ``Tape.add`` only,
 ``calculus`` reads its node builders ``_neg``, ``_binary`` and ``_call``
 in ``_simplify`` and ``_derivative`` only, no
 module imports ``dataclasses``, no module calls ``exec``, ``eval`` or
@@ -358,18 +358,23 @@ def test_ln_and_sqrt_rules_are_stated_in_domains_only(name):
     assert mentions and outside == []
 
 
-def test_node_parts_are_read_by_the_tape_only():
+def test_node_keys_are_read_by_the_tape_only():
     # Tape.add is the one walk over an expression's nodes, and the one place
     # that decides which subexpressions are equal: every other pass reads a
-    # tape, so none re-walks the nodes, needs a stack or keys nodes itself
+    # tape, so none re-walks the nodes, needs a stack or keys nodes itself.
+    # A tape's key map is set in Tape.__init__ and read in Tape.add only
     tree = _tree(ROOT / "src" / "mvtcheck" / "expr.py")
-    (add,) = [
-        method
-        for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Tape"
-        for method in node.body if isinstance(method, ast.FunctionDef) and method.name == "add"
-    ]
-    reads = [line for function, line in _reads(tree, "_parts")]
-    assert reads and [f"line {line}" for line in reads if not add.lineno <= line <= add.end_lineno] == []
+    (tape,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Tape"]
+    methods = {method.name: method for method in tape.body if isinstance(method, ast.FunctionDef)}
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_keys"]
+    owners = {ast.Load: methods["add"], ast.Store: methods["__init__"]}
+
+    def owned(use):
+        owner = owners.get(type(use.ctx))
+        return owner is not None and owner.lineno <= use.lineno <= owner.end_lineno
+
+    assert {type(use.ctx) for use in uses} == set(owners)
+    assert [f"line {use.lineno}" for use in uses if not owned(use)] == []
 
 
 @pytest.mark.parametrize("name", ["_neg", "_binary", "_call"])

@@ -23,7 +23,9 @@ which is read and not changed.
 With ``--against REF`` first, the tool checks the git revision REF out in
 a temporary worktree, runs that checkout's own dump and this one with the
 same workload and seeds, and prints the first differing lines and how
-many differ.  It exits 1 when any line differs and 0 when none does:
+many differ.  It exits 1 when any line differs and 0 when none does.
+When the comparison itself fails (REF does not check out, or either dump
+exits with an error) it prints one line on standard error and exits 2:
 
     python3 tools/dump_outputs.py --against main hazard 1 2 3
 """
@@ -98,16 +100,24 @@ def cli_lines(seed: int):
             os.chdir(here)
 
 
+class ComparisonFailed(Exception):
+    """A step of ``--against`` failed, so no lines were compared."""
+
+
 def against(ref: str, args: list[str]) -> int:
     """Print how the dump of ``args`` differs between ``ref`` and this checkout."""
-    with tempfile.TemporaryDirectory() as scratch:
-        checkout = os.path.join(scratch, "ref")
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--quiet", "--detach", checkout, ref], check=True)
-        try:
-            theirs = _dump(checkout, args)
-        finally:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", checkout], check=True)
-    ours = _dump(ROOT, args)
+    try:
+        with tempfile.TemporaryDirectory() as scratch:
+            checkout = os.path.join(scratch, "ref")
+            _run(["git", "-C", ROOT, "worktree", "add", "--quiet", "--detach", checkout, ref], "git worktree add")
+            try:
+                theirs = _dump(checkout, args, f"the dump at {ref}")
+            finally:
+                _run(["git", "-C", ROOT, "worktree", "remove", "--force", checkout], "git worktree remove")
+        ours = _dump(ROOT, args, "the dump of this checkout")
+    except ComparisonFailed as exc:
+        print(f"error: no comparison with {ref}: {exc}", file=sys.stderr)
+        return 2
     pairs = itertools.zip_longest(theirs, ours, fillvalue="")
     differing = [(i, old, new) for i, (old, new) in enumerate(pairs, 1) if old != new]
     for i, old, new in differing[:_SHOWN]:
@@ -116,11 +126,20 @@ def against(ref: str, args: list[str]) -> int:
     return 1 if differing else 0
 
 
-def _dump(root: str, args: list[str]) -> list[str]:
+def _dump(root: str, args: list[str], step: str) -> list[str]:
     # the lines that the dump in checkout ``root`` prints
     tool = os.path.join(root, "tools", "dump_outputs.py")
-    done = subprocess.run([sys.executable, tool, *args], check=True, stdout=subprocess.PIPE, text=True)
-    return done.stdout.splitlines()
+    return _run([sys.executable, tool, *args], step).splitlines()
+
+
+def _run(command: list[str], step: str) -> str:
+    # the standard output of ``command``; ComparisonFailed, naming ``step``
+    # and the last line of its standard error, when it exits with an error
+    done = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        lines = done.stderr.strip().splitlines()
+        raise ComparisonFailed(f"{step} exited {done.returncode}" + (f": {lines[-1]}" if lines else ""))
+    return done.stdout
 
 
 def main(argv: list[str]) -> int:
