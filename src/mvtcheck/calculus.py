@@ -18,8 +18,8 @@ from .expr import (
     Tape,
     Variable,
     enclose,
-    evaluate,
     evaluator,
+    fold,
     integer_exponent,
     tabulate,
 )
@@ -37,6 +37,7 @@ __all__ = [
     "Witness",
     "SmoothnessReport",
     "differentiate",
+    "derivative",
     "simplify",
     "analyze_smoothness",
 ]
@@ -114,61 +115,86 @@ def differentiate(e: Expr) -> Expr:
     kink points.  The input is folded first so negated literal exponents
     (x^-2) reach the constant-power rule instead of the ln-based general
     rule.  Every node of the derivative is built through the same fold
-    rules as :func:`simplify`, so the result is already simplified.
+    rules as :func:`simplify`, so the result is already simplified.  It is
+    :func:`derivative` on a tape of ``e``, so no depth of ``e`` limits it.
     """
-    return _derivative(simplify(e))
+    t = Tape()
+    return t.nodes[derivative(t, t.add(e))]
 
 
-def _derivative(e: Expr) -> Expr:
-    if isinstance(e, Constant):
-        return Constant(0.0)
-    if isinstance(e, Variable):
-        return Constant(1.0)
-    if isinstance(e, Neg):
-        return _neg(_derivative(e.child))
-    if isinstance(e, Binary):
-        u, v = e.left, e.right
-        if e.op == "+":
-            return _binary("+", _derivative(u), _derivative(v))
-        if e.op == "-":
-            return _binary("-", _derivative(u), _derivative(v))
-        if e.op == "*":
-            return _binary("+", _binary("*", _derivative(u), v), _binary("*", u, _derivative(v)))
-        if e.op == "/":
-            num = _binary("-", _binary("*", _derivative(u), v), _binary("*", u, _derivative(v)))
-            return _binary("/", num, _binary("^", v, Constant(2.0)))
-        # power: constant exponent uses the power rule so d(x^2) stays
-        # defined on all of R; the general case goes through ln
-        if isinstance(v, Constant):
-            power = _binary("^", u, Constant(v.value - 1.0))
-            return _binary("*", _binary("*", v, power), _derivative(u))
-        if isinstance(u, Constant):
-            return _binary("*", _binary("*", e, _call("ln", u)), _derivative(v))
-        inner = _binary(
-            "+",
-            _binary("*", _derivative(v), _call("ln", u)),
-            _binary("/", _binary("*", v, _derivative(u)), u),
-        )
-        return _binary("*", e, inner)
-    if isinstance(e, Call):
-        u = e.argument
-        du = _derivative(u)
-        fn = e.fn
-        if fn == "sin":
-            return _binary("*", _call("cos", u), du)
-        if fn == "cos":
-            return _binary("*", _neg(_call("sin", u)), du)
-        if fn == "tan":
-            return _binary("/", du, _binary("^", _call("cos", u), Constant(2.0)))
-        if fn == "exp":
-            return _binary("*", e, du)
-        if fn == "ln":
-            return _binary("/", du, u)
-        if fn == "sqrt":
-            return _binary("/", du, _binary("*", Constant(2.0), e))
-        # abs
-        return _binary("/", _binary("*", du, u), e)
-    raise TypeError(f"not an expression: {e!r}")
+def derivative(t: Tape, slot: int) -> int:
+    """The slot of :func:`differentiate` of the node at ``slot`` of ``t``,
+    put on ``t`` itself.
+
+    Two loops in slot order, neither of which recurses: the first folds
+    each slot of the cone of ``slot`` from its children's folded slots, as
+    :func:`simplify` does, and the second gives each folded slot a
+    derivative slot from its children's derivative slots (the tape
+    differentiation of A. Griewank and A. Walther, *Evaluating
+    Derivatives*, SIAM 2008).  Every node either loop builds is keyed on
+    ``t`` as it is built, so no tree of the derivative is walked again, a
+    subexpression already on ``t`` keeps its slot, and each distinct one is
+    derived once.
+    """
+    folded: dict[int, int] = {}
+    top = _simplify(t, folded, slot)
+    return _derivative(t, sorted(set(folded.values())))[top]
+
+
+def _derivative(t: Tape, slots: list[int]) -> dict[int, int]:
+    # per slot of ``slots``, the slot of its node's derivative.  ``slots``
+    # are folded, in slot order, and hold the children of each of their
+    # nodes, so each node is derived once, from its children's derivatives
+    nodes, d = t.nodes, {}
+    leaves: dict[type, int] = {}  # the slots of 0 and 1, the derivatives of a constant and of x
+    for i in slots:
+        node, args = nodes[i], t.args[i]
+        if isinstance(node, Binary):
+            u, v = args
+            du, dv, op = d[u], d[v], node.op
+            if op == "+" or op == "-":
+                d[i] = _binary(t, op, (du, dv))
+            elif op == "*":
+                d[i] = _binary(t, "+", (_binary(t, "*", (du, v)), _binary(t, "*", (u, dv))))
+            elif op == "/":
+                num = _binary(t, "-", (_binary(t, "*", (du, v)), _binary(t, "*", (u, dv))))
+                d[i] = _binary(t, "/", (num, _binary(t, "^", (v, _constant(t, 2.0)))))
+            # power: constant exponent uses the power rule so d(x^2) stays
+            # defined on all of R; the general case goes through ln
+            elif isinstance(nodes[v], Constant):
+                power = _binary(t, "^", (u, _constant(t, nodes[v].value - 1.0)))
+                d[i] = _binary(t, "*", (_binary(t, "*", (v, power)), du))
+            elif isinstance(nodes[u], Constant):
+                d[i] = _binary(t, "*", (_binary(t, "*", (i, _call(t, "ln", u))), dv))
+            else:
+                log_term = _binary(t, "*", (dv, _call(t, "ln", u)))
+                ratio = _binary(t, "/", (_binary(t, "*", (v, du)), u))
+                d[i] = _binary(t, "*", (i, _binary(t, "+", (log_term, ratio))))
+        elif isinstance(node, Call):
+            (u,) = args
+            du, fn = d[u], node.fn
+            if fn == "sin":
+                d[i] = _binary(t, "*", (_call(t, "cos", u), du))
+            elif fn == "cos":
+                d[i] = _binary(t, "*", (_neg(t, _call(t, "sin", u)), du))
+            elif fn == "tan":
+                d[i] = _binary(t, "/", (du, _binary(t, "^", (_call(t, "cos", u), _constant(t, 2.0)))))
+            elif fn == "exp":
+                d[i] = _binary(t, "*", (i, du))
+            elif fn == "ln":
+                d[i] = _binary(t, "/", (du, u))
+            elif fn == "sqrt":
+                d[i] = _binary(t, "/", (du, _binary(t, "*", (_constant(t, 2.0), i))))
+            else:  # abs
+                d[i] = _binary(t, "/", (_binary(t, "*", (du, u)), i))
+        elif isinstance(node, Neg):
+            d[i] = _neg(t, d[args[0]])
+        else:
+            kind = node.__class__
+            if kind not in leaves:
+                leaves[kind] = _constant(t, 0.0 if kind is Constant else 1.0)
+            d[i] = leaves[kind]
+    return d
 
 
 def simplify(e: Expr) -> Expr:
@@ -177,84 +203,90 @@ def simplify(e: Expr) -> Expr:
     Pointwise equal to the input wherever the input is defined (identity
     rules are exact, folding is single-rounding); no deeper rewriting.
     """
-    return _simplify(e, None)
+    t = Tape()
+    return t.nodes[_simplify(t, {}, t.add(e))]
 
 
-def _simplify(e: Expr, memo: dict[int, Expr] | None) -> Expr:
-    # simplify(e), and with a memo, what each node object folds to, under
-    # its id (the caller keeps the objects alive), so a node met again folds
-    # once.  simplify keeps none: it costs about a quarter more time
-    if memo is not None and id(e) in memo:
-        return memo[id(e)]
-    if isinstance(e, Neg):
-        folded = _neg(_simplify(e.child, memo))
-    elif isinstance(e, Binary):
-        folded = _binary(e.op, _simplify(e.left, memo), _simplify(e.right, memo))
-    elif isinstance(e, Call):
-        folded = _call(e.fn, _simplify(e.argument, memo))
-    else:
-        return e
-    if memo is not None:
-        memo[id(e)] = folded
-    return folded
+def _simplify(t: Tape, folded: dict[int, int], slot: int) -> int:
+    # the slot of simplify of the node at ``slot``.  Each slot of its cone
+    # that ``folded`` lacks is folded in slot order, from its children's
+    # folded slots, and recorded there: a node that nothing folds keeps
+    # its own slot, and a slot already folded is not visited again
+    cone: set[int] = set()
+    stack = [slot]
+    while stack:
+        i = stack.pop()
+        if i not in cone and i not in folded:
+            cone.add(i)
+            stack += t.args[i]
+    nodes = t.nodes
+    for i in sorted(cone):
+        node, args = nodes[i], t.args[i]
+        if isinstance(node, Binary):
+            folded[i] = _binary(t, node.op, (folded[args[0]], folded[args[1]]))
+        elif isinstance(node, Call):
+            folded[i] = _call(t, node.fn, folded[args[0]])
+        elif isinstance(node, Neg):
+            folded[i] = _neg(t, folded[args[0]])
+        else:
+            folded[i] = i
+    return folded[slot]
 
 
-# node builders for simplify and _derivative: each folds one node whose
-# operands are already simplified, so a tree built bottom-up is simplified
+# node builders for _simplify and _derivative: each folds one node over
+# slots of nodes already folded, so a node built from folded slots is
+# folded, and returns the slot of the result on ``t``.  A node over
+# constants only is folded where it is defined: ``fold`` leaves 1/0, ln(0)
+# and overflows as they are
 
 
-def _neg(child: Expr) -> Expr:
-    if isinstance(child, Constant):
-        return Constant(-child.value)
-    return Neg(child)
+def _neg(t: Tape, child: int) -> int:
+    node = t.nodes[child]
+    if isinstance(node, Constant):
+        return _constant(t, -node.value)
+    return t.put(("-", child))
 
 
-def _binary(op: str, left: Expr, right: Expr) -> Expr:
-    if isinstance(left, Constant) and isinstance(right, Constant):
-        folded = _fold(Binary(op, left, right))
-        if folded is not None:
-            return folded
+def _binary(t: Tape, op: str, args: tuple[int, int]) -> int:
+    # ``args`` holds the operands' slots as one pair, as ``Tape.args`` does;
+    # u and v are the operands' values where they are constants
+    left, right = args
+    u, v = t.nodes[left], t.nodes[right]
+    u = u.value if isinstance(u, Constant) else None
+    v = v.value if isinstance(v, Constant) else None
+    if u is not None and v is not None:
+        value = fold(op, u, v)
+        if value is not None:
+            return _constant(t, value)
     if op == "+":
-        if _is_zero(left):
+        if u == 0.0:
             return right
-        if _is_zero(right):
+        if v == 0.0:
             return left
     elif op == "*":
-        if _is_zero(left) or _is_zero(right):
-            return Constant(0.0)
-        if _is_one(left):
+        if u == 0.0 or v == 0.0:
+            return _constant(t, 0.0)
+        if u == 1.0:
             return right
-        if _is_one(right):
+        if v == 1.0:
             return left
     elif op == "^":
-        if _is_one(right):
+        if v == 1.0:
             return left
-    return Binary(op, left, right)
+    return t.put((op, left, right))
 
 
-def _call(fn: str, arg: Expr) -> Expr:
-    if isinstance(arg, Constant):
-        folded = _fold(Call(fn, arg))
-        if folded is not None:
-            return folded
-    return Call(fn, arg)
+def _call(t: Tape, fn: str, arg: int) -> int:
+    node = t.nodes[arg]
+    if isinstance(node, Constant):
+        value = fold(fn, node.value)
+        if value is not None:
+            return _constant(t, value)
+    return t.put((fn, arg))
 
 
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Constant) and e.value == 0.0
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Constant) and e.value == 1.0
-
-
-def _fold(node: Expr) -> Constant | None:
-    # a node over constants only: evaluate it exactly as at run time, and
-    # leave it unfolded where evaluation fails (1/0, ln(0), overflow)
-    try:
-        return Constant(evaluate(node, 0.0))
-    except DomainError:
-        return None
+def _constant(t: Tape, value: float) -> int:
+    return t.put((repr(value),))
 
 
 # --- smoothness analysis ----------------------------------------------------
@@ -266,8 +298,9 @@ def _collect_hazards(t: Tape) -> list[tuple[int, WitnessKind, bool]]:
     Zeros of inner mark the trouble spots, where f is undefined if
     zero_undefined (poles, ln, powers) and may only lose its derivative if
     not (sqrt, abs).  The inner of tan(u), cos(u), is added to ``t``.
-    A power's exponent is folded by simplify's walk with one memo per call,
-    keyed by node object, so nested powers fold each exponent once.
+    A power's exponent is folded on ``t`` by simplify's per-slot fold, with
+    one list of folded slots per call, so nested powers fold each node of
+    their exponents once.
     """
     out: list[tuple[int, WitnessKind, bool]] = []
     # per slot, whether x is below it, and the slot of u where the node is
@@ -276,19 +309,22 @@ def _collect_hazards(t: Tape) -> list[tuple[int, WitnessKind, bool]]:
     # undefined, the hazard is u, whose sign change the scan confirms
     has_x: list[bool] = []
     bare: list[int] = []
-    # the exponents' memo: the tape holds every node below a slot, so no id is reused
-    simplified: dict[int, Expr] = {}
-    # the walk reaches the cos(u) nodes it adds as well
-    for node, args in zip(t.nodes, t.args):
-        has_x.append(isinstance(node, Variable) or any([has_x[i] for i in args]))
-        bare.append(bare[args[0]] if isinstance(node, Call) and node.fn == "abs" else len(bare))
+    folded: dict[int, int] = {}
+    # the walk reaches the cos(u) nodes and the folded exponents it adds as
+    # well, but only the nodes on t before it began can be hazards
+    end = len(t.nodes)
+    for i, (node, args) in enumerate(zip(t.nodes, t.args)):
+        has_x.append(isinstance(node, Variable) or any([has_x[j] for j in args]))
+        bare.append(bare[args[0]] if isinstance(node, Call) and node.fn == "abs" else i)
+        if i >= end:
+            continue
         if isinstance(node, Binary):
             if node.op == "/":
                 out.append((bare[args[1]], WitnessKind.POLE, True))
             elif node.op == "^":
                 # the exponent's value decides, as in the evaluators: folding
                 # gives it wherever it is the same at every x
-                exponent = _simplify(node.right, simplified)
+                exponent = t.nodes[_simplify(t, folded, args[1])]
                 n = integer_exponent(exponent.value) if isinstance(exponent, Constant) else None
                 if n is None:
                     out.append((bare[args[0]], WitnessKind.POWER_BOUNDARY, True))
@@ -446,7 +482,7 @@ _WITNESS_KIND = {
 }
 
 
-def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
+def analyze_smoothness(e: Expr, iv: Interval, samples: int, tape: Tape | None = None) -> SmoothnessReport:
     """Classify continuity of ``e`` on [a,b] and differentiability on (a,b).
 
     Reads one tape of ``e`` for hazard subexpressions (divisors, ln/sqrt
@@ -482,8 +518,12 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     The points of the undefined cells are counted, not scanned, when they
     are more than half of the grid: then no hazard is scanned, and the
     report reads only the first and the first interior undefined points.
+
+    ``e`` goes on ``tape`` where an empty one is given, and on a tape of
+    its own otherwise: a caller that reads ``e`` on from its tape (with
+    :func:`derivative`, say) then finds it there, and walks it no more.
     """
-    t = Tape()
+    t = Tape() if tape is None else tape
     top = t.add(e)
     hazards = _collect_hazards(t)
     outs = [top, *(inner for inner, _, _ in hazards)]

@@ -43,6 +43,7 @@ __all__ = [
     "parse",
     "format_expr",
     "evaluate",
+    "fold",
     "compile_evaluator",
     "evaluator",
     "tabulate",
@@ -509,6 +510,24 @@ def _eval(e: Expr, x: float) -> float:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def fold(part: str, *values: float) -> float | None:
+    """The binary operator or function ``part`` of the finite ``values``,
+    as :func:`evaluate` computes a node over constants: the same value
+    where that is defined, None where :func:`evaluate` raises DomainError."""
+    try:
+        if len(values) == 2:
+            out = _OPERATIONS[part](*values)
+        else:
+            (u,) = values
+            domain = _DOMAINS.get(part)
+            if domain is not None and u < domain[0]:
+                return None
+            out = _LIBM[part](u)
+    except (ValueError, OverflowError):
+        return None
+    return out if math.isfinite(out) else None
+
+
 def compile_evaluator(e: Expr) -> Callable[[float], float]:
     """:func:`evaluator` of ``e`` on a tape of its own.
 
@@ -675,7 +694,9 @@ class Tape:
     expressions take one slot, held by the first node met.  ``add`` keys
     each node object once, from an explicit stack, so no depth of nesting
     limits it; the tape's id map holds every node object it keyed, copies
-    too, so no id in it can pass to a new node.
+    too, so no id in it can pass to a new node.  ``put(key)`` keys one node
+    over slots already on the tape, and ``add`` keys through it, so one
+    method decides which nodes are equal.
     """
 
     def __init__(self):
@@ -688,7 +709,7 @@ class Tape:
         # a node waits on the stack until each of its children has a slot:
         # it pushes them, right then left, and is keyed when it is back on
         # top; a node met again pops at once
-        keys, slots = self._keys, self._slots
+        slots = self._slots
         stack = [root]
         while stack:
             node = stack[-1]
@@ -710,14 +731,32 @@ class Tape:
                 key = (part, below[0])
             else:
                 key = ("x" if isinstance(node, Variable) else repr(node.value),)
-            slot = keys.get(key)
-            if slot is None:
-                slot = keys[key] = len(self.nodes)
-                self.nodes.append(node)
-                self.args.append(key[1:])
-            slots[id(node)] = (slot, node)
+            slots[id(node)] = (self.put(key, node), node)
             stack.pop()
         return slots[id(root)][0]
+
+    def put(self, key: tuple, node: Expr | None = None) -> int:
+        """The slot of the node keyed ``key``: its operator, function name,
+        ``"-"`` for a negation, ``"x"`` or its constant's ``repr``, then its
+        children's slots.  Where no node on the tape has that key, ``node``
+        takes a new slot, or, where ``node`` is None, a node built from
+        ``key`` over the nodes at those slots: so a pass that builds nodes
+        slot by slot keys each one as it builds it, and builds only the
+        nodes that are new."""
+        slot = self._keys.get(key)
+        if slot is None:
+            if node is None:
+                part, nodes = key[0], self.nodes
+                if len(key) == 3:
+                    node = Binary(part, nodes[key[1]], nodes[key[2]])
+                elif len(key) == 2:
+                    node = Neg(nodes[key[1]]) if part == "-" else Call(part, nodes[key[1]])
+                else:
+                    node = Variable() if part == "x" else Constant(float(part))
+            slot = self._keys[key] = len(self.nodes)
+            self.nodes.append(node)
+            self.args.append(key[1:])
+        return slot
 
 
 # --- interval bounds ----------------------------------------------------------

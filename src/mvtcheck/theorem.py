@@ -3,8 +3,12 @@
 Checks applicability (continuity on [a,b], differentiability on (a,b)),
 computes the secant slope m = (f(b) - f(a)) / (b - a), and locates a point
 c in (a, b) with f'(c) = m by sign-change bracketing and the ITP root
-search of :func:`~mvtcheck.numeric.bisect`.  f' is evaluated by
-:func:`~mvtcheck.expr.compile_evaluator`, which interprets a tape of it.
+search of :func:`~mvtcheck.numeric.bisect`.  One tape serves a verdict:
+the smoothness analysis puts f on it, :func:`~mvtcheck.calculus.derivative`
+folds and differentiates f slot by slot on it, and f' is evaluated by
+:func:`~mvtcheck.expr.evaluator` at the slot of f' there.  So f'
+is keyed node by node as it is built, never walked as a tree, and no depth
+of f' limits the search.
 """
 
 from __future__ import annotations
@@ -12,9 +16,14 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .calculus import Verdict, analyze_smoothness, differentiate
-from .expr import Constant, DomainError, Expr, Record, compile_evaluator, evaluate
+from .calculus import Verdict, analyze_smoothness, derivative
+from .expr import Constant, DomainError, Expr, Record, Tape, evaluate, evaluator
 from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
+
+# no call here reads differentiate or compile_evaluator: bench/mvtbench/tracer.py
+# wraps theorem.differentiate and theorem.compile_evaluator
+from .calculus import differentiate  # noqa: F401
+from .expr import compile_evaluator  # noqa: F401
 
 __all__ = [
     "Config",
@@ -163,7 +172,8 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     if math.nextafter(iv.a, iv.b) == iv.b:
         # the theorem's c must lie strictly inside (a, b), and no float does
         return Unknown("no float lies strictly inside (a, b)")
-    report = analyze_smoothness(f, iv, cfg.samples)
+    tape = Tape()
+    report = analyze_smoothness(f, iv, cfg.samples, tape)
     if report.continuous_on_closed is Verdict.NO:
         witness = next(w.point for w in report.witnesses if w.breaks_continuity)
         return NotApplicable(Reason.NOT_CONTINUOUS, witness)
@@ -183,7 +193,9 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     else:
         m = m_forced
 
-    d = differentiate(f)
+    # f is on the tape already, so tape.add(f) only looks its slot up
+    slot = derivative(tape, tape.add(f))
+    d = tape.nodes[slot]
     if isinstance(d, Constant):
         # g = f' - m is one number: the scans below would find no sign
         # change, and end on the degenerate path or on this residual
@@ -191,7 +203,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
         if residual <= EPS_RES:
             return Applicable(midpoint(iv.a, iv.b), m, d.value, residual, 0, Method.DEGENERATE_CONSTANT)
         return _no_sign_change(residual)
-    deriv = compile_evaluator(d)
+    deriv = evaluator(tape, slot)
 
     def g(t: float) -> float:
         return deriv(t) - m

@@ -2,16 +2,17 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mvtcheck import calculus
+from mvtcheck import calculus, expr
 from mvtcheck.calculus import (
     SmoothnessReport,
     Verdict,
     Witness,
     WitnessKind,
     analyze_smoothness,
+    derivative,
     differentiate,
     simplify,
 )
@@ -35,7 +36,7 @@ from mvtcheck.expr import (
 from mvtcheck.numeric import Interval, grid
 from mvtcheck.theorem import Config
 
-from oracles import central_difference
+from oracles import central_difference, reference_derivative
 from strategies import grammar_exprs, poly_coefficients, polynomial, smooth_exprs
 
 # the pipeline's default sample count
@@ -176,6 +177,46 @@ def test_derivative_is_already_simplified(e):
     d = differentiate(e)
     # the texts also tell -0.0 from 0.0, which == does not
     assert format_expr(simplify(d)) == format_expr(d)
+
+
+@given(grammar_exprs())
+@settings(deadline=None, max_examples=300)
+# every identity rule, folds that fail (ln(-1), 1/0), -0.0, and each power rule
+@example(parse("x^2 + x^1*1 + 0*x - (-0)*x"))
+@example(parse("ln(-1)*x + 1/0 + 2^x + x^x + x^-2"))
+@example(parse("sqrt(x)/abs(x) + tan(x) - cos(x)*exp(2*x)"))
+def test_derivative_text_matches_the_recursive_rules(e):
+    # the tape's two loops build, node for node, what the rules build as a
+    # tree: the texts also tell -0.0 from 0.0
+    assert format_expr(differentiate(e)) == format_expr(reference_derivative(e, expr))
+
+
+def test_derivative_reuses_the_slots_on_its_tape():
+    # (sin(x)*x)' = cos(x)*x + sin(x)*1, folded to cos(x)*x + sin(x): x and
+    # sin(x) keep the slots they hold for f, and no node of f is copied
+    t = Tape()
+    top = t.add(parse("sin(x)*x"))
+    sin, x = t.args[top]
+    f_nodes = list(t.nodes)
+    d = derivative(t, top)
+    assert t.nodes[: len(f_nodes)] == f_nodes
+    product, sin_again = t.args[d]
+    assert sin_again == sin
+    cos, x_again = t.args[product]
+    assert x_again == x and t.args[cos] == (x,)
+    assert format_expr(t.nodes[d]) == "((cos(x) * x) + sin(x))"
+    assert len(t.nodes) == len(f_nodes) + 4  # 1 (the derivative of x), cos(x), the product, the sum
+
+
+def test_a_chain_of_100001_nodes_differentiates_without_recursion():
+    # -(-(...(x)...)): 100000 negations, far past the recursion limit
+    e = Variable()
+    for _ in range(100_000):
+        e = Neg(e)
+    assert differentiate(e) == Constant(1.0)
+    assert differentiate(Neg(e)) == Constant(-1.0)
+    # nothing folds, so the chain keeps its own nodes
+    assert simplify(e) is e
 
 
 def test_abs_derivative_undefined_at_kink():

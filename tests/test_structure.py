@@ -10,7 +10,7 @@ near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
 ``Verdict.UNKNOWN`` in ``_verdict`` only, ``expr`` names
 ``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only,
 ``POWER_OF_NON_POSITIVE`` in ``_pow`` only and the ln and sqrt failures in
-``_DOMAINS`` only, ``expr`` reads a tape's ``_keys`` in ``Tape.add`` only,
+``_DOMAINS`` only, ``expr`` reads a tape's ``_keys`` in ``Tape.put`` only,
 ``calculus`` reads its node builders ``_neg``, ``_binary`` and ``_call``
 in ``_simplify`` and ``_derivative`` only, no
 module imports ``dataclasses``, no module calls ``exec``, ``eval`` or
@@ -359,15 +359,16 @@ def test_ln_and_sqrt_rules_are_stated_in_domains_only(name):
 
 
 def test_node_keys_are_read_by_the_tape_only():
-    # Tape.add is the one walk over an expression's nodes, and the one place
-    # that decides which subexpressions are equal: every other pass reads a
-    # tape, so none re-walks the nodes, needs a stack or keys nodes itself.
-    # A tape's key map is set in Tape.__init__ and read in Tape.add only
+    # Tape.add is the one walk over an expression's nodes, and Tape.put,
+    # through which add and every pass that builds nodes slot by slot key
+    # them, the one place that decides which subexpressions are equal: no
+    # other pass re-walks the nodes, needs a stack or keys nodes itself.
+    # A tape's key map is set in Tape.__init__ and read in Tape.put only
     tree = _tree(ROOT / "src" / "mvtcheck" / "expr.py")
     (tape,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Tape"]
     methods = {method.name: method for method in tape.body if isinstance(method, ast.FunctionDef)}
     uses = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_keys"]
-    owners = {ast.Load: methods["add"], ast.Store: methods["__init__"]}
+    owners = {ast.Load: methods["put"], ast.Store: methods["__init__"]}
 
     def owned(use):
         owner = owners.get(type(use.ctx))
@@ -379,9 +380,9 @@ def test_node_keys_are_read_by_the_tape_only():
 
 @pytest.mark.parametrize("name", ["_neg", "_binary", "_call"])
 def test_fold_rules_are_applied_by_simplify_and_derivative_only(name):
-    # the node builders hold the fold rules, and _simplify's walk is the one
-    # walk that applies them to a given tree (_derivative builds its own):
-    # no second walk restates simplify over some other structure
+    # the node builders hold the fold rules, and _simplify's per-slot fold
+    # is the one pass that applies them to a given tape (_derivative builds
+    # its own nodes): no second pass restates simplify over another structure
     reads = list(_reads(_tree(ROOT / "src" / "mvtcheck" / "calculus.py"), name))
     outside = [f"line {line}: {function}" for function, line in reads if function not in ("_simplify", "_derivative")]
     assert reads and outside == []

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvtcheck import calculus, theorem
-from mvtcheck.calculus import differentiate
 from mvtcheck.expr import Binary, Constant, DomainError, Neg, Variable, compile_evaluator, evaluate, parse
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import (
@@ -284,14 +283,14 @@ def test_mvt_negative_power_closed_form():
 
 
 def _count_derivative_calls(monkeypatch, f):
-    """Count evaluations of f' (``calls``), by its compiled evaluator or by
-    a tree walk, and the compilations of f' (``compiles``)."""
+    """Count evaluations of f' (``calls``), by its tape evaluator or by a
+    tree walk, and the tape evaluators made of f' (``compiles``)."""
     counts = {"calls": 0, "compiles": 0}
-    compile_evaluator, evaluate = theorem.compile_evaluator, theorem.evaluate
+    evaluator, evaluate = theorem.evaluator, theorem.evaluate
 
-    def counting_compile(e):
+    def counting_evaluator(t, slot):
         counts["compiles"] += 1
-        deriv = compile_evaluator(e)
+        deriv = evaluator(t, slot)
 
         def counted(t):
             counts["calls"] += 1
@@ -305,7 +304,7 @@ def _count_derivative_calls(monkeypatch, f):
         counts["calls"] += e is not f
         return evaluate(e, t)
 
-    monkeypatch.setattr(theorem, "compile_evaluator", counting_compile)
+    monkeypatch.setattr(theorem, "evaluator", counting_evaluator)
     monkeypatch.setattr(theorem, "evaluate", counting_evaluate)
     return counts
 
@@ -357,11 +356,11 @@ def test_constant_derivative_is_neither_evaluated_nor_compiled(monkeypatch):
     assert counts == {"calls": 0, "compiles": 0}
 
 
-def _never_constant(f):
-    # f' as differentiate gives it, but -(-k) for a constant k: the same
-    # value at every x, and the pipeline scans it as it scans any f'
-    d = differentiate(f)
-    return Neg(Neg(d)) if isinstance(d, Constant) else d
+def _never_constant(t, slot):
+    # the slot of f' as derivative gives it, but of -(-k) for a constant k:
+    # the same value at every x, and the pipeline scans it as it scans any f'
+    d = calculus.derivative(t, slot)
+    return t.add(Neg(Neg(t.nodes[d]))) if isinstance(t.nodes[d], Constant) else d
 
 
 _MAX = 1.7976931348623157e308
@@ -394,7 +393,7 @@ def test_constant_derivative_answers_as_the_scans_did(text, a, b):
         lambda: verify_rolle(f, iv),
     ]
     shortcut = [repr(call()) for call in calls]
-    with mock.patch.object(theorem, "differentiate", _never_constant):
+    with mock.patch.object(theorem, "derivative", _never_constant):
         scanned = [repr(call()) for call in calls]
     assert shortcut == scanned
 
@@ -433,8 +432,9 @@ def test_verdicts_do_not_depend_on_the_walk_budget(monkeypatch, text, a, b):
     # tape, as the pipeline does, and walked as trees by the reference
     f, iv = parse(text), Interval(a, b)
     interpreted = (repr(verify_mvt(f, iv)), repr(verify_rolle(f, iv)))
-    monkeypatch.setattr(theorem, "compile_evaluator", lambda e: functools.partial(evaluate, e))
-    monkeypatch.setattr(calculus, "evaluator", lambda t, slot: functools.partial(evaluate, t.nodes[slot]))
+    walked = lambda t, slot: functools.partial(evaluate, t.nodes[slot])  # noqa: E731
+    monkeypatch.setattr(theorem, "evaluator", walked)
+    monkeypatch.setattr(calculus, "evaluator", walked)
     if text != _PRODUCT:
         assert interpreted == (repr(verify_mvt(f, iv)), repr(verify_rolle(f, iv)))
         return
