@@ -443,25 +443,21 @@ def _triage(
             magnitudes += _magnitudes(*box)
         return True
 
-    def split(lo: int, hi: int) -> None:
-        # a cell that bounds did not settle, and whose sibling they did
+    # cells that bounds did not settle, and whose sibling they did, last
+    # one first: each is halved, left half first, or scanned where too small
+    cells = [] if settle((0, samples - 1), iv.a, iv.b) else [(0, samples - 1)]
+    while cells:
+        lo, hi = cells.pop()
         if hi - lo < 2 * _MIN_CELL:
             scanned.append((lo, hi))
-            return
+            continue
         mid = (lo + hi) // 2
         x_lo, x_mid, x_hi = grid(iv, samples, (lo, mid, hi))
         halves = ((lo, mid), (mid, hi))
         settled = (settle(halves[0], x_lo, x_mid), settle(halves[1], x_mid, x_hi))
-        for cell, done, sibling_done in zip(halves, settled, settled[::-1]):
-            if done:
-                continue
-            if sibling_done:
-                split(*cell)
-            else:
-                scanned.append(cell)
-
-    if not settle((0, samples - 1), iv.a, iv.b):
-        split(0, samples - 1)
+        for cell, done, sibling_done in zip(halves[::-1], settled[::-1], settled):
+            if not done:
+                (cells if sibling_done else scanned).append(cell)
     return sorted(scanned), sorted(undefined), cleared
 
 
@@ -519,9 +515,10 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int, tape: Tape | None = 
     are more than half of the grid: then no hazard is scanned, and the
     report reads only the first and the first interior undefined points.
 
-    ``e`` goes on ``tape`` where an empty one is given, and on a tape of
-    its own otherwise: a caller that reads ``e`` on from its tape (with
-    :func:`derivative`, say) then finds it there, and walks it no more.
+    ``e`` goes on ``tape`` where one is given that holds nothing or ``e``
+    alone, and on a tape of its own otherwise: a caller that reads ``e`` on
+    from its tape (with :func:`derivative`, say) then finds it there, and
+    walks it no more.
     """
     t = Tape() if tape is None else tape
     top = t.add(e)

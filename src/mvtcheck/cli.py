@@ -124,10 +124,6 @@ def run(args: Sequence[str]) -> int:
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except RecursionError as err:
-        # the tree walkers recurse once per term of a flat sum or product
-        print(f"error: expression too long ({err})", file=sys.stderr)
-        return 1
     except Exception as err:  # exit-code totality: never leak a traceback
         print(f"internal error: {err}", file=sys.stderr)
         return 1
@@ -243,13 +239,15 @@ def _plot_table(
     (c, f(c)) that the tangent passes through and the SVG marks (else no
     columns and None)."""
     tape = Tape()
+    slot = tape.add(f)
     xs = grid(iv, _PLOT_POINTS)
-    (fs,) = tabulate(tape, [tape.add(f)], xs)
+    (fs,) = tabulate(tape, [slot], xs)
     lines, mark = [], None
     if isinstance(result, Applicable):
-        mark = (result.c, evaluate(f, result.c))
+        at = evaluator(tape, slot)
+        mark = (result.c, at(result.c))
         lines = [
-            ("secant", _line(evaluate(f, iv.a), result.m, iv.a, xs)),
+            ("secant", _line(at(iv.a), result.m, iv.a, xs)),
             ("tangent", _line(mark[1], result.f_prime_at_c, result.c, xs)),
         ]
     return xs, fs, lines, mark

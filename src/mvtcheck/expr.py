@@ -1,12 +1,15 @@
 """Expression language for real-valued functions of one variable.
 
-Lexer, recursive-descent parser, canonical formatter, and evaluator for a
-small grammar: the five binary operators ``+ - * / ^``, unary minus, the
+Lexer, operator-precedence parser, canonical formatter, and evaluators for
+a small grammar: the five binary operators ``+ - * / ^``, unary minus, the
 functions sin, cos, tan, exp, ln, sqrt, abs, the variable ``x``, and the
 named constants ``pi`` and ``e`` (folded to numbers at parse time).  The
-tape interpreter :func:`evaluator`, the column pass :func:`tabulate` and
-the interval bounds read a :class:`Tape`, which holds each distinct
-subexpression once, so an expression on it is walked once.
+tape interpreter :func:`evaluator` (which :func:`evaluate` runs on a tape
+of its own), the column pass :func:`tabulate` and the interval bounds read
+a :class:`Tape`, which holds each distinct subexpression once, so an
+expression on it is walked once.  No function here calls itself: the
+parser, the formatter and :meth:`Tape.add` keep explicit stacks, so no
+depth of nesting and no length of a sum limits them.
 
 Precedence, loosest to tightest: additive, multiplicative, unary minus,
 ``^`` (right associative); function application binds tightest.  There is
@@ -33,12 +36,10 @@ __all__ = [
     "LexError",
     "ParseError",
     "UnknownIdentifier",
-    "NestingTooDeep",
     "DomainError",
     "DomainErrorKind",
     "FUNCTIONS",
     "BINARY_OPS",
-    "MAX_NESTING",
     "tokenize",
     "parse",
     "format_expr",
@@ -56,13 +57,6 @@ FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 BINARY_OPS = ("+", "-", "*", "/", "^")
 
 _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
-
-# deepest nesting the parser accepts: parenthesized groups, function
-# arguments, unary-minus operands and exponents each open one level.  The
-# parser and the tree walkers downstream recurse once or more per level, so
-# this keeps every command well inside Python's default recursion limit.
-MAX_NESTING = 150
-
 
 class SourceError(Exception):
     """Lex or parse failure, carrying the offending source position."""
@@ -87,12 +81,6 @@ class UnknownIdentifier(ParseError):
         SourceError.__init__(self, position, f"unknown identifier {name!r}")
         self.expected = "x, pi, e, or a function name"
         self.name = name
-
-
-class NestingTooDeep(ParseError):
-    def __init__(self, position: int):
-        SourceError.__init__(self, position, f"nesting too deep (more than {MAX_NESTING} levels)")
-        self.expected = f"at most {MAX_NESTING} nested levels"
 
 
 class DomainErrorKind(Enum):
@@ -229,146 +217,138 @@ def parse(source: str) -> Expr:
 
     ``pi`` and ``e`` become Constants; ``x`` is the only variable.  Raises
     ParseError (or UnknownIdentifier) with the source position on
-    malformed input, and NestingTooDeep past MAX_NESTING levels.
+    malformed input.
+
+    One loop reads the tokens left to right with a stack of operands and a
+    stack of operators that wait for their right operand (operator
+    precedence parsing, after R. W. Floyd, "Syntactic analysis and operator
+    precedence", *J. ACM* 10, 1963), so no depth of nesting limits it.  An
+    operator takes its operands once the next operator binds no tighter,
+    or, for the right associative ``^``, less tightly; ``(`` and ``fn(``
+    bind 0 and wait for their ``)``.
     """
-    return _Parser(source).parse()
+    # the end marker gives every token a text ("" at the end) and a position
+    tokens = tokenize(source)
+    tokens.append(("", len(source)))
+    operands: list[Expr] = []
+    waiting: list[tuple[int, str]] = []  # (binding, an operator, "(" or a function name)
+    i, operand = 0, True  # operand: whether an operand comes next
+    while True:
+        text, position = tokens[i]
+        i += 1
+        if operand:
+            if text == "-":
+                waiting.append((_NEGATION, text))
+            elif text == "(":
+                waiting.append((0, text))
+            elif text in FUNCTIONS:
+                if tokens[i][0] != "(":
+                    raise ParseError(tokens[i][1], f"'(' after {text!r}")
+                i += 1
+                waiting.append((0, text))
+            else:
+                operands.append(_operand(text, position))
+                operand = False
+            continue
+        binding = _BINDING.get(text, 0)
+        least = binding + 1 if text == "^" else binding or 1
+        while waiting and waiting[-1][0] >= least:
+            tightness, op = waiting.pop()
+            right = operands.pop()
+            if tightness == _NEGATION:
+                operands.append(Neg(right))
+            else:
+                operands[-1] = Binary(op, operands[-1], right)
+        if binding:
+            waiting.append((binding, text))
+            operand = True
+        elif text == ")" and waiting:
+            opener = waiting.pop()[1]
+            if opener != "(":
+                operands[-1] = Call(opener, operands[-1])
+        elif text or waiting:
+            # only openers wait now: the innermost one needs its ")"
+            raise ParseError(position, "')'" if waiting else "end of input")
+        else:
+            return operands[0]
 
 
-# how tightly each left-associative operator binds; _unary parses ``-`` and ``^``
-_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
-_TIGHTEST = max(_BINDING.values())
+# how tightly each binary operator binds; a unary minus binds _NEGATION
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEGATION = 3
 
 
-class _Parser:
-    def __init__(self, source: str):
-        # the end marker gives every lookahead a text ("" at the end) and a position
-        self._tokens = tokenize(source)
-        self._tokens.append(("", len(source)))
-        self._pos = 0
-        self._depth = 0
-
-    def parse(self) -> Expr:
-        expr = self._expression()
-        if self._peek():
-            raise ParseError(self._position(), "end of input")
-        return expr
-
-    def _peek(self) -> str:
-        return self._tokens[self._pos][0]
-
-    def _position(self) -> int:
-        return self._tokens[self._pos][1]
-
-    def _advance(self) -> int:
-        # consume the next token and return its position
-        self._pos += 1
-        return self._tokens[self._pos - 1][1]
-
-    def _nested(self, opener: int, parse: Callable[[], Expr]) -> Expr:
-        # ``parse`` one level deeper than the token at ``opener``
-        if self._depth == MAX_NESTING:
-            raise NestingTooDeep(opener)
-        self._depth += 1
-        expr = parse()
-        self._depth -= 1
-        return expr
-
-    def _expect(self, text: str, what: str) -> int:
-        if self._peek() != text:
-            raise ParseError(self._position(), what)
-        return self._advance()
-
-    def _expression(self, binding: int = 1) -> Expr:
-        # a right operand holds only tighter operators: each level is left
-        # associative.  Past the tightest level it is a _unary, called directly
-        # to spend one frame less per nesting level.
-        expr = self._unary()
-        while _BINDING.get(op := self._peek(), 0) >= binding:
-            self._advance()
-            tighter = _BINDING[op] + 1
-            right = self._expression(tighter) if tighter <= _TIGHTEST else self._unary()
-            expr = Binary(op, expr, right)
-        return expr
-
-    def _unary(self) -> Expr:
-        # ``-`` and ``^`` take a _unary operand, so ``^`` is right associative,
-        # binds tighter than ``-``, and its exponent may carry a unary minus
-        if self._peek() == "-":
-            return Neg(self._nested(self._advance(), self._unary))
-        base = self._primary()
-        if self._peek() == "^":
-            return Binary("^", base, self._nested(self._advance(), self._unary))
-        return base
-
-    def _primary(self) -> Expr:
-        text = self._peek()
-        if not text:
-            raise ParseError(self._position(), "an expression")
-        if text[0].isdigit():
-            self._advance()
-            return Constant(float(text))
-        if text[0].isalpha():
-            position = self._advance()
-            if text == "x":
-                return Variable()
-            if text in _NAMED_CONSTANTS:
-                return Constant(_NAMED_CONSTANTS[text])
-            if text in FUNCTIONS:
-                arg = self._nested(self._expect("(", f"'(' after {text!r}"), self._expression)
-                self._expect(")", "')'")
-                return Call(text, arg)
-            raise UnknownIdentifier(position, text)
-        if text == "(":
-            expr = self._nested(self._advance(), self._expression)
-            self._expect(")", "')'")
-            return expr
-        raise ParseError(self._position(), "a number, a name, or '('")
+def _operand(text: str, position: int) -> Expr:
+    # the operand that the token ``text`` at ``position`` begins, other than
+    # a "(" or a function call
+    if not text:
+        raise ParseError(position, "an expression")
+    if text[0].isdigit():
+        return Constant(float(text))
+    if text == "x":
+        return Variable()
+    if text in _NAMED_CONSTANTS:
+        return Constant(_NAMED_CONSTANTS[text])
+    if text[0].isalpha():
+        raise UnknownIdentifier(position, text)
+    raise ParseError(position, "a number, a name, or '('")
 
 
 def format_expr(e: Expr) -> str:
     """Render ``e`` as fully parenthesized text.
 
     For every tree the parser can produce, ``parse(format_expr(e))`` is
-    structurally identical to ``e``.
+    structurally identical to ``e``.  Each node writes the text before its
+    first child and pushes what follows, last first, on one stack of text
+    pieces and nodes, so no depth of nesting limits it.
     """
-    if isinstance(e, Constant):
-        return _format_number(e.value)
-    if isinstance(e, Variable):
-        return "x"
-    if isinstance(e, Neg):
-        return f"(-{format_expr(e.child)})"
-    if isinstance(e, Binary):
-        return f"({format_expr(e.left)} {e.op} {format_expr(e.right)})"
-    if isinstance(e, Call):
-        return f"{e.fn}({format_expr(e.argument)})"
-    raise TypeError(f"not an expression: {e!r}")
+    pieces: list[str] = []
+    stack: list[Expr | str] = [e]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Binary):
+            pieces.append("(")
+            stack += (")", item.right, f" {item.op} ", item.left)
+        elif isinstance(item, str):
+            pieces.append(item)
+        elif isinstance(item, Constant):
+            pieces.append(_format_number(item.value))
+        elif isinstance(item, Variable):
+            pieces.append("x")
+        elif isinstance(item, Call):
+            pieces.append(f"{item.fn}(")
+            stack += (")", item.argument)
+        elif isinstance(item, Neg):
+            pieces.append("(-")
+            stack += (")", item.child)
+        else:
+            raise TypeError(f"not an expression: {item!r}")
+    return "".join(pieces)
 
 
 def _format_number(v: float) -> str:
     # negative constants cannot appear as literals; wrap them in unary minus
-    if v < 0.0 or (v == 0.0 and math.copysign(1.0, v) < 0.0):
-        return f"(-{_format_number(-v)})"
-    if v.is_integer() and v < 1e16:
-        return str(int(v))
-    return repr(v)
+    negative = v < 0.0 or (v == 0.0 and math.copysign(1.0, v) < 0.0)
+    u = -v if negative else v
+    text = str(int(u)) if u.is_integer() and u < 1e16 else repr(u)
+    return f"(-{text})" if negative else text
 
 
 # --- evaluation -------------------------------------------------------------
 #
-# The tree-walking evaluator is the reference: _eval, with _div and _pow for
-# the two risky operators and _DOMAINS for ln and sqrt.  Two interpreters
-# read a tape instead, and generate no code: evaluator, one point at a time,
-# and the column pass tabulate, many points at once.  _div and _pow return
-# an _Undefined NaN where they fail, and both interpreters call them as well,
-# so each rule of division and of powers is stated once, there.  The one
-# exception is the column pass's product for a literal exponent that _pow
-# multiplies out to k >= 1: u * ... * u, which is _repeat's product (that
-# starts from 1.0, and 1.0 * u is u), with one finiteness test after it,
-# which fails where _pow's tests do, since a non-finite base gives a
-# non-finite product.  All three call the same functions of math.  The
-# evaluators map a ValueError or OverflowError raised anywhere inside them
-# to NON_FINITE, and the column pass puts NaN at the row where one is
-# raised, which flows on as a failed rule's NaN does; only those
+# Two interpreters read a tape, and generate no code: evaluator, one point
+# at a time (evaluate is evaluator on a tape of its own), and the column
+# pass tabulate, many points at once.  _div and _pow, for the two risky
+# operators, return an _Undefined NaN where they fail, and _DOMAINS holds
+# the domains of ln and sqrt; both interpreters read them, so each rule is
+# stated once, there.  The one exception is the column pass's product for
+# a literal exponent that _pow multiplies out to k >= 1: u * ... * u, which
+# is _repeat's product (that starts from 1.0, and 1.0 * u is u), with one
+# finiteness test after it, which fails where _pow's tests do, since a
+# non-finite base gives a non-finite product.  Both call the same functions
+# of math.  The evaluator maps a ValueError or OverflowError raised anywhere
+# inside it to NON_FINITE, and the column pass puts NaN at the row where
+# one is raised, which flows on as a failed rule's NaN does; only those
 # functions (math.exp in _pow included) raise either.
 
 # what ``fn(u)`` calls, in every evaluator
@@ -461,53 +441,16 @@ _OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _di
 
 
 def evaluate(e: Expr, x: float) -> float:
-    """Evaluate ``e`` at the point ``x``.
+    """Evaluate ``e`` at the point ``x``: :func:`compile_evaluator` of ``e`` at ``x``.
 
     ``^`` with an integral exponent of magnitude <= 64 uses repeated
     multiplication and allows any base; other exponents are defined as
     exp(exponent * ln(base)) and require a positive base.  Raises
     DomainError for division by zero, ln/sqrt outside their real domains,
-    non-integer powers of non-positive bases, and non-finite results.
+    non-integer powers of non-positive bases, and non-finite results, and
+    ValueError where ``x`` is not finite.
     """
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    try:
-        out = _eval(e, x)
-    except (ValueError, OverflowError):
-        raise DomainError(x, DomainErrorKind.NON_FINITE) from None
-    if not math.isfinite(out):
-        raise DomainError(x, DomainErrorKind.NON_FINITE)
-    return out
-
-
-def _eval(e: Expr, x: float) -> float:
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Variable):
-        return x
-    if isinstance(e, Neg):
-        return -_eval(e.child, x)
-    if isinstance(e, Binary):
-        left = _eval(e.left, x)
-        right = _eval(e.right, x)
-        op = e.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        out = _div(left, right) if op == "/" else _pow(left, right)
-        if out.__class__ is _Undefined:
-            raise DomainError(x, out.kind)
-        return out
-    if isinstance(e, Call):
-        a = _eval(e.argument, x)
-        domain = _DOMAINS.get(e.fn)
-        if domain is not None and a < domain[0]:
-            raise DomainError(x, domain[1])
-        return _LIBM[e.fn](a)
-    raise TypeError(f"not an expression: {e!r}")
+    return compile_evaluator(e)(x)
 
 
 def fold(part: str, *values: float) -> float | None:
@@ -529,19 +472,16 @@ def fold(part: str, *values: float) -> float | None:
 
 
 def compile_evaluator(e: Expr) -> Callable[[float], float]:
-    """:func:`evaluator` of ``e`` on a tape of its own.
-
-    Semantically identical to :func:`evaluate` (bit-identical values, same
-    DomainError behaviour), with each distinct subexpression computed once
-    per call and no nesting limit.
-    """
+    """:func:`evaluator` of ``e`` on a tape of its own: a function of x
+    that computes each distinct subexpression of ``e`` once per call, with
+    no nesting limit, as :func:`evaluate` states."""
     t = Tape()
     return evaluator(t, t.add(e))
 
 
 def evaluator(t: Tape, slot: int) -> Callable[[float], float]:
-    """The node at ``slot`` of ``t`` as a function of x: its value, bit-identical
-    to :func:`evaluate` on it, or the same DomainError.
+    """The node at ``slot`` of ``t`` as a function of x: its value, as
+    :func:`evaluate` states it, or DomainError.
 
     The steps are listed once: the operations of the cone of ``slot``, the
     slots it reads, in tape order, so each distinct subexpression is
@@ -549,8 +489,8 @@ def evaluator(t: Tape, slot: int) -> Callable[[float], float]:
     one list of values by slot that already holds the constants (the tape
     interpretation of A. Griewank and A. Walther, *Evaluating Derivatives*,
     SIAM 2008), so no code is generated and no depth of nesting limits it.
-    It raises at the first step whose rule fails: tape order is the order in
-    which :func:`evaluate`'s walk first meets each node.
+    It raises at the first step whose rule fails, in tape order: children
+    before their parent, left before right.
     """
     cone = [False] * slot + [True]
     for i in range(slot, -1, -1):

@@ -4,11 +4,11 @@ Checks applicability (continuity on [a,b], differentiability on (a,b)),
 computes the secant slope m = (f(b) - f(a)) / (b - a), and locates a point
 c in (a, b) with f'(c) = m by sign-change bracketing and the ITP root
 search of :func:`~mvtcheck.numeric.bisect`.  One tape serves a verdict:
-the smoothness analysis puts f on it, :func:`~mvtcheck.calculus.derivative`
-folds and differentiates f slot by slot on it, and f' is evaluated by
-:func:`~mvtcheck.expr.evaluator` at the slot of f' there.  So f'
-is keyed node by node as it is built, never walked as a tree, and no depth
-of f' limits the search.
+the smoothness analysis puts f on it, f(a) and f(b) are read from it,
+:func:`~mvtcheck.calculus.derivative` folds and differentiates f slot by
+slot on it, and f' is evaluated by :func:`~mvtcheck.expr.evaluator` at the
+slot of f' there.  So f' is keyed node by node as it is built, neither f
+nor f' is walked as a tree, and no depth of either limits a verdict.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ import math
 from enum import Enum
 
 from .calculus import Verdict, analyze_smoothness, derivative
-from .expr import Constant, DomainError, Expr, Record, Tape, evaluate, evaluator
+from .expr import Constant, DomainError, Expr, Record, Tape, evaluator
 from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
 
-# no call here reads differentiate or compile_evaluator: bench/mvtbench/tracer.py
-# wraps theorem.differentiate and theorem.compile_evaluator
+# no call here reads differentiate, compile_evaluator or evaluate: bench/mvtbench/tracer.py
+# wraps theorem.differentiate and theorem.compile_evaluator and counts theorem.evaluate
 from .calculus import differentiate  # noqa: F401
-from .expr import compile_evaluator  # noqa: F401
+from .expr import compile_evaluator, evaluate  # noqa: F401
 
 __all__ = [
     "Config",
@@ -127,15 +127,19 @@ class Unknown(MvtResult):
         object.__setattr__(self, "detail", detail)
 
 
-def secant_slope(f: Expr, iv: Interval) -> float:
+def secant_slope(f: Expr, iv: Interval, tape: Tape | None = None) -> float:
     """Average rate of change (f(b) - f(a)) / (b - a).
 
     Raises DomainError when f is undefined at an endpoint.  Where f(b) - f(a)
     overflows, both differences are halved first, which is exact, so a
-    finite slope stays finite.
+    finite slope stays finite.  f is read on ``tape``, where it is put if
+    it is not there yet, or on a tape of its own; the slope does not
+    depend on which.
     """
-    fa = evaluate(f, iv.a)
-    fb = evaluate(f, iv.b)
+    t = Tape() if tape is None else tape
+    at = evaluator(t, t.add(f))
+    fa = at(iv.a)
+    fb = at(iv.b)
     rise = fb - fa
     if math.isfinite(rise):
         return rise / (iv.b - iv.a)
@@ -156,24 +160,33 @@ def verify_rolle(f: Expr, iv: Interval, cfg: Config | None = None) -> MvtResult:
     """Verify Rolle's theorem: requires f(a) = f(b), then seeks f'(c) = 0.
 
     Runs the Mean Value Theorem pipeline with the slope forced to exactly
-    zero, Rolle's theorem being the m = 0 special case.
+    zero, Rolle's theorem being the m = 0 special case.  The precondition
+    is answered before anything else the pipeline finds, from f(a) and f(b)
+    read on the pipeline's tape.
     """
-    try:
-        fa = evaluate(f, iv.a)
-        fb = evaluate(f, iv.b)
-    except DomainError as err:
-        return NotApplicable(Reason.UNDEFINED, err.point)
-    if abs(fa - fb) > EPS_ROLLE * max(1.0, abs(fa), abs(fb)):
-        return NotApplicable(Reason.ROLLE_PRECONDITION_FAILED)
     return _pipeline(f, iv, cfg or Config(), 0.0)
 
 
 def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> MvtResult:
-    if math.nextafter(iv.a, iv.b) == iv.b:
-        # the theorem's c must lie strictly inside (a, b), and no float does
-        return Unknown("no float lies strictly inside (a, b)")
     tape = Tape()
-    report = analyze_smoothness(f, iv, cfg.samples, tape)
+    # the theorem's c must lie strictly inside (a, b): where no float does,
+    # f is not analyzed
+    inside = math.nextafter(iv.a, iv.b) != iv.b
+    report = analyze_smoothness(f, iv, cfg.samples, tape) if inside else None
+    if m_forced is not None:
+        # Rolle's precondition, answered first, read on the tape that the
+        # analysis put f on: bench/mvtbench/tracer.py times the analysis,
+        # and would not see f put on the tape before it
+        at = evaluator(tape, tape.add(f))
+        try:
+            fa = at(iv.a)
+            fb = at(iv.b)
+        except DomainError as err:
+            return NotApplicable(Reason.UNDEFINED, err.point)
+        if abs(fa - fb) > EPS_ROLLE * max(1.0, abs(fa), abs(fb)):
+            return NotApplicable(Reason.ROLLE_PRECONDITION_FAILED)
+    if report is None:
+        return Unknown("no float lies strictly inside (a, b)")
     if report.continuous_on_closed is Verdict.NO:
         witness = next(w.point for w in report.witnesses if w.breaks_continuity)
         return NotApplicable(Reason.NOT_CONTINUOUS, witness)
@@ -187,7 +200,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
 
     if m_forced is None:
         try:
-            m = secant_slope(f, iv)
+            m = secant_slope(f, iv, tape)
         except DomainError as err:
             return NotApplicable(Reason.UNDEFINED, err.point)
     else:

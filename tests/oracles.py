@@ -1,8 +1,13 @@
 """Reference computations the tests compare the package against.
 
-They share no code with mvtcheck: the reference derivative is handed the
-package's node classes and evaluator, and states every rule itself.
+They share no code with mvtcheck: the reference parser and the reference
+derivative are handed the package's node classes (and the parser its
+lexer and error classes), and each reference states every rule itself.
+They walk trees by plain recursion, so they serve trees of modest depth
+only.
 """
+
+import math
 
 
 def central_difference(f, x: float, h: float) -> float:
@@ -59,9 +64,9 @@ def reference_derivative(e, nodes):
     folding each node it builds.
 
     ``nodes`` is the module that holds the node classes ``Constant``,
-    ``Neg``, ``Binary`` and ``Call``, ``evaluate`` and ``DomainError``: a
-    node over constants folds to ``evaluate`` of it, and stays as it is
-    where that raises.  The rules are read off the nodes' fields as
+    ``Neg``, ``Binary`` and ``Call``: a node over constants folds to
+    :func:`reference_evaluate` of it, and stays as it is where that
+    raises.  The rules are read off the nodes' fields as
     :class:`ReferenceTape` reads them.
     """
 
@@ -76,8 +81,8 @@ def reference_derivative(e, nodes):
 
     def folded(node):
         try:
-            return nodes.Constant(nodes.evaluate(node, 0.0))
-        except nodes.DomainError:
+            return nodes.Constant(reference_evaluate(node, 0.0))
+        except ReferenceDomainError:
             return None
 
     def neg(child):
@@ -162,3 +167,196 @@ def reference_derivative(e, nodes):
         return nodes.Constant(1.0)  # x
 
     return derive(simplify(e))
+
+
+class ReferenceDomainError(Exception):
+    """Where :func:`reference_evaluate` finds its expression undefined: the
+    point and the name of the failure's kind, one of ``NON_FINITE``,
+    ``DIVISION_BY_ZERO``, ``LOG_OF_NON_POSITIVE``, ``ROOT_OF_NEGATIVE`` and
+    ``POWER_OF_NON_POSITIVE``."""
+
+    def __init__(self, point: float, kind: str):
+        super().__init__(f"{kind} at x = {point!r}")
+        self.point = point
+        self.kind = kind
+
+
+def reference_evaluate(e, x: float) -> float:
+    """``e`` at the point ``x``, walked as a tree, children left to right
+    before their parent.
+
+    Raises ValueError where ``x`` is not finite, and ReferenceDomainError
+    at the first node, in that order, whose rule fails, and where the value
+    is not finite; a ValueError or OverflowError that a function of
+    ``math`` raises is a non-finite value.  The rules:
+
+    - ``u / v`` needs finite u and v, a v other than zero and a finite
+      quotient;
+    - ``u ^ v`` needs a finite u and v.  An integral v with ``abs(v) <= 64``
+      multiplies u ``abs(v)`` times into 1.0, and a negative v then takes
+      the reciprocal, which needs a product other than zero and gives a
+      finite result.  Any other v needs u > 0 and is ``exp(v * ln(u))``;
+    - ``ln(u)`` needs u > 0 and ``sqrt(u)`` needs u >= 0 (-0.0 included).
+    """
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    try:
+        out = _walk(e, x)
+    except (ValueError, OverflowError):
+        raise ReferenceDomainError(x, "NON_FINITE") from None
+    if not math.isfinite(out):
+        raise ReferenceDomainError(x, "NON_FINITE")
+    return out
+
+
+_MATH = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+    "abs": math.fabs,
+}
+
+
+def _walk(e, x):
+    if hasattr(e, "op"):
+        u, v = _walk(e.left, x), _walk(e.right, x)
+        if e.op == "+":
+            return u + v
+        if e.op == "-":
+            return u - v
+        if e.op == "*":
+            return u * v
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise ReferenceDomainError(x, "NON_FINITE")
+        if e.op == "/":
+            if v == 0.0:
+                raise ReferenceDomainError(x, "DIVISION_BY_ZERO")
+            out = u / v
+        elif v == int(v) and abs(v) <= 64.0:
+            out = 1.0
+            for _ in range(int(abs(v))):
+                out *= u
+            if v < 0.0:
+                if out == 0.0:
+                    raise ReferenceDomainError(x, "DIVISION_BY_ZERO")
+                out = 1.0 / out
+        elif u <= 0.0:
+            raise ReferenceDomainError(x, "POWER_OF_NON_POSITIVE")
+        else:
+            return math.exp(v * math.log(u))
+        if not math.isfinite(out):
+            raise ReferenceDomainError(x, "NON_FINITE")
+        return out
+    if hasattr(e, "fn"):
+        u = _walk(e.argument, x)
+        if e.fn == "ln" and u <= 0.0:
+            raise ReferenceDomainError(x, "LOG_OF_NON_POSITIVE")
+        if e.fn == "sqrt" and u < 0.0:
+            raise ReferenceDomainError(x, "ROOT_OF_NEGATIVE")
+        return _MATH[e.fn](u)
+    if hasattr(e, "child"):
+        return -_walk(e.child, x)
+    if hasattr(e, "value"):
+        return e.value
+    return x
+
+
+def reference_parse(source: str, nodes):
+    """``source`` parsed by recursive descent, one method per level of the
+    grammar: the tree, or the error, that ``parse`` gives.
+
+    ``nodes`` is the module that holds ``tokenize``, the node classes
+    ``Constant``, ``Variable``, ``Neg``, ``Binary`` and ``Call`` and the
+    errors ``ParseError`` and ``UnknownIdentifier``.  Precedence, loosest
+    to tightest: ``+ -``, then ``* /``, both left associative, then unary
+    minus, then ``^``, right associative, whose exponent may carry a unary
+    minus; a function call binds tightest.
+    """
+    return _ReferenceParser(source, nodes).parse()
+
+
+_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
+_NAMED = {"pi": math.pi, "e": math.e}
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+class _ReferenceParser:
+    def __init__(self, source, nodes):
+        # the end marker gives every lookahead a text ("" at the end) and a position
+        self._nodes = nodes
+        self._tokens = nodes.tokenize(source)
+        self._tokens.append(("", len(source)))
+        self._pos = 0
+
+    def parse(self):
+        expr = self._expression()
+        if self._peek():
+            raise self._nodes.ParseError(self._position(), "end of input")
+        return expr
+
+    def _peek(self):
+        return self._tokens[self._pos][0]
+
+    def _position(self):
+        return self._tokens[self._pos][1]
+
+    def _advance(self):
+        # consume the next token and return its position
+        self._pos += 1
+        return self._tokens[self._pos - 1][1]
+
+    def _expect(self, text, what):
+        if self._peek() != text:
+            raise self._nodes.ParseError(self._position(), what)
+        return self._advance()
+
+    def _expression(self, binding=1):
+        # a right operand holds only tighter operators: each level is left associative
+        expr = self._unary()
+        while _BINDING.get(op := self._peek(), 0) >= binding:
+            self._advance()
+            tighter = _BINDING[op] + 1
+            right = self._expression(tighter) if tighter <= max(_BINDING.values()) else self._unary()
+            expr = self._nodes.Binary(op, expr, right)
+        return expr
+
+    def _unary(self):
+        # ``-`` and ``^`` take a _unary operand, so ``^`` is right associative,
+        # binds tighter than ``-``, and its exponent may carry a unary minus
+        if self._peek() == "-":
+            self._advance()
+            return self._nodes.Neg(self._unary())
+        base = self._primary()
+        if self._peek() == "^":
+            self._advance()
+            return self._nodes.Binary("^", base, self._unary())
+        return base
+
+    def _primary(self):
+        text, nodes = self._peek(), self._nodes
+        if not text:
+            raise nodes.ParseError(self._position(), "an expression")
+        if text[0].isdigit():
+            self._advance()
+            return nodes.Constant(float(text))
+        if text[0].isalpha():
+            position = self._advance()
+            if text == "x":
+                return nodes.Variable()
+            if text in _NAMED:
+                return nodes.Constant(_NAMED[text])
+            if text in _FUNCTIONS:
+                self._expect("(", f"'(' after {text!r}")
+                arg = self._expression()
+                self._expect(")", "')'")
+                return nodes.Call(text, arg)
+            raise nodes.UnknownIdentifier(position, text)
+        if text == "(":
+            self._advance()
+            expr = self._expression()
+            self._expect(")", "')'")
+            return expr
+        raise nodes.ParseError(self._position(), "a number, a name, or '('")

@@ -704,8 +704,8 @@ def test_bounds_that_fail_on_both_halves_are_not_split_further():
 def test_a_tree_too_deep_to_walk_reports_the_kind_of_its_failure():
     # ln is undefined on three quarters of the grid, so the report reads
     # f's failure at its first and first interior undefined points.  The
-    # sum is too deep to walk, so f is compiled there, and the kind stays
-    # the log boundary rather than becoming a non-finite value's pole
+    # sum is 1500 levels deep, f is read on its tape there, and the kind
+    # stays the log boundary rather than becoming a non-finite value's pole
     e = parse("+".join(["x"] * 1500) + " + ln(x - 0.5)")
     report = analyze_smoothness(e, Interval(-1.0, 1.0), SAMPLES)
     assert report.witnesses == (

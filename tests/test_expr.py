@@ -16,10 +16,9 @@ from mvtcheck.expr import (
     DomainError,
     DomainErrorKind,
     Expr,
-    MAX_NESTING,
+    FUNCTIONS,
     LexError,
     Neg,
-    NestingTooDeep,
     ParseError,
     SourceError,
     Tape,
@@ -36,7 +35,7 @@ from mvtcheck.expr import (
 )
 from mvtcheck.numeric import Interval, grid
 
-from oracles import ReferenceTape
+from oracles import ReferenceDomainError, ReferenceTape, reference_evaluate, reference_parse
 from strategies import grammar_exprs, smooth_exprs
 
 
@@ -194,39 +193,60 @@ def test_parse_associativity_and_binding(source, tree):
     assert format_expr(parse(source)) == tree
 
 
-@pytest.mark.parametrize(
-    "opener, closer",
-    [("(", ")"), ("sin(", ")"), ("-", ""), ("x^", "")],
-    ids=["parentheses", "calls", "unary-minus", "exponents"],
-)
-def test_parse_nesting_limit(opener, closer):
-    def nest(levels):
-        return opener * levels + "x" + closer * levels
+# a nest of each kind of level, with the text format_expr gives for it:
+# parentheses vanish, and every other level is written out
+NESTS = {
+    "parentheses": ("(", ")", lambda levels: "x"),
+    "calls": ("sin(", ")", lambda levels: "sin(" * levels + "x" + ")" * levels),
+    "unary-minus": ("-", "", lambda levels: "(-" * levels + "x" + ")" * levels),
+    "exponents": ("x^", "", lambda levels: "(x ^ " * levels + "x" + ")" * levels),
+}
 
-    assert math.isfinite(evaluate(parse(nest(MAX_NESTING)), 0.5))
-    with pytest.raises(NestingTooDeep) as err:
-        parse(nest(MAX_NESTING + 1))
-    assert isinstance(err.value, ParseError)
-    assert "nesting too deep" in str(err.value)
-    # at the token that opens the first level past the limit: its "(",
-    # "-" or "^", the last character of the opener
-    assert err.value.position == (MAX_NESTING + 1) * len(opener) - 1
+
+@pytest.mark.parametrize("opener, closer, text", NESTS.values(), ids=NESTS)
+def test_parse_nesting_limit(opener, closer, text):
+    # there is none: a 20,000-level nest parses, and its text parses back
+    # to a tree that formats the same (comparing the trees themselves with
+    # == would recurse once per level)
+    levels = 20000
+    e = parse(opener * levels + "x" + closer * levels)
+    assert format_expr(e) == text(levels)
+    assert format_expr(parse(format_expr(e))) == text(levels)
 
 
 @pytest.mark.parametrize("opener", ["(", "sin(", "x+x*(", "x-x/sqrt("])
 def test_parse_spends_at_most_five_frames_per_nesting_level(opener):
-    # MAX_NESTING was sized for five: a group inside a product inside a sum
-    # must not cost the caller more of the recursion limit than that
+    # it spends none: a 20,000-level nest parses within a few dozen frames
+    # of the caller's depth
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
-    source = opener * MAX_NESTING + "x" + ")" * MAX_NESTING
+    source = opener * 20000 + "x" + ")" * 20000
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 5 * MAX_NESTING + 20)
+    sys.setrecursionlimit(depth + 50)
     try:
         parse(source)
     finally:
         sys.setrecursionlimit(limit)
+
+
+# one token of the grammar each: numbers, names (one of them unknown), the
+# operators and punctuation, and a space that keeps neighbours apart
+GRAMMAR_TOKENS = ["0", "2", "3.5", "1e3", "x", "pi", "e", *FUNCTIONS, "foo", *"+-*/^(),", " "]
+
+
+def _parse_outcome(parser, source):
+    try:
+        return parser(source)
+    except SourceError as err:
+        return type(err), err.position, str(err), getattr(err, "expected", None)
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=30).map("".join))
+def test_parse_matches_the_reference_parser(source):
+    # the same tree, or the same error class, position, message and expectation
+    assert _parse_outcome(parse, source) == _parse_outcome(lambda text: reference_parse(text, expr), source)
 
 
 def test_nesting_limit_counts_open_levels_only():
@@ -262,6 +282,15 @@ def test_format_neg():
 def test_format_non_integer_constant():
     assert format_expr(Constant(0.5)) == "0.5"
     assert parse(format_expr(Constant(math.pi))) == Constant(math.pi)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(3.0, "3"), (-2.5, "(-2.5)"), (-0.0, "(-0)"), (0.0, "0"), (1e16, "1e+16"), (-1e17, "(-1e+17)")],
+)
+def test_format_constants(value, text):
+    # a negative constant, -0.0 included, is written as a unary minus
+    assert format_expr(Constant(value)) == text
 
 
 @given(grammar_exprs())
@@ -364,19 +393,23 @@ def test_constant_rejects_non_finite():
         Constant(math.inf)
 
 
+def _assert_matches_reference(f, e, x):
+    """``f(x)`` is ``reference_evaluate(e, x)``, bit for bit (the sign of
+    zero included), or raises the DomainError of its kind at ``x``."""
+    try:
+        expected = reference_evaluate(e, x)
+    except ReferenceDomainError as err:
+        with pytest.raises(DomainError) as caught:
+            f(x)
+        assert (caught.value.kind.name, caught.value.point) == (err.kind, err.point)
+    else:
+        assert repr(f(x)) == repr(expected)
+
+
 @given(grammar_exprs(), st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
 def test_compiled_evaluator_matches_reference(e, x):
-    compiled = compile_evaluator(e)
-    try:
-        expected = evaluate(e, x)
-    except DomainError as err:
-        with pytest.raises(DomainError) as caught:
-            compiled(x)
-        assert caught.value.kind is err.kind
-        assert str(caught.value) == str(err)
-    else:
-        got = compiled(x)
-        assert repr(got) == repr(expected)  # bit-identical, including zero sign
+    _assert_matches_reference(compile_evaluator(e), e, x)
+    _assert_matches_reference(lambda point: evaluate(e, point), e, x)
 
 
 def _power(base: str, k: float) -> Expr:
@@ -434,25 +467,18 @@ def _edge_id(value) -> str:
 
 @pytest.mark.parametrize("e, x", EDGE_CASES, ids=_edge_id)
 def test_compiled_code_matches_reference_at_the_edges(e, x):
-    try:
-        expected = evaluate(e, x)
-    except DomainError as err:
-        with pytest.raises(DomainError) as caught:
-            compile_evaluator(e)(x)
-        assert (caught.value.kind, str(caught.value)) == (err.kind, str(err))
-        assert tabulate(*_taped(e), [x]) == [[None]]
-    else:
-        assert repr(compile_evaluator(e)(x)) == repr(expected)
-        (column,) = tabulate(*_taped(e), [x])
-        assert [repr(v) for v in column] == [repr(expected)]
+    _assert_matches_reference(compile_evaluator(e), e, x)
+    (column,) = tabulate(*_taped(e), [x])
+    assert [repr(v) for v in column] == [repr(_reference(e, x))]
 
 
 def test_a_power_keeps_its_test_beside_a_product_of_its_base():
     # x*x and x^2 compute the same product, which overflows at 1e200: the
-    # power fails there, as evaluate does, and the product does not, so
+    # power fails there, as the reference does, and the product does not, so
     # exp(-(x*x)) is exp(-inf) = 0.0 and exp(-(x^2)) is undefined
     product, power = parse("exp(-(x*x))"), parse("exp(-(x^2))")
-    assert evaluate(product, 1e200) == 0.0
+    assert reference_evaluate(product, 1e200) == evaluate(product, 1e200) == 0.0
+    assert _reference(power, 1e200) is None
     with pytest.raises(DomainError) as expected:
         evaluate(power, 1e200)
     assert expected.value.kind is DomainErrorKind.NON_FINITE
@@ -476,8 +502,8 @@ def _subtrees(e: Expr) -> list[Expr]:
 
 def _reference(e: Expr, x: float) -> float | None:
     try:
-        return evaluate(e, x)
-    except DomainError:
+        return reference_evaluate(e, x)
+    except ReferenceDomainError:
         return None
 
 
@@ -532,14 +558,7 @@ def test_evaluator_matches_reference_at_every_slot(exprs, x):
     # nodes between its own
     t, _ = _taped(*exprs)
     for slot, node in enumerate(t.nodes):
-        try:
-            expected = evaluate(node, x)
-        except DomainError as err:
-            with pytest.raises(DomainError) as caught:
-                evaluator(t, slot)(x)
-            assert (caught.value.kind, str(caught.value)) == (err.kind, str(err))
-        else:
-            assert repr(evaluator(t, slot)(x)) == repr(expected)
+        _assert_matches_reference(evaluator(t, slot), node, x)
 
 
 def test_constants_keep_the_sign_of_zero_apart():
@@ -557,8 +576,8 @@ def test_outputs_are_none_where_not_finite():
 
 @given(grammar_exprs(), st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=6))
 def test_each_column_is_its_nodes_evaluation(e, xs):
-    # every slot of e's tape an output: its value wherever evaluate gives
-    # one, None exactly where evaluate raises, also at a row where a
+    # every slot of e's tape an output: its value wherever the reference
+    # gives one, None exactly where it raises, also at a row where a
     # function of math raises at some node (exp overflowing, sin of an
     # infinity): only the nodes that read it are None there
     t = Tape()
@@ -574,25 +593,25 @@ def test_tabulate_cases():
     e = parse("sin(x) + 1/x")
     assert tabulate(*_taped(e, e.right), []) == [[], []]
     # exp(800*x) overflows right of 0.887: the top is None at those rows,
-    # as evaluate raises NON_FINITE for e, but 800*x, which does not read
-    # exp, keeps its values there
+    # as the reference raises NON_FINITE for e, but 800*x, which does not
+    # read exp, keeps its values there
     e = parse("sin(exp(800*x))")
     xs = grid(Interval(0.0, 1.0), 11)
     top, inner = tabulate(*_taped(e, e.argument.argument), xs)
     assert top[9:] == [None, None]
-    assert [repr(v) for v in top[:9]] == [repr(evaluate(e, x)) for x in xs[:9]]
+    assert [repr(v) for v in top[:9]] == [repr(reference_evaluate(e, x)) for x in xs[:9]]
     assert inner == [800.0 * x for x in xs]
     for x in xs[9:]:
-        with pytest.raises(DomainError) as caught:
-            evaluate(e, x)
-        assert caught.value.kind is DomainErrorKind.NON_FINITE
+        with pytest.raises(ReferenceDomainError) as caught:
+            reference_evaluate(e, x)
+        assert caught.value.kind == "NON_FINITE"
     # x^64 is multiplied out: at 1e5 the product overflows to inf without
     # raising, and the value is None
     power = parse("x^64")
     assert tabulate(*_taped(power), [2.0, 1e5]) == [[2.0**64, None]]
-    with pytest.raises(DomainError) as caught:
-        evaluate(power, 1e5)
-    assert caught.value.kind is DomainErrorKind.NON_FINITE
+    with pytest.raises(ReferenceDomainError) as caught:
+        reference_evaluate(power, 1e5)
+    assert caught.value.kind == "NON_FINITE"
 
 
 def test_tabulate_memory_follows_the_tapes_width():
@@ -614,14 +633,15 @@ def test_tabulate_memory_follows_the_tapes_width():
 
 
 def test_tabulate_has_no_nesting_limit():
-    # the derivative of a 600-factor product is too deep for evaluate's
-    # walk, and compiles and tabulates to the same values
+    # the derivative of a 600-factor product is too deep for the
+    # reference's recursive walk, and evaluates and tabulates to the same
+    # values
     d = differentiate(parse("*".join(["x"] * 600)))
     with pytest.raises(RecursionError):
-        evaluate(d, 0.7)
+        reference_evaluate(d, 0.7)
     xs = [0.7, 1.0, 1.01]
     (column,) = tabulate(*_taped(d), xs)
-    assert [repr(v) for v in column] == [repr(compile_evaluator(d)(x)) for x in xs]
+    assert [repr(v) for v in column] == [repr(evaluate(d, x)) for x in xs]
 
 
 def test_compile_has_no_nesting_limit():
@@ -709,13 +729,17 @@ def test_tape_matches_the_reference_tape(exprs, data):
 
 def _assert_encloses(t, outs, iv, bounds):
     # every output of the column pass over the sample grids is defined
-    # and lies within its bounds
+    # and lies within its bounds, and so is the reference's value on the
+    # coarser grid
     for n in (97, 1024):
         xs = grid(iv, n)
         columns = tabulate(t, outs, xs)
         for x, row in zip(xs, zip(*columns)):
             for value, (lo, hi) in zip(row, bounds, strict=True):
                 assert value is not None and lo <= value <= hi, (x, value, lo, hi)
+    for x in grid(iv, 97):
+        for out, (lo, hi) in zip(outs, bounds):
+            assert lo <= reference_evaluate(t.nodes[out], x) <= hi
 
 
 @given(st.one_of(grammar_exprs(), smooth_exprs()), st.data())
@@ -737,6 +761,7 @@ def test_enclosures_hold_every_compiled_value(e, data):
         # every grid point
         for n in (97, 1024):
             assert all(v is None for v in tabulate(t, outs, grid(iv, n))[0])
+        assert all(_reference(e, x) is None for x in grid(iv, 97))
         return
     if bounds is not None:
         assert len(bounds) == len(outs)

@@ -14,7 +14,8 @@ near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
 ``calculus`` reads its node builders ``_neg``, ``_binary`` and ``_call``
 in ``_simplify`` and ``_derivative`` only, no
 module imports ``dataclasses``, no module calls ``exec``, ``eval`` or
-``compile``, and the README lists exactly the names the package exports.  One test imports the
+``compile``, no function calls itself and no module names
+``RecursionError``, and the README lists exactly the names the package exports.  One test imports the
 package in a fresh interpreter to check what the import loads.
 """
 
@@ -201,8 +202,8 @@ def test_no_module_imports_dataclasses(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_generates_code(path):
-    # expressions are evaluated by walking a tree or interpreting a tape,
-    # never by generating Python source: no module calls the builtins that
+    # expressions are evaluated by interpreting a tape, never by
+    # generating Python source: no module calls the builtins that
     # run or compile it
     found = [
         f"line {node.lineno}: {node.func.id}"
@@ -210,6 +211,40 @@ def test_no_module_generates_code(path):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval", "compile")
     ]
     assert found == []
+
+
+def _self_calls(tree):
+    """``function: line`` for each call of a function or method to its own
+    name, or to ``self.<its name>``, anywhere in its body."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for statement in node.body:
+            for call in ast.walk(statement):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if (isinstance(func, ast.Name) and func.id == node.name) or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == node.name
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "self"
+                ):
+                    yield f"{node.name}: line {call.lineno}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    # every walk over an expression or a grid keeps an explicit stack or
+    # list, so no depth of nesting and no length of a sum reaches Python's
+    # recursion limit
+    assert list(_self_calls(_tree(path))) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_names_recursion_error(path):
+    # nothing recurses, so nothing has a RecursionError to catch or report
+    assert "RecursionError" not in path.read_text(encoding="utf-8")
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -342,8 +377,8 @@ def test_division_and_pole_rules_are_stated_in_div_and_pow_only(name):
 
 @pytest.mark.parametrize("name", ["LOG_OF_NON_POSITIVE", "ROOT_OF_NEGATIVE"])
 def test_ln_and_sqrt_rules_are_stated_in_domains_only(name):
-    # the tree walk, both kinds of compiled code and the interval bounds read
-    # the least argument of ln and sqrt from _DOMAINS, so each rule is
+    # both tape interpreters and the interval bounds read the least
+    # argument of ln and sqrt from _DOMAINS, so each rule is
     # stated once
     tree = _tree(ROOT / "src" / "mvtcheck" / "expr.py")
     (table,) = [

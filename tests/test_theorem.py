@@ -1,5 +1,4 @@
 import copy
-import functools
 import math
 import pickle
 from unittest import mock
@@ -9,7 +8,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvtcheck import calculus, theorem
-from mvtcheck.expr import Binary, Constant, DomainError, Neg, Variable, compile_evaluator, evaluate, parse
+from mvtcheck.expr import (
+    Binary,
+    Constant,
+    DomainError,
+    DomainErrorKind,
+    Neg,
+    Tape,
+    Variable,
+    compile_evaluator,
+    evaluate,
+    parse,
+)
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import (
     EPS_RES,
@@ -25,7 +35,7 @@ from mvtcheck.theorem import (
     verify_rolle,
 )
 
-from oracles import central_difference
+from oracles import ReferenceDomainError, central_difference, reference_evaluate
 from strategies import grammar_exprs, poly_coefficients, polynomial, smooth_exprs
 
 # independently computed: bisection of cos(x) - 2/pi on [0, pi/2]
@@ -75,6 +85,39 @@ def test_secant_slope_stays_finite_where_the_rise_overflows(text, a, b, slope):
     assert secant_slope(f, iv) == slope
     result = verify_mvt(f, iv)
     assert result == Applicable(0.0, slope, slope, 0.0, 0, Method.DEGENERATE_CONSTANT)
+
+
+@pytest.mark.parametrize(
+    "text, a, b",
+    [("sin(x)", 0.0, math.pi / 2), ("1e308*x", -1.5, 1.5), ("ln(x)", -1.0, 1.0), ("x^2 + exp(x)", -2.0, 3.0)],
+)
+def test_secant_slope_does_not_depend_on_the_tape(text, a, b):
+    # on a tape of its own, on an empty tape, and on a tape that holds f
+    # and more already, which it then reads f on without adding to it
+    f, iv = parse(text), Interval(a, b)
+
+    def slope(*tape):
+        try:
+            return repr(secant_slope(f, iv, *tape))
+        except DomainError as err:
+            return repr((err.point, err.kind))
+
+    full = Tape()
+    full.add(parse("cos(x) + 1"))
+    full.add(f)
+    size = len(full.nodes)
+    assert slope() == slope(Tape()) == slope(full)
+    assert len(full.nodes) == size
+
+
+def test_flat_sum_of_1000_terms_gets_a_verdict():
+    # f(a), f(b) and f' are all read on one tape, which no length of a sum
+    # limits
+    f = parse("+".join(["x"] * 1000))
+    result = verify_mvt(f, Interval(0.0, 1.0))
+    assert isinstance(result, Applicable)
+    assert result.m == 1000.0
+    assert isinstance(verify_rolle(f, Interval(-1.0, 1.0)), NotApplicable)
 
 
 # --- verify_mvt -------------------------------------------------------------
@@ -283,14 +326,18 @@ def test_mvt_negative_power_closed_form():
 
 
 def _count_derivative_calls(monkeypatch, f):
-    """Count evaluations of f' (``calls``), by its tape evaluator or by a
-    tree walk, and the tape evaluators made of f' (``compiles``)."""
+    """Count evaluations of f' (``calls``) and the tape evaluators made of
+    f' (``compiles``)."""
     counts = {"calls": 0, "compiles": 0}
-    evaluator, evaluate = theorem.evaluator, theorem.evaluate
+    evaluator = theorem.evaluator
 
     def counting_evaluator(t, slot):
-        counts["compiles"] += 1
         deriv = evaluator(t, slot)
+        if t.nodes[slot] is f:
+            # the pipeline reads f itself only for the secant slope or
+            # Rolle's precondition
+            return deriv
+        counts["compiles"] += 1
 
         def counted(t):
             counts["calls"] += 1
@@ -298,14 +345,7 @@ def _count_derivative_calls(monkeypatch, f):
 
         return counted
 
-    def counting_evaluate(e, t):
-        # the pipeline walks f itself only for the secant slope or Rolle's
-        # precondition
-        counts["calls"] += e is not f
-        return evaluate(e, t)
-
     monkeypatch.setattr(theorem, "evaluator", counting_evaluator)
-    monkeypatch.setattr(theorem, "evaluate", counting_evaluate)
     return counts
 
 
@@ -408,7 +448,8 @@ def test_constant_derivative_with_infinite_slope_is_unknown():
 
 
 # verdicts that evaluate f' a few times, many times or never, and that
-# evaluate hazards or not; the 600-factor product's f' is too deep to walk
+# evaluate hazards or not; the 600-factor product's f' is too deep for the
+# reference's recursive walk
 _PRODUCT = "*".join(["x"] * 600)
 _PARITY_CORPUS = [
     ("sin(x)", 0.0, math.pi / 2),
@@ -428,11 +469,20 @@ _PARITY_CORPUS = [
 @pytest.mark.parametrize("text, a, b", _PARITY_CORPUS)
 def test_verdicts_do_not_depend_on_the_walk_budget(monkeypatch, text, a, b):
     # the two ends of how many evaluations are walked, none and all of
-    # them, give the same verdicts: f' and every hazard interpreted on a
-    # tape, as the pipeline does, and walked as trees by the reference
+    # them, give the same verdicts: f, f' and every hazard interpreted on
+    # a tape, as the pipeline does, and walked as trees by the reference
     f, iv = parse(text), Interval(a, b)
     interpreted = (repr(verify_mvt(f, iv)), repr(verify_rolle(f, iv)))
-    walked = lambda t, slot: functools.partial(evaluate, t.nodes[slot])  # noqa: E731
+
+    def walked(t, slot):
+        def at(x):
+            try:
+                return reference_evaluate(t.nodes[slot], x)
+            except ReferenceDomainError as err:
+                raise DomainError(err.point, DomainErrorKind[err.kind]) from None
+
+        return at
+
     monkeypatch.setattr(theorem, "evaluator", walked)
     monkeypatch.setattr(calculus, "evaluator", walked)
     if text != _PRODUCT:
@@ -599,6 +649,24 @@ def test_rolle_undefined_endpoint():
     result = verify_rolle(parse("ln(x)"), Interval(-1.0, 1.0))
     assert isinstance(result, NotApplicable)
     assert result.reason is Reason.UNDEFINED
+
+
+@pytest.mark.parametrize(
+    "text, a, b, expected",
+    [
+        ("1/x", -1.0, 2.0, NotApplicable(Reason.ROLLE_PRECONDITION_FAILED)),
+        ("1/(x - 1)", 1.0, 2.0, NotApplicable(Reason.UNDEFINED, 1.0)),
+        ("exp(1e16*(x - 1))", 1.0, 1.0000000000000002, NotApplicable(Reason.ROLLE_PRECONDITION_FAILED)),
+        ("1/(x - 1)", 1.0, 1.0000000000000002, NotApplicable(Reason.UNDEFINED, 1.0)),
+        ("x", 1.0, 1.0000000000000002, Unknown("no float lies strictly inside (a, b)")),
+    ],
+)
+def test_rolle_precondition_answers_first(text, a, b, expected):
+    # f(a) and f(b) are read once the smoothness analysis has put f on the
+    # tape, but a failed precondition is the answer whatever the analysis
+    # found (a pole inside, the pole at a), and where no float lies
+    # strictly inside (a, b), which verify_mvt reports as Unknown
+    assert verify_rolle(parse(text), Interval(a, b)) == expected
 
 
 # --- properties -------------------------------------------------------------
