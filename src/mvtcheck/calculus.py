@@ -23,7 +23,7 @@ from .expr import (
     integer_exponent,
     tabulate,
 )
-from .numeric import Bracket, Evaluator, Interval, bisect, grid, midpoint
+from .numeric import Bracket, Interval, bisect, grid, midpoint
 
 # no call here reads compile_evaluator: bench/mvtbench/tracer.py wraps calculus.compile_evaluator
 from .expr import compile_evaluator  # noqa: F401
@@ -107,7 +107,7 @@ class SmoothnessReport(Record):
 # --- differentiation --------------------------------------------------------
 
 
-def differentiate(e: Expr) -> Expr:
+def differentiate(e: Expr, tape: Tape | None = None) -> Expr:
     """Symbolic derivative of ``e`` with respect to x, constant-folded.
 
     Standard sum/product/quotient/chain rules; abs is differentiated as
@@ -116,9 +116,12 @@ def differentiate(e: Expr) -> Expr:
     (x^-2) reach the constant-power rule instead of the ln-based general
     rule.  Every node of the derivative is built through the same fold
     rules as :func:`simplify`, so the result is already simplified.  It is
-    :func:`derivative` on a tape of ``e``, so no depth of ``e`` limits it.
+    :func:`derivative` on ``tape``, where ``e`` is put if it is not there
+    yet (so ``e`` that :func:`~mvtcheck.expr.parse` put there is not walked
+    again), or on a tape of its own; the result does not depend on which,
+    and no depth of ``e`` limits it.
     """
-    t = Tape()
+    t = Tape() if tape is None else tape
     return t.nodes[derivative(t, t.add(e))]
 
 
@@ -347,12 +350,14 @@ def _collect_hazards(t: Tape) -> list[tuple[int, WitnessKind, bool]]:
 
 
 def _scan_zeros(
-    xs: list[float], values: list[float | None], evaluator: Evaluator, cleared: list[float]
+    xs: list[float], values: list[float | None], t: Tape, slot: int, cleared: list[float]
 ) -> tuple[list[float], list[float], bool]:
     """Locate zeros of a hazard's inner expression: (crossings, touches, suspected).
 
-    ``values`` is the inner expression on the grid points ``xs`` (None where
-    it is undefined); ``evaluator`` evaluates it for the root search.
+    ``values`` is the inner expression, the node at ``slot`` of ``t``, on
+    the grid points ``xs`` (None where it is undefined); its evaluator is
+    built for the root search at the first strict sign change, and not at
+    all where there is none.
     ``cleared`` holds the nearest and farthest |value| that interval bounds
     allow on each grid cell left out of ``xs``.
     Crossings are strict sign changes refined by the root search (plus exact-zero
@@ -370,12 +375,15 @@ def _scan_zeros(
                     before < 0.0 < after or after < 0.0 < before
                 )
                 (crossings if opposite else touches).append(x)
+    at = None
     for x, y, u, v in zip(xs, xs[1:], values, values[1:]):
         # exact zeros are handled above
         if u is None or v is None or u == 0.0 or v == 0.0 or (u < 0.0) == (v < 0.0):
             continue
+        if at is None:
+            at = evaluator(t, slot)
         try:
-            root, _ = bisect(evaluator, Bracket(x, y, u, v), _WITNESS_EPS)
+            root, _ = bisect(at, Bracket(x, y, u, v), _WITNESS_EPS)
         except DomainError:
             # the sign change itself is confirmed; settle for the midpoint
             root = midpoint(x, y)
@@ -549,7 +557,7 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int, tape: Tape | None = 
     scanned = hazards if len(undefined) <= samples // 2 else []
 
     for (slot, kind, zero_undefined), column, magnitudes in zip(scanned, columns[1:], cleared):
-        crossings, touches, suspected = _scan_zeros(xs, column, evaluator(t, slot), magnitudes)
+        crossings, touches, suspected = _scan_zeros(xs, column, t, slot, magnitudes)
 
         if kind is WitnessKind.ABS_KINK:
             # only a confirmed sign change of the argument is a kink:

@@ -2,6 +2,13 @@
 CSV/SVG plot emission showing the function, the secant line, and the
 tangent at the located point c.
 
+One tape per command line: each command parses f onto a tape of its own
+(:func:`~mvtcheck.expr.parse` keys every node there as it reads it), and
+the verdict, its plot, the derivative and the evaluation read f on that
+tape, so no command walks a parsed tree onto another tape.  Each constant
+expression (``--a``, ``--b``, ``--x``) is parsed onto a tape of its own,
+so f's tape holds f alone when the verdict begins.
+
 Exit codes: 0 = applicable/success, 2 = not applicable or unknown,
 1 = usage, lex, or parse error.
 """
@@ -25,7 +32,6 @@ from .expr import (
     SourceError,
     Tape,
     Variable,
-    evaluate,
     evaluator,
     format_expr,
     parse,
@@ -135,7 +141,7 @@ def main() -> None:
 
 def _constant_value(text: str, flag: str) -> float:
     tape = Tape()
-    slot = tape.add(parse(text))
+    slot = tape.add(parse(text, tape))
     if Variable() in tape.nodes:
         raise _UsageError(f"--{flag} must be a constant expression, got {text!r}")
     try:
@@ -145,7 +151,8 @@ def _constant_value(text: str, flag: str) -> float:
 
 
 def _cmd_verify(ns) -> int:
-    f = parse(ns.f)
+    tape = Tape()
+    f = parse(ns.f, tape)
     a = _constant_value(ns.a, "a")
     b = _constant_value(ns.b, "b")
     try:
@@ -158,12 +165,12 @@ def _cmd_verify(ns) -> int:
         raise _UsageError(str(err)) from None
 
     if ns.mode == "rolle":
-        result = verify_rolle(f, iv, cfg)
+        result = verify_rolle(f, iv, cfg, tape)
     else:
-        result = verify_mvt(f, iv, cfg)
+        result = verify_mvt(f, iv, cfg, tape)
 
     if ns.plot:
-        emit_plot(f, iv, result, ns.plot)
+        emit_plot(f, iv, result, ns.plot, tape)
     if ns.json:
         print(render_json(result))
     else:
@@ -173,14 +180,16 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_diff(ns) -> int:
     # differentiate's result is already folded, so no simplify pass runs
-    print(format_expr(differentiate(parse(ns.f))))
+    tape = Tape()
+    print(format_expr(differentiate(parse(ns.f, tape), tape)))
     return 0
 
 
 def _cmd_eval(ns) -> int:
-    f = parse(ns.f)
+    tape = Tape()
+    f = parse(ns.f, tape)
     x = _constant_value(ns.x, "x")
-    print(repr(evaluate(f, x)))
+    print(repr(evaluator(tape, tape.add(f))(x)))
     return 0
 
 
@@ -231,14 +240,14 @@ def render_json(result: MvtResult) -> str:
 
 
 def _plot_table(
-    f: Expr, iv: Interval, result: MvtResult
+    f: Expr, iv: Interval, result: MvtResult, tape: Tape
 ) -> tuple[list[float], list[float | None], list[tuple[str, list[float | None]]], tuple[float, float] | None]:
     """The plotted columns over the plot grid on ``iv``: the grid, the
     values of f (None where f is undefined), and, when the result is
     Applicable, the named secant and tangent columns and the point
     (c, f(c)) that the tangent passes through and the SVG marks (else no
-    columns and None)."""
-    tape = Tape()
+    columns and None).  f is read on ``tape``, where it is put if it is
+    not there yet."""
     slot = tape.add(f)
     xs = grid(iv, _PLOT_POINTS)
     (fs,) = tabulate(tape, [slot], xs)
@@ -266,7 +275,7 @@ def _line(y0: float, slope: float, x0: float, xs: list[float]) -> list[float | N
     return ys
 
 
-def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str) -> None:
+def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str, tape: Tape | None = None) -> None:
     """Write plot data for ``f`` on ``iv`` to ``path`` (.csv or .svg).
 
     CSV: header ``x,f,secant,tangent`` (just ``x,f`` when the result is
@@ -275,27 +284,33 @@ def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str) -> None:
     SVG: a self-contained document with one polyline per series, a marker
     at (c, f(c)), and a label showing c.  Writes are atomic
     (write-then-rename).
+
+    f is tabulated on ``tape`` (the verdict's, say), where it is put if it
+    is not there yet, or on a tape of its own; the plot does not depend on
+    which.  Only the slots up to f's are read, so whatever the tape holds
+    past f costs nothing.
     """
+    t = Tape() if tape is None else tape
     suffix = os.path.splitext(path)[1].lower()
     if suffix == ".csv":
-        text = _render_csv(f, iv, result)
+        text = _render_csv(f, iv, result, t)
     elif suffix == ".svg":
-        text = _render_svg(f, iv, result)
+        text = _render_svg(f, iv, result, t)
     else:
         raise UnsupportedFormat(f"unsupported plot format {suffix!r} (use .csv or .svg)")
     _atomic_write(path, text)
 
 
-def _render_csv(f: Expr, iv: Interval, result: MvtResult) -> str:
-    xs, fs, lines, _ = _plot_table(f, iv, result)
+def _render_csv(f: Expr, iv: Interval, result: MvtResult, tape: Tape) -> str:
+    xs, fs, lines, _ = _plot_table(f, iv, result, tape)
     columns = [xs, fs] + [ys for _, ys in lines]
     rows = [",".join(["x", "f"] + [name for name, _ in lines])]
     rows += (",".join("" if v is None else repr(v) for v in row) for row in zip(*columns))
     return "\n".join(rows) + "\n"
 
 
-def _render_svg(f: Expr, iv: Interval, result: MvtResult) -> str:
-    xs, fs, lines, mark = _plot_table(f, iv, result)
+def _render_svg(f: Expr, iv: Interval, result: MvtResult, tape: Tape) -> str:
+    xs, fs, lines, mark = _plot_table(f, iv, result, tape)
     series = [
         (name, [(x, y) for x, y in zip(xs, ys) if y is not None])
         for name, ys in [("function", fs), *lines]

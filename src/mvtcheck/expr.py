@@ -7,9 +7,12 @@ named constants ``pi`` and ``e`` (folded to numbers at parse time).  The
 tape interpreter :func:`evaluator` (which :func:`evaluate` runs on a tape
 of its own), the column pass :func:`tabulate` and the interval bounds read
 a :class:`Tape`, which holds each distinct subexpression once, so an
-expression on it is walked once.  No function here calls itself: the
-parser, the formatter and :meth:`Tape.add` keep explicit stacks, so no
-depth of nesting and no length of a sum limits them.
+expression on it is walked once.  :func:`parse` keys each node on a tape
+as it reads it, the caller's or one of its own, so the tree it returns is
+on that tape already and equal subexpressions in it are one node object.
+No function here calls itself: the parser, the formatter and
+:meth:`Tape.add` keep explicit stacks, so no depth of nesting and no
+length of a sum limits them.
 
 Precedence, loosest to tightest: additive, multiplicative, unary minus,
 ``^`` (right associative); function application binds tightest.  There is
@@ -212,8 +215,8 @@ def tokenize(source: str) -> list[tuple[str, int]]:
     return tokens
 
 
-def parse(source: str) -> Expr:
-    """Parse ``source`` into an expression tree.
+def parse(source: str, tape: Tape | None = None) -> Expr:
+    """Parse ``source`` into an expression tree, put on ``tape``.
 
     ``pi`` and ``e`` become Constants; ``x`` is the only variable.  Raises
     ParseError (or UnknownIdentifier) with the source position on
@@ -226,11 +229,21 @@ def parse(source: str) -> Expr:
     operator takes its operands once the next operator binds no tighter,
     or, for the right associative ``^``, less tightly; ``(`` and ``fn(``
     bind 0 and wait for their ``)``.
+
+    The operands are slots of ``tape`` (a tape of its own where none is
+    given), and each node is keyed there with :meth:`Tape.put` as it is
+    reduced, which builds it only where its key is new (hash-consing, after
+    J.-C. Filliâtre and S. Conchon, "Type-safe modular hash-consing", ML
+    Workshop 2006).  So the tree is on ``tape`` in the order
+    :meth:`Tape.add` would put it there, ``tape.add`` of it only looks its
+    slot up, and equal subexpressions are one node object.  Where parsing
+    raises partway through, the nodes reduced so far stay on ``tape``.
     """
+    t = Tape() if tape is None else tape
     # the end marker gives every token a text ("" at the end) and a position
     tokens = tokenize(source)
     tokens.append(("", len(source)))
-    operands: list[Expr] = []
+    operands: list[int] = []  # slots of t
     waiting: list[tuple[int, str]] = []  # (binding, an operator, "(" or a function name)
     i, operand = 0, True  # operand: whether an operand comes next
     while True:
@@ -247,7 +260,7 @@ def parse(source: str) -> Expr:
                 i += 1
                 waiting.append((0, text))
             else:
-                operands.append(_operand(text, position))
+                operands.append(t.put(_operand(text, position)))
                 operand = False
             continue
         binding = _BINDING.get(text, 0)
@@ -256,21 +269,21 @@ def parse(source: str) -> Expr:
             tightness, op = waiting.pop()
             right = operands.pop()
             if tightness == _NEGATION:
-                operands.append(Neg(right))
+                operands.append(t.put(("-", right)))
             else:
-                operands[-1] = Binary(op, operands[-1], right)
+                operands[-1] = t.put((op, operands[-1], right))
         if binding:
             waiting.append((binding, text))
             operand = True
         elif text == ")" and waiting:
             opener = waiting.pop()[1]
             if opener != "(":
-                operands[-1] = Call(opener, operands[-1])
+                operands[-1] = t.put((opener, operands[-1]))
         elif text or waiting:
             # only openers wait now: the innermost one needs its ")"
             raise ParseError(position, "')'" if waiting else "end of input")
         else:
-            return operands[0]
+            return t.nodes[operands[0]]
 
 
 # how tightly each binary operator binds; a unary minus binds _NEGATION
@@ -278,17 +291,17 @@ _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _NEGATION = 3
 
 
-def _operand(text: str, position: int) -> Expr:
-    # the operand that the token ``text`` at ``position`` begins, other than
-    # a "(" or a function call
+def _operand(text: str, position: int) -> tuple[str]:
+    # the key of the leaf that the token ``text`` at ``position`` is: every
+    # operand but a "(" or a function call
     if not text:
         raise ParseError(position, "an expression")
     if text[0].isdigit():
-        return Constant(float(text))
+        return (repr(float(text)),)
     if text == "x":
-        return Variable()
+        return ("x",)
     if text in _NAMED_CONSTANTS:
-        return Constant(_NAMED_CONSTANTS[text])
+        return (repr(_NAMED_CONSTANTS[text]),)
     if text[0].isalpha():
         raise UnknownIdentifier(position, text)
     raise ParseError(position, "a number, a name, or '('")
@@ -484,31 +497,45 @@ def evaluator(t: Tape, slot: int) -> Callable[[float], float]:
     :func:`evaluate` states it, or DomainError.
 
     The steps are listed once: the operations of the cone of ``slot``, the
-    slots it reads, in tape order, so each distinct subexpression is
+    slots it reads, in the left-to-right postorder of the node at ``slot``,
+    each at its first place there, so each distinct subexpression is
     computed once and no other node of ``t`` is.  Each call runs them over
     one list of values by slot that already holds the constants (the tape
     interpretation of A. Griewank and A. Walther, *Evaluating Derivatives*,
     SIAM 2008), so no code is generated and no depth of nesting limits it.
-    It raises at the first step whose rule fails, in tape order: children
-    before their parent, left before right.
+    It raises at the first step whose rule fails, in that order: children
+    before their parent, left before right, as a walk of the tree would,
+    whatever other roots put on ``t`` before it.
     """
-    cone = [False] * slot + [True]
-    for i in range(slot, -1, -1):
-        if cone[i]:
-            for j in t.args[i]:
-                cone[j] = True
     start = [0.0] * (slot + 1)  # per slot: a constant's value, set once; each call sets the rest
     variable = None  # the slot of x, where the cone holds it
     steps = []  # (slot, operation, first child's slot, second child's slot or None)
-    for i, (node, args) in enumerate(zip(t.nodes[: slot + 1], t.args)):
-        if not cone[i]:
+    # a depth-first search from slot: a slot met for the first time pushes
+    # ~slot, to be listed once its children are, and then its children,
+    # right then left; a slot met again is skipped
+    met = [False] * (slot + 1)
+    stack = [slot]
+    nodes, args = t.nodes, t.args
+    while stack:
+        i = stack.pop()
+        if i >= 0:
+            if not met[i]:
+                met[i] = True
+                stack.append(~i)
+                children = args[i]
+                if len(children) == 2:
+                    stack.append(children[1])
+                if children:
+                    stack.append(children[0])
             continue
+        i = ~i
+        node, children = nodes[i], args[i]
         if isinstance(node, Constant):
             start[i] = node.value
         elif isinstance(node, Variable):
             variable = i
         else:
-            steps.append((i, _operation(node), args[0], args[1] if len(args) == 2 else None))
+            steps.append((i, _operation(node), children[0], children[1] if len(children) == 2 else None))
 
     def at(x: float) -> float:
         if not math.isfinite(x):
@@ -636,7 +663,10 @@ class Tape:
     limits it; the tape's id map holds every node object it keyed, copies
     too, so no id in it can pass to a new node.  ``put(key)`` keys one node
     over slots already on the tape, and ``add`` keys through it, so one
-    method decides which nodes are equal.
+    method decides which nodes are equal.  ``put`` enters each node it
+    builds from a key into the id map as well, so every node on the tape
+    is there, and ``add`` of a tree that :func:`parse` or a pass building
+    slot by slot put on the tape is one lookup.
     """
 
     def __init__(self):
@@ -680,21 +710,24 @@ class Tape:
         ``"-"`` for a negation, ``"x"`` or its constant's ``repr``, then its
         children's slots.  Where no node on the tape has that key, ``node``
         takes a new slot, or, where ``node`` is None, a node built from
-        ``key`` over the nodes at those slots: so a pass that builds nodes
-        slot by slot keys each one as it builds it, and builds only the
-        nodes that are new."""
+        ``key`` over the nodes at those slots, which enters the id map: so
+        a pass that builds nodes slot by slot (the parser, the fold and the
+        derivative) keys each one as it builds it, builds only the nodes
+        that are new, and ``add`` of a node it built only looks it up."""
         slot = self._keys.get(key)
         if slot is None:
+            nodes = self.nodes
+            slot = self._keys[key] = len(nodes)
             if node is None:
-                part, nodes = key[0], self.nodes
+                part = key[0]
                 if len(key) == 3:
                     node = Binary(part, nodes[key[1]], nodes[key[2]])
                 elif len(key) == 2:
                     node = Neg(nodes[key[1]]) if part == "-" else Call(part, nodes[key[1]])
                 else:
                     node = Variable() if part == "x" else Constant(float(part))
-            slot = self._keys[key] = len(self.nodes)
-            self.nodes.append(node)
+                self._slots[id(node)] = (slot, node)
+            nodes.append(node)
             self.args.append(key[1:])
         return slot
 

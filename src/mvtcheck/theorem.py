@@ -4,7 +4,9 @@ Checks applicability (continuity on [a,b], differentiability on (a,b)),
 computes the secant slope m = (f(b) - f(a)) / (b - a), and locates a point
 c in (a, b) with f'(c) = m by sign-change bracketing and the ITP root
 search of :func:`~mvtcheck.numeric.bisect`.  One tape serves a verdict:
-the smoothness analysis puts f on it, f(a) and f(b) are read from it,
+the caller's, where it holds nothing or f alone (the command line parses f
+onto it), or a new one.  The smoothness analysis puts f on it where f is
+not there yet, f(a) and f(b) are read from it,
 :func:`~mvtcheck.calculus.derivative` folds and differentiates f slot by
 slot on it, and f' is evaluated by :func:`~mvtcheck.expr.evaluator` at the
 slot of f' there.  So f' is keyed node by node as it is built, neither f
@@ -146,29 +148,34 @@ def secant_slope(f: Expr, iv: Interval, tape: Tape | None = None) -> float:
     return (0.5 * fb - 0.5 * fa) / (0.5 * (iv.b - iv.a))
 
 
-def verify_mvt(f: Expr, iv: Interval, cfg: Config | None = None) -> MvtResult:
+def verify_mvt(f: Expr, iv: Interval, cfg: Config | None = None, tape: Tape | None = None) -> MvtResult:
     """Verify the Mean Value Theorem for ``f`` on ``iv``.
 
     Returns Applicable with a point c in (a,b) where |f'(c) - m| is within
     tolerance, NotApplicable with a reason and witness when a precondition
     fails, or Unknown when neither can be established.
+
+    The verdict is read on ``tape``, which must hold nothing or ``f``
+    alone (as :func:`~mvtcheck.expr.parse` leaves a tape it was given), or
+    on a tape of its own; the result does not depend on which.  The tape
+    then goes on past ``f`` with the hazards and f'.
     """
-    return _pipeline(f, iv, cfg or Config(), None)
+    return _pipeline(f, iv, cfg or Config(), None, tape)
 
 
-def verify_rolle(f: Expr, iv: Interval, cfg: Config | None = None) -> MvtResult:
+def verify_rolle(f: Expr, iv: Interval, cfg: Config | None = None, tape: Tape | None = None) -> MvtResult:
     """Verify Rolle's theorem: requires f(a) = f(b), then seeks f'(c) = 0.
 
     Runs the Mean Value Theorem pipeline with the slope forced to exactly
     zero, Rolle's theorem being the m = 0 special case.  The precondition
     is answered before anything else the pipeline finds, from f(a) and f(b)
-    read on the pipeline's tape.
+    read on the pipeline's tape.  ``tape`` is as :func:`verify_mvt` states.
     """
-    return _pipeline(f, iv, cfg or Config(), 0.0)
+    return _pipeline(f, iv, cfg or Config(), 0.0, tape)
 
 
-def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> MvtResult:
-    tape = Tape()
+def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None, tape: Tape | None) -> MvtResult:
+    tape = Tape() if tape is None else tape
     # the theorem's c must lie strictly inside (a, b): where no float does,
     # f is not analyzed
     inside = math.nextafter(iv.a, iv.b) != iv.b

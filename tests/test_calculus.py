@@ -208,6 +208,28 @@ def test_derivative_reuses_the_slots_on_its_tape():
     assert len(t.nodes) == len(f_nodes) + 4  # 1 (the derivative of x), cos(x), the product, the sum
 
 
+def test_differentiate_reads_e_on_the_tape_it_is_given(monkeypatch):
+    # f parsed onto t is derived there: t.add finds f's root, so no node of
+    # f is keyed again, t.add finds f' too, and the result equals the one
+    # on a tape of its own
+    source = "x^3*sin(x) + sin(x)/x"
+    t = Tape()
+    e = parse(source, t)
+    keyed = []
+    put = Tape.put
+
+    def counted(self, key, node=None):
+        if node is not None:
+            keyed.append(node)
+        return put(self, key, node)
+
+    monkeypatch.setattr(Tape, "put", counted)
+    d = differentiate(e, t)
+    assert t.nodes[t.add(d)] is d
+    assert keyed == []
+    assert d == differentiate(parse(source))
+
+
 def test_a_chain_of_100001_nodes_differentiates_without_recursion():
     # -(-(...(x)...)): 100000 negations, far past the recursion limit
     e = Variable()
@@ -722,9 +744,9 @@ def test_a_row_where_math_raises_gives_each_hazard_its_own_value():
     e, iv = parse("1/(x - 0.95) + exp(800*x)"), Interval(0.0, 1.0)
     seen = []
 
-    def recorded(xs, values, evaluator, cleared):
+    def recorded(xs, values, *rest):
         seen.append((xs, values))
-        return scan_zeros(xs, values, evaluator, cleared)
+        return scan_zeros(xs, values, *rest)
 
     scan_zeros = calculus._scan_zeros
     with mock.patch.object(calculus, "_scan_zeros", recorded):
@@ -735,6 +757,23 @@ def test_a_row_where_math_raises_gives_each_hazard_its_own_value():
     assert [repr(v) for v in values] == [repr(_defined(e.left.right, x)) for x in xs]
     assert report == _scanned(e, iv, SAMPLES)
     assert report.witnesses == (Witness(0.95, WitnessKind.POLE),)
+
+
+@pytest.mark.parametrize("text, built", [("tan(x) / (x*x + 1e-6)", 0), ("1/(x - 0.3) + sqrt(x + 2)", 1)])
+def test_a_hazard_evaluator_is_built_only_for_a_root_search(text, built, monkeypatch):
+    # neither hazard of the first changes sign on [-1, 1]; of the second,
+    # only x - 0.3 does, and only its zero is searched for
+    slots = []
+    build = calculus.evaluator
+
+    def counted(t, slot):
+        slots.append(slot)
+        return build(t, slot)
+
+    monkeypatch.setattr(calculus, "evaluator", counted)
+    report = analyze_smoothness(parse(text), Interval(-1.0, 1.0), SAMPLES)
+    assert len(slots) == built
+    assert [w.point for w in report.witnesses] == [0.3] * built
 
 
 def _defined(e, x):
@@ -952,8 +991,13 @@ def test_hazards_of_folding_exponents_match_their_first_definition(text):
 
 def test_one_analysis_keys_each_node_once(monkeypatch):
     # bounds on [-1, 1] settle neither the grid nor its halves, as the
-    # divisor comes near 0 on both: three passes of bounds, one tape
-    e = parse("tan(x) / (x*x + 1e-6)")
+    # divisor comes near 0 on both: three passes of bounds, one tape.
+    # tan(x) / (x*x + 1e-6), built with three x objects (parse would share one)
+    e = Binary(
+        "/",
+        Call("tan", Variable()),
+        Binary("+", Binary("*", Variable(), Variable()), Constant(1e-6)),
+    )
     lookups, keyed, passes = [], [], []
     bound = calculus.enclose
 

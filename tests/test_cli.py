@@ -18,7 +18,8 @@ from mvtcheck.cli import (
     render_json,
     run,
 )
-from mvtcheck.expr import DomainError, evaluate, parse
+from mvtcheck.calculus import differentiate
+from mvtcheck.expr import DomainError, Tape, evaluate, format_expr, parse
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import (
     MAX_SAMPLES,
@@ -616,6 +617,53 @@ def test_verify_with_plot_flag(tmp_path, capsys):
     )
     assert code == 0
     assert path.read_text().splitlines()[0] == "x,f,secant,tangent"
+
+
+# x^3 twice, and no tan, whose pole hazard would key a cos node of its own
+SHARED_F = "x^3 - 2*x + sin(x)*x^3"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--f", SHARED_F, "--a", "0", "--b", "2", "--plot", "plot.csv"],
+        ["verify", "--f", "x^2 - 4*x + 3", "--a", "1", "--b", "3", "--mode", "rolle", "--plot", "plot.svg"],
+        ["diff", "--f", SHARED_F],
+        ["eval", "--f", SHARED_F, "--x", "pi/4"],
+    ],
+    ids=["verify-csv", "rolle-svg", "diff", "eval"],
+)
+def test_commands_read_f_on_the_tape_it_was_parsed_onto(args, tmp_path, monkeypatch, capsys):
+    # Tape.add keys no node of f: the verdict, its plot, the derivative and
+    # the evaluation find f where parse put it.  The outputs are those of
+    # the library calls that put f on a tape of their own
+    monkeypatch.chdir(tmp_path)
+    keyed = []
+    put = Tape.put
+
+    def counted(self, key, node=None):
+        if node is not None:
+            keyed.append(node)
+        return put(self, key, node)
+
+    monkeypatch.setattr(Tape, "put", counted)
+    code = run(args)
+    monkeypatch.undo()
+    assert keyed == []
+    out = capsys.readouterr().out
+    f = parse(args[2])
+    if args[0] == "diff":
+        assert out == format_expr(differentiate(f)) + "\n"
+    elif args[0] == "eval":
+        assert out == repr(evaluate(f, math.pi / 4)) + "\n"
+    else:
+        iv = Interval(float(args[4]), float(args[6]))
+        result = verify_rolle(f, iv) if "rolle" in args else verify_mvt(f, iv)
+        path = tmp_path / ("own" + os.path.splitext(args[-1])[1])
+        emit_plot(f, iv, result, str(path))
+        assert isinstance(result, Applicable)
+        assert (tmp_path / args[-1]).read_text() == path.read_text()
+    assert code == 0
 
 
 @pytest.mark.parametrize("target", ["missing/p.csv", "d.csv"], ids=["missing-directory", "directory"])

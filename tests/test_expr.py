@@ -4,7 +4,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvtcheck import calculus, expr
@@ -262,6 +262,61 @@ def test_parse_totality(source):
         parse(source)
     except (LexError, ParseError) as err:
         assert 0 <= err.position <= len(source)
+
+
+def test_parse_shares_equal_subexpressions():
+    e = parse("x*x")
+    assert e.left is e.right
+    e = parse("sin(x)/2 + sin(x)")
+    assert e.left.left is e.right
+
+
+def _counted_lookups(t: Tape) -> list:
+    """The keys looked up in ``t``'s key map from now on."""
+    lookups = []
+
+    class Lookups(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    t._keys = Lookups(t._keys)
+    return lookups
+
+
+@pytest.mark.parametrize("source", ["x", "2", "x*x - 4*x + 3", "sin(x)^2 + cos(x)^2", "-(x + pi)/sqrt(x)"])
+def test_parse_puts_the_tree_on_the_tape_it_is_given(source):
+    # in the order add would put it there, so add of the tree keys nothing
+    # and returns the slot parse gave its root, the last one
+    t = Tape()
+    e = parse(source, t)
+    lookups = _counted_lookups(t)
+    assert t.add(e) == len(t.nodes) - 1
+    assert lookups == []
+    assert t.nodes[-1] is e
+    reference = ReferenceTape()
+    reference.add(e)
+    assert t.args == reference.args
+
+
+@given(st.lists(grammar_exprs(max_leaves=8), min_size=1, max_size=3))
+def test_parse_onto_a_shared_tape_matches_the_reference_tape(exprs):
+    # later sources find the subexpressions of earlier ones on the tape
+    t, reference = Tape(), ReferenceTape()
+    for e in exprs:
+        parsed = parse(format_expr(e), t)
+        assert parsed == e
+        lookups = _counted_lookups(t)
+        assert t.add(parsed) == reference.add(e)
+        assert lookups == []
+    assert t.args == reference.args
+
+
+def test_a_failed_parse_leaves_what_it_reduced_on_the_tape():
+    t = Tape()
+    with pytest.raises(ParseError):
+        parse("x*x + sin(", t)
+    assert format_expr(t.nodes[-1]) == "(x * x)"
 
 
 # --- format -----------------------------------------------------------------
@@ -553,6 +608,8 @@ def test_evaluator_computes_only_the_cone_of_its_slot():
 
 
 @given(st.lists(grammar_exprs(), min_size=2, max_size=4), st.floats(min_value=-50.0, max_value=50.0))
+# ln(x) comes first on the tape, but the sum reaches sqrt(x) first
+@example([parse("ln(x)"), parse("sqrt(x)+ln(x)")], -1.0)
 def test_evaluator_matches_reference_at_every_slot(exprs, x):
     # a tape that the expressions share, so a slot's cone may skip the
     # nodes between its own

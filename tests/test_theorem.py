@@ -18,6 +18,7 @@ from mvtcheck.expr import (
     Variable,
     compile_evaluator,
     evaluate,
+    format_expr,
     parse,
 )
 from mvtcheck.numeric import Interval
@@ -108,6 +109,20 @@ def test_secant_slope_does_not_depend_on_the_tape(text, a, b):
     size = len(full.nodes)
     assert slope() == slope(Tape()) == slope(full)
     assert len(full.nodes) == size
+
+
+@given(st.one_of(grammar_exprs(), smooth_exprs()), st.floats(-5.0, 5.0), st.floats(0.01, 5.0), st.booleans())
+@settings(deadline=None)
+def test_a_verdict_does_not_depend_on_the_tape(e, a, width, rolle):
+    # on an empty tape, on a tape that parse put f on, and on a tape of its
+    # own; the tape then holds f first, with the rest of the verdict after it
+    iv, verify = Interval(a, a + width), verify_rolle if rolle else verify_mvt
+    empty, parsed = Tape(), Tape()
+    f = parse(format_expr(e), parsed)
+    size = len(parsed.nodes)
+    assert verify(f, iv, None, empty) == verify(f, iv, None, parsed) == verify(f, iv)
+    assert empty.nodes[:size] == parsed.nodes[:size]
+    assert parsed.add(f) == size - 1
 
 
 def test_flat_sum_of_1000_terms_gets_a_verdict():
