@@ -21,6 +21,7 @@ from .expr import (
     evaluator,
     fold,
     integer_exponent,
+    steps,
     tabulate,
 )
 from .numeric import Bracket, Interval, bisect, grid, midpoint
@@ -49,7 +50,7 @@ _WITNESS_EPS = 1e-12
 # tangential touch
 _SUSPICION_RATIO = 1e-4
 # fewest grid intervals in a cell that interval bounds try to clear.  One
-# enclose costs about as much as the column pass spends on 17 grid points
+# enclose costs about as much as the column pass spends on 14 grid points
 # (the hazard benchmark inputs, seed 1).  It stays 32: a smaller cell
 # changes which cells bounds clear, and with them the doubt that cleared
 # cells add, so it can change Unknown verdicts
@@ -426,22 +427,24 @@ def _triage(
     bounds allow on the cells they clear.
 
     The whole grid is the first cell, and a cell [lo, hi] is halved into
-    two that share their middle row.  ``enclose`` over [xs[lo], xs[hi]]
-    settles a cell as cleared where it proves e finite and every hazard
-    clear of zero, and as undefined where it raises DomainError.  A cell
-    that is not settled is halved again only where its sibling settled (the
-    whole grid has none), and while it has at least 2 * _MIN_CELL grid
-    intervals: where bounds fail on both halves, they tend to fail on
-    every smaller cell too.  Both lists of cells come in order.
+    two that share their middle row.  ``enclose`` of the steps of ``outs``,
+    listed once, over [xs[lo], xs[hi]] settles a cell as cleared where it
+    proves e finite and every hazard clear of zero, and as undefined where
+    it raises DomainError.  A cell that is not settled is halved again only
+    where its sibling settled (the whole grid has none), and while it has
+    at least 2 * _MIN_CELL grid intervals: where bounds fail on both
+    halves, they tend to fail on every smaller cell too.  Both lists of
+    cells come in order.
     """
     scanned: list[tuple[int, int]] = []
     undefined: list[tuple[int, int]] = []
     cleared: list[list[float]] = [[] for _ in outs[1:]]
+    listed = steps(t, outs)
 
     def settle(cell: tuple[int, int], a: float, b: float) -> bool:
         # whether bounds over [a, b] settle the cell, which is then recorded
         try:
-            bounds = enclose(t, outs, a, b)
+            bounds = enclose(listed, outs, a, b)
         except DomainError:
             undefined.append(cell)
             return True

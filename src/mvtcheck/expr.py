@@ -4,15 +4,15 @@ Lexer, operator-precedence parser, canonical formatter, and evaluators for
 a small grammar: the five binary operators ``+ - * / ^``, unary minus, the
 functions sin, cos, tan, exp, ln, sqrt, abs, the variable ``x``, and the
 named constants ``pi`` and ``e`` (folded to numbers at parse time).  The
-tape interpreter :func:`evaluator` (which :func:`evaluate` runs on a tape
-of its own), the column pass :func:`tabulate` and the interval bounds read
-a :class:`Tape`, which holds each distinct subexpression once, so an
-expression on it is walked once.  :func:`parse` keys each node on a tape
-as it reads it, the caller's or one of its own, so the tree it returns is
-on that tape already and equal subexpressions in it are one node object.
-No function here calls itself: the parser, the formatter and
-:meth:`Tape.add` keep explicit stacks, so no depth of nesting and no
-length of a sum limits them.
+point evaluator :func:`evaluator` (which :func:`evaluate` runs on a tape of
+its own), the column pass :func:`tabulate` and the interval bounds
+:func:`enclose` run the :func:`steps` of a :class:`Tape`, which holds each
+distinct subexpression once, with one operator table.  :func:`parse` keys
+each node on a tape as it reads it, the caller's or one of its own, so the
+tree it returns is on that tape already and equal subexpressions in it are
+one node object.  No function here calls itself: the parser, the
+formatter and :meth:`Tape.add` keep explicit stacks, so no depth of
+nesting and no length of a sum limits them.
 
 Precedence, loosest to tightest: additive, multiplicative, unary minus,
 ``^`` (right associative); function application binds tightest.  There is
@@ -21,6 +21,7 @@ no implicit multiplication: ``4x`` is a parse error, write ``4*x``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -50,6 +51,7 @@ __all__ = [
     "fold",
     "compile_evaluator",
     "evaluator",
+    "steps",
     "tabulate",
     "integer_exponent",
     "Tape",
@@ -349,38 +351,20 @@ def _format_number(v: float) -> str:
 
 # --- evaluation -------------------------------------------------------------
 #
-# Two interpreters read a tape, and generate no code: evaluator, one point
-# at a time (evaluate is evaluator on a tape of its own), and the column
-# pass tabulate, many points at once.  _div and _pow, for the two risky
-# operators, return an _Undefined NaN where they fail, and _DOMAINS holds
-# the domains of ln and sqrt; both interpreters read them, so each rule is
-# stated once, there.  The one exception is the column pass's product for
-# a literal exponent that _pow multiplies out to k >= 1: u * ... * u, which
-# is _repeat's product (that starts from 1.0, and 1.0 * u is u), with one
-# finiteness test after it, which fails where _pow's tests do, since a
-# non-finite base gives a non-finite product.  Both call the same functions
-# of math.  The evaluator maps a ValueError or OverflowError raised anywhere
-# inside it to NON_FINITE, and the column pass puts NaN at the row where
-# one is raised, which flows on as a failed rule's NaN does; only those
-# functions (math.exp in _pow included) raise either.
-
-# what ``fn(u)`` calls, in every evaluator
-_LIBM = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "abs": math.fabs,
-}
-
-# the least argument at which ln and sqrt are defined, and how they fail
-# below it: ln below the least positive float, sqrt below zero
-_DOMAINS = {
-    "ln": (math.ulp(0.0), DomainErrorKind.LOG_OF_NON_POSITIVE),
-    "sqrt": (0.0, DomainErrorKind.ROOT_OF_NEGATIVE),
-}
+# Three interpreters read a tape and generate no code: evaluator, one point
+# at a time (evaluate is evaluator on a tape of its own), the column pass
+# tabulate, and the interval bounds enclose.  Each is one loop, with its own
+# arithmetic, over the steps that steps() lists: each slot of a cone with
+# its rule, an entry of the one operator table _RULES, chosen once as the
+# list is built.  _div and _pow return an _Undefined NaN where / and ^
+# fail, and the ln and sqrt entries state their domains, so each rule is
+# stated once.  The one exception is the column form of a literal power
+# that _pow multiplies out to k >= 1: u * ... * u, which is _repeat's
+# product (that starts from 1.0, and 1.0 * u is u), with one finiteness
+# test after it, which fails where _pow's tests do, since a non-finite base
+# gives a non-finite product.  A ValueError or OverflowError, which only
+# the functions of math raise (math.exp in _pow included), is NON_FINITE to
+# the evaluator and a NaN at its row to the column pass.
 
 
 class _Undefined(float):
@@ -430,27 +414,26 @@ def _repeat(base: float, k: int) -> float:
     return out
 
 
-def _pow(base: float, exponent: float) -> float:
-    if not (math.isfinite(base) and math.isfinite(exponent)):
-        return _UNDEFINED["NON_FINITE"]
-    n = integer_exponent(exponent)
-    if n is not None:
+def _pow(exponent: float) -> Callable[[float], float]:
+    # ``base ^ exponent`` as a function of the base, the exponent decided once
+    finite, n = math.isfinite(exponent), integer_exponent(exponent)
+
+    def power(base: float) -> float:
+        if not (finite and math.isfinite(base)):
+            return _UNDEFINED["NON_FINITE"]
+        if n is None:
+            if base <= 0.0:
+                return _UNDEFINED["POWER_OF_NON_POSITIVE"]
+            # math.exp may raise OverflowError: every caller maps it to NON_FINITE
+            return math.exp(exponent * math.log(base))
         out = _repeat(base, abs(n))
         if n < 0:
             if out == 0.0:
                 return _UNDEFINED["DIVISION_BY_ZERO"]
             out = 1.0 / out
-        if not math.isfinite(out):
-            return _UNDEFINED["NON_FINITE"]
-        return out
-    if base <= 0.0:
-        return _UNDEFINED["POWER_OF_NON_POSITIVE"]
-    # math.exp may raise OverflowError: both callers map it to NON_FINITE
-    return math.exp(exponent * math.log(base))
+        return out if math.isfinite(out) else _UNDEFINED["NON_FINITE"]
 
-
-# what computes each binary operator from its operands' values, in both interpreters
-_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
+    return power
 
 
 def evaluate(e: Expr, x: float) -> float:
@@ -471,14 +454,7 @@ def fold(part: str, *values: float) -> float | None:
     as :func:`evaluate` computes a node over constants: the same value
     where that is defined, None where :func:`evaluate` raises DomainError."""
     try:
-        if len(values) == 2:
-            out = _OPERATIONS[part](*values)
-        else:
-            (u,) = values
-            domain = _DOMAINS.get(part)
-            if domain is not None and u < domain[0]:
-                return None
-            out = _LIBM[part](u)
+        out = _RULES[part].point(*values)
     except (ValueError, OverflowError):
         return None
     return out if math.isfinite(out) else None
@@ -492,50 +468,76 @@ def compile_evaluator(e: Expr) -> Callable[[float], float]:
     return evaluator(t, t.add(e))
 
 
+def steps(t: Tape, outs: Sequence[int]) -> list[tuple]:
+    """One ``(slot, rule, reads)`` per slot of the cone of the slots
+    ``outs`` of ``t``, in the left-to-right postorder of each output in
+    turn, each slot at its first place (the tape interpretation of A.
+    Griewank and A. Walther, *Evaluating Derivatives*, SIAM 2008).
+
+    ``rule`` is the node's operator table entry and ``reads`` the slots of
+    the values it takes.  A power by a literal exponent has a rule of its
+    own, the exponent decided here, and reads its base only.  A leaf reads
+    nothing; its rule is its constant's value, or None for x.
+    """
+    nodes, args = t.nodes, t.args
+    listed, pending = [], [None] * (max(outs) + 1)  # pending: per slot met, its step
+    for out in outs:
+        # a node met first pushes ~slot, listed once the slots it reads are,
+        # then those slots, right then left; a leaf is listed at once
+        stack = [out]
+        while stack:
+            i = stack.pop()
+            if i < 0:
+                listed.append(pending[~i])
+                continue
+            if pending[i] is not None:
+                continue
+            node, reads = nodes[i], args[i]
+            kind = node.__class__
+            if kind is Binary:
+                exponent = nodes[reads[1]]
+                if node.op == "^" and exponent.__class__ is Constant:
+                    rule, reads = _power(exponent.value), reads[:1]
+                else:
+                    rule = _RULES[node.op]
+            elif kind is Neg:
+                rule = _RULES["neg"]
+            elif kind is Call:
+                rule = _RULES[node.fn]
+            else:
+                pending[i] = step = (i, node.value if kind is Constant else None, ())
+                listed.append(step)
+                continue
+            pending[i] = (i, rule, reads)
+            stack.append(~i)
+            if len(reads) == 2:
+                stack.append(reads[1])
+            stack.append(reads[0])
+    return listed
+
+
 def evaluator(t: Tape, slot: int) -> Callable[[float], float]:
     """The node at ``slot`` of ``t`` as a function of x: its value, as
     :func:`evaluate` states it, or DomainError.
 
-    The steps are listed once: the operations of the cone of ``slot``, the
-    slots it reads, in the left-to-right postorder of the node at ``slot``,
-    each at its first place there, so each distinct subexpression is
-    computed once and no other node of ``t`` is.  Each call runs them over
-    one list of values by slot that already holds the constants (the tape
-    interpretation of A. Griewank and A. Walther, *Evaluating Derivatives*,
-    SIAM 2008), so no code is generated and no depth of nesting limits it.
-    It raises at the first step whose rule fails, in that order: children
-    before their parent, left before right, as a walk of the tree would,
-    whatever other roots put on ``t`` before it.
+    Its :func:`steps` are listed once, so each distinct subexpression is
+    computed once and no node outside the cone of ``slot`` is.  Each call
+    runs their float operations over one list of values by slot that
+    already holds the constants, so no code is generated and no depth of
+    nesting limits it.  It raises for the first step whose rule fails, in
+    that order: children before their parent, left before right, as a walk
+    of the tree would, whatever other roots put on ``t`` before it.
     """
     start = [0.0] * (slot + 1)  # per slot: a constant's value, set once; each call sets the rest
     variable = None  # the slot of x, where the cone holds it
-    steps = []  # (slot, operation, first child's slot, second child's slot or None)
-    # a depth-first search from slot: a slot met for the first time pushes
-    # ~slot, to be listed once its children are, and then its children,
-    # right then left; a slot met again is skipped
-    met = [False] * (slot + 1)
-    stack = [slot]
-    nodes, args = t.nodes, t.args
-    while stack:
-        i = stack.pop()
-        if i >= 0:
-            if not met[i]:
-                met[i] = True
-                stack.append(~i)
-                children = args[i]
-                if len(children) == 2:
-                    stack.append(children[1])
-                if children:
-                    stack.append(children[0])
-            continue
-        i = ~i
-        node, children = nodes[i], args[i]
-        if isinstance(node, Constant):
-            start[i] = node.value
-        elif isinstance(node, Variable):
+    program = []  # (slot, float operation, first slot read, second slot read or None)
+    for i, rule, reads in steps(t, [slot]):
+        if reads:
+            program.append((i, rule.point, reads[0], reads[1] if len(reads) == 2 else None))
+        elif rule is None:
             variable = i
         else:
-            steps.append((i, _operation(node), children[0], children[1] if len(children) == 2 else None))
+            start[i] = rule
 
     def at(x: float) -> float:
         if not math.isfinite(x):
@@ -544,42 +546,19 @@ def evaluator(t: Tape, slot: int) -> Callable[[float], float]:
         if variable is not None:
             values[variable] = x
         try:
-            for i, operation, a, b in steps:
-                out = values[i] = operation(values[a]) if b is None else operation(values[a], values[b])
-                if out.__class__ is _Undefined:
-                    raise DomainError(x, out.kind)
+            for i, operation, a, b in program:
+                values[i] = operation(values[a]) if b is None else operation(values[a], values[b])
         except (ValueError, OverflowError):
-            raise DomainError(x, DomainErrorKind.NON_FINITE) from None
-        out = values[slot]
-        if not math.isfinite(out):
-            raise DomainError(x, DomainErrorKind.NON_FINITE)
-        return out
+            pass
+        else:
+            if math.isfinite(values[slot]):
+                return values[slot]
+        # a failed rule's NaN flows on to the result, and a step after it
+        # may raise: the first step that failed, in order, names the error
+        failed = next((values[i] for i, _, _, _ in program if values[i].__class__ is _Undefined), None)
+        raise DomainError(x, DomainErrorKind.NON_FINITE if failed is None else failed.kind)
 
     return at
-
-
-def _operation(node: Expr) -> Callable[..., float]:
-    # what computes ``node`` from its children's values, returning the
-    # _Undefined of its rule where that fails
-    if isinstance(node, Neg):
-        return operator.neg
-    if isinstance(node, Binary):
-        return _OPERATIONS[node.op]
-    fn = _LIBM[node.fn]
-    if node.fn not in _DOMAINS:
-        return fn
-    least, kind = _DOMAINS[node.fn]
-    failed = _UNDEFINED[kind.name]
-    return lambda u: failed if u < least else fn(u)
-
-
-def _multiplied_out(node: Expr) -> int | None:
-    # k where ``node`` is a power of a literal exponent that _pow multiplies
-    # out to k >= 1, else None
-    if not (isinstance(node, Binary) and node.op == "^" and isinstance(node.right, Constant)):
-        return None
-    k = integer_exponent(node.right.value)
-    return k if k is not None and k >= 1 else None
 
 
 def tabulate(t: Tape, outs: Sequence[int], xs: Sequence[float]) -> list[list[float | None]]:
@@ -590,64 +569,32 @@ def tabulate(t: Tape, outs: Sequence[int], xs: Sequence[float]) -> list[list[flo
     :func:`evaluate` on that node raises DomainError or gives a value that
     is not finite.
 
-    The nodes are computed in tape order, each slot once, one operation over
-    the whole column at a time, so the interpreter's cost per operation is
-    spread over every row and no code is generated (the vectorised
-    interpretation of P. Boncz, M. Zukowski and N. Nes, "MonetDB/X100:
-    Hyper-pipelining query execution", CIDR 2005).  A failed rule of ``/``,
-    ``^``, ln or sqrt gives NaN, which flows on to every result it feeds,
-    so an undefined point costs no more than a defined one.  A column whose
-    function of math raises (sin of an infinity, exp overflowing) is redone
-    row by row, with NaN at each row where it raises.  Each column is dropped
-    after its last reader, so memory follows the tape's width, not its
-    length, and no depth of nesting limits the pass.
+    The :func:`steps` of ``outs`` run in order, each by its column form, one
+    operation over a whole column (the vectorised interpretation of P.
+    Boncz, M. Zukowski and N. Nes, "MonetDB/X100: Hyper-pipelining query
+    execution", CIDR 2005).  A failed rule of ``/``, ``^``, ln or sqrt
+    gives NaN, which flows on to every result it feeds, so an undefined
+    point costs no more than a defined one.  A function of math that raises
+    (sin of an infinity, exp overflowing) has its column redone row by row,
+    with NaN at each row where it raises.  Each column is dropped after its
+    last reader, so memory follows the tape's width, not its length, and no
+    depth of nesting limits the pass.
     """
-    top = max(outs)
-    # per slot, the last slot that reads it, itself where none does; the
-    # outputs' columns are never dropped
-    last = list(range(top + 1))
-    for i, slots in enumerate(t.args[: top + 1]):
-        for j in slots:
-            last[j] = i
-    for o in outs:
-        last[o] = top + 1
-    columns: list[list[float] | None] = []  # per slot
-    for i, (node, slots) in enumerate(zip(t.nodes[: top + 1], t.args)):
-        columns.append(_column(node, [columns[j] for j in slots], xs))
-        for j in (*slots, i):
-            if last[j] == i:
+    listed = steps(t, outs)
+    # per slot read, the place in listed of its last reader; the outputs'
+    # columns are never dropped
+    last = {j: n for n, (_, _, reads) in enumerate(listed) for j in reads} | dict.fromkeys(outs, len(listed))
+    columns: list[list[float] | None] = [None] * (max(outs) + 1)  # per slot
+    for n, (i, rule, reads) in enumerate(listed):
+        if reads:
+            columns[i] = rule.column(*[columns[j] for j in reads])
+        else:
+            columns[i] = list(xs) if rule is None else [rule] * len(xs)
+        for j in reads:
+            if last[j] == n:
                 columns[j] = None
     isfinite = math.isfinite
     return [[v if isfinite(v) else None for v in columns[o]] for o in outs]
-
-
-def _column(node: Expr, args: list[list[float]], xs: Sequence[float]) -> list[float]:
-    # ``node``'s value at each row, from its children's columns ``args``
-    if not args:
-        return list(xs) if isinstance(node, Variable) else [node.value] * len(xs)
-    if isinstance(node, Call) and node.fn in _DOMAINS:
-        # tested inline, which is faster here than _operation's closure
-        fn, least = _LIBM[node.fn], _DOMAINS[node.fn][0]
-        return [math.nan if u < least else fn(u) for u in args[0]]
-    k = _multiplied_out(node)
-    if k is not None:
-        base = out = args[0]
-        for _ in range(k - 1):
-            out = list(map(operator.mul, out, base))
-        isfinite = math.isfinite
-        return [v if isfinite(v) else math.nan for v in out]
-    fn = _operation(node)
-    try:
-        return list(map(fn, *args))
-    except (ValueError, OverflowError):
-        pass
-    out = []
-    for values in zip(*args):
-        try:
-            out.append(fn(*values))
-        except (ValueError, OverflowError):
-            out.append(math.nan)
-    return out
 
 
 class Tape:
@@ -748,50 +695,41 @@ _LIBM_STEPS = 4
 Bounds = tuple[float, float]
 
 
-def enclose(t: Tape, outs: Sequence[int], a: float, b: float) -> list[Bounds] | None:
+def enclose(listed: Sequence[tuple], outs: Sequence[int], a: float, b: float) -> list[Bounds] | None:
     """Bounds ``(lo, hi)`` on the computed value of each slot of ``outs`` for x in [a, b].
 
-    For every float x with a <= x <= b, the evaluators that
-    :func:`evaluator` builds for these slots raise nothing, and they and
-    :func:`tabulate` give, for each slot, a value within its bounds.
-    Returns None when that cannot be shown for some
-    node: a bound that is not finite, a divisor or a negative power's base
+    ``listed`` is :func:`steps` of ``outs``, which a caller lists once for
+    many intervals.  For every float x with a <= x <= b, the evaluators
+    that :func:`evaluator` builds for these slots raise nothing, and they
+    and :func:`tabulate` give, for each slot, a value within its bounds.
+    Returns None, at the first step it cannot bound, when that cannot be
+    shown: a bound that is not finite, a divisor or a negative power's base
     that may be zero, a ln or sqrt argument that may leave its domain, a
     power whose exponent is not one constant, and a tan argument that may
     hold a pole.
-    The nodes of ``t`` up to ``max(outs)`` are bounded in tape order, each
-    once, and the pass stops at the first node it cannot bound.
 
     Raises DomainError, at ``a`` and of the failed rule's kind, where it
-    reaches, before any node it cannot bound, a node whose argument's
-    bounds lie wholly outside that node's domain: a ln or sqrt argument, or
-    the base of a power by a constant non-integer exponent.  Both
-    evaluators evaluate every node, so each node above it is undefined at
-    every x in [a, b].
+    reaches, before any step it cannot bound, one whose argument's bounds
+    lie wholly outside its domain: a ln or sqrt argument, or the base of a
+    power by a constant non-integer exponent: every output whose cone holds
+    it is undefined at every x in [a, b].
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise ValueError("need finite a <= b")
-    bounds: list[Bounds] = []  # per slot
-    for node, slots in zip(t.nodes[: max(outs) + 1], t.args):
-        if isinstance(node, Constant):
-            box = (node.value, node.value)
-        elif isinstance(node, Variable):
-            box = (a, b)
-        elif isinstance(node, Neg):
-            lo, hi = bounds[slots[0]]
-            box = (-hi, -lo)
-        elif isinstance(node, Binary):
-            box = _BINARY_BOUNDS[node.op](bounds[slots[0]], bounds[slots[1]])
-        else:
-            box = _CALL_BOUNDS[node.fn](*bounds[slots[0]])
-        if box is None:
-            return None
+    bounds: list[Bounds | None] = [None] * (max(outs) + 1)  # per slot
+    isfinite = math.isfinite
+    for i, rule, reads in listed:
+        if not reads:
+            # x, or a constant, which is finite
+            bounds[i] = (a, b) if rule is None else (rule, rule)
+            continue
+        box = rule.bounds(bounds[reads[0]], bounds[reads[1]]) if len(reads) == 2 else rule.bounds(*bounds[reads[0]])
         if box.__class__ is _Undefined:
             raise DomainError(a, box.kind)
-        if not (math.isfinite(box[0]) and math.isfinite(box[1])):
+        if box is None or not (isfinite(box[0]) and isfinite(box[1])):
             return None
-        bounds.append(box)
-    return [bounds[i] for i in outs]
+        bounds[i] = box
+    return [bounds[o] for o in outs]
 
 
 def _widen(lo: float, hi: float) -> Bounds:
@@ -809,33 +747,6 @@ def _div_bounds(num: Bounds, den: Bounds) -> Bounds | None:
     if den[0] <= 0.0 <= den[1]:
         return None
     return _corners(tuple(n / d for n in num for d in den))
-
-
-def _pow_bounds(base: Bounds, exponent: Bounds) -> Bounds | _Undefined | None:
-    e, e_hi = exponent
-    if e != e_hi:
-        return None
-    lo, hi = base
-    n = integer_exponent(e)
-    if n is not None:
-        k = abs(n)
-        if k % 2:
-            out = (_repeat(lo, k), _repeat(hi, k))
-        else:
-            near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-            out = (_repeat(near, k), _repeat(max(-lo, hi), k))
-        if n >= 0:
-            return out
-        return _div_bounds((1.0, 1.0), out)
-    if lo <= 0.0:
-        # every base fails _pow's rule where the upper bound does
-        try:
-            top = _pow(hi, e)
-        except OverflowError:
-            return None
-        return top if top.__class__ is _Undefined else None
-    log_lo, log_hi = _widen(math.log(lo), math.log(hi))
-    return _exp_bounds(*_corners((e * log_lo, e * log_hi)))
 
 
 def _exp_bounds(lo: float, hi: float) -> Bounds | None:
@@ -876,16 +787,6 @@ def _tan_bounds(lo: float, hi: float) -> Bounds | None:
     return _widen(math.tan(lo), math.tan(hi))
 
 
-def _domain_bounds(fn: str, lo: float, hi: float) -> Bounds | _Undefined | None:
-    # ln or sqrt: its rule's failure where every argument, up to ``hi``, lies
-    # below the least it accepts; sqrt is correctly rounded, ln is widened
-    least, kind = _DOMAINS[fn]
-    if lo < least:
-        return _UNDEFINED[kind.name] if hi < least else None
-    box = _LIBM[fn](lo), _LIBM[fn](hi)
-    return _widen(*box) if fn == "ln" else box
-
-
 def _abs_bounds(lo: float, hi: float) -> Bounds:
     if lo >= 0.0:
         return lo, hi
@@ -894,20 +795,115 @@ def _abs_bounds(lo: float, hi: float) -> Bounds:
     return 0.0, max(-lo, hi)
 
 
-_BINARY_BOUNDS: dict[str, Callable[[Bounds, Bounds], Bounds | _Undefined | None]] = {
-    "+": lambda l, r: (l[0] + r[0], l[1] + r[1]),
-    "-": lambda l, r: (l[0] - r[1], l[1] - r[0]),
-    "*": lambda l, r: _corners((l[0] * r[0], l[0] * r[1], l[1] * r[0], l[1] * r[1])),
-    "/": _div_bounds,
-    "^": _pow_bounds,
-}
+# --- the operator table -------------------------------------------------------
 
-_CALL_BOUNDS: dict[str, Callable[[float, float], Bounds | _Undefined | None]] = {
-    "sin": lambda lo, hi: _wave_bounds(math.sin, 0.5 * math.pi, lo, hi),
-    "cos": lambda lo, hi: _wave_bounds(math.cos, 0.0, lo, hi),
-    "tan": _tan_bounds,
-    "exp": _exp_bounds,
-    "ln": lambda lo, hi: _domain_bounds("ln", lo, hi),
-    "sqrt": lambda lo, hi: _domain_bounds("sqrt", lo, hi),
-    "abs": _abs_bounds,
+
+class _Rule(Record):
+    """One operator or function in each interpreter, from its operands':
+    ``point`` from their values, ``column`` from their columns (``point``
+    mapped over the rows by default) and ``bounds`` from their bounds
+    (each a function's (lo, hi)), each giving its rule's _Undefined where
+    it fails, and ``bounds`` None where it may."""
+
+    __slots__ = ("point", "bounds", "column")
+
+    def __init__(self, point: Callable, bounds: Callable, column: Callable | None = None):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "column", column or _mapped(point))
+
+
+def _mapped(fn: Callable[..., float]) -> Callable[..., list[float]]:
+    # the column form of ``fn``: fn at each row of its operands' columns,
+    # redone row by row with NaN at each row where a function of math raises
+    def column(*args: list[float]) -> list[float]:
+        try:
+            return list(map(fn, *args))
+        except (ValueError, OverflowError):
+            pass
+        out = []
+        for values in zip(*args):
+            try:
+                out.append(fn(*values))
+            except (ValueError, OverflowError):
+                out.append(math.nan)
+        return out
+
+    return column
+
+
+@functools.lru_cache(maxsize=1024)
+def _power(exponent: float) -> _Rule:
+    # the rule of ``u ^ exponent`` for a constant exponent, a function of u
+    # alone, built once per exponent (0.0 and -0.0 give the same rule)
+    n = integer_exponent(exponent)
+    point = _pow(exponent)
+
+    def bounds(lo: float, hi: float) -> Bounds | _Undefined | None:
+        if n is not None:
+            k = abs(n)
+            if k % 2:
+                out = (_repeat(lo, k), _repeat(hi, k))
+            else:
+                near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+                out = (_repeat(near, k), _repeat(max(-lo, hi), k))
+            return out if n >= 0 else _div_bounds((1.0, 1.0), out)
+        if lo <= 0.0:
+            # every base fails _pow's rule where the upper bound does
+            try:
+                top = point(hi)
+            except OverflowError:
+                return None
+            return top if top.__class__ is _Undefined else None
+        log_lo, log_hi = _widen(math.log(lo), math.log(hi))
+        return _exp_bounds(*_corners((exponent * log_lo, exponent * log_hi)))
+
+    def product(base: list[float]) -> list[float]:
+        # where _pow multiplies out to n >= 1: the product, written out
+        out = base
+        for _ in range(n - 1):
+            out = list(map(operator.mul, out, base))
+        return [v if math.isfinite(v) else math.nan for v in out]
+
+    return _Rule(point, bounds, product if n is not None and n >= 1 else None)
+
+
+def _domain(fn: Callable[[float], float], least: float, kind: DomainErrorKind, widened: bool) -> _Rule:
+    # ln or sqrt: ``fn`` from ``least`` up, failing by ``kind`` below it,
+    # which its bounds give where every argument does
+    failed = _UNDEFINED[kind.name]
+
+    def bounds(lo: float, hi: float) -> Bounds | _Undefined | None:
+        if lo < least:
+            return failed if hi < least else None
+        return _widen(fn(lo), fn(hi)) if widened else (fn(lo), fn(hi))
+
+    return _Rule(
+        lambda u: failed if u < least else fn(u),
+        bounds,
+        # tested inline, which is faster here than mapping the point form
+        lambda us: [math.nan if u < least else fn(u) for u in us],
+    )
+
+
+# keyed by the binary operator, "neg" for unary minus, or the function name
+_RULES: dict[str, _Rule] = {
+    "+": _Rule(operator.add, lambda l, r: (l[0] + r[0], l[1] + r[1])),
+    "-": _Rule(operator.sub, lambda l, r: (l[0] - r[1], l[1] - r[0])),
+    "*": _Rule(operator.mul, lambda l, r: _corners((l[0] * r[0], l[0] * r[1], l[1] * r[0], l[1] * r[1]))),
+    "/": _Rule(_div, _div_bounds),
+    # an exponent that is not a literal: bounded only where its bounds are one number
+    "^": _Rule(
+        lambda base, exponent: _pow(exponent)(base),
+        lambda base, exponent: _power(exponent[0]).bounds(*base) if exponent[0] == exponent[1] else None,
+    ),
+    "neg": _Rule(operator.neg, lambda lo, hi: (-hi, -lo)),
+    "sin": _Rule(math.sin, lambda lo, hi: _wave_bounds(math.sin, 0.5 * math.pi, lo, hi)),
+    "cos": _Rule(math.cos, lambda lo, hi: _wave_bounds(math.cos, 0.0, lo, hi)),
+    "tan": _Rule(math.tan, _tan_bounds),
+    "exp": _Rule(math.exp, _exp_bounds),
+    # ln below the least positive float, sqrt below zero
+    "ln": _domain(math.log, math.ulp(0.0), DomainErrorKind.LOG_OF_NON_POSITIVE, widened=True),
+    "sqrt": _domain(math.sqrt, 0.0, DomainErrorKind.ROOT_OF_NEGATIVE, widened=False),
+    "abs": _Rule(math.fabs, _abs_bounds),
 }

@@ -31,6 +31,7 @@ from mvtcheck.expr import (
     format_expr,
     integer_exponent,
     parse,
+    steps,
     tabulate,
 )
 from mvtcheck.numeric import Interval, grid
@@ -845,6 +846,12 @@ def _taped(*exprs):
     return t, [t.add(e) for e in exprs]
 
 
+def _listed(*exprs):
+    """The steps of a tape holding ``exprs``, and their slots on it: what enclose reads."""
+    t, outs = _taped(*exprs)
+    return steps(t, outs), outs
+
+
 def _hazards(e):
     """_collect_hazards on a tape of ``e``, each inner's node in place of its slot."""
     t, _ = _taped(e)
@@ -958,10 +965,10 @@ def test_domain_arguments_are_the_real_ones():
         ("x^0.5", -2.0, 0.0, DomainErrorKind.POWER_OF_NON_POSITIVE),
     ]:
         with pytest.raises(DomainError) as raised:
-            enclose(*_taped(parse(text)), a, b)
+            enclose(*_listed(parse(text)), a, b)
         assert (raised.value.kind, raised.value.point) == (kind, a)
     for text in ("ln(abs(x - 0.5))", "x^x", "x^2"):
-        enclose(*_taped(parse(text)), -2.0, -1.0)
+        enclose(*_listed(parse(text)), -2.0, -1.0)
     e = parse("ln(abs(x - 0.5)) + sqrt(x) + x^(1/2) + x^2 + x^x + ln(2)")
     iv = Interval(-1.0, 1.0)
     assert analyze_smoothness(e, iv, SAMPLES) == _scanned(e, iv, SAMPLES)
@@ -998,7 +1005,7 @@ def test_one_analysis_keys_each_node_once(monkeypatch):
         Call("tan", Variable()),
         Binary("+", Binary("*", Variable(), Variable()), Constant(1e-6)),
     )
-    lookups, keyed, passes = [], [], []
+    lookups, keyed, passes, tapes = [], [], [], []
     bound = calculus.enclose
 
     class Lookups(dict):
@@ -1015,16 +1022,19 @@ def test_one_analysis_keys_each_node_once(monkeypatch):
         def __init__(self):
             super().__init__()
             self._keys, self._slots = Lookups(), Keyed()
+            tapes.append(self)
 
-    def counted_enclose(t, outs, a, b):
-        passes.append(t)
-        return bound(t, outs, a, b)
+    def counted_enclose(listed, outs, a, b):
+        passes.append(listed)
+        return bound(listed, outs, a, b)
 
     monkeypatch.setattr(calculus, "Tape", CountedTape)
     monkeypatch.setattr(calculus, "enclose", counted_enclose)
     analyze_smoothness(e, Interval(-1.0, 1.0), SAMPLES)
-    assert len(passes) >= 3 and all(t is passes[0] for t in passes)
+    # one tape, and its steps listed once for every pass of bounds
+    assert len(tapes) == 1
+    assert len(passes) >= 3 and all(listed is passes[0] for listed in passes)
     # the 8 nodes of e, and the cos(x) of tan's pole hazard, each keyed once
     assert len(lookups) == len({id(node) for node in keyed}) == len(keyed) == 9
     # the three x objects share one slot
-    assert len(passes[0].nodes) == 7
+    assert len(tapes[0].nodes) == 7

@@ -29,7 +29,9 @@ from mvtcheck.expr import (
     evaluate,
     evaluator,
     format_expr,
+    integer_exponent,
     parse,
+    steps,
     tabulate,
     tokenize,
 )
@@ -516,6 +518,12 @@ def _taped(*exprs: Expr) -> tuple[Tape, list[int]]:
     return t, [t.add(e) for e in exprs]
 
 
+def _listed(*exprs: Expr) -> tuple[list, list[int]]:
+    """The steps of a tape holding ``exprs``, and their slots on it: what enclose reads."""
+    t, outs = _taped(*exprs)
+    return steps(t, outs), outs
+
+
 def _edge_id(value) -> str:
     return repr(value) if isinstance(value, float) else format_expr(value)
 
@@ -588,7 +596,7 @@ def test_equal_subtrees_lower_to_one_statement(monkeypatch):
         calls.append(u)
         return math.sin(u)
 
-    monkeypatch.setitem(expr._LIBM, "sin", counted_sin)
+    monkeypatch.setitem(expr._RULES, "sin", expr._Rule(counted_sin, expr._RULES["sin"].bounds))
     e = Binary("*", Call("sin", Variable()), Call("sin", Variable()))
     compiled = compile_evaluator(e)
     assert compiled(0.5) == math.sin(0.5) * math.sin(0.5)
@@ -605,6 +613,56 @@ def test_evaluator_computes_only_the_cone_of_its_slot():
     with pytest.raises(DomainError) as caught:
         evaluator(t, top)(-0.75)
     assert caught.value.kind is DomainErrorKind.ROOT_OF_NEGATIVE
+
+
+def test_steps_list_each_outputs_cone_in_postorder():
+    # ln(x) comes first on the tape, but sqrt(x) + ln(x) reaches sqrt(x)
+    # first; a later output lists only what an earlier one did not, and
+    # x^2, a power by a literal exponent, reads its base only
+    t = Tape()
+    ln = t.add(parse("ln(x)"))  # x at 0, ln(x) at 1
+    top = t.add(parse("sqrt(x) + ln(x)"))  # sqrt(x) at 2, the sum at 3
+    square = t.add(parse("x^2"))  # 2 at 4, x^2 at 5
+    listed = steps(t, [top, square, ln])
+    assert [(i, reads) for i, _, reads in listed] == [(0, ()), (2, (0,)), (1, (0,)), (3, (2, 1)), (5, (0,))]
+    assert listed[0][1] is None and listed[3][1] is expr._RULES["+"]
+    assert steps(t, [4]) == [(4, 2.0, ())]
+
+
+def test_enclose_and_tabulate_read_only_the_cone_of_their_outputs(monkeypatch):
+    # sqrt(x) comes first on the tape and fails on all of [-2, -1], but
+    # x + 1 does not read it: neither pass computes it
+    t = Tape()
+    t.add(parse("sqrt(x)"))
+    slot = t.add(parse("x+1"))
+    listed = steps(t, [slot])
+    assert [i for i, _, _ in listed] == [0, 2, 3]
+    assert enclose(listed, [slot], -2.0, -1.0) == [(-1.0, 0.0)]
+
+    def unread(*values):
+        pytest.fail(f"sqrt's step ran on {values!r}")
+
+    monkeypatch.setitem(expr._RULES, "sqrt", expr._Rule(unread, unread, unread))
+    assert tabulate(t, [slot], [-2.0, -1.0]) == [[-1.0, 0.0]]
+    assert enclose(steps(t, [slot]), [slot], -2.0, -1.0) == [(-1.0, 0.0)]
+
+
+def test_a_literal_exponent_is_decided_once_per_listing(monkeypatch):
+    # which rule x^2.75 and x^3 follow is decided when their steps are
+    # listed, not at each of the 100 rows and the 100 points
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return integer_exponent(k)
+
+    monkeypatch.setattr(expr, "integer_exponent", counted)
+    t, (top,) = _taped(parse("x^2.75 + x^3"))
+    xs = grid(Interval(0.5, 2.0), 100)
+    (column,) = tabulate(t, [top], xs)
+    at = evaluator(t, top)
+    assert [at(x) for x in xs] == column
+    assert len(calls) < len(xs)
 
 
 @given(st.lists(grammar_exprs(), min_size=2, max_size=4), st.floats(min_value=-50.0, max_value=50.0))
@@ -812,7 +870,7 @@ def test_enclosures_hold_every_compiled_value(e, data):
     # and some more of the nodes that the pass reads, whose bounds hold too
     outs += data.draw(st.lists(st.integers(0, max(outs)), max_size=4), label="more")
     try:
-        bounds = enclose(t, outs, iv.a, iv.b)
+        bounds = enclose(steps(t, outs), outs, iv.a, iv.b)
     except DomainError:
         # a node of e leaves its domain on all of [a, b]: e is undefined at
         # every grid point
@@ -853,14 +911,14 @@ def test_enclosures_hold_every_compiled_value(e, data):
 )
 def test_enclosure_edge_cases(text, a, b, bounded):
     e = parse(text)
-    bounds = enclose(*_taped(e), a, b)
+    bounds = enclose(*_listed(e), a, b)
     assert (bounds is not None) is bounded
     if bounded:
         _assert_encloses(*_taped(e), Interval(a, b), bounds)
 
 
 def test_enclosure_of_cos_near_its_zero_straddles_zero():
-    ((lo, hi),) = enclose(*_taped(parse("cos(x)")), 1.5, 1.7)
+    ((lo, hi),) = enclose(*_listed(parse("cos(x)")), 1.5, 1.7)
     assert lo < 0.0 < hi
 
 
@@ -872,14 +930,14 @@ def test_enclosure_is_none_where_the_compiled_code_raises(text, a, b, raises_at)
     e = parse(text)
     with pytest.raises(DomainError):
         compile_evaluator(e)(raises_at)
-    assert enclose(*_taped(e), a, b) is None
+    assert enclose(*_listed(e), a, b) is None
 
 
 def test_enclose_requires_an_ordered_finite_interval():
     with pytest.raises(ValueError):
-        enclose(*_taped(Variable()), 1.0, 0.0)
+        enclose(*_listed(Variable()), 1.0, 0.0)
     with pytest.raises(ValueError):
-        enclose(*_taped(Variable()), 0.0, math.inf)
+        enclose(*_listed(Variable()), 0.0, math.inf)
 
 
 # --- records ----------------------------------------------------------------

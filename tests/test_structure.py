@@ -10,7 +10,9 @@ near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
 ``Verdict.UNKNOWN`` in ``_verdict`` only, ``expr`` names
 ``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only,
 ``POWER_OF_NON_POSITIVE`` in ``_pow`` only and the ln and sqrt failures in
-``_DOMAINS`` only, ``expr`` reads a tape's ``_keys`` in ``Tape.put`` only,
+their entries of the operator table ``_RULES`` only, ``expr`` asks which
+class a node is in ``steps``, the formatter and ``Tape`` only, ``expr``
+reads a tape's ``_keys`` in ``Tape.put`` only,
 ``calculus`` reads its node builders ``_neg``, ``_binary`` and ``_call``
 in ``_simplify`` and ``_derivative`` only, no
 module imports ``dataclasses``, no module calls ``exec``, ``eval`` or
@@ -377,20 +379,58 @@ def test_division_and_pole_rules_are_stated_in_div_and_pow_only(name):
 
 @pytest.mark.parametrize("name", ["LOG_OF_NON_POSITIVE", "ROOT_OF_NEGATIVE"])
 def test_ln_and_sqrt_rules_are_stated_in_domains_only(name):
-    # both tape interpreters and the interval bounds read the least
-    # argument of ln and sqrt from _DOMAINS, so each rule is
-    # stated once
+    # the three tape interpreters and fold read the least argument of ln
+    # and sqrt from their entries of the one operator table, _RULES, so
+    # each rule is stated once, in its entry
+    fn = {"LOG_OF_NON_POSITIVE": "ln", "ROOT_OF_NEGATIVE": "sqrt"}[name]
     tree = _tree(ROOT / "src" / "mvtcheck" / "expr.py")
     (table,) = [
         node for node in tree.body
-        if isinstance(node, ast.Assign) and [_dotted(t) for t in node.targets] == ["_DOMAINS"]
+        if isinstance(node, ast.AnnAssign) and _dotted(node.target) == "_RULES"
+    ]
+    (entry,) = [
+        value for key, value in zip(table.value.keys, table.value.values)
+        if isinstance(key, ast.Constant) and key.value == fn
     ]
     mentions = list(_mentions(tree, name))
     outside = [
         f"line {line}: {function}" for function, line in mentions
-        if function is not None or not table.lineno <= line <= table.end_lineno
+        if function is not None or not entry.lineno <= line <= entry.end_lineno
     ]
     assert mentions and outside == []
+
+
+# the expression node classes, and the functions of expr that may ask
+# which one a node is: the formatter, the tape's walk over a tree, and
+# steps, which decides once what each node of a cone computes
+NODE_CLASSES = {"Expr", "Constant", "Variable", "Neg", "Binary", "Call"}
+NODE_READERS = {"format_expr", "Tape", "steps"}
+
+
+def _node_class_tests(tree):
+    """(enclosing top-level function or class, line) of each ``isinstance``
+    call with a node class, and of each ``is`` or ``is not`` comparison
+    with one."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _dotted(node.func) == "isinstance" and len(node.args) == 2:
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            elif isinstance(node, ast.Compare) and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                kinds = [node.left, *node.comparators]
+            else:
+                continue
+            if any(_dotted(kind) in NODE_CLASSES for kind in kinds):
+                yield owner, node.lineno
+
+
+def test_interpreters_ask_a_nodes_class_in_steps_only():
+    # evaluator, tabulate and enclose run the steps that steps() lists,
+    # each with the rule it chose for the node, so no interpreter asks
+    # again, per node or per call, what a node is
+    found = list(_node_class_tests(_tree(ROOT / "src" / "mvtcheck" / "expr.py")))
+    assert {owner for owner, _ in found} >= {"steps"}
+    assert [f"line {line}: {owner}" for owner, line in found if owner not in NODE_READERS] == []
 
 
 def test_node_keys_are_read_by_the_tape_only():
