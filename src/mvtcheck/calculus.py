@@ -7,16 +7,11 @@ from __future__ import annotations
 from enum import Enum
 
 from .expr import (
-    Binary,
-    Call,
-    Constant,
     DomainError,
     DomainErrorKind,
     Expr,
-    Neg,
     Record,
     Tape,
-    Variable,
     enclose,
     evaluator,
     fold,
@@ -123,7 +118,7 @@ def differentiate(e: Expr, tape: Tape | None = None) -> Expr:
     and no depth of ``e`` limits it.
     """
     t = Tape() if tape is None else tape
-    return t.nodes[derivative(t, t.add(e))]
+    return t.tree(derivative(t, t.add(e)))
 
 
 def derivative(t: Tape, slot: int) -> int:
@@ -149,55 +144,51 @@ def _derivative(t: Tape, slots: list[int]) -> dict[int, int]:
     # per slot of ``slots``, the slot of its node's derivative.  ``slots``
     # are folded, in slot order, and hold the children of each of their
     # nodes, so each node is derived once, from its children's derivatives
-    nodes, d = t.nodes, {}
-    leaves: dict[type, int] = {}  # the slots of 0 and 1, the derivatives of a constant and of x
+    constants, d = t.constants, {}
     for i in slots:
-        node, args = nodes[i], t.args[i]
-        if isinstance(node, Binary):
+        part, *args = t.keys[i]
+        if len(args) == 2:
             u, v = args
-            du, dv, op = d[u], d[v], node.op
-            if op == "+" or op == "-":
-                d[i] = _binary(t, op, (du, dv))
-            elif op == "*":
+            du, dv = d[u], d[v]
+            if part == "+" or part == "-":
+                d[i] = _binary(t, part, (du, dv))
+            elif part == "*":
                 d[i] = _binary(t, "+", (_binary(t, "*", (du, v)), _binary(t, "*", (u, dv))))
-            elif op == "/":
+            elif part == "/":
                 num = _binary(t, "-", (_binary(t, "*", (du, v)), _binary(t, "*", (u, dv))))
                 d[i] = _binary(t, "/", (num, _binary(t, "^", (v, _constant(t, 2.0)))))
             # power: constant exponent uses the power rule so d(x^2) stays
             # defined on all of R; the general case goes through ln
-            elif isinstance(nodes[v], Constant):
-                power = _binary(t, "^", (u, _constant(t, nodes[v].value - 1.0)))
+            elif v in constants:
+                power = _binary(t, "^", (u, _constant(t, constants[v] - 1.0)))
                 d[i] = _binary(t, "*", (_binary(t, "*", (v, power)), du))
-            elif isinstance(nodes[u], Constant):
+            elif u in constants:
                 d[i] = _binary(t, "*", (_binary(t, "*", (i, _call(t, "ln", u))), dv))
             else:
                 log_term = _binary(t, "*", (dv, _call(t, "ln", u)))
                 ratio = _binary(t, "/", (_binary(t, "*", (v, du)), u))
                 d[i] = _binary(t, "*", (i, _binary(t, "+", (log_term, ratio))))
-        elif isinstance(node, Call):
+        elif not args:
+            d[i] = _constant(t, 1.0 if part == "x" else 0.0)
+        elif part == "-":
+            d[i] = _neg(t, d[args[0]])
+        else:
             (u,) = args
-            du, fn = d[u], node.fn
-            if fn == "sin":
+            du = d[u]
+            if part == "sin":
                 d[i] = _binary(t, "*", (_call(t, "cos", u), du))
-            elif fn == "cos":
+            elif part == "cos":
                 d[i] = _binary(t, "*", (_neg(t, _call(t, "sin", u)), du))
-            elif fn == "tan":
+            elif part == "tan":
                 d[i] = _binary(t, "/", (du, _binary(t, "^", (_call(t, "cos", u), _constant(t, 2.0)))))
-            elif fn == "exp":
+            elif part == "exp":
                 d[i] = _binary(t, "*", (i, du))
-            elif fn == "ln":
+            elif part == "ln":
                 d[i] = _binary(t, "/", (du, u))
-            elif fn == "sqrt":
+            elif part == "sqrt":
                 d[i] = _binary(t, "/", (du, _binary(t, "*", (_constant(t, 2.0), i))))
             else:  # abs
                 d[i] = _binary(t, "/", (_binary(t, "*", (du, u)), i))
-        elif isinstance(node, Neg):
-            d[i] = _neg(t, d[args[0]])
-        else:
-            kind = node.__class__
-            if kind not in leaves:
-                leaves[kind] = _constant(t, 0.0 if kind is Constant else 1.0)
-            d[i] = leaves[kind]
     return d
 
 
@@ -208,7 +199,7 @@ def simplify(e: Expr) -> Expr:
     rules are exact, folding is single-rounding); no deeper rewriting.
     """
     t = Tape()
-    return t.nodes[_simplify(t, {}, t.add(e))]
+    return t.tree(_simplify(t, {}, t.add(e)))
 
 
 def _simplify(t: Tape, folded: dict[int, int], slot: int) -> int:
@@ -216,24 +207,16 @@ def _simplify(t: Tape, folded: dict[int, int], slot: int) -> int:
     # that ``folded`` lacks is folded in slot order, from its children's
     # folded slots, and recorded there: a node that nothing folds keeps
     # its own slot, and a slot already folded is not visited again
-    cone: set[int] = set()
-    stack = [slot]
-    while stack:
-        i = stack.pop()
-        if i not in cone and i not in folded:
-            cone.add(i)
-            stack += t.args[i]
-    nodes = t.nodes
-    for i in sorted(cone):
-        node, args = nodes[i], t.args[i]
-        if isinstance(node, Binary):
-            folded[i] = _binary(t, node.op, (folded[args[0]], folded[args[1]]))
-        elif isinstance(node, Call):
-            folded[i] = _call(t, node.fn, folded[args[0]])
-        elif isinstance(node, Neg):
-            folded[i] = _neg(t, folded[args[0]])
-        else:
+    for i in t.cone(slot, folded):
+        key = t.keys[i]
+        if len(key) == 3:
+            folded[i] = _binary(t, key[0], (folded[key[1]], folded[key[2]]))
+        elif len(key) == 1:
             folded[i] = i
+        elif key[0] == "-":
+            folded[i] = _neg(t, folded[key[1]])
+        else:
+            folded[i] = _call(t, key[0], folded[key[1]])
     return folded[slot]
 
 
@@ -245,19 +228,17 @@ def _simplify(t: Tape, folded: dict[int, int], slot: int) -> int:
 
 
 def _neg(t: Tape, child: int) -> int:
-    node = t.nodes[child]
-    if isinstance(node, Constant):
-        return _constant(t, -node.value)
+    value = t.constants.get(child)
+    if value is not None:
+        return _constant(t, -value)
     return t.put(("-", child))
 
 
 def _binary(t: Tape, op: str, args: tuple[int, int]) -> int:
-    # ``args`` holds the operands' slots as one pair, as ``Tape.args`` does;
-    # u and v are the operands' values where they are constants
+    # ``args`` holds the operands' slots as one pair; u and v are the
+    # operands' values where they are constants
     left, right = args
-    u, v = t.nodes[left], t.nodes[right]
-    u = u.value if isinstance(u, Constant) else None
-    v = v.value if isinstance(v, Constant) else None
+    u, v = t.constants.get(left), t.constants.get(right)
     if u is not None and v is not None:
         value = fold(op, u, v)
         if value is not None:
@@ -281,11 +262,11 @@ def _binary(t: Tape, op: str, args: tuple[int, int]) -> int:
 
 
 def _call(t: Tape, fn: str, arg: int) -> int:
-    node = t.nodes[arg]
-    if isinstance(node, Constant):
-        value = fold(fn, node.value)
-        if value is not None:
-            return _constant(t, value)
+    value = t.constants.get(arg)
+    if value is not None:
+        out = fold(fn, value)
+        if out is not None:
+            return _constant(t, out)
     return t.put((fn, arg))
 
 
@@ -296,14 +277,15 @@ def _constant(t: Tape, value: float) -> int:
 # --- smoothness analysis ----------------------------------------------------
 
 
-def _collect_hazards(t: Tape) -> list[tuple[int, WitnessKind, bool]]:
-    """(slot of inner, kind, zero_undefined) per hazard of the nodes on ``t``.
+def _collect_hazards(t: Tape, slot: int) -> list[tuple[int, WitnessKind, bool]]:
+    """(slot of inner, kind, zero_undefined) per hazard of the node at ``slot`` of ``t``.
 
-    Zeros of inner mark the trouble spots, where f is undefined if
+    Zeros of inner mark the trouble spots, where the node is undefined if
     zero_undefined (poles, ln, powers) and may only lose its derivative if
-    not (sqrt, abs).  The inner of tan(u), cos(u), is added to ``t``.
-    A power's exponent is folded on ``t`` by simplify's per-slot fold, with
-    one list of folded slots per call, so nested powers fold each node of
+    not (sqrt, abs).  Only the cone of ``slot`` is read, whatever else
+    ``t`` holds.  The inner of tan(u), cos(u), is put on ``t``.  A power's
+    exponent is folded on ``t`` by simplify's per-slot fold, with one
+    record of folded slots per call, so nested powers fold each node of
     their exponents once.
     """
     out: list[tuple[int, WitnessKind, bool]] = []
@@ -311,40 +293,36 @@ def _collect_hazards(t: Tape) -> list[tuple[int, WitnessKind, bool]]:
     # abs(u), abs(abs(u)) and so on: children come before their parent.
     # abs(u) only touches 0, where u crosses it: where that zero leaves f
     # undefined, the hazard is u, whose sign change the scan confirms
-    has_x: list[bool] = []
-    bare: list[int] = []
+    has_x: dict[int, bool] = {}
+    bare: dict[int, int] = {}
     folded: dict[int, int] = {}
-    # the walk reaches the cos(u) nodes and the folded exponents it adds as
-    # well, but only the nodes on t before it began can be hazards
-    end = len(t.nodes)
-    for i, (node, args) in enumerate(zip(t.nodes, t.args)):
-        has_x.append(isinstance(node, Variable) or any([has_x[j] for j in args]))
-        bare.append(bare[args[0]] if isinstance(node, Call) and node.fn == "abs" else i)
-        if i >= end:
-            continue
-        if isinstance(node, Binary):
-            if node.op == "/":
-                out.append((bare[args[1]], WitnessKind.POLE, True))
-            elif node.op == "^":
-                # the exponent's value decides, as in the evaluators: folding
-                # gives it wherever it is the same at every x
-                exponent = t.nodes[_simplify(t, folded, args[1])]
-                n = integer_exponent(exponent.value) if isinstance(exponent, Constant) else None
-                if n is None:
-                    out.append((bare[args[0]], WitnessKind.POWER_BOUNDARY, True))
-                elif n < 0:
-                    # reciprocal of an integer power: base zero is a pole
-                    out.append((bare[args[0]], WitnessKind.POLE, True))
-        elif isinstance(node, Call):
-            if node.fn == "ln":
-                out.append((bare[args[0]], WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
-            elif node.fn == "sqrt":
-                out.append((args[0], WitnessKind.LOG_OR_ROOT_BOUNDARY, False))
-            elif node.fn == "abs":
-                out.append((args[0], WitnessKind.ABS_KINK, False))
-            elif node.fn == "tan" and has_x[args[0]]:
-                # tan blows up where cos of its argument vanishes
-                out.append((t.add(Call("cos", node.argument)), WitnessKind.POLE, True))
+    for i in t.cone(slot):
+        part, *args = t.keys[i]
+        has_x[i] = part == "x" or any([has_x[j] for j in args])
+        bare[i] = bare[args[0]] if part == "abs" else i
+        if part == "/":
+            out.append((bare[args[1]], WitnessKind.POLE, True))
+        elif part == "^":
+            # the exponent's value decides, as in the evaluators: folding
+            # gives it wherever it is the same at every x
+            exponent = t.constants.get(_simplify(t, folded, args[1]))
+            n = None if exponent is None else integer_exponent(exponent)
+            if n is None:
+                out.append((bare[args[0]], WitnessKind.POWER_BOUNDARY, True))
+            elif n < 0:
+                # reciprocal of an integer power: base zero is a pole
+                out.append((bare[args[0]], WitnessKind.POLE, True))
+        elif part == "ln":
+            out.append((bare[args[0]], WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
+        elif part == "sqrt":
+            out.append((args[0], WitnessKind.LOG_OR_ROOT_BOUNDARY, False))
+        elif part == "abs":
+            out.append((args[0], WitnessKind.ABS_KINK, False))
+        elif part == "tan" and has_x[args[0]]:
+            # tan blows up where cos of its argument vanishes
+            cos = t.put(("cos", args[0]))
+            has_x[cos] = True
+            out.append((cos, WitnessKind.POLE, True))
     # an inner expression without x has one value on all of [a, b]: either f
     # raises everywhere, which the scan reports, or it is no hazard at all
     return [hazard for hazard in out if has_x[hazard[0]]]
@@ -526,14 +504,15 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int, tape: Tape | None = 
     are more than half of the grid: then no hazard is scanned, and the
     report reads only the first and the first interior undefined points.
 
-    ``e`` goes on ``tape`` where one is given that holds nothing or ``e``
-    alone, and on a tape of its own otherwise: a caller that reads ``e`` on
-    from its tape (with :func:`derivative`, say) then finds it there, and
-    walks it no more.
+    ``e`` goes on ``tape`` where one is given, whatever it holds already,
+    or on a new tape: the report reads only the cone of ``e``'s slot, so it
+    does not depend on which, and a caller that reads ``e`` on from
+    ``tape`` (with :func:`derivative`, say) finds it there and walks it no
+    more.
     """
     t = Tape() if tape is None else tape
     top = t.add(e)
-    hazards = _collect_hazards(t)
+    hazards = _collect_hazards(t, top)
     outs = [top, *(inner for inner, _, _ in hazards)]
     cells, undefined_cells, cleared = _triage(t, outs, iv, samples)
     proven = set(_rows(undefined_cells))

@@ -6,8 +6,7 @@ One tape per command line: each command parses f onto a tape of its own
 (:func:`~mvtcheck.expr.parse` keys every node there as it reads it), and
 the verdict, its plot, the derivative and the evaluation read f on that
 tape, so no command walks a parsed tree onto another tape.  Each constant
-expression (``--a``, ``--b``, ``--x``) is parsed onto a tape of its own,
-so f's tape holds f alone when the verdict begins.
+expression (``--a``, ``--b``, ``--x``) is parsed onto a tape of its own.
 
 Exit codes: 0 = applicable/success, 2 = not applicable or unknown,
 1 = usage, lex, or parse error.
@@ -31,7 +30,6 @@ from .expr import (
     Expr,
     SourceError,
     Tape,
-    Variable,
     evaluator,
     format_expr,
     parse,
@@ -142,7 +140,7 @@ def main() -> None:
 def _constant_value(text: str, flag: str) -> float:
     tape = Tape()
     slot = tape.add(parse(text, tape))
-    if Variable() in tape.nodes:
+    if ("x",) in tape.keys:
         raise _UsageError(f"--{flag} must be a constant expression, got {text!r}")
     try:
         return evaluator(tape, slot)(0.0)

@@ -7,12 +7,15 @@ named constants ``pi`` and ``e`` (folded to numbers at parse time).  The
 point evaluator :func:`evaluator` (which :func:`evaluate` runs on a tape of
 its own), the column pass :func:`tabulate` and the interval bounds
 :func:`enclose` run the :func:`steps` of a :class:`Tape`, which holds each
-distinct subexpression once, with one operator table.  :func:`parse` keys
-each node on a tape as it reads it, the caller's or one of its own, so the
-tree it returns is on that tape already and equal subexpressions in it are
-one node object.  No function here calls itself: the parser, the
-formatter and :meth:`Tape.add` keep explicit stacks, so no depth of
-nesting and no length of a sum limits them.
+distinct subexpression once, as a key over its children's slots, with one
+operator table.  Every pass over a tape reads those keys; node objects are
+read only where a tree enters the tape (:meth:`Tape.add`) and built only
+where one leaves it (:meth:`Tape.tree`).  :func:`parse` keys each node on a
+tape as it reads it, the caller's or one of its own, so the tree it returns
+is on that tape already and equal subexpressions in it are one node
+object.  No function here calls itself: the parser, the formatter and the
+tape keep explicit stacks, so no depth of nesting and no length of a sum
+limits them.
 
 Precedence, loosest to tightest: additive, multiplicative, unary minus,
 ``^`` (right associative); function application binds tightest.  There is
@@ -26,7 +29,7 @@ import math
 import operator
 import re
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 __all__ = [
     "Record",
@@ -234,12 +237,12 @@ def parse(source: str, tape: Tape | None = None) -> Expr:
 
     The operands are slots of ``tape`` (a tape of its own where none is
     given), and each node is keyed there with :meth:`Tape.put` as it is
-    reduced, which builds it only where its key is new (hash-consing, after
-    J.-C. Filliâtre and S. Conchon, "Type-safe modular hash-consing", ML
-    Workshop 2006).  So the tree is on ``tape`` in the order
-    :meth:`Tape.add` would put it there, ``tape.add`` of it only looks its
-    slot up, and equal subexpressions are one node object.  Where parsing
-    raises partway through, the nodes reduced so far stay on ``tape``.
+    reduced (hash-consing, after J.-C. Filliâtre and S. Conchon, "Type-safe
+    modular hash-consing", ML Workshop 2006); the tree returned is
+    :meth:`Tape.tree` of the root's slot.  So the tree is on ``tape`` in the
+    order :meth:`Tape.add` would put it there, ``tape.add`` of it only looks
+    its slot up, and equal subexpressions are one node object.  Where
+    parsing raises partway through, the keys reduced so far stay on ``tape``.
     """
     t = Tape() if tape is None else tape
     # the end marker gives every token a text ("" at the end) and a position
@@ -285,7 +288,7 @@ def parse(source: str, tape: Tape | None = None) -> Expr:
             # only openers wait now: the innermost one needs its ")"
             raise ParseError(position, "')'" if waiting else "end of input")
         else:
-            return t.nodes[operands[0]]
+            return t.tree(operands[0])
 
 
 # how tightly each binary operator binds; a unary minus binds _NEGATION
@@ -474,12 +477,12 @@ def steps(t: Tape, outs: Sequence[int]) -> list[tuple]:
     turn, each slot at its first place (the tape interpretation of A.
     Griewank and A. Walther, *Evaluating Derivatives*, SIAM 2008).
 
-    ``rule`` is the node's operator table entry and ``reads`` the slots of
-    the values it takes.  A power by a literal exponent has a rule of its
-    own, the exponent decided here, and reads its base only.  A leaf reads
-    nothing; its rule is its constant's value, or None for x.
+    ``rule`` is the operator table entry of the slot's key and ``reads``
+    the slots of the values it takes.  A power by a constant exponent has
+    a rule of its own, the exponent decided here, and reads its base only.
+    A leaf reads nothing; its rule is its constant's value, or None for x.
     """
-    nodes, args = t.nodes, t.args
+    keys, constants = t.keys, t.constants
     listed, pending = [], [None] * (max(outs) + 1)  # pending: per slot met, its step
     for out in outs:
         # a node met first pushes ~slot, listed once the slots it reads are,
@@ -492,22 +495,18 @@ def steps(t: Tape, outs: Sequence[int]) -> list[tuple]:
                 continue
             if pending[i] is not None:
                 continue
-            node, reads = nodes[i], args[i]
-            kind = node.__class__
-            if kind is Binary:
-                exponent = nodes[reads[1]]
-                if node.op == "^" and exponent.__class__ is Constant:
-                    rule, reads = _power(exponent.value), reads[:1]
-                else:
-                    rule = _RULES[node.op]
-            elif kind is Neg:
-                rule = _RULES["neg"]
-            elif kind is Call:
-                rule = _RULES[node.fn]
-            else:
-                pending[i] = step = (i, node.value if kind is Constant else None, ())
+            key = keys[i]
+            part, reads = key[0], key[1:]
+            if not reads:
+                pending[i] = step = (i, constants.get(i), ())
                 listed.append(step)
                 continue
+            if len(reads) == 1:
+                rule = _RULES["neg" if part == "-" else part]
+            elif part == "^" and reads[1] in constants:
+                rule, reads = _power(constants[reads[1]]), reads[:1]
+            else:
+                rule = _RULES[part]
             pending[i] = (i, rule, reads)
             stack.append(~i)
             if len(reads) == 2:
@@ -600,33 +599,38 @@ def tabulate(t: Tape, outs: Sequence[int], xs: Sequence[float]) -> list[list[flo
 class Tape:
     """The distinct subexpressions of some roots, children before their parent.
 
-    ``nodes[i]`` is a node and ``args[i]`` holds its children's slots, each
-    below ``i``.  ``add(root)`` puts ``root`` and every node below it on the
-    tape, children left to right, and returns the slot of ``root``.  A node
-    is keyed by its operator, function name or constant ``repr`` (which
-    keeps ``0.0`` and ``-0.0`` apart) and its children's slots, so equal
-    expressions take one slot, held by the first node met.  ``add`` keys
-    each node object once, from an explicit stack, so no depth of nesting
-    limits it; the tape's id map holds every node object it keyed, copies
-    too, so no id in it can pass to a new node.  ``put(key)`` keys one node
-    over slots already on the tape, and ``add`` keys through it, so one
-    method decides which nodes are equal.  ``put`` enters each node it
-    builds from a key into the id map as well, so every node on the tape
-    is there, and ``add`` of a tree that :func:`parse` or a pass building
-    slot by slot put on the tape is one lookup.
+    ``keys[i]`` is the key of slot ``i``: its operator, function name,
+    ``"-"`` for a negation, ``"x"`` or its constant's ``repr`` (which keeps
+    ``0.0`` and ``-0.0`` apart), then its children's slots, each below
+    ``i``; ``constants`` holds the value of each constant by slot.  Equal
+    keys take one slot, so equal expressions do (hash-consing).  ``put(key)``
+    keys one node over slots already on the tape and builds nothing, and
+    every pass that builds an expression slot by slot (the parser, the fold
+    and the derivative) keys it through ``put``.
+
+    Node objects are read and built only where a tree enters or leaves the
+    tape.  ``add(root)`` keys ``root`` and every node below it, children left
+    to right, from an explicit stack, so no depth of nesting limits it, and
+    returns the slot of ``root``.  ``tree(slot)`` gives the expression at
+    ``slot``, building the nodes that no slot of its cone has yet.  Each slot
+    keeps one node, the first that ``add`` met or ``tree`` built, and the
+    tape's id map holds every node either one met or built, copies too, so
+    no id in it can pass to a new node and ``add`` of any of them is one
+    lookup.
     """
 
     def __init__(self):
-        self.nodes: list[Expr] = []
-        self.args: list[tuple[int, ...]] = []
-        self._keys: dict[tuple, int] = {}  # (part, *child slots) -> slot
+        self.keys: list[tuple] = []
+        self.constants: dict[int, float] = {}
+        self._keys: dict[tuple, int] = {}  # key -> slot
         self._slots: dict[int, tuple[int, Expr]] = {}  # id(node) -> (slot, node)
+        self._trees: dict[int, Expr] = {}  # slot -> its node
 
     def add(self, root: Expr) -> int:
         # a node waits on the stack until each of its children has a slot:
         # it pushes them, right then left, and is keyed when it is back on
         # top; a node met again pops at once
-        slots = self._slots
+        slots, trees = self._slots, self._trees
         stack = [root]
         while stack:
             node = stack[-1]
@@ -648,35 +652,49 @@ class Tape:
                 key = (part, below[0])
             else:
                 key = ("x" if isinstance(node, Variable) else repr(node.value),)
-            slots[id(node)] = (self.put(key, node), node)
+            slot = self.put(key)
+            slots[id(node)] = (slot, node)
+            trees.setdefault(slot, node)
             stack.pop()
         return slots[id(root)][0]
 
-    def put(self, key: tuple, node: Expr | None = None) -> int:
-        """The slot of the node keyed ``key``: its operator, function name,
-        ``"-"`` for a negation, ``"x"`` or its constant's ``repr``, then its
-        children's slots.  Where no node on the tape has that key, ``node``
-        takes a new slot, or, where ``node`` is None, a node built from
-        ``key`` over the nodes at those slots, which enters the id map: so
-        a pass that builds nodes slot by slot (the parser, the fold and the
-        derivative) keys each one as it builds it, builds only the nodes
-        that are new, and ``add`` of a node it built only looks it up."""
+    def put(self, key: tuple) -> int:
+        """The slot of the node keyed ``key``, a new one where no slot has that key."""
         slot = self._keys.get(key)
         if slot is None:
-            nodes = self.nodes
-            slot = self._keys[key] = len(nodes)
-            if node is None:
-                part = key[0]
-                if len(key) == 3:
-                    node = Binary(part, nodes[key[1]], nodes[key[2]])
-                elif len(key) == 2:
-                    node = Neg(nodes[key[1]]) if part == "-" else Call(part, nodes[key[1]])
-                else:
-                    node = Variable() if part == "x" else Constant(float(part))
-                self._slots[id(node)] = (slot, node)
-            nodes.append(node)
-            self.args.append(key[1:])
+            slot = self._keys[key] = len(self.keys)
+            self.keys.append(key)
+            if len(key) == 1 and key[0] != "x":
+                self.constants[slot] = float(key[0])
         return slot
+
+    def cone(self, slot: int, known: Container[int] = ()) -> list[int]:
+        """The slots of the cone of ``slot``, in slot order.  The walk stops
+        at each slot in ``known``: that slot, and what only it reaches, is
+        left out."""
+        keys, cone, stack = self.keys, set(), [slot]
+        while stack:
+            i = stack.pop()
+            if i not in cone and i not in known:
+                cone.add(i)
+                stack += keys[i][1:]
+        return sorted(cone)
+
+    def tree(self, slot: int) -> Expr:
+        """The expression at ``slot``: its node, built where it has none,
+        over its children's nodes, built the same way in slot order."""
+        keys, trees, slots = self.keys, self._trees, self._slots
+        for i in self.cone(slot, trees):
+            key = keys[i]
+            if len(key) == 3:
+                node = Binary(key[0], trees[key[1]], trees[key[2]])
+            elif len(key) == 2:
+                node = Neg(trees[key[1]]) if key[0] == "-" else Call(key[0], trees[key[1]])
+            else:
+                node = Variable() if key[0] == "x" else Constant(self.constants[i])
+            trees[i] = node
+            slots[id(node)] = (i, node)
+        return trees[slot]
 
 
 # --- interval bounds ----------------------------------------------------------

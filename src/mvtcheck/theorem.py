@@ -4,13 +4,13 @@ Checks applicability (continuity on [a,b], differentiability on (a,b)),
 computes the secant slope m = (f(b) - f(a)) / (b - a), and locates a point
 c in (a, b) with f'(c) = m by sign-change bracketing and the ITP root
 search of :func:`~mvtcheck.numeric.bisect`.  One tape serves a verdict:
-the caller's, where it holds nothing or f alone (the command line parses f
-onto it), or a new one.  The smoothness analysis puts f on it where f is
-not there yet, f(a) and f(b) are read from it,
+the caller's, whatever it holds already (the command line parses f onto
+it), or a new one.  The smoothness analysis puts f on it where f is not
+there yet, f(a) and f(b) are read from it,
 :func:`~mvtcheck.calculus.derivative` folds and differentiates f slot by
 slot on it, and f' is evaluated by :func:`~mvtcheck.expr.evaluator` at the
-slot of f' there.  So f' is keyed node by node as it is built, neither f
-nor f' is walked as a tree, and no depth of either limits a verdict.
+slot of f' there.  So f' is keyed slot by slot and never built as a tree,
+f is not walked again, and no depth of either limits a verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from enum import Enum
 
 from .calculus import Verdict, analyze_smoothness, derivative
-from .expr import Constant, DomainError, Expr, Record, Tape, evaluator
+from .expr import DomainError, Expr, Record, Tape, evaluator
 from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
 
 # no call here reads differentiate, compile_evaluator or evaluate: bench/mvtbench/tracer.py
@@ -155,10 +155,11 @@ def verify_mvt(f: Expr, iv: Interval, cfg: Config | None = None, tape: Tape | No
     tolerance, NotApplicable with a reason and witness when a precondition
     fails, or Unknown when neither can be established.
 
-    The verdict is read on ``tape``, which must hold nothing or ``f``
-    alone (as :func:`~mvtcheck.expr.parse` leaves a tape it was given), or
-    on a tape of its own; the result does not depend on which.  The tape
-    then goes on past ``f`` with the hazards and f'.
+    The verdict is read on ``tape``, whatever it holds already (``f`` too,
+    as :func:`~mvtcheck.expr.parse` leaves a tape it was given), or on a
+    tape of its own; the result does not depend on which, and one tape
+    serves any number of verdicts.  The tape then goes on past ``f`` with
+    the hazards and f'.
     """
     return _pipeline(f, iv, cfg or Config(), None, tape)
 
@@ -215,13 +216,13 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None, tape: 
 
     # f is on the tape already, so tape.add(f) only looks its slot up
     slot = derivative(tape, tape.add(f))
-    d = tape.nodes[slot]
-    if isinstance(d, Constant):
+    d = tape.constants.get(slot)
+    if d is not None:
         # g = f' - m is one number: the scans below would find no sign
         # change, and end on the degenerate path or on this residual
-        residual = abs(d.value - m)
+        residual = abs(d - m)
         if residual <= EPS_RES:
-            return Applicable(midpoint(iv.a, iv.b), m, d.value, residual, 0, Method.DEGENERATE_CONSTANT)
+            return Applicable(midpoint(iv.a, iv.b), m, d, residual, 0, Method.DEGENERATE_CONSTANT)
         return _no_sign_change(residual)
     deriv = evaluator(tape, slot)
 

@@ -197,16 +197,16 @@ def test_derivative_reuses_the_slots_on_its_tape():
     # sin(x) keep the slots they hold for f, and no node of f is copied
     t = Tape()
     top = t.add(parse("sin(x)*x"))
-    sin, x = t.args[top]
-    f_nodes = list(t.nodes)
+    _, sin, x = t.keys[top]
+    f_keys = list(t.keys)
     d = derivative(t, top)
-    assert t.nodes[: len(f_nodes)] == f_nodes
-    product, sin_again = t.args[d]
+    assert t.keys[: len(f_keys)] == f_keys
+    _, product, sin_again = t.keys[d]
     assert sin_again == sin
-    cos, x_again = t.args[product]
-    assert x_again == x and t.args[cos] == (x,)
-    assert format_expr(t.nodes[d]) == "((cos(x) * x) + sin(x))"
-    assert len(t.nodes) == len(f_nodes) + 4  # 1 (the derivative of x), cos(x), the product, the sum
+    _, cos, x_again = t.keys[product]
+    assert x_again == x and t.keys[cos] == ("cos", x)
+    assert format_expr(t.tree(d)) == "((cos(x) * x) + sin(x))"
+    assert len(t.keys) == len(f_keys) + 4  # 1 (the derivative of x), cos(x), the product, the sum
 
 
 def test_differentiate_reads_e_on_the_tape_it_is_given(monkeypatch):
@@ -216,18 +216,19 @@ def test_differentiate_reads_e_on_the_tape_it_is_given(monkeypatch):
     source = "x^3*sin(x) + sin(x)/x"
     t = Tape()
     e = parse(source, t)
-    keyed = []
-    put = Tape.put
+    keyed = []  # per call of Tape.add, how many nodes it entered into the id map
+    add = Tape.add
 
-    def counted(self, key, node=None):
-        if node is not None:
-            keyed.append(node)
-        return put(self, key, node)
+    def counted(self, root):
+        known = len(self._slots)
+        slot = add(self, root)
+        keyed.append(len(self._slots) - known)
+        return slot
 
-    monkeypatch.setattr(Tape, "put", counted)
+    monkeypatch.setattr(Tape, "add", counted)
     d = differentiate(e, t)
-    assert t.nodes[t.add(d)] is d
-    assert keyed == []
+    assert t.tree(t.add(d)) is d
+    assert keyed and not any(keyed)
     assert d == differentiate(parse(source))
 
 
@@ -332,6 +333,15 @@ def test_smoothness_of_quadratic():
     assert report.continuous_on_closed is Verdict.YES
     assert report.differentiable_on_open is Verdict.YES
     assert report.witnesses == ()
+
+
+def test_smoothness_does_not_depend_on_what_else_the_tape_holds():
+    # the pole of 1/(x - 0.5) is on the tape first, but not in the cone of x^2
+    iv, t = Interval(0.0, 1.0), Tape()
+    t.add(parse("1/(x - 0.5)"))
+    report = analyze_smoothness(parse("x^2"), iv, SAMPLES, t)
+    assert report == analyze_smoothness(parse("x^2"), iv, SAMPLES)
+    assert report == SmoothnessReport(Verdict.YES, Verdict.YES, ())
 
 
 def test_smoothness_abs_kink():
@@ -854,8 +864,14 @@ def _listed(*exprs):
 
 def _hazards(e):
     """_collect_hazards on a tape of ``e``, each inner's node in place of its slot."""
+    t, (top,) = _taped(e)
+    return [(t.tree(slot), kind, zero_undefined) for slot, kind, zero_undefined in calculus._collect_hazards(t, top)]
+
+
+def _subtrees(e):
+    """The distinct subexpressions of ``e``, children first, as a tape of ``e`` holds them."""
     t, _ = _taped(e)
-    return [(t.nodes[slot], kind, zero_undefined) for slot, kind, zero_undefined in calculus._collect_hazards(t)]
+    return [t.tree(slot) for slot in range(len(t.keys))]
 
 
 def _unwrap_abs(e):
@@ -868,7 +884,7 @@ def _hazards_by_rewalking(e):
     """The hazard list as first defined: every candidate, kept when a walk
     of its inner expression finds x (quadratic in the nesting depth)."""
     found = []
-    for node in _taped(e)[0].nodes:
+    for node in _subtrees(e):
         if isinstance(node, Binary) and node.op == "/":
             found.append((node.right, WitnessKind.POLE, True))
         elif isinstance(node, Binary) and node.op == "^":
@@ -886,7 +902,7 @@ def _hazards_by_rewalking(e):
     return [
         (_unwrap_abs(inner) if zero_undefined else inner, kind, zero_undefined)
         for inner, kind, zero_undefined in found
-        if any(isinstance(n, Variable) for n in _taped(inner)[0].nodes)
+        if any(isinstance(n, Variable) for n in _subtrees(inner))
     ]
 
 
@@ -946,9 +962,9 @@ def test_nested_power_exponents_fold_in_linear_time(monkeypatch):
         e = Variable()
         for _ in range(levels):
             e = Binary("^", Binary("+", Variable(), Constant(1.0)), e)
-        t, _ = _taped(e)
+        t, (top,) = _taped(e)
         calls.clear()
-        calculus._collect_hazards(t)
+        calculus._collect_hazards(t, top)
         counts.append(len(calls))
     assert counts[0] >= 100 and counts[1] <= 2.2 * counts[0]
 
@@ -1034,7 +1050,9 @@ def test_one_analysis_keys_each_node_once(monkeypatch):
     # one tape, and its steps listed once for every pass of bounds
     assert len(tapes) == 1
     assert len(passes) >= 3 and all(listed is passes[0] for listed in passes)
-    # the 8 nodes of e, and the cos(x) of tan's pole hazard, each keyed once
-    assert len(lookups) == len({id(node) for node in keyed}) == len(keyed) == 9
+    # the 8 nodes of e, and the cos(x) of tan's pole hazard, each keyed
+    # once; only the nodes of e enter the id map
+    assert len(lookups) == 9
+    assert len({id(node) for node in keyed}) == len(keyed) == 8
     # the three x objects share one slot
-    assert len(tapes[0].nodes) == 7
+    assert len(tapes[0].keys) == 7

@@ -638,18 +638,19 @@ def test_commands_read_f_on_the_tape_it_was_parsed_onto(args, tmp_path, monkeypa
     # the evaluation find f where parse put it.  The outputs are those of
     # the library calls that put f on a tape of their own
     monkeypatch.chdir(tmp_path)
-    keyed = []
-    put = Tape.put
+    keyed = []  # per call of Tape.add, how many nodes it entered into the id map
+    add = Tape.add
 
-    def counted(self, key, node=None):
-        if node is not None:
-            keyed.append(node)
-        return put(self, key, node)
+    def counted(self, root):
+        known = len(self._slots)
+        slot = add(self, root)
+        keyed.append(len(self._slots) - known)
+        return slot
 
-    monkeypatch.setattr(Tape, "put", counted)
+    monkeypatch.setattr(Tape, "add", counted)
     code = run(args)
     monkeypatch.undo()
-    assert keyed == []
+    assert keyed and not any(keyed)
     out = capsys.readouterr().out
     f = parse(args[2])
     if args[0] == "diff":

@@ -293,12 +293,12 @@ def test_parse_puts_the_tree_on_the_tape_it_is_given(source):
     t = Tape()
     e = parse(source, t)
     lookups = _counted_lookups(t)
-    assert t.add(e) == len(t.nodes) - 1
+    assert t.add(e) == len(t.keys) - 1
     assert lookups == []
-    assert t.nodes[-1] is e
+    assert t.tree(len(t.keys) - 1) is e
     reference = ReferenceTape()
     reference.add(e)
-    assert t.args == reference.args
+    assert [key[1:] for key in t.keys] == reference.args
 
 
 @given(st.lists(grammar_exprs(max_leaves=8), min_size=1, max_size=3))
@@ -311,14 +311,14 @@ def test_parse_onto_a_shared_tape_matches_the_reference_tape(exprs):
         lookups = _counted_lookups(t)
         assert t.add(parsed) == reference.add(e)
         assert lookups == []
-    assert t.args == reference.args
+    assert [key[1:] for key in t.keys] == reference.args
 
 
 def test_a_failed_parse_leaves_what_it_reduced_on_the_tape():
     t = Tape()
     with pytest.raises(ParseError):
         parse("x*x + sin(", t)
-    assert format_expr(t.nodes[-1]) == "(x * x)"
+    assert format_expr(t.tree(len(t.keys) - 1)) == "(x * x)"
 
 
 # --- format -----------------------------------------------------------------
@@ -672,8 +672,8 @@ def test_evaluator_matches_reference_at_every_slot(exprs, x):
     # a tape that the expressions share, so a slot's cone may skip the
     # nodes between its own
     t, _ = _taped(*exprs)
-    for slot, node in enumerate(t.nodes):
-        _assert_matches_reference(evaluator(t, slot), node, x)
+    for slot in range(len(t.keys)):
+        _assert_matches_reference(evaluator(t, slot), t.tree(slot), x)
 
 
 def test_constants_keep_the_sign_of_zero_apart():
@@ -697,9 +697,9 @@ def test_each_column_is_its_nodes_evaluation(e, xs):
     # infinity): only the nodes that read it are None there
     t = Tape()
     t.add(e)
-    columns = tabulate(t, range(len(t.nodes)), xs)
+    columns = tabulate(t, range(len(t.keys)), xs)
     for row, x in enumerate(xs):
-        for node, column in zip(t.nodes, columns, strict=True):
+        for node, column in zip(map(t.tree, range(len(t.keys))), columns, strict=True):
             assert repr(column[row]) == repr(_reference(node, x))
 
 
@@ -772,14 +772,14 @@ def test_tape_holds_children_first_and_shared_nodes_once():
     e = Binary("+", shared, Neg(shared))
     t = Tape()
     assert t.add(e) == 3
-    assert [id(node) for node in t.nodes] == [id(shared.argument), id(shared), id(e.right), id(e)]
-    assert t.args == [(), (0,), (1,), (1, 2)]
+    assert [id(t.tree(slot)) for slot in range(4)] == [id(shared.argument), id(shared), id(e.right), id(e)]
+    assert t.keys == [("x",), ("sin", 0), ("-", 1), ("+", 1, 2)]
     # a node on the tape keeps its slot, and adding it appends nothing
     assert t.add(shared) == 1
-    assert len(t.nodes) == len(t.args) == 4
+    assert len(t.keys) == 4
     # a new root appends only what is not on the tape yet
     assert t.add(Call("cos", shared)) == 4
-    assert t.args[4:] == [(1,)]
+    assert t.keys[4:] == [("cos", 1)]
 
 
 def test_equal_expressions_take_one_slot():
@@ -787,12 +787,14 @@ def test_equal_expressions_take_one_slot():
     first, second = parse("x - 0.3"), parse("x - 0.3")
     t = Tape()
     assert t.add(Binary("/", first, second)) == 3
-    assert t.nodes[2] is first and t.args == [(), (), (0, 1), (2, 2)]
-    # a constant is keyed by its repr: 0.0, -0.0 and -(0.0) take three slots
+    assert t.tree(2) is first and t.keys == [("x",), ("0.3",), ("-", 0, 1), ("/", 2, 2)]
+    # a constant is keyed by its repr: 0.0, -0.0 and -(0.0) take three
+    # slots, and the tape keeps each constant's value, its sign too
     assert [t.add(Constant(0.0)), t.add(Constant(-0.0)), t.add(Neg(Constant(0.0)))] == [4, 5, 6]
+    assert {slot: repr(value) for slot, value in t.constants.items()} == {1: "0.3", 4: "0.0", 5: "-0.0"}
     # an equal but distinct tree returns the old slot and appends nothing
     assert t.add(parse("(x - 0.3) / (x - 0.3)")) == 3
-    assert len(t.nodes) == len(t.args) == 7
+    assert len(t.keys) == 7
 
 
 def test_a_dropped_copy_leaves_its_slot_to_no_new_node():
@@ -801,8 +803,8 @@ def test_a_dropped_copy_leaves_its_slot_to_no_new_node():
     t = Tape()
     t.add(parse("cos(x)"))
     for fn in ("sin", "tan", "exp", "ln", "sqrt", "abs"):
-        assert t.add(Call("cos", t.nodes[0])) == 1
-        assert t.nodes[t.add(Call(fn, t.nodes[0]))].fn == fn
+        assert t.add(Call("cos", t.tree(0))) == 1
+        assert t.tree(t.add(Call(fn, t.tree(0)))).fn == fn
 
 
 def test_tape_has_no_depth_limit():
@@ -811,7 +813,7 @@ def test_tape_has_no_depth_limit():
         e = Neg(e)
     t = Tape()
     assert t.add(e) == 20000
-    assert t.args == [(), *[(i,) for i in range(20000)]]
+    assert t.keys == [("x",), *[("-", i) for i in range(20000)]]
 
 
 def test_tape_keys_a_shared_dag_once_per_object():
@@ -821,8 +823,34 @@ def test_tape_keys_a_shared_dag_once_per_object():
         u = Binary("*", u, u)
     t = Tape()
     assert t.add(u) == 200
-    assert len(t.nodes) == len(t.args) == 201
+    assert len(t.keys) == 201
     assert len(t._slots) == 201
+
+
+def test_put_keys_and_tree_builds_each_missing_node_once():
+    # put keys a slot and builds nothing; tree builds the nodes that no
+    # slot of the cone has yet, over the nodes that add met, keeps one
+    # node per slot, and enters each into the id map, so add of the tree
+    # is one lookup
+    t = Tape()
+    sin = parse("sin(x)")
+    below = t.add(sin)
+    known = dict(t._slots)
+    negated = t.put(("-", below))
+    top = t.put(("*", negated, t.put(("-0.0",))))
+    assert t._slots == known
+    e = t.tree(top)
+    assert format_expr(e) == "((-sin(x)) * (-0))"
+    assert e.left.child is sin and t.tree(negated) is e.left and t.tree(top) is e
+    lookups = _counted_lookups(t)
+    assert t.add(e) == top and lookups == []
+    # 20000 negations keyed by put, built without recursion
+    t = Tape()
+    slot = t.put(("x",))
+    for _ in range(20000):
+        slot = t.put(("-", slot))
+    e = t.tree(slot)
+    assert isinstance(e, Neg) and t.add(e) == slot == 20000
 
 
 @given(st.lists(grammar_exprs(max_leaves=8), min_size=1, max_size=2), st.data())
@@ -838,8 +866,8 @@ def test_tape_matches_the_reference_tape(exprs, data):
     roots = [copy.deepcopy(pool[i]) if fresh else pool[i] for i, fresh in picks]
     t, reference = Tape(), ReferenceTape()
     assert [t.add(root) for root in roots] == [reference.add(root) for root in roots]
-    assert [id(node) for node in t.nodes] == [id(node) for node in reference.nodes]
-    assert t.args == reference.args
+    assert [id(t.tree(slot)) for slot in range(len(t.keys))] == [id(node) for node in reference.nodes]
+    assert [key[1:] for key in t.keys] == reference.args
 
 
 def _assert_encloses(t, outs, iv, bounds):
@@ -854,7 +882,7 @@ def _assert_encloses(t, outs, iv, bounds):
                 assert value is not None and lo <= value <= hi, (x, value, lo, hi)
     for x in grid(iv, 97):
         for out, (lo, hi) in zip(outs, bounds):
-            assert lo <= reference_evaluate(t.nodes[out], x) <= hi
+            assert lo <= reference_evaluate(t.tree(out), x) <= hi
 
 
 @given(st.one_of(grammar_exprs(), smooth_exprs()), st.data())
@@ -866,7 +894,8 @@ def test_enclosures_hold_every_compiled_value(e, data):
     # the tape and slots that analyze_smoothness bounds and tabulates: e,
     # then its hazards' inner expressions, tan(u)'s cos(u) added last
     t = Tape()
-    outs = [t.add(e), *(slot for slot, _, _ in calculus._collect_hazards(t))]
+    top = t.add(e)
+    outs = [top, *(slot for slot, _, _ in calculus._collect_hazards(t, top))]
     # and some more of the nodes that the pass reads, whose bounds hold too
     outs += data.draw(st.lists(st.integers(0, max(outs)), max_size=4), label="more")
     try:

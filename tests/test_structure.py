@@ -11,8 +11,8 @@ near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
 ``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only,
 ``POWER_OF_NON_POSITIVE`` in ``_pow`` only and the ln and sqrt failures in
 their entries of the operator table ``_RULES`` only, ``expr`` asks which
-class a node is in ``steps``, the formatter and ``Tape`` only, ``expr``
-reads a tape's ``_keys`` in ``Tape.put`` only,
+class a node is in the formatter and ``Tape`` only, no module but ``expr``
+imports a node class, ``expr`` reads a tape's ``_keys`` in ``Tape.put`` only,
 ``calculus`` reads its node builders ``_neg``, ``_binary`` and ``_call``
 in ``_simplify`` and ``_derivative`` only, no
 module imports ``dataclasses``, no module calls ``exec``, ``eval`` or
@@ -400,11 +400,10 @@ def test_ln_and_sqrt_rules_are_stated_in_domains_only(name):
     assert mentions and outside == []
 
 
-# the expression node classes, and the functions of expr that may ask
-# which one a node is: the formatter, the tape's walk over a tree, and
-# steps, which decides once what each node of a cone computes
+# the expression node classes, and the parts of expr that may ask which
+# one a node is: the formatter, and the tape, where a tree enters it
 NODE_CLASSES = {"Expr", "Constant", "Variable", "Neg", "Binary", "Call"}
-NODE_READERS = {"format_expr", "Tape", "steps"}
+NODE_READERS = {"format_expr", "Tape"}
 
 
 def _node_class_tests(tree):
@@ -424,13 +423,28 @@ def _node_class_tests(tree):
                 yield owner, node.lineno
 
 
-def test_interpreters_ask_a_nodes_class_in_steps_only():
-    # evaluator, tabulate and enclose run the steps that steps() lists,
-    # each with the rule it chose for the node, so no interpreter asks
-    # again, per node or per call, what a node is
+def test_only_the_tape_and_the_formatter_ask_a_nodes_class():
+    # every pass over a tape, steps and the interpreters included, reads
+    # each slot's key, so nothing but the tape's way in from a tree and the
+    # formatter asks what a node is
     found = list(_node_class_tests(_tree(ROOT / "src" / "mvtcheck" / "expr.py")))
-    assert {owner for owner, _ in found} >= {"steps"}
+    assert {owner for owner, _ in found} == NODE_READERS
     assert [f"line {line}: {owner}" for owner, line in found if owner not in NODE_READERS] == []
+
+
+def test_only_expr_imports_the_node_classes():
+    # calculus, theorem and cli read a tape's keys, and take and give trees
+    # as the Expr they annotate: no other module names a node class
+    imported = [
+        f"{path.name} line {node.lineno}: {alias.name}"
+        for path in SOURCES
+        if path.name != "expr.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in NODE_CLASSES - {"Expr"}
+    ]
+    assert imported == []
 
 
 def test_node_keys_are_read_by_the_tape_only():

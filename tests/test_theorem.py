@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mvtcheck import calculus, theorem
 from mvtcheck.expr import (
     Binary,
+    Call,
     Constant,
     DomainError,
     DomainErrorKind,
@@ -106,9 +107,9 @@ def test_secant_slope_does_not_depend_on_the_tape(text, a, b):
     full = Tape()
     full.add(parse("cos(x) + 1"))
     full.add(f)
-    size = len(full.nodes)
+    size = len(full.keys)
     assert slope() == slope(Tape()) == slope(full)
-    assert len(full.nodes) == size
+    assert len(full.keys) == size
 
 
 @given(st.one_of(grammar_exprs(), smooth_exprs()), st.floats(-5.0, 5.0), st.floats(0.01, 5.0), st.booleans())
@@ -119,10 +120,83 @@ def test_a_verdict_does_not_depend_on_the_tape(e, a, width, rolle):
     iv, verify = Interval(a, a + width), verify_rolle if rolle else verify_mvt
     empty, parsed = Tape(), Tape()
     f = parse(format_expr(e), parsed)
-    size = len(parsed.nodes)
+    size = len(parsed.keys)
     assert verify(f, iv, None, empty) == verify(f, iv, None, parsed) == verify(f, iv)
-    assert empty.nodes[:size] == parsed.nodes[:size]
+    assert empty.keys[:size] == parsed.keys[:size]
     assert parsed.add(f) == size - 1
+
+
+def test_one_tape_serves_any_number_of_verdicts():
+    # the second verdict finds f' of the first on the tape, 1/(2*sqrt(x))
+    # with its pole at 0, but reads the hazards of f alone
+    t = Tape()
+    f = parse("sqrt(x)", t)
+    iv = Interval(0.0, 1.0)
+    first = verify_mvt(f, iv, None, t)
+    assert isinstance(first, Applicable)
+    assert verify_mvt(f, iv, None, t) == first == verify_mvt(f, iv)
+
+
+# hazards of every kind, exponents that fold, tan's cos(u), and each path
+_NO_NODE_CORPUS = [
+    ("x^3 - 4*x + sin(2*x)", -1.0, 2.0),
+    ("tan(x) + x^(4/2) + sqrt(x + 1) + ln(x + 2) + abs(x - 3)", -0.5, 1.0),
+    ("1/x + x^0.5", -1.0, 1.0),
+    ("abs(x)", -1.0, 1.0),
+    ("3*x + 1", 0.0, 2.0),
+    ("exp(x)/(x^2 + 1)", 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("text, a, b", _NO_NODE_CORPUS)
+def test_a_verdict_builds_no_node(monkeypatch, text, a, b):
+    # with f parsed onto its tape, the analysis, the fold, f' and every scan
+    # read the tape's keys: no node object is built, and the id map stays
+    # as parse left it
+    t = Tape()
+    f = parse(text, t)
+    known = dict(t._slots)
+    built = []
+    for cls in (Binary, Call, Constant, Neg, Variable):
+
+        def counted(self, *args, _init=cls.__init__):
+            built.append(self)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    iv = Interval(a, b)
+    results = [verify_mvt(f, iv, None, t), verify_rolle(f, iv, None, t)]
+    monkeypatch.undo()
+    assert built == []
+    assert t._slots == known
+    assert results == [verify_mvt(f, iv), verify_rolle(f, iv)]
+
+
+def _swapped(e):
+    """``e`` with the operands of every ``+`` and ``*`` swapped."""
+    if isinstance(e, Binary):
+        left, right = _swapped(e.left), _swapped(e.right)
+        return Binary(e.op, right, left) if e.op in "+*" else Binary(e.op, left, right)
+    if isinstance(e, Neg):
+        return Neg(_swapped(e.child))
+    if isinstance(e, Call):
+        return Call(e.fn, _swapped(e.argument))
+    return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammar_exprs())
+def test_swapping_the_operands_of_sums_and_products_changes_no_verdict(e):
+    # float + and * are commutative, exactly, and so is every bound and
+    # fold rule over them: the verdicts, with every number in them, are
+    # the same
+    swapped = _swapped(e)
+    for a, b in [(-1.0, 1.1), (0.19, 2.94), (1e-3, 5.0), (-3.0, -0.5)]:
+        iv = Interval(a, b)
+        for samples in (1024, 97):
+            cfg = Config(samples=samples)
+            for verify in (verify_mvt, verify_rolle):
+                assert repr(verify(swapped, iv, cfg)) == repr(verify(e, iv, cfg))
 
 
 def test_flat_sum_of_1000_terms_gets_a_verdict():
@@ -348,7 +422,7 @@ def _count_derivative_calls(monkeypatch, f):
 
     def counting_evaluator(t, slot):
         deriv = evaluator(t, slot)
-        if t.nodes[slot] is f:
+        if slot == t.add(f):
             # the pipeline reads f itself only for the secant slope or
             # Rolle's precondition
             return deriv
@@ -415,7 +489,7 @@ def _never_constant(t, slot):
     # the slot of f' as derivative gives it, but of -(-k) for a constant k:
     # the same value at every x, and the pipeline scans it as it scans any f'
     d = calculus.derivative(t, slot)
-    return t.add(Neg(Neg(t.nodes[d]))) if isinstance(t.nodes[d], Constant) else d
+    return t.put(("-", t.put(("-", d)))) if d in t.constants else d
 
 
 _MAX = 1.7976931348623157e308
@@ -492,7 +566,7 @@ def test_verdicts_do_not_depend_on_the_walk_budget(monkeypatch, text, a, b):
     def walked(t, slot):
         def at(x):
             try:
-                return reference_evaluate(t.nodes[slot], x)
+                return reference_evaluate(t.tree(slot), x)
             except ReferenceDomainError as err:
                 raise DomainError(err.point, DomainErrorKind[err.kind]) from None
 
