@@ -125,25 +125,24 @@ def derivative(t: Tape, slot: int) -> int:
     """The slot of :func:`differentiate` of the node at ``slot`` of ``t``,
     put on ``t`` itself.
 
-    Two loops in slot order, neither of which recurses: the first folds
-    each slot of the cone of ``slot`` from its children's folded slots, as
-    :func:`simplify` does, and the second gives each folded slot a
-    derivative slot from its children's derivative slots (the tape
-    differentiation of A. Griewank and A. Walther, *Evaluating
+    Two loops, neither of which recurses: the first folds each slot of the
+    cone of ``slot`` from its children's folded slots, as :func:`simplify`
+    does, and the second gives each slot that :func:`~mvtcheck.expr.steps`
+    lists for the folded slot a derivative slot from its children's (the
+    tape differentiation of A. Griewank and A. Walther, *Evaluating
     Derivatives*, SIAM 2008).  Every node either loop builds is keyed on
     ``t`` as it is built, so no tree of the derivative is walked again, a
     subexpression already on ``t`` keeps its slot, and each distinct one is
     derived once.
     """
-    folded: dict[int, int] = {}
-    top = _simplify(t, folded, slot)
-    return _derivative(t, sorted(set(folded.values())))[top]
+    top = _simplify(t, {}, slot)
+    return _derivative(t, [i for i, _, _ in steps(t, [top])])[top]
 
 
 def _derivative(t: Tape, slots: list[int]) -> dict[int, int]:
     # per slot of ``slots``, the slot of its node's derivative.  ``slots``
-    # are folded, in slot order, and hold the children of each of their
-    # nodes, so each node is derived once, from its children's derivatives
+    # are the cone of a folded slot, children first, so each node is
+    # derived once, from its children's derivatives
     constants, d = t.constants, {}
     for i in slots:
         part, *args = t.keys[i]
@@ -296,7 +295,7 @@ def _collect_hazards(t: Tape, slot: int) -> list[tuple[int, WitnessKind, bool]]:
     has_x: dict[int, bool] = {}
     bare: dict[int, int] = {}
     folded: dict[int, int] = {}
-    for i in t.cone(slot):
+    for i, _, _ in steps(t, [slot]):
         part, *args = t.keys[i]
         has_x[i] = part == "x" or any([has_x[j] for j in args])
         bare[i] = bare[args[0]] if part == "abs" else i
@@ -405,24 +404,23 @@ def _triage(
     bounds allow on the cells they clear.
 
     The whole grid is the first cell, and a cell [lo, hi] is halved into
-    two that share their middle row.  ``enclose`` of the steps of ``outs``,
-    listed once, over [xs[lo], xs[hi]] settles a cell as cleared where it
-    proves e finite and every hazard clear of zero, and as undefined where
-    it raises DomainError.  A cell that is not settled is halved again only
-    where its sibling settled (the whole grid has none), and while it has
-    at least 2 * _MIN_CELL grid intervals: where bounds fail on both
-    halves, they tend to fail on every smaller cell too.  Both lists of
-    cells come in order.
+    two that share their middle row.  ``enclose`` of ``outs`` on ``t``,
+    whose steps the tape lists once for every cell, over [xs[lo], xs[hi]]
+    settles a cell as cleared where it proves e finite and every hazard
+    clear of zero, and as undefined where it raises DomainError.  A cell
+    that is not settled is halved again only where its sibling settled (the
+    whole grid has none), and while it has at least 2 * _MIN_CELL grid
+    intervals: where bounds fail on both halves, they tend to fail on every
+    smaller cell too.  Both lists of cells come in order.
     """
     scanned: list[tuple[int, int]] = []
     undefined: list[tuple[int, int]] = []
     cleared: list[list[float]] = [[] for _ in outs[1:]]
-    listed = steps(t, outs)
 
     def settle(cell: tuple[int, int], a: float, b: float) -> bool:
         # whether bounds over [a, b] settle the cell, which is then recorded
         try:
-            bounds = enclose(listed, outs, a, b)
+            bounds = enclose(t, outs, a, b)
         except DomainError:
             undefined.append(cell)
             return True

@@ -6,16 +6,16 @@ functions sin, cos, tan, exp, ln, sqrt, abs, the variable ``x``, and the
 named constants ``pi`` and ``e`` (folded to numbers at parse time).  The
 point evaluator :func:`evaluator` (which :func:`evaluate` runs on a tape of
 its own), the column pass :func:`tabulate` and the interval bounds
-:func:`enclose` run the :func:`steps` of a :class:`Tape`, which holds each
-distinct subexpression once, as a key over its children's slots, with one
-operator table.  Every pass over a tape reads those keys; node objects are
-read only where a tree enters the tape (:meth:`Tape.add`) and built only
-where one leaves it (:meth:`Tape.tree`).  :func:`parse` keys each node on a
-tape as it reads it, the caller's or one of its own, so the tree it returns
-is on that tape already and equal subexpressions in it are one node
-object.  No function here calls itself: the parser, the formatter and the
-tape keep explicit stacks, so no depth of nesting and no length of a sum
-limits them.
+:func:`enclose` take a :class:`Tape`, which holds each distinct
+subexpression once, as a key over its children's slots, and run its
+:func:`steps`, each cone listed once, with one operator table.  Every pass
+over a tape reads those keys; node objects are read only where a tree
+enters the tape (:meth:`Tape.add`) and built only where one leaves it
+(:meth:`Tape.tree`).  :func:`parse` keys each node on a tape as it reads
+it, the caller's or one of its own, so the tree it returns is on that tape
+already and equal subexpressions in it are one node object.  No function
+here calls itself: the parser, the formatter and the tape keep explicit
+stacks, so no depth of nesting and no length of a sum limits them.
 
 Precedence, loosest to tightest: additive, multiplicative, unary minus,
 ``^`` (right associative); function application binds tightest.  There is
@@ -357,9 +357,9 @@ def _format_number(v: float) -> str:
 # Three interpreters read a tape and generate no code: evaluator, one point
 # at a time (evaluate is evaluator on a tape of its own), the column pass
 # tabulate, and the interval bounds enclose.  Each is one loop, with its own
-# arithmetic, over the steps that steps() lists: each slot of a cone with
-# its rule, an entry of the one operator table _RULES, chosen once as the
-# list is built.  _div and _pow return an _Undefined NaN where / and ^
+# arithmetic, over the steps that steps() lists once per tape: each slot of
+# a cone with its rule, an entry of the one operator table _RULES, chosen
+# as the list is built.  _div and _pow return an _Undefined NaN where / and ^
 # fail, and the ln and sqrt entries state their domains, so each rule is
 # stated once.  The one exception is the column form of a literal power
 # that _pow multiplies out to k >= 1: u * ... * u, which is _repeat's
@@ -475,18 +475,25 @@ def steps(t: Tape, outs: Sequence[int]) -> list[tuple]:
     """One ``(slot, rule, reads)`` per slot of the cone of the slots
     ``outs`` of ``t``, in the left-to-right postorder of each output in
     turn, each slot at its first place (the tape interpretation of A.
-    Griewank and A. Walther, *Evaluating Derivatives*, SIAM 2008).
+    Griewank and A. Walther, *Evaluating Derivatives*, SIAM 2008).  Keys
+    never change, so each list is made once and kept on ``t``.
 
     ``rule`` is the operator table entry of the slot's key and ``reads``
-    the slots of the values it takes.  A power by a constant exponent has
-    a rule of its own, the exponent decided here, and reads its base only.
-    A leaf reads nothing; its rule is its constant's value, or None for x.
+    the slots of the values it takes; a leaf reads nothing, and its rule is
+    its constant's value, or None for x.  A power by a constant exponent
+    reads its base only, with a rule of its own, the exponent decided here
+    and listed as a leaf all the same.
     """
+    if tuple(outs) in t._steps:
+        return t._steps[tuple(outs)]
     keys, constants = t.keys, t.constants
-    listed, pending = [], [None] * (max(outs) + 1)  # pending: per slot met, its step
+    listed = list(t._steps.get(tuple(outs[:1]), ()))  # from the first output's list, where kept
+    pending = [None] * (max(outs) + 1)  # per slot met, its step
+    for step in listed:
+        pending[step[0]] = step
     for out in outs:
-        # a node met first pushes ~slot, listed once the slots it reads are,
-        # then those slots, right then left; a leaf is listed at once
+        # a node met first pushes ~slot, listed once the slots below it
+        # are, then those slots, right then left; a leaf is listed at once
         stack = [out]
         while stack:
             i = stack.pop()
@@ -496,11 +503,11 @@ def steps(t: Tape, outs: Sequence[int]) -> list[tuple]:
             if pending[i] is not None:
                 continue
             key = keys[i]
-            part, reads = key[0], key[1:]
-            if not reads:
+            if len(key) == 1:
                 pending[i] = step = (i, constants.get(i), ())
                 listed.append(step)
                 continue
+            part, reads = key[0], key[1:]
             if len(reads) == 1:
                 rule = _RULES["neg" if part == "-" else part]
             elif part == "^" and reads[1] in constants:
@@ -509,9 +516,8 @@ def steps(t: Tape, outs: Sequence[int]) -> list[tuple]:
                 rule = _RULES[part]
             pending[i] = (i, rule, reads)
             stack.append(~i)
-            if len(reads) == 2:
-                stack.append(reads[1])
-            stack.append(reads[0])
+            stack += key[:0:-1]
+    t._steps[tuple(outs)] = listed
     return listed
 
 
@@ -587,7 +593,7 @@ def tabulate(t: Tape, outs: Sequence[int], xs: Sequence[float]) -> list[list[flo
     for n, (i, rule, reads) in enumerate(listed):
         if reads:
             columns[i] = rule.column(*[columns[j] for j in reads])
-        else:
+        elif i in last:  # a literal exponent that nothing else reads has none
             columns[i] = list(xs) if rule is None else [rule] * len(xs)
         for j in reads:
             if last[j] == n:
@@ -625,6 +631,7 @@ class Tape:
         self._keys: dict[tuple, int] = {}  # key -> slot
         self._slots: dict[int, tuple[int, Expr]] = {}  # id(node) -> (slot, node)
         self._trees: dict[int, Expr] = {}  # slot -> its node
+        self._steps: dict[tuple[int, ...], list[tuple]] = {}  # tuple(outs) -> steps(self, outs)
 
     def add(self, root: Expr) -> int:
         # a node waits on the stack until each of its children has a slot:
@@ -668,10 +675,10 @@ class Tape:
                 self.constants[slot] = float(key[0])
         return slot
 
-    def cone(self, slot: int, known: Container[int] = ()) -> list[int]:
-        """The slots of the cone of ``slot``, in slot order.  The walk stops
-        at each slot in ``known``: that slot, and what only it reaches, is
-        left out."""
+    def cone(self, slot: int, known: Container[int]) -> list[int]:
+        """The slots of the cone of ``slot`` in slot order, for a fold that
+        has ``known`` already: the walk stops at each slot in it, so that
+        slot, and what only it reaches, is left out."""
         keys, cone, stack = self.keys, set(), [slot]
         while stack:
             i = stack.pop()
@@ -682,9 +689,9 @@ class Tape:
 
     def tree(self, slot: int) -> Expr:
         """The expression at ``slot``: its node, built where it has none,
-        over its children's nodes, built the same way in slot order."""
+        over its children's nodes, built the same way in :func:`steps` order."""
         keys, trees, slots = self.keys, self._trees, self._slots
-        for i in self.cone(slot, trees):
+        for i in [i for i, _, _ in steps(self, [slot]) if i not in trees]:
             key = keys[i]
             if len(key) == 3:
                 node = Binary(key[0], trees[key[1]], trees[key[2]])
@@ -713,11 +720,11 @@ _LIBM_STEPS = 4
 Bounds = tuple[float, float]
 
 
-def enclose(listed: Sequence[tuple], outs: Sequence[int], a: float, b: float) -> list[Bounds] | None:
-    """Bounds ``(lo, hi)`` on the computed value of each slot of ``outs`` for x in [a, b].
+def enclose(t: Tape, outs: Sequence[int], a: float, b: float) -> list[Bounds] | None:
+    """Bounds ``(lo, hi)`` on the computed value of each slot ``outs`` of ``t`` for x in [a, b].
 
-    ``listed`` is :func:`steps` of ``outs``, which a caller lists once for
-    many intervals.  For every float x with a <= x <= b, the evaluators
+    It runs the :func:`steps` of ``outs``, listed once per tape, by their
+    bounds rules.  For every float x with a <= x <= b, the evaluators
     that :func:`evaluator` builds for these slots raise nothing, and they
     and :func:`tabulate` give, for each slot, a value within its bounds.
     Returns None, at the first step it cannot bound, when that cannot be
@@ -736,7 +743,7 @@ def enclose(listed: Sequence[tuple], outs: Sequence[int], a: float, b: float) ->
         raise ValueError("need finite a <= b")
     bounds: list[Bounds | None] = [None] * (max(outs) + 1)  # per slot
     isfinite = math.isfinite
-    for i, rule, reads in listed:
+    for i, rule, reads in steps(t, outs):
         if not reads:
             # x, or a constant, which is finite
             bounds[i] = (a, b) if rule is None else (rule, rule)

@@ -209,6 +209,15 @@ def test_derivative_reuses_the_slots_on_its_tape():
     assert len(t.keys) == len(f_keys) + 4  # 1 (the derivative of x), cos(x), the product, the sum
 
 
+def test_derivative_keys_only_what_the_folded_cone_reads():
+    # 0*ln(x) folds to 0, so f' = 2*x reads no derivative of ln(x): its
+    # 1/x is never keyed, though ln(x) stays on the tape
+    t = Tape()
+    d = derivative(t, t.add(parse("0*ln(x) + x^2")))
+    assert format_expr(t.tree(d)) == "(2 * x)"
+    assert [key for key in t.keys if key[0] == "/"] == []
+
+
 def test_differentiate_reads_e_on_the_tape_it_is_given(monkeypatch):
     # f parsed onto t is derived there: t.add finds f's root, so no node of
     # f is keyed again, t.add finds f' too, and the result equals the one
@@ -856,12 +865,6 @@ def _taped(*exprs):
     return t, [t.add(e) for e in exprs]
 
 
-def _listed(*exprs):
-    """The steps of a tape holding ``exprs``, and their slots on it: what enclose reads."""
-    t, outs = _taped(*exprs)
-    return steps(t, outs), outs
-
-
 def _hazards(e):
     """_collect_hazards on a tape of ``e``, each inner's node in place of its slot."""
     t, (top,) = _taped(e)
@@ -981,10 +984,10 @@ def test_domain_arguments_are_the_real_ones():
         ("x^0.5", -2.0, 0.0, DomainErrorKind.POWER_OF_NON_POSITIVE),
     ]:
         with pytest.raises(DomainError) as raised:
-            enclose(*_listed(parse(text)), a, b)
+            enclose(*_taped(parse(text)), a, b)
         assert (raised.value.kind, raised.value.point) == (kind, a)
     for text in ("ln(abs(x - 0.5))", "x^x", "x^2"):
-        enclose(*_listed(parse(text)), -2.0, -1.0)
+        enclose(*_taped(parse(text)), -2.0, -1.0)
     e = parse("ln(abs(x - 0.5)) + sqrt(x) + x^(1/2) + x^2 + x^x + ln(2)")
     iv = Interval(-1.0, 1.0)
     assert analyze_smoothness(e, iv, SAMPLES) == _scanned(e, iv, SAMPLES)
@@ -1040,16 +1043,16 @@ def test_one_analysis_keys_each_node_once(monkeypatch):
             self._keys, self._slots = Lookups(), Keyed()
             tapes.append(self)
 
-    def counted_enclose(listed, outs, a, b):
-        passes.append(listed)
-        return bound(listed, outs, a, b)
+    def counted_enclose(t, outs, a, b):
+        passes.append((t, steps(t, outs)))
+        return bound(t, outs, a, b)
 
     monkeypatch.setattr(calculus, "Tape", CountedTape)
     monkeypatch.setattr(calculus, "enclose", counted_enclose)
     analyze_smoothness(e, Interval(-1.0, 1.0), SAMPLES)
     # one tape, and its steps listed once for every pass of bounds
     assert len(tapes) == 1
-    assert len(passes) >= 3 and all(listed is passes[0] for listed in passes)
+    assert len(passes) >= 3 and all(t is tapes[0] and listed is passes[0][1] for t, listed in passes)
     # the 8 nodes of e, and the cos(x) of tan's pole hazard, each keyed
     # once; only the nodes of e enter the id map
     assert len(lookups) == 9

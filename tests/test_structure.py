@@ -14,7 +14,9 @@ their entries of the operator table ``_RULES`` only, ``expr`` asks which
 class a node is in the formatter and ``Tape`` only, no module but ``expr``
 imports a node class, ``expr`` reads a tape's ``_keys`` in ``Tape.put`` only,
 ``calculus`` reads its node builders ``_neg``, ``_binary`` and ``_call``
-in ``_simplify`` and ``_derivative`` only, no
+in ``_simplify`` and ``_derivative`` only, ``Tape.cone`` is read in
+``calculus._simplify`` only and the step lists kept on a tape in
+``expr.steps`` only, no
 module imports ``dataclasses``, no module calls ``exec``, ``eval`` or
 ``compile``, no function calls itself and no module names
 ``RecursionError``, and the README lists exactly the names the package exports.  One test imports the
@@ -465,6 +467,21 @@ def test_node_keys_are_read_by_the_tape_only():
 
     assert {type(use.ctx) for use in uses} == set(owners)
     assert [f"line {use.lineno}" for use in uses if not owned(use)] == []
+
+
+def test_cones_are_listed_by_steps_only():
+    # steps lists a cone once per tape and keeps the list there, which the
+    # interpreters, Tape.tree, the hazard search and the derivative read:
+    # Tape.cone, whose walk stops at slots already folded, serves the fold
+    # alone, and only steps reads the kept lists
+    owners = {"cone": {("calculus.py", "_simplify")}, "_steps": {("expr.py", "steps"), ("expr.py", "Tape")}}
+    found = {name: set() for name in owners}
+    for path in SOURCES:
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in owners:
+                    found[node.attr].add((path.name, getattr(top, "name", None)))
+    assert found == owners
 
 
 @pytest.mark.parametrize("name", ["_neg", "_binary", "_call"])

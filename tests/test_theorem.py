@@ -137,6 +137,34 @@ def test_one_tape_serves_any_number_of_verdicts():
     assert verify_mvt(f, iv, None, t) == first == verify_mvt(f, iv)
 
 
+@pytest.mark.parametrize(
+    "text, a, b, verify",
+    [
+        # no hazard; hazards that bounds clear, tan's cos(u) among them;
+        # Rolle's, with and without a hazard that the scan reads
+        ("x^3 - 4*x + sin(2*x)", -1.0, 2.0, verify_mvt),
+        ("sqrt(x + 1) + ln(x + 2) / (x - 3) + tan(x)", -0.5, 1.0, verify_mvt),
+        ("x^2 - 4*x + 3", 1.0, 3.0, verify_rolle),
+        ("sqrt(x) * (x - 1)", 0.0, 1.0, verify_rolle),
+    ],
+)
+def test_a_verdict_lists_f_and_its_derivative_once(text, a, b, verify):
+    # steps keeps each list it makes on the tape, and a list of f and its
+    # hazards starts from the one of f: every kept list that holds the
+    # step of f, or of f', holds the one step object listed first.  On the
+    # tape that parse put f on, parse made the first list of f
+    parsed = Tape()
+    f = parse(text, parsed)
+    (first,) = parsed._steps.values()
+    for t in (parsed, Tape()):
+        assert isinstance(verify(f, Interval(a, b), None, t), Applicable)
+        top = t.add(f)
+        for slot in (top, calculus.derivative(t, top)):
+            listed = [step for kept in t._steps.values() for step in kept if step[0] == slot]
+            assert listed and all(step is listed[0] for step in listed)
+    assert first is parsed._steps[(parsed.add(f),)]
+
+
 # hazards of every kind, exponents that fold, tan's cos(u), and each path
 _NO_NODE_CORPUS = [
     ("x^3 - 4*x + sin(2*x)", -1.0, 2.0),
