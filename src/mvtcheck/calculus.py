@@ -125,17 +125,17 @@ def derivative(t: Tape, slot: int) -> int:
     """The slot of :func:`differentiate` of the node at ``slot`` of ``t``,
     put on ``t`` itself.
 
-    Two loops, neither of which recurses: the first folds each slot of the
-    cone of ``slot`` from its children's folded slots, as :func:`simplify`
-    does, and the second gives each slot that :func:`~mvtcheck.expr.steps`
-    lists for the folded slot a derivative slot from its children's (the
-    tape differentiation of A. Griewank and A. Walther, *Evaluating
-    Derivatives*, SIAM 2008).  Every node either loop builds is keyed on
-    ``t`` as it is built, so no tree of the derivative is walked again, a
-    subexpression already on ``t`` keeps its slot, and each distinct one is
-    derived once.
+    Two loops over :func:`~mvtcheck.expr.steps` lists, neither of which
+    recurses: the first folds each slot that ``steps`` lists for ``slot``
+    from its children's folded slots, as :func:`simplify` does, and the
+    second gives each slot listed for the folded slot a derivative slot
+    from its children's (the tape differentiation of A. Griewank and A.
+    Walther, *Evaluating Derivatives*, SIAM 2008).  Every node either loop
+    builds is keyed on ``t`` as it is built, so no tree of the derivative
+    is walked again, a subexpression already on ``t`` keeps its slot, and
+    each distinct one is derived once.
     """
-    top = _simplify(t, {}, slot)
+    top = _simplify(t, slot)[slot]
     return _derivative(t, [i for i, _, _ in steps(t, [top])])[top]
 
 
@@ -198,15 +198,17 @@ def simplify(e: Expr) -> Expr:
     rules are exact, folding is single-rounding); no deeper rewriting.
     """
     t = Tape()
-    return t.tree(_simplify(t, {}, t.add(e)))
+    slot = t.add(e)
+    return t.tree(_simplify(t, slot)[slot])
 
 
-def _simplify(t: Tape, folded: dict[int, int], slot: int) -> int:
-    # the slot of simplify of the node at ``slot``.  Each slot of its cone
-    # that ``folded`` lacks is folded in slot order, from its children's
-    # folded slots, and recorded there: a node that nothing folds keeps
-    # its own slot, and a slot already folded is not visited again
-    for i in t.cone(slot, folded):
+def _simplify(t: Tape, slot: int) -> dict[int, int]:
+    # per slot that steps lists for ``slot``, the slot of simplify of its
+    # node.  The list puts children first, so each slot is folded once,
+    # from its children's folded slots: a node that nothing folds keeps
+    # its own slot
+    folded: dict[int, int] = {}
+    for i, _, _ in steps(t, [slot]):
         key = t.keys[i]
         if len(key) == 3:
             folded[i] = _binary(t, key[0], (folded[key[1]], folded[key[2]]))
@@ -216,7 +218,7 @@ def _simplify(t: Tape, folded: dict[int, int], slot: int) -> int:
             folded[i] = _neg(t, folded[key[1]])
         else:
             folded[i] = _call(t, key[0], folded[key[1]])
-    return folded[slot]
+    return folded
 
 
 # node builders for _simplify and _derivative: each folds one node over
@@ -282,10 +284,11 @@ def _collect_hazards(t: Tape, slot: int) -> list[tuple[int, WitnessKind, bool]]:
     Zeros of inner mark the trouble spots, where the node is undefined if
     zero_undefined (poles, ln, powers) and may only lose its derivative if
     not (sqrt, abs).  Only the cone of ``slot`` is read, whatever else
-    ``t`` holds.  The inner of tan(u), cos(u), is put on ``t``.  A power's
-    exponent is folded on ``t`` by simplify's per-slot fold, with one
-    record of folded slots per call, so nested powers fold each node of
-    their exponents once.
+    ``t`` holds.  The inner of tan(u), cos(u), is put on ``t``.  A literal
+    exponent is its own fold; the first power whose exponent is not a
+    literal folds all of the node at ``slot`` on ``t``, from the list that
+    :func:`~mvtcheck.expr.steps` keeps for it, and every later power reads
+    that fold, so nested powers fold each node once.
     """
     out: list[tuple[int, WitnessKind, bool]] = []
     # per slot, whether x is below it, and the slot of u where the node is
@@ -294,7 +297,7 @@ def _collect_hazards(t: Tape, slot: int) -> list[tuple[int, WitnessKind, bool]]:
     # undefined, the hazard is u, whose sign change the scan confirms
     has_x: dict[int, bool] = {}
     bare: dict[int, int] = {}
-    folded: dict[int, int] = {}
+    folded: dict[int, int] = {}  # per slot listed, its fold, once an exponent needs it
     for i, _, _ in steps(t, [slot]):
         part, *args = t.keys[i]
         has_x[i] = part == "x" or any([has_x[j] for j in args])
@@ -304,7 +307,10 @@ def _collect_hazards(t: Tape, slot: int) -> list[tuple[int, WitnessKind, bool]]:
         elif part == "^":
             # the exponent's value decides, as in the evaluators: folding
             # gives it wherever it is the same at every x
-            exponent = t.constants.get(_simplify(t, folded, args[1]))
+            exponent = t.constants.get(args[1])
+            if exponent is None:
+                folded = folded or _simplify(t, slot)
+                exponent = t.constants.get(folded[args[1]])
             n = None if exponent is None else integer_exponent(exponent)
             if n is None:
                 out.append((bare[args[0]], WitnessKind.POWER_BOUNDARY, True))

@@ -29,7 +29,7 @@ import math
 import operator
 import re
 from enum import Enum
-from typing import Callable, Container, Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "Record",
@@ -612,7 +612,9 @@ class Tape:
     keys take one slot, so equal expressions do (hash-consing).  ``put(key)``
     keys one node over slots already on the tape and builds nothing, and
     every pass that builds an expression slot by slot (the parser, the fold
-    and the derivative) keys it through ``put``.
+    and the derivative) keys it through ``put``.  :func:`steps` is the one
+    walk of a cone, and the fold, the derivative, ``tree`` and the hazard
+    search run in its order.
 
     Node objects are read and built only where a tree enters or leaves the
     tape.  ``add(root)`` keys ``root`` and every node below it, children left
@@ -674,18 +676,6 @@ class Tape:
             if len(key) == 1 and key[0] != "x":
                 self.constants[slot] = float(key[0])
         return slot
-
-    def cone(self, slot: int, known: Container[int]) -> list[int]:
-        """The slots of the cone of ``slot`` in slot order, for a fold that
-        has ``known`` already: the walk stops at each slot in it, so that
-        slot, and what only it reaches, is left out."""
-        keys, cone, stack = self.keys, set(), [slot]
-        while stack:
-            i = stack.pop()
-            if i not in cone and i not in known:
-                cone.add(i)
-                stack += keys[i][1:]
-        return sorted(cone)
 
     def tree(self, slot: int) -> Expr:
         """The expression at ``slot``: its node, built where it has none,

@@ -218,6 +218,16 @@ def test_derivative_keys_only_what_the_folded_cone_reads():
     assert [key for key in t.keys if key[0] == "/"] == []
 
 
+@given(grammar_exprs())
+@settings(deadline=None, max_examples=100)
+def test_derivative_after_an_analysis_on_its_tape_is_the_fresh_one(e):
+    # the analysis keeps step lists on t and may fold e there: the fold
+    # that the derivative runs on from those lists builds the same text
+    t = Tape()
+    analyze_smoothness(e, Interval(-1.0, 1.1), 64, t)
+    assert format_expr(differentiate(e, t)) == format_expr(differentiate(e))
+
+
 def test_differentiate_reads_e_on_the_tape_it_is_given(monkeypatch):
     # f parsed onto t is derived there: t.add finds f's root, so no node of
     # f is keyed again, t.add finds f' too, and the result equals the one
@@ -951,7 +961,7 @@ def test_hazards_of_deeply_nested_powers_match_their_first_definition():
 def test_nested_power_exponents_fold_in_linear_time(monkeypatch):
     # (x+1)^((x+1)^(...)): every exponent holds the one below it, so
     # folding each exponent anew calls _binary about 4 times as often at
-    # twice the depth; one memo per analysis folds each node once
+    # twice the depth; one fold of f per analysis folds each node once
     calls = []
     binary = calculus._binary
 
@@ -970,6 +980,31 @@ def test_nested_power_exponents_fold_in_linear_time(monkeypatch):
         calculus._collect_hazards(t, top)
         counts.append(len(calls))
     assert counts[0] >= 100 and counts[1] <= 2.2 * counts[0]
+
+
+@pytest.mark.parametrize(
+    "text, folds",
+    [
+        # a literal exponent is its own fold: f is not folded at all
+        ("x^2 + x^3*sin(x)^2", 0),
+        # the first exponent that is not a literal folds f once, for every power
+        ("x^(1/3) + x^(2*x)", 1),
+        ("(x+1)^" * 50 + "x", 1),
+    ],
+    ids=["literal", "non-literal", "nest-50"],
+)
+def test_the_hazard_search_folds_f_at_most_once(monkeypatch, text, folds):
+    calls = []
+    fold = calculus._simplify
+
+    def counted_fold(*args):
+        calls.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(calculus, "_simplify", counted_fold)
+    t, (top,) = _taped(parse(text))
+    calculus._collect_hazards(t, top)
+    assert len(calls) == folds
 
 
 def test_domain_arguments_are_the_real_ones():

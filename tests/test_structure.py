@@ -14,8 +14,9 @@ their entries of the operator table ``_RULES`` only, ``expr`` asks which
 class a node is in the formatter and ``Tape`` only, no module but ``expr``
 imports a node class, ``expr`` reads a tape's ``_keys`` in ``Tape.put`` only,
 ``calculus`` reads its node builders ``_neg``, ``_binary`` and ``_call``
-in ``_simplify`` and ``_derivative`` only, ``Tape.cone`` is read in
-``calculus._simplify`` only and the step lists kept on a tape in
+in ``_simplify`` and ``_derivative`` only, a tape has no cone walker but
+``expr.steps``, whose lists ``_simplify`` folds with nothing carried over
+from call to call, and the step lists kept on a tape are read in
 ``expr.steps`` only, no
 module imports ``dataclasses``, no module calls ``exec``, ``eval`` or
 ``compile``, no function calls itself and no module names
@@ -32,6 +33,7 @@ import sys
 import pytest
 
 import mvtcheck
+from mvtcheck.expr import Tape
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "mvtcheck").glob("*.py"))
@@ -471,10 +473,10 @@ def test_node_keys_are_read_by_the_tape_only():
 
 def test_cones_are_listed_by_steps_only():
     # steps lists a cone once per tape and keeps the list there, which the
-    # interpreters, Tape.tree, the hazard search and the derivative read:
-    # Tape.cone, whose walk stops at slots already folded, serves the fold
-    # alone, and only steps reads the kept lists
-    owners = {"cone": {("calculus.py", "_simplify")}, "_steps": {("expr.py", "steps"), ("expr.py", "Tape")}}
+    # interpreters, Tape.tree, the hazard search, the fold and the
+    # derivative read: a tape has no second cone walker, only steps reads
+    # the kept lists, and the fold takes the tape and a slot, no memo
+    owners = {"cone": set(), "_steps": {("expr.py", "steps"), ("expr.py", "Tape")}}
     found = {name: set() for name in owners}
     for path in SOURCES:
         for top in _tree(path).body:
@@ -482,6 +484,13 @@ def test_cones_are_listed_by_steps_only():
                 if isinstance(node, ast.Attribute) and node.attr in owners:
                     found[node.attr].add((path.name, getattr(top, "name", None)))
     assert found == owners
+    assert not hasattr(Tape, "cone")
+    (fold,) = [
+        node
+        for node in _tree(ROOT / "src" / "mvtcheck" / "calculus.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "_simplify"
+    ]
+    assert [arg.arg for arg in fold.args.args] == ["t", "slot"]
 
 
 @pytest.mark.parametrize("name", ["_neg", "_binary", "_call"])
