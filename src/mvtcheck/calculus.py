@@ -480,7 +480,8 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int, tape: Tape | None = 
     root-search refinement.  One column pass
     (:func:`~mvtcheck.expr.tabulate`) evaluates ``e`` and every hazard's
     inner expression together over the grid points scanned, one tape slot
-    at a time, at points where ``e`` is undefined as well.
+    at a time, at points where ``e`` is undefined as well, unless bounds
+    prove ``e`` undefined on some of them (below).
     Verdicts are three-valued: hazards that cannot be confirmed or ruled out
     at sample resolution yield UNKNOWN rather than a guess.  A function that
     fails to evaluate at a sample point is reported as not continuous at
@@ -504,9 +505,14 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int, tape: Tape | None = 
     the report is YES, YES if their bounds together clear every hazard, and
     the whole grid is scanned otherwise.
 
-    The points of the undefined cells are counted, not scanned, when they
-    are more than half of the grid: then no hazard is scanned, and the
-    report reads only the first and the first interior undefined points.
+    ``e`` is undefined at every point of the undefined cells, whatever
+    share of the grid they hold: its column pass evaluates only the other
+    points scanned, and the points where ``e`` is undefined are those of
+    the undefined cells and those where its column is None.  Where these
+    are more than half of the grid, no hazard is scanned, and the report
+    reads only the first and the first interior undefined points.
+    Otherwise a second column pass evaluates the hazards over every point
+    scanned, those of the undefined cells included.
 
     ``e`` goes on ``tape`` where one is given, whatever it holds already,
     or on a new tape: the report reads only the cone of ``e``'s slot, so it
@@ -519,30 +525,35 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int, tape: Tape | None = 
     hazards = _collect_hazards(t, top)
     outs = [top, *(inner for inner, _, _ in hazards)]
     cells, undefined_cells, cleared = _triage(t, outs, iv, samples)
-    proven = set(_rows(undefined_cells))
-    if len(proven) <= samples // 2:
-        cells, proven = sorted(cells + undefined_cells), set()
-    if not (cells or proven):
+    if not (cells or undefined_cells):
         if all(_clear_of_zero(min(m), max(m)) for m in cleared):
             return SmoothnessReport(Verdict.YES, Verdict.YES, ())
         # each cell is clear of zero, but not all of them together
         cells, cleared = [(0, samples - 1)], [[] for _ in hazards]
+    # e is None at every row of the cells that bounds prove undefined, so
+    # it is tabulated at the other rows only, and the hazards join its pass
+    # where there is no such row.  Each hazard's value is bit-identical to
+    # its own evaluation, None where that fails, at e's undefined points
+    # too.  Cleared cells hold no undefined row, and no zero or sign change
+    # of a hazard
+    proven = set(_rows(undefined_cells))
     rows = [i for i in _rows(cells) if i not in proven]
-    # each hazard's value is bit-identical to its own evaluation, None where
-    # that fails, at e's undefined points too.  Cleared cells hold no
-    # undefined row, and no zero or sign change of a hazard.  Where proven
-    # rows are most of the grid, no hazard is scanned
     xs = grid(iv, samples, rows)
-    columns = tabulate(t, [top] if proven else outs, xs)
-    undefined = sorted(proven.union(row for row, v in zip(rows, columns[0]) if v is None))
+    values, *columns = tabulate(t, [top] if proven else outs, xs)
+    undefined = sorted(proven.union(row for row, v in zip(rows, values) if v is None))
 
     witnesses: list[Witness] = []
     # set where the scan can neither confirm nor rule out a witness
     doubt_continuity = doubt_differentiability = False
     # where e is undefined at more than half of the grid, no hazard is scanned
     scanned = hazards if len(undefined) <= samples // 2 else []
+    if proven and scanned:
+        # the hazards at every row not cleared, the proven ones too, where
+        # a zero of theirs (a pole of e, say) may lie
+        xs = grid(iv, samples, _rows(sorted(cells + undefined_cells)))
+        columns = tabulate(t, outs[1:], xs)
 
-    for (slot, kind, zero_undefined), column, magnitudes in zip(scanned, columns[1:], cleared):
+    for (slot, kind, zero_undefined), column, magnitudes in zip(scanned, columns, cleared):
         crossings, touches, suspected = _scan_zeros(xs, column, t, slot, magnitudes)
 
         if kind is WitnessKind.ABS_KINK:

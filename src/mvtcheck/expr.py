@@ -488,7 +488,7 @@ def steps(t: Tape, outs: Sequence[int]) -> list[tuple]:
         return t._steps[tuple(outs)]
     keys, constants = t.keys, t.constants
     listed = list(t._steps.get(tuple(outs[:1]), ()))  # from the first output's list, where kept
-    pending = [None] * (max(outs) + 1)  # per slot met, its step
+    pending = [None] * (max(outs, default=-1) + 1)  # per slot met, its step
     for step in listed:
         pending[step[0]] = step
     for out in outs:
@@ -589,7 +589,7 @@ def tabulate(t: Tape, outs: Sequence[int], xs: Sequence[float]) -> list[list[flo
     # per slot read, the place in listed of its last reader; the outputs'
     # columns are never dropped
     last = {j: n for n, (_, _, reads) in enumerate(listed) for j in reads} | dict.fromkeys(outs, len(listed))
-    columns: list[list[float] | None] = [None] * (max(outs) + 1)  # per slot
+    columns: list[list[float] | None] = [None] * (max(outs, default=-1) + 1)  # per slot
     for n, (i, rule, reads) in enumerate(listed):
         if reads:
             columns[i] = rule.column(*[columns[j] for j in reads])
@@ -731,7 +731,7 @@ def enclose(t: Tape, outs: Sequence[int], a: float, b: float) -> list[Bounds] | 
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise ValueError("need finite a <= b")
-    bounds: list[Bounds | None] = [None] * (max(outs) + 1)  # per slot
+    bounds: list[Bounds | None] = [None] * (max(outs, default=-1) + 1)  # per slot
     isfinite = math.isfinite
     for i, rule, reads in steps(t, outs):
         if not reads:

@@ -836,6 +836,63 @@ def test_proven_undefined_rows_change_no_report(text, a, b):
     assert report.continuous_on_closed is Verdict.NO
 
 
+def _tabulated(e, iv, samples):
+    """analyze_smoothness's report, and per column pass its outputs and grid rows."""
+    row_of = {x: row for row, x in enumerate(grid(iv, samples))}
+    calls = []
+
+    def recorded(t, outs, xs):
+        calls.append(([format_expr(t.tree(o)) for o in outs], [row_of[x] for x in xs]))
+        return tabulate(t, outs, xs)
+
+    with mock.patch.object(calculus, "tabulate", recorded):
+        report = analyze_smoothness(e, iv, samples)
+    return report, calls
+
+
+@pytest.mark.parametrize(
+    "text, a, b, calls, witnesses",
+    [
+        # bounds prove sqrt(x - 0.5) undefined on rows 0 to 447, which hold
+        # the pole at 0.2: f is tabulated on the 32 rows after them only,
+        # and its two hazards on all 480 rows that bounds do not clear
+        (
+            "sqrt(x - 0.5) + 1/(x - 0.2)",
+            0.1,
+            1.0,
+            [
+                (["(sqrt((x - 0.5)) + (1 / (x - 0.2)))"], list(range(448, 480))),
+                (["(x - 0.5)", "(x - 0.2)"], list(range(480))),
+            ],
+            (Witness(0.2, WitnessKind.POLE), Witness(0.5, WitnessKind.LOG_OR_ROOT_BOUNDARY)),
+        ),
+        # the proven rows are more than half of the grid: no hazard is
+        # scanned, so no hazard column is computed
+        (
+            "-0.5*x + 0.636*sqrt(0.266 - x)",
+            -0.423,
+            2.041,
+            [(["(((-0.5) * x) + (0.636 * sqrt((0.266 - x))))"], list(range(255, 287)))],
+            (Witness(0.2682688172043011, WitnessKind.LOG_OR_ROOT_BOUNDARY),),
+        ),
+        # no row is proven undefined: f and its hazard share one pass
+        (
+            "1/x",
+            -1.0,
+            1.1,
+            [(["(1 / x)", "x"], list(range(479, 512)))],
+            (Witness(-8.710588588587696e-15, WitnessKind.POLE),),
+        ),
+    ],
+)
+def test_f_is_tabulated_only_on_rows_that_bounds_did_not_prove_undefined(text, a, b, calls, witnesses):
+    e, iv = parse(text), Interval(a, b)
+    report, tabulated = _tabulated(e, iv, SAMPLES)
+    assert tabulated == calls
+    assert report == _scanned(e, iv, SAMPLES)
+    assert report.witnesses == witnesses
+
+
 # --- records ----------------------------------------------------------------
 
 

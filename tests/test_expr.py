@@ -921,6 +921,52 @@ def test_enclosures_hold_every_compiled_value(e, data):
         _assert_encloses(t, outs, iv, bounds)
 
 
+def _domain_boundaries() -> st.SearchStrategy[Expr]:
+    """sqrt(c - x), ln(x - c) and (c - x)^0.75, each plus a smooth term:
+    undefined on one side of c."""
+
+    def boundary(c: float, which: int, smooth: Expr) -> Expr:
+        below, above = Binary("-", Constant(c), Variable()), Binary("-", Variable(), Constant(c))
+        inner = (Call("sqrt", below), Call("ln", above), Binary("^", below, Constant(0.75)))[which]
+        return Binary("+", inner, smooth)
+
+    return st.builds(boundary, st.floats(min_value=-5.0, max_value=5.0), st.integers(0, 2), smooth_exprs())
+
+
+@given(
+    st.one_of(grammar_exprs(), _domain_boundaries()),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=1e-6, max_value=20.0),
+    st.sampled_from([33, 97]),
+)
+@settings(deadline=None)
+def test_a_slot_that_bounds_prove_undefined_is_undefined_at_every_grid_point(e, a, width, samples):
+    # what lets analyze_smoothness skip f's column on proven cells: where
+    # enclose raises for a slot over [a, b], both evaluators fail at every
+    # grid point of [a, b].  Every slot of the tape the analysis bounds is
+    # checked, tan(u)'s cos(u) included
+    iv = Interval(a, a + width)
+    t = Tape()
+    calculus._collect_hazards(t, t.add(e))
+    xs = grid(iv, samples)
+    for slot in range(len(t.keys)):
+        try:
+            enclose(t, [slot], iv.a, iv.b)
+        except DomainError:
+            assert tabulate(t, [slot], xs) == [[None] * samples]
+            at = evaluator(t, slot)
+            for x in xs:
+                with pytest.raises(DomainError):
+                    at(x)
+
+
+def test_no_outputs_have_no_steps_no_columns_and_no_bounds():
+    t, _ = _taped(parse("sqrt(x) + 1/x"))
+    assert steps(t, []) == []
+    assert tabulate(t, [], [0.0, 1.0]) == []
+    assert enclose(t, [], -1.0, 1.0) == []
+
+
 @pytest.mark.parametrize(
     "text, a, b, bounded",
     [
