@@ -396,10 +396,15 @@ def _magnitudes(lo: float, hi: float) -> tuple[float, float]:
     return (lo, hi) if lo > 0.0 else (-hi, -lo)
 
 
-def _clears(bounds: list[tuple[float, float]] | None) -> bool:
-    """Whether ``enclose`` bounds on e and its hazards prove e finite and
-    every hazard clear of zero."""
-    return bounds is not None and all(_clear_of_zero(*box) for box in bounds[1:])
+def _record_clear(cleared: list[list[float]], boxes: list[tuple[float, float]]) -> bool:
+    """Whether the bounds ``boxes``, one per hazard over a cell, clear every
+    hazard of zero; where they do, each hazard's magnitudes join its list
+    in ``cleared``."""
+    if not all(_clear_of_zero(*box) for box in boxes):
+        return False
+    for magnitudes, box in zip(cleared, boxes):
+        magnitudes += _magnitudes(*box)
+    return True
 
 
 def _triage(
@@ -430,11 +435,7 @@ def _triage(
         except DomainError:
             undefined.append(cell)
             return True
-        if not _clears(bounds):
-            return False
-        for magnitudes, box in zip(cleared, bounds[1:]):
-            magnitudes += _magnitudes(*box)
-        return True
+        return bounds is not None and _record_clear(cleared, bounds[1:])
 
     # cells that bounds did not settle, and whose sibling they did, last
     # one first: each is halved, left half first, or scanned where too small
@@ -512,7 +513,10 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int, tape: Tape | None = 
     are more than half of the grid, no hazard is scanned, and the report
     reads only the first and the first interior undefined points.
     Otherwise a second column pass evaluates the hazards over every point
-    scanned, those of the undefined cells included.
+    scanned, and over the points of the undefined cells, where a hazard's
+    zero (a pole of ``e``, say) may lie, but for those undefined cells on
+    which bounds of the hazards alone clear every hazard: these count as
+    cleared cells.
 
     ``e`` goes on ``tape`` where one is given, whatever it holds already,
     or on a new tape: the report reads only the cone of ``e``'s slot, so it
@@ -548,9 +552,18 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int, tape: Tape | None = 
     # where e is undefined at more than half of the grid, no hazard is scanned
     scanned = hazards if len(undefined) <= samples // 2 else []
     if proven and scanned:
-        # the hazards at every row not cleared, the proven ones too, where
-        # a zero of theirs (a pole of e, say) may lie
-        xs = grid(iv, samples, _rows(sorted(cells + undefined_cells)))
+        # the hazards at every row not cleared, where a zero of theirs (a
+        # pole of e, say) may lie: on the proven cells too, unless the
+        # hazards' own bounds clear one, which then counts as cleared
+        kept = []
+        for cell in undefined_cells:
+            try:
+                boxes = enclose(t, outs[1:], *grid(iv, samples, cell))
+            except DomainError:
+                boxes = None
+            if boxes is None or not _record_clear(cleared, boxes):
+                kept.append(cell)
+        xs = grid(iv, samples, _rows(sorted(cells + kept)))
         columns = tabulate(t, outs[1:], xs)
 
     for (slot, kind, zero_undefined), column, magnitudes in zip(scanned, columns, cleared):

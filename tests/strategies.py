@@ -79,3 +79,38 @@ poly_coefficients = st.lists(
     min_size=1,
     max_size=6,
 )
+
+
+def proven_hazard_exprs() -> st.SearchStrategy[Expr]:
+    """A term undefined on one side of ``c`` plus one hazard term, whose
+    zero may lie on either side.
+
+    The first term is ``sqrt(c - x)``, ``ln(x - c)`` or ``(c - x)^0.75``; the
+    hazard is ``1/(x - p)``, ``abs(x - p)``, ``ln(x - p)`` or ``tan(k*x)``,
+    with p in [0, 1] and k in [1, 10].  c lies in [0.1, 0.4] or [0.6, 0.9],
+    so that on about [0, 1] bounds can prove f undefined on cells that make
+    up less than half of a grid, and the hazard is scanned on the others.
+    """
+    unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    right = st.floats(min_value=0.6, max_value=0.9, allow_nan=False)
+    left = st.floats(min_value=0.1, max_value=0.4, allow_nan=False)
+    x = Variable()
+
+    def minus(u: Expr, v: Expr) -> Expr:
+        return Binary("-", u, v)
+
+    proven = st.one_of(
+        st.builds(lambda c: Call("sqrt", minus(Constant(c), x)), right),
+        st.builds(lambda c: Call("ln", minus(x, Constant(c))), left),
+        st.builds(lambda c: Binary("^", minus(Constant(c), x), Constant(0.75)), right),
+    )
+    hazard = st.one_of(
+        st.builds(lambda p: Binary("/", Constant(1.0), minus(x, Constant(p))), unit),
+        st.builds(lambda p: Call("abs", minus(x, Constant(p))), unit),
+        st.builds(lambda p: Call("ln", minus(x, Constant(p))), unit),
+        st.builds(
+            lambda k: Call("tan", Binary("*", Constant(k), x)),
+            st.floats(min_value=1.0, max_value=10.0, allow_nan=False),
+        ),
+    )
+    return st.builds(lambda u, v: Binary("+", u, v), proven, hazard)

@@ -38,7 +38,7 @@ from mvtcheck.numeric import Interval, grid
 from mvtcheck.theorem import Config
 
 from oracles import central_difference, reference_derivative
-from strategies import grammar_exprs, poly_coefficients, polynomial, smooth_exprs
+from strategies import grammar_exprs, poly_coefficients, polynomial, proven_hazard_exprs, smooth_exprs
 
 # the pipeline's default sample count
 SAMPLES = Config().samples
@@ -651,7 +651,23 @@ def test_scan_runs_where_bounds_cannot_clear(text, a, b):
 )
 @settings(deadline=None)
 def test_cleared_cells_change_no_witness_and_only_add_doubt(e, a, width, samples):
-    iv = Interval(a, a + width)
+    _assert_bounds_change_no_witness_and_only_add_doubt(e, Interval(a, a + width), samples)
+
+
+@given(
+    proven_hazard_exprs(),
+    st.floats(min_value=-0.1, max_value=0.1),
+    st.floats(min_value=0.9, max_value=1.1),
+    st.sampled_from([97, 1024]),
+)
+@settings(deadline=None)
+def test_proven_cells_the_hazards_clear_change_no_witness_and_only_add_doubt(e, a, width, samples):
+    # f is proven undefined on some cells, which the hazards' own bounds
+    # may clear out of the hazard pass, and the hazard is scanned on others
+    _assert_bounds_change_no_witness_and_only_add_doubt(e, Interval(a, a + width), samples)
+
+
+def _assert_bounds_change_no_witness_and_only_add_doubt(e, iv, samples):
     report, full = analyze_smoothness(e, iv, samples), _scanned(e, iv, samples)
     assert report.witnesses == full.witnesses
     for verdict, scanned in (
@@ -854,15 +870,18 @@ def _tabulated(e, iv, samples):
     "text, a, b, calls, witnesses",
     [
         # bounds prove sqrt(x - 0.5) undefined on rows 0 to 447, which hold
-        # the pole at 0.2: f is tabulated on the 32 rows after them only,
-        # and its two hazards on all 480 rows that bounds do not clear
+        # the pole at 0.2: f is tabulated on the 32 rows after them only.
+        # The hazards' own bounds clear the proven cells that span rows 255
+        # to 447, so the hazards skip the rows strictly between: they are
+        # tabulated on 289 rows, those of the other proven cells (the one
+        # holding the pole among them) and of the cells after them
         (
             "sqrt(x - 0.5) + 1/(x - 0.2)",
             0.1,
             1.0,
             [
                 (["(sqrt((x - 0.5)) + (1 / (x - 0.2)))"], list(range(448, 480))),
-                (["(x - 0.5)", "(x - 0.2)"], list(range(480))),
+                (["(x - 0.5)", "(x - 0.2)"], [*range(256), *range(447, 480)]),
             ],
             (Witness(0.2, WitnessKind.POLE), Witness(0.5, WitnessKind.LOG_OR_ROOT_BOUNDARY)),
         ),
@@ -889,6 +908,64 @@ def test_f_is_tabulated_only_on_rows_that_bounds_did_not_prove_undefined(text, a
     e, iv = parse(text), Interval(a, b)
     report, tabulated = _tabulated(e, iv, SAMPLES)
     assert tabulated == calls
+    assert report == _scanned(e, iv, SAMPLES)
+    assert report.witnesses == witnesses
+
+
+def _proven_rows_left_out(e, iv, samples):
+    """analyze_smoothness's report, and the rows of the cells that bounds
+    prove ``e`` undefined on which no column pass reads."""
+    t = Tape()
+    top = t.add(e)
+    outs = [top, *(slot for slot, _, _ in calculus._collect_hazards(t, top))]
+    proven = calculus._rows(calculus._triage(t, outs, iv, samples)[1])
+    report, calls = _tabulated(e, iv, samples)
+    return report, sorted(set(proven).difference(*(rows for _, rows in calls)))
+
+
+@pytest.mark.parametrize(
+    "text, a, b, witnesses, leaves",
+    [
+        # bounds prove f undefined left of 0.5, where two poles lie: the
+        # hazards' own bounds clear some proven cells out of the hazard
+        # pass, but not those that hold a pole, where the scan finds it
+        (
+            "sqrt(x - 0.5) + 1/(x - 0.2) + 1/(x - 0.45)",
+            0.1,
+            1.0,
+            (
+                Witness(0.2, WitnessKind.POLE),
+                Witness(0.45, WitnessKind.POLE),
+                Witness(0.5, WitnessKind.LOG_OR_ROOT_BOUNDARY),
+            ),
+            True,
+        ),
+        (
+            "(x - 0.5)^0.75 + tan(5*x)",
+            0.2,
+            0.9,
+            (Witness(0.31415926535898503, WitnessKind.POLE), Witness(0.5, WitnessKind.POWER_BOUNDARY)),
+            True,
+        ),
+        # a pole of tan lies in each half of the grid, so bounds settle
+        # neither half and prove no cell undefined: all is scanned
+        (
+            "(x - 0.5)^0.75 + tan(5*x)",
+            0.1,
+            1.0,
+            (
+                Witness(0.31415926535897987, WitnessKind.POLE),
+                Witness(0.5, WitnessKind.POWER_BOUNDARY),
+                Witness(0.9424777960769328, WitnessKind.POLE),
+            ),
+            False,
+        ),
+    ],
+)
+def test_a_pole_in_a_proven_cell_stays_in_the_hazard_pass(text, a, b, witnesses, leaves):
+    e, iv = parse(text), Interval(a, b)
+    report, left_out = _proven_rows_left_out(e, iv, SAMPLES)
+    assert bool(left_out) is leaves
     assert report == _scanned(e, iv, SAMPLES)
     assert report.witnesses == witnesses
 

@@ -883,6 +883,28 @@ def test_mvt_overflow_is_not_continuous():
         evaluate(f, result.witness)
 
 
+@given(
+    grammar_exprs(),
+    st.sampled_from(
+        [
+            Interval(1e-300, 2e-300),
+            Interval(-1e300, 1e300),
+            Interval(1.0, math.nextafter(1.0, 2.0)),
+            Interval(1e308, 1.7e308),
+            Interval(1e6, 1e6 + 1e-6),
+            Interval(-700.0, 700.0),
+        ]
+    ),
+    st.sampled_from([Config(samples=2), Config(samples=3), Config(samples=17), Config(eps_c=5e-324, samples=64)]),
+)
+@settings(deadline=None, max_examples=500)
+def test_no_verdict_raises_at_the_extremes_of_the_floats(e, iv, cfg):
+    # intervals of subnormal width, one ulp wide, far out, or where exp
+    # overflows, and grids of a few points: every outcome is a result
+    assert isinstance(verify_mvt(e, iv, cfg), (Applicable, NotApplicable, Unknown))
+    assert isinstance(verify_rolle(e, iv, cfg), (Applicable, NotApplicable, Unknown))
+
+
 # --- records ----------------------------------------------------------------
 
 

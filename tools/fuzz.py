@@ -1,0 +1,128 @@
+"""Run mvtcheck on seeded random functions and extreme intervals; report every input that raises.
+
+    python3 tools/fuzz.py --seed 7 --trees 500
+
+Each of the ``--trees`` random expressions (up to 10 leaves, over the
+whole grammar, with constants such as 0, 1e-300, 1e300 and pi) gets
+``verify_mvt`` and ``verify_rolle`` on every interval of ``INTERVALS``,
+each interval with one configuration of ``CONFIGS`` drawn at random.
+Every 25th expression also goes through the command line as ``verify``,
+``diff`` and ``eval``, in process.
+
+A library call must return a result, and a command must not report an
+``internal error``: the tool prints one line per input that breaks
+either rule, then a summary line, and exits 1 if it printed any such
+input and 0 otherwise.  The same seed and count draw the same inputs.
+mvtcheck is imported from the ``src/`` next to this directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import math
+import os
+import random
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from mvtcheck import Config, Interval, parse, verify_mvt, verify_rolle  # noqa: E402
+from mvtcheck.cli import run  # noqa: E402
+from mvtcheck.expr import BINARY_OPS, FUNCTIONS  # noqa: E402
+
+INTERVALS = [
+    (0.0, 1.0),
+    (-2.0, 3.0),
+    (1e-300, 2e-300),
+    (-1e300, 1e300),
+    (1.0, math.nextafter(1.0, 2.0)),
+    (-5e-324, 5e-324),
+    (1e308, 1.7e308),
+    (1e6, 1e6 + 1e-6),
+    (-700.0, 700.0),
+]
+CONFIGS = [Config(samples=2), Config(samples=3), Config(samples=17), Config(samples=1024), Config(eps_c=5e-324, samples=64)]
+CONSTANTS = ["0", "1", "2", "0.5", "1e-300", "1e300", "5e-324", "pi", "e"]
+MAX_LEAVES = 10
+CLI_EVERY = 25
+
+
+def random_text(rng: random.Random, leaves: int) -> str:
+    """A fully parenthesised expression of x with ``leaves`` leaves."""
+    if leaves == 1:
+        if rng.random() < 0.5:
+            return "x"
+        return rng.choice(CONSTANTS) if rng.random() < 0.5 else repr(round(rng.uniform(0.0, 10.0), 3))
+    shape = rng.random()
+    if shape < 0.15:
+        return f"(-{random_text(rng, leaves)})"
+    if shape < 0.45:
+        return f"{rng.choice(FUNCTIONS)}({random_text(rng, leaves)})"
+    left = rng.randint(1, leaves - 1)
+    return f"({random_text(rng, left)} {rng.choice(BINARY_OPS)} {random_text(rng, leaves - left)})"
+
+
+def library_failures(text: str, rng: random.Random) -> list[str]:
+    """One line per verdict on ``text`` that raises instead of returning."""
+    f = parse(text)
+    failures = []
+    for a, b in INTERVALS:
+        cfg = rng.choice(CONFIGS)
+        for verify in (verify_mvt, verify_rolle):
+            try:
+                verify(f, Interval(a, b), cfg)
+            except Exception as exc:  # any exception is the finding
+                failures.append(f"{verify.__name__} f={text!r} a={a!r} b={b!r} {cfg!r}: {exc!r}")
+    return failures
+
+
+def cli_failures(text: str, scratch: str) -> list[str]:
+    """One line per command on ``text`` that raises or reports an internal error."""
+    commands = [
+        ["verify", "--f", text, "--a", "0", "--b", "1", "--json", "--plot", os.path.join(scratch, "plot.svg")],
+        ["diff", "--f", text],
+        ["eval", "--f", text, "--x", "0.5"],
+    ]
+    failures = []
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                run(argv)
+        except Exception as exc:  # run must catch everything itself
+            failures.append(f"cli {argv!r}: {exc!r}")
+            continue
+        if "internal error" in err.getvalue():
+            failures.append(f"cli {argv!r}: {err.getvalue().strip()}")
+    return failures
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True, help="seed of the random inputs")
+    parser.add_argument("--trees", type=int, required=True, help="how many random expressions to try")
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    failures: list[str] = []
+    verdicts = commands = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for n in range(args.trees):
+            text = random_text(rng, rng.randint(1, MAX_LEAVES))
+            found = library_failures(text, rng)
+            verdicts += 2 * len(INTERVALS)
+            if n % CLI_EVERY == 0:
+                found += cli_failures(text, scratch)
+                commands += 3
+            for line in found:
+                print(line, flush=True)
+            failures += found
+    print(f"seed {args.seed}: {args.trees} trees, {verdicts} verdicts, {commands} commands, {len(failures)} raised")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
