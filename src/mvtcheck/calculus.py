@@ -1,6 +1,7 @@
 """Symbolic differentiation, constant folding, and structural smoothness
-(continuity/differentiability) analysis of expression trees over an
-interval."""
+(continuity/differentiability) analysis of expressions over an interval.
+
+Each reads its expression's own tape and keys what it builds there."""
 
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ __all__ = [
     "Witness",
     "SmoothnessReport",
     "differentiate",
-    "derivative",
     "simplify",
     "analyze_smoothness",
 ]
@@ -103,40 +103,29 @@ class SmoothnessReport(Record):
 # --- differentiation --------------------------------------------------------
 
 
-def differentiate(e: Expr, tape: Tape | None = None) -> Expr:
-    """Symbolic derivative of ``e`` with respect to x, constant-folded.
+def differentiate(e: Expr) -> Expr:
+    """Symbolic derivative of ``e`` with respect to x, constant-folded, on ``e``'s tape.
 
     Standard sum/product/quotient/chain rules; abs is differentiated as
     abs(u)' = u'*u/abs(u), whose evaluation raises DomainError exactly at
     kink points.  The input is folded first so negated literal exponents
     (x^-2) reach the constant-power rule instead of the ln-based general
     rule.  Every node of the derivative is built through the same fold
-    rules as :func:`simplify`, so the result is already simplified.  It is
-    :func:`derivative` on ``tape``, where ``e`` is put if it is not there
-    yet (so ``e`` that :func:`~mvtcheck.expr.parse` put there is not walked
-    again), or on a tape of its own; the result does not depend on which,
-    and no depth of ``e`` limits it.
-    """
-    t = Tape() if tape is None else tape
-    return t.tree(derivative(t, t.add(e)))
-
-
-def derivative(t: Tape, slot: int) -> int:
-    """The slot of :func:`differentiate` of the node at ``slot`` of ``t``,
-    put on ``t`` itself.
+    rules as :func:`simplify`, so the result is already simplified.
 
     Two loops over :func:`~mvtcheck.expr.steps` lists, neither of which
-    recurses: the first folds each slot that ``steps`` lists for ``slot``
+    recurses: the first folds each slot that ``steps`` lists for ``e``
     from its children's folded slots, as :func:`simplify` does, and the
     second gives each slot listed for the folded slot a derivative slot
     from its children's (the tape differentiation of A. Griewank and A.
     Walther, *Evaluating Derivatives*, SIAM 2008).  Every node either loop
-    builds is keyed on ``t`` as it is built, so no tree of the derivative
-    is walked again, a subexpression already on ``t`` keeps its slot, and
-    each distinct one is derived once.
+    builds is keyed on ``e``'s tape as it is built, so a subexpression
+    already there keeps its slot, each distinct one is derived once, and no
+    depth of ``e`` limits it.  What else the tape holds changes no result.
     """
-    top = _simplify(t, slot)[slot]
-    return _derivative(t, [i for i, _, _ in steps(t, [top])])[top]
+    t = e.tape
+    top = _simplify(t, e.slot)[e.slot]
+    return Expr(t, _derivative(t, [i for i, _, _ in steps(t, [top])])[top])
 
 
 def _derivative(t: Tape, slots: list[int]) -> dict[int, int]:
@@ -192,14 +181,12 @@ def _derivative(t: Tape, slots: list[int]) -> dict[int, int]:
 
 
 def simplify(e: Expr) -> Expr:
-    """Constant folding plus the safe identities 0+u, u*1, u*0, u^1.
+    """Constant folding plus the safe identities 0+u, u*1, u*0, u^1, on ``e``'s tape.
 
     Pointwise equal to the input wherever the input is defined (identity
     rules are exact, folding is single-rounding); no deeper rewriting.
     """
-    t = Tape()
-    slot = t.add(e)
-    return t.tree(_simplify(t, slot)[slot])
+    return Expr(e.tape, _simplify(e.tape, e.slot)[e.slot])
 
 
 def _simplify(t: Tape, slot: int) -> dict[int, int]:
@@ -472,10 +459,10 @@ _WITNESS_KIND = {
 }
 
 
-def analyze_smoothness(e: Expr, iv: Interval, samples: int, tape: Tape | None = None) -> SmoothnessReport:
+def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     """Classify continuity of ``e`` on [a,b] and differentiability on (a,b).
 
-    Reads one tape of ``e`` for hazard subexpressions (divisors, ln/sqrt
+    Reads ``e``'s tape for hazard subexpressions (divisors, ln/sqrt
     arguments, abs arguments, non-integer-power bases, tan arguments) and
     confirms their zeros numerically on a grid of ``samples`` points with
     root-search refinement.  One column pass
@@ -518,14 +505,11 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int, tape: Tape | None = 
     which bounds of the hazards alone clear every hazard: these count as
     cleared cells.
 
-    ``e`` goes on ``tape`` where one is given, whatever it holds already,
-    or on a new tape: the report reads only the cone of ``e``'s slot, so it
-    does not depend on which, and a caller that reads ``e`` on from
-    ``tape`` (with :func:`derivative`, say) finds it there and walks it no
-    more.
+    The hazards' cos(u) and the folds that exponents need are keyed on
+    ``e``'s tape.  The report reads only the cone of ``e``'s slot, so what
+    else the tape holds changes nothing.
     """
-    t = Tape() if tape is None else tape
-    top = t.add(e)
+    t, top = e.tape, e.slot
     hazards = _collect_hazards(t, top)
     outs = [top, *(inner for inner, _, _ in hazards)]
     cells, undefined_cells, cleared = _triage(t, outs, iv, samples)

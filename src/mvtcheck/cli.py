@@ -2,11 +2,8 @@
 CSV/SVG plot emission showing the function, the secant line, and the
 tangent at the located point c.
 
-One tape per command line: each command parses f onto a tape of its own
-(:func:`~mvtcheck.expr.parse` keys every node there as it reads it), and
-the verdict, its plot, the derivative and the evaluation read f on that
-tape, so no command walks a parsed tree onto another tape.  Each constant
-expression (``--a``, ``--b``, ``--x``) is parsed onto a tape of its own.
+Each expression on the command line is parsed once, onto a tape of its
+own, and every command reads it there.
 
 Exit codes: 0 = applicable/success, 2 = not applicable or unknown,
 1 = usage, lex, or parse error.
@@ -25,19 +22,7 @@ from typing import Sequence
 
 # no call here reads simplify: bench/mvtbench/tracer.py wraps cli.simplify
 from .calculus import differentiate, simplify  # noqa: F401
-from .expr import (
-    DomainError,
-    Expr,
-    SourceError,
-    Tape,
-    evaluator,
-    format_expr,
-    parse,
-    tabulate,
-)
-
-# no call here reads compile_evaluator: bench/mvtbench/tracer.py wraps cli.compile_evaluator
-from .expr import compile_evaluator  # noqa: F401
+from .expr import DomainError, Expr, SourceError, compile_evaluator, format_expr, parse, tabulate
 from .numeric import Interval, grid
 from .theorem import Applicable, Config, MvtResult, NotApplicable, Unknown, verify_mvt, verify_rolle
 
@@ -138,19 +123,17 @@ def main() -> None:
 
 
 def _constant_value(text: str, flag: str) -> float:
-    tape = Tape()
-    slot = tape.add(parse(text, tape))
-    if ("x",) in tape.keys:
+    e = parse(text)
+    if ("x",) in e.tape.keys:
         raise _UsageError(f"--{flag} must be a constant expression, got {text!r}")
     try:
-        return evaluator(tape, slot)(0.0)
+        return compile_evaluator(e)(0.0)
     except DomainError as err:
         raise _UsageError(f"--{flag} has no real value: {err}") from None
 
 
 def _cmd_verify(ns) -> int:
-    tape = Tape()
-    f = parse(ns.f, tape)
+    f = parse(ns.f)
     a = _constant_value(ns.a, "a")
     b = _constant_value(ns.b, "b")
     try:
@@ -163,12 +146,12 @@ def _cmd_verify(ns) -> int:
         raise _UsageError(str(err)) from None
 
     if ns.mode == "rolle":
-        result = verify_rolle(f, iv, cfg, tape)
+        result = verify_rolle(f, iv, cfg)
     else:
-        result = verify_mvt(f, iv, cfg, tape)
+        result = verify_mvt(f, iv, cfg)
 
     if ns.plot:
-        emit_plot(f, iv, result, ns.plot, tape)
+        emit_plot(f, iv, result, ns.plot)
     if ns.json:
         print(render_json(result))
     else:
@@ -178,16 +161,14 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_diff(ns) -> int:
     # differentiate's result is already folded, so no simplify pass runs
-    tape = Tape()
-    print(format_expr(differentiate(parse(ns.f, tape), tape)))
+    print(format_expr(differentiate(parse(ns.f))))
     return 0
 
 
 def _cmd_eval(ns) -> int:
-    tape = Tape()
-    f = parse(ns.f, tape)
+    f = parse(ns.f)
     x = _constant_value(ns.x, "x")
-    print(repr(evaluator(tape, tape.add(f))(x)))
+    print(repr(compile_evaluator(f)(x)))
     return 0
 
 
@@ -238,20 +219,18 @@ def render_json(result: MvtResult) -> str:
 
 
 def _plot_table(
-    f: Expr, iv: Interval, result: MvtResult, tape: Tape
+    f: Expr, iv: Interval, result: MvtResult
 ) -> tuple[list[float], list[float | None], list[tuple[str, list[float | None]]], tuple[float, float] | None]:
     """The plotted columns over the plot grid on ``iv``: the grid, the
     values of f (None where f is undefined), and, when the result is
     Applicable, the named secant and tangent columns and the point
     (c, f(c)) that the tangent passes through and the SVG marks (else no
-    columns and None).  f is read on ``tape``, where it is put if it is
-    not there yet."""
-    slot = tape.add(f)
+    columns and None)."""
     xs = grid(iv, _PLOT_POINTS)
-    (fs,) = tabulate(tape, [slot], xs)
+    (fs,) = tabulate(f.tape, [f.slot], xs)
     lines, mark = [], None
     if isinstance(result, Applicable):
-        at = evaluator(tape, slot)
+        at = compile_evaluator(f)
         mark = (result.c, at(result.c))
         lines = [
             ("secant", _line(at(iv.a), result.m, iv.a, xs)),
@@ -273,7 +252,7 @@ def _line(y0: float, slope: float, x0: float, xs: list[float]) -> list[float | N
     return ys
 
 
-def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str, tape: Tape | None = None) -> None:
+def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str) -> None:
     """Write plot data for ``f`` on ``iv`` to ``path`` (.csv or .svg).
 
     CSV: header ``x,f,secant,tangent`` (just ``x,f`` when the result is
@@ -283,32 +262,29 @@ def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str, tape: Tape | 
     at (c, f(c)), and a label showing c.  Writes are atomic
     (write-then-rename).
 
-    f is tabulated on ``tape`` (the verdict's, say), where it is put if it
-    is not there yet, or on a tape of its own; the plot does not depend on
-    which.  Only the slots up to f's are read, so whatever the tape holds
-    past f costs nothing.
+    f is tabulated on its own tape, and only the cone of its slot is read,
+    so whatever else that tape holds costs nothing.
     """
-    t = Tape() if tape is None else tape
     suffix = os.path.splitext(path)[1].lower()
     if suffix == ".csv":
-        text = _render_csv(f, iv, result, t)
+        text = _render_csv(f, iv, result)
     elif suffix == ".svg":
-        text = _render_svg(f, iv, result, t)
+        text = _render_svg(f, iv, result)
     else:
         raise UnsupportedFormat(f"unsupported plot format {suffix!r} (use .csv or .svg)")
     _atomic_write(path, text)
 
 
-def _render_csv(f: Expr, iv: Interval, result: MvtResult, tape: Tape) -> str:
-    xs, fs, lines, _ = _plot_table(f, iv, result, tape)
+def _render_csv(f: Expr, iv: Interval, result: MvtResult) -> str:
+    xs, fs, lines, _ = _plot_table(f, iv, result)
     columns = [xs, fs] + [ys for _, ys in lines]
     rows = [",".join(["x", "f"] + [name for name, _ in lines])]
     rows += (",".join("" if v is None else repr(v) for v in row) for row in zip(*columns))
     return "\n".join(rows) + "\n"
 
 
-def _render_svg(f: Expr, iv: Interval, result: MvtResult, tape: Tape) -> str:
-    xs, fs, lines, mark = _plot_table(f, iv, result, tape)
+def _render_svg(f: Expr, iv: Interval, result: MvtResult) -> str:
+    xs, fs, lines, mark = _plot_table(f, iv, result)
     series = [
         (name, [(x, y) for x, y in zip(xs, ys) if y is not None])
         for name, ys in [("function", fs), *lines]

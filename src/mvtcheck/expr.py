@@ -3,19 +3,17 @@
 Lexer, operator-precedence parser, canonical formatter, and evaluators for
 a small grammar: the five binary operators ``+ - * / ^``, unary minus, the
 functions sin, cos, tan, exp, ln, sqrt, abs, the variable ``x``, and the
-named constants ``pi`` and ``e`` (folded to numbers at parse time).  The
-point evaluator :func:`evaluator` (which :func:`evaluate` runs on a tape of
-its own), the column pass :func:`tabulate` and the interval bounds
-:func:`enclose` take a :class:`Tape`, which holds each distinct
-subexpression once, as a key over its children's slots, and run its
-:func:`steps`, each cone listed once, with one operator table.  Every pass
-over a tape reads those keys; node objects are read only where a tree
-enters the tape (:meth:`Tape.add`) and built only where one leaves it
-(:meth:`Tape.tree`).  :func:`parse` keys each node on a tape as it reads
-it, the caller's or one of its own, so the tree it returns is on that tape
-already and equal subexpressions in it are one node object.  No function
-here calls itself: the parser, the formatter and the tape keep explicit
-stacks, so no depth of nesting and no length of a sum limits them.
+named constants ``pi`` and ``e`` (folded to numbers at parse time).
+
+A :class:`Tape` holds each distinct subexpression once, as a key over its
+children's slots, and an :class:`Expr` is a handle on one slot of a tape:
+the one expression IR.  :func:`parse` keys a text onto a new tape, and
+:func:`format_expr`, the point evaluator :func:`evaluator`, the column pass
+:func:`tabulate` and the interval bounds :func:`enclose` read those keys,
+the last three by the :func:`steps` of a cone, each listed once, with one
+operator table.  No function here calls itself: the parser, the formatter
+and :func:`steps` keep explicit stacks, so no depth of nesting and no
+length of a sum limits them.
 
 Precedence, loosest to tightest: additive, multiplicative, unary minus,
 ``^`` (right associative); function application binds tightest.  There is
@@ -34,11 +32,6 @@ from typing import Callable, Sequence
 __all__ = [
     "Record",
     "Expr",
-    "Constant",
-    "Variable",
-    "Neg",
-    "Binary",
-    "Call",
     "SourceError",
     "LexError",
     "ParseError",
@@ -149,51 +142,25 @@ class Record:
 
 
 class Expr(Record):
-    """Base class of the immutable expression tree."""
+    """An expression: a handle on the node at ``slot`` of ``tape``.
 
-    __slots__ = ()
+    Handles on one tape are equal exactly when their expressions are, as
+    equal expressions take one slot; across tapes, compare their
+    :func:`format_expr` texts.  A handle prints as its text, and ``copy``
+    and ``pickle`` rebuild it by parsing that text onto a tape of its own.
+    """
 
+    __slots__ = ("tape", "slot")
 
-class Constant(Expr):
-    __slots__ = ("value",)
+    def __init__(self, tape: Tape, slot: int):
+        object.__setattr__(self, "tape", tape)
+        object.__setattr__(self, "slot", slot)
 
-    def __init__(self, value: float):
-        value = float(value)
-        object.__setattr__(self, "value", value)
-        if not math.isfinite(value):
-            raise ValueError("constants must be finite")
+    def __repr__(self) -> str:
+        return f"Expr({format_expr(self)!r})"
 
-
-class Variable(Expr):
-    __slots__ = ()
-
-
-class Neg(Expr):
-    __slots__ = ("child",)
-
-    def __init__(self, child: Expr):
-        object.__setattr__(self, "child", child)
-
-
-class Binary(Expr):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Expr, right: Expr):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        if op not in BINARY_OPS:
-            raise ValueError(f"unknown operator {op!r}")
-
-
-class Call(Expr):
-    __slots__ = ("fn", "argument")
-
-    def __init__(self, fn: str, argument: Expr):
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "argument", argument)
-        if fn not in FUNCTIONS:
-            raise ValueError(f"unknown function {fn!r}")
+    def __reduce__(self):
+        return parse, (format_expr(self),)
 
 
 # a number (group 1), a name, one of ``+-*/^(),``, or any other non-space (group 2)
@@ -220,10 +187,10 @@ def tokenize(source: str) -> list[tuple[str, int]]:
     return tokens
 
 
-def parse(source: str, tape: Tape | None = None) -> Expr:
-    """Parse ``source`` into an expression tree, put on ``tape``.
+def parse(source: str) -> Expr:
+    """Parse ``source`` onto a new tape and return the handle on its root.
 
-    ``pi`` and ``e`` become Constants; ``x`` is the only variable.  Raises
+    ``pi`` and ``e`` become constants; ``x`` is the only variable.  Raises
     ParseError (or UnknownIdentifier) with the source position on
     malformed input.
 
@@ -235,16 +202,13 @@ def parse(source: str, tape: Tape | None = None) -> Expr:
     or, for the right associative ``^``, less tightly; ``(`` and ``fn(``
     bind 0 and wait for their ``)``.
 
-    The operands are slots of ``tape`` (a tape of its own where none is
-    given), and each node is keyed there with :meth:`Tape.put` as it is
-    reduced (hash-consing, after J.-C. Filliâtre and S. Conchon, "Type-safe
-    modular hash-consing", ML Workshop 2006); the tree returned is
-    :meth:`Tape.tree` of the root's slot.  So the tree is on ``tape`` in the
-    order :meth:`Tape.add` would put it there, ``tape.add`` of it only looks
-    its slot up, and equal subexpressions are one node object.  Where
-    parsing raises partway through, the keys reduced so far stay on ``tape``.
+    The operands are slots of the new tape, and each node is keyed there
+    with :meth:`Tape.put` as it is reduced (hash-consing, after J.-C.
+    Filliâtre and S. Conchon, "Type-safe modular hash-consing", ML Workshop
+    2006), so no node object is built, equal subexpressions take one slot,
+    and children come before their parent, left before right.
     """
-    t = Tape() if tape is None else tape
+    t = Tape()
     # the end marker gives every token a text ("" at the end) and a position
     tokens = tokenize(source)
     tokens.append(("", len(source)))
@@ -288,7 +252,7 @@ def parse(source: str, tape: Tape | None = None) -> Expr:
             # only openers wait now: the innermost one needs its ")"
             raise ParseError(position, "')'" if waiting else "end of input")
         else:
-            return t.tree(operands[0])
+            return Expr(t, operands[0])
 
 
 # how tightly each binary operator binds; a unary minus binds _NEGATION
@@ -315,32 +279,28 @@ def _operand(text: str, position: int) -> tuple[str]:
 def format_expr(e: Expr) -> str:
     """Render ``e`` as fully parenthesized text.
 
-    For every tree the parser can produce, ``parse(format_expr(e))`` is
-    structurally identical to ``e``.  Each node writes the text before its
-    first child and pushes what follows, last first, on one stack of text
-    pieces and nodes, so no depth of nesting limits it.
+    For every expression the parser can produce, ``parse(format_expr(e))``
+    keys the same nodes in the same order.  Each slot writes the text
+    before its first child and pushes what follows, last first, on one
+    stack of text pieces and slots, so no depth of nesting limits it.
     """
+    keys, constants = e.tape.keys, e.tape.constants
     pieces: list[str] = []
-    stack: list[Expr | str] = [e]
+    stack: list[int | str] = [e.slot]
     while stack:
         item = stack.pop()
-        if isinstance(item, Binary):
-            pieces.append("(")
-            stack += (")", item.right, f" {item.op} ", item.left)
-        elif isinstance(item, str):
+        if item.__class__ is str:
             pieces.append(item)
-        elif isinstance(item, Constant):
-            pieces.append(_format_number(item.value))
-        elif isinstance(item, Variable):
-            pieces.append("x")
-        elif isinstance(item, Call):
-            pieces.append(f"{item.fn}(")
-            stack += (")", item.argument)
-        elif isinstance(item, Neg):
-            pieces.append("(-")
-            stack += (")", item.child)
+            continue
+        key = keys[item]
+        if len(key) == 3:
+            pieces.append("(")
+            stack += (")", key[2], f" {key[0]} ", key[1])
+        elif len(key) == 2:
+            pieces.append("(-" if key[0] == "-" else f"{key[0]}(")
+            stack += (")", key[1])
         else:
-            raise TypeError(f"not an expression: {item!r}")
+            pieces.append("x" if key[0] == "x" else _format_number(constants[item]))
     return "".join(pieces)
 
 
@@ -464,11 +424,10 @@ def fold(part: str, *values: float) -> float | None:
 
 
 def compile_evaluator(e: Expr) -> Callable[[float], float]:
-    """:func:`evaluator` of ``e`` on a tape of its own: a function of x
-    that computes each distinct subexpression of ``e`` once per call, with
-    no nesting limit, as :func:`evaluate` states."""
-    t = Tape()
-    return evaluator(t, t.add(e))
+    """:func:`evaluator` of ``e`` on its tape: a function of x that
+    computes each distinct subexpression of ``e`` once per call, with no
+    nesting limit, as :func:`evaluate` states."""
+    return evaluator(e.tape, e.slot)
 
 
 def steps(t: Tape, outs: Sequence[int]) -> list[tuple]:
@@ -610,62 +569,18 @@ class Tape:
     ``0.0`` and ``-0.0`` apart), then its children's slots, each below
     ``i``; ``constants`` holds the value of each constant by slot.  Equal
     keys take one slot, so equal expressions do (hash-consing).  ``put(key)``
-    keys one node over slots already on the tape and builds nothing, and
-    every pass that builds an expression slot by slot (the parser, the fold
-    and the derivative) keys it through ``put``.  :func:`steps` is the one
-    walk of a cone, and the fold, the derivative, ``tree`` and the hazard
-    search run in its order.
-
-    Node objects are read and built only where a tree enters or leaves the
-    tape.  ``add(root)`` keys ``root`` and every node below it, children left
-    to right, from an explicit stack, so no depth of nesting limits it, and
-    returns the slot of ``root``.  ``tree(slot)`` gives the expression at
-    ``slot``, building the nodes that no slot of its cone has yet.  Each slot
-    keeps one node, the first that ``add`` met or ``tree`` built, and the
-    tape's id map holds every node either one met or built, copies too, so
-    no id in it can pass to a new node and ``add`` of any of them is one
-    lookup.
+    keys one node over slots already on the tape, and every pass that
+    builds an expression slot by slot (the parser, the fold and the
+    derivative) keys it through ``put``; no key ever changes.
+    :func:`steps` is the one walk of a cone, and the fold, the derivative
+    and the hazard search run in its order.
     """
 
     def __init__(self):
         self.keys: list[tuple] = []
         self.constants: dict[int, float] = {}
         self._keys: dict[tuple, int] = {}  # key -> slot
-        self._slots: dict[int, tuple[int, Expr]] = {}  # id(node) -> (slot, node)
-        self._trees: dict[int, Expr] = {}  # slot -> its node
         self._steps: dict[tuple[int, ...], list[tuple]] = {}  # tuple(outs) -> steps(self, outs)
-
-    def add(self, root: Expr) -> int:
-        # a node waits on the stack until each of its children has a slot:
-        # it pushes them, right then left, and is keyed when it is back on
-        # top; a node met again pops at once
-        slots, trees = self._slots, self._trees
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if id(node) in slots:
-                stack.pop()
-                continue
-            if isinstance(node, Binary):
-                left, right = slots.get(id(node.left)), slots.get(id(node.right))
-                if left is None or right is None:
-                    stack += (node.right, node.left)
-                    continue
-                key = (node.op, left[0], right[0])
-            elif isinstance(node, (Call, Neg)):
-                part, child = (node.fn, node.argument) if isinstance(node, Call) else ("-", node.child)
-                below = slots.get(id(child))
-                if below is None:
-                    stack.append(child)
-                    continue
-                key = (part, below[0])
-            else:
-                key = ("x" if isinstance(node, Variable) else repr(node.value),)
-            slot = self.put(key)
-            slots[id(node)] = (slot, node)
-            trees.setdefault(slot, node)
-            stack.pop()
-        return slots[id(root)][0]
 
     def put(self, key: tuple) -> int:
         """The slot of the node keyed ``key``, a new one where no slot has that key."""
@@ -676,22 +591,6 @@ class Tape:
             if len(key) == 1 and key[0] != "x":
                 self.constants[slot] = float(key[0])
         return slot
-
-    def tree(self, slot: int) -> Expr:
-        """The expression at ``slot``: its node, built where it has none,
-        over its children's nodes, built the same way in :func:`steps` order."""
-        keys, trees, slots = self.keys, self._trees, self._slots
-        for i in [i for i, _, _ in steps(self, [slot]) if i not in trees]:
-            key = keys[i]
-            if len(key) == 3:
-                node = Binary(key[0], trees[key[1]], trees[key[2]])
-            elif len(key) == 2:
-                node = Neg(trees[key[1]]) if key[0] == "-" else Call(key[0], trees[key[1]])
-            else:
-                node = Variable() if key[0] == "x" else Constant(self.constants[i])
-            trees[i] = node
-            slots[id(node)] = (i, node)
-        return trees[slot]
 
 
 # --- interval bounds ----------------------------------------------------------

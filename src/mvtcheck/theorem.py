@@ -3,14 +3,9 @@
 Checks applicability (continuity on [a,b], differentiability on (a,b)),
 computes the secant slope m = (f(b) - f(a)) / (b - a), and locates a point
 c in (a, b) with f'(c) = m by sign-change bracketing and the ITP root
-search of :func:`~mvtcheck.numeric.bisect`.  One tape serves a verdict:
-the caller's, whatever it holds already (the command line parses f onto
-it), or a new one.  The smoothness analysis puts f on it where f is not
-there yet, f(a) and f(b) are read from it,
-:func:`~mvtcheck.calculus.derivative` folds and differentiates f slot by
-slot on it, and f' is evaluated by :func:`~mvtcheck.expr.evaluator` at the
-slot of f' there.  So f' is keyed slot by slot and never built as a tree,
-f is not walked again, and no depth of either limits a verdict.
+search of :func:`~mvtcheck.numeric.bisect`.  A verdict reads a copy of
+f's keys on a tape of its own, so it never changes the tape of the handle
+it is given; the analysis, f', its hazards and its folds go on that copy.
 """
 
 from __future__ import annotations
@@ -18,14 +13,12 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .calculus import Verdict, analyze_smoothness, derivative
-from .expr import DomainError, Expr, Record, Tape, evaluator
+from .calculus import Verdict, analyze_smoothness, differentiate
+from .expr import DomainError, Expr, Record, Tape, compile_evaluator, evaluator
 from .numeric import Interval, bisect, first_bracket, midpoint, opposite_or_zero, sample
 
-# no call here reads differentiate, compile_evaluator or evaluate: bench/mvtbench/tracer.py
-# wraps theorem.differentiate and theorem.compile_evaluator and counts theorem.evaluate
-from .calculus import differentiate  # noqa: F401
-from .expr import compile_evaluator, evaluate  # noqa: F401
+# no call here reads evaluate: bench/mvtbench/tracer.py counts theorem.evaluate
+from .expr import evaluate  # noqa: F401
 
 __all__ = [
     "Config",
@@ -129,17 +122,14 @@ class Unknown(MvtResult):
         object.__setattr__(self, "detail", detail)
 
 
-def secant_slope(f: Expr, iv: Interval, tape: Tape | None = None) -> float:
+def secant_slope(f: Expr, iv: Interval) -> float:
     """Average rate of change (f(b) - f(a)) / (b - a).
 
     Raises DomainError when f is undefined at an endpoint.  Where f(b) - f(a)
     overflows, both differences are halved first, which is exact, so a
-    finite slope stays finite.  f is read on ``tape``, where it is put if
-    it is not there yet, or on a tape of its own; the slope does not
-    depend on which.
+    finite slope stays finite.
     """
-    t = Tape() if tape is None else tape
-    at = evaluator(t, t.add(f))
+    at = evaluator(f.tape, f.slot)
     fa = at(iv.a)
     fb = at(iv.b)
     rise = fb - fa
@@ -148,44 +138,41 @@ def secant_slope(f: Expr, iv: Interval, tape: Tape | None = None) -> float:
     return (0.5 * fb - 0.5 * fa) / (0.5 * (iv.b - iv.a))
 
 
-def verify_mvt(f: Expr, iv: Interval, cfg: Config | None = None, tape: Tape | None = None) -> MvtResult:
+def verify_mvt(f: Expr, iv: Interval, cfg: Config | None = None) -> MvtResult:
     """Verify the Mean Value Theorem for ``f`` on ``iv``.
 
     Returns Applicable with a point c in (a,b) where |f'(c) - m| is within
     tolerance, NotApplicable with a reason and witness when a precondition
     fails, or Unknown when neither can be established.
 
-    The verdict is read on ``tape``, whatever it holds already (``f`` too,
-    as :func:`~mvtcheck.expr.parse` leaves a tape it was given), or on a
-    tape of its own; the result does not depend on which, and one tape
-    serves any number of verdicts.  The tape then goes on past ``f`` with
-    the hazards and f'.
+    A verdict never warms its handle: it reads a copy of ``f``'s keys, up
+    to ``f``'s slot, on a tape of its own, and leaves ``f.tape`` as it was.
+    So the result does not depend on what ``f.tape`` holds or on earlier
+    calls, and every verdict starts cold.
     """
-    return _pipeline(f, iv, cfg or Config(), None, tape)
+    return _pipeline(f, iv, cfg or Config(), None)
 
 
-def verify_rolle(f: Expr, iv: Interval, cfg: Config | None = None, tape: Tape | None = None) -> MvtResult:
+def verify_rolle(f: Expr, iv: Interval, cfg: Config | None = None) -> MvtResult:
     """Verify Rolle's theorem: requires f(a) = f(b), then seeks f'(c) = 0.
 
     Runs the Mean Value Theorem pipeline with the slope forced to exactly
     zero, Rolle's theorem being the m = 0 special case.  The precondition
-    is answered before anything else the pipeline finds, from f(a) and f(b)
-    read on the pipeline's tape.  ``tape`` is as :func:`verify_mvt` states.
+    is answered before f is analyzed, from f(a) and f(b).  Like
+    :func:`verify_mvt`, it leaves ``f.tape`` as it was.
     """
-    return _pipeline(f, iv, cfg or Config(), 0.0, tape)
+    return _pipeline(f, iv, cfg or Config(), 0.0)
 
 
-def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None, tape: Tape | None) -> MvtResult:
-    tape = Tape() if tape is None else tape
-    # the theorem's c must lie strictly inside (a, b): where no float does,
-    # f is not analyzed
-    inside = math.nextafter(iv.a, iv.b) != iv.b
-    report = analyze_smoothness(f, iv, cfg.samples, tape) if inside else None
+def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> MvtResult:
+    # f's keys up to its slot, at the same slots, on a tape of the verdict's own
+    tape = Tape()
+    for key in f.tape.keys[: f.slot + 1]:
+        tape.put(key)
+    f = Expr(tape, f.slot)
     if m_forced is not None:
-        # Rolle's precondition, answered first, read on the tape that the
-        # analysis put f on: bench/mvtbench/tracer.py times the analysis,
-        # and would not see f put on the tape before it
-        at = evaluator(tape, tape.add(f))
+        # Rolle's precondition, answered before f is analyzed
+        at = evaluator(tape, f.slot)
         try:
             fa = at(iv.a)
             fb = at(iv.b)
@@ -193,8 +180,11 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None, tape: 
             return NotApplicable(Reason.UNDEFINED, err.point)
         if abs(fa - fb) > EPS_ROLLE * max(1.0, abs(fa), abs(fb)):
             return NotApplicable(Reason.ROLLE_PRECONDITION_FAILED)
-    if report is None:
+    # the theorem's c must lie strictly inside (a, b): where no float does,
+    # f is not analyzed
+    if math.nextafter(iv.a, iv.b) == iv.b:
         return Unknown("no float lies strictly inside (a, b)")
+    report = analyze_smoothness(f, iv, cfg.samples)
     if report.continuous_on_closed is Verdict.NO:
         witness = next(w.point for w in report.witnesses if w.breaks_continuity)
         return NotApplicable(Reason.NOT_CONTINUOUS, witness)
@@ -208,15 +198,14 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None, tape: 
 
     if m_forced is None:
         try:
-            m = secant_slope(f, iv, tape)
+            m = secant_slope(f, iv)
         except DomainError as err:
             return NotApplicable(Reason.UNDEFINED, err.point)
     else:
         m = m_forced
 
-    # f is on the tape already, so tape.add(f) only looks its slot up
-    slot = derivative(tape, tape.add(f))
-    d = tape.constants.get(slot)
+    fp = differentiate(f)
+    d = fp.tape.constants.get(fp.slot)
     if d is not None:
         # g = f' - m is one number: the scans below would find no sign
         # change, and end on the degenerate path or on this residual
@@ -224,7 +213,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None, tape: 
         if residual <= EPS_RES:
             return Applicable(midpoint(iv.a, iv.b), m, d, residual, 0, Method.DEGENERATE_CONSTANT)
         return _no_sign_change(residual)
-    deriv = evaluator(tape, slot)
+    deriv = compile_evaluator(fp)
 
     def g(t: float) -> float:
         return deriv(t) - m

@@ -1,13 +1,61 @@
 """Reference computations the tests compare the package against.
 
-They share no code with mvtcheck: the reference parser and the reference
-derivative are handed the package's node classes (and the parser its
-lexer and error classes), and each reference states every rule itself.
-They walk trees by plain recursion, so they serve trees of modest depth
-only.
+They share no code with mvtcheck and import nothing from it.  Expressions
+here are trees of the records below, which tests hand to the package as
+the text :func:`reference_format` gives them; the package parses that
+text onto a tape of its own.  The references walk trees by plain
+recursion, so they serve trees of modest depth only.
 """
 
 import math
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Constant:
+    value: float
+
+
+@dataclass(frozen=True)
+class Variable:
+    pass
+
+
+@dataclass(frozen=True)
+class Neg:
+    child: object
+
+
+@dataclass(frozen=True)
+class Binary:
+    op: str
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Call:
+    fn: str
+    argument: object
+
+
+def reference_format(e) -> str:
+    """``e`` as fully parenthesized text: ``(u op v)``, ``fn(u)``, ``(-u)``,
+    ``x`` and numbers, a negative one (-0.0 included) as ``(-n)``, an
+    integral one below 1e16 without a fraction and any other as its
+    ``repr``."""
+    if isinstance(e, Binary):
+        return f"({reference_format(e.left)} {e.op} {reference_format(e.right)})"
+    if isinstance(e, Call):
+        return f"{e.fn}({reference_format(e.argument)})"
+    if isinstance(e, Neg):
+        return f"(-{reference_format(e.child)})"
+    if isinstance(e, Variable):
+        return "x"
+    v = e.value
+    u = abs(v)
+    text = str(int(u)) if u == int(u) and u < 1e16 else repr(u)
+    return f"(-{text})" if math.copysign(1.0, v) < 0.0 else text
 
 
 def central_difference(f, x: float, h: float) -> float:
@@ -21,53 +69,38 @@ class ReferenceTape:
     """A tape built by plain recursion: the distinct subexpressions of the
     roots added, children before their parent, left before right.
 
-    A node is told apart by its fields alone: ``op`` (a binary node),
-    ``fn`` (a call), ``child`` (a negation), ``value`` (a constant) or none
-    (the variable).  It is keyed by its operator, function name, ``"-"``,
-    ``"x"`` or its value's ``repr``, and its children's slots, and the
-    first node object with a key holds its slot.  ``add(root)`` returns
-    the slot of ``root``.
+    ``keys[i]`` is the key of slot ``i``: the operator, function name,
+    ``"-"``, ``"x"`` or the constant's ``repr``, then the children's
+    slots.  ``add(root)`` returns the slot of ``root``.
     """
 
     def __init__(self):
-        self.nodes = []
-        self.args = []
-        self._keys = {}
-        self._seen = {}  # id(node) -> (slot, node), which keeps node alive
+        self.keys = []
+        self._slots = {}  # key -> slot
 
     def add(self, node) -> int:
-        seen = self._seen.get(id(node))
-        if seen is not None:
-            return seen[0]
-        if hasattr(node, "op"):
+        if isinstance(node, Binary):
             part, children = node.op, (node.left, node.right)
-        elif hasattr(node, "fn"):
+        elif isinstance(node, Call):
             part, children = node.fn, (node.argument,)
-        elif hasattr(node, "child"):
+        elif isinstance(node, Neg):
             part, children = "-", (node.child,)
-        elif hasattr(node, "value"):
+        elif isinstance(node, Constant):
             part, children = repr(node.value), ()
         else:
             part, children = "x", ()
         key = (part, *[self.add(child) for child in children])
-        if key not in self._keys:
-            self._keys[key] = len(self.nodes)
-            self.nodes.append(node)
-            self.args.append(key[1:])
-        self._seen[id(node)] = (self._keys[key], node)
-        return self._keys[key]
+        if key not in self._slots:
+            self._slots[key] = len(self.keys)
+            self.keys.append(key)
+        return self._slots[key]
 
 
-def reference_derivative(e, nodes):
+def reference_derivative(e):
     """The derivative of ``e`` by the recursive rules that ``differentiate``
     applies slot by slot on a tape: fold ``e``, then derive the folded tree,
-    folding each node it builds.
-
-    ``nodes`` is the module that holds the node classes ``Constant``,
-    ``Neg``, ``Binary`` and ``Call``: a node over constants folds to
-    :func:`reference_evaluate` of it, and stays as it is where that
-    raises.  The rules are read off the nodes' fields as
-    :class:`ReferenceTape` reads them.
+    folding each node it builds.  A node over constants folds to
+    :func:`reference_evaluate` of it, and stays as it is where that raises.
     """
 
     def is_constant(node):
@@ -81,18 +114,18 @@ def reference_derivative(e, nodes):
 
     def folded(node):
         try:
-            return nodes.Constant(reference_evaluate(node, 0.0))
+            return Constant(reference_evaluate(node, 0.0))
         except ReferenceDomainError:
             return None
 
     def neg(child):
         if is_constant(child):
-            return nodes.Constant(-child.value)
-        return nodes.Neg(child)
+            return Constant(-child.value)
+        return Neg(child)
 
     def binary(op, left, right):
         if is_constant(left) and is_constant(right):
-            out = folded(nodes.Binary(op, left, right))
+            out = folded(Binary(op, left, right))
             if out is not None:
                 return out
         if op == "+":
@@ -102,21 +135,21 @@ def reference_derivative(e, nodes):
                 return left
         elif op == "*":
             if is_zero(left) or is_zero(right):
-                return nodes.Constant(0.0)
+                return Constant(0.0)
             if is_one(left):
                 return right
             if is_one(right):
                 return left
         elif op == "^" and is_one(right):
             return left
-        return nodes.Binary(op, left, right)
+        return Binary(op, left, right)
 
     def call(fn, arg):
         if is_constant(arg):
-            out = folded(nodes.Call(fn, arg))
+            out = folded(Call(fn, arg))
             if out is not None:
                 return out
-        return nodes.Call(fn, arg)
+        return Call(fn, arg)
 
     def simplify(node):
         if hasattr(node, "op"):
@@ -129,7 +162,7 @@ def reference_derivative(e, nodes):
 
     def derive(node):
         if is_constant(node):
-            return nodes.Constant(0.0)
+            return Constant(0.0)
         if hasattr(node, "child"):
             return neg(derive(node.child))
         if hasattr(node, "op"):
@@ -140,9 +173,9 @@ def reference_derivative(e, nodes):
                 return binary("+", binary("*", derive(u), v), binary("*", u, derive(v)))
             if op == "/":
                 num = binary("-", binary("*", derive(u), v), binary("*", u, derive(v)))
-                return binary("/", num, binary("^", v, nodes.Constant(2.0)))
+                return binary("/", num, binary("^", v, Constant(2.0)))
             if is_constant(v):
-                power = binary("^", u, nodes.Constant(v.value - 1.0))
+                power = binary("^", u, Constant(v.value - 1.0))
                 return binary("*", binary("*", v, power), derive(u))
             if is_constant(u):
                 return binary("*", binary("*", node, call("ln", u)), derive(v))
@@ -156,15 +189,15 @@ def reference_derivative(e, nodes):
             if fn == "cos":
                 return binary("*", neg(call("sin", u)), du)
             if fn == "tan":
-                return binary("/", du, binary("^", call("cos", u), nodes.Constant(2.0)))
+                return binary("/", du, binary("^", call("cos", u), Constant(2.0)))
             if fn == "exp":
                 return binary("*", node, du)
             if fn == "ln":
                 return binary("/", du, u)
             if fn == "sqrt":
-                return binary("/", du, binary("*", nodes.Constant(2.0), node))
+                return binary("/", du, binary("*", Constant(2.0), node))
             return binary("/", binary("*", du, u), node)  # abs
-        return nodes.Constant(1.0)  # x
+        return Constant(1.0)  # x
 
     return derive(simplify(e))
 
@@ -264,18 +297,78 @@ def _walk(e, x):
     return x
 
 
-def reference_parse(source: str, nodes):
-    """``source`` parsed by recursive descent, one method per level of the
-    grammar: the tree, or the error, that ``parse`` gives.
+class ReferenceSourceError(Exception):
+    """Where :func:`reference_parse` rejects a text: the name of the
+    package's error class it expects (``LexError``, ``ParseError`` or
+    ``UnknownIdentifier``), the position, the message, which ends in the
+    position, and what was expected (None for a lex error)."""
 
-    ``nodes`` is the module that holds ``tokenize``, the node classes
-    ``Constant``, ``Variable``, ``Neg``, ``Binary`` and ``Call`` and the
-    errors ``ParseError`` and ``UnknownIdentifier``.  Precedence, loosest
-    to tightest: ``+ -``, then ``* /``, both left associative, then unary
-    minus, then ``^``, right associative, whose exponent may carry a unary
-    minus; a function call binds tightest.
+    def __init__(self, kind: str, position: int, message: str, expected=None):
+        super().__init__(f"{message} (position {position})")
+        self.kind = kind
+        self.position = position
+        self.expected = expected
+
+
+def _is_digit(c: str) -> bool:
+    return "0" <= c <= "9"
+
+
+def _is_letter(c: str) -> bool:
+    return "a" <= c <= "z" or "A" <= c <= "Z"
+
+
+def reference_tokenize(source: str) -> list:
+    """``(text, position)`` per token of ``source``, read one character at
+    a time: whitespace between tokens, a number (digits, then ``.`` and
+    digits, then ``e`` or ``E``, an optional sign and digits, each part
+    taken only where it is complete), a run of ASCII letters, or one of
+    ``+-*/^(),``.  Any other character, and a number past the float range,
+    is a lex error."""
+    tokens, i = [], 0
+    while i < len(source):
+        c, start = source[i], i
+        if c.isspace():
+            i += 1
+            continue
+        if _is_digit(c):
+            while i < len(source) and _is_digit(source[i]):
+                i += 1
+            if source[i : i + 1] == "." and _is_digit(source[i + 1 : i + 2]):
+                i += 2
+                while i < len(source) and _is_digit(source[i]):
+                    i += 1
+            if source[i : i + 1] in ("e", "E"):
+                sign = 1 if source[i + 1 : i + 2] in ("+", "-") else 0
+                if _is_digit(source[i + 1 + sign : i + 2 + sign]):
+                    i += 1 + sign
+                    while i < len(source) and _is_digit(source[i]):
+                        i += 1
+            if not math.isfinite(float(source[start:i])):
+                raise ReferenceSourceError(
+                    "LexError", start, f"number literal {source[start:i]!r} overflows binary64"
+                )
+        elif _is_letter(c):
+            while i < len(source) and _is_letter(source[i]):
+                i += 1
+        elif c in "+-*/^(),":
+            i += 1
+        else:
+            raise ReferenceSourceError("LexError", start, f"unrecognized character {c!r}")
+        tokens.append((source[start:i], start))
+    return tokens
+
+
+def reference_parse(source: str):
+    """``source`` parsed by recursive descent, one method per level of the
+    grammar: the tree that ``parse`` keys, or the ReferenceSourceError of
+    the error it raises.
+
+    Precedence, loosest to tightest: ``+ -``, then ``* /``, both left
+    associative, then unary minus, then ``^``, right associative, whose
+    exponent may carry a unary minus; a function call binds tightest.
     """
-    return _ReferenceParser(source, nodes).parse()
+    return _ReferenceParser(source).parse()
 
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
@@ -283,18 +376,21 @@ _NAMED = {"pi": math.pi, "e": math.e}
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
+def _expected(position, what):
+    return ReferenceSourceError("ParseError", position, f"expected {what}", what)
+
+
 class _ReferenceParser:
-    def __init__(self, source, nodes):
+    def __init__(self, source):
         # the end marker gives every lookahead a text ("" at the end) and a position
-        self._nodes = nodes
-        self._tokens = nodes.tokenize(source)
+        self._tokens = reference_tokenize(source)
         self._tokens.append(("", len(source)))
         self._pos = 0
 
     def parse(self):
         expr = self._expression()
         if self._peek():
-            raise self._nodes.ParseError(self._position(), "end of input")
+            raise _expected(self._position(), "end of input")
         return expr
 
     def _peek(self):
@@ -310,7 +406,7 @@ class _ReferenceParser:
 
     def _expect(self, text, what):
         if self._peek() != text:
-            raise self._nodes.ParseError(self._position(), what)
+            raise _expected(self._position(), what)
         return self._advance()
 
     def _expression(self, binding=1):
@@ -320,7 +416,7 @@ class _ReferenceParser:
             self._advance()
             tighter = _BINDING[op] + 1
             right = self._expression(tighter) if tighter <= max(_BINDING.values()) else self._unary()
-            expr = self._nodes.Binary(op, expr, right)
+            expr = Binary(op, expr, right)
         return expr
 
     def _unary(self):
@@ -328,35 +424,37 @@ class _ReferenceParser:
         # binds tighter than ``-``, and its exponent may carry a unary minus
         if self._peek() == "-":
             self._advance()
-            return self._nodes.Neg(self._unary())
+            return Neg(self._unary())
         base = self._primary()
         if self._peek() == "^":
             self._advance()
-            return self._nodes.Binary("^", base, self._unary())
+            return Binary("^", base, self._unary())
         return base
 
     def _primary(self):
-        text, nodes = self._peek(), self._nodes
+        text = self._peek()
         if not text:
-            raise nodes.ParseError(self._position(), "an expression")
+            raise _expected(self._position(), "an expression")
         if text[0].isdigit():
             self._advance()
-            return nodes.Constant(float(text))
+            return Constant(float(text))
         if text[0].isalpha():
             position = self._advance()
             if text == "x":
-                return nodes.Variable()
+                return Variable()
             if text in _NAMED:
-                return nodes.Constant(_NAMED[text])
+                return Constant(_NAMED[text])
             if text in _FUNCTIONS:
                 self._expect("(", f"'(' after {text!r}")
                 arg = self._expression()
                 self._expect(")", "')'")
-                return nodes.Call(text, arg)
-            raise nodes.UnknownIdentifier(position, text)
+                return Call(text, arg)
+            raise ReferenceSourceError(
+                "UnknownIdentifier", position, f"unknown identifier {text!r}", "x, pi, e, or a function name"
+            )
         if text == "(":
             self._advance()
             expr = self._expression()
             self._expect(")", "')'")
             return expr
-        raise nodes.ParseError(self._position(), "a number, a name, or '('")
+        raise _expected(self._position(), "a number, a name, or '('")

@@ -1,8 +1,14 @@
-"""Shared strategies and tree builders for the test suite."""
+"""Shared strategies and tree builders for the test suite.
+
+They build the reference trees of ``oracles``, which the tests hand to the
+package as ``reference_format`` text; nothing here imports mvtcheck.
+"""
 
 from hypothesis import strategies as st
 
-from mvtcheck.expr import FUNCTIONS, Binary, Call, Constant, Expr, Neg, Variable
+from oracles import Binary, Call, Constant, Neg, Variable
+
+FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 
 # Constants as the grammar produces them: non-negative and finite (negative
 # literals do not exist; negation is a Neg node).
@@ -11,7 +17,7 @@ nonneg_constants = st.floats(
 ).map(abs)
 
 
-def grammar_exprs(max_leaves: int = 12) -> st.SearchStrategy[Expr]:
+def grammar_exprs(max_leaves: int = 12) -> st.SearchStrategy:
     """Trees drawn from the full grammar (the round-trip family)."""
     leaf = st.one_of(
         st.builds(Constant, nonneg_constants),
@@ -28,7 +34,7 @@ def grammar_exprs(max_leaves: int = 12) -> st.SearchStrategy[Expr]:
     return st.recursive(leaf, extend, max_leaves=max_leaves)
 
 
-def smooth_exprs(max_leaves: int = 8) -> st.SearchStrategy[Expr]:
+def smooth_exprs(max_leaves: int = 8) -> st.SearchStrategy:
     """Hazard-free family: polynomials plus sin/cos/exp of affine arguments.
 
     Keeping call arguments affine (constant coefficients) bounds the third
@@ -60,12 +66,12 @@ def smooth_exprs(max_leaves: int = 8) -> st.SearchStrategy[Expr]:
     return st.recursive(leaf, extend, max_leaves=max_leaves)
 
 
-def polynomial(coefficients) -> Expr:
+def polynomial(coefficients):
     """Build c0 + c1*x + c2*x^2 + ... as an expression tree."""
     expr = None
     for k, ck in enumerate(coefficients):
         if k == 0:
-            term: Expr = Constant(ck)
+            term = Constant(ck)
         elif k == 1:
             term = Binary("*", Constant(ck), Variable())
         else:
@@ -81,7 +87,7 @@ poly_coefficients = st.lists(
 )
 
 
-def proven_hazard_exprs() -> st.SearchStrategy[Expr]:
+def proven_hazard_exprs() -> st.SearchStrategy:
     """A term undefined on one side of ``c`` plus one hazard term, whose
     zero may lie on either side.
 
@@ -96,7 +102,7 @@ def proven_hazard_exprs() -> st.SearchStrategy[Expr]:
     left = st.floats(min_value=0.1, max_value=0.4, allow_nan=False)
     x = Variable()
 
-    def minus(u: Expr, v: Expr) -> Expr:
+    def minus(u, v) -> Binary:
         return Binary("-", u, v)
 
     proven = st.one_of(

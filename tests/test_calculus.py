@@ -5,26 +5,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mvtcheck import calculus, expr
+from mvtcheck import calculus
 from mvtcheck.calculus import (
     SmoothnessReport,
     Verdict,
     Witness,
     WitnessKind,
     analyze_smoothness,
-    derivative,
     differentiate,
     simplify,
 )
 from mvtcheck.expr import (
-    Binary,
-    Call,
-    Constant,
     DomainError,
     DomainErrorKind,
-    Neg,
-    Tape,
-    Variable,
+    Expr,
     compile_evaluator,
     enclose,
     evaluate,
@@ -37,8 +31,23 @@ from mvtcheck.expr import (
 from mvtcheck.numeric import Interval, grid
 from mvtcheck.theorem import Config
 
-from oracles import central_difference, reference_derivative
+from oracles import (
+    Binary,
+    Call,
+    Constant,
+    Neg,
+    Variable,
+    central_difference,
+    reference_derivative,
+    reference_format,
+    reference_parse,
+)
 from strategies import grammar_exprs, poly_coefficients, polynomial, proven_hazard_exprs, smooth_exprs
+
+
+def _parsed(tree) -> Expr:
+    """The package's handle on the reference tree ``tree``, parsed from its text."""
+    return parse(reference_format(tree))
 
 # the pipeline's default sample count
 SAMPLES = Config().samples
@@ -73,11 +82,14 @@ def test_derivative_of_quadratic_matches_closed_form():
 
 
 def test_derivative_of_sin_is_cos():
-    assert differentiate(parse("sin(x)")) == Call("cos", Variable())
+    f = parse("sin(x)")
+    d = differentiate(f)
+    assert d.tape is f.tape and d.tape.keys[d.slot] == ("cos", 0)
 
 
 def test_derivative_of_constant_is_zero():
-    assert differentiate(Constant(7.0)) == Constant(0.0)
+    d = differentiate(parse("7"))
+    assert d.tape.constants[d.slot] == 0.0
 
 
 def test_derivative_of_product_against_central_difference():
@@ -175,7 +187,7 @@ def test_derivative_text_is_golden(source, text):
 @given(grammar_exprs())
 @settings(deadline=None)
 def test_derivative_is_already_simplified(e):
-    d = differentiate(e)
+    d = differentiate(_parsed(e))
     # the texts also tell -0.0 from 0.0, which == does not
     assert format_expr(simplify(d)) == format_expr(d)
 
@@ -183,83 +195,72 @@ def test_derivative_is_already_simplified(e):
 @given(grammar_exprs())
 @settings(deadline=None, max_examples=300)
 # every identity rule, folds that fail (ln(-1), 1/0), -0.0, and each power rule
-@example(parse("x^2 + x^1*1 + 0*x - (-0)*x"))
-@example(parse("ln(-1)*x + 1/0 + 2^x + x^x + x^-2"))
-@example(parse("sqrt(x)/abs(x) + tan(x) - cos(x)*exp(2*x)"))
+@example(reference_parse("x^2 + x^1*1 + 0*x - (-0)*x"))
+@example(reference_parse("ln(-1)*x + 1/0 + 2^x + x^x + x^-2"))
+@example(reference_parse("sqrt(x)/abs(x) + tan(x) - cos(x)*exp(2*x)"))
 def test_derivative_text_matches_the_recursive_rules(e):
     # the tape's two loops build, node for node, what the rules build as a
     # tree: the texts also tell -0.0 from 0.0
-    assert format_expr(differentiate(e)) == format_expr(reference_derivative(e, expr))
+    assert format_expr(differentiate(_parsed(e))) == reference_format(reference_derivative(e))
 
 
 def test_derivative_reuses_the_slots_on_its_tape():
     # (sin(x)*x)' = cos(x)*x + sin(x)*1, folded to cos(x)*x + sin(x): x and
     # sin(x) keep the slots they hold for f, and no node of f is copied
-    t = Tape()
-    top = t.add(parse("sin(x)*x"))
-    _, sin, x = t.keys[top]
+    f = parse("sin(x)*x")
+    t = f.tape
+    _, sin, x = t.keys[f.slot]
     f_keys = list(t.keys)
-    d = derivative(t, top)
-    assert t.keys[: len(f_keys)] == f_keys
-    _, product, sin_again = t.keys[d]
+    d = differentiate(f)
+    assert d.tape is t and t.keys[: len(f_keys)] == f_keys
+    _, product, sin_again = t.keys[d.slot]
     assert sin_again == sin
     _, cos, x_again = t.keys[product]
     assert x_again == x and t.keys[cos] == ("cos", x)
-    assert format_expr(t.tree(d)) == "((cos(x) * x) + sin(x))"
+    assert format_expr(d) == "((cos(x) * x) + sin(x))"
     assert len(t.keys) == len(f_keys) + 4  # 1 (the derivative of x), cos(x), the product, the sum
 
 
 def test_derivative_keys_only_what_the_folded_cone_reads():
     # 0*ln(x) folds to 0, so f' = 2*x reads no derivative of ln(x): its
     # 1/x is never keyed, though ln(x) stays on the tape
-    t = Tape()
-    d = derivative(t, t.add(parse("0*ln(x) + x^2")))
-    assert format_expr(t.tree(d)) == "(2 * x)"
-    assert [key for key in t.keys if key[0] == "/"] == []
+    d = differentiate(parse("0*ln(x) + x^2"))
+    assert format_expr(d) == "(2 * x)"
+    assert [key for key in d.tape.keys if key[0] == "/"] == []
 
 
 @given(grammar_exprs())
 @settings(deadline=None, max_examples=100)
 def test_derivative_after_an_analysis_on_its_tape_is_the_fresh_one(e):
-    # the analysis keeps step lists on t and may fold e there: the fold
-    # that the derivative runs on from those lists builds the same text
-    t = Tape()
-    analyze_smoothness(e, Interval(-1.0, 1.1), 64, t)
-    assert format_expr(differentiate(e, t)) == format_expr(differentiate(e))
+    # the analysis keeps step lists on e's tape and may fold e there: the
+    # fold that the derivative runs on from those lists builds the same text
+    h = _parsed(e)
+    analyze_smoothness(h, Interval(-1.0, 1.1), 64)
+    assert format_expr(differentiate(h)) == format_expr(differentiate(_parsed(e)))
 
 
-def test_differentiate_reads_e_on_the_tape_it_is_given(monkeypatch):
-    # f parsed onto t is derived there: t.add finds f's root, so no node of
-    # f is keyed again, t.add finds f' too, and the result equals the one
-    # on a tape of its own
+def test_differentiate_reads_e_on_the_tape_it_is_given():
+    # f is derived on its own tape: no node of f is keyed again, and the
+    # result equals the one from a fresh parse.  A second derivative of f
+    # finds every node of the first on the tape: the same handle, and no
+    # new key
     source = "x^3*sin(x) + sin(x)/x"
-    t = Tape()
-    e = parse(source, t)
-    keyed = []  # per call of Tape.add, how many nodes it entered into the id map
-    add = Tape.add
-
-    def counted(self, root):
-        known = len(self._slots)
-        slot = add(self, root)
-        keyed.append(len(self._slots) - known)
-        return slot
-
-    monkeypatch.setattr(Tape, "add", counted)
-    d = differentiate(e, t)
-    assert t.tree(t.add(d)) is d
-    assert keyed and not any(keyed)
-    assert d == differentiate(parse(source))
+    e = parse(source)
+    f_keys = list(e.tape.keys)
+    d = differentiate(e)
+    assert d.tape is e.tape and e.tape.keys[: len(f_keys)] == f_keys
+    assert format_expr(d) == format_expr(differentiate(parse(source)))
+    known = len(e.tape.keys)
+    assert differentiate(e) == d and len(e.tape.keys) == known
 
 
 def test_a_chain_of_100001_nodes_differentiates_without_recursion():
     # -(-(...(x)...)): 100000 negations, far past the recursion limit
-    e = Variable()
-    for _ in range(100_000):
-        e = Neg(e)
-    assert differentiate(e) == Constant(1.0)
-    assert differentiate(Neg(e)) == Constant(-1.0)
-    # nothing folds, so the chain keeps its own nodes
-    assert simplify(e) is e
+    e = parse("-" * 100_000 + "x")
+    assert format_expr(differentiate(e)) == "1"
+    assert format_expr(differentiate(parse("-" * 100_001 + "x"))) == "(-1)"
+    # nothing folds, so the chain keeps its own slot
+    assert simplify(e) == e
 
 
 def test_abs_derivative_undefined_at_kink():
@@ -271,9 +272,9 @@ def test_abs_derivative_undefined_at_kink():
 @given(smooth_exprs(), smooth_exprs(), st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
 @settings(deadline=None)
 def test_derivative_linear_under_evaluation(u, v, x):
-    du = differentiate(u)
-    dv = differentiate(v)
-    dsum = differentiate(Binary("+", u, v))
+    du = differentiate(_parsed(u))
+    dv = differentiate(_parsed(v))
+    dsum = differentiate(_parsed(Binary("+", u, v)))
     try:
         a = evaluate(du, x)
         b = evaluate(dv, x)
@@ -286,8 +287,9 @@ def test_derivative_linear_under_evaluation(u, v, x):
 @given(smooth_exprs())
 @settings(deadline=None, max_examples=60)
 def test_derivative_against_finite_difference_oracle(e):
-    d = compile_evaluator(differentiate(e))
-    fe = compile_evaluator(e)
+    f = _parsed(e)
+    d = compile_evaluator(differentiate(f))
+    fe = compile_evaluator(f)
     h = FD_STEP
     for i in range(16):
         x = -1.8 + i * (3.6 / 15.0)  # sampled away from the interval ends
@@ -304,15 +306,24 @@ def test_derivative_against_finite_difference_oracle(e):
 # --- simplify ---------------------------------------------------------------
 
 
+def _simplified(text: str) -> str:
+    return format_expr(simplify(parse(text)))
+
+
 def test_simplify_multiplicative_identity():
-    assert simplify(Binary("*", Constant(1.0), Variable())) == Variable()
-    assert simplify(Binary("*", Variable(), Constant(1.0))) == Variable()
+    assert _simplified("1*x") == "x"
+    assert _simplified("x*1") == "x"
+    # on the input's tape, the result is the slot of x there
+    e = parse("1*x")
+    assert simplify(e) == Expr(e.tape, e.tape.put(("x",)))
 
 
 def test_simplify_constant_folding():
-    assert simplify(Binary("+", Constant(2.0), Constant(3.0))) == Constant(5.0)
-    assert simplify(Neg(Constant(2.0))) == Constant(-2.0)
-    assert simplify(Call("cos", Constant(0.0))) == Constant(1.0)
+    assert _simplified("2+3") == "5"
+    assert _simplified("-2") == "(-2)"
+    assert _simplified("cos(0)") == "1"
+    e = simplify(parse("-2"))
+    assert e.tape.constants[e.slot] == -2.0
 
 
 def test_simplify_leaves_sin_alone():
@@ -321,21 +332,22 @@ def test_simplify_leaves_sin_alone():
 
 
 def test_simplify_zero_rules():
-    assert simplify(Binary("+", Constant(0.0), Variable())) == Variable()
-    assert simplify(Binary("+", Variable(), Constant(0.0))) == Variable()
-    assert simplify(Binary("*", Variable(), Constant(0.0))) == Constant(0.0)
-    assert simplify(Binary("^", Variable(), Constant(1.0))) == Variable()
+    assert _simplified("0+x") == "x"
+    assert _simplified("x+0") == "x"
+    assert _simplified("x*0") == "0"
+    assert _simplified("x^1") == "x"
 
 
 def test_simplify_skips_undefined_folds():
-    e = Binary("/", Constant(1.0), Constant(0.0))
+    e = parse("1/0")
     assert simplify(e) == e
-    e = Call("ln", Constant(-1.0))
-    assert simplify(e) == e
+    # -1 folds to a constant, and ln of it stays
+    assert _simplified("ln(-1)") == "ln((-1))"
 
 
 @given(grammar_exprs(), st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
 def test_simplify_preserves_pointwise_value(e, x):
+    e = _parsed(e)
     simplified = simplify(e)
     try:
         want = evaluate(e, x)
@@ -356,9 +368,9 @@ def test_smoothness_of_quadratic():
 
 def test_smoothness_does_not_depend_on_what_else_the_tape_holds():
     # the pole of 1/(x - 0.5) is on the tape first, but not in the cone of x^2
-    iv, t = Interval(0.0, 1.0), Tape()
-    t.add(parse("1/(x - 0.5)"))
-    report = analyze_smoothness(parse("x^2"), iv, SAMPLES, t)
+    iv, t = Interval(0.0, 1.0), parse("1/(x - 0.5)").tape
+    square = Expr(t, t.put(("^", t.put(("x",)), t.put(("2.0",)))))
+    report = analyze_smoothness(square, iv, SAMPLES)
     assert report == analyze_smoothness(parse("x^2"), iv, SAMPLES)
     assert report == SmoothnessReport(Verdict.YES, Verdict.YES, ())
 
@@ -442,7 +454,10 @@ def test_smoothness_negative_integer_power_is_a_pole():
 @settings(deadline=None, max_examples=50)
 def test_smoothness_reads_the_exponents_value_not_its_spelling(base, k, a, width):
     iv = Interval(a, a + width)
-    expected = analyze_smoothness(Binary("^", base, Constant(float(k))), iv, SAMPLES)
+    # the literal exponent k, negative too, keyed as a fold would key it
+    b = _parsed(base)
+    literal = Expr(b.tape, b.tape.put(("^", b.slot, b.tape.put((repr(float(k)),)))))
+    expected = analyze_smoothness(literal, iv, SAMPLES)
     spellings = [
         Neg(Constant(float(-k))),
         Binary("/", Constant(float(2 * k)), Constant(2.0)),
@@ -450,7 +465,7 @@ def test_smoothness_reads_the_exponents_value_not_its_spelling(base, k, a, width
         Binary("-", Constant(0.0), Constant(float(-k))),
     ]
     for exponent in spellings:
-        assert analyze_smoothness(Binary("^", base, exponent), iv, SAMPLES) == expected
+        assert analyze_smoothness(_parsed(Binary("^", base, exponent)), iv, SAMPLES) == expected
 
 
 def test_smoothness_finds_a_pole_where_f_is_already_undefined():
@@ -545,7 +560,7 @@ def test_smoothness_reports(text, a, b, samples, expected):
 @given(poly_coefficients, st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
 @settings(deadline=None, max_examples=50)
 def test_smoothness_of_polynomials(coeffs, a):
-    report = analyze_smoothness(polynomial(coeffs), Interval(a, a + 2.0), SAMPLES)
+    report = analyze_smoothness(_parsed(polynomial(coeffs)), Interval(a, a + 2.0), SAMPLES)
     assert report.continuous_on_closed is Verdict.YES
     assert report.differentiable_on_open is Verdict.YES
 
@@ -575,7 +590,7 @@ def test_a_verdict_is_no_exactly_when_a_witness_refutes_it(e, a, width, samples)
     # without its verdict: an abs kink leaves f continuous, and only a
     # witness strictly inside (a, b) refutes differentiability there
     iv = Interval(a, a + width)
-    report = analyze_smoothness(e, iv, samples)
+    report = analyze_smoothness(_parsed(e), iv, samples)
     assert (report.continuous_on_closed is Verdict.NO) == any(
         w.kind is not WitnessKind.ABS_KINK for w in report.witnesses
     )
@@ -598,7 +613,7 @@ def _scanned(e, iv, samples):
 )
 @settings(deadline=None)
 def test_skipped_scan_would_find_nothing(e, a, width, samples):
-    iv = Interval(a, a + width)
+    e, iv = _parsed(e), Interval(a, a + width)
     with mock.patch.object(calculus, "tabulate", wraps=calculus.tabulate) as scan:
         report = analyze_smoothness(e, iv, samples)
     if not scan.called:
@@ -651,7 +666,7 @@ def test_scan_runs_where_bounds_cannot_clear(text, a, b):
 )
 @settings(deadline=None)
 def test_cleared_cells_change_no_witness_and_only_add_doubt(e, a, width, samples):
-    _assert_bounds_change_no_witness_and_only_add_doubt(e, Interval(a, a + width), samples)
+    _assert_bounds_change_no_witness_and_only_add_doubt(_parsed(e), Interval(a, a + width), samples)
 
 
 @given(
@@ -664,7 +679,7 @@ def test_cleared_cells_change_no_witness_and_only_add_doubt(e, a, width, samples
 def test_proven_cells_the_hazards_clear_change_no_witness_and_only_add_doubt(e, a, width, samples):
     # f is proven undefined on some cells, which the hazards' own bounds
     # may clear out of the hazard pass, and the hazard is scanned on others
-    _assert_bounds_change_no_witness_and_only_add_doubt(e, Interval(a, a + width), samples)
+    _assert_bounds_change_no_witness_and_only_add_doubt(_parsed(e), Interval(a, a + width), samples)
 
 
 def _assert_bounds_change_no_witness_and_only_add_doubt(e, iv, samples):
@@ -799,8 +814,10 @@ def test_a_row_where_math_raises_gives_each_hazard_its_own_value():
         report = analyze_smoothness(e, iv, SAMPLES)
     (xs, values), = seen
     assert any(x > 0.95 for x in xs)
-    assert tabulate(*_taped(e), xs[-1:]) == [[None]]
-    assert [repr(v) for v in values] == [repr(_defined(e.left.right, x)) for x in xs]
+    t = e.tape
+    divisor = Expr(t, t.put(("-", t.put(("x",)), t.put(("0.95",)))))
+    assert tabulate(t, [e.slot], xs[-1:]) == [[None]]
+    assert [repr(v) for v in values] == [repr(_defined(divisor, x)) for x in xs]
     assert report == _scanned(e, iv, SAMPLES)
     assert report.witnesses == (Witness(0.95, WitnessKind.POLE),)
 
@@ -858,7 +875,7 @@ def _tabulated(e, iv, samples):
     calls = []
 
     def recorded(t, outs, xs):
-        calls.append(([format_expr(t.tree(o)) for o in outs], [row_of[x] for x in xs]))
+        calls.append(([format_expr(Expr(t, o)) for o in outs], [row_of[x] for x in xs]))
         return tabulate(t, outs, xs)
 
     with mock.patch.object(calculus, "tabulate", recorded):
@@ -915,8 +932,7 @@ def test_f_is_tabulated_only_on_rows_that_bounds_did_not_prove_undefined(text, a
 def _proven_rows_left_out(e, iv, samples):
     """analyze_smoothness's report, and the rows of the cells that bounds
     prove ``e`` undefined on which no column pass reads."""
-    t = Tape()
-    top = t.add(e)
+    t, top = e.tape, e.slot
     outs = [top, *(slot for slot, _, _ in calculus._collect_hazards(t, top))]
     proven = calculus._rows(calculus._triage(t, outs, iv, samples)[1])
     report, calls = _tabulated(e, iv, samples)
@@ -1003,22 +1019,29 @@ def test_witnesses_refuse_assignment_and_deletion():
 # --- hazard collection --------------------------------------------------------
 
 
-def _taped(*exprs):
-    """A tape holding ``exprs``, and their slots on it."""
-    t = Tape()
-    return t, [t.add(e) for e in exprs]
+def _taped(e: Expr):
+    """``e``'s tape, and its slot there in a list, as enclose reads them."""
+    return e.tape, [e.slot]
 
 
 def _hazards(e):
-    """_collect_hazards on a tape of ``e``, each inner's node in place of its slot."""
-    t, (top,) = _taped(e)
-    return [(t.tree(slot), kind, zero_undefined) for slot, kind, zero_undefined in calculus._collect_hazards(t, top)]
+    """_collect_hazards on a parse of the tree ``e``, each inner's text in place of its slot."""
+    h = _parsed(e)
+    found = calculus._collect_hazards(h.tape, h.slot)
+    return [(format_expr(Expr(h.tape, slot)), kind, zero_undefined) for slot, kind, zero_undefined in found]
 
 
 def _subtrees(e):
-    """The distinct subexpressions of ``e``, children first, as a tape of ``e`` holds them."""
-    t, _ = _taped(e)
-    return [t.tree(slot) for slot in range(len(t.keys))]
+    """The distinct subexpressions of the tree ``e``, children first, as a tape of ``e`` holds them."""
+    out = {}  # the subtrees met, in order; equal ones are one key
+
+    def walk(node):
+        for child in (getattr(node, name) for name in ("left", "right", "argument", "child") if hasattr(node, name)):
+            walk(child)
+        out.setdefault(node)
+
+    walk(e)
+    return list(out)
 
 
 def _unwrap_abs(e):
@@ -1035,8 +1058,9 @@ def _hazards_by_rewalking(e):
         if isinstance(node, Binary) and node.op == "/":
             found.append((node.right, WitnessKind.POLE, True))
         elif isinstance(node, Binary) and node.op == "^":
-            exponent = simplify(node.right)
-            n = integer_exponent(exponent.value) if isinstance(exponent, Constant) else None
+            exponent = simplify(_parsed(node.right))
+            value = exponent.tape.constants.get(exponent.slot)
+            n = None if value is None else integer_exponent(value)
             if n is None:
                 found.append((node.left, WitnessKind.POWER_BOUNDARY, True))
             elif n < 0:
@@ -1047,7 +1071,7 @@ def _hazards_by_rewalking(e):
         elif isinstance(node, Call) and node.fn == "tan":
             found.append((Call("cos", node.argument), WitnessKind.POLE, True))
     return [
-        (_unwrap_abs(inner) if zero_undefined else inner, kind, zero_undefined)
+        (reference_format(_unwrap_abs(inner) if zero_undefined else inner), kind, zero_undefined)
         for inner, kind, zero_undefined in found
         if any(isinstance(n, Variable) for n in _subtrees(inner))
     ]
@@ -1106,12 +1130,9 @@ def test_nested_power_exponents_fold_in_linear_time(monkeypatch):
     monkeypatch.setattr(calculus, "_binary", counted_binary)
     counts = []
     for levels in (100, 200):
-        e = Variable()
-        for _ in range(levels):
-            e = Binary("^", Binary("+", Variable(), Constant(1.0)), e)
-        t, (top,) = _taped(e)
+        e = parse("(x + 1)^(" * levels + "x" + ")" * levels)
         calls.clear()
-        calculus._collect_hazards(t, top)
+        calculus._collect_hazards(e.tape, e.slot)
         counts.append(len(calls))
     assert counts[0] >= 100 and counts[1] <= 2.2 * counts[0]
 
@@ -1136,8 +1157,8 @@ def test_the_hazard_search_folds_f_at_most_once(monkeypatch, text, folds):
         return fold(*args)
 
     monkeypatch.setattr(calculus, "_simplify", counted_fold)
-    t, (top,) = _taped(parse(text))
-    calculus._collect_hazards(t, top)
+    e = parse(text)
+    calculus._collect_hazards(e.tape, e.slot)
     assert len(calls) == folds
 
 
@@ -1180,20 +1201,16 @@ def test_domain_arguments_are_the_real_ones():
     ],
 )
 def test_hazards_of_folding_exponents_match_their_first_definition(text):
-    e = parse(text)
+    e = reference_parse(text)
     assert _hazards(e) == _hazards_by_rewalking(e)
 
 
 def test_one_analysis_keys_each_node_once(monkeypatch):
     # bounds on [-1, 1] settle neither the grid nor its halves, as the
-    # divisor comes near 0 on both: three passes of bounds, one tape.
-    # tan(x) / (x*x + 1e-6), built with three x objects (parse would share one)
-    e = Binary(
-        "/",
-        Call("tan", Variable()),
-        Binary("+", Binary("*", Variable(), Variable()), Constant(1e-6)),
-    )
-    lookups, keyed, passes, tapes = [], [], [], []
+    # divisor comes near 0 on both: three passes of bounds, on f's tape
+    e = parse("tan(x) / (x*x + 1e-6)")
+    t = e.tape
+    lookups, passes = [], []
     bound = calculus.enclose
 
     class Lookups(dict):
@@ -1201,30 +1218,16 @@ def test_one_analysis_keys_each_node_once(monkeypatch):
             lookups.append(key)
             return super().get(key, default)
 
-    class Keyed(dict):
-        def __setitem__(self, node_id, entry):
-            keyed.append(entry[1])
-            super().__setitem__(node_id, entry)
+    def counted_enclose(tape, outs, a, b):
+        passes.append((tape, steps(tape, outs)))
+        return bound(tape, outs, a, b)
 
-    class CountedTape(Tape):
-        def __init__(self):
-            super().__init__()
-            self._keys, self._slots = Lookups(), Keyed()
-            tapes.append(self)
-
-    def counted_enclose(t, outs, a, b):
-        passes.append((t, steps(t, outs)))
-        return bound(t, outs, a, b)
-
-    monkeypatch.setattr(calculus, "Tape", CountedTape)
+    t._keys = Lookups(t._keys)
     monkeypatch.setattr(calculus, "enclose", counted_enclose)
     analyze_smoothness(e, Interval(-1.0, 1.0), SAMPLES)
-    # one tape, and its steps listed once for every pass of bounds
-    assert len(tapes) == 1
-    assert len(passes) >= 3 and all(t is tapes[0] and listed is passes[0][1] for t, listed in passes)
-    # the 8 nodes of e, and the cos(x) of tan's pole hazard, each keyed
-    # once; only the nodes of e enter the id map
-    assert len(lookups) == 9
-    assert len({id(node) for node in keyed}) == len(keyed) == 8
-    # the three x objects share one slot
-    assert len(tapes[0].keys) == 7
+    # f's tape, and its steps listed once for every pass of bounds
+    assert len(passes) >= 3 and all(tape is t and listed is passes[0][1] for tape, listed in passes)
+    # the 6 nodes of f were keyed by parse; the analysis keys only the
+    # cos(x) of tan's pole hazard, once
+    assert lookups == [("cos", 0)]
+    assert len(t.keys) == 7

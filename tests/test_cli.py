@@ -634,23 +634,31 @@ SHARED_F = "x^3 - 2*x + sin(x)*x^3"
     ids=["verify-csv", "rolle-svg", "diff", "eval"],
 )
 def test_commands_read_f_on_the_tape_it_was_parsed_onto(args, tmp_path, monkeypatch, capsys):
-    # Tape.add keys no node of f: the verdict, its plot, the derivative and
-    # the evaluation find f where parse put it.  The outputs are those of
-    # the library calls that put f on a tape of their own
+    # each expression is parsed once, f first, and the verdict, its plot,
+    # the derivative and the evaluation read f on the tape parse put it
+    # on.  The outputs are those of the library calls
     monkeypatch.chdir(tmp_path)
-    keyed = []  # per call of Tape.add, how many nodes it entered into the id map
-    add = Tape.add
+    handles, reads = [], []
 
-    def counted(self, root):
-        known = len(self._slots)
-        slot = add(self, root)
-        keyed.append(len(self._slots) - known)
-        return slot
+    def parsed(text):
+        handles.append(parse(text))
+        return handles[-1]
 
-    monkeypatch.setattr(Tape, "add", counted)
+    def recorded(fn):
+        def call(first, *rest):
+            reads.append(first if isinstance(first, Tape) else first.tape)
+            return fn(first, *rest)
+
+        return call
+
+    monkeypatch.setattr(cli, "parse", parsed)
+    for name in ("differentiate", "compile_evaluator", "tabulate", "verify_mvt", "verify_rolle"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
     code = run(args)
     monkeypatch.undo()
-    assert keyed and not any(keyed)
+    assert [format_expr(h) for h in handles[:1]] == [format_expr(parse(args[2]))]
+    assert len(handles) == sum(arg in ("--f", "--a", "--b", "--x") for arg in args)
+    assert handles[0].tape in reads and all(any(t is h.tape for h in handles) for t in reads)
     out = capsys.readouterr().out
     f = parse(args[2])
     if args[0] == "diff":

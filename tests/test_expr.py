@@ -1,4 +1,4 @@
-import copy
+import functools
 import math
 import sys
 import tracemalloc
@@ -10,20 +10,15 @@ from hypothesis import strategies as st
 from mvtcheck import calculus, expr
 from mvtcheck.calculus import differentiate
 from mvtcheck.expr import (
-    Binary,
-    Call,
-    Constant,
     DomainError,
     DomainErrorKind,
     Expr,
     FUNCTIONS,
     LexError,
-    Neg,
     ParseError,
     SourceError,
     Tape,
     UnknownIdentifier,
-    Variable,
     compile_evaluator,
     enclose,
     evaluate,
@@ -37,8 +32,66 @@ from mvtcheck.expr import (
 )
 from mvtcheck.numeric import Interval, grid
 
-from oracles import ReferenceDomainError, ReferenceTape, reference_evaluate, reference_parse
+from oracles import (
+    Binary,
+    Call,
+    Constant,
+    Neg,
+    ReferenceDomainError,
+    ReferenceSourceError,
+    ReferenceTape,
+    Variable,
+    reference_evaluate,
+    reference_format,
+    reference_parse,
+)
 from strategies import grammar_exprs, smooth_exprs
+
+
+def _parsed(tree) -> Expr:
+    """The package's handle on the reference tree ``tree``, parsed from its text."""
+    return parse(reference_format(tree))
+
+
+def _tree(e: Expr):
+    """The reference tree of the handle ``e``: its text, as the reference parser reads it."""
+    return reference_parse(format_expr(e))
+
+
+def _reference_keys(tree) -> list:
+    """The keys of a reference tape holding ``tree``."""
+    reference = ReferenceTape()
+    reference.add(tree)
+    return reference.keys
+
+
+def _put(t: Tape, e: Expr) -> int:
+    """The slot of ``e``'s expression on ``t``, its cone keyed there
+    through ``put``, children first."""
+    moved = {}
+    for i, _, _ in steps(e.tape, [e.slot]):
+        part, *args = e.tape.keys[i]
+        moved[i] = t.put((part, *[moved[j] for j in args]))
+    return moved[e.slot]
+
+
+def _taped(*exprs: Expr) -> tuple[Tape, list[int]]:
+    """A new tape holding ``exprs``, keyed in turn, and their slots on it."""
+    t = Tape()
+    return t, [_put(t, e) for e in exprs]
+
+
+def _handle(*keys: tuple) -> Expr:
+    """The handle on the last of ``keys``, each put in turn on a new tape."""
+    t = Tape()
+    for key in keys:
+        slot = t.put(key)
+    return Expr(t, slot)
+
+
+def _wrap(e: Expr, part: str) -> Expr:
+    """The handle on ``part`` of ``e`` (a function name or "-"), on ``e``'s tape."""
+    return Expr(e.tape, e.tape.put((part, e.slot)))
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -76,7 +129,7 @@ def test_tokenize_number_overflow():
 
 @given(grammar_exprs())
 def test_tokenize_positions_strictly_increase(e):
-    tokens = tokenize(format_expr(e))
+    tokens = tokenize(reference_format(e))
     positions = [position for _, position in tokens]
     assert positions == sorted(set(positions))
 
@@ -85,30 +138,31 @@ def test_tokenize_positions_strictly_increase(e):
 
 
 def test_parse_function_call():
-    assert parse("sin(x)") == Call("sin", Variable())
+    e = parse("sin(x)")
+    assert e.tape.keys == [("x",), ("sin", 0)] and e.slot == 1
 
 
 def test_parse_precedence():
-    assert parse("2+3*x") == Binary("+", Constant(2.0), Binary("*", Constant(3.0), Variable()))
+    assert parse("2+3*x").tape.keys == _reference_keys(Binary("+", Constant(2.0), Binary("*", Constant(3.0), Variable())))
 
 
 def test_parse_power_right_associative():
     e = parse("2^3^2")
-    assert e == Binary("^", Constant(2.0), Binary("^", Constant(3.0), Constant(2.0)))
+    assert e.tape.keys == _reference_keys(Binary("^", Constant(2.0), Binary("^", Constant(3.0), Constant(2.0))))
     assert evaluate(e, 0.0) == 512.0
 
 
 def test_parse_unary_minus_binds_looser_than_power():
-    assert parse("-x^2") == Neg(Binary("^", Variable(), Constant(2.0)))
+    assert parse("-x^2").tape.keys == _reference_keys(Neg(Binary("^", Variable(), Constant(2.0))))
 
 
 def test_parse_unary_minus_in_product():
-    assert parse("2*-x") == Binary("*", Constant(2.0), Neg(Variable()))
+    assert parse("2*-x").tape.keys == _reference_keys(Binary("*", Constant(2.0), Neg(Variable())))
 
 
 def test_parse_named_constants_fold():
-    assert parse("pi") == Constant(math.pi)
-    assert parse("e") == Constant(math.e)
+    assert parse("pi").tape.keys == [(repr(math.pi),)] and parse("pi").tape.constants == {0: math.pi}
+    assert parse("e").tape.constants == {0: math.e}
     assert evaluate(parse("pi/2"), 0.0) == math.pi / 2
 
 
@@ -237,18 +291,26 @@ def test_parse_spends_at_most_five_frames_per_nesting_level(opener):
 GRAMMAR_TOKENS = ["0", "2", "3.5", "1e3", "x", "pi", "e", *FUNCTIONS, "foo", *"+-*/^(),", " "]
 
 
-def _parse_outcome(parser, source):
+def _parse_outcome(source):
     try:
-        return parser(source)
+        return parse(source).tape.keys
     except SourceError as err:
-        return type(err), err.position, str(err), getattr(err, "expected", None)
+        return type(err).__name__, err.position, str(err), getattr(err, "expected", None)
+
+
+def _reference_outcome(source):
+    try:
+        return _reference_keys(reference_parse(source))
+    except ReferenceSourceError as err:
+        return err.kind, err.position, str(err), err.expected
 
 
 @settings(max_examples=1000)
 @given(st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=30).map("".join))
 def test_parse_matches_the_reference_parser(source):
-    # the same tree, or the same error class, position, message and expectation
-    assert _parse_outcome(parse, source) == _parse_outcome(lambda text: reference_parse(text, expr), source)
+    # the keys of the reference's tree, in the reference tape's order, or
+    # the same error class, position, message and expectation
+    assert _parse_outcome(source) == _reference_outcome(source)
 
 
 def test_nesting_limit_counts_open_levels_only():
@@ -267,78 +329,55 @@ def test_parse_totality(source):
 
 
 def test_parse_shares_equal_subexpressions():
-    e = parse("x*x")
-    assert e.left is e.right
+    assert parse("x*x").tape.keys == [("x",), ("*", 0, 0)]
     e = parse("sin(x)/2 + sin(x)")
-    assert e.left.left is e.right
-
-
-def _counted_lookups(t: Tape) -> list:
-    """The keys looked up in ``t``'s key map from now on."""
-    lookups = []
-
-    class Lookups(dict):
-        def get(self, key, default=None):
-            lookups.append(key)
-            return super().get(key, default)
-
-    t._keys = Lookups(t._keys)
-    return lookups
+    assert e.tape.keys == [("x",), ("sin", 0), ("2.0",), ("/", 1, 2), ("+", 3, 1)]
 
 
 @pytest.mark.parametrize("source", ["x", "2", "x*x - 4*x + 3", "sin(x)^2 + cos(x)^2", "-(x + pi)/sqrt(x)"])
 def test_parse_puts_the_tree_on_the_tape_it_is_given(source):
-    # in the order add would put it there, so add of the tree keys nothing
-    # and returns the slot parse gave its root, the last one
-    t = Tape()
-    e = parse(source, t)
-    lookups = _counted_lookups(t)
-    assert t.add(e) == len(t.keys) - 1
-    assert lookups == []
-    assert t.tree(len(t.keys) - 1) is e
-    reference = ReferenceTape()
-    reference.add(e)
-    assert [key[1:] for key in t.keys] == reference.args
+    # parse keys the text on a new tape in the reference tape's order, the
+    # root last, and builds nothing else there: putting each key again
+    # finds its slot and appends nothing
+    e = parse(source)
+    assert e.tape.keys == _reference_keys(reference_parse(source))
+    assert e.slot == len(e.tape.keys) - 1
+    assert [e.tape.put(key) for key in list(e.tape.keys)] == list(range(len(e.tape.keys)))
+    assert e.slot == len(e.tape.keys) - 1
 
 
 @given(st.lists(grammar_exprs(max_leaves=8), min_size=1, max_size=3))
 def test_parse_onto_a_shared_tape_matches_the_reference_tape(exprs):
-    # later sources find the subexpressions of earlier ones on the tape
-    t, reference = Tape(), ReferenceTape()
-    for e in exprs:
-        parsed = parse(format_expr(e), t)
-        assert parsed == e
-        lookups = _counted_lookups(t)
-        assert t.add(parsed) == reference.add(e)
-        assert lookups == []
-    assert [key[1:] for key in t.keys] == reference.args
-
-
-def test_a_failed_parse_leaves_what_it_reduced_on_the_tape():
-    t = Tape()
-    with pytest.raises(ParseError):
-        parse("x*x + sin(", t)
-    assert format_expr(t.tree(len(t.keys) - 1)) == "(x * x)"
+    # the sum of the expressions: later terms find the subexpressions of
+    # earlier ones on the tape, and each term's slot there holds its text
+    whole = functools.reduce(lambda u, v: Binary("+", u, v), exprs)
+    e = _parsed(whole)
+    reference = ReferenceTape()
+    assert e.slot == reference.add(whole)
+    assert e.tape.keys == reference.keys
+    for tree in exprs:
+        assert format_expr(Expr(e.tape, reference.add(tree))) == reference_format(tree)
+    assert len(reference.keys) == len(e.tape.keys)
 
 
 # --- format -----------------------------------------------------------------
 
 
 def test_format_binary():
-    assert format_expr(Binary("+", Variable(), Constant(1.0))) == "(x + 1)"
+    assert format_expr(_handle(("x",), ("1.0",), ("+", 0, 1))) == "(x + 1)"
 
 
 def test_format_call():
-    assert format_expr(Call("cos", Variable())) == "cos(x)"
+    assert format_expr(_handle(("x",), ("cos", 0))) == "cos(x)"
 
 
 def test_format_neg():
-    assert format_expr(Neg(Variable())) == "(-x)"
+    assert format_expr(_handle(("x",), ("-", 0))) == "(-x)"
 
 
 def test_format_non_integer_constant():
-    assert format_expr(Constant(0.5)) == "0.5"
-    assert parse(format_expr(Constant(math.pi))) == Constant(math.pi)
+    assert format_expr(_handle(("0.5",))) == "0.5"
+    assert parse(format_expr(_handle((repr(math.pi),)))).tape.constants == {0: math.pi}
 
 
 @pytest.mark.parametrize(
@@ -347,12 +386,16 @@ def test_format_non_integer_constant():
 )
 def test_format_constants(value, text):
     # a negative constant, -0.0 included, is written as a unary minus
-    assert format_expr(Constant(value)) == text
+    assert format_expr(_handle((repr(value),))) == text
+    assert format_expr(_handle((repr(value),))) == reference_format(Constant(value))
 
 
 @given(grammar_exprs())
 def test_parse_format_round_trip(e):
-    assert parse(format_expr(e)) == e
+    # the text of a parsed tree is the reference's, and parses to the same keys
+    h = _parsed(e)
+    assert format_expr(h) == reference_format(e)
+    assert parse(format_expr(h)).tape.keys == h.tape.keys
 
 
 # --- evaluate ---------------------------------------------------------------
@@ -435,7 +478,7 @@ def test_evaluate_overflow_is_domain_error():
 
 def test_evaluate_requires_finite_x():
     with pytest.raises(ValueError):
-        evaluate(Variable(), math.inf)
+        evaluate(parse("x"), math.inf)
 
 
 def test_evaluate_deterministic():
@@ -444,10 +487,13 @@ def test_evaluate_deterministic():
 
 
 def test_constant_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Constant(math.nan)
-    with pytest.raises(ValueError):
-        Constant(math.inf)
+    # a constant is parsed from a literal, which may not overflow, or
+    # named, and no name is nan or inf
+    with pytest.raises(LexError):
+        parse("1e999")
+    for name in ("nan", "inf"):
+        with pytest.raises(UnknownIdentifier):
+            parse(name)
 
 
 def _assert_matches_reference(f, e, x):
@@ -465,13 +511,15 @@ def _assert_matches_reference(f, e, x):
 
 @given(grammar_exprs(), st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
 def test_compiled_evaluator_matches_reference(e, x):
-    _assert_matches_reference(compile_evaluator(e), e, x)
-    _assert_matches_reference(lambda point: evaluate(e, point), e, x)
+    h = _parsed(e)
+    _assert_matches_reference(compile_evaluator(h), e, x)
+    _assert_matches_reference(lambda point: evaluate(h, point), e, x)
 
 
 def _power(base: str, k: float) -> Expr:
     # the parser reads x^-2 as x^(-(2)); folded derivatives hold the literal -2
-    return Binary("^", parse(base), Constant(k))
+    e = parse(base)
+    return Expr(e.tape, e.tape.put(("^", e.slot, e.tape.put((repr(k),)))))
 
 
 EDGE_CASES = [
@@ -481,7 +529,7 @@ EDGE_CASES = [
     (_power("x", -2.0), 1e200),
     (_power("x", -2.0), 0.0),
     (_power("x*x", -2.0), 1e200),
-    (Call("exp", Neg(_power("x", -1.0))), 1e-310),
+    (_wrap(_wrap(_power("x", -1.0), "-"), "exp"), 1e-310),
     (parse("(x*x)^0"), 1e200),
     (parse("x^3"), -0.0),
     (parse("x^1"), 1e300),
@@ -508,14 +556,8 @@ EDGE_CASES = [
     # a derivative sharing x*x between a power's product and a divisor, and
     # a root that is a literal
     (differentiate(parse("x^3 - 2*x^2/x + 1/(x^2+1)")), 0.5),
-    (Constant(2.0), 1.0),
+    (parse("2"), 1.0),
 ]
-
-
-def _taped(*exprs: Expr) -> tuple[Tape, list[int]]:
-    """A tape holding ``exprs``, and their slots on it."""
-    t = Tape()
-    return t, [t.add(e) for e in exprs]
 
 
 def _edge_id(value) -> str:
@@ -524,9 +566,9 @@ def _edge_id(value) -> str:
 
 @pytest.mark.parametrize("e, x", EDGE_CASES, ids=_edge_id)
 def test_compiled_code_matches_reference_at_the_edges(e, x):
-    _assert_matches_reference(compile_evaluator(e), e, x)
+    _assert_matches_reference(compile_evaluator(e), _tree(e), x)
     (column,) = tabulate(*_taped(e), [x])
-    assert [repr(v) for v in column] == [repr(_reference(e, x))]
+    assert [repr(v) for v in column] == [repr(_reference(_tree(e), x))]
 
 
 def test_a_power_keeps_its_test_beside_a_product_of_its_base():
@@ -534,8 +576,8 @@ def test_a_power_keeps_its_test_beside_a_product_of_its_base():
     # power fails there, as the reference does, and the product does not, so
     # exp(-(x*x)) is exp(-inf) = 0.0 and exp(-(x^2)) is undefined
     product, power = parse("exp(-(x*x))"), parse("exp(-(x^2))")
-    assert reference_evaluate(product, 1e200) == evaluate(product, 1e200) == 0.0
-    assert _reference(power, 1e200) is None
+    assert reference_evaluate(_tree(product), 1e200) == evaluate(product, 1e200) == 0.0
+    assert _reference(_tree(power), 1e200) is None
     with pytest.raises(DomainError) as expected:
         evaluate(power, 1e200)
     assert expected.value.kind is DomainErrorKind.NON_FINITE
@@ -543,7 +585,7 @@ def test_a_power_keeps_its_test_beside_a_product_of_its_base():
     assert tabulate(*_taped(power, product), [1e200]) == [[None], [0.0]]
 
 
-def _subtrees(e: Expr) -> list[Expr]:
+def _subtrees(e) -> list:
     out, stack = [], [e]
     while stack:
         node = stack.pop()
@@ -557,7 +599,7 @@ def _subtrees(e: Expr) -> list[Expr]:
     return out
 
 
-def _reference(e: Expr, x: float) -> float | None:
+def _reference(e, x: float) -> float | None:
     try:
         return reference_evaluate(e, x)
     except ReferenceDomainError:
@@ -573,7 +615,7 @@ def test_one_program_computes_every_output(e, data):
     extras = [Call("cos", t.argument) for t in subtrees if isinstance(t, Call) and t.fn == "tan"]
     outputs = [e, *picked, *extras]
     xs = grid(Interval(-4.0, 4.0), 33)
-    columns = tabulate(*_taped(*outputs), xs)
+    columns = tabulate(*_taped(*map(_parsed, outputs)), xs)
     for i, x in enumerate(xs):
         row = [column[i] for column in columns]
         # every row where e fails is read too, and no output of it is lost
@@ -583,7 +625,7 @@ def test_one_program_computes_every_output(e, data):
 
 
 def test_equal_subtrees_lower_to_one_statement(monkeypatch):
-    # two separately built sin(x) nodes: one call to sin per evaluation
+    # sin(x) twice in the text: one call to sin per evaluation
     calls = []
 
     def counted_sin(u):
@@ -591,8 +633,7 @@ def test_equal_subtrees_lower_to_one_statement(monkeypatch):
         return math.sin(u)
 
     monkeypatch.setitem(expr._RULES, "sin", expr._Rule(counted_sin, expr._RULES["sin"].bounds))
-    e = Binary("*", Call("sin", Variable()), Call("sin", Variable()))
-    compiled = compile_evaluator(e)
+    compiled = compile_evaluator(parse("sin(x) * sin(x)"))
     assert compiled(0.5) == math.sin(0.5) * math.sin(0.5)
     assert compiled(0.25) == math.sin(0.25) * math.sin(0.25)
     assert calls == [0.5, 0.25]
@@ -602,10 +643,11 @@ def test_evaluator_computes_only_the_cone_of_its_slot():
     # sqrt(x) comes first on the tape and fails at -0.75, but x + 0.5 does
     # not read it
     e = parse("sqrt(x) + 1/(x+0.5)")
-    t, (top,) = _taped(e)
-    assert evaluator(t, t.add(e.right.right))(-0.75) == -0.25
+    t = e.tape
+    inner = t.put(("+", t.put(("x",)), t.put(("0.5",))))
+    assert evaluator(t, inner)(-0.75) == -0.25
     with pytest.raises(DomainError) as caught:
-        evaluator(t, top)(-0.75)
+        evaluator(t, e.slot)(-0.75)
     assert caught.value.kind is DomainErrorKind.ROOT_OF_NEGATIVE
 
 
@@ -615,9 +657,9 @@ def test_steps_list_each_outputs_cone_in_postorder():
     # x^2, a power by a literal exponent, reads its base only, its exponent
     # listed as a leaf all the same
     t = Tape()
-    ln = t.add(parse("ln(x)"))  # x at 0, ln(x) at 1
-    top = t.add(parse("sqrt(x) + ln(x)"))  # sqrt(x) at 2, the sum at 3
-    square = t.add(parse("x^2"))  # 2 at 4, x^2 at 5
+    ln = _put(t, parse("ln(x)"))  # x at 0, ln(x) at 1
+    top = _put(t, parse("sqrt(x) + ln(x)"))  # sqrt(x) at 2, the sum at 3
+    square = _put(t, parse("x^2"))  # 2 at 4, x^2 at 5
     listed = steps(t, [top, square, ln])
     assert [(i, reads) for i, _, reads in listed] == [(0, ()), (2, (0,)), (1, (0,)), (3, (2, 1)), (4, ()), (5, (0,))]
     assert listed[0][1] is None and listed[3][1] is expr._RULES["+"] and listed[4][1] == 2.0
@@ -634,8 +676,8 @@ def test_enclose_and_tabulate_read_only_the_cone_of_their_outputs(monkeypatch):
 
     monkeypatch.setitem(expr._RULES, "sqrt", expr._Rule(unread, unread, unread))
     t = Tape()
-    t.add(parse("sqrt(x)"))
-    slot = t.add(parse("x+1"))
+    _put(t, parse("sqrt(x)"))
+    slot = _put(t, parse("x+1"))
     assert [i for i, _, _ in steps(t, [slot])] == [0, 2, 3]
     assert enclose(t, [slot], -2.0, -1.0) == [(-1.0, 0.0)]
     assert tabulate(t, [slot], [-2.0, -1.0]) == [[-1.0, 0.0]]
@@ -645,15 +687,15 @@ def test_a_list_of_steps_made_before_more_keys_are_put_stays_that_of_its_express
     # steps keeps each list on its tape: what is put there later, the
     # derivative, its hazards' cos(u) and other roots, changes no cone
     text = "tan(x)^2 / (x - 0.5) + sqrt(abs(x))^1.5"
-    t = Tape()
-    top = t.add(parse(text))
+    f = parse(text)
+    t, top = f.tape, f.slot
     listed = list(steps(t, [top]))
-    calculus.analyze_smoothness(t.tree(top), Interval(-1.0, 1.0), 97, t)
-    t.tree(calculus.derivative(t, top))
-    t.add(parse("ln(x) * " + text))
-    fresh = Tape()
-    assert fresh.add(parse(text)) == top and len(t.keys) > len(fresh.keys)
-    assert steps(t, [top]) == listed == steps(fresh, [top])
+    calculus.analyze_smoothness(f, Interval(-1.0, 1.0), 97)
+    calculus.differentiate(f)
+    _put(t, parse("ln(x) * " + text))
+    fresh = parse(text)
+    assert fresh.slot == top and len(t.keys) > len(fresh.tape.keys)
+    assert steps(t, [top]) == listed == steps(fresh.tape, [top])
 
 
 def test_a_literal_exponent_is_decided_once_per_listing(monkeypatch):
@@ -676,26 +718,28 @@ def test_a_literal_exponent_is_decided_once_per_listing(monkeypatch):
 
 @given(st.lists(grammar_exprs(), min_size=2, max_size=4), st.floats(min_value=-50.0, max_value=50.0))
 # ln(x) comes first on the tape, but the sum reaches sqrt(x) first
-@example([parse("ln(x)"), parse("sqrt(x)+ln(x)")], -1.0)
+@example([reference_parse("ln(x)"), reference_parse("sqrt(x)+ln(x)")], -1.0)
 def test_evaluator_matches_reference_at_every_slot(exprs, x):
     # a tape that the expressions share, so a slot's cone may skip the
     # nodes between its own
-    t, _ = _taped(*exprs)
+    t, _ = _taped(*map(_parsed, exprs))
     for slot in range(len(t.keys)):
-        _assert_matches_reference(evaluator(t, slot), t.tree(slot), x)
+        _assert_matches_reference(evaluator(t, slot), _tree(Expr(t, slot)), x)
 
 
 def test_constants_keep_the_sign_of_zero_apart():
-    e = Binary("+", Binary("*", Constant(0.0), Variable()), Binary("*", Constant(-0.0), Variable()))
-    columns = tabulate(*_taped(e, e.left, e.right), [-1.0])
+    # 0*x + (-0.0)*x, the -0.0 a literal key as a fold would leave it
+    e = _handle(("0.0",), ("x",), ("*", 0, 1), ("-0.0",), ("*", 3, 1), ("+", 2, 4))
+    columns = tabulate(e.tape, [e.slot, 2, 4], [-1.0])
     assert [repr(v) for (v,) in columns] == ["0.0", "-0.0", "0.0"]
 
 
 def test_outputs_are_none_where_not_finite():
     # 1e200*1e200 overflows to inf without raising; exp(-inf) is 0.0
     e = parse("exp(-(1e200*1e200)) + x")
-    inner = e.left.argument.child
-    assert tabulate(*_taped(e, inner), [1.0]) == [[1.0], [None]]
+    t = e.tape
+    inner = t.put(("*", t.put(("1e+200",)), t.put(("1e+200",))))
+    assert tabulate(t, [e.slot, inner], [1.0]) == [[1.0], [None]]
 
 
 @given(grammar_exprs(), st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=6))
@@ -704,37 +748,39 @@ def test_each_column_is_its_nodes_evaluation(e, xs):
     # gives one, None exactly where it raises, also at a row where a
     # function of math raises at some node (exp overflowing, sin of an
     # infinity): only the nodes that read it are None there
-    t = Tape()
-    t.add(e)
+    t = _parsed(e).tape
     columns = tabulate(t, range(len(t.keys)), xs)
+    nodes = [_tree(Expr(t, slot)) for slot in range(len(t.keys))]
     for row, x in enumerate(xs):
-        for node, column in zip(map(t.tree, range(len(t.keys))), columns, strict=True):
+        for node, column in zip(nodes, columns, strict=True):
             assert repr(column[row]) == repr(_reference(node, x))
 
 
 def test_tabulate_cases():
     # no points: one empty column per output
     e = parse("sin(x) + 1/x")
-    assert tabulate(*_taped(e, e.right), []) == [[], []]
+    t = e.tape
+    assert tabulate(t, [e.slot, t.put(("/", t.put(("1.0",)), t.put(("x",))))], []) == [[], []]
     # exp(800*x) overflows right of 0.887: the top is None at those rows,
     # as the reference raises NON_FINITE for e, but 800*x, which does not
     # read exp, keeps its values there
     e = parse("sin(exp(800*x))")
+    t = e.tape
     xs = grid(Interval(0.0, 1.0), 11)
-    top, inner = tabulate(*_taped(e, e.argument.argument), xs)
+    top, inner = tabulate(t, [e.slot, t.put(("*", t.put(("800.0",)), t.put(("x",))))], xs)
     assert top[9:] == [None, None]
-    assert [repr(v) for v in top[:9]] == [repr(reference_evaluate(e, x)) for x in xs[:9]]
+    assert [repr(v) for v in top[:9]] == [repr(reference_evaluate(_tree(e), x)) for x in xs[:9]]
     assert inner == [800.0 * x for x in xs]
     for x in xs[9:]:
         with pytest.raises(ReferenceDomainError) as caught:
-            reference_evaluate(e, x)
+            reference_evaluate(_tree(e), x)
         assert caught.value.kind == "NON_FINITE"
     # x^64 is multiplied out: at 1e5 the product overflows to inf without
     # raising, and the value is None
     power = parse("x^64")
     assert tabulate(*_taped(power), [2.0, 1e5]) == [[2.0**64, None]]
     with pytest.raises(ReferenceDomainError) as caught:
-        reference_evaluate(power, 1e5)
+        reference_evaluate(_tree(power), 1e5)
     assert caught.value.kind == "NON_FINITE"
 
 
@@ -758,11 +804,11 @@ def test_tabulate_memory_follows_the_tapes_width():
 
 def test_tabulate_has_no_nesting_limit():
     # the derivative of a 600-factor product is too deep for the
-    # reference's recursive walk, and evaluates and tabulates to the same
-    # values
+    # reference's recursive parser and walk, and evaluates and tabulates
+    # to the same values
     d = differentiate(parse("*".join(["x"] * 600)))
     with pytest.raises(RecursionError):
-        reference_evaluate(d, 0.7)
+        reference_evaluate(_tree(d), 0.7)
     xs = [0.7, 1.0, 1.01]
     (column,) = tabulate(*_taped(d), xs)
     assert [repr(v) for v in column] == [repr(evaluate(d, x)) for x in xs]
@@ -777,106 +823,81 @@ def test_compile_has_no_nesting_limit():
 
 
 def test_tape_holds_children_first_and_shared_nodes_once():
-    shared = Call("sin", Variable())
-    e = Binary("+", shared, Neg(shared))
-    t = Tape()
-    assert t.add(e) == 3
-    assert [id(t.tree(slot)) for slot in range(4)] == [id(shared.argument), id(shared), id(e.right), id(e)]
+    e = parse("sin(x) + -sin(x)")
+    t = e.tape
+    assert e.slot == 3
     assert t.keys == [("x",), ("sin", 0), ("-", 1), ("+", 1, 2)]
-    # a node on the tape keeps its slot, and adding it appends nothing
-    assert t.add(shared) == 1
+    # a node on the tape keeps its slot, and putting it appends nothing
+    assert t.put(("sin", 0)) == 1
     assert len(t.keys) == 4
     # a new root appends only what is not on the tape yet
-    assert t.add(Call("cos", shared)) == 4
+    assert _put(t, parse("cos(sin(x))")) == 4
     assert t.keys[4:] == [("cos", 1)]
 
 
 def test_equal_expressions_take_one_slot():
-    # separately built copies of x - 0.3 share the first copy's slot
-    first, second = parse("x - 0.3"), parse("x - 0.3")
-    t = Tape()
-    assert t.add(Binary("/", first, second)) == 3
-    assert t.tree(2) is first and t.keys == [("x",), ("0.3",), ("-", 0, 1), ("/", 2, 2)]
+    # both copies of x - 0.3 take the first copy's slot
+    e = parse("(x - 0.3) / (x - 0.3)")
+    t = e.tape
+    assert e.slot == 3 and t.keys == [("x",), ("0.3",), ("-", 0, 1), ("/", 2, 2)]
     # a constant is keyed by its repr: 0.0, -0.0 and -(0.0) take three
     # slots, and the tape keeps each constant's value, its sign too
-    assert [t.add(Constant(0.0)), t.add(Constant(-0.0)), t.add(Neg(Constant(0.0)))] == [4, 5, 6]
+    assert [t.put(("0.0",)), t.put(("-0.0",)), t.put(("-", t.put(("0.0",))))] == [4, 5, 6]
     assert {slot: repr(value) for slot, value in t.constants.items()} == {1: "0.3", 4: "0.0", 5: "-0.0"}
-    # an equal but distinct tree returns the old slot and appends nothing
-    assert t.add(parse("(x - 0.3) / (x - 0.3)")) == 3
+    # an equal expression from another tape finds the old slot and appends nothing
+    assert _put(t, parse("(x - 0.3) / (x - 0.3)")) == 3
     assert len(t.keys) == 7
 
 
-def test_a_dropped_copy_leaves_its_slot_to_no_new_node():
-    # each cos(x) below is a copy, dropped by the caller after add: the tape
-    # keeps it alive, so the next new node cannot reuse its id and its slot
-    t = Tape()
-    t.add(parse("cos(x)"))
-    for fn in ("sin", "tan", "exp", "ln", "sqrt", "abs"):
-        assert t.add(Call("cos", t.tree(0))) == 1
-        assert t.tree(t.add(Call(fn, t.tree(0)))).fn == fn
-
-
 def test_tape_has_no_depth_limit():
-    e = Variable()
-    for _ in range(20000):
-        e = Neg(e)
-    t = Tape()
-    assert t.add(e) == 20000
-    assert t.keys == [("x",), *[("-", i) for i in range(20000)]]
+    e = parse("-" * 20000 + "x")
+    assert e.slot == 20000
+    assert e.tape.keys == [("x",), *[("-", i) for i in range(20000)]]
+    assert format_expr(e) == "(-" * 20000 + "x" + ")" * 20000
 
 
 def test_tape_keys_a_shared_dag_once_per_object():
-    # u * u, two hundred times over: a tree of 2^200 leaves in 201 objects
-    u = Variable()
+    # u * u, two hundred times over: a tree of 2^200 leaves in 201 keys,
+    # each listed, and so computed, once
+    t = Tape()
+    u = t.put(("x",))
     for _ in range(200):
-        u = Binary("*", u, u)
-    t = Tape()
-    assert t.add(u) == 200
-    assert len(t.keys) == 201
-    assert len(t._slots) == 201
+        u = t.put(("*", u, u))
+    assert u == 200 and len(t.keys) == 201
+    assert len(steps(t, [u])) == 201
+    assert evaluator(t, u)(1.0) == 1.0
 
 
-def test_put_keys_and_tree_builds_each_missing_node_once():
-    # put keys a slot and builds nothing; tree builds the nodes that no
-    # slot of the cone has yet, over the nodes that add met, keeps one
-    # node per slot, and enters each into the id map, so add of the tree
-    # is one lookup
-    t = Tape()
+def test_put_keys_a_node_and_format_reads_the_keys():
+    # put keys a slot over slots already on the tape and builds nothing;
+    # format_expr reads the keys, with no recursion
     sin = parse("sin(x)")
-    below = t.add(sin)
-    known = dict(t._slots)
-    negated = t.put(("-", below))
+    t = sin.tape
+    negated = t.put(("-", sin.slot))
     top = t.put(("*", negated, t.put(("-0.0",))))
-    assert t._slots == known
-    e = t.tree(top)
-    assert format_expr(e) == "((-sin(x)) * (-0))"
-    assert e.left.child is sin and t.tree(negated) is e.left and t.tree(top) is e
-    lookups = _counted_lookups(t)
-    assert t.add(e) == top and lookups == []
-    # 20000 negations keyed by put, built without recursion
+    assert len(t.keys) == 5
+    assert format_expr(Expr(t, top)) == "((-sin(x)) * (-0))"
+    assert format_expr(sin) == "sin(x)"
+    # 20000 negations keyed by put
     t = Tape()
     slot = t.put(("x",))
     for _ in range(20000):
         slot = t.put(("-", slot))
-    e = t.tree(slot)
-    assert isinstance(e, Neg) and t.add(e) == slot == 20000
+    assert slot == 20000
+    assert format_expr(Expr(t, slot)) == "(-" * 20000 + "x" + ")" * 20000
 
 
 @given(st.lists(grammar_exprs(max_leaves=8), min_size=1, max_size=2), st.data())
 @settings(deadline=None)
 def test_tape_matches_the_reference_tape(exprs, data):
-    # each expression and its derivative, which shares node objects with
-    # it; the roots of one tape may repeat a root or be an equal fresh copy
-    pool = [e for f in exprs for e in (f, differentiate(f))]
-    picks = data.draw(
-        st.lists(st.tuples(st.sampled_from(range(len(pool))), st.booleans()), min_size=1, max_size=4),
-        label="roots",
-    )
-    roots = [copy.deepcopy(pool[i]) if fresh else pool[i] for i, fresh in picks]
-    t, reference = Tape(), ReferenceTape()
-    assert [t.add(root) for root in roots] == [reference.add(root) for root in roots]
-    assert [id(t.tree(slot)) for slot in range(len(t.keys))] == [id(node) for node in reference.nodes]
-    assert [key[1:] for key in t.keys] == reference.args
+    # roots that may repeat, summed into one text: the tape holds the keys
+    # a reference tape holds for the same tree, in the same order
+    picks = data.draw(st.lists(st.sampled_from(exprs), min_size=1, max_size=4), label="roots")
+    whole = functools.reduce(lambda u, v: Binary("+", u, v), picks)
+    reference = ReferenceTape()
+    e = _parsed(whole)
+    assert e.slot == reference.add(whole)
+    assert e.tape.keys == reference.keys
 
 
 def _assert_encloses(t, outs, iv, bounds):
@@ -889,9 +910,10 @@ def _assert_encloses(t, outs, iv, bounds):
         for x, row in zip(xs, zip(*columns)):
             for value, (lo, hi) in zip(row, bounds, strict=True):
                 assert value is not None and lo <= value <= hi, (x, value, lo, hi)
+    nodes = [_tree(Expr(t, out)) for out in outs]
     for x in grid(iv, 97):
-        for out, (lo, hi) in zip(outs, bounds):
-            assert lo <= reference_evaluate(t.tree(out), x) <= hi
+        for node, (lo, hi) in zip(nodes, bounds):
+            assert lo <= reference_evaluate(node, x) <= hi
 
 
 @given(st.one_of(grammar_exprs(), smooth_exprs()), st.data())
@@ -902,8 +924,8 @@ def test_enclosures_hold_every_compiled_value(e, data):
     iv = Interval(a, a + width)
     # the tape and slots that analyze_smoothness bounds and tabulates: e,
     # then its hazards' inner expressions, tan(u)'s cos(u) added last
-    t = Tape()
-    top = t.add(e)
+    h = _parsed(e)
+    t, top = h.tape, h.slot
     outs = [top, *(slot for slot, _, _ in calculus._collect_hazards(t, top))]
     # and some more of the nodes that the pass reads, whose bounds hold too
     outs += data.draw(st.lists(st.integers(0, max(outs)), max_size=4), label="more")
@@ -921,11 +943,11 @@ def test_enclosures_hold_every_compiled_value(e, data):
         _assert_encloses(t, outs, iv, bounds)
 
 
-def _domain_boundaries() -> st.SearchStrategy[Expr]:
+def _domain_boundaries() -> st.SearchStrategy:
     """sqrt(c - x), ln(x - c) and (c - x)^0.75, each plus a smooth term:
     undefined on one side of c."""
 
-    def boundary(c: float, which: int, smooth: Expr) -> Expr:
+    def boundary(c: float, which: int, smooth):
         below, above = Binary("-", Constant(c), Variable()), Binary("-", Variable(), Constant(c))
         inner = (Call("sqrt", below), Call("ln", above), Binary("^", below, Constant(0.75)))[which]
         return Binary("+", inner, smooth)
@@ -946,8 +968,9 @@ def test_a_slot_that_bounds_prove_undefined_is_undefined_at_every_grid_point(e, 
     # grid point of [a, b].  Every slot of the tape the analysis bounds is
     # checked, tan(u)'s cos(u) included
     iv = Interval(a, a + width)
-    t = Tape()
-    calculus._collect_hazards(t, t.add(e))
+    h = _parsed(e)
+    t = h.tape
+    calculus._collect_hazards(t, h.slot)
     xs = grid(iv, samples)
     for slot in range(len(t.keys)):
         try:
@@ -1019,59 +1042,62 @@ def test_enclosure_is_none_where_the_compiled_code_raises(text, a, b, raises_at)
 
 def test_enclose_requires_an_ordered_finite_interval():
     with pytest.raises(ValueError):
-        enclose(*_taped(Variable()), 1.0, 0.0)
+        enclose(*_taped(parse("x")), 1.0, 0.0)
     with pytest.raises(ValueError):
-        enclose(*_taped(Variable()), 0.0, math.inf)
+        enclose(*_taped(parse("x")), 0.0, math.inf)
 
 
 # --- records ----------------------------------------------------------------
 
 
 def test_tree_reprs():
-    assert repr(parse("x^2+sin(x)")) == (
-        "Binary(op='+', left=Binary(op='^', left=Variable(), right=Constant(value=2.0)),"
-        " right=Call(fn='sin', argument=Variable()))"
-    )
+    # a handle prints as its text, not as its tape
+    assert repr(parse("x^2+sin(x)")) == "Expr('((x ^ 2) + sin(x))')"
 
 
 def test_trees_compare_and_hash_by_value():
-    for one, other in [
-        (parse("x^2+sin(x)"), parse("(x^2) + sin(x)")),
-        (Constant(2), Constant(value=2.0)),
-        (Neg(Variable()), Neg(child=Variable())),
-    ]:
-        assert one == other and not one != other
-        assert hash(one) == hash(other)
-    assert parse("x+1") != parse("x-1")
-    assert len({parse("sin(x)"), parse("sin(x)"), parse("cos(x)")}) == 2
+    # on one tape, handles are equal exactly when their expressions are
+    e = parse("x^2 + sin(x) + sin(x)")
+    t = e.tape
+    one, other = Expr(t, t.put(("sin", 0))), Expr(t, e.tape.keys[e.slot][2])
+    assert one == other and not one != other
+    assert hash(one) == hash(other)
+    assert Expr(t, 0) != one
+    assert len({one, other, Expr(t, 0)}) == 2
+    # across tapes, their texts are
+    first, second = parse("x^2+sin(x)"), parse("(x^2) + sin(x)")
+    assert first != second and format_expr(first) == format_expr(second)
 
 
 def test_trees_of_different_classes_are_unequal():
-    # same field values, different node classes
-    assert Call("sin", Variable()) != Neg(Variable())
-    assert Neg(Constant(1.0)) != Call("abs", Constant(1.0))
-    assert Variable() != Constant(0.0)
-    assert Constant(1.0) != 1.0
-    assert Variable().__eq__(()) is NotImplemented
+    # a handle equals no other class, not even the tuple of its fields
+    e = parse("x")
+    assert e != (e.tape, e.slot)
+    assert e != 0
+    assert e.__eq__(()) is NotImplemented
 
 
 @pytest.mark.parametrize(
     "record, field",
-    [(Constant(1.0), "value"), (Binary("+", Variable(), Variable()), "op"),
-     (Call("sin", Variable()), "fn"), (Variable(), "child")],
+    [(parse("1"), "value"), (parse("x + x"), "op"), (parse("sin(x)"), "fn"), (parse("x"), "child")],
 )
 def test_trees_refuse_assignment_and_deletion(record, field):
-    with pytest.raises(AttributeError):
-        setattr(record, field, Variable())
-    with pytest.raises(AttributeError):
-        delattr(record, field)
+    # neither a handle's fields nor any other attribute can be set or deleted
+    for name in (field, "tape", "slot"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, parse("x"))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
 
 
 def test_node_validation_is_kept():
-    assert type(Constant(3).value) is float
-    with pytest.raises(ValueError, match="constants must be finite"):
-        Constant(math.inf)
-    with pytest.raises(ValueError, match="unknown operator"):
-        Binary("%", Variable(), Variable())
-    with pytest.raises(ValueError, match="unknown function"):
-        Call("log", Variable())
+    # every way in validates what it keys: constants are finite floats,
+    # and only the grammar's operators and functions are read
+    assert type(parse("3").tape.constants[0]) is float
+    with pytest.raises(LexError, match="overflows binary64"):
+        parse("1e999")
+    with pytest.raises(LexError, match="unrecognized character"):
+        parse("x % x")
+    with pytest.raises(UnknownIdentifier, match="unknown identifier 'log'"):
+        parse("log(x)")
+

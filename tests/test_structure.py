@@ -10,9 +10,9 @@ near-zero ratio in ``_clear_of_zero`` only and reads ``Verdict.NO`` and
 ``Verdict.UNKNOWN`` in ``_verdict`` only, ``expr`` names
 ``DIVISION_BY_ZERO`` in ``_div`` and ``_pow`` only,
 ``POWER_OF_NON_POSITIVE`` in ``_pow`` only and the ln and sqrt failures in
-their entries of the operator table ``_RULES`` only, ``expr`` asks which
-class a node is in the formatter and ``Tape`` only, no module but ``expr``
-imports a node class, ``expr`` reads a tape's ``_keys`` in ``Tape.put`` only,
+their entries of the operator table ``_RULES`` only, ``expr`` defines no
+expression node class, no public function takes a ``tape`` parameter,
+``expr`` reads a tape's ``_keys`` in ``Tape.put`` only,
 ``calculus`` reads its node builders ``_neg``, ``_binary`` and ``_call``
 in ``_simplify`` and ``_derivative`` only, a tape has no cone walker but
 ``expr.steps``, whose lists ``_simplify`` folds with nothing carried over
@@ -404,59 +404,54 @@ def test_ln_and_sqrt_rules_are_stated_in_domains_only(name):
     assert mentions and outside == []
 
 
-# the expression node classes, and the parts of expr that may ask which
-# one a node is: the formatter, and the tape, where a tree enters it
-NODE_CLASSES = {"Expr", "Constant", "Variable", "Neg", "Binary", "Call"}
-NODE_READERS = {"format_expr", "Tape"}
+def test_expr_defines_no_expression_node_class():
+    # an expression is a handle on a tape: Expr, whose fields are the tape
+    # and a slot, is the one expression class, and no class has the fields
+    # of a node of a tree
+    tree = _tree(ROOT / "src" / "mvtcheck" / "expr.py")
+    fields = {
+        node.name: ast.literal_eval(statement.value)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for statement in node.body
+        if isinstance(statement, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in statement.targets
+        )
+    }
+    assert fields["Expr"] == ("tape", "slot")
+    node_fields = {"value", "child", "op", "left", "right", "fn", "argument"}
+    assert sorted(name for name, slots in fields.items() if node_fields & set(slots)) == []
+    for name in ("Constant", "Variable", "Neg", "Binary", "Call"):
+        assert not hasattr(mvtcheck.expr, name)
 
 
-def _node_class_tests(tree):
-    """(enclosing top-level function or class, line) of each ``isinstance``
-    call with a node class, and of each ``is`` or ``is not`` comparison
-    with one."""
+def _tape_parameters(tree):
+    """``function: tape`` for each public function or method, dunders
+    exempt, that takes a parameter named ``tape``."""
     for top in tree.body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and _dotted(node.func) == "isinstance" and len(node.args) == 2:
-                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
-            elif isinstance(node, ast.Compare) and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
-                kinds = [node.left, *node.comparators]
-            else:
+        functions = [top] if isinstance(top, ast.FunctionDef) else []
+        if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+            functions = [m for m in top.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+        for node in functions:
+            if node.name.startswith("_"):
                 continue
-            if any(_dotted(kind) in NODE_CLASSES for kind in kinds):
-                yield owner, node.lineno
+            args = node.args
+            names = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
+            if "tape" in names:
+                yield f"{node.name}: tape"
 
 
-def test_only_the_tape_and_the_formatter_ask_a_nodes_class():
-    # every pass over a tape, steps and the interpreters included, reads
-    # each slot's key, so nothing but the tape's way in from a tree and the
-    # formatter asks what a node is
-    found = list(_node_class_tests(_tree(ROOT / "src" / "mvtcheck" / "expr.py")))
-    assert {owner for owner, _ in found} == NODE_READERS
-    assert [f"line {line}: {owner}" for owner, line in found if owner not in NODE_READERS] == []
-
-
-def test_only_expr_imports_the_node_classes():
-    # calculus, theorem and cli read a tape's keys, and take and give trees
-    # as the Expr they annotate: no other module names a node class
-    imported = [
-        f"{path.name} line {node.lineno}: {alias.name}"
-        for path in SOURCES
-        if path.name != "expr.py"
-        for node in ast.walk(_tree(path))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if alias.name in NODE_CLASSES - {"Expr"}
-    ]
-    assert imported == []
+def test_no_public_function_takes_a_tape_parameter():
+    # an expression carries its tape: a function reads the handle's, and
+    # no caller hands one in beside it
+    assert [f"{path.name} {found}" for path in SOURCES for found in _tape_parameters(_tree(path))] == []
 
 
 def test_node_keys_are_read_by_the_tape_only():
-    # Tape.add is the one walk over an expression's nodes, and Tape.put,
-    # through which add and every pass that builds nodes slot by slot key
-    # them, the one place that decides which subexpressions are equal: no
-    # other pass re-walks the nodes, needs a stack or keys nodes itself.
-    # A tape's key map is set in Tape.__init__ and read in Tape.put only
+    # Tape.put, through which every pass that builds nodes slot by slot
+    # keys them, is the one place that decides which subexpressions are
+    # equal: no other pass keys nodes itself.  A tape's key map is set in
+    # Tape.__init__ and read in Tape.put only
     tree = _tree(ROOT / "src" / "mvtcheck" / "expr.py")
     (tape,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Tape"]
     methods = {method.name: method for method in tape.body if isinstance(method, ast.FunctionDef)}
@@ -473,8 +468,7 @@ def test_node_keys_are_read_by_the_tape_only():
 
 def test_cones_are_listed_by_steps_only():
     # steps lists a cone once per tape and keeps the list there, which the
-    # interpreters, Tape.tree, the hazard search, the fold and the
-    # derivative read: a tape has no second cone walker, only steps reads
+    # interpreters, the hazard search, the fold and the derivative read: a tape has no second cone walker, only steps reads
     # the kept lists, and the fold takes the tape and a slot, no memo
     owners = {"cone": set(), "_steps": {("expr.py", "steps"), ("expr.py", "Tape")}}
     found = {name: set() for name in owners}

@@ -8,15 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvtcheck import calculus, theorem
+from mvtcheck.calculus import analyze_smoothness, differentiate, simplify
 from mvtcheck.expr import (
-    Binary,
-    Call,
-    Constant,
     DomainError,
     DomainErrorKind,
-    Neg,
+    Expr,
     Tape,
-    Variable,
     compile_evaluator,
     evaluate,
     format_expr,
@@ -37,8 +34,32 @@ from mvtcheck.theorem import (
     verify_rolle,
 )
 
-from oracles import ReferenceDomainError, central_difference, reference_evaluate
+from oracles import (
+    Binary,
+    Call,
+    Constant,
+    Neg,
+    ReferenceDomainError,
+    Variable,
+    central_difference,
+    reference_evaluate,
+    reference_format,
+    reference_parse,
+)
 from strategies import grammar_exprs, poly_coefficients, polynomial, smooth_exprs
+
+
+def _parsed(tree) -> Expr:
+    """The package's handle on the reference tree ``tree``, parsed from its text."""
+    return parse(reference_format(tree))
+
+
+def _onto(t: Tape, f: Expr) -> Expr:
+    """``f`` keyed onto ``t`` after what ``t`` holds: each key up to f's slot, in turn."""
+    moved = []
+    for part, *args in f.tape.keys[: f.slot + 1]:
+        moved.append(t.put((part, *[moved[j] for j in args])))
+    return Expr(t, moved[-1])
 
 # independently computed: bisection of cos(x) - 2/pi on [0, pi/2]
 ARCCOS_2_OVER_PI = 0.8806892354203566
@@ -69,7 +90,7 @@ def test_secant_slope_quadratic_with_equal_endpoints():
 
 
 def test_secant_slope_constant():
-    assert secant_slope(Constant(5.0), Interval(0.0, 1.0)) == 0.0
+    assert secant_slope(parse("5"), Interval(0.0, 1.0)) == 0.0
 
 
 def test_secant_slope_undefined_endpoint():
@@ -94,47 +115,76 @@ def test_secant_slope_stays_finite_where_the_rise_overflows(text, a, b, slope):
     [("sin(x)", 0.0, math.pi / 2), ("1e308*x", -1.5, 1.5), ("ln(x)", -1.0, 1.0), ("x^2 + exp(x)", -2.0, 3.0)],
 )
 def test_secant_slope_does_not_depend_on_the_tape(text, a, b):
-    # on a tape of its own, on an empty tape, and on a tape that holds f
-    # and more already, which it then reads f on without adding to it
+    # on f's own tape, and on a tape that holds more before f, which it
+    # reads f on without adding to it
     f, iv = parse(text), Interval(a, b)
 
-    def slope(*tape):
+    def slope(f):
         try:
-            return repr(secant_slope(f, iv, *tape))
+            return repr(secant_slope(f, iv))
         except DomainError as err:
             return repr((err.point, err.kind))
 
-    full = Tape()
-    full.add(parse("cos(x) + 1"))
-    full.add(f)
-    size = len(full.keys)
-    assert slope() == slope(Tape()) == slope(full)
-    assert len(full.keys) == size
+    other = _onto(parse("cos(x) + 1").tape, f)
+    size = len(other.tape.keys)
+    assert slope(f) == slope(other)
+    assert len(other.tape.keys) == size
 
 
 @given(st.one_of(grammar_exprs(), smooth_exprs()), st.floats(-5.0, 5.0), st.floats(0.01, 5.0), st.booleans())
 @settings(deadline=None)
 def test_a_verdict_does_not_depend_on_the_tape(e, a, width, rolle):
-    # on an empty tape, on a tape that parse put f on, and on a tape of its
-    # own; the tape then holds f first, with the rest of the verdict after it
+    # on f's own tape, and on a tape that holds more before f: the verdict
+    # copies f's keys up to its slot, what comes before f among them
     iv, verify = Interval(a, a + width), verify_rolle if rolle else verify_mvt
-    empty, parsed = Tape(), Tape()
-    f = parse(format_expr(e), parsed)
-    size = len(parsed.keys)
-    assert verify(f, iv, None, empty) == verify(f, iv, None, parsed) == verify(f, iv)
-    assert empty.keys[:size] == parsed.keys[:size]
-    assert parsed.add(f) == size - 1
+    f = _parsed(e)
+    other = _onto(parse("cos(x) / (x - 0.5) + sqrt(x)").tape, f)
+    assert verify(other, iv) == verify(f, iv)
+
+
+@given(st.one_of(grammar_exprs(), smooth_exprs()), st.floats(-5.0, 5.0), st.floats(0.01, 5.0), st.booleans())
+@settings(deadline=None)
+def test_a_verdict_does_not_depend_on_reuse(e, a, width, rolle):
+    # twice in a row, and after differentiate, simplify, evaluate and
+    # analyze_smoothness have extended f's tape: the same verdict, and
+    # f's tape, its keys and its kept step lists, as the verdict found it
+    iv, verify = Interval(a, a + width), verify_rolle if rolle else verify_mvt
+    f = _parsed(e)
+    first = verify(f, iv)
+    assert verify(f, iv) == first
+    differentiate(f)
+    simplify(f)
+    try:
+        evaluate(f, a)
+    except DomainError:
+        pass
+    analyze_smoothness(f, iv, 97)
+    size, kept = len(f.tape.keys), dict(f.tape._steps)
+    assert verify(f, iv) == first
+    assert len(f.tape.keys) == size and f.tape._steps == kept
+    # an evaluated handle survives pickle and deepcopy, with its text and its verdicts
+    for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert format_expr(copied) == format_expr(f)
+        assert verify(copied, iv) == first
 
 
 def test_one_tape_serves_any_number_of_verdicts():
-    # the second verdict finds f' of the first on the tape, 1/(2*sqrt(x))
-    # with its pole at 0, but reads the hazards of f alone
-    t = Tape()
-    f = parse("sqrt(x)", t)
+    # each verdict reads its own copy of f's keys: none finds f' or the
+    # hazards of an earlier one on f's tape, and all agree
+    f = parse("sqrt(x)")
     iv = Interval(0.0, 1.0)
-    first = verify_mvt(f, iv, None, t)
+    first = verify_mvt(f, iv)
     assert isinstance(first, Applicable)
-    assert verify_mvt(f, iv, None, t) == first == verify_mvt(f, iv)
+    assert verify_mvt(f, iv) == first == verify_mvt(parse("sqrt(x)"), iv)
+    assert len(f.tape.keys) == 2
+
+
+def test_a_failed_rolle_precondition_is_read_before_any_analysis():
+    # f(a) != f(b): the answer comes from f(a) and f(b) alone
+    with mock.patch.object(theorem, "analyze_smoothness") as analysis:
+        result = verify_rolle(parse("x"), Interval(0.0, 1.0))
+    assert result == NotApplicable(Reason.ROLLE_PRECONDITION_FAILED)
+    analysis.assert_not_called()
 
 
 @pytest.mark.parametrize(
@@ -148,21 +198,27 @@ def test_one_tape_serves_any_number_of_verdicts():
         ("sqrt(x) * (x - 1)", 0.0, 1.0, verify_rolle),
     ],
 )
-def test_a_verdict_lists_f_and_its_derivative_once(text, a, b, verify):
-    # steps keeps each list it makes on the tape, and a list of f and its
-    # hazards starts from the one of f: every kept list that holds the
-    # step of f, or of f', holds the one step object listed first.  On the
-    # tape that parse put f on, parse made the first list of f
-    parsed = Tape()
-    f = parse(text, parsed)
-    (first,) = parsed._steps.values()
-    for t in (parsed, Tape()):
-        assert isinstance(verify(f, Interval(a, b), None, t), Applicable)
-        top = t.add(f)
-        for slot in (top, calculus.derivative(t, top)):
-            listed = [step for kept in t._steps.values() for step in kept if step[0] == slot]
-            assert listed and all(step is listed[0] for step in listed)
-    assert first is parsed._steps[(parsed.add(f),)]
+def test_a_verdict_lists_f_and_its_derivative_once(monkeypatch, text, a, b, verify):
+    # steps keeps each list it makes on the verdict's tape, and a list of
+    # f and its hazards starts from the one of f: every kept list that
+    # holds the step of f, or of f', holds the one step object listed first
+    tapes = []
+
+    class Recorded(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(theorem, "Tape", Recorded)
+    f = parse(text)
+    assert isinstance(verify(f, Interval(a, b)), Applicable)
+    (t,) = tapes
+    size = len(t.keys)
+    # f' is on the verdict's tape already: deriving f there keys nothing
+    for slot in (f.slot, differentiate(Expr(t, f.slot)).slot):
+        listed = [step for kept in t._steps.values() for step in kept if step[0] == slot]
+        assert listed and all(step is listed[0] for step in listed)
+    assert len(t.keys) == size
 
 
 # hazards of every kind, exponents that fold, tan's cos(u), and each path
@@ -177,27 +233,17 @@ _NO_NODE_CORPUS = [
 
 
 @pytest.mark.parametrize("text, a, b", _NO_NODE_CORPUS)
-def test_a_verdict_builds_no_node(monkeypatch, text, a, b):
-    # with f parsed onto its tape, the analysis, the fold, f' and every scan
-    # read the tape's keys: no node object is built, and the id map stays
-    # as parse left it
-    t = Tape()
-    f = parse(text, t)
-    known = dict(t._slots)
-    built = []
-    for cls in (Binary, Call, Constant, Neg, Variable):
-
-        def counted(self, *args, _init=cls.__init__):
-            built.append(self)
-            _init(self, *args)
-
-        monkeypatch.setattr(cls, "__init__", counted)
+def test_a_verdict_builds_no_node(text, a, b):
+    # the analysis, the fold, f' and every scan run on the verdict's copy
+    # of f's keys: no node is keyed on f's tape and no step list is kept
+    # there, whatever that tape held before
+    f = parse(text)
     iv = Interval(a, b)
-    results = [verify_mvt(f, iv, None, t), verify_rolle(f, iv, None, t)]
-    monkeypatch.undo()
-    assert built == []
-    assert t._slots == known
-    assert results == [verify_mvt(f, iv), verify_rolle(f, iv)]
+    differentiate(f)
+    keys, kept = list(f.tape.keys), dict(f.tape._steps)
+    results = [verify_mvt(f, iv), verify_rolle(f, iv)]
+    assert f.tape.keys == keys and f.tape._steps == kept
+    assert results == [verify_mvt(parse(text), iv), verify_rolle(parse(text), iv)]
 
 
 def _swapped(e):
@@ -218,7 +264,7 @@ def test_swapping_the_operands_of_sums_and_products_changes_no_verdict(e):
     # float + and * are commutative, exactly, and so is every bound and
     # fold rule over them: the verdicts, with every number in them, are
     # the same
-    swapped = _swapped(e)
+    e, swapped = _parsed(e), _parsed(_swapped(e))
     for a, b in [(-1.0, 1.1), (0.19, 2.94), (1e-3, 5.0), (-3.0, -0.5)]:
         iv = Interval(a, b)
         for samples in (1024, 97):
@@ -442,18 +488,15 @@ def test_mvt_negative_power_closed_form():
 # grid of Config.samples points.
 
 
-def _count_derivative_calls(monkeypatch, f):
-    """Count evaluations of f' (``calls``) and the tape evaluators made of
-    f' (``compiles``)."""
+def _count_derivative_calls(monkeypatch):
+    """Count evaluations of f' (``calls``) and the evaluators compiled of
+    f' (``compiles``): the pipeline reads f itself through ``evaluator``,
+    for the secant slope or Rolle's precondition only."""
     counts = {"calls": 0, "compiles": 0}
-    evaluator = theorem.evaluator
+    compile_evaluator = theorem.compile_evaluator
 
-    def counting_evaluator(t, slot):
-        deriv = evaluator(t, slot)
-        if slot == t.add(f):
-            # the pipeline reads f itself only for the secant slope or
-            # Rolle's precondition
-            return deriv
+    def counting_compile(e):
+        deriv = compile_evaluator(e)
         counts["compiles"] += 1
 
         def counted(t):
@@ -462,14 +505,14 @@ def _count_derivative_calls(monkeypatch, f):
 
         return counted
 
-    monkeypatch.setattr(theorem, "evaluator", counting_evaluator)
+    monkeypatch.setattr(theorem, "compile_evaluator", counting_compile)
     return counts
 
 
 def test_coarse_bracket_spends_few_derivative_evaluations(monkeypatch):
     # a full scan alone spends 1024 evaluations before bisection starts
     f = parse("sin(x)")
-    counts = _count_derivative_calls(monkeypatch, f)
+    counts = _count_derivative_calls(monkeypatch)
     result = verify_mvt(f, Interval(0.0, math.pi / 2))
     assert isinstance(result, Applicable)
     assert result.method is Method.BRACKET_BISECT
@@ -483,7 +526,7 @@ def test_no_coarse_bracket_costs_at_most_the_coarse_levels(monkeypatch):
     # points) come on top of the full grid and the golden-section probes
     # (64 steps, 2 starting probes, 1 final evaluation)
     f = parse("x^3")
-    counts = _count_derivative_calls(monkeypatch, f)
+    counts = _count_derivative_calls(monkeypatch)
     cfg = Config()
     result = verify_rolle(f, Interval(-7e-5, 8e-5), cfg)
     assert isinstance(result, Applicable)
@@ -497,7 +540,7 @@ def test_degenerate_constant_compiles_the_derivative_once(monkeypatch):
     # scanned, all by one compiled evaluator.  f' is ((x + x) - (x + x)) + 3,
     # which does not fold to a constant
     f = parse("x*x - x*x + 3*x + 1")
-    counts = _count_derivative_calls(monkeypatch, f)
+    counts = _count_derivative_calls(monkeypatch)
     result = verify_mvt(f, Interval(0.0, 2.0))
     assert isinstance(result, Applicable)
     assert result.method is Method.DEGENERATE_CONSTANT
@@ -507,17 +550,18 @@ def test_degenerate_constant_compiles_the_derivative_once(monkeypatch):
 
 def test_constant_derivative_is_neither_evaluated_nor_compiled(monkeypatch):
     f = parse("3*x + 1")
-    counts = _count_derivative_calls(monkeypatch, f)
+    counts = _count_derivative_calls(monkeypatch)
     result = verify_mvt(f, Interval(0.0, 2.0))
     assert result == Applicable(1.0, 3.0, 3.0, 0.0, 0, Method.DEGENERATE_CONSTANT)
     assert counts == {"calls": 0, "compiles": 0}
 
 
-def _never_constant(t, slot):
-    # the slot of f' as derivative gives it, but of -(-k) for a constant k:
-    # the same value at every x, and the pipeline scans it as it scans any f'
-    d = calculus.derivative(t, slot)
-    return t.put(("-", t.put(("-", d)))) if d in t.constants else d
+def _never_constant(f):
+    # f' as differentiate gives it, but -(-k) for a constant k: the same
+    # value at every x, and the pipeline scans it as it scans any f'
+    d = differentiate(f)
+    t = d.tape
+    return Expr(t, t.put(("-", t.put(("-", d.slot))))) if d.slot in t.constants else d
 
 
 _MAX = 1.7976931348623157e308
@@ -550,7 +594,7 @@ def test_constant_derivative_answers_as_the_scans_did(text, a, b):
         lambda: verify_rolle(f, iv),
     ]
     shortcut = [repr(call()) for call in calls]
-    with mock.patch.object(theorem, "derivative", _never_constant):
+    with mock.patch.object(theorem, "differentiate", _never_constant):
         scanned = [repr(call()) for call in calls]
     assert shortcut == scanned
 
@@ -592,15 +636,18 @@ def test_verdicts_do_not_depend_on_the_walk_budget(monkeypatch, text, a, b):
     interpreted = (repr(verify_mvt(f, iv)), repr(verify_rolle(f, iv)))
 
     def walked(t, slot):
+        tree = reference_parse(format_expr(Expr(t, slot)))
+
         def at(x):
             try:
-                return reference_evaluate(t.tree(slot), x)
+                return reference_evaluate(tree, x)
             except ReferenceDomainError as err:
                 raise DomainError(err.point, DomainErrorKind[err.kind]) from None
 
         return at
 
     monkeypatch.setattr(theorem, "evaluator", walked)
+    monkeypatch.setattr(theorem, "compile_evaluator", lambda e: walked(e.tape, e.slot))
     monkeypatch.setattr(calculus, "evaluator", walked)
     if text != _PRODUCT:
         assert interpreted == (repr(verify_mvt(f, iv)), repr(verify_rolle(f, iv)))
@@ -666,7 +713,7 @@ def test_mvt_interval_a_few_floats_wide_is_degenerate():
 )
 @settings(deadline=None, max_examples=80)
 def test_applicable_c_is_a_mean_value_point(e, a, width):
-    iv = Interval(a, a + width)
+    e, iv = _parsed(e), Interval(a, a + width)
     result = verify_mvt(e, iv)
     assume(isinstance(result, Applicable))
     assert iv.a < result.c < iv.b
@@ -744,7 +791,7 @@ def test_rolle_quadratic_example():
 
 
 def test_rolle_constant_function():
-    result = verify_rolle(Constant(3.0), Interval(0.0, 1.0))
+    result = verify_rolle(parse("3"), Interval(0.0, 1.0))
     assert isinstance(result, Applicable)
     assert result.method is Method.DEGENERATE_CONSTANT
     assert result.c == 0.5
@@ -779,10 +826,10 @@ def test_rolle_undefined_endpoint():
     ],
 )
 def test_rolle_precondition_answers_first(text, a, b, expected):
-    # f(a) and f(b) are read once the smoothness analysis has put f on the
-    # tape, but a failed precondition is the answer whatever the analysis
-    # found (a pole inside, the pole at a), and where no float lies
-    # strictly inside (a, b), which verify_mvt reports as Unknown
+    # f(a) and f(b) are read before f is analyzed: a failed precondition
+    # is the answer whatever the analysis would find (a pole inside, the
+    # pole at a), and where no float lies strictly inside (a, b), which
+    # verify_mvt reports as Unknown
     assert verify_rolle(parse(text), Interval(a, b)) == expected
 
 
@@ -796,7 +843,7 @@ def test_rolle_precondition_answers_first(text, a, b, expected):
 )
 @settings(deadline=None, max_examples=60)
 def test_polynomial_completeness_and_soundness(coeffs, a, width):
-    f = polynomial(coeffs)
+    f = _parsed(polynomial(coeffs))
     result = verify_mvt(f, Interval(a, a + width))
     assert isinstance(result, Applicable)
     assert result.residual == abs(result.f_prime_at_c - result.m)
@@ -813,7 +860,7 @@ def test_polynomial_completeness_and_soundness(coeffs, a, width):
 def test_not_applicable_witness_lies_where_its_reason_says(e, a, width):
     # a discontinuity is witnessed in [a, b], a missing derivative in (a, b)
     iv = Interval(a, a + width)
-    result = verify_mvt(e, iv)
+    result = verify_mvt(_parsed(e), iv)
     if isinstance(result, NotApplicable) and result.reason is Reason.NOT_CONTINUOUS:
         assert iv.a <= result.witness <= iv.b
     if isinstance(result, NotApplicable) and result.reason is Reason.NOT_DIFFERENTIABLE:
@@ -833,11 +880,11 @@ def test_not_applicable_witness_lies_where_its_reason_says(e, a, width):
 def test_rolle_mvt_consistency(coeffs, a, width):
     # p(x) * (x - a) * (x - b) hits exactly zero at both endpoints
     b = a + width
-    f = Binary(
+    f = _parsed(Binary(
         "*",
         polynomial(coeffs),
         Binary("*", Binary("-", Variable(), Constant(a)), Binary("-", Variable(), Constant(b))),
-    )
+    ))
     assert evaluate(f, a) == 0.0 and evaluate(f, b) == 0.0
     iv = Interval(a, b)
     rolle = verify_rolle(f, iv)
@@ -860,8 +907,8 @@ def test_rolle_mvt_consistency(coeffs, a, width):
 def test_shift_invariance(int_coeffs, a, width, k):
     # integer data keeps f(a) + k exact, so the whole pipeline must agree
     # bit for bit between f and f + k
-    f = polynomial([float(c) for c in int_coeffs])
-    shifted = Binary("+", f, Constant(float(k)))
+    tree = polynomial([float(c) for c in int_coeffs])
+    f, shifted = _parsed(tree), _parsed(Binary("+", tree, Constant(float(k))))
     iv = Interval(float(a), float(a + width))
     r1 = verify_mvt(f, iv)
     r2 = verify_mvt(shifted, iv)
@@ -901,6 +948,7 @@ def test_mvt_overflow_is_not_continuous():
 def test_no_verdict_raises_at_the_extremes_of_the_floats(e, iv, cfg):
     # intervals of subnormal width, one ulp wide, far out, or where exp
     # overflows, and grids of a few points: every outcome is a result
+    e = _parsed(e)
     assert isinstance(verify_mvt(e, iv, cfg), (Applicable, NotApplicable, Unknown))
     assert isinstance(verify_rolle(e, iv, cfg), (Applicable, NotApplicable, Unknown))
 
@@ -937,10 +985,14 @@ def test_results_compare_and_hash_by_value():
 
 def test_results_survive_copy_and_pickle():
     for record in [Config(samples=97), Interval(0.0, 1.0), NotApplicable(Reason.UNDEFINED, 0.5),
-                   Applicable(0.5, 1.0, 1.0, 0.0, 3, Method.BRACKET_BISECT), parse("x^2+sin(x)")]:
+                   Applicable(0.5, 1.0, 1.0, 0.0, 3, Method.BRACKET_BISECT)]:
         assert copy.copy(record) == record
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+    # a handle copies onto a tape of its own, so its text is what compares
+    e = parse("x^2+sin(x)")
+    for copied in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert copied.tape is not e.tape and format_expr(copied) == format_expr(e)
 
 
 def test_results_of_different_classes_are_unequal():
