@@ -108,10 +108,11 @@ def differentiate(e: Expr) -> Expr:
 
     Standard sum/product/quotient/chain rules; abs is differentiated as
     abs(u)' = u'*u/abs(u), whose evaluation raises DomainError exactly at
-    kink points.  The input is folded first so negated literal exponents
-    (x^-2) reach the constant-power rule instead of the ln-based general
-    rule.  Every node of the derivative is built through the same fold
-    rules as :func:`simplify`, so the result is already simplified.
+    kink points.  The input is folded first so an exponent that folds to a
+    constant (x^(4/2)) reaches the constant-power rule instead of the
+    ln-based general rule; a negated literal exponent (x^-2) is a constant
+    from parse on.  Every node of the derivative is built through the same
+    fold rules as :func:`simplify`, so the result is already simplified.
 
     Two loops over :func:`~mvtcheck.expr.steps` lists, neither of which
     recurses: the first folds each slot that ``steps`` lists for ``e``

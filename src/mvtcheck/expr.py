@@ -190,7 +190,11 @@ def tokenize(source: str) -> list[tuple[str, int]]:
 def parse(source: str) -> Expr:
     """Parse ``source`` onto a new tape and return the handle on its root.
 
-    ``pi`` and ``e`` become constants; ``x`` is the only variable.  Raises
+    ``pi`` and ``e`` become constants; ``x`` is the only variable.  A
+    unary minus right before a constant (a number, ``pi`` or ``e``) that
+    no ``^`` follows is keyed with it as one negative constant: ``-2*x``
+    and ``x^-2`` read the constant ``-2.0``, as :func:`format_expr` writes
+    one, while ``-2^2`` stays ``-(2^2)`` and ``-(2)`` a negation.  Raises
     ParseError (or UnknownIdentifier) with the source position on
     malformed input.
 
@@ -229,7 +233,13 @@ def parse(source: str) -> Expr:
                 i += 1
                 waiting.append((0, text))
             else:
-                operands.append(t.put(_operand(text, position)))
+                key = _operand(text, position)
+                if key[0] != "x" and waiting and waiting[-1][0] == _NEGATION and tokens[i][0] != "^":
+                    # a unary minus right before a constant that no ^ follows:
+                    # the negative constant, as format_expr writes it
+                    waiting.pop()
+                    key = (repr(-float(key[0])),)
+                operands.append(t.put(key))
                 operand = False
             continue
         binding = _BINDING.get(text, 0)
@@ -296,6 +306,11 @@ def format_expr(e: Expr) -> str:
         if len(key) == 3:
             pieces.append("(")
             stack += (")", key[2], f" {key[0]} ", key[1])
+        elif key[0] == "-" and key[1] in constants and math.copysign(1.0, constants[key[1]]) > 0.0:
+            # the negation of a constant c written (-c) would parse as the
+            # constant -c: c goes in parentheses of its own
+            pieces.append("(-(")
+            stack += ("))", key[1])
         elif len(key) == 2:
             pieces.append("(-" if key[0] == "-" else f"{key[0]}(")
             stack += (")", key[1])
@@ -305,7 +320,8 @@ def format_expr(e: Expr) -> str:
 
 
 def _format_number(v: float) -> str:
-    # negative constants cannot appear as literals; wrap them in unary minus
+    # a negative constant (-0.0 included) is written (-c), which parse keys
+    # back as that constant
     negative = v < 0.0 or (v == 0.0 and math.copysign(1.0, v) < 0.0)
     u = -v if negative else v
     text = str(int(u)) if u.is_integer() and u < 1e16 else repr(u)
@@ -572,14 +588,19 @@ class Tape:
     keys one node over slots already on the tape, and every pass that
     builds an expression slot by slot (the parser, the fold and the
     derivative) keys it through ``put``; no key ever changes.
+    ``Tape(source, slot)`` starts from a copy of the keys and constants of
+    ``source`` up to ``slot``, at the same slots, and not its kept lists.
     :func:`steps` is the one walk of a cone, and the fold, the derivative
     and the hazard search run in its order.
     """
 
-    def __init__(self):
+    def __init__(self, source: Tape | None = None, slot: int = -1):
         self.keys: list[tuple] = []
         self.constants: dict[int, float] = {}
-        self._keys: dict[tuple, int] = {}  # key -> slot
+        if source is not None:
+            self.keys = source.keys[: slot + 1]
+            self.constants = {i: v for i, v in source.constants.items() if i <= slot}
+        self._keys: dict[tuple, int] = dict(zip(self.keys, range(len(self.keys))))  # key -> slot
         self._steps: dict[tuple[int, ...], list[tuple]] = {}  # tuple(outs) -> steps(self, outs)
 
     def put(self, key: tuple) -> int:

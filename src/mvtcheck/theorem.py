@@ -166,9 +166,7 @@ def verify_rolle(f: Expr, iv: Interval, cfg: Config | None = None) -> MvtResult:
 
 def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> MvtResult:
     # f's keys up to its slot, at the same slots, on a tape of the verdict's own
-    tape = Tape()
-    for key in f.tape.keys[: f.slot + 1]:
-        tape.put(key)
+    tape = Tape(f.tape, f.slot)
     f = Expr(tape, f.slot)
     if m_forced is not None:
         # Rolle's precondition, answered before f is analyzed

@@ -421,9 +421,15 @@ class _ReferenceParser:
 
     def _unary(self):
         # ``-`` and ``^`` take a _unary operand, so ``^`` is right associative,
-        # binds tighter than ``-``, and its exponent may carry a unary minus
+        # binds tighter than ``-``, and its exponent may carry a unary minus.
+        # A minus right before a number, pi or e that no ``^`` follows is
+        # that negative constant
         if self._peek() == "-":
             self._advance()
+            text = self._peek()
+            # a constant is not the end marker, so a token follows it
+            if (text[:1].isdigit() or text in _NAMED) and self._tokens[self._pos + 1][0] != "^":
+                return Constant(-self._primary().value)
             return Neg(self._unary())
         base = self._primary()
         if self._peek() == "^":

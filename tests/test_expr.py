@@ -58,6 +58,12 @@ def _tree(e: Expr):
     return reference_parse(format_expr(e))
 
 
+def _read_back(tree):
+    """The reference tree that ``tree``'s text parses to: a negated literal
+    there is one negative constant."""
+    return reference_parse(reference_format(tree))
+
+
 def _reference_keys(tree) -> list:
     """The keys of a reference tape holding ``tree``."""
     reference = ReferenceTape()
@@ -164,6 +170,47 @@ def test_parse_named_constants_fold():
     assert parse("pi").tape.keys == [(repr(math.pi),)] and parse("pi").tape.constants == {0: math.pi}
     assert parse("e").tape.constants == {0: math.e}
     assert evaluate(parse("pi/2"), 0.0) == math.pi / 2
+
+
+@pytest.mark.parametrize(
+    "source, keys, value",
+    [
+        ("-2^2", [("2.0",), ("^", 0, 0), ("-", 1)], -4.0),
+        ("2^-2", [("2.0",), ("-2.0",), ("^", 0, 1)], 0.25),
+        ("(-0.365)", [("-0.365",)], -0.365),
+        ("-(2)", [("2.0",), ("-", 0)], -2.0),
+        ("-(0)", [("0.0",), ("-", 0)], -0.0),
+        ("--2", [("-2.0",), ("-", 0)], 2.0),
+        ("x - -3", [("x",), ("-3.0",), ("-", 0, 1)], 4.0),
+        ("-pi*x", [(repr(-math.pi),), ("x",), ("*", 0, 1)], -math.pi),
+        ("-e^x", [(repr(math.e),), ("x",), ("^", 0, 1), ("-", 2)], -math.e),
+    ],
+)
+def test_parse_keys_a_negated_literal_as_its_constant(source, keys, value):
+    # a unary minus right before a number, pi or e that no ^ follows is
+    # one negative constant: -2^2 stays -(2^2) and -(2) a negation.  The
+    # text format_expr writes parses back to the same keys (values at x = 1)
+    e = parse(source)
+    assert e.tape.keys == keys and e.slot == len(keys) - 1
+    assert evaluate(e, 1.0) == value
+    assert parse(format_expr(e)).tape.keys == keys
+
+
+def test_parse_keys_minus_zero_as_the_constant_minus_zero():
+    e = parse("-0")
+    assert e.tape.keys == [("-0.0",)]
+    assert math.copysign(1.0, e.tape.constants[0]) < 0.0
+    assert format_expr(e) == "(-0)"
+    value = evaluate(e, 1.0)
+    assert value == 0.0 and math.copysign(1.0, value) < 0.0
+
+
+@given(grammar_exprs())
+def test_a_parsed_root_is_the_last_slot_and_its_cone_holds_every_slot(e):
+    # parse keys nothing that its root does not read: no orphan slot
+    h = _parsed(e)
+    assert h.slot == len(h.tape.keys) - 1
+    assert sorted([i for i, _, _ in steps(h.tape, [h.slot])]) == list(range(len(h.tape.keys)))
 
 
 def test_parse_unknown_identifier():
@@ -353,10 +400,10 @@ def test_parse_onto_a_shared_tape_matches_the_reference_tape(exprs):
     whole = functools.reduce(lambda u, v: Binary("+", u, v), exprs)
     e = _parsed(whole)
     reference = ReferenceTape()
-    assert e.slot == reference.add(whole)
+    assert e.slot == reference.add(_read_back(whole))
     assert e.tape.keys == reference.keys
     for tree in exprs:
-        assert format_expr(Expr(e.tape, reference.add(tree))) == reference_format(tree)
+        assert format_expr(Expr(e.tape, reference.add(_read_back(tree)))) == reference_format(tree)
     assert len(reference.keys) == len(e.tape.keys)
 
 
@@ -849,6 +896,27 @@ def test_equal_expressions_take_one_slot():
     assert len(t.keys) == 7
 
 
+@pytest.mark.parametrize("source", ["x*0 + (-0)*x - x^-2", "sin(x)/2 + sin(x)", "-(2) + pi*e - (-(0))"])
+def test_a_sliced_tape_equals_the_copy_put_key_by_key(source):
+    # Tape(source, slot) holds what putting the keys of source up to slot
+    # on a new tape holds: the keys, the constants (-0.0 apart from 0.0),
+    # and a key map that finds each key at its slot; the source, which
+    # goes on past the slot, keeps its keys
+    f = parse(source)
+    differentiate(f)
+    keys = list(f.tape.keys)
+    for slot in range(f.slot + 1):
+        copy = Tape()
+        for key in keys[: slot + 1]:
+            copy.put(key)
+        sliced = Tape(f.tape, slot)
+        assert sliced.keys == copy.keys
+        assert {i: repr(v) for i, v in sliced.constants.items()} == {i: repr(v) for i, v in copy.constants.items()}
+        assert [sliced.put(key) for key in copy.keys] == list(range(slot + 1))
+        assert sliced.put(("tan", slot)) == slot + 1
+    assert f.tape.keys == keys
+
+
 def test_tape_has_no_depth_limit():
     e = parse("-" * 20000 + "x")
     assert e.slot == 20000
@@ -896,7 +964,7 @@ def test_tape_matches_the_reference_tape(exprs, data):
     whole = functools.reduce(lambda u, v: Binary("+", u, v), picks)
     reference = ReferenceTape()
     e = _parsed(whole)
-    assert e.slot == reference.add(whole)
+    assert e.slot == reference.add(_read_back(whole))
     assert e.tape.keys == reference.keys
 
 

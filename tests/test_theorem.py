@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvtcheck import calculus, theorem
+from mvtcheck import calculus, expr, theorem
 from mvtcheck.calculus import analyze_smoothness, differentiate, simplify
 from mvtcheck.expr import (
     DomainError,
@@ -18,6 +18,7 @@ from mvtcheck.expr import (
     evaluate,
     format_expr,
     parse,
+    steps,
 )
 from mvtcheck.numeric import Interval
 from mvtcheck.theorem import (
@@ -205,8 +206,8 @@ def test_a_verdict_lists_f_and_its_derivative_once(monkeypatch, text, a, b, veri
     tapes = []
 
     class Recorded(Tape):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, *args):
+            super().__init__(*args)
             tapes.append(self)
 
     monkeypatch.setattr(theorem, "Tape", Recorded)
@@ -219,6 +220,25 @@ def test_a_verdict_lists_f_and_its_derivative_once(monkeypatch, text, a, b, veri
         listed = [step for kept in t._steps.values() for step in kept if step[0] == slot]
         assert listed and all(step is listed[0] for step in listed)
     assert len(t.keys) == size
+
+
+def test_a_verdict_lists_f_once_where_its_literals_are_negative(monkeypatch):
+    # (-0.365) parses as one constant, which the fold leaves as it is: the
+    # verdict lists two cones, f and f', and no folded f, and simplify
+    # returns f's own slot
+    listings = []
+
+    def counted(t, outs):
+        if tuple(outs) not in t._steps:
+            listings.append(tuple(outs))
+        return steps(t, outs)
+
+    monkeypatch.setattr(expr, "steps", counted)
+    monkeypatch.setattr(calculus, "steps", counted)
+    f = parse("(-0.365)*cos(0.628*x + (-0.365)) - x")
+    assert isinstance(verify_mvt(f, Interval(0.0, 2.0)), Applicable)
+    assert len(listings) == 2
+    assert simplify(f).slot == f.slot
 
 
 # hazards of every kind, exponents that fold, tan's cos(u), and each path
