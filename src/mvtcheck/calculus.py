@@ -469,8 +469,8 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     root-search refinement.  One column pass
     (:func:`~mvtcheck.expr.tabulate`) evaluates ``e`` and every hazard's
     inner expression together over the grid points scanned, one tape slot
-    at a time, at points where ``e`` is undefined as well, unless bounds
-    prove ``e`` undefined on some of them (below).
+    at a time, at points where ``e`` is undefined as well, or ``e`` alone
+    where bounds prove it undefined on more than half of the grid (below).
     Verdicts are three-valued: hazards that cannot be confirmed or ruled out
     at sample resolution yield UNKNOWN rather than a guess.  A function that
     fails to evaluate at a sample point is reported as not continuous at
@@ -495,16 +495,16 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
     the whole grid is scanned otherwise.
 
     ``e`` is undefined at every point of the undefined cells, whatever
-    share of the grid they hold: its column pass evaluates only the other
-    points scanned, and the points where ``e`` is undefined are those of
-    the undefined cells and those where its column is None.  Where these
-    are more than half of the grid, no hazard is scanned, and the report
-    reads only the first and the first interior undefined points.
-    Otherwise a second column pass evaluates the hazards over every point
-    scanned, and over the points of the undefined cells, where a hazard's
+    share of the grid they hold, so the points where ``e`` is undefined
+    are those of the undefined cells and those where its column is None.
+    Where the undefined cells hold at most half of the grid, the column
+    pass evaluates the hazards over their points too, where a hazard's
     zero (a pole of ``e``, say) may lie, but for those undefined cells on
     which bounds of the hazards alone clear every hazard: these count as
-    cleared cells.
+    cleared cells.  Where they hold more, it evaluates ``e`` alone, over
+    the points of the cells not settled.  Where ``e`` is undefined at
+    more than half of the grid, no hazard is scanned, and the report
+    reads only the first and the first interior undefined points.
 
     The hazards' cos(u) and the folds that exponents need are keyed on
     ``e``'s tape.  The report reads only the cone of ``e``'s slot, so what
@@ -519,28 +519,14 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
             return SmoothnessReport(Verdict.YES, Verdict.YES, ())
         # each cell is clear of zero, but not all of them together
         cells, cleared = [(0, samples - 1)], [[] for _ in hazards]
-    # e is None at every row of the cells that bounds prove undefined, so
-    # it is tabulated at the other rows only, and the hazards join its pass
-    # where there is no such row.  Each hazard's value is bit-identical to
-    # its own evaluation, None where that fails, at e's undefined points
-    # too.  Cleared cells hold no undefined row, and no zero or sign change
-    # of a hazard
+    # e is undefined at every row of the cells that bounds prove undefined.
+    # Each hazard's value is bit-identical to its own evaluation, None where
+    # that fails, at e's undefined points too.  Cleared cells hold no
+    # undefined row, and no zero or sign change of a hazard
     proven = set(_rows(undefined_cells))
-    rows = [i for i in _rows(cells) if i not in proven]
-    xs = grid(iv, samples, rows)
-    values, *columns = tabulate(t, [top] if proven else outs, xs)
-    undefined = sorted(proven.union(row for row, v in zip(rows, values) if v is None))
-
-    witnesses: list[Witness] = []
-    # set where the scan can neither confirm nor rule out a witness
-    doubt_continuity = doubt_differentiability = False
-    # where e is undefined at more than half of the grid, no hazard is scanned
-    scanned = hazards if len(undefined) <= samples // 2 else []
-    if proven and scanned:
-        # the hazards at every row not cleared, where a zero of theirs (a
-        # pole of e, say) may lie: on the proven cells too, unless the
-        # hazards' own bounds clear one, which then counts as cleared
-        kept = []
+    half = samples // 2  # where e is undefined at more rows, no hazard is scanned
+    kept = []  # the proven cells on which the hazards' own bounds do not clear them
+    if len(proven) <= half:
         for cell in undefined_cells:
             try:
                 boxes = enclose(t, outs[1:], *grid(iv, samples, cell))
@@ -548,8 +534,15 @@ def analyze_smoothness(e: Expr, iv: Interval, samples: int) -> SmoothnessReport:
                 boxes = None
             if boxes is None or not _record_clear(cleared, boxes):
                 kept.append(cell)
-        xs = grid(iv, samples, _rows(sorted(cells + kept)))
-        columns = tabulate(t, outs[1:], xs)
+    rows = _rows(sorted(cells + kept))
+    xs = grid(iv, samples, rows)
+    values, *columns = tabulate(t, outs if len(proven) <= half else [top], xs)
+    undefined = sorted(proven.union(row for row, v in zip(rows, values) if v is None))
+
+    witnesses: list[Witness] = []
+    # set where the scan can neither confirm nor rule out a witness
+    doubt_continuity = doubt_differentiability = False
+    scanned = hazards if len(undefined) <= half else []
 
     for (slot, kind, zero_undefined), column, magnitudes in zip(scanned, columns, cleared):
         crossings, touches, suspected = _scan_zeros(xs, column, t, slot, magnitudes)

@@ -110,7 +110,7 @@ class BisectionState(Record):
 
 
 # kept only for bench/mvtbench/tracer.py, which reads scans row by row, until
-# the library records its own trace (ROADMAP item 3)
+# the library records its own trace (ROADMAP item 4)
 class SamplePoint(Record):
     __slots__ = ("x", "value", "error")
 
@@ -165,13 +165,12 @@ def grid(iv: Interval, n: int, rows: Sequence[int] | None = None) -> list[float]
     return xs
 
 
-def sample(f: Callable[[float], Any], iv: Interval, n: int, rows: Sequence[int] | None = None) -> Samples:
-    """Evaluate ``f`` on the points of :func:`grid` ``(iv, n, rows)``.
+def sample(f: Callable[[float], Any], iv: Interval, n: int) -> Samples:
+    """Evaluate ``f`` on the points of :func:`grid` ``(iv, n)``, in order.
 
-    The result's rows are the points evaluated, in order.  Per-point
-    DomainErrors are recorded by kind on the result, not raised.
+    Per-point DomainErrors are recorded by kind on the result, not raised.
     """
-    xs = grid(iv, n, rows)
+    xs = grid(iv, n)
     values: list[Any] = []
     failures: dict[int, DomainErrorKind] = {}
     append = values.append

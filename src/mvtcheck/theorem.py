@@ -45,8 +45,8 @@ EPS_RES = 1e-8
 # relative tolerance on |f(a) - f(b)| in Rolle mode
 EPS_ROLLE = 1e-12
 
-# the finest dyadic level of the root scan before the full grid
-_COARSE_MAX = 65
+# the dyadic levels of the root scan, in points, before the full grid
+_LEVELS = (3, 5, 9, 17, 33, 65)
 _GOLDEN_STEPS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -207,10 +207,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     if d is not None:
         # g = f' - m is one number: the scans below would find no sign
         # change, and end on the degenerate path or on this residual
-        residual = abs(d - m)
-        if residual <= EPS_RES:
-            return Applicable(midpoint(iv.a, iv.b), m, d, residual, 0, Method.DEGENERATE_CONSTANT)
-        return _no_sign_change(residual)
+        return _by_residual(midpoint(iv.a, iv.b), m, d, 0, Method.DEGENERATE_CONSTANT)
     deriv = compile_evaluator(fp)
 
     def g(t: float) -> float:
@@ -218,33 +215,35 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
 
     # the theorem promises c strictly inside (a,b): inset by half a step
     step = iv.width / cfg.samples
-    inner = Interval(iv.a + 0.5 * step, iv.b - 0.5 * step)
+    lo, hi = iv.a + 0.5 * step, iv.b - 0.5 * step
+    if not lo < hi:
+        # both ends round to the one float strictly inside (a, b), nearest
+        # its midpoint: the only candidate c, which the residual rule decides
+        try:
+            return _by_residual(lo, m, deriv(lo), 0, Method.RESIDUAL_MIN)
+        except DomainError:
+            return Unknown("derivative undefined at every interior sample point")
+    inner = Interval(lo, hi)
     # Darboux: with f differentiable on (a, b), any two points where g has
     # opposite signs bracket a zero of g, so a coarse bracket is searched as
-    # soundly as a fine one.  Dyadic levels of 3 to 65 points come first;
-    # the first with a bracket and some |g| above EPS_RES (a g that small
-    # everywhere is left to the degenerate path) is searched.  If that
-    # yields no c, the full grid follows as the last level, and it alone
-    # decides the degenerate, golden-section and Unknown paths.
-    n = min(3, cfg.samples)
-    while True:
+    # soundly as a fine one.  The first level with a bracket and some |g|
+    # above EPS_RES (a g that small everywhere is left to the degenerate
+    # path) is searched.  If that yields no c, the full grid follows, and it
+    # alone decides the degenerate, golden-section and Unknown paths.
+    for n in [n for n in _LEVELS if n < cfg.samples]:
         scan = sample(g, inner, n)
-        if n == cfg.samples:
-            break
         br = first_bracket(scan)
-        if br is not None and any(v is not None and abs(v) > EPS_RES for v in scan.values):
+        if br is not None and not _flat(scan.values):
             found = _bracket_root(g, deriv, m, br, cfg.eps_c)
             if isinstance(found, Applicable):
                 return found
-            n = cfg.samples
-        else:
-            n = min(2 * n - 1, cfg.samples) if n < _COARSE_MAX else cfg.samples
+            break
+    scan = sample(g, inner, cfg.samples)
     xs, values = scan.xs, scan.values
-    valid = [v for v in values if v is not None]
-    if not valid:
+    if all(v is None for v in values):
         return Unknown("derivative undefined at every interior sample point")
 
-    if max(abs(v) for v in valid) <= EPS_RES:
+    if _flat(values):
         # f' == m everywhere at sample resolution: any interior point
         # works, the midpoint is deterministic and symmetric
         c = midpoint(iv.a, iv.b)
@@ -265,13 +264,20 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     )
     lo = xs[best_idx - 1] if best_idx > 0 else inner.a
     hi = xs[best_idx + 1] if best_idx + 1 < len(xs) else inner.b
-    c, fpc, residual, steps = _golden_min(deriv, m, lo, hi, xs[best_idx], values[best_idx])
+    c, fpc, steps = _golden_min(deriv, m, lo, hi, xs[best_idx], values[best_idx])
+    return _by_residual(c, m, fpc, steps, Method.RESIDUAL_MIN)
+
+
+def _flat(values: list[float | None]) -> bool:
+    """Whether every |g| sampled is within EPS_RES, None where g is undefined."""
+    return all(v is None or abs(v) <= EPS_RES for v in values)
+
+
+def _by_residual(c: float, m: float, fpc: float, steps: int, method: Method) -> MvtResult:
+    """Applicable at c where the residual |f'(c) - m| meets EPS_RES, else Unknown."""
+    residual = abs(fpc - m)
     if residual <= EPS_RES:
-        return Applicable(c, m, fpc, residual, steps, Method.RESIDUAL_MIN)
-    return _no_sign_change(residual)
-
-
-def _no_sign_change(residual: float) -> Unknown:
+        return Applicable(c, m, fpc, residual, steps, method)
     return Unknown(f"no sign change at sample resolution; smallest residual {residual:.3e} exceeds tolerance")
 
 
@@ -354,5 +360,4 @@ def _golden_min(deriv, m, lo, hi, seed_x, seed_g):
             r2 = probe(x2)
         steps += 1
     # recompute at the winner so residual == |f_prime_at_c - m| holds exactly
-    best_fp = deriv(best_t)
-    return best_t, best_fp, abs(best_fp - m), steps
+    return best_t, deriv(best_t), steps

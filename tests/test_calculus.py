@@ -887,28 +887,32 @@ def _tabulated(e, iv, samples):
     "text, a, b, calls, witnesses",
     [
         # bounds prove sqrt(x - 0.5) undefined on rows 0 to 447, which hold
-        # the pole at 0.2: f is tabulated on the 32 rows after them only.
-        # The hazards' own bounds clear the proven cells that span rows 255
-        # to 447, so the hazards skip the rows strictly between: they are
-        # tabulated on 289 rows, those of the other proven cells (the one
-        # holding the pole among them) and of the cells after them
+        # the pole at 0.2, and no more than half of the grid: f and the
+        # hazards share one pass.  The hazards' own bounds clear the proven
+        # cells that span rows 255 to 447, so the pass skips the rows
+        # strictly between: it tabulates 289 rows, those of the other
+        # proven cells (the one holding the pole among them) and of the
+        # cells after them
         (
             "sqrt(x - 0.5) + 1/(x - 0.2)",
             0.1,
             1.0,
             [
-                (["(sqrt((x - 0.5)) + (1 / (x - 0.2)))"], list(range(448, 480))),
-                (["(x - 0.5)", "(x - 0.2)"], [*range(256), *range(447, 480)]),
+                (
+                    ["(sqrt((x - 0.5)) + (1 / (x - 0.2)))", "(x - 0.5)", "(x - 0.2)"],
+                    [*range(256), *range(447, 480)],
+                ),
             ],
             (Witness(0.2, WitnessKind.POLE), Witness(0.5, WitnessKind.LOG_OR_ROOT_BOUNDARY)),
         ),
         # the proven rows are more than half of the grid: no hazard is
-        # scanned, so no hazard column is computed
+        # scanned, so f is tabulated alone, on the rows of the cells not
+        # settled, whose last row 287 ends a proven cell
         (
             "-0.5*x + 0.636*sqrt(0.266 - x)",
             -0.423,
             2.041,
-            [(["(((-0.5) * x) + (0.636 * sqrt((0.266 - x))))"], list(range(255, 287)))],
+            [(["(((-0.5) * x) + (0.636 * sqrt((0.266 - x))))"], list(range(255, 288)))],
             (Witness(0.2682688172043011, WitnessKind.LOG_OR_ROOT_BOUNDARY),),
         ),
         # no row is proven undefined: f and its hazard share one pass
@@ -921,12 +925,26 @@ def _tabulated(e, iv, samples):
         ),
     ],
 )
-def test_f_is_tabulated_only_on_rows_that_bounds_did_not_prove_undefined(text, a, b, calls, witnesses):
+def test_one_column_pass_tabulates_the_rows_that_bounds_did_not_clear(text, a, b, calls, witnesses):
     e, iv = parse(text), Interval(a, b)
     report, tabulated = _tabulated(e, iv, SAMPLES)
     assert tabulated == calls
     assert report == _scanned(e, iv, SAMPLES)
     assert report.witnesses == witnesses
+
+
+@given(
+    st.one_of(proven_hazard_exprs(), grammar_exprs()),
+    st.floats(min_value=-0.1, max_value=0.1),
+    st.floats(min_value=0.9, max_value=1.1),
+    st.sampled_from([97, 1024]),
+)
+@settings(deadline=None)
+def test_an_analysis_makes_at_most_one_column_pass(e, a, width, samples):
+    e, iv = _parsed(e), Interval(a, a + width)
+    with mock.patch.object(calculus, "tabulate", wraps=calculus.tabulate) as scan:
+        analyze_smoothness(e, iv, samples)
+    assert scan.call_count <= 1
 
 
 def _proven_rows_left_out(e, iv, samples):

@@ -156,6 +156,16 @@ def test_verify_between_huge_endpoints(capsys):
     assert (parsed["method"], parsed["c"]) == ("degenerate_constant", 1.35e308)
 
 
+def test_verify_two_ulps_wide_with_two_samples(capsys):
+    # both ends of the root scan's inset round to the one float inside
+    # (a, b): that float is c, where it meets the residual bound
+    code = run(["verify", "--f", "x^2", "--a", "1.0000000000000002", "--b", "1.0000000000000007",
+                "--samples", "2", "--json"])
+    assert code == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert (parsed["method"], parsed["c"]) == ("residual_min", 1.0000000000000004)
+
+
 def test_verify_slope_whose_rise_overflows(capsys):
     # f(b) - f(a) = 2e308 overflows; the slope 1e307 does not
     code = run(["verify", "--f", "1e307*x", "--a", "-10", "--b", "10", "--json"])

@@ -438,6 +438,30 @@ def test_mvt_interval_without_an_inner_float_is_unknown(text, a, b):
     assert result == Unknown("no float lies strictly inside (a, b)")
 
 
+# two ulps wide: with samples=2, both ends of the half-step inset round to
+# the one float between a and b
+TWO_ULPS = Interval(1.0000000000000002, 1.0000000000000007)
+
+
+@pytest.mark.parametrize(
+    "verify, text, m",
+    [(verify_mvt, "x^2", 2.0), (verify_mvt, "x^3 - x", 2.0), (verify_rolle, "x^2 - 2*x", 0.0)],
+)
+def test_an_inset_of_one_float_makes_that_float_c(verify, text, m):
+    # the one float strictly inside (a, b) is the only candidate c, and
+    # the residual rule decides it
+    result = verify(parse(text), TWO_ULPS, Config(samples=2))
+    assert isinstance(result, Applicable)
+    assert (result.c, result.m, result.method) == (1.0000000000000004, m, Method.RESIDUAL_MIN)
+    assert result.residual == abs(result.f_prime_at_c - m) <= EPS_RES
+
+
+def test_an_inset_of_one_float_above_the_residual_bound_is_unknown():
+    # f' at that float misses m by far more than EPS_RES
+    result = verify_mvt(parse("1e20*x^2"), TWO_ULPS, Config(samples=2))
+    assert result == Unknown("no sign change at sample resolution; smallest residual 1.553e+19 exceeds tolerance")
+
+
 def test_mvt_steep_polynomial_meets_residual_tolerance():
     # f'' reaches ~2.5e4 here; plain width-eps bisection alone would leave
     # a residual far above eps_res
@@ -957,6 +981,7 @@ def test_mvt_overflow_is_not_continuous():
             Interval(1e-300, 2e-300),
             Interval(-1e300, 1e300),
             Interval(1.0, math.nextafter(1.0, 2.0)),
+            Interval(1 + 2**-52, 1 + 3 * 2**-52),
             Interval(1e308, 1.7e308),
             Interval(1e6, 1e6 + 1e-6),
             Interval(-700.0, 700.0),

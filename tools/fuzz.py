@@ -40,6 +40,7 @@ INTERVALS = [
     (1e-300, 2e-300),
     (-1e300, 1e300),
     (1.0, math.nextafter(1.0, 2.0)),
+    (1 + 2**-52, 1 + 3 * 2**-52),
     (-5e-324, 5e-324),
     (1e308, 1.7e308),
     (1e6, 1e6 + 1e-6),
