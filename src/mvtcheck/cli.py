@@ -5,8 +5,9 @@ tangent at the located point c.
 Each expression on the command line is parsed once, onto a tape of its
 own, and every command reads it there.
 
-Exit codes: 0 = applicable/success, 2 = not applicable or unknown,
-1 = usage, lex, or parse error.
+Exit codes: 0 = applicable/success, 2 = not applicable or unknown, or an
+eval point outside f's domain, 1 = usage, lex, parse or plot-file error,
+or an internal error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from enum import Enum
 from typing import Sequence
 
 # no call here reads simplify: bench/mvtbench/tracer.py wraps cli.simplify
@@ -32,6 +34,9 @@ MVT_DOES_NOT_APPLY = "The Mean Value Theorem does not apply"
 
 # grid points of every plot
 _PLOT_POINTS = 512
+
+# the "status" of each result's JSON
+_STATUS = {Applicable: "applicable", NotApplicable: "not_applicable", Unknown: "unknown"}
 
 
 class UnsupportedFormat(Exception):
@@ -97,22 +102,14 @@ def _join_expression_values(args: Sequence[str]) -> list[str]:
 
 def run(args: Sequence[str]) -> int:
     """Execute the CLI and return the process exit code."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(_join_expression_values(args))
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        ns = _build_parser().parse_args(_join_expression_values(args))
+        return ns.handler(ns)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return ns.handler(ns)
-    except (_UsageError, SourceError, UnsupportedFormat, OSError) as err:
+    except (_UsageError, SourceError, UnsupportedFormat, OSError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(err, DomainError) else 1
     except Exception as err:  # exit-code totality: never leak a traceback
         print(f"internal error: {err}", file=sys.stderr)
         return 1
@@ -137,11 +134,7 @@ def _cmd_verify(ns) -> int:
     a = _constant_value(ns.a, "a")
     b = _constant_value(ns.b, "b")
     try:
-        iv = Interval(a, b)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
-    try:
-        cfg = Config(ns.eps, ns.samples)
+        iv, cfg = Interval(a, b), Config(ns.eps, ns.samples)
     except ValueError as err:
         raise _UsageError(str(err)) from None
 
@@ -195,26 +188,16 @@ def _print_human(result: MvtResult, source: str, iv: Interval, mode: str) -> Non
 def render_json(result: MvtResult) -> str:
     """Serialize ``result`` as a single-line JSON object.
 
-    Numbers are written as the shortest repr that round-trips, so parsing
-    the output recovers them bit-exactly, including the sign of zero.
+    It holds ``status`` first, then the record's fields in slot order: an
+    Enum as its value, and a field that is None left out.  Numbers are
+    written as the shortest repr that round-trips, so parsing the output
+    recovers them bit-exactly, including the sign of zero.
     """
-    if isinstance(result, Applicable):
-        fields = {
-            "status": "applicable",
-            "c": result.c,
-            "m": result.m,
-            "f_prime_at_c": result.f_prime_at_c,
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "method": result.method.value,
-        }
-    elif isinstance(result, NotApplicable):
-        fields = {"status": "not_applicable", "reason": result.reason.value}
-        if result.witness is not None:
-            fields["witness"] = result.witness
-    else:
-        assert isinstance(result, Unknown)
-        fields = {"status": "unknown", "detail": result.detail}
+    fields = {"status": _STATUS[result.__class__]}
+    for name in result.__slots__:
+        value = getattr(result, name)
+        if value is not None:
+            fields[name] = value.value if isinstance(value, Enum) else value
     return json.dumps(fields, separators=(",", ":"))
 
 

@@ -347,7 +347,7 @@ def _format_number(v: float) -> str:
 
 
 class _Undefined(float):
-    """The NaN that _div, _pow and the evaluator's ln and sqrt return where
+    """The NaN that _div, _pow and the ln and sqrt rules return where
     they fail, with the kind of the failure.  Arithmetic on it gives a
     plain NaN, and so does every operation after that: a failure flows on
     to every result it feeds."""
@@ -813,12 +813,7 @@ def _domain(fn: Callable[[float], float], least: float, kind: DomainErrorKind, w
             return failed if hi < least else None
         return _widen(fn(lo), fn(hi)) if widened else (fn(lo), fn(hi))
 
-    return _Rule(
-        lambda u: failed if u < least else fn(u),
-        bounds,
-        # tested inline, which is faster here than mapping the point form
-        lambda us: [math.nan if u < least else fn(u) for u in us],
-    )
+    return _Rule(lambda u: failed if u < least else fn(u), bounds)
 
 
 # keyed by the binary operator, "neg" for unary minus, or the function name

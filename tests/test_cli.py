@@ -377,6 +377,17 @@ def test_exit_code_totality(args):
     assert run(args) in (0, 1, 2)
 
 
+def test_an_error_while_the_arguments_are_parsed_is_an_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("broken join")
+
+    monkeypatch.setattr(cli, "_join_expression_values", broken)
+    assert run(["eval", "--f", "x", "--x", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: broken join\n"
+
+
 # --- render_json ------------------------------------------------------------
 
 
@@ -389,6 +400,30 @@ def test_render_json_not_applicable():
 def test_render_json_unknown():
     parsed = json.loads(render_json(Unknown("no luck")))
     assert parsed == {"status": "unknown", "detail": "no luck"}
+
+
+# the whole line of each result, so a reordered or renamed slot fails here
+@pytest.mark.parametrize(
+    "result, text",
+    [
+        (
+            Applicable(2.0, 0.5, 0.5, 0.0, 7, Method.BRACKET_BISECT),
+            '{"status":"applicable","c":2.0,"m":0.5,"f_prime_at_c":0.5,'
+            '"residual":0.0,"iterations":7,"method":"bracket_bisect"}',
+        ),
+        (
+            NotApplicable(Reason.NOT_CONTINUOUS, -0.25),
+            '{"status":"not_applicable","reason":"not_continuous","witness":-0.25}',
+        ),
+        (
+            NotApplicable(Reason.ROLLE_PRECONDITION_FAILED),
+            '{"status":"not_applicable","reason":"rolle_precondition_failed"}',
+        ),
+        (Unknown("bisection failed"), '{"status":"unknown","detail":"bisection failed"}'),
+    ],
+)
+def test_render_json_text(result, text):
+    assert render_json(result) == text
 
 
 def test_render_json_keeps_floats_and_the_sign_of_zero():

@@ -356,6 +356,39 @@ def test_mvt_abs_wrapped_zero_is_not_continuous(text):
     assert abs(result.witness) <= 1e-9
 
 
+# known wrong verdicts, each pinned to the open ROADMAP item that fixes it:
+# strict, so the fix turns each one into a failure that asks to unmark it
+def _known_wrong(item, verify, a, b, expected, reason, texts):
+    mark = pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}")
+    return [
+        pytest.param(verify, text, a, b, expected, reason, marks=mark, id=f"{verify.__name__}-{text}")
+        for text in texts
+    ]
+
+
+@pytest.mark.parametrize(
+    "verify, text, a, b, expected, reason",
+    _known_wrong("1: an abs zero where f is differentiable reads as a kink",
+                 verify_mvt, -1.0, 1.1, Applicable, None, ["x*abs(x)", "abs(x)^2", "abs(x^3)"])
+    + _known_wrong("11: an abs zero under a pole or an ln reads as a kink",
+                   verify_mvt, -1.0, 1.1, NotApplicable, Reason.NOT_CONTINUOUS,
+                   ["1/(2*abs(x))", "1/(-abs(x))", "ln(abs(x)*3)"])
+    + _known_wrong("11: a power by an exponent equal to 1 reads as broken where its base is 0",
+                   verify_mvt, 0.5, 2.0, Applicable, None, ["(1-x)^(x/x)", "(1-x)^(x^0)"])
+    + _known_wrong("12: the quotient rule overflows where f' does not",
+                   verify_mvt, -1.0, 1.1, Applicable, None, ["x^2/1e300"])
+    + _known_wrong("12: the abs rule overflows where f' does not",
+                   verify_mvt, 1.0, 2.0, Applicable, None, ["abs(x*1e200)"])
+    + _known_wrong("12: the abs rule raises where its argument is exactly 0",
+                   verify_rolle, -1.0, 1.0, Applicable, None, ["abs(x^2)"]),
+)
+def test_known_wrong_verdict(verify, text, a, b, expected, reason):
+    result = verify(parse(text), Interval(a, b))
+    assert isinstance(result, expected)
+    if reason is not None:
+        assert result.reason is reason
+
+
 def test_mvt_reciprocal_not_applicable():
     result = verify_mvt(parse("1/x"), Interval(-1.0, 1.0))
     assert isinstance(result, NotApplicable)

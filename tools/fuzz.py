@@ -7,13 +7,16 @@ whole grammar, with constants such as 0, 1e-300, 1e300 and pi) gets
 ``verify_mvt`` and ``verify_rolle`` on every interval of ``INTERVALS``,
 each interval with one configuration of ``CONFIGS`` drawn at random.
 Every 25th expression also goes through the command line as ``verify``,
-``diff`` and ``eval``, in process.
+``diff`` and ``eval``, in process, and through four malformed command
+lines: an expression flag last with no value, ``--samples 1``, a plot
+path ending in ``.txt`` and an unknown flag.
 
-A library call must return a result, and a command must not report an
-``internal error``: the tool prints one line per input that breaks
-either rule, then a summary line, and exits 1 if it printed any such
-input and 0 otherwise.  The same seed and count draw the same inputs.
-mvtcheck is imported from the ``src/`` next to this directory.
+A library call must return a result, and a command must neither report
+an ``internal error`` nor exit with a code other than 0, 1 or 2: the
+tool prints one line per input that breaks a rule, then a summary line,
+and exits 1 if it printed any such input and 0 otherwise.  The same
+seed and count draw the same inputs.  mvtcheck is imported from the
+``src/`` next to this directory.
 """
 
 from __future__ import annotations
@@ -81,24 +84,37 @@ def library_failures(text: str, rng: random.Random) -> list[str]:
     return failures
 
 
-def cli_failures(text: str, scratch: str) -> list[str]:
-    """One line per command on ``text`` that raises or reports an internal error."""
-    commands = [
-        ["verify", "--f", text, "--a", "0", "--b", "1", "--json", "--plot", os.path.join(scratch, "plot.svg")],
+def cli_commands(text: str, scratch: str) -> list[list[str]]:
+    """The command lines run on ``text``: the three commands, then four
+    malformed ones, each a usage error."""
+    verify = ["verify", "--f", text, "--a", "0", "--b", "1"]
+    return [
+        verify + ["--json", "--plot", os.path.join(scratch, "plot.svg")],
         ["diff", "--f", text],
         ["eval", "--f", text, "--x", "0.5"],
+        ["eval", "--x", "0.5", "--f"],  # an expression flag last, with no value
+        verify + ["--samples", "1"],
+        verify + ["--plot", os.path.join(scratch, "plot.txt")],
+        ["diff", "--f", text, "--bogus"],
     ]
+
+
+def cli_failures(commands: list[list[str]]) -> list[str]:
+    """One line per command line that raises, reports an internal error or
+    exits with a code other than 0, 1 or 2."""
     failures = []
     for argv in commands:
         out, err = io.StringIO(), io.StringIO()
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                run(argv)
+                code = run(argv)
         except Exception as exc:  # run must catch everything itself
             failures.append(f"cli {argv!r}: {exc!r}")
             continue
         if "internal error" in err.getvalue():
             failures.append(f"cli {argv!r}: {err.getvalue().strip()}")
+        elif code not in (0, 1, 2):
+            failures.append(f"cli {argv!r}: exit code {code!r}")
     return failures
 
 
@@ -116,8 +132,9 @@ def main(argv: list[str]) -> int:
             found = library_failures(text, rng)
             verdicts += 2 * len(INTERVALS)
             if n % CLI_EVERY == 0:
-                found += cli_failures(text, scratch)
-                commands += 3
+                argvs = cli_commands(text, scratch)
+                found += cli_failures(argvs)
+                commands += len(argvs)
             for line in found:
                 print(line, flush=True)
             failures += found
