@@ -17,10 +17,10 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
-import tempfile
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 # no call here reads simplify: bench/mvtbench/tracer.py wraps cli.simplify
 from .calculus import differentiate, simplify  # noqa: F401
@@ -137,6 +137,8 @@ def _cmd_verify(ns) -> int:
         iv, cfg = Interval(a, b), Config(ns.eps, ns.samples)
     except ValueError as err:
         raise _UsageError(str(err)) from None
+    if ns.plot:
+        _renderer(ns.plot)  # an unsupported suffix fails before the verdict runs
 
     if ns.mode == "rolle":
         result = verify_rolle(f, iv, cfg)
@@ -225,14 +227,12 @@ def _plot_table(
 def _line(y0: float, slope: float, x0: float, xs: list[float]) -> list[float | None]:
     """The line through (x0, y0) with ``slope`` over ``xs``, None where its
     value lies past the float range."""
-    ys: list[float | None] = []
-    for x in xs:
-        y = y0 + slope * (x - x0)
-        if not math.isfinite(y):
-            # the product can overflow where the sum does not; halving is exact
-            y = 2.0 * (0.5 * y0 + 0.5 * slope * (x - x0))
-        ys.append(y if math.isfinite(y) else None)
-    return ys
+    # the product can overflow where the sum does not; halving is exact
+    return [
+        y if math.isfinite(y := y0 + slope * (x - x0))
+        else y if math.isfinite(y := 2.0 * (0.5 * y0 + 0.5 * slope * (x - x0))) else None
+        for x in xs
+    ]
 
 
 def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str) -> None:
@@ -243,36 +243,41 @@ def emit_plot(f: Expr, iv: Interval, result: MvtResult, path: str) -> None:
     line leaves the float range.
     SVG: a self-contained document with one polyline per series, a marker
     at (c, f(c)), and a label showing c.  Writes are atomic
-    (write-then-rename).
+    (write-then-rename), and the file gets the mode ``open(path, "w")``
+    would give it: 0o666 less the umask for a new file, its own mode for
+    one that exists.
+
+    Each column is formatted once: CSV writes every number as its
+    shortest round-trip ``repr``, SVG with 9 significant digits at the
+    chosen scale, each x once for all the series.
 
     f is tabulated on its own tape, and only the cone of its slot is read,
     so whatever else that tape holds costs nothing.
     """
+    _atomic_write(path, _renderer(path)(f, iv, result))
+
+
+def _renderer(path: str) -> Callable[[Expr, Interval, MvtResult], str]:
+    """The renderer of ``path``'s suffix in ``_RENDERERS``; raises
+    UnsupportedFormat where it has none."""
     suffix = os.path.splitext(path)[1].lower()
-    if suffix == ".csv":
-        text = _render_csv(f, iv, result)
-    elif suffix == ".svg":
-        text = _render_svg(f, iv, result)
-    else:
+    if suffix not in _RENDERERS:
         raise UnsupportedFormat(f"unsupported plot format {suffix!r} (use .csv or .svg)")
-    _atomic_write(path, text)
+    return _RENDERERS[suffix]
 
 
 def _render_csv(f: Expr, iv: Interval, result: MvtResult) -> str:
     xs, fs, lines, _ = _plot_table(f, iv, result)
-    columns = [xs, fs] + [ys for _, ys in lines]
-    rows = [",".join(["x", "f"] + [name for name, _ in lines])]
-    rows += (",".join("" if v is None else repr(v) for v in row) for row in zip(*columns))
+    # each column is formatted once, and a row is its cells joined
+    columns = [["" if v is None else repr(v) for v in ys] for ys in [xs, fs] + [ys for _, ys in lines]]
+    rows = [",".join(["x", "f"] + [name for name, _ in lines]), *map(",".join, zip(*columns))]
     return "\n".join(rows) + "\n"
 
 
 def _render_svg(f: Expr, iv: Interval, result: MvtResult) -> str:
     xs, fs, lines, mark = _plot_table(f, iv, result)
-    series = [
-        (name, [(x, y) for x, y in zip(xs, ys) if y is not None])
-        for name, ys in [("function", fs), *lines]
-    ]
-    ys = [y for _, points in series for _, y in points] or [-1.0, 1.0]
+    series = [("function", fs), *lines]
+    ys = [y for _, column in series for y in column if y is not None] or [-1.0, 1.0]
     # where a box extent overflows, draw at a quarter of the size: scaling by
     # a power of two is exact, and then every number written is finite
     for scale in (1.0, 0.25):
@@ -296,8 +301,10 @@ def _render_svg(f: Expr, iv: Interval, result: MvtResult) -> str:
         f'viewBox="{left:.9g} {top:.9g} {width:.9g} {height:.9g}" '
         'width="640" height="480" preserveAspectRatio="none">'
     ]
-    for name, points in series:
-        pts = " ".join(f"{scale * x:.9g},{-(scale * y):.9g}" for x, y in points)
+    # each x is formatted once, and each series joins it to its own y
+    xtexts = [f"{scale * x:.9g}," for x in xs]
+    for name, column in series:
+        pts = " ".join([f"{x}{-(scale * y):.9g}" for x, y in zip(xtexts, column) if y is not None])
         parts.append(
             f'<polyline fill="none" stroke="{colors[name]}" '
             f'stroke-width="{0.004 * size:.3g}" points="{pts}"/>'
@@ -312,13 +319,26 @@ def _render_svg(f: Expr, iv: Interval, result: MvtResult) -> str:
     return "\n".join(parts) + "\n"
 
 
+# the plot formats, by the path's suffix in lower case
+_RENDERERS = {".csv": _render_csv, ".svg": _render_svg}
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mvtcheck-")
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            mode = None
+        # a new name, created with 0o666 so that the kernel applies the umask
+        name = os.path.join(directory, f".mvtcheck-{os.urandom(8).hex()}")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException as err:
         if tmp is not None:

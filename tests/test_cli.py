@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -601,6 +602,53 @@ def test_emit_plot_overwrites_atomically(example1):
     assert [p.name for p in tmp.iterdir()] == ["plot.csv"]
 
 
+def test_plot_file_mode_is_that_of_open(tmp_path, capsys):
+    # a new plot gets 0o666 less the umask, as open(path, "w") gives it,
+    # and an overwritten plot keeps its own mode
+    argv = ["verify", "--f", "x", "--a", "0", "--b", "1", "--plot"]
+    old = os.umask(0o022)
+    try:
+        assert run([*argv, str(tmp_path / "new.csv")]) == 0
+        os.umask(0o027)
+        assert run([*argv, str(tmp_path / "new.svg")]) == 0
+        kept = tmp_path / "kept.csv"
+        kept.write_text("")
+        os.chmod(kept, 0o604)
+        assert run([*argv, str(kept)]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"new.csv": 0o644, "new.svg": 0o640, "kept.csv": 0o604}
+    assert kept.read_text().startswith("x,f,secant,tangent\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--a", "0", "--b", "1"], "unsupported plot format '.png' (use .csv or .svg)"),
+        (["--a", "0", "--b", "1", "--mode", "rolle"], "unsupported plot format '.png' (use .csv or .svg)"),
+        (["--a", "x", "--b", "1"], "--a must be a constant expression, got 'x'"),
+        (["--a", "1", "--b", "0"], "interval requires a < b, got [1.0, 0.0]"),
+    ],
+    ids=["mvt", "rolle", "endpoint-first", "interval-first"],
+)
+def test_unsupported_plot_suffix_fails_before_the_verdict(args, message, tmp_path, monkeypatch, capsys):
+    # the suffix is checked once the interval and the configuration are
+    # built, so their errors still come first, and no verdict runs
+    calls = []
+
+    def never(*called):
+        calls.append(called)
+        raise AssertionError("the verdict ran")
+
+    monkeypatch.setattr(cli, "verify_mvt", never)
+    monkeypatch.setattr(cli, "verify_rolle", never)
+    path = tmp_path / "out.png"
+    assert run(["verify", "--f", "x^2", *args, "--plot", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
 SERIES_COLORS = {"#1f77b4": "function", "#ff7f0e": "secant", "#2ca02c": "tangent"}
 
 
@@ -730,3 +778,48 @@ def test_unwritable_plot_names_the_requested_path(target, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{str(path)!r}" in err and ".mvtcheck-" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["d.csv"]
+
+
+# SHA-256 of each plot file as the row-by-row renderers wrote it, before the
+# renderers formatted column by column.  The inputs use only + - * / sqrt,
+# abs and integer powers, which IEEE 754 rounds the same everywhere, so no
+# digest depends on the platform's libm.  They reach the paths that smooth
+# bench inputs never do: blank f cells, an empty series, Rolle, an Unknown,
+# 81 halved line points with 42 blank line cells and the quarter-scale SVG,
+# a huge box and a subnormal interval
+PINNED_PLOTS = [
+    (["--f", "sqrt(x)", "--a=-1", "--b", "1"], 2,
+     "f1458d7bcbeed19a1d6baf4bd3126598f44ed0266be7568b33d6c99f5907771b",
+     "5a122933deba0154a83e17f09be86a44736b2569c5e68ca3e21d52931c96dd1d"),
+    (["--f", "sqrt(-1-x^2)", "--a", "0", "--b", "1"], 2,
+     "f11d5088752a606e5e472afe45f7176595c8d748fa6009745f935b2b43c7848b",
+     "0839e7a0037f859c177bfc36ae86b1e6443af3749759629e1799df2c956c37eb"),
+    (["--f", "x^2 - 4*x + 3", "--a", "1", "--b", "3", "--mode", "rolle"], 0,
+     "a35889bccd892312e908e93743e80074f791e74a30c9a7f19c96e9d48963ab1d",
+     "142b2bec42652a6662a9f2d6dc96c12cb544f8c7977685cd6431cc0c2d20f2c2"),
+    (["--f", "x^3", "--a=-1", "--b", "1", "--samples", "2"], 2,
+     "452b581d9f1dce4f0b13664c3421473d4a94e5b1d3457738f71554cfdeb0bdf3",
+     "0cce8705c4ed7be25fdc3b200388498004360a008e278096323f04eb5f0d02f8"),
+    (["--f", "1.6e308*(1 - x^2/2 + x^4/24)", "--a", "0", "--b", "2"], 0,
+     "0710be673e2f8434cbe1b28bace8b7143280c18dda80fcb92be5607c709bad86",
+     "abba8b4d36e3cf27247e461e5ad3036eb6b31793dc2380fa0c97316aecea7f54"),
+    (["--f", "1e307*x", "--a=-10", "--b", "10"], 0,
+     "cc57fc604093077163f4027f0b729975d7a85d0efdba2d916b216b1d2ebbcd17",
+     "5500600d9b74dead4d296c5ced34cb3bad6d44d7fe41506c9adba368b56f938f"),
+    (["--f", "x", "--a", "0", "--b", "1e-320"], 0,
+     "6349069bb7d076791c4dd386c9a5455ec955e9e277d33761312dea6dcb068443",
+     "41f0a0527d7473bfa9e8698f0c8340310115079280229787ccbdf59373187968"),
+]
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".svg"])
+@pytest.mark.parametrize(
+    "argv, code, csv_digest, svg_digest",
+    PINNED_PLOTS,
+    ids=["blank-f", "empty-series", "rolle", "unknown", "halved-lines", "huge-box", "subnormal"],
+)
+def test_plot_bytes_are_pinned(argv, code, csv_digest, svg_digest, suffix, tmp_path, capsys):
+    path = tmp_path / f"plot{suffix}"
+    assert run(["verify", *argv, "--plot", str(path)]) == code
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == (csv_digest if suffix == ".csv" else svg_digest)

@@ -6,10 +6,14 @@ Each of the ``--trees`` random expressions (up to 10 leaves, over the
 whole grammar, with constants such as 0, 1e-300, 1e300 and pi) gets
 ``verify_mvt`` and ``verify_rolle`` on every interval of ``INTERVALS``,
 each interval with one configuration of ``CONFIGS`` drawn at random.
-Every 25th expression also goes through the command line as ``verify``,
-``diff`` and ``eval``, in process, and through four malformed command
-lines: an expression flag last with no value, ``--samples 1``, a plot
-path ending in ``.txt`` and an unknown flag.
+Every 25th expression also goes through the command line as ``verify
+--json --plot``, ``diff`` and ``eval``, in process, and through four
+malformed command lines: an expression flag last with no value,
+``--samples 1``, a plot path ending in ``.txt`` and an unknown flag.  The
+k-th such expression is verified on ``INTERVALS[k % len(INTERVALS)]``,
+its endpoints passed as ``repr`` texts, and plotted to ``.svg`` on one
+pass through ``INTERVALS`` and to ``.csv`` on the next, so both renderers
+meet every interval.  This draws no random number of its own.
 
 A library call must return a result, and a command must neither report
 an ``internal error`` nor exit with a code other than 0, 1 or 2: the
@@ -84,12 +88,15 @@ def library_failures(text: str, rng: random.Random) -> list[str]:
     return failures
 
 
-def cli_commands(text: str, scratch: str) -> list[list[str]]:
-    """The command lines run on ``text``: the three commands, then four
-    malformed ones, each a usage error."""
-    verify = ["verify", "--f", text, "--a", "0", "--b", "1"]
+def cli_commands(text: str, k: int, scratch: str) -> list[list[str]]:
+    """The command lines run on ``text``, the k-th expression sent through
+    the command line: the three commands, then four malformed ones, each a
+    usage error."""
+    a, b = INTERVALS[k % len(INTERVALS)]
+    suffix = (".svg", ".csv")[k // len(INTERVALS) % 2]
+    verify = ["verify", "--f", text, "--a", repr(a), "--b", repr(b)]
     return [
-        verify + ["--json", "--plot", os.path.join(scratch, "plot.svg")],
+        verify + ["--json", "--plot", os.path.join(scratch, "plot" + suffix)],
         ["diff", "--f", text],
         ["eval", "--f", text, "--x", "0.5"],
         ["eval", "--x", "0.5", "--f"],  # an expression flag last, with no value
@@ -132,7 +139,7 @@ def main(argv: list[str]) -> int:
             found = library_failures(text, rng)
             verdicts += 2 * len(INTERVALS)
             if n % CLI_EVERY == 0:
-                argvs = cli_commands(text, scratch)
+                argvs = cli_commands(text, n // CLI_EVERY, scratch)
                 found += cli_failures(argvs)
                 commands += len(argvs)
             for line in found:
