@@ -47,8 +47,6 @@ EPS_ROLLE = 1e-12
 
 # the dyadic levels of the root scan, in points, before the full grid
 _LEVELS = (3, 5, 9, 17, 33, 65)
-_GOLDEN_STEPS = 64
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class Config(Record):
@@ -207,7 +205,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     if d is not None:
         # g = f' - m is one number: the scans below would find no sign
         # change, and end on the degenerate path or on this residual
-        return _by_residual(midpoint(iv.a, iv.b), m, d, 0, Method.DEGENERATE_CONSTANT)
+        return _by_residual(midpoint(iv.a, iv.b), m, d, Method.DEGENERATE_CONSTANT)
     deriv = compile_evaluator(fp)
 
     def g(t: float) -> float:
@@ -220,7 +218,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
         # both ends round to the one float strictly inside (a, b), nearest
         # its midpoint: the only candidate c, which the residual rule decides
         try:
-            return _by_residual(lo, m, deriv(lo), 0, Method.RESIDUAL_MIN)
+            return _by_residual(lo, m, deriv(lo), Method.RESIDUAL_MIN)
         except DomainError:
             return Unknown("derivative undefined at every interior sample point")
     inner = Interval(lo, hi)
@@ -229,7 +227,7 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     # soundly as a fine one.  The first level with a bracket and some |g|
     # above EPS_RES (a g that small everywhere is left to the degenerate
     # path) is searched.  If that yields no c, the full grid follows, and it
-    # alone decides the degenerate, golden-section and Unknown paths.
+    # alone decides the degenerate, best-sample and Unknown paths.
     for n in [n for n in _LEVELS if n < cfg.samples]:
         scan = sample(g, inner, n)
         br = first_bracket(scan)
@@ -258,14 +256,10 @@ def _pipeline(f: Expr, iv: Interval, cfg: Config, m_forced: float | None) -> Mvt
     if br is not None:
         return _bracket_root(g, deriv, m, br, cfg.eps_c)
 
-    best_idx = min(
-        (i for i, v in enumerate(values) if v is not None),
-        key=lambda i: abs(values[i]),
-    )
-    lo = xs[best_idx - 1] if best_idx > 0 else inner.a
-    hi = xs[best_idx + 1] if best_idx + 1 < len(xs) else inner.b
-    c, fpc, steps = _golden_min(deriv, m, lo, hi, xs[best_idx], values[best_idx])
-    return _by_residual(c, m, fpc, steps, Method.RESIDUAL_MIN)
+    # h = f - m*x has h(a) = h(b), so g is zero throughout or takes both
+    # signs: this grid missed the zero, and its best sample decides alone
+    best = min((i for i, v in enumerate(values) if v is not None), key=lambda i: abs(values[i]))
+    return _by_residual(xs[best], m, deriv(xs[best]), Method.RESIDUAL_MIN)
 
 
 def _flat(values: list[float | None]) -> bool:
@@ -273,11 +267,11 @@ def _flat(values: list[float | None]) -> bool:
     return all(v is None or abs(v) <= EPS_RES for v in values)
 
 
-def _by_residual(c: float, m: float, fpc: float, steps: int, method: Method) -> MvtResult:
+def _by_residual(c: float, m: float, fpc: float, method: Method) -> MvtResult:
     """Applicable at c where the residual |f'(c) - m| meets EPS_RES, else Unknown."""
     residual = abs(fpc - m)
     if residual <= EPS_RES:
-        return Applicable(c, m, fpc, residual, steps, method)
+        return Applicable(c, m, fpc, residual, 0, method)
     return Unknown(f"no sign change at sample resolution; smallest residual {residual:.3e} exceeds tolerance")
 
 
@@ -324,40 +318,3 @@ def _tighten_residual(deriv, m, root, state):
         else:
             left, g_left = mid, gm
     return root, fpc, residual, extra
-
-
-def _golden_min(deriv, m, lo, hi, seed_x, seed_g):
-    """Golden-section shrink of |f'(t) - m| around the best sample."""
-    best_t, best_fp, best_res = seed_x, seed_g + m, abs(seed_g)
-
-    def probe(t):
-        nonlocal best_t, best_fp, best_res
-        try:
-            fp = deriv(t)
-        except DomainError:
-            return math.inf
-        r = abs(fp - m)
-        if r < best_res:
-            best_t, best_fp, best_res = t, fp, r
-        return r
-
-    h = hi - lo
-    x1 = hi - _INVPHI * h
-    x2 = lo + _INVPHI * h
-    r1 = probe(x1)
-    r2 = probe(x2)
-    steps = 0
-    while steps < _GOLDEN_STEPS and hi - lo > 0.0:
-        if r1 <= r2:
-            hi, x2, r2 = x2, x1, r1
-            h = hi - lo
-            x1 = hi - _INVPHI * h
-            r1 = probe(x1)
-        else:
-            lo, x1, r1 = x1, x2, r2
-            h = hi - lo
-            x2 = lo + _INVPHI * h
-            r2 = probe(x2)
-        steps += 1
-    # recompute at the winner so residual == |f_prime_at_c - m| holds exactly
-    return best_t, deriv(best_t), steps

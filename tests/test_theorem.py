@@ -20,7 +20,7 @@ from mvtcheck.expr import (
     parse,
     steps,
 )
-from mvtcheck.numeric import Interval
+from mvtcheck.numeric import Interval, grid
 from mvtcheck.theorem import (
     EPS_RES,
     MAX_SAMPLES,
@@ -600,15 +600,15 @@ def test_coarse_bracket_spends_few_derivative_evaluations(monkeypatch):
 
 def test_no_coarse_bracket_costs_at_most_the_coarse_levels(monkeypatch):
     # no level has a sign change: the coarse levels (3 + 5 + ... + 65 = 132
-    # points) come on top of the full grid and the golden-section probes
-    # (64 steps, 2 starting probes, 1 final evaluation)
+    # points) come on top of the full grid, and the best sample is evaluated
+    # once more to report f'(c)
     f = parse("x^3")
     counts = _count_derivative_calls(monkeypatch)
     cfg = Config()
     result = verify_rolle(f, Interval(-7e-5, 8e-5), cfg)
     assert isinstance(result, Applicable)
     assert result.method is Method.RESIDUAL_MIN
-    assert cfg.samples < counts["calls"] <= cfg.samples + 132 + 64 + 3
+    assert counts["calls"] == cfg.samples + 132 + 1
     assert counts["compiles"] == 1
 
 
@@ -802,10 +802,24 @@ def test_applicable_c_is_a_mean_value_point(e, a, width):
     assert abs(central_difference(f, result.c, 1e-5) - result.m) <= tol
 
 
+@given(smooth_exprs(), st.floats(-5.0, 5.0), st.floats(0.01, 5.0))
+@settings(deadline=None, max_examples=150)
+def test_mvt_on_f_is_rolle_on_f_minus_its_secant_slope(e, a, width):
+    # the paper's proof: h = f - m*x has h(a) = h(b), and a c where h' = 0
+    # is a c where f' = m, so wherever the MVT holds for f, Rolle's theorem
+    # holds for h
+    text, iv = reference_format(e), Interval(a, a + width)
+    result = verify_mvt(parse(text), iv)
+    assume(isinstance(result, Applicable))
+    h = parse(f"({text}) - ({result.m!r})*x")
+    assert isinstance(verify_rolle(h, iv), Applicable)
+
+
 # --- residual minimum -------------------------------------------------------
 #
-# Where the scan of f' - m finds no sign change, a golden-section search
-# around the sample of smallest |f' - m| looks for c.
+# Where the full grid of f' - m has no sign change, the sample of smallest
+# |f' - m| is the only candidate c: Applicable with 0 iterations where its
+# residual meets EPS_RES, Unknown otherwise.
 
 
 def test_residual_min_finds_a_touching_zero():
@@ -818,6 +832,11 @@ def test_residual_min_finds_a_touching_zero():
     assert result.residual <= EPS_RES
     assert result.residual == abs(result.f_prime_at_c - result.m)
     assert iv.a < result.c < iv.b
+    assert result.iterations == 0
+    # c is a point of the full grid, inset by half a step
+    samples = Config().samples
+    step = iv.width / samples
+    assert result.c in grid(Interval(iv.a + step / 2, iv.b - step / 2), samples)
 
 
 def test_touching_zero_hit_by_a_coarse_level_is_bisected():
@@ -833,12 +852,16 @@ def test_touching_zero_hit_by_a_coarse_level_is_bisected():
 
 
 def test_residual_min_between_two_samples():
-    # with two samples, the scan sees no sign change of f' - m
+    # with two samples, the scan sees no sign change of f' - m, and neither
+    # sample is a zero; the default grid brackets one and bisects it
     f = parse("2*sin(5*x) + 1*cos(2*x)")
     iv = Interval(-1.0, 1.0)
     result = verify_mvt(f, iv, Config(samples=2))
+    assert isinstance(result, Unknown)
+    assert result.detail.startswith("no sign change at sample resolution; ")
+    result = verify_mvt(f, iv)
     assert isinstance(result, Applicable)
-    assert result.method is Method.RESIDUAL_MIN
+    assert result.method is Method.BRACKET_BISECT
     assert result.residual <= EPS_RES
     assert iv.a < result.c < iv.b
 

@@ -1,4 +1,4 @@
-"""Run mvtcheck on seeded random functions and extreme intervals; report every input that raises.
+"""Run mvtcheck on seeded random functions and extreme intervals; report every input that breaks a rule.
 
     python3 tools/fuzz.py --seed 7 --trees 500
 
@@ -15,10 +15,13 @@ its endpoints passed as ``repr`` texts, and plotted to ``.svg`` on one
 pass through ``INTERVALS`` and to ``.csv`` on the next, so both renderers
 meet every interval.  This draws no random number of its own.
 
-A library call must return a result, and a command must neither report
-an ``internal error`` nor exit with a code other than 0, 1 or 2: the
-tool prints one line per input that breaks a rule, then a summary line,
-and exits 1 if it printed any such input and 0 otherwise.  The same
+A library call must return a result.  Where that result is
+``Applicable``, it must keep what it promises: ``a < c < b``, ``residual
+== abs(f_prime_at_c - m) <= EPS_RES``, and ``m == 0.0`` from
+``verify_rolle``.  A command must neither report an ``internal error``
+nor exit with a code other than 0, 1 or 2.  The tool prints one line per
+input that breaks a rule, then a summary line, and exits 1 if it printed
+any such input and 0 otherwise.  The same
 seed and count draw the same inputs.  mvtcheck is imported from the
 ``src/`` next to this directory.
 """
@@ -37,9 +40,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from mvtcheck import Config, Interval, parse, verify_mvt, verify_rolle  # noqa: E402
+from mvtcheck import Applicable, Config, Interval, parse, verify_mvt, verify_rolle  # noqa: E402
 from mvtcheck.cli import run  # noqa: E402
 from mvtcheck.expr import BINARY_OPS, FUNCTIONS  # noqa: E402
+from mvtcheck.theorem import EPS_RES  # noqa: E402
 
 INTERVALS = [
     (0.0, 1.0),
@@ -74,18 +78,40 @@ def random_text(rng: random.Random, leaves: int) -> str:
     return f"({random_text(rng, left)} {rng.choice(BINARY_OPS)} {random_text(rng, leaves - left)})"
 
 
-def library_failures(text: str, rng: random.Random) -> list[str]:
-    """One line per verdict on ``text`` that raises instead of returning."""
+def broken_promises(result: Applicable, a: float, b: float, rolle: bool) -> list[str]:
+    """What of its promise the Applicable ``result`` on [a, b] breaks."""
+    broken = []
+    if not a < result.c < b:
+        broken.append("c outside (a, b)")
+    if result.residual != abs(result.f_prime_at_c - result.m):
+        broken.append("residual != |f_prime_at_c - m|")
+    if not result.residual <= EPS_RES:
+        broken.append("residual above EPS_RES")
+    if rolle and result.m != 0.0:
+        broken.append("m != 0 from verify_rolle")
+    return broken
+
+
+def library_findings(text: str, rng: random.Random) -> tuple[list[str], list[str], int]:
+    """One line per verdict on ``text`` that raises, one per Applicable
+    that breaks its promise, and how many verdicts are Applicable."""
     f = parse(text)
-    failures = []
+    raised, broken, applicable = [], [], 0
     for a, b in INTERVALS:
         cfg = rng.choice(CONFIGS)
         for verify in (verify_mvt, verify_rolle):
+            where = f"{verify.__name__} f={text!r} a={a!r} b={b!r} {cfg!r}"
             try:
-                verify(f, Interval(a, b), cfg)
+                result = verify(f, Interval(a, b), cfg)
             except Exception as exc:  # any exception is the finding
-                failures.append(f"{verify.__name__} f={text!r} a={a!r} b={b!r} {cfg!r}: {exc!r}")
-    return failures
+                raised.append(f"{where}: {exc!r}")
+                continue
+            if isinstance(result, Applicable):
+                applicable += 1
+                promises = broken_promises(result, a, b, verify is verify_rolle)
+                if promises:
+                    broken.append(f"{where}: {result!r} breaks {'; '.join(promises)}")
+    return raised, broken, applicable
 
 
 def cli_commands(text: str, k: int, scratch: str) -> list[list[str]]:
@@ -131,22 +157,26 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--trees", type=int, required=True, help="how many random expressions to try")
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
-    failures: list[str] = []
-    verdicts = commands = 0
+    raised_count = broken_count = verdicts = applicable = commands = 0
     with tempfile.TemporaryDirectory() as scratch:
         for n in range(args.trees):
             text = random_text(rng, rng.randint(1, MAX_LEAVES))
-            found = library_failures(text, rng)
+            raised, broken, count = library_findings(text, rng)
             verdicts += 2 * len(INTERVALS)
+            applicable += count
             if n % CLI_EVERY == 0:
                 argvs = cli_commands(text, n // CLI_EVERY, scratch)
-                found += cli_failures(argvs)
+                raised += cli_failures(argvs)
                 commands += len(argvs)
-            for line in found:
+            for line in raised + broken:
                 print(line, flush=True)
-            failures += found
-    print(f"seed {args.seed}: {args.trees} trees, {verdicts} verdicts, {commands} commands, {len(failures)} raised")
-    return 1 if failures else 0
+            raised_count += len(raised)
+            broken_count += len(broken)
+    print(
+        f"seed {args.seed}: {args.trees} trees, {verdicts} verdicts ({applicable} applicable), "
+        f"{commands} commands, {raised_count} raised, {broken_count} broken applicable"
+    )
+    return 1 if raised_count or broken_count else 0
 
 
 if __name__ == "__main__":
