@@ -134,13 +134,19 @@ def _derivative(t: Tape, slots: list[int]) -> dict[int, int]:
     # are the cone of a folded slot, children first, so each node is
     # derived once, from its children's derivatives
     constants, d = t.constants, {}
+    leaves: dict[bool, int] = {}  # per leaf kind (x or not), the slot of its derivative
     for i in slots:
-        part, *args = t.keys[i]
-        if len(args) == 2:
-            u, v = args
+        key = t.keys[i]
+        if len(key) == 3:
+            part, u, v = key
             du, dv = d[u], d[v]
             if part == "+" or part == "-":
                 d[i] = _binary(t, part, (du, dv))
+            elif part == "*" and (u in constants) != (v in constants):
+                # one constant factor c of g: (0 * g) + (c * g') folds to
+                # c * g', but where that is the constant -0.0, to 0.0 + -0.0
+                w = _binary(t, "*", (u, dv) if u in constants else (du, v))
+                d[i] = _constant(t, 0.0) if constants.get(w) == 0.0 else w
             elif part == "*":
                 d[i] = _binary(t, "+", (_binary(t, "*", (du, v)), _binary(t, "*", (u, dv))))
             elif part == "/":
@@ -157,14 +163,18 @@ def _derivative(t: Tape, slots: list[int]) -> dict[int, int]:
                 log_term = _binary(t, "*", (dv, _call(t, "ln", u)))
                 ratio = _binary(t, "/", (_binary(t, "*", (v, du)), u))
                 d[i] = _binary(t, "*", (i, _binary(t, "+", (log_term, ratio))))
-        elif not args:
-            d[i] = _constant(t, 1.0 if part == "x" else 0.0)
-        elif part == "-":
-            d[i] = _neg(t, d[args[0]])
+        elif len(key) == 1:
+            # 1.0 for x, 0.0 for a constant: keyed where the first leaf needs it
+            x = key[0] == "x"
+            if x not in leaves:
+                leaves[x] = _constant(t, 1.0 if x else 0.0)
+            d[i] = leaves[x]
         else:
-            (u,) = args
+            part, u = key
             du = d[u]
-            if part == "sin":
+            if part == "-":
+                d[i] = _neg(t, du)
+            elif part == "sin":
                 d[i] = _binary(t, "*", (_call(t, "cos", u), du))
             elif part == "cos":
                 d[i] = _binary(t, "*", (_neg(t, _call(t, "sin", u)), du))
@@ -284,38 +294,45 @@ def _collect_hazards(t: Tape, slot: int) -> list[tuple[int, WitnessKind, bool]]:
     # abs(u) only touches 0, where u crosses it: where that zero leaves f
     # undefined, the hazard is u, whose sign change the scan confirms
     has_x: dict[int, bool] = {}
-    bare: dict[int, int] = {}
+    bare: dict[int, int] = {}  # abs nodes only: any other slot j is its own, bare.get(j, j)
     folded: dict[int, int] = {}  # per slot listed, its fold, once an exponent needs it
     for i, _, _ in steps(t, [slot]):
-        part, *args = t.keys[i]
-        has_x[i] = part == "x" or any([has_x[j] for j in args])
-        bare[i] = bare[args[0]] if part == "abs" else i
-        if part == "/":
-            out.append((bare[args[1]], WitnessKind.POLE, True))
-        elif part == "^":
-            # the exponent's value decides, as in the evaluators: folding
-            # gives it wherever it is the same at every x
-            exponent = t.constants.get(args[1])
-            if exponent is None:
-                folded = folded or _simplify(t, slot)
-                exponent = t.constants.get(folded[args[1]])
-            n = None if exponent is None else integer_exponent(exponent)
-            if n is None:
-                out.append((bare[args[0]], WitnessKind.POWER_BOUNDARY, True))
-            elif n < 0:
-                # reciprocal of an integer power: base zero is a pole
-                out.append((bare[args[0]], WitnessKind.POLE, True))
-        elif part == "ln":
-            out.append((bare[args[0]], WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
-        elif part == "sqrt":
-            out.append((args[0], WitnessKind.LOG_OR_ROOT_BOUNDARY, False))
-        elif part == "abs":
-            out.append((args[0], WitnessKind.ABS_KINK, False))
-        elif part == "tan" and has_x[args[0]]:
-            # tan blows up where cos of its argument vanishes
-            cos = t.put(("cos", args[0]))
-            has_x[cos] = True
-            out.append((cos, WitnessKind.POLE, True))
+        key = t.keys[i]
+        if len(key) == 3:
+            part, u, v = key
+            has_x[i] = has_x[u] or has_x[v]
+            if part == "/":
+                out.append((bare.get(v, v), WitnessKind.POLE, True))
+            elif part == "^":
+                # the exponent's value decides, as in the evaluators: folding
+                # gives it wherever it is the same at every x
+                exponent = t.constants.get(v)
+                if exponent is None:
+                    folded = folded or _simplify(t, slot)
+                    exponent = t.constants.get(folded[v])
+                n = None if exponent is None else integer_exponent(exponent)
+                if n is None:
+                    out.append((bare.get(u, u), WitnessKind.POWER_BOUNDARY, True))
+                elif n < 0:
+                    # reciprocal of an integer power: base zero is a pole
+                    out.append((bare.get(u, u), WitnessKind.POLE, True))
+        elif len(key) == 1:
+            has_x[i] = key[0] == "x"
+        else:
+            part, u = key
+            has_x[i] = has_x[u]
+            if part == "ln":
+                out.append((bare.get(u, u), WitnessKind.LOG_OR_ROOT_BOUNDARY, True))
+            elif part == "sqrt":
+                out.append((u, WitnessKind.LOG_OR_ROOT_BOUNDARY, False))
+            elif part == "abs":
+                bare[i] = bare.get(u, u)
+                out.append((u, WitnessKind.ABS_KINK, False))
+            elif part == "tan" and has_x[u]:
+                # tan blows up where cos of its argument vanishes
+                cos = t.put(("cos", u))
+                has_x[cos] = True
+                out.append((cos, WitnessKind.POLE, True))
     # an inner expression without x has one value on all of [a, b]: either f
     # raises everywhere, which the scan reports, or it is no hazard at all
     return [hazard for hazard in out if has_x[hazard[0]]]

@@ -198,6 +198,14 @@ def test_derivative_is_already_simplified(e):
 @example(reference_parse("x^2 + x^1*1 + 0*x - (-0)*x"))
 @example(reference_parse("ln(-1)*x + 1/0 + 2^x + x^x + x^-2"))
 @example(reference_parse("sqrt(x)/abs(x) + tan(x) - cos(x)*exp(2*x)"))
+# a constant factor times a derivative that folds to -0.0 derives to 0, not
+# (-0); two constant factors whose product overflows do not fold
+@example(reference_parse("(-3)*(x - x)"))
+@example(reference_parse("(x - x)*(-3)"))
+@example(reference_parse("(-2)*((x - x)*(-1))"))
+@example(reference_parse("1e300*1e300*x"))
+@example(reference_parse("(-1e300)*(x*1e300)"))
+@example(reference_parse("x*(-2.5)"))
 def test_derivative_text_matches_the_recursive_rules(e):
     # the tape's two loops build, node for node, what the rules build as a
     # tree: the texts also tell -0.0 from 0.0
@@ -1097,6 +1105,13 @@ def _hazards_by_rewalking(e):
 
 @settings(deadline=None, max_examples=200)
 @given(grammar_exprs(max_leaves=16))
+# abs under abs, abs under ln and sqrt, a literal and a negated exponent,
+# tan of a constant and of x, and an exponent that folds or does not
+@example(reference_parse("1/abs(abs(x - 1))"))
+@example(reference_parse("ln(abs(x))*sqrt(abs(x))"))
+@example(reference_parse("abs(x)^0.5 + abs(x)^-2"))
+@example(reference_parse("tan(2) + tan(x)"))
+@example(reference_parse("(x + 1)^(2*x) + (x + 1)^(4/2)"))
 def test_hazards_match_their_first_definition(e):
     assert _hazards(e) == _hazards_by_rewalking(e)
 
@@ -1153,6 +1168,26 @@ def test_nested_power_exponents_fold_in_linear_time(monkeypatch):
         calculus._collect_hazards(e.tape, e.slot)
         counts.append(len(calls))
     assert counts[0] >= 100 and counts[1] <= 2.2 * counts[0]
+
+
+def test_a_constant_factor_costs_one_product_in_the_derivative(monkeypatch):
+    # (c*u)' = c*u': one product, where (0*u) + (c*u') took three _binary
+    # calls; f's own fold makes the rest
+    calls = []
+    binary = calculus._binary
+
+    def counted_binary(t, op, args):
+        calls.append(op)
+        return binary(t, op, args)
+
+    monkeypatch.setattr(calculus, "_binary", counted_binary)
+    counts = {}
+    for text in ("3*x", "x*3", "3*sin(2*x)"):
+        f = parse(text)
+        calls.clear()
+        differentiate(f)
+        counts[text] = len(calls)
+    assert counts == {"3*x": 2, "x*3": 2, "3*sin(2*x)": 5}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Print every output of mvtcheck on the benchmark's seeded inputs, one line each.
 
-Run from anywhere, with the workload and one or more seeds:
+Run from anywhere, with the workload (or ``fuzz``) and one or more seeds:
 
     python3 tools/dump_outputs.py smooth 1 2 3 > after.txt
     diff before.txt after.txt
@@ -12,13 +12,20 @@ Each line is one JSON list: the workload, seed and input index, then
   derivative, and the ``repr`` of ``analyze_smoothness`` at 1024 and at 97;
 - for ``cli``: the command line, the exit code, standard output, standard
   error and the SHA-256 of the plot file the command wrote (None without
-  one).
+  one);
+- for ``fuzz``, one line for each of the first 200 random expressions that
+  ``tools/fuzz.py`` draws for the seed, with the same draws, command lines
+  left out: the text, ``format_expr`` of the derivative, then the ``repr``
+  of ``verify_mvt`` and of ``verify_rolle`` on each interval of
+  ``fuzz.INTERVALS``, in the configuration drawn for it.  These reach
+  corners that the benchmark's inputs do not: ``x - x``, ``1e300`` and
+  ``5e-324`` in the texts, ``-0`` in the derivatives.
 
 A call that raises prints the exception's ``repr`` in place of its
 output.  Two runs that print the same lines gave the same verdicts, the
 same numbers and the same files.  mvtcheck is imported from the ``src/``
 next to this directory, and the inputs come from ``bench/mvtbench/gen.py``,
-which is read and not changed.
+which is read and not changed, or from ``tools/fuzz.py`` next to this file.
 
 With ``--against REF`` first, the tool checks the git revision REF out in
 a temporary worktree, runs that checkout's own dump and this one with the
@@ -38,6 +45,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -48,11 +56,14 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from mvtbench.gen import WORKLOADS, generate  # noqa: E402
 
+import fuzz  # noqa: E402
 import mvtcheck  # noqa: E402
 from mvtcheck.calculus import analyze_smoothness  # noqa: E402
 from mvtcheck.cli import run  # noqa: E402
 
 SAMPLES = (1024, 97)
+# random expressions per seed that the fuzz dump prints
+FUZZ_TREES = 200
 
 # differing lines that --against prints before its count
 _SHOWN = 5
@@ -98,6 +109,21 @@ def cli_lines(seed: int):
                 yield ["cli", seed, index, argv, code, out.getvalue(), err.getvalue(), digest]
         finally:
             os.chdir(here)
+
+
+def fuzz_lines(seed: int):
+    # the draws of fuzz.main and fuzz.library_findings, in their order
+    rng = random.Random(seed)
+    for index in range(FUZZ_TREES):
+        text = fuzz.random_text(rng, rng.randint(1, fuzz.MAX_LEAVES))
+        f = mvtcheck.parse(text)
+        verdicts = []
+        for a, b in fuzz.INTERVALS:
+            cfg = rng.choice(fuzz.CONFIGS)
+            for verify in (mvtcheck.verify_mvt, mvtcheck.verify_rolle):
+                verdicts.append(_attempt(lambda: verify(f, mvtcheck.Interval(a, b), cfg)))
+        derivative = _attempt(lambda: mvtcheck.differentiate(f), mvtcheck.format_expr)
+        yield ["fuzz", seed, index, text, derivative, *verdicts]
 
 
 class ComparisonFailed(Exception):
@@ -146,8 +172,8 @@ def main(argv: list[str]) -> int:
     ref = None
     if argv[:1] == ["--against"] and len(argv) > 1:
         ref, argv = argv[1], argv[2:]
-    if len(argv) < 2 or argv[0] not in WORKLOADS:
-        print(f"usage: dump_outputs.py [--against REF] {{{','.join(WORKLOADS)}}} SEED [SEED ...]", file=sys.stderr)
+    if len(argv) < 2 or argv[0] not in (*WORKLOADS, "fuzz"):
+        print(f"usage: dump_outputs.py [--against REF] {{{','.join(WORKLOADS)},fuzz}} SEED [SEED ...]", file=sys.stderr)
         return 2
     if os.path.dirname(os.path.abspath(mvtcheck.__file__)) != os.path.join(ROOT, "src", "mvtcheck"):
         print(f"error: imported mvtcheck from {mvtcheck.__file__}", file=sys.stderr)
@@ -156,7 +182,12 @@ def main(argv: list[str]) -> int:
         return against(ref, argv)
     workload = argv[0]
     for seed in map(int, argv[1:]):
-        lines = cli_lines(seed) if workload == "cli" else library_lines(workload, seed)
+        if workload == "fuzz":
+            lines = fuzz_lines(seed)
+        elif workload == "cli":
+            lines = cli_lines(seed)
+        else:
+            lines = library_lines(workload, seed)
         for line in lines:
             print(json.dumps(line))
     return 0
